@@ -197,10 +197,6 @@ BasicOpenSet = (
     HalfOpen | OpenInterval | ClopenInterval | ExtremeSingleton | InteriorDisc | TangentDisc
 )
 
-SORGENFREY_KINDS = (HalfOpen, OpenInterval)
-DOUBLE_ARROW_KINDS = (ClopenInterval, ExtremeSingleton)
-NIEMYTZKI_KINDS = (InteriorDisc, TangentDisc)
-
 
 def _check_point(s: BasicOpenSet, p: Point) -> None:
     if s.space is not p.space:

@@ -20,7 +20,8 @@ Values always live in [0, 1] and vanish exactly off the indexing set:
 For a validated finite union V the value is the supremum of the base-set
 values over base sets inscribed in V; the supremum is attained by a base set,
 so a parametric search over inscribed discs (seeded with the components and
-polished by coordinate refinement, feasibility decided by ``disc_in_union``)
+polished by coordinate refinement, each centre's largest inscribed radius
+decided by the closed-form Euclidean distance to the union's complement)
 converges to it from below.
 """
 
@@ -181,7 +182,8 @@ def _uncovered_vertices(V: RegularOpenSet) -> np.ndarray:
     """Crossing points of component boundary circles not inside the union.
 
     These are the complement's sharp corners: a candidate disc strictly
-    containing one cannot be inscribed.  Sampling them closes the blind spot
+    containing one cannot be inscribed.  They are the vertex term of the
+    closed-form complement distance, and sampling them closes the blind spot
     a pure angular discretization has at narrow wedges.
     """
     centers, radii = _component_arrays(V)
@@ -208,10 +210,11 @@ def disc_in_union(candidate: BasicOpenSet, V: RegularOpenSet) -> bool:
 def disc_in_union_ex(candidate: BasicOpenSet, V: RegularOpenSet) -> tuple[bool, str]:
     """Containment of a base disc in a union; ('exact'|'sampled') method tag.
 
-    Single-component targets are decided by the algebraic disc-in-disc
-    inequality (with the tangency rules for axis neighborhoods).  Unions get
-    a sampled decision: the candidate's boundary at 720 angles plus an
-    interior grid, every sample required to land in some component.
+    A single-component target, or a candidate inside one component, is
+    decided by the algebraic disc-in-disc inequality (with the tangency rules
+    for axis neighborhoods).  Other unions get a sampled decision: the
+    candidate's boundary at 720 angles plus an interior grid, every sample
+    required to land in some component.
     """
     if candidate.space is not Space.NIEMYTZKI or V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("disc containment is a Niemytzki operation")
@@ -222,7 +225,7 @@ def disc_in_union_ex(candidate: BasicOpenSet, V: RegularOpenSet) -> tuple[bool, 
     if len(V.components) == 1:
         return basic_subset(candidate, V.components[0]), "exact"
     if any(basic_subset(candidate, c) for c in V.components):
-        return True, "sampled"
+        return True, "exact"
     if isinstance(candidate, TangentDisc):
         if not member(V, candidate.axis_point):
             return False, "sampled"
@@ -245,16 +248,15 @@ def disc_in_union_ex(candidate: BasicOpenSet, V: RegularOpenSet) -> tuple[bool, 
 
 
 def _euclid_complement_distance(
-    cs: np.ndarray, centers: np.ndarray, radii: np.ndarray
+    cs: np.ndarray, centers: np.ndarray, radii: np.ndarray, verts: np.ndarray
 ) -> np.ndarray:
-    """Distance from each query center to the complement of the open union.
+    """Euclidean distance from each query center to the complement of the open union.
 
-    Closed form for unions of discs: the minimum of (i) the query's height
-    above the axis, (ii) per-circle distances |R_i - d_i| where the nearest
-    circle point is not covered by another disc, and (iii) distances to
-    pairwise circle-intersection points not covered by a third disc.  Used
-    only to seed the search; feasibility of reported candidates always goes
-    through ``disc_in_union``.
+    Closed form for unions of discs (docs/derivations.md, "Union suprema"):
+    the minimum of (i) the query's height above the axis, (ii) per-circle
+    distances |R_i - d_i| where the nearest circle point is not covered by
+    another disc, and (iii) distances to the uncovered arrangement vertices
+    ``verts`` from ``_uncovered_vertices``.  Queries outside every disc get 0.
     """
     m = cs.shape[0]
     k = centers.shape[0]
@@ -275,19 +277,9 @@ def _euclid_complement_distance(
             covered |= dj < radii[j]
         cand = np.abs(radii[i] - d[:, i])
         best = np.where(~covered, np.minimum(best, cand), best)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for v in _circle_intersections(centers[i], radii[i], centers[j], radii[j]):
-                cov = False
-                for l in range(k):
-                    if l in (i, j):
-                        continue
-                    if np.linalg.norm(v - centers[l]) < radii[l]:
-                        cov = True
-                        break
-                if not cov:
-                    dv = np.linalg.norm(cs - v[None, :], axis=1)
-                    best = np.minimum(best, dv)
+    if len(verts):
+        dv = np.linalg.norm(cs[:, None, :] - verts[None, :, :], axis=2)
+        best = np.minimum(best, dv.min(axis=1))
     return np.where(inside_any, best, 0.0)
 
 
@@ -306,8 +298,8 @@ def _circle_intersections(c1, r1, c2, r2):
 
 
 def _sample_template() -> np.ndarray:
-    """Unit-disc sample pattern shared by every containment decision in the
-    union search: near-boundary ring at 720 angles, interior rings, center."""
+    """Unit-disc sample pattern of the sampled ``disc_in_union`` test:
+    near-boundary ring at 720 angles, interior rings, center."""
     th = np.linspace(0.0, 2 * math.pi, CONTAINMENT_ANGLES, endpoint=False)
     parts = [np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-9)]
     th_i = np.linspace(0.0, 2 * math.pi, 72, endpoint=False)
@@ -318,39 +310,6 @@ def _sample_template() -> np.ndarray:
 
 
 _TEMPLATE = _sample_template()
-
-
-def _sampled_max_radius(
-    centers_q: np.ndarray,
-    caps: np.ndarray,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    verts: np.ndarray,
-) -> np.ndarray:
-    """Vectorized binary search: max sampled-feasible disc radius per center.
-
-    Feasibility is the same sampled test as ``disc_in_union`` (template plus
-    uncovered arrangement vertices), so every value the search reports is
-    certified by that oracle.
-    """
-    m = centers_q.shape[0]
-    lo = np.zeros(m)
-    hi = caps.copy()
-    if len(verts):
-        dv = np.linalg.norm(
-            centers_q[:, None, :] - verts[None, :, :], axis=2
-        ).min(axis=1)
-        hi = np.minimum(hi, dv)  # may not strictly contain a complement corner
-    tpl = _TEMPLATE
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        pts = centers_q[:, None, :] + mid[:, None, None] * tpl[None, :, :]
-        flat = pts.reshape(-1, 2)
-        ok = _points_covered(flat, centers, radii).reshape(m, tpl.shape[0]).all(axis=1)
-        ok &= pts[:, :, 1].min(axis=1) > 0.0
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return lo
 
 
 def _tangent_max_radius(x0: Scalar, V: RegularOpenSet) -> float:
@@ -395,9 +354,10 @@ def niemytzki_union_f(
     are pairwise separated.  Overlapping unions get a lower-bounded
     approximation: the component maximum, improved by a multi-seed
     coordinate-refinement search over inscribed discs through p and over
-    tangent discs grown at the union's tangency points; every reported
-    candidate is feasibility-checked with ``disc_in_union``.  The result
-    never decreases when the budget grows.
+    tangent discs grown at the union's tangency points.  The largest
+    inscribed disc at a candidate centre is decided by the closed-form
+    complement distance; tangent candidates go through ``disc_in_union``.
+    The result never decreases when the budget grows.
     """
     if V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_union_f needs a Niemytzki set")
@@ -442,18 +402,20 @@ def niemytzki_union_f(
         for t in (0.35, 0.7):
             seeds.append(v + (pref - v) * t)
     span = max(1.0, float(radii.max()) * 2)
+
+    def disc_value(cs: np.ndarray) -> np.ndarray:
+        """Value at p of the largest inscribed disc centred at each of cs."""
+        radius = np.minimum(_euclid_complement_distance(cs, centers, radii, verts), cs[:, 1])
+        return np.minimum(radius, 1.0) - np.linalg.norm(cs - pref[None, :], axis=1)
+
     gx = np.linspace(px - span, px + span, 21)
     gy = np.linspace(max(1e-6, py - span), py + span, 21)
     grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
     grid = grid[grid[:, 1] > 0]
-    r_euc = _euclid_complement_distance(grid, centers, radii)
-    vals = np.minimum(np.minimum(r_euc, grid[:, 1]), 1.0) - np.linalg.norm(
-        grid - pref[None, :], axis=1
-    )
-    order = np.argsort(vals)[::-1][:2]
+    order = np.argsort(disc_value(grid))[::-1][:2]
     seeds.extend(grid[k] for k in order)
 
-    def polish(seed: np.ndarray, rounds: int) -> tuple[np.ndarray, float]:
+    def polish(seed: np.ndarray, rounds: int) -> float:
         cur = seed.copy()
         step = 0.4 * span
         cur_val = -np.inf
@@ -463,35 +425,20 @@ def niemytzki_union_f(
                 np.meshgrid(cur[0] + offs, cur[1] + offs), axis=-1
             ).reshape(-1, 2)
             cand = cand[cand[:, 1] > 1e-9]
-            # skip candidates whose geometric optimum (closed-form distance
-            # to the complement, padded by the sampling sag) cannot beat the
-            # running max; identical prefixes keep the budget monotone
-            geo = _euclid_complement_distance(cand, centers, radii)
-            caps = np.minimum(cand[:, 1], 1.0)
-            bound = np.minimum(geo + 5e-5, caps) - np.linalg.norm(
-                cand - pref[None, :], axis=1
-            )
-            cand = cand[bound > cur_val]
-            if cand.shape[0]:
-                caps = np.minimum(cand[:, 1], 1.0)
-                rmax = _sampled_max_radius(cand, caps, centers, radii, verts)
-                v = rmax - np.linalg.norm(cand - pref[None, :], axis=1)
-                k = int(np.argmax(v))
-                if v[k] > cur_val:
-                    cur_val = float(v[k])
-                    cur = cand[k]
+            v = disc_value(cand)
+            k = int(np.argmax(v))
+            if v[k] > cur_val:
+                cur_val = float(v[k])
+                cur = cand[k]
             step /= 5.0
-        return cur, cur_val
+        return cur_val
 
-    # each polish keeps a running max over its rounds and all feasibility
-    # decisions share one sampled template, so the result is monotone in the
-    # budget: a larger budget only extends the candidate set
+    # each polish keeps a running max over its rounds, so the result is
+    # monotone in the budget: a larger budget only extends the rounds run
     for seed in seeds:
         if seed[1] <= 0:
             continue
-        _c, v_star = polish(np.asarray(seed, dtype=float), budget)
-        if v_star > best:
-            best = v_star
+        best = max(best, polish(np.asarray(seed, dtype=float), budget))
     return best
 
 

@@ -262,6 +262,18 @@ def check_condition_1(
     )
 
 
+def _monotone_at(vu: Scalar, vv: Scalar, searched: bool) -> bool:
+    """Condition 2 at one point: exact ``le``, or ``SEARCH_SLACK`` when a side
+    comes from the union search."""
+    if searched:
+        return float(vu) <= float(vv) + SEARCH_SLACK
+    return le(vu, vv)
+
+
+def _pair_is_searched(S: Stratification, U: SetLike, V: SetLike) -> bool:
+    return _value_is_searched(S, U) or _value_is_searched(S, V)
+
+
 def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
     """Monotonicity in the index set on constructed nested pairs."""
     rng = plan.rng("condition_2")
@@ -270,18 +282,13 @@ def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
     points_per_pair = max(1, plan.n_points // max(1, plan.n_set_pairs))
     for _ in range(plan.n_set_pairs):
         U, V = sample_family_pair(S, rng)
-        searched = _value_is_searched(S, U) or _value_is_searched(S, V)
+        searched = _pair_is_searched(S, U, V)
         for _ in range(points_per_pair):
             big = V if isinstance(V, RegularOpenSet) else RegularOpenSet(V.space, (V,))
             p = sample_point_near_set(big, rng)
             vu, vv = S.value(U, p), S.value(V, p)
             n += 1
-            ok = (
-                le(vu, vv)
-                if not searched
-                else float(vu) <= float(vv) + SEARCH_SLACK
-            )
-            if not ok:
+            if not _monotone_at(vu, vv, searched):
                 witnesses.append(
                     {
                         "kind": "condition_2",
@@ -363,7 +370,7 @@ def check_condition_3(
 # condition (4): chain infimum
 
 
-def _param_strictly_above_limit(pv, depth: int) -> bool:
+def _param_strictly_above_limit(pv) -> bool:
     """Whether c1/(n+s) + c2/(n+s)^2 > 0 for every n >= 1 (exact)."""
     c1, c2, s = pv.over_n, pv.over_n2, pv.shift
     if c1 > 0:
@@ -373,7 +380,7 @@ def _param_strictly_above_limit(pv, depth: int) -> bool:
     return False
 
 
-def _param_strictly_below_limit(pv, depth: int) -> bool:
+def _param_strictly_below_limit(pv) -> bool:
     c1, c2, s = pv.over_n, pv.over_n2, pv.shift
     if c1 < 0:
         return c1 * (1 + s) + c2 < 0
@@ -382,7 +389,7 @@ def _param_strictly_below_limit(pv, depth: int) -> bool:
     return False
 
 
-def _lane_limit_value(label: str, comp: ParametricBasicSet, depth: int, p: Point):
+def _lane_limit_value(comp: ParametricBasicSet, p: Point):
     """Exact limit of the lane's family values along the chain at p.
 
     Interval and disc formulas are continuous in their parameters (the value
@@ -398,8 +405,8 @@ def _lane_limit_value(label: str, comp: ParametricBasicSet, depth: int, p: Point
         return Fraction(0)
     if comp.kind == "clopen_interval":
         a, b = lim["a"], lim["b"]
-        left_strict = _param_strictly_below_limit(comp.params["a"], depth)
-        right_strict = _param_strictly_above_limit(comp.params["b"], depth)
+        left_strict = _param_strictly_below_limit(comp.params["a"])
+        right_strict = _param_strictly_above_limit(comp.params["b"])
         if (p.t, p.side) == (0, 0):
             return Fraction(1) if comp.flags.get("include_left_extreme") else Fraction(0)
         if (p.t, p.side) == (1, 1):
@@ -440,8 +447,30 @@ def chain_limit_value(label: str, chain: DecreasingChain, p: Point):
     """inf over the whole (infinite) chain of the named family values at p."""
     if label not in (LABEL_SORGENFREY, LABEL_DOUBLE_ARROW, LABEL_NIEMYTZKI):
         return None
-    values = [_lane_limit_value(label, comp, chain.depth, p) for comp in chain.components]
+    values = [_lane_limit_value(comp, p) for comp in chain.components]
     return max(values, key=float) if values else Fraction(0)
+
+
+def _chain_inf_estimate(
+    S: Stratification,
+    chain: DecreasingChain,
+    elements: Sequence[RegularOpenSet],
+    p: Point,
+    tol: float,
+) -> tuple[float, float, float]:
+    """(infimum estimate, tolerance, smallest evaluated value) of the chain at p.
+
+    Families with a closed-form chain limit compare against it at ``tol``;
+    the others fall back to the smallest evaluated element, with the
+    tolerance widened by the last step's slope over the chain depth.
+    """
+    evaluated = [float(S.value(U, p)) for U in elements]
+    ev_min = min(evaluated)
+    exact_inf = chain_limit_value(S.label, chain, p)
+    if exact_inf is not None:
+        return float(exact_inf), tol, ev_min
+    slope = max(0.0, evaluated[-2] - evaluated[-1]) if len(evaluated) > 1 else 0.0
+    return ev_min, tol + chain.depth * slope, ev_min
 
 
 def check_condition_4(
@@ -456,19 +485,10 @@ def check_condition_4(
     W = decreasing_chain_interior(chain)
     witnesses = []
     n = 0
-    elements = [chain.at(k) for k in range(1, chain.depth + 1)]
+    elements = chain.element_sets()
     for p in points:
         f_w = S.value(W, p)
-        evaluated = [float(S.value(U, p)) for U in elements]
-        ev_min = min(evaluated)
-        exact_inf = chain_limit_value(S.label, chain, p)
-        if exact_inf is not None:
-            inf_est = float(exact_inf)
-            tol_here = tol
-        else:
-            slope = max(0.0, evaluated[-2] - evaluated[-1]) if len(evaluated) > 1 else 0.0
-            inf_est = ev_min
-            tol_here = tol + chain.depth * slope
+        inf_est, tol_here, ev_min = _chain_inf_estimate(S, chain, elements, p, tol)
         deviation = abs(float(f_w) - inf_est)
         n += 1
         if deviation > tol_here:
@@ -648,9 +668,7 @@ def check_conditions_abc(
 # condition (d)
 
 
-def _chain_sublevel_closure_all(
-    comp: ParametricBasicSet, q: Fraction, depth: int, x: Point
-) -> bool:
+def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point) -> bool:
     """x in the intersection over all n of cl((U^n)_q), decided exactly.
 
     The superlevel sets are closed-form for base-set lanes; their closures
@@ -664,7 +682,7 @@ def _chain_sublevel_closure_all(
         top = b - q
         if not x.x >= a:
             return False
-        b_strict = _param_strictly_above_limit(comp.params["b"], depth)
+        b_strict = _param_strictly_above_limit(comp.params["b"])
         return x.x < top or (x.x == top and b_strict)
     if comp.kind == "clopen_interval":
         a, b = lim["a"], lim["b"]
@@ -673,19 +691,16 @@ def _chain_sublevel_closure_all(
             return bool(comp.flags.get("include_left_extreme"))
         if (x.t, x.side) == (1, 1):
             return bool(comp.flags.get("include_right_extreme"))
-        len_strict = _param_strictly_above_limit(
-            comp.params["b"], depth
-        ) or _param_strictly_below_limit(comp.params["a"], depth)
-        if not (q < length or (q == length and len_strict)):
+        left_strict = _param_strictly_below_limit(comp.params["a"])
+        right_strict = _param_strictly_above_limit(comp.params["b"])
+        if not (q < length or (q == length and (left_strict or right_strict))):
             return False
-        left_strict = _param_strictly_below_limit(comp.params["a"], depth)
-        right_strict = _param_strictly_above_limit(comp.params["b"], depth)
         left_ok = x.t > a or (x.t == a and (x.side == 1 or left_strict))
         right_ok = x.t < b or (x.t == b and (x.side == 0 or right_strict))
         return left_ok and right_ok
     if comp.kind == "tangent_disc":
         a, r = lim["a"], lim["r"]
-        r_strict = _param_strictly_above_limit(comp.params["r"], depth)
+        r_strict = _param_strictly_above_limit(comp.params["r"])
         if q < r:
             from .approximations import TangentLens
 
@@ -696,7 +711,7 @@ def _chain_sublevel_closure_all(
         return False
     if comp.kind == "interior_disc":
         cx, cy, r = lim["cx"], lim["cy"], lim["r"]
-        r_strict = _param_strictly_above_limit(comp.params["r"], depth)
+        r_strict = _param_strictly_above_limit(comp.params["r"])
         center = NiemytzkiPoint(cx, cy)
         if q < r:
             return le(sq_dist(x, center), sq(r - q))
@@ -724,7 +739,7 @@ def check_condition_d(
         for x in points:
             n += 1
             in_all_closures = any(
-                _chain_sublevel_closure_all(comp, q_val, chain.depth, x)
+                _chain_sublevel_closure_all(comp, q_val, x)
                 for comp in chain.components
             )
             if in_all_closures and not A.contains(W, p_val, x):
@@ -998,7 +1013,7 @@ def replay_witness(witness: dict) -> bool:
         U = load_set(witness["small_set"])
         V = load_set(witness["big_set"])
         p = decode_point(witness["point"])
-        return float(S.value(U, p)) > float(S.value(V, p)) + SEARCH_SLACK
+        return not _monotone_at(S.value(U, p), S.value(V, p), _pair_is_searched(S, U, V))
     if kind == "condition_3":
         S = _family_by_label(witness["family"]) if witness["family"] != LABEL_USER else None
         if S is None:
@@ -1012,8 +1027,9 @@ def replay_witness(witness: dict) -> bool:
         chain = decode_chain(witness["chain"])
         p = decode_point(witness["point"])
         W = decreasing_chain_interior(chain)
-        inf_exact = chain_limit_value(S.label, chain, p)
-        return abs(float(S.value(W, p)) - float(inf_exact)) > TOL_INF
+        elements = chain.element_sets()
+        inf_est, tol_here, _ev_min = _chain_inf_estimate(S, chain, elements, p, TOL_INF)
+        return abs(float(S.value(W, p)) - inf_est) > tol_here
     if kind == "condition_d":
         chain = decode_chain(witness["chain"])
         x = decode_point(witness["point"])
@@ -1030,7 +1046,7 @@ def replay_witness(witness: dict) -> bool:
         A = stratification_to_approximation(S, QGrid(10))
         W = decreasing_chain_interior(chain)
         in_all = any(
-            _chain_sublevel_closure_all(comp, q_val, chain.depth, x)
+            _chain_sublevel_closure_all(comp, q_val, x)
             for comp in chain.components
         )
         return in_all and not A.contains(W, p_val, x)

@@ -10,7 +10,7 @@ Two numeric modes coexist in the library:
   square roots, is allowed to operate in this mode.
 
 Mixing a Fraction and a float inside one comparison is an error; conversions
-must be explicit (`to_float`).
+must be explicit (``float(value)``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 Scalar = Union[Fraction, float]
 
 #: One-sided tolerance for strict comparisons between binary64 scalars.
@@ -66,10 +65,6 @@ def same_mode(*values: Scalar) -> bool:
 def check_same_mode(*values: Scalar) -> None:
     if not same_mode(*values):
         raise ModeMixError(f"mixed exact/float scalars: {values!r}")
-
-
-def to_float(value: Scalar) -> float:
-    return float(value)
 
 
 def lt(a: Scalar, b: Scalar) -> bool:

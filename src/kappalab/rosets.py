@@ -294,18 +294,6 @@ def empty_set(space: Space) -> RegularOpenSet:
     return RegularOpenSet(space, (), VALIDATED_EXACT)
 
 
-def roset_subset(inner: RegularOpenSet, outer: RegularOpenSet) -> bool:
-    """Sufficient exact containment: every inner component inside some outer one.
-
-    For Sorgenfrey and double arrow canonical unions this is also necessary;
-    for Niemytzki unions a component may straddle several discs, so a False
-    here does not prove non-containment.
-    """
-    return all(
-        any(basic_subset(ci, co) for co in outer.components) for ci in inner.components
-    )
-
-
 # ---------------------------------------------------------------------------
 # parametric chains
 

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
+
 from kappalab import (
     ClopenInterval,
     DoubleArrowPoint,
@@ -25,7 +27,13 @@ from kappalab import (
     sorgenfrey_f,
     validate_regular_open,
 )
+from kappalab.families import (
+    _component_arrays,
+    _euclid_complement_distance,
+    _uncovered_vertices,
+)
 from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_sorgenfrey_set
+from test_acceptance import _interior_point_in, _overlapping_union
 
 
 def _ro(space, comps):
@@ -196,6 +204,38 @@ def test_disc_in_union_methods():
     # straddling the waist too widely fails
     ok2, _ = disc_in_union_ex(InteriorDisc(F(0), F(5, 2), F(1)), union)
     assert not ok2
+
+
+def test_disc_in_union_exact_inside_one_component():
+    # separated components: the candidate sits inside the first disc, which
+    # the algebraic disc-in-disc test decides without sampling
+    union = _ro(
+        Space.NIEMYTZKI,
+        [InteriorDisc(F(0), F(2), F(1)), InteriorDisc(F(4), F(2), F(1))],
+    )
+    ok, method = disc_in_union_ex(InteriorDisc(F(0), F(2), F(1, 2)), union)
+    assert ok and method == "exact"
+
+
+def test_complement_distance_agrees_with_sampled_containment():
+    # the closed-form radius at interior centres of overlapping unions,
+    # cross-checked against the independent sampled containment test
+    rng = random.Random(607)
+    grown = 0
+    for i in range(20):
+        V = _overlapping_union(rng, 2 if i % 2 == 0 else 3)
+        centers, radii = _component_arrays(V)
+        verts = _uncovered_vertices(V)
+        for _ in range(3):
+            c = _interior_point_in(V, rng)
+            cx, cy = float(c.x), float(c.y)
+            d = float(_euclid_complement_distance(np.array([[cx, cy]]), centers, radii, verts)[0])
+            assert d > 0, (V, c)
+            assert disc_in_union(InteriorDisc(cx, cy, 0.999999 * d), V), (V, c, d)
+            if d + 1e-3 <= min(cy, 1.0):
+                assert not disc_in_union(InteriorDisc(cx, cy, d + 1e-3), V), (V, c, d)
+                grown += 1
+    assert grown >= 20
 
 
 def test_tangent_candidate_needs_its_axis_point():

@@ -34,6 +34,7 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.families import g_stratification
+from kappalab.serialize import encode_chain, encode_point, encode_roset
 from kappalab.harness import chain_check_points, check_separations, continuity_negative_control
 from kappalab.sampling import (
     sample_chain,
@@ -163,6 +164,41 @@ def test_condition_4_fails_on_pinch_chain_with_witness():
     # the value infimum along the chain is 1/10, the interior value is 0
     assert abs(w["deviation"] - 0.1) < 1e-12
     assert replay_witness(w)
+
+
+def test_condition_2_replay_matches_exact_check():
+    # exact Sorgenfrey values: le(1/2, 49999/100000) fails, so the check
+    # flags this point, and the replay must flag it without search slack
+    small = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1))])
+    big = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(99999, 100000))])
+    w = {
+        "kind": "condition_2",
+        "family": "sorgenfrey_kappa",
+        "small_set": encode_roset(small),
+        "big_set": encode_roset(big),
+        "point": encode_point(SorgenfreyPoint(F(1, 2))),
+    }
+    assert replay_witness(w)
+
+
+def test_condition_4_replay_without_closed_form_limit():
+    # the g family has no closed-form chain limit; its replay must use the
+    # check's evaluated infimum and widened tolerance
+    from kappalab.rosets import ParamValue, ParametricBasicSet, DecreasingChain
+
+    comp = ParametricBasicSet(
+        "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
+    )
+    chain = DecreasingChain(Space.NIEMYTZKI, (comp,), 64)
+    S = g_stratification()
+    for p in chain_check_points(chain, PLAN)[:6]:
+        w = {
+            "kind": "condition_4",
+            "family": S.label,
+            "chain": encode_chain(chain),
+            "point": encode_point(p),
+        }
+        assert replay_witness(w) == (not check_condition_4(S, chain, [p], PLAN).passed)
 
 
 def test_conditions_abc_pass_for_derived_approximations():
