@@ -22,16 +22,11 @@ from pathlib import Path
 
 from .approximations import QGrid, stratification_to_approximation
 from .families import (
-    LABEL_DOUBLE_ARROW,
+    FAMILIES,
     LABEL_G,
-    LABEL_NIEMYTZKI,
-    LABEL_SORGENFREY,
     Stratification,
-    double_arrow_ro,
-    g_stratification,
-    niemytzki_kappa,
+    _as_roset,
     niemytzki_union_f,
-    sorgenfrey_kappa,
 )
 from .harness import (
     CheckReport,
@@ -47,8 +42,7 @@ from .harness import (
     continuity_negative_control,
 )
 from .refuters import (
-    NOT_FOUND,
-    REFUTED,
+    RefutationResult,
     characteristic_candidate,
     clopen_only_candidate,
     doublearrow_not_kappa_default,
@@ -59,21 +53,8 @@ from .refuters import (
 )
 from .rosets import DecreasingChain, RegularOpenSet
 from .sampling import sample_chain, sample_condition3_pairs, double_arrow_pinch_chain
-from .serialize import (
-    SchemaError,
-    decode_basic_set,
-    decode_chain,
-    decode_roset,
-    dumps_canonical,
-)
+from .serialize import SchemaError, decode_chain, decode_set, dumps_canonical
 from .spaces import NiemytzkiPoint, Space, SorgenfreyPoint
-
-_FAMILIES = {
-    LABEL_SORGENFREY: sorgenfrey_kappa,
-    LABEL_DOUBLE_ARROW: double_arrow_ro,
-    LABEL_NIEMYTZKI: niemytzki_kappa,
-    LABEL_G: g_stratification,
-}
 
 _CANDIDATES = {
     "characteristic": characteristic_candidate,
@@ -89,10 +70,17 @@ def _mode() -> str:
     return mode
 
 
-def _family(label: str) -> Stratification:
-    if label not in _FAMILIES:
+def _family(label) -> Stratification:
+    if not isinstance(label, str) or label not in FAMILIES:
         raise SchemaError(f"unknown family label {label!r}")
-    return _FAMILIES[label]()
+    return FAMILIES[label]()
+
+
+def _int_field(obj: dict, key: str, default=None) -> int:
+    value = obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _user_family(spec: dict) -> tuple[Stratification, list]:
@@ -113,7 +101,7 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
     for row in spec.get("table", []):
         if set(row) != {"set", "samples"}:
             raise SchemaError(f"table rows need 'set' and 'samples', got {set(row)}")
-        key = decode_roset(row["set"]) if "components" in row["set"] else decode_basic_set(row["set"])
+        key = decode_set(row["set"])
         samples = [
             (decode_point(s["point"]), decode_scalar(s["value"])) for s in row["samples"]
         ]
@@ -130,7 +118,7 @@ def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"unknown plan fields {sorted(unknown)}")
-    merged = dict(obj)
+    merged = {key: _int_field(obj, key) for key in obj}
     if seed is not None:
         merged["seed"] = seed
     if grid_m is not None:
@@ -140,16 +128,16 @@ def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
     return SamplePlan(**merged)
 
 
-def _chain_from(spec, plan: SamplePlan, label: str, index: int) -> list[DecreasingChain]:
+def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[DecreasingChain]:
+    spec = entry.get("chain", {"sampled": 1})
     if spec == "pinch":
         return [double_arrow_pinch_chain(plan.chain_depth)]
     if isinstance(spec, dict) and "sampled" in spec:
         extra = {k for k in spec if k != "sampled"}
         if extra:
             raise SchemaError(f"unknown chain fields {sorted(extra)}")
-        space = _family(label).space
-        rng = plan.rng(f"chains:{label}:{index}")
-        return [sample_chain(space, rng, plan.chain_depth) for _ in range(int(spec["sampled"]))]
+        rng = plan.rng(f"chains:{S.label}:0")
+        return [sample_chain(S.space, rng, plan.chain_depth) for _ in range(_int_field(spec, "sampled"))]
     if isinstance(spec, dict):
         return [decode_chain(spec)]
     raise SchemaError(f"bad chain spec {spec!r}")
@@ -166,21 +154,19 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
     kind = entry.get("check")
     out = []
     if kind == "condition_1":
-        if isinstance(entry["family"], dict):
+        if isinstance(entry.get("family"), dict):
             S, sets = _user_family(entry["family"])
-            rep = check_condition_1(S, plan, sets=sets)
-            out.append(("condition_1:user_supplied", rep, "pass" if rep.passed else "fail"))
-            return out
-        S = _family(entry["family"])
-        rep = check_condition_1(S, plan)
+        else:
+            S, sets = _family(entry.get("family")), None
+        rep = check_condition_1(S, plan, sets=sets)
         out.append((f"condition_1:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_2":
-        S = _family(entry["family"])
+        S = _family(entry.get("family"))
         rep = check_condition_2(S, plan)
         out.append((f"condition_2:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_3":
-        S = _family(entry["family"])
-        n = int(entry.get("n_certificates", plan.n_sequences))
+        S = _family(entry.get("family"))
+        n = _int_field(entry, "n_certificates", plan.n_sequences)
         rng = plan.rng(f"cond3:{S.label}")
         if S.label == LABEL_G:
             from .sampling import sample_condition3_pairs_g
@@ -195,16 +181,15 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
         rep = check_condition_3(S, pairs)
         out.append(("condition_3:negative_control", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_4":
-        S = _family(entry["family"])
-        chains = _chain_from(entry.get("chain", {"sampled": 1}), plan, entry["family"], 0)
-        for i, chain in enumerate(chains):
+        S = _family(entry.get("family"))
+        for i, chain in enumerate(_chain_from(entry, plan, S)):
             points = chain_check_points(chain, plan)
             rep = check_condition_4(S, chain, points, plan)
             out.append((f"condition_4:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_d":
-        S = _family(entry["family"])
+        S = _family(entry.get("family"))
         A = stratification_to_approximation(S, QGrid(plan.grid_m))
-        for i, chain in enumerate(_chain_from(entry.get("chain", {"sampled": 1}), plan, entry["family"], 0)):
+        for i, chain in enumerate(_chain_from(entry, plan, S)):
             points = chain_check_points(chain, plan)
             grid = QGrid(plan.grid_m).values
             size = len(grid)
@@ -213,8 +198,8 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
             rep = check_condition_d(A, chain, pairs, points, plan)
             out.append((f"condition_d:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
     elif kind == "bridge_4_iff_d":
-        S = _family(entry["family"])
-        for i, chain in enumerate(_chain_from(entry.get("chain", {"sampled": 1}), plan, entry["family"], 0)):
+        S = _family(entry.get("family"))
+        for i, chain in enumerate(_chain_from(entry, plan, S)):
             rep4, rep_d, agree = bridge_4_iff_d(S, chain, plan)
             payload = {
                 "check_id": "bridge_4_iff_d",
@@ -226,31 +211,16 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
             }
             out.append((f"bridge:{S.label}:{i}", payload, "pass" if agree else "fail"))
     elif kind == "separations":
-        S = _family(entry["family"])
+        S = _family(entry.get("family"))
         rep = check_separations(S, plan)
         out.append((f"separations:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "refute":
         target = entry.get("target")
-        verdict_map = {REFUTED: "refuted", NOT_FOUND: "not_found_at_budget"}
-        if target == "sorgenfrey-a":
-            cand_name = entry.get("candidate", "characteristic")
-            if cand_name not in _CANDIDATES:
-                raise SchemaError(f"unknown candidate {cand_name!r}")
-            cand = _CANDIDATES[cand_name]()
-            res = refute_sorgenfrey_A(cand, seed=plan.seed)
-            out.append((f"refute:sorgenfrey-a:{cand_name}", res.payload(), verdict_map[res.verdict]))
-        elif target == "doublearrow-d":
-            res = doublearrow_not_kappa_default(plan.chain_depth)
-            out.append(("refute:doublearrow-d", res.payload(), verdict_map[res.verdict]))
-        elif target == "niemytzki-strat":
-            a = 0.0 if _mode() == "float" else Fraction(0)
-            res = niemytzki_not_stratifiable(a, 2, 10, int(entry.get("n", 50)))
-            out.append(("refute:niemytzki-strat", res.payload(), verdict_map[res.verdict]))
-        elif target == "g-extend":
-            res = g_family_not_extendable(int(entry.get("n", 1)))
-            out.append(("refute:g-extend", res.payload(), verdict_map[res.verdict]))
-        else:
-            raise SchemaError(f"unknown refute target {target!r}")
+        cand_name = entry.get("candidate", "characteristic")
+        n = _int_field(entry, "n", 50 if target == "niemytzki-strat" else 1)
+        res = _refute(target, cand_name, plan.seed, plan.chain_depth, n)
+        key = f"refute:{target}:{cand_name}" if target == "sorgenfrey-a" else f"refute:{target}"
+        out.append((key, res.payload(), res.verdict))
     else:
         raise SchemaError(f"unknown check {kind!r}")
     return out
@@ -338,20 +308,31 @@ def cmd_check(args) -> int:
     return run_scenario(scenario, args.seed, args.out, args.grid_m, args.depth)
 
 
+#: refute targets as functions of (candidate, seed, chain depth, n);
+#: niemytzki-strat reads n as its sequence length
+_REFUTERS = {
+    "sorgenfrey-a": lambda cand, seed, depth, n: refute_sorgenfrey_A(_CANDIDATES[cand](), seed=seed),
+    "doublearrow-d": lambda cand, seed, depth, n: doublearrow_not_kappa_default(depth),
+    "niemytzki-strat": lambda cand, seed, depth, n: niemytzki_not_stratifiable(
+        0.0 if _mode() == "float" else Fraction(0), 2, 10, n
+    ),
+    "g-extend": lambda cand, seed, depth, n: g_family_not_extendable(n),
+}
+
+
+def _refute(target, candidate: str, seed: int, depth: int, n: int) -> RefutationResult:
+    if target not in _REFUTERS:
+        raise SchemaError(f"unknown refute target {target!r}")
+    if target == "sorgenfrey-a" and candidate not in _CANDIDATES:
+        raise SchemaError(f"unknown candidate {candidate!r}")
+    return _REFUTERS[target](candidate, seed, depth, n)
+
+
 def cmd_refute(args) -> int:
     plan_seed = args.seed if args.seed is not None else 0
-    if args.target == "sorgenfrey-a":
-        cand = _CANDIDATES[args.candidate]()
-        res = refute_sorgenfrey_A(cand, seed=plan_seed)
-    elif args.target == "doublearrow-d":
-        res = doublearrow_not_kappa_default(args.depth)
-    elif args.target == "niemytzki-strat":
-        a = 0.0 if _mode() == "float" else Fraction(0)
-        res = niemytzki_not_stratifiable(a, 2, 10, args.depth)
-    elif args.target == "g-extend":
-        res = g_family_not_extendable(args.n)
-    else:
-        raise SchemaError(f"unknown refute target {args.target!r}")
+    # the command line has no sequence-length option: niemytzki-strat takes it from --depth
+    n = args.depth if args.target == "niemytzki-strat" else args.n
+    res = _refute(args.target, args.candidate, plan_seed, args.depth, n)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
         Path(args.out).write_text(doc)
@@ -363,8 +344,21 @@ def cmd_refute(args) -> int:
 
 
 def _parse_bbox(text: str) -> list[Fraction]:
-    parts = text.split(",")
-    return [Fraction(p) for p in parts]
+    try:
+        return [Fraction(p) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"malformed --bbox {text!r}") from exc
+
+
+def _parse_res(text: str, count: int) -> list[int]:
+    """``count`` lattice sizes joined by 'x'."""
+    try:
+        sizes = [int(v) for v in text.split("x")]
+    except ValueError:
+        sizes = []
+    if len(sizes) != count:
+        raise SchemaError(f"malformed --res {text!r}: need {count} integer(s) joined by 'x'")
+    return sizes
 
 
 def cmd_sample_grid(args) -> int:
@@ -373,10 +367,7 @@ def cmd_sample_grid(args) -> int:
         set_obj = json.loads(args.set)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed set JSON: {exc}") from exc
-    if "components" in set_obj:
-        target = decode_roset(set_obj)
-    else:
-        target = decode_basic_set(set_obj)
+    target = decode_set(set_obj)
     label = args.family
     S = _family(label)
     bbox = _parse_bbox(args.bbox)
@@ -384,7 +375,7 @@ def cmd_sample_grid(args) -> int:
     if S.space is Space.NIEMYTZKI:
         if len(bbox) != 4:
             raise SchemaError("niemytzki bbox is x0,x1,y0,y1")
-        nx, ny = (int(v) for v in args.res.split("x"))
+        nx, ny = _parse_res(args.res, 2)
         x0, x1, y0, y1 = bbox
         header = "x,y,value"
         for j in range(ny):
@@ -403,12 +394,13 @@ def cmd_sample_grid(args) -> int:
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
             raise SchemaError("sorgenfrey bbox is x0,x1")
-        n = int(args.res)
+        (n,) = _parse_res(args.res, 1)
         x0, x1 = bbox
         header = "x,value"
+        U = _as_roset(target)
         for i in range(n):
             x = x0 + (x1 - x0) * Fraction(i, n)
-            v = S.value(target if isinstance(target, RegularOpenSet) else RegularOpenSet(Space.SORGENFREY, (target,)), SorgenfreyPoint(x))
+            v = S.value(U, SorgenfreyPoint(x))
             rows.append(f"{_csv_num(x)},{_csv_num(v)}")
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
@@ -432,10 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_ref = sub.add_parser("refute", help="run one refuter")
-    p_ref.add_argument(
-        "target",
-        choices=["sorgenfrey-a", "doublearrow-d", "niemytzki-strat", "g-extend"],
-    )
+    p_ref.add_argument("target", choices=list(_REFUTERS))
     p_ref.add_argument("--candidate", default="characteristic", choices=sorted(_CANDIDATES))
     p_ref.add_argument("--n", type=int, default=1)
     p_ref.add_argument("--depth", type=int, default=64)

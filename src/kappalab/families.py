@@ -452,14 +452,6 @@ LABEL_NIEMYTZKI = "niemytzki_kappa"
 LABEL_G = "g_family"
 LABEL_USER = "user_supplied"
 
-KNOWN_LABELS = (
-    LABEL_SORGENFREY,
-    LABEL_DOUBLE_ARROW,
-    LABEL_NIEMYTZKI,
-    LABEL_G,
-    LABEL_USER,
-)
-
 
 @dataclass(frozen=True)
 class Stratification:
@@ -471,7 +463,7 @@ class Stratification:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if self.label not in KNOWN_LABELS:
+        if self.label not in FAMILIES and self.label != LABEL_USER:
             raise ValueError(f"unknown family label {self.label!r}")
         if self.label == LABEL_USER and self.evaluator is None:
             raise ValueError("user-supplied families need an evaluator")
@@ -524,6 +516,16 @@ def niemytzki_kappa(budget: int = DEFAULT_BUDGET) -> Stratification:
 
 def g_stratification() -> Stratification:
     return Stratification(Space.NIEMYTZKI, LABEL_G)
+
+
+#: The named families by label.  Each space's first entry is its kappa
+#: family; user-supplied families bring their own evaluator instead.
+FAMILIES: dict[str, Callable[[], Stratification]] = {
+    LABEL_SORGENFREY: sorgenfrey_kappa,
+    LABEL_DOUBLE_ARROW: double_arrow_ro,
+    LABEL_NIEMYTZKI: niemytzki_kappa,
+    LABEL_G: g_stratification,
+}
 
 
 def user_supplied(space: Space, evaluator) -> Stratification:

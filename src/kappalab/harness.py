@@ -21,9 +21,9 @@ returns a ``CheckReport``; a failing report carries concrete witnesses that
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .approximations import Approximation, QGrid, stratification_to_approximation
 from .basesets import (
@@ -38,6 +38,7 @@ from .basesets import (
 )
 from .convergence import ConvergenceCertificate, verify_convergence
 from .families import (
+    FAMILIES,
     LABEL_DOUBLE_ARROW,
     LABEL_G,
     LABEL_NIEMYTZKI,
@@ -45,11 +46,11 @@ from .families import (
     LABEL_USER,
     SetLike,
     Stratification,
-    double_arrow_ro,
-    niemytzki_kappa,
+    _as_roset,
     pairwise_separated,
     set_member,
-    sorgenfrey_kappa,
+    tabulated_evaluator,
+    user_supplied,
 )
 from .numerics import Scalar, eq, is_zero, le, lt, sq, sqrt_scalar
 from .rosets import (
@@ -57,7 +58,6 @@ from .rosets import (
     ParametricBasicSet,
     RegularOpenSet,
     decreasing_chain_interior,
-    member,
 )
 from .sampling import (
     TAIL_START,
@@ -69,6 +69,10 @@ from .sampling import (
     sample_set,
 )
 from .serialize import (
+    decode_chain,
+    decode_point,
+    decode_scalar,
+    decode_set,
     dumps_canonical,
     encode_basic_set,
     encode_chain,
@@ -128,22 +132,10 @@ class CheckReport:
     witnesses: list = field(default_factory=list)
 
     def payload(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "family": self.family,
-            "space": self.space,
-            "passed": self.passed,
-            "counts": self.counts,
-            "tolerances": self.tolerances,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return dumps_canonical(self.payload())
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return f"{verdict}  {self.check_id} [{self.family}/{self.space}] {self.counts}"
 
 
 def _encode_set(U: SetLike) -> dict:
@@ -152,18 +144,41 @@ def _encode_set(U: SetLike) -> dict:
     return encode_basic_set(U)
 
 
-def _family_by_label(label: str) -> Stratification:
-    if label == LABEL_SORGENFREY:
-        return sorgenfrey_kappa()
-    if label == LABEL_DOUBLE_ARROW:
-        return double_arrow_ro()
-    if label == LABEL_NIEMYTZKI:
-        return niemytzki_kappa()
-    if label == LABEL_G:
-        from .families import g_stratification
+def _run(cond, family: str, space: Space, tolerances: dict, cases: Iterable) -> CheckReport:
+    """Count a condition's cases and keep the witnesses of the first 10
+    violations.  ``cond`` is one of the case classes below; its ``decode``
+    turns a witness back into a case for ``replay_witness``."""
+    witnesses = []
+    n = 0
+    for case in cases:
+        n += 1
+        if case.violates():
+            witnesses.append(case.witness())
+            if len(witnesses) >= 10:
+                break
+    return CheckReport(
+        check_id=cond.check_id,
+        family=family,
+        space=space.value,
+        passed=not witnesses,
+        counts={cond.count_key: n, "violations": len(witnesses)},
+        tolerances=tolerances,
+        witnesses=witnesses,
+    )
 
-        return g_stratification()
-    raise ValueError(f"cannot rebuild family {label!r} for replay")
+
+def _replay_family(
+    witness: dict, space: Space, stored: Optional[Callable[[], dict]] = None
+) -> Stratification:
+    """The witness's named family.  A user-supplied family is rebuilt as a
+    tabulated family answering with the values the witness stores, given by
+    ``stored()`` as a ``tabulated_evaluator`` table."""
+    label = witness["family"]
+    if label == LABEL_USER and stored is not None:
+        return user_supplied(space, tabulated_evaluator(stored()))
+    if label not in FAMILIES:
+        raise ValueError(f"cannot rebuild family {label!r} for replay")
+    return FAMILIES[label]()
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +218,11 @@ def sample_family_pair(
     return sample_nested_pair(S.space, rng)
 
 
-def _value_is_searched(S: Stratification, U: SetLike) -> bool:
-    return (
-        S.space is Space.NIEMYTZKI
-        and isinstance(U, RegularOpenSet)
-        and len(U.components) > 1
-        and not pairwise_separated(U)
+def _pair_is_searched(S: Stratification, U: SetLike, V: SetLike) -> bool:
+    """Whether the value of U or of V comes from the union search."""
+    return S.space is Space.NIEMYTZKI and any(
+        isinstance(X, RegularOpenSet) and len(X.components) > 1 and not pairwise_separated(X)
+        for X in (U, V)
     )
 
 
@@ -216,109 +230,163 @@ def _value_is_searched(S: Stratification, U: SetLike) -> bool:
 # conditions (1) and (2)
 
 
+class _Support(NamedTuple):
+    """Condition (1) at a point p of an index set U."""
+
+    check_id = "condition_1"
+    count_key = "samples"
+    S: Stratification
+    U: SetLike
+    p: Point
+
+    @classmethod
+    def cases(cls, S: Stratification, plan: SamplePlan, sets: Optional[Sequence[SetLike]]):
+        rng = plan.rng("condition_1")
+        if sets is None:
+            # a pool amortizes set construction; points still vary per sample
+            pool_size = max(1, min(plan.n_points, plan.n_points // 12 + 1))
+            sets = [sample_family_set(S, rng) for _ in range(pool_size)]
+        for i in range(plan.n_points):
+            U = sets[i % len(sets)]
+            yield cls(S, U, sample_point_near_set(_as_roset(U), rng))
+
+    def violates(self) -> bool:
+        return set_member(self.U, self.p) != lt(0, self.S.value(self.U, self.p))
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.check_id,
+            "family": self.S.label,
+            "set": _encode_set(self.U),
+            "point": encode_point(self.p),
+            "value": encode_scalar(self.S.value(self.U, self.p)),
+            "member": set_member(self.U, self.p),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _Support:
+        U, p = decode_set(w["set"]), decode_point(w["point"])
+        S = _replay_family(w, U.space, lambda: {U: [(p, decode_scalar(w["value"]))]})
+        return cls(S, U, p)
+
+
 def check_condition_1(
     S: Stratification, plan: SamplePlan, sets: Optional[Sequence[SetLike]] = None
 ) -> CheckReport:
     """Support identity: membership iff strictly positive value."""
-    rng = plan.rng("condition_1")
-    witnesses = []
-    n = 0
-    if sets is None:
-        # a pool amortizes set construction; points still vary per sample
-        pool_size = max(1, min(plan.n_points, plan.n_points // 12 + 1))
-        sets = [sample_family_set(S, rng) for _ in range(pool_size)]
-    for i in range(plan.n_points):
-        U = sets[i % len(sets)]
-        p = (
-            sample_point_near_set(U, rng)
-            if isinstance(U, RegularOpenSet)
-            else sample_point_near_set(RegularOpenSet(U.space, (U,)), rng)
-        )
-        v = S.value(U, p)
-        inside = set_member(U, p)
-        positive = lt(0, v)
-        n += 1
-        if inside != positive:
-            witnesses.append(
-                {
-                    "kind": "condition_1",
-                    "family": S.label,
-                    "set": _encode_set(U),
-                    "point": encode_point(p),
-                    "value": encode_scalar(v),
-                    "member": inside,
-                }
-            )
-            if len(witnesses) >= 10:
-                break
-    return CheckReport(
-        check_id="condition_1",
-        family=S.label,
-        space=S.space.value,
-        passed=not witnesses,
-        counts={"samples": n, "violations": len(witnesses)},
-        tolerances={},
-        witnesses=witnesses,
-    )
+    return _run(_Support, S.label, S.space, {}, _Support.cases(S, plan, sets))
 
 
-def _monotone_at(vu: Scalar, vv: Scalar, searched: bool) -> bool:
-    """Condition 2 at one point: exact ``le``, or ``SEARCH_SLACK`` when a side
-    comes from the union search."""
-    if searched:
-        return float(vu) <= float(vv) + SEARCH_SLACK
-    return le(vu, vv)
+class _Monotone(NamedTuple):
+    """Condition (2) at a point p for index sets U inside V; ``searched``
+    when a value comes from the union search."""
 
+    check_id = "condition_2"
+    count_key = "samples"
+    S: Stratification
+    U: SetLike
+    V: SetLike
+    p: Point
+    searched: bool
 
-def _pair_is_searched(S: Stratification, U: SetLike, V: SetLike) -> bool:
-    return _value_is_searched(S, U) or _value_is_searched(S, V)
+    @classmethod
+    def cases(cls, S: Stratification, plan: SamplePlan):
+        rng = plan.rng("condition_2")
+        points_per_pair = max(1, plan.n_points // max(1, plan.n_set_pairs))
+        for _ in range(plan.n_set_pairs):
+            U, V = sample_family_pair(S, rng)
+            searched = _pair_is_searched(S, U, V)
+            for _ in range(points_per_pair):
+                yield cls(S, U, V, sample_point_near_set(_as_roset(V), rng), searched)
+
+    def violates(self) -> bool:
+        """f_U(p) <= f_V(p) fails: exact ``le``, or ``SEARCH_SLACK`` when
+        searched."""
+        vu, vv = self.S.value(self.U, self.p), self.S.value(self.V, self.p)
+        if self.searched:
+            return not float(vu) <= float(vv) + SEARCH_SLACK
+        return not le(vu, vv)
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.check_id,
+            "family": self.S.label,
+            "small_set": _encode_set(self.U),
+            "big_set": _encode_set(self.V),
+            "point": encode_point(self.p),
+            "small_value": encode_scalar(self.S.value(self.U, self.p)),
+            "big_value": encode_scalar(self.S.value(self.V, self.p)),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _Monotone:
+        U, V, p = decode_set(w["small_set"]), decode_set(w["big_set"]), decode_point(w["point"])
+        stored = lambda: {
+            U: [(p, decode_scalar(w["small_value"]))],
+            V: [(p, decode_scalar(w["big_value"]))],
+        }
+        S = _replay_family(w, U.space, stored)
+        return cls(S, U, V, p, _pair_is_searched(S, U, V))
 
 
 def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
     """Monotonicity in the index set on constructed nested pairs."""
-    rng = plan.rng("condition_2")
-    witnesses = []
-    n = 0
-    points_per_pair = max(1, plan.n_points // max(1, plan.n_set_pairs))
-    for _ in range(plan.n_set_pairs):
-        U, V = sample_family_pair(S, rng)
-        searched = _pair_is_searched(S, U, V)
-        for _ in range(points_per_pair):
-            big = V if isinstance(V, RegularOpenSet) else RegularOpenSet(V.space, (V,))
-            p = sample_point_near_set(big, rng)
-            vu, vv = S.value(U, p), S.value(V, p)
-            n += 1
-            if not _monotone_at(vu, vv, searched):
-                witnesses.append(
-                    {
-                        "kind": "condition_2",
-                        "family": S.label,
-                        "small_set": _encode_set(U),
-                        "big_set": _encode_set(V),
-                        "point": encode_point(p),
-                        "small_value": encode_scalar(vu),
-                        "big_value": encode_scalar(vv),
-                    }
-                )
-                if len(witnesses) >= 10:
-                    return _report_2(S, n, witnesses)
-    return _report_2(S, n, witnesses)
-
-
-def _report_2(S, n, witnesses) -> CheckReport:
-    return CheckReport(
-        check_id="condition_2",
-        family=S.label,
-        space=S.space.value,
-        passed=not witnesses,
-        counts={"samples": n, "violations": len(witnesses)},
-        tolerances={"search_slack": SEARCH_SLACK},
-        witnesses=witnesses,
-    )
+    tolerances = {"search_slack": SEARCH_SLACK}
+    return _run(_Monotone, S.label, S.space, tolerances, _Monotone.cases(S, plan))
 
 
 # ---------------------------------------------------------------------------
 # condition (3): continuity along certificates
+
+
+class _Continuity(NamedTuple):
+    """Condition (3) for index set U along the tail of a sequence to limit."""
+
+    check_id = "condition_3"
+    count_key = "sequences"
+    S: Stratification
+    U: SetLike
+    limit: Point
+    tail: Sequence[Point]
+    tol: float
+    tail_start: int
+
+    @classmethod
+    def cases(cls, S: Stratification, pairs, tol: float, tail_start: int):
+        for U, cert in pairs:
+            if not verify_convergence(cert):
+                raise ValueError("certificate failed verification; refuse to test continuity")
+            yield cls(S, U, cert.limit, cert.sequence[tail_start - 1 :], tol, tail_start)
+
+    def deviations(self) -> list[float]:
+        f_lim = float(self.S.value(self.U, self.limit))
+        return [abs(float(self.S.value(self.U, s)) - f_lim) for s in self.tail]
+
+    def violates(self) -> bool:
+        return max(self.deviations(), default=0.0) > self.tol
+
+    def witness(self) -> dict:
+        devs = self.deviations()
+        deviation = max(devs)
+        worst = self.tail[devs.index(deviation)]
+        return {
+            "kind": self.check_id,
+            "family": self.S.label,
+            "set": _encode_set(self.U),
+            "limit": encode_point(self.limit),
+            "worst_point": encode_point(worst),
+            "limit_value": float(self.S.value(self.U, self.limit)),
+            "worst_value": float(self.S.value(self.U, worst)),
+            "deviation": deviation,
+            "tail_start": self.tail_start,
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _Continuity:
+        U, limit, worst = decode_set(w["set"]), decode_point(w["limit"]), decode_point(w["worst_point"])
+        stored = lambda: {U: [(limit, w["limit_value"]), (worst, w["worst_value"])]}
+        S = _replay_family(w, U.space, stored)
+        return cls(S, U, limit, (worst,), TOL_CONT, w["tail_start"])
 
 
 def check_condition_3(
@@ -328,42 +396,9 @@ def check_condition_3(
     tail_start: int = TAIL_START,
 ) -> CheckReport:
     """Tail deviation of the family values along certified sequences."""
-    witnesses = []
-    n = 0
-    for U, cert in pairs:
-        if not verify_convergence(cert):
-            raise ValueError("certificate failed verification; refuse to test continuity")
-        f_lim = float(S.value(U, cert.limit))
-        tail = cert.sequence[tail_start - 1 :]
-        devs = [abs(float(S.value(U, s)) - f_lim) for s in tail]
-        max_dev = max(devs) if devs else 0.0
-        n += 1
-        if max_dev > tol:
-            k = devs.index(max_dev)
-            witnesses.append(
-                {
-                    "kind": "condition_3",
-                    "family": S.label,
-                    "set": _encode_set(U),
-                    "limit": encode_point(cert.limit),
-                    "worst_point": encode_point(tail[k]),
-                    "limit_value": float(f_lim),
-                    "worst_value": float(S.value(U, tail[k])),
-                    "deviation": max_dev,
-                    "tail_start": tail_start,
-                }
-            )
-            if len(witnesses) >= 10:
-                break
-    return CheckReport(
-        check_id="condition_3",
-        family=S.label,
-        space=S.space.value,
-        passed=not witnesses,
-        counts={"sequences": n, "violations": len(witnesses)},
-        tolerances={"tol_cont": tol, "tail_start": tail_start},
-        witnesses=witnesses,
-    )
+    tolerances = {"tol_cont": tol, "tail_start": tail_start}
+    cases = _Continuity.cases(S, pairs, tol, tail_start)
+    return _run(_Continuity, S.label, S.space, tolerances, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +486,61 @@ def chain_limit_value(label: str, chain: DecreasingChain, p: Point):
     return max(values, key=float) if values else Fraction(0)
 
 
+def _element_values(S: Stratification, chain: DecreasingChain, p: Point) -> list[float]:
+    return [float(S.value(U, p)) for U in chain.element_sets()]
+
+
 def _chain_inf_estimate(
-    S: Stratification,
-    chain: DecreasingChain,
-    elements: Sequence[RegularOpenSet],
-    p: Point,
-    tol: float,
-) -> tuple[float, float, float]:
-    """(infimum estimate, tolerance, smallest evaluated value) of the chain at p.
+    S: Stratification, chain: DecreasingChain, p: Point, tol: float
+) -> tuple[float, float]:
+    """(infimum estimate, tolerance) of the chain values at p.
 
     Families with a closed-form chain limit compare against it at ``tol``;
     the others fall back to the smallest evaluated element, with the
     tolerance widened by the last step's slope over the chain depth.
     """
-    evaluated = [float(S.value(U, p)) for U in elements]
-    ev_min = min(evaluated)
     exact_inf = chain_limit_value(S.label, chain, p)
     if exact_inf is not None:
-        return float(exact_inf), tol, ev_min
+        return float(exact_inf), tol
+    evaluated = _element_values(S, chain, p)
     slope = max(0.0, evaluated[-2] - evaluated[-1]) if len(evaluated) > 1 else 0.0
-    return ev_min, tol + chain.depth * slope, ev_min
+    return min(evaluated), tol + chain.depth * slope
+
+
+class _ChainInf(NamedTuple):
+    """Condition (4) at a point p for a chain with interior W."""
+
+    check_id = "condition_4"
+    count_key = "points"
+    S: Stratification
+    chain: DecreasingChain
+    W: RegularOpenSet
+    p: Point
+    tol: float
+
+    def violates(self) -> bool:
+        inf_est, tol_here = _chain_inf_estimate(self.S, self.chain, self.p, self.tol)
+        return abs(float(self.S.value(self.W, self.p)) - inf_est) > tol_here
+
+    def witness(self) -> dict:
+        f_w = float(self.S.value(self.W, self.p))
+        inf_est, _tol_here = _chain_inf_estimate(self.S, self.chain, self.p, self.tol)
+        return {
+            "kind": self.check_id,
+            "family": self.S.label,
+            "chain": encode_chain(self.chain),
+            "point": encode_point(self.p),
+            "interior_value": f_w,
+            "inf_estimate": inf_est,
+            "evaluated_min": min(_element_values(self.S, self.chain, self.p)),
+            "deviation": abs(f_w - inf_est),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _ChainInf:
+        chain = decode_chain(w["chain"])
+        S = _replay_family(w, chain.space)
+        return cls(S, chain, decreasing_chain_interior(chain), decode_point(w["point"]), TOL_INF)
 
 
 def check_condition_4(
@@ -483,38 +553,8 @@ def check_condition_4(
     """f at the chain interior against the chain's value infimum."""
     chain.validate()
     W = decreasing_chain_interior(chain)
-    witnesses = []
-    n = 0
-    elements = chain.element_sets()
-    for p in points:
-        f_w = S.value(W, p)
-        inf_est, tol_here, ev_min = _chain_inf_estimate(S, chain, elements, p, tol)
-        deviation = abs(float(f_w) - inf_est)
-        n += 1
-        if deviation > tol_here:
-            witnesses.append(
-                {
-                    "kind": "condition_4",
-                    "family": S.label,
-                    "chain": encode_chain(chain),
-                    "point": encode_point(p),
-                    "interior_value": float(f_w),
-                    "inf_estimate": inf_est,
-                    "evaluated_min": ev_min,
-                    "deviation": deviation,
-                }
-            )
-            if len(witnesses) >= 10:
-                break
-    return CheckReport(
-        check_id="condition_4",
-        family=S.label,
-        space=S.space.value,
-        passed=not witnesses,
-        counts={"points": n, "violations": len(witnesses)},
-        tolerances={"tol_inf": tol},
-        witnesses=witnesses,
-    )
+    cases = (_ChainInf(S, chain, W, p, tol) for p in points)
+    return _run(_ChainInf, S.label, S.space, {"tol_inf": tol}, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +618,7 @@ def check_conditions_abc(
     counts = {"a_samples": 0, "b_samples": 0, "c_samples": 0}
 
     for U in sets:
-        big = U if isinstance(U, RegularOpenSet) else RegularOpenSet(U.space, (U,))
+        big = _as_roset(U)
         for _ in range(max(1, plan.n_points // max(1, len(sets)))):
             p = sample_point_near_set(big, rng)
             counts["a_samples"] += 1
@@ -608,7 +648,7 @@ def check_conditions_abc(
 
     if nested_pairs:
         for U, V in nested_pairs:
-            bigV = V if isinstance(V, RegularOpenSet) else RegularOpenSet(V.space, (V,))
+            bigV = _as_roset(V)
             for _ in range(4):
                 p = sample_point_near_set(bigV, rng)
                 q = values[rng.randrange(len(values))]
@@ -626,7 +666,7 @@ def check_conditions_abc(
 
     qs = [values[len(values) // 8], values[len(values) // 2], values[-len(values) // 8]]
     for U in sets:
-        big = U if isinstance(U, RegularOpenSet) else RegularOpenSet(U.space, (U,))
+        big = _as_roset(U)
         for q in qs:
             p_idx = max(0, values.index(q) - max(1, len(values) // 16))
             p_val = values[p_idx]
@@ -655,7 +695,7 @@ def check_conditions_abc(
 
     return CheckReport(
         check_id="conditions_abc",
-        family=getattr(A, "family_label", "approximation"),
+        family="approximation",
         space=A.space.value,
         passed=not witnesses,
         counts=counts,
@@ -721,6 +761,53 @@ def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point)
     raise ValueError(f"no closure rule for {comp.kind}")
 
 
+class _ChainClosure(NamedTuple):
+    """Condition (d) at a point x for grid values p < q and a chain with
+    interior W."""
+
+    check_id = "condition_d"
+    count_key = "samples"
+    A: Approximation
+    chain: DecreasingChain
+    W: RegularOpenSet
+    p: Fraction
+    q: Fraction
+    x: Point
+
+    @classmethod
+    def cases(cls, A: Approximation, chain: DecreasingChain, W: RegularOpenSet, grid_pairs, points):
+        for p_val, q_val in grid_pairs:
+            if not p_val < q_val:
+                raise ValueError("grid pairs must satisfy p < q")
+            for x in points:
+                yield cls(A, chain, W, p_val, q_val, x)
+
+    def violates(self) -> bool:
+        in_all_closures = any(
+            _chain_sublevel_closure_all(comp, self.q, self.x) for comp in self.chain.components
+        )
+        return in_all_closures and not self.A.contains(self.W, self.p, self.x)
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.check_id,
+            "chain": encode_chain(self.chain),
+            "point": encode_point(self.x),
+            "p": encode_scalar(self.p),
+            "q": encode_scalar(self.q),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _ChainClosure:
+        chain = decode_chain(w["chain"])
+        # (d) witnesses name no family: replay with the space's kappa family,
+        # the first one registered on the chain's space
+        S = next(S for S in (make() for make in FAMILIES.values()) if S.space is chain.space)
+        A = stratification_to_approximation(S, QGrid())
+        W = decreasing_chain_interior(chain)
+        return cls(A, chain, W, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
+
+
 def check_condition_d(
     A: Approximation,
     chain: DecreasingChain,
@@ -731,40 +818,8 @@ def check_condition_d(
     """Chain closures against the chain-interior's family."""
     chain.validate()
     W = decreasing_chain_interior(chain)
-    witnesses = []
-    n = 0
-    for p_val, q_val in grid_pairs:
-        if not p_val < q_val:
-            raise ValueError("grid pairs must satisfy p < q")
-        for x in points:
-            n += 1
-            in_all_closures = any(
-                _chain_sublevel_closure_all(comp, q_val, x)
-                for comp in chain.components
-            )
-            if in_all_closures and not A.contains(W, p_val, x):
-                witnesses.append(
-                    {
-                        "kind": "condition_d",
-                        "chain": encode_chain(chain),
-                        "point": encode_point(x),
-                        "p": encode_scalar(p_val),
-                        "q": encode_scalar(q_val),
-                    }
-                )
-                if len(witnesses) >= 10:
-                    break
-        if len(witnesses) >= 10:
-            break
-    return CheckReport(
-        check_id="condition_d",
-        family=getattr(A, "family_label", "approximation"),
-        space=A.space.value,
-        passed=not witnesses,
-        counts={"samples": n, "violations": len(witnesses)},
-        tolerances={"grid_m": plan.grid_m},
-        witnesses=witnesses,
-    )
+    cases = _ChainClosure.cases(A, chain, W, grid_pairs, points)
+    return _run(_ChainClosure, "approximation", A.space, {"grid_m": plan.grid_m}, cases)
 
 
 def chain_check_points(chain: DecreasingChain, plan: SamplePlan) -> list[Point]:
@@ -902,7 +957,7 @@ def check_separations(S: Stratification, plan: SamplePlan) -> CheckReport:
     while n_hausdorff < target and guard < 50 * target:
         guard += 1
         U = sample_family_set(S, rng)
-        big = U if isinstance(U, RegularOpenSet) else RegularOpenSet(U.space, (U,))
+        big = _as_roset(U)
         if big.is_empty:
             continue
         x = sample_point_near_set(big, rng)
@@ -930,8 +985,7 @@ def check_separations(S: Stratification, plan: SamplePlan) -> CheckReport:
         guard += 1
         U1 = sample_family_set(S, rng)
         U2 = sample_family_set(S, rng)
-        b1 = U1 if isinstance(U1, RegularOpenSet) else RegularOpenSet(U1.space, (U1,))
-        b2 = U2 if isinstance(U2, RegularOpenSet) else RegularOpenSet(U2.space, (U2,))
+        b1, b2 = _as_roset(U1), _as_roset(U2)
         if b1.is_empty or b2.is_empty:
             continue
         pts1 = [sample_point_near_set(b1, rng) for _ in range(4)]
@@ -979,8 +1033,6 @@ def continuity_negative_control() -> tuple[Stratification, list]:
     def chi(U, p):
         return Fraction(1) if basic_member(U, p) else Fraction(0)
 
-    from .families import user_supplied
-
     S = user_supplied(Space.SORGENFREY, chi)
     U = OpenInterval(Fraction(0), Fraction(1))
     cert = sorgenfrey_certificate(Fraction(0), Fraction(1, 4))
@@ -991,63 +1043,15 @@ def continuity_negative_control() -> tuple[Stratification, list]:
 # witness replay
 
 
+_REPLAYABLE = {
+    cond.check_id: cond for cond in (_Support, _Monotone, _Continuity, _ChainInf, _ChainClosure)
+}
+
+
 def replay_witness(witness: dict) -> bool:
-    """Re-evaluate a fail witness standalone; True when it still violates."""
-    from .serialize import decode_basic_set, decode_chain, decode_point, decode_roset
-
+    """Re-evaluate a fail witness standalone with its check's own predicate;
+    True when it still violates."""
     kind = witness["kind"]
-
-    def load_set(obj):
-        if "components" in obj:
-            return decode_roset(obj)
-        return decode_basic_set(obj)
-
-    if kind == "condition_1":
-        S = _family_by_label(witness["family"])
-        U = load_set(witness["set"])
-        p = decode_point(witness["point"])
-        v = S.value(U, p)
-        return set_member(U, p) != lt(0, v)
-    if kind == "condition_2":
-        S = _family_by_label(witness["family"])
-        U = load_set(witness["small_set"])
-        V = load_set(witness["big_set"])
-        p = decode_point(witness["point"])
-        return not _monotone_at(S.value(U, p), S.value(V, p), _pair_is_searched(S, U, V))
-    if kind == "condition_3":
-        S = _family_by_label(witness["family"]) if witness["family"] != LABEL_USER else None
-        if S is None:
-            return abs(witness["worst_value"] - witness["limit_value"]) > TOL_CONT
-        U = load_set(witness["set"])
-        lim = decode_point(witness["limit"])
-        worst = decode_point(witness["worst_point"])
-        return abs(float(S.value(U, worst)) - float(S.value(U, lim))) > TOL_CONT
-    if kind == "condition_4":
-        S = _family_by_label(witness["family"])
-        chain = decode_chain(witness["chain"])
-        p = decode_point(witness["point"])
-        W = decreasing_chain_interior(chain)
-        elements = chain.element_sets()
-        inf_est, tol_here, _ev_min = _chain_inf_estimate(S, chain, elements, p, TOL_INF)
-        return abs(float(S.value(W, p)) - inf_est) > tol_here
-    if kind == "condition_d":
-        chain = decode_chain(witness["chain"])
-        x = decode_point(witness["point"])
-        from .serialize import decode_scalar
-
-        p_val = decode_scalar(witness["p"])
-        q_val = decode_scalar(witness["q"])
-        label = {
-            Space.SORGENFREY: LABEL_SORGENFREY,
-            Space.DOUBLE_ARROW: LABEL_DOUBLE_ARROW,
-            Space.NIEMYTZKI: LABEL_NIEMYTZKI,
-        }[chain.space]
-        S = _family_by_label(label)
-        A = stratification_to_approximation(S, QGrid(10))
-        W = decreasing_chain_interior(chain)
-        in_all = any(
-            _chain_sublevel_closure_all(comp, q_val, x)
-            for comp in chain.components
-        )
-        return in_all and not A.contains(W, p_val, x)
-    raise ValueError(f"cannot replay witness kind {kind!r}")
+    if kind not in _REPLAYABLE:
+        raise ValueError(f"cannot replay witness kind {kind!r}")
+    return _REPLAYABLE[kind].decode(witness).violates()

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 from .basesets import HalfOpen, TangentDisc, basic_member
 from .convergence import ConvergenceCertificate, verify_convergence
+from .families import FAMILIES
 from .numerics import eq, le, lt
 from .rosets import (
     DecreasingChain,
@@ -89,20 +90,12 @@ def _check_assertion(a: dict, candidate=None) -> bool:
         return basic_member(decode_basic_set(a["set"]), decode_point(a["point"])) is bool(
             a["expect"]
         )
-    if kind == "value_eq":
-        from .families import g_family, niemytzki_basic_f
-
-        U = decode_basic_set(a["set"])
-        p = decode_point(a["point"])
-        fn = g_family if a["family"] == "g_family" else niemytzki_basic_f
-        return eq(fn(U, p), decode_scalar(a["value"]))
-    if kind == "value_gt":
-        from .families import g_family, niemytzki_basic_f
-
-        U = decode_basic_set(a["set"])
-        p = decode_point(a["point"])
-        fn = g_family if a["family"] == "g_family" else niemytzki_basic_f
-        return lt(decode_scalar(a["threshold"]), fn(U, p))
+    if kind in ("value_eq", "value_gt"):
+        S = FAMILIES[a["family"]]()
+        value = S.value(decode_basic_set(a["set"]), decode_point(a["point"]))
+        if kind == "value_eq":
+            return eq(value, decode_scalar(a["value"]))
+        return lt(decode_scalar(a["threshold"]), value)
     if kind == "certificate":
         cert = _decode_certificate(a["certificate"])
         return verify_convergence(cert)

@@ -178,6 +178,11 @@ def decode_roset(obj: dict) -> RegularOpenSet:
     return validate_regular_open(space, comps)
 
 
+def decode_set(obj: dict) -> BasicOpenSet | RegularOpenSet:
+    """A union when the object lists components, a base set otherwise."""
+    return decode_roset(obj) if "components" in obj else decode_basic_set(obj)
+
+
 def encode_param_value(v: ParamValue) -> dict:
     out = {"const": encode_scalar(v.const)}
     if v.over_n:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kappalab.cli import main, shipped_scenarios
 
 
@@ -161,3 +163,66 @@ def test_scenario_seed_override_changes_reports(tmp_path):
     assert (tmp_path / "a" / "seeded.json").read_text() == (
         tmp_path / "b" / "seeded.json"
     ).read_text()
+
+
+def _schema_error(capsys, argv) -> bool:
+    code = main(argv)
+    return code == 2 and capsys.readouterr().err.startswith("schema error:")
+
+
+def _grid_argv(tmp_path, bbox, res):
+    return [
+        "sample-grid",
+        "--family",
+        "niemytzki_kappa",
+        "--set",
+        '{"kind": "tangent_disc", "a": "0", "r": "1"}',
+        "--bbox",
+        bbox,
+        "--res",
+        res,
+        "--out",
+        str(tmp_path / "g.csv"),
+    ]
+
+
+def test_sample_grid_malformed_res_exits_2(tmp_path, capsys):
+    assert _schema_error(capsys, _grid_argv(tmp_path, "0,1,0,1", "3y3"))
+
+
+def test_sample_grid_malformed_bbox_exits_2(tmp_path, capsys):
+    assert _schema_error(capsys, _grid_argv(tmp_path, "0,foo,0,1", "3x3"))
+
+
+def _scenario_argv(tmp_path, scenario):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    return ["check", "--scenario", str(path)]
+
+
+def test_check_without_family_exits_2(tmp_path, capsys):
+    scenario = {"name": "x", "checks": [{"check": "condition_1"}]}
+    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
+def test_non_integer_plan_field_exits_2(tmp_path, capsys):
+    scenario = {
+        "name": "x",
+        "plan": {"n_points": "x"},
+        "checks": [{"check": "condition_1", "family": "sorgenfrey_kappa"}],
+    }
+    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"check": "refute", "target": "g-extend", "n": "x"},
+        {"check": "refute", "target": "niemytzki-strat", "n": 2.5},
+        {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": {"sampled": "2"}},
+        {"check": "condition_3", "family": "sorgenfrey_kappa", "n_certificates": "x"},
+    ],
+)
+def test_non_integer_entry_counts_exit_2(tmp_path, capsys, entry):
+    scenario = {"name": "x", "plan": {"seed": 3}, "checks": [entry]}
+    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))

@@ -321,3 +321,36 @@ def test_reports_are_deterministic():
     assert check_condition_3(niemytzki_kappa(), p1).to_json() == check_condition_3(
         niemytzki_kappa(), p2
     ).to_json()
+
+
+def _shrinking_family(U, p):
+    # 1 / (1 + length of U) on U: a strictly larger index set scores lower
+    from kappalab import member
+
+    if not member(U, p):
+        return F(0)
+    return 1 / (1 + sum(c.b - c.a for c in U.components))
+
+
+def _failing_report(condition):
+    if condition == "1":
+        return check_condition_1(user_supplied(Space.SORGENFREY, lambda U, p: F(0)), PLAN)
+    if condition == "2":
+        return check_condition_2(user_supplied(Space.SORGENFREY, _shrinking_family), PLAN)
+    if condition == "3":
+        S, pairs = continuity_negative_control()
+        return check_condition_3(S, pairs)
+    chain = double_arrow_pinch_chain()
+    points = chain_check_points(chain, PLAN)
+    if condition == "4":
+        return check_condition_4(double_arrow_ro(), chain, points, PLAN)
+    A = stratification_to_approximation(double_arrow_ro(), QGrid(10))
+    return check_condition_d(A, chain, [(F(1, 20), F(1, 15))], points, PLAN)
+
+
+@pytest.mark.parametrize("condition", ["1", "2", "3", "4", "d"])
+def test_every_witness_of_a_failing_check_replays(condition):
+    # user-supplied families (1, 2, 3) replay from the values the witness stores
+    rep = _failing_report(condition)
+    assert not rep.passed and rep.witnesses
+    assert all(replay_witness(w) for w in rep.witnesses)
