@@ -31,7 +31,7 @@ from .basesets import (
     basic_closure_member,
     basic_member,
 )
-from .families import SetLike, Stratification, LABEL_USER, set_space
+from .families import CLOSED_FORM, LABEL_USER, SetLike, Stratification, set_space
 from .numerics import Scalar, eq, le, lt, sq
 from .rosets import RegularOpenSet, validate_regular_open
 from .spaces import NiemytzkiPoint, Point, Space, sq_dist
@@ -120,10 +120,11 @@ def realize_sublevel(family_label: str, U: SetLike, q: Fraction) -> Optional[Rea
     """Closed-form superlevel set {f_U > q} for a named family, when it exists.
 
     Returns None when no closed form is available (multi-component Niemytzki
-    unions, user-supplied families); callers fall back to sampled closures.
+    unions, the g family, user-supplied families); callers fall back to
+    sampled closures.
     """
     space = set_space(U)
-    if family_label == LABEL_USER:
+    if family_label not in CLOSED_FORM:
         return None
     if space is Space.SORGENFREY:
         comps = U.components if isinstance(U, RegularOpenSet) else (U,)
@@ -186,15 +187,12 @@ class Approximation:
 
     ``contains(U, q, p)`` is the membership predicate of U_q;
     ``realize(U, q)`` returns the closed-form superlevel set when one exists.
-    ``monotone_in_q`` marks families where q < q' implies U_{q'} inside U_q,
-    enabling binary search in the reconstruction.
     """
 
     space: Space
     grid: QGrid
     contains: Callable[[SetLike, Fraction, Point], bool]
     realize: Callable[[SetLike, Fraction], Optional[RealizedSet]]
-    monotone_in_q: bool = False
 
 
 def stratification_to_approximation(S: Stratification, grid: QGrid) -> Approximation:
@@ -206,7 +204,7 @@ def stratification_to_approximation(S: Stratification, grid: QGrid) -> Approxima
     def realize(U: SetLike, q: Fraction) -> Optional[RealizedSet]:
         return realize_sublevel(S.label, U, q)
 
-    return Approximation(S.space, grid, contains, realize, monotone_in_q=True)
+    return Approximation(S.space, grid, contains, realize)
 
 
 def approximation_to_stratification(A: Approximation, grid: QGrid) -> Stratification:
@@ -215,30 +213,21 @@ def approximation_to_stratification(A: Approximation, grid: QGrid) -> Stratifica
     The value at p is the smallest grid q outside whose U_q the point falls
     (equivalently one grid step above the largest q still containing p): 0
     when no U_q contains p, 1 when all do.  Exact whenever the underlying
-    value is a grid value or 0/1; within one grid step otherwise.
+    value is a grid value or 0/1; within one grid step otherwise.  Condition
+    (c) makes U_q decrease in q, so a binary search finds that q.
     """
     values = grid.values
 
     def evaluate(U: SetLike, p: Point) -> Fraction:
-        if A.monotone_in_q:
-            lo, hi = 0, len(values)  # values[:k] contain p, values[k:] do not
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if A.contains(U, values[mid], p):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            k = lo
-            if k == 0:
-                return Fraction(0)
-            if k == len(values):
-                return Fraction(1)
-            return values[k]
-        included = [q for q in values if A.contains(U, q, p)]
-        if not included:
+        lo, hi = 0, len(values)  # values[:lo] contain p, values[hi:] do not
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if A.contains(U, values[mid], p):
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == 0:
             return Fraction(0)
-        top = max(included)
-        above = [q for q in values if q > top]
-        return above[0] if above else Fraction(1)
+        return values[lo] if lo < len(values) else Fraction(1)
 
     return Stratification(A.space, LABEL_USER, evaluator=evaluate)

@@ -16,18 +16,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .approximations import QGrid, stratification_to_approximation
-from .families import (
-    FAMILIES,
-    LABEL_G,
-    Stratification,
-    _as_roset,
-    niemytzki_union_f,
-)
+from .families import FAMILIES, LABEL_G, Stratification
 from .harness import (
     CheckReport,
     SamplePlan,
@@ -51,7 +46,7 @@ from .refuters import (
     refute_sorgenfrey_A,
     right_gap_candidate,
 )
-from .rosets import DecreasingChain, RegularOpenSet
+from .rosets import DecreasingChain
 from .sampling import sample_chain, sample_condition3_pairs, double_arrow_pinch_chain
 from .serialize import SchemaError, decode_chain, decode_set, dumps_canonical
 from .spaces import NiemytzkiPoint, Space, SorgenfreyPoint
@@ -114,6 +109,8 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
 
 
 def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"a plan is an object, got {obj!r}")
     allowed = {"seed", "n_points", "n_set_pairs", "n_sequences", "grid_m", "chain_depth"}
     unknown = set(obj) - allowed
     if unknown:
@@ -236,15 +233,20 @@ def run_scenario(
     grid_m=None,
     depth=None,
 ) -> int:
+    if not isinstance(scenario, dict):
+        raise SchemaError(f"a scenario is an object, got {scenario!r}")
     unknown = set(scenario) - _SCENARIO_KEYS
     if unknown:
         raise SchemaError(f"unknown scenario fields {sorted(unknown)}")
     if "name" not in scenario or "checks" not in scenario:
         raise SchemaError("scenario needs 'name' and 'checks'")
+    checks = scenario["checks"]
+    if not isinstance(checks, list) or not all(isinstance(e, dict) for e in checks):
+        raise SchemaError(f"'checks' is a list of objects, got {checks!r}")
     plan = _plan_from(scenario.get("plan", {}), seed_override, grid_m, depth)
     results = []
     mismatches = []
-    for entry in scenario["checks"]:
+    for entry in checks:
         expected = entry.get("expect", "pass")
         for key, rep, verdict in _run_check_entry(entry, plan):
             payload = rep.payload() if isinstance(rep, CheckReport) else rep
@@ -368,8 +370,7 @@ def cmd_sample_grid(args) -> int:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed set JSON: {exc}") from exc
     target = decode_set(set_obj)
-    label = args.family
-    S = _family(label)
+    S = replace(_family(args.family), budget=args.budget)
     bbox = _parse_bbox(args.bbox)
     rows = []
     if S.space is Space.NIEMYTZKI:
@@ -386,10 +387,7 @@ def cmd_sample_grid(args) -> int:
                     p = NiemytzkiPoint(float(x), float(y))
                 else:
                     p = NiemytzkiPoint(x, y)
-                if isinstance(target, RegularOpenSet):
-                    v = niemytzki_union_f(target, p, args.budget)
-                else:
-                    v = S.value(target, p)
+                v = S.value(target, p)
                 rows.append(f"{_csv_num(x)},{_csv_num(y)},{_csv_num(v)}")
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
@@ -397,10 +395,9 @@ def cmd_sample_grid(args) -> int:
         (n,) = _parse_res(args.res, 1)
         x0, x1 = bbox
         header = "x,value"
-        U = _as_roset(target)
         for i in range(n):
             x = x0 + (x1 - x0) * Fraction(i, n)
-            v = S.value(U, SorgenfreyPoint(x))
+            v = S.value(target, SorgenfreyPoint(x))
             rows.append(f"{_csv_num(x)},{_csv_num(v)}")
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")

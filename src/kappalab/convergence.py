@@ -78,7 +78,7 @@ def _check_witness_shapes(cert: ConvergenceCertificate) -> None:
         _require_strictly_down(widths)
         return
     if isinstance(limit, DoubleArrowPoint):
-        if (limit.t, limit.side) in ((0, 0), (1, 1)):
+        if limit.extreme:
             for w in ws:
                 if not (isinstance(w, ExtremeSingleton) and w.side == limit.side):
                     raise MalformedWitnessError(

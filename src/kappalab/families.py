@@ -43,7 +43,7 @@ from .basesets import (
     basic_member,
 )
 from .numerics import Scalar, eq, is_zero, le, lt, sq, sqrt_scalar
-from .rosets import RegularOpenSet, basic_subset, member
+from .rosets import RegularOpenSet, basic_subset, member, separated_hulls
 from .spaces import (
     DoubleArrowPoint,
     NiemytzkiPoint,
@@ -96,11 +96,10 @@ def doublearrow_f(U: RegularOpenSet, p: DoubleArrowPoint) -> Fraction:
     """Length of the maximal clopen component through p; 1 at kept extremes."""
     if U.space is not Space.DOUBLE_ARROW:
         raise SpaceMismatchError("doublearrow_f needs a double arrow set")
-    extreme = (p.t, p.side) in ((0, 0), (1, 1))
     for c in U.components:
         if not basic_member(c, p):
             continue
-        if extreme or isinstance(c, ExtremeSingleton):
+        if p.extreme or isinstance(c, ExtremeSingleton):
             return Fraction(1)
         return c.b - c.a
     return Fraction(0)
@@ -336,13 +335,7 @@ def pairwise_separated(V: RegularOpenSet) -> bool:
     separated components lies inside one component and the union supremum is
     the exact component maximum.
     """
-    comps = V.components
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            gap = sq_dist(comps[i].center, comps[j].center)
-            if not lt(sq(comps[i].r + comps[j].r), gap):
-                return False
-    return True
+    return separated_hulls(V.components)
 
 
 def niemytzki_union_f(
@@ -451,6 +444,8 @@ LABEL_DOUBLE_ARROW = "double_arrow_ro"
 LABEL_NIEMYTZKI = "niemytzki_kappa"
 LABEL_G = "g_family"
 LABEL_USER = "user_supplied"
+#: the families whose superlevel sets and chain limits have closed forms
+CLOSED_FORM = (LABEL_SORGENFREY, LABEL_DOUBLE_ARROW, LABEL_NIEMYTZKI)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .approximations import Approximation, QGrid, stratification_to_approximation
+from .approximations import Approximation, QGrid, realize_sublevel, stratification_to_approximation
 from .basesets import (
     BasicOpenSet,
     ClopenInterval,
@@ -38,22 +38,24 @@ from .basesets import (
 )
 from .convergence import ConvergenceCertificate, verify_convergence
 from .families import (
+    CLOSED_FORM,
     FAMILIES,
-    LABEL_DOUBLE_ARROW,
     LABEL_G,
     LABEL_NIEMYTZKI,
-    LABEL_SORGENFREY,
     LABEL_USER,
     SetLike,
     Stratification,
     _as_roset,
+    niemytzki_basic_f,
     pairwise_separated,
     set_member,
+    sorgenfrey_f,
     tabulated_evaluator,
     user_supplied,
 )
-from .numerics import Scalar, eq, is_zero, le, lt, sq, sqrt_scalar
+from .numerics import Scalar, eq, is_zero, le, lt
 from .rosets import (
+    _FLAG_NAMES,
     DecreasingChain,
     ParametricBasicSet,
     RegularOpenSet,
@@ -405,82 +407,41 @@ def check_condition_3(
 # condition (4): chain infimum
 
 
-def _param_strictly_above_limit(pv) -> bool:
-    """Whether c1/(n+s) + c2/(n+s)^2 > 0 for every n >= 1 (exact)."""
-    c1, c2, s = pv.over_n, pv.over_n2, pv.shift
-    if c1 > 0:
-        return c1 * (1 + s) + c2 > 0
-    if c1 == 0:
-        return c2 > 0
-    return False
-
-
-def _param_strictly_below_limit(pv) -> bool:
-    c1, c2, s = pv.over_n, pv.over_n2, pv.shift
-    if c1 < 0:
-        return c1 * (1 + s) + c2 < 0
-    if c1 == 0:
-        return c2 < 0
-    return False
+def _clopen_lane_keeps(comp: ParametricBasicSet, p: DoubleArrowPoint) -> bool:
+    """Whether p lies in every element of a double arrow lane: the interior
+    of the limit interval, an extreme point the lane flags, and an endpoint
+    whose parameter approaches its limit strictly from outside."""
+    if p.extreme:
+        return bool(comp.flags.get(_FLAG_NAMES[p.side]))
+    a, b = comp.params["a"], comp.params["b"]
+    left = p.t > a.limit() or (p.t == a.limit() and (p.side == 1 or a.strict_side() < 0))
+    right = p.t < b.limit() or (p.t == b.limit() and (p.side == 0 or b.strict_side() > 0))
+    return left and right
 
 
 def _lane_limit_value(comp: ParametricBasicSet, p: Point):
     """Exact limit of the lane's family values along the chain at p.
 
-    Interval and disc formulas are continuous in their parameters (the value
-    vanishes as the point leaves), so the limit is the formula at the limit
-    parameters; only the double arrow family jumps at component endpoints and
-    needs the strict-approach analysis.
+    Interval and disc values are continuous in their parameters and vanish
+    as the point leaves, so the limit is the family's own value on the
+    lane's limit element.  The double arrow value is the component length,
+    so it survives at an endpoint that every element keeps.
     """
-    lim = comp.limit_values()
-    if comp.kind == "half_open":
-        a, b = lim["a"], lim["b"]
-        if p.x >= a:
-            return max(Fraction(0), min(b - p.x, Fraction(1)))
-        return Fraction(0)
     if comp.kind == "clopen_interval":
-        a, b = lim["a"], lim["b"]
-        left_strict = _param_strictly_below_limit(comp.params["a"])
-        right_strict = _param_strictly_above_limit(comp.params["b"])
-        if (p.t, p.side) == (0, 0):
-            return Fraction(1) if comp.flags.get("include_left_extreme") else Fraction(0)
-        if (p.t, p.side) == (1, 1):
-            return Fraction(1) if comp.flags.get("include_right_extreme") else Fraction(0)
-        left_ok = p.t > a or (p.t == a and (p.side == 1 or left_strict))
-        right_ok = p.t < b or (p.t == b and (p.side == 0 or right_strict))
-        if left_ok and right_ok and a < b:
-            return b - a
+        if not _clopen_lane_keeps(comp, p):
+            return Fraction(0)
+        return Fraction(1) if p.extreme else comp.params["b"].limit() - comp.params["a"].limit()
+    el = comp.limit_element()
+    if el is None:
         return Fraction(0)
-    if comp.kind == "tangent_disc":
-        a, r = lim["a"], lim["r"]
-        if r <= 0:
-            return Fraction(0)
-        if p.on_axis:
-            return r if eq(p.x, a) else Fraction(0)
-        if le(r, p.y):
-            d2 = sq_dist(p, NiemytzkiPoint(a, r))
-            if le(sq(r), d2):
-                return Fraction(0)
-            return r - sqrt_scalar(d2)
-        radicand = 2 * p.y * r - sq(p.y)
-        if le(radicand, 0):
-            return Fraction(0)
-        val = r - r * abs(p.x - a) / sqrt_scalar(radicand)
-        return val if float(val) > 0 else Fraction(0)
-    if comp.kind == "interior_disc":
-        cx, cy, r = lim["cx"], lim["cy"], lim["r"]
-        if r <= 0 or p.on_axis:
-            return Fraction(0)
-        d2 = sq_dist(p, NiemytzkiPoint(cx, cy))
-        if le(sq(r), d2):
-            return Fraction(0)
-        return r - sqrt_scalar(d2)
-    raise ValueError(f"no chain limit rule for {comp.kind}")
+    if comp.kind == "half_open":
+        return sorgenfrey_f(_as_roset(el), p)
+    return niemytzki_basic_f(el, p)
 
 
 def chain_limit_value(label: str, chain: DecreasingChain, p: Point):
     """inf over the whole (infinite) chain of the named family values at p."""
-    if label not in (LABEL_SORGENFREY, LABEL_DOUBLE_ARROW, LABEL_NIEMYTZKI):
+    if label not in CLOSED_FORM:
         return None
     values = [_lane_limit_value(comp, p) for comp in chain.components]
     return max(values, key=float) if values else Fraction(0)
@@ -551,7 +512,6 @@ def check_condition_4(
     tol: float = TOL_INF,
 ) -> CheckReport:
     """f at the chain interior against the chain's value infimum."""
-    chain.validate()
     W = decreasing_chain_interior(chain)
     cases = (_ChainInf(S, chain, W, p, tol) for p in points)
     return _run(_ChainInf, S.label, S.space, {"tol_inf": tol}, cases)
@@ -711,54 +671,33 @@ def check_conditions_abc(
 def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point) -> bool:
     """x in the intersection over all n of cl((U^n)_q), decided exactly.
 
-    The superlevel sets are closed-form for base-set lanes; their closures
-    decrease along the chain, and the intersection is the closure at the
-    limit parameters, except for the endpoint/boundary cases where a strict
-    parameter approach keeps the threshold point inside every element.
+    The closures decrease along the chain, and their intersection is the
+    closure of the limit element's superlevel set, except at the thresholds
+    where a strict parameter approach keeps a boundary point inside every
+    element (docs/derivations.md, "Chain limits").
     """
-    lim = comp.limit_values()
     if comp.kind == "half_open":
-        a, b = lim["a"], lim["b"]
-        top = b - q
-        if not x.x >= a:
-            return False
-        b_strict = _param_strictly_above_limit(comp.params["b"])
-        return x.x < top or (x.x == top and b_strict)
+        a, b = comp.params["a"].limit(), comp.params["b"]
+        top = b.limit() - q
+        return x.x >= a and (x.x < top or (x.x == top and b.strict_side() > 0))
     if comp.kind == "clopen_interval":
-        a, b = lim["a"], lim["b"]
-        length = b - a
-        if (x.t, x.side) == (0, 0):
-            return bool(comp.flags.get("include_left_extreme"))
-        if (x.t, x.side) == (1, 1):
-            return bool(comp.flags.get("include_right_extreme"))
-        left_strict = _param_strictly_below_limit(comp.params["a"])
-        right_strict = _param_strictly_above_limit(comp.params["b"])
-        if not (q < length or (q == length and (left_strict or right_strict))):
-            return False
-        left_ok = x.t > a or (x.t == a and (x.side == 1 or left_strict))
-        right_ok = x.t < b or (x.t == b and (x.side == 0 or right_strict))
-        return left_ok and right_ok
-    if comp.kind == "tangent_disc":
-        a, r = lim["a"], lim["r"]
-        r_strict = _param_strictly_above_limit(comp.params["r"])
-        if q < r:
-            from .approximations import TangentLens
-
-            return TangentLens(a, r, q).closure_member(x)
-        if q == r and r_strict:
-            # the lens pinches onto the vertical segment through the tangency
-            return eq(x.x, a) and le(x.y, r)
-        return False
-    if comp.kind == "interior_disc":
-        cx, cy, r = lim["cx"], lim["cy"], lim["r"]
-        r_strict = _param_strictly_above_limit(comp.params["r"])
-        center = NiemytzkiPoint(cx, cy)
-        if q < r:
-            return le(sq_dist(x, center), sq(r - q))
-        if q == r and r_strict:
-            return eq(sq_dist(x, center), 0)
-        return False
-    raise ValueError(f"no closure rule for {comp.kind}")
+        a, b = comp.params["a"], comp.params["b"]
+        length = b.limit() - a.limit()
+        strict = a.strict_side() < 0 or b.strict_side() > 0
+        return _clopen_lane_keeps(comp, x) and (
+            x.extreme or q < length or (q == length and strict)
+        )
+    el, r = comp.limit_element(), comp.params["r"]
+    if el is not None and q < el.r:
+        return realize_sublevel(LABEL_NIEMYTZKI, el, q).closure_member(x)
+    if q == r.limit() and r.strict_side() > 0:
+        # the superlevel sets pinch onto the segment from a tangent disc's
+        # tangency point up to its centre, or onto an interior disc's centre
+        lim = comp.limit_values()
+        if comp.kind == "tangent_disc":
+            return eq(x.x, lim["a"]) and le(x.y, r.limit())
+        return eq(sq_dist(x, NiemytzkiPoint(lim["cx"], lim["cy"])), 0)
+    return False
 
 
 class _ChainClosure(NamedTuple):
@@ -816,7 +755,6 @@ def check_condition_d(
     plan: SamplePlan,
 ) -> CheckReport:
     """Chain closures against the chain-interior's family."""
-    chain.validate()
     W = decreasing_chain_interior(chain)
     cases = _ChainClosure.cases(A, chain, W, grid_pairs, points)
     return _run(_ChainClosure, "approximation", A.space, {"grid_m": plan.grid_m}, cases)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .basesets import (
     BasicOpenSet,
@@ -321,6 +321,19 @@ class ParamValue:
     def limit(self) -> Scalar:
         return self.const
 
+    def strict_side(self) -> int:
+        """+1 when every element n >= 1 lies strictly above the limit, -1 when
+        every one lies strictly below, 0 otherwise (exact).
+
+        The offset c1/d + c2/d^2 has the sign of c1 d + c2, which is monotone
+        in d = n + shift: it keeps the sign of its leading coefficient for
+        every n >= 1 exactly when it already has that sign at n = 1.
+        """
+        c1, c2 = self.over_n, self.over_n2
+        lead = c1 if c1 else c2
+        sign = (lead > 0) - (lead < 0)
+        return sign if sign * (c1 * (1 + self.shift) + c2) > 0 else 0
+
 
 def const_param(value) -> ParamValue:
     return ParamValue(as_scalar(value))
@@ -333,6 +346,9 @@ _PARAM_FIELDS = {
     "interior_disc": ("cx", "cy", "r"),
     "tangent_disc": ("a", "r"),
 }
+
+#: a clopen lane's flags for its extreme points, by side
+_FLAG_NAMES = ("include_left_extreme", "include_right_extreme")
 
 _KIND_TO_CLS = {
     "half_open": HalfOpen,
@@ -368,21 +384,53 @@ class ParametricBasicSet:
     def at_limit(self) -> BasicOpenSet:
         return _KIND_TO_CLS[self.kind](**self.limit_values(), **self.flags)
 
+    def limit_element(self) -> Optional[BasicOpenSet]:
+        """The base element at the limit parameters, or None when the limit
+        degenerates: the interval endpoints meet or the radius reaches 0.
+
+        Every other constraint of a base element is closed (r <= cy, r <= 1,
+        0 <= a, b <= 1, extreme flags only at a fixed endpoint), so the limit
+        of a valid lane keeps it.
+        """
+        lim = self.limit_values()
+        size = lim["r"] if "r" in lim else lim["b"] - lim["a"]
+        return self.at_limit() if lt(0, size) else None
+
 
 @dataclass(frozen=True)
 class DecreasingChain:
-    """A decreasing parametric family of regular open sets.
+    """A decreasing parametric family of regular open sets, valid once built.
 
-    Component k of element n+1 must be contained in component k of element n
-    (checked exactly up to the truncation depth).  For Niemytzki chains with
-    several components the depth-1 components must have pairwise disjoint
-    closed hulls, so that the intersection distributes over the component
-    lanes.
+    Construction checks exactly, up to the truncation depth, that component
+    k of element n+1 lies inside component k of element n.  Open intervals
+    are no chain lanes (they are not regular open).  Nesting keeps a
+    tangent-disc lane's tangency point fixed.  The depth-1 components of a
+    Niemytzki chain have pairwise disjoint closed hulls, so that the
+    intersection distributes over the lanes.
     """
 
     space: Space
     components: tuple[ParametricBasicSet, ...]
     depth: int = 64
+
+    def __post_init__(self):
+        for comp in self.components:
+            if comp.kind == "open_interval":
+                raise MalformedChainError("open intervals are not regular open chain elements")
+            prev = comp.at(1)
+            if prev.space is not self.space:
+                raise SpaceMismatchError(f"{comp.kind} lane in a {self.space.value} chain")
+            for n in range(2, self.depth + 1):
+                cur = comp.at(n)
+                if not basic_subset(cur, prev):
+                    raise NonMonotoneChainError(f"component {comp.kind} not decreasing at n={n}")
+                prev = cur
+        if self.space is Space.NIEMYTZKI and not separated_hulls(
+            [c.at(1) for c in self.components]
+        ):
+            raise MalformedChainError(
+                "multi-component Niemytzki chains need pairwise disjoint component lanes"
+            )
 
     def at(self, n: int) -> RegularOpenSet:
         return validate_regular_open(self.space, [c.at(n) for c in self.components])
@@ -390,104 +438,39 @@ class DecreasingChain:
     def element_sets(self) -> list[RegularOpenSet]:
         return [self.at(n) for n in range(1, self.depth + 1)]
 
-    def validate(self) -> None:
-        for comp in self.components:
-            prev = None
-            for n in range(1, self.depth + 1):
-                cur = comp.at(n)
-                if prev is not None and not basic_subset(cur, prev):
-                    raise NonMonotoneChainError(
-                        f"component {comp.kind} not decreasing at n={n}"
-                    )
-                prev = cur
-        if self.space is Space.NIEMYTZKI and len(self.components) > 1:
-            first = [c.at(1) for c in self.components]
-            for i in range(len(first)):
-                for j in range(i + 1, len(first)):
-                    if not _disjoint_closed_hulls(first[i], first[j]):
-                        raise MalformedChainError(
-                            "multi-component Niemytzki chains need pairwise "
-                            "disjoint component lanes"
-                        )
-        if self.space is Space.NIEMYTZKI:
-            for comp in self.components:
-                if comp.kind == "tangent_disc":
-                    a0 = comp.params["a"].at(1)
-                    if not all(
-                        eq(comp.params["a"].at(n), a0) for n in range(2, self.depth + 1)
-                    ):
-                        raise MalformedChainError(
-                            "a decreasing tangent-disc chain must keep its "
-                            "tangency point fixed"
-                        )
 
-
-def _disjoint_closed_hulls(a: BasicOpenSet, b: BasicOpenSet) -> bool:
-    ca = a.center
-    cb = b.center
-    gap = sq_dist(ca, cb)
-    return lt(sq(a.r + b.r), gap)
+def separated_hulls(discs: Sequence[BasicOpenSet]) -> bool:
+    """True when the closed hulls of the discs are pairwise disjoint."""
+    return all(
+        lt(sq(a.r + b.r), sq_dist(a.center, b.center))
+        for i, a in enumerate(discs)
+        for b in discs[i + 1 :]
+    )
 
 
 def decreasing_chain_interior(chain: DecreasingChain) -> RegularOpenSet:
     """Interior of the intersection of a decreasing chain, in closed form.
 
-    Per component lane: Sorgenfrey [a_n, b_n) gives [sup a_n, inf b_n) or
-    nothing; double arrow clopen intervals give the clopen interval on the
-    limit endpoints (with extreme points kept only when every element keeps
-    them); Niemytzki tangent discs keep their tangency point and shrink to
-    the limit radius; Niemytzki interior discs shrink to the limit disc.
-    Empty lanes are dropped; the result may be the empty set.
+    Each lane contributes its limit element (docs/derivations.md, "Chain
+    limits").  A lane whose limit degenerates contributes nothing, except
+    that a pinched double arrow lane keeps the extreme points it flags: the
+    flags hold only at a fixed endpoint, so every element keeps them.  The
+    result may be the empty set.
     """
-    chain.validate()
     out: list[BasicOpenSet] = []
     for comp in chain.components:
-        lim = comp.limit_values()
-        if comp.kind == "half_open":
-            a, b = lim["a"], lim["b"]
-            if lt(a, b):
-                out.append(HalfOpen(a, b))
-        elif comp.kind == "open_interval":
-            raise MalformedChainError("open intervals are not regular open chain elements")
-        elif comp.kind == "clopen_interval":
-            a, b = lim["a"], lim["b"]
-            keep_left = chain_keeps_left_extreme(comp, chain.depth)
-            keep_right = chain_keeps_right_extreme(comp, chain.depth)
-            if lt(a, b):
-                out.append(ClopenInterval(a, b, keep_left, keep_right))
-            else:
-                if keep_left:
-                    out.append(ExtremeSingleton(0))
-                if keep_right:
-                    out.append(ExtremeSingleton(1))
-        elif comp.kind == "tangent_disc":
-            a, r = lim["a"], lim["r"]
-            if lt(0, r):
-                out.append(TangentDisc(a, r))
-        elif comp.kind == "interior_disc":
-            cx, cy, r = lim["cx"], lim["cy"], lim["r"]
-            if lt(0, r):
-                if eq(r, cy):
-                    # impossible for nested strictly-interior discs; see module doc
-                    raise MalformedChainError(
-                        "interior-disc chain converged onto the axis"
-                    )
-                out.append(InteriorDisc(cx, cy, r))
+        el = comp.limit_element()
+        if el is None:
+            if comp.kind == "clopen_interval":  # pinched: only flagged extremes remain
+                flags = [comp.flags.get(name) for name in _FLAG_NAMES]
+                out += [ExtremeSingleton(side) for side, flag in enumerate(flags) if flag]
+        elif isinstance(el, InteriorDisc) and el.axis_tangent:
+            # nesting never lowers the gap cy_n - r_n, so only elements that
+            # touch the axis themselves (not regular open) converge onto it
+            raise MalformedChainError("interior-disc chain converged onto the axis")
         else:
-            raise ValueError(f"unknown chain component {comp.kind}")
+            out.append(el)
     return validate_regular_open(chain.space, out)
-
-
-def chain_keeps_left_extreme(comp: ParametricBasicSet, depth: int) -> bool:
-    return bool(comp.flags.get("include_left_extreme")) and all(
-        eq(comp.params["a"].at(n), 0) for n in range(1, depth + 1)
-    )
-
-
-def chain_keeps_right_extreme(comp: ParametricBasicSet, depth: int) -> bool:
-    return bool(comp.flags.get("include_right_extreme")) and all(
-        eq(comp.params["b"].at(n), 1) for n in range(1, depth + 1)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .basesets import (
 )
 from .numerics import Scalar
 from .rosets import (
+    _FLAG_NAMES,
+    _PARAM_FIELDS,
     DecreasingChain,
     ParametricBasicSet,
     ParamValue,
@@ -206,9 +208,6 @@ def decode_param_value(obj) -> ParamValue:
     )
 
 
-_FLAG_FIELDS = {"include_left_extreme", "include_right_extreme"}
-
-
 def encode_parametric_set(s: ParametricBasicSet) -> dict:
     out = {"kind": s.kind}
     for name, pv in sorted(s.params.items()):
@@ -222,14 +221,12 @@ def decode_parametric_set(obj: dict) -> ParametricBasicSet:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"bad parametric set {obj!r}")
     kind = obj["kind"]
-    from .rosets import _PARAM_FIELDS  # wire names match constructor names
-
     if kind not in _PARAM_FIELDS:
         raise SchemaError(f"unknown parametric kind {kind!r}")
-    fields = _PARAM_FIELDS[kind]
-    _expect_fields(obj, {"kind", *fields}, _FLAG_FIELDS)
+    fields = _PARAM_FIELDS[kind]  # wire names match constructor names
+    _expect_fields(obj, {"kind", *fields}, {*_FLAG_NAMES})
     params = {name: decode_param_value(obj[name]) for name in fields}
-    flags = {name: bool(obj[name]) for name in _FLAG_FIELDS if name in obj}
+    flags = {name: bool(obj[name]) for name in _FLAG_NAMES if name in obj}
     return ParametricBasicSet(kind, params, flags)
 
 
@@ -242,18 +239,12 @@ def encode_chain(chain: DecreasingChain) -> dict:
         "limit": {
             "space": chain.space.value,
             "components": [
-                encode_basic_set(c.at_limit()) for c in chain.components if _limit_nonempty(c)
+                encode_basic_set(el)
+                for el in (c.limit_element() for c in chain.components)
+                if el is not None
             ],
         },
     }
-
-
-def _limit_nonempty(c: ParametricBasicSet) -> bool:
-    try:
-        c.at_limit()
-        return True
-    except ValueError:
-        return False
 
 
 def decode_chain(obj: dict) -> DecreasingChain:
@@ -263,8 +254,11 @@ def decode_chain(obj: dict) -> DecreasingChain:
         raise SchemaError(f"unknown space {obj['space']!r}")
     if obj.get("param", "n") != "n":
         raise SchemaError("chains are indexed by the parameter 'n'")
-    comps = tuple(decode_parametric_set(c) for c in obj["components"])
-    return DecreasingChain(space, comps, int(obj.get("depth", 64)))
+    try:
+        comps = tuple(decode_parametric_set(c) for c in obj["components"])
+        return DecreasingChain(space, comps, int(obj.get("depth", 64)))
+    except ValueError as exc:  # a chain is validated when it is built
+        raise SchemaError(f"invalid chain: {exc}") from exc
 
 
 def dumps_canonical(payload) -> str:

@@ -63,6 +63,11 @@ class DoubleArrowPoint:
             raise ValueError(f"side must be 0 or 1, got {self.side}")
         object.__setattr__(self, "t", t)
 
+    @property
+    def extreme(self) -> bool:
+        """True at the isolated minimum (0, 0) and maximum (1, 1)."""
+        return (self.t, self.side) in ((0, 0), (1, 1))
+
 
 @dataclass(frozen=True)
 class NiemytzkiPoint:

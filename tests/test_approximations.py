@@ -26,7 +26,7 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.approximations import Approximation, TangentLens
-from kappalab.families import niemytzki_basic_f
+from kappalab.families import FAMILIES, niemytzki_basic_f
 from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_set
 
 
@@ -106,7 +106,7 @@ def test_prop3_reconstruction_sup_semantics():
     def contains(_U, q, p):
         return q < F(1, 4) and basic_member(_U.components[0], p)
 
-    A = Approximation(space, QGrid(10), contains, lambda U, q: None, monotone_in_q=True)
+    A = Approximation(space, QGrid(10), contains, lambda U, q: None)
     S2 = approximation_to_stratification(A, QGrid(10))
     v = S2.value(U, SorgenfreyPoint(F(1, 2)))
     assert abs(v - F(1, 4)) <= F(1, 2**10)
@@ -154,3 +154,27 @@ def test_roundtrip_exactness_on_grid_values():
     U1 = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(2))])
     assert S2.value(U1, SorgenfreyPoint(F(0))) == 1
     assert S2.value(U1, SorgenfreyPoint(F(3))) == 0
+
+
+@pytest.mark.parametrize("label", sorted(FAMILIES))
+def test_realized_superlevel_agrees_with_contains(label):
+    # wherever a family's superlevel set has a closed form, its membership is
+    # the family's own threshold test
+    S = FAMILIES[label]()
+    A = stratification_to_approximation(S, QGrid(10))
+    rng = random.Random(29)
+    cases = []
+    if label == "g_family":  # g = 9/10 > 3/5 here, above the radius 1/2
+        cases.append((TangentDisc(F(0), F(1, 2)), F(3, 5), NiemytzkiPoint(F(0), F(1, 10))))
+    for _ in range(40):
+        if label == "g_family":
+            disc = TangentDisc(rand_dyadic(rng, F(-1), F(1)), rand_dyadic(rng, F(1, 16), F(1)))
+            U = validate_regular_open(S.space, [disc])
+        else:
+            U = sample_set(S.space, rng, max_components=1)
+        q = rand_dyadic(rng, F(1, 64), F(63, 64))
+        cases += [(U, q, sample_point_near_set(U, rng)) for _ in range(10)]
+    for U, q, p in cases:
+        realized = A.realize(U, q)
+        if realized is not None:
+            assert realized.member(p) == A.contains(U, q, p), (U, q, p)

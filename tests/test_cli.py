@@ -226,3 +226,45 @@ def test_non_integer_plan_field_exits_2(tmp_path, capsys):
 def test_non_integer_entry_counts_exit_2(tmp_path, capsys, entry):
     scenario = {"name": "x", "plan": {"seed": 3}, "checks": [entry]}
     assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
+def _explicit_chain(a, b, space="sorgenfrey"):
+    chain = {"space": space, "components": [{"kind": "half_open", "a": a, "b": b}]}
+    return {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": chain}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"name": "x", "plan": 5, "checks": []},
+        {"name": "x", "checks": 5},
+        {"name": "x", "checks": [5]},
+        # a_n = 1/(4n) decreases, so the elements grow instead of nesting
+        {"name": "x", "checks": [_explicit_chain({"const": "0", "over_n": "1/4"}, "1")]},
+        {"name": "x", "checks": [_explicit_chain("1", "0")]},
+        {"name": "x", "checks": [_explicit_chain("0", "1", space="niemytzki")]},
+    ],
+    ids=[
+        "plan_not_object",
+        "checks_not_list",
+        "check_not_object",
+        "chain_not_nested",
+        "chain_a_above_b",
+        "chain_lane_in_another_space",
+    ],
+)
+def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
+    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
+def test_sample_grid_union_uses_the_named_family(tmp_path):
+    # the g family scores 1 at the tangency point, for a union as for its one base set
+    disc = {"kind": "tangent_disc", "a": "0", "r": "1/2"}
+    csvs = []
+    for name, target in (("base", disc), ("union", {"space": "niemytzki", "components": [disc]})):
+        out = tmp_path / f"{name}.csv"
+        argv = ["sample-grid", "--family", "g_family", "--set", json.dumps(target)]
+        assert main(argv + ["--bbox", "0,1/2,0,1/2", "--res", "2x2", "--out", str(out)]) == 0
+        csvs.append(out.read_text())
+    assert "0,0,1" in csvs[0].splitlines()
+    assert csvs[1] == csvs[0]

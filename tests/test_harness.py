@@ -26,6 +26,7 @@ from kappalab import (
     double_arrow_ro,
     hausdorff_witness,
     niemytzki_kappa,
+    realize_sublevel,
     replay_witness,
     separate_regular_closed,
     sorgenfrey_kappa,
@@ -35,9 +36,15 @@ from kappalab import (
 )
 from kappalab.families import g_stratification
 from kappalab.serialize import encode_chain, encode_point, encode_roset
-from kappalab.harness import chain_check_points, check_separations, continuity_negative_control
+from kappalab.harness import (
+    _chain_sublevel_closure_all,
+    chain_check_points,
+    check_separations,
+    continuity_negative_control,
+)
 from kappalab.sampling import (
     sample_chain,
+    sample_point_near_set,
     sample_condition3_pairs,
     sample_nested_pair,
     double_arrow_pinch_chain,
@@ -354,3 +361,43 @@ def test_every_witness_of_a_failing_check_replays(condition):
     rep = _failing_report(condition)
     assert not rep.passed and rep.witnesses
     assert all(replay_witness(w) for w in rep.witnesses)
+
+
+def test_chain_lane_decisions_match_a_deep_element():
+    # the closed-form lane decisions of conditions 4 and (d) against an
+    # independent oracle: the family, and its realized superlevel set, on the
+    # chain element at n = 2^20
+    deep = 2**20
+    grid = QGrid(PLAN.grid_m).values
+    grid_qs = {grid[len(grid) // k] for k in (2, 3, 12, 15, 16, 20)}
+    rng = random.Random(53)
+    n_values = n_closures = 0
+    for family, space in (
+        (sorgenfrey_kappa, Space.SORGENFREY),
+        (double_arrow_ro, Space.DOUBLE_ARROW),
+        (niemytzki_kappa, Space.NIEMYTZKI),
+    ):
+        S = family()
+        chains = [sample_chain(space, rng) for _ in range(20)]
+        if space is Space.DOUBLE_ARROW:
+            chains.append(double_arrow_pinch_chain())
+        for chain in chains:
+            first = chain.at(1)
+            points = chain_check_points(chain, PLAN)
+            points += [sample_point_near_set(first, rng) for _ in range(12)]
+            element = chain.at(deep)
+            for p in points:
+                limit = chain_limit_value(S.label, chain, p)
+                assert abs(float(limit) - float(S.value(element, p))) <= 1e-5, (chain, p)
+                n_values += 1
+            for comp in chain.components:
+                lim = comp.limit_values()
+                own = lim["r"] if "r" in lim else lim["b"] - lim["a"]
+                lane_element = comp.at(deep)
+                for q in sorted(grid_qs | {own}):
+                    realized = realize_sublevel(S.label, lane_element, q)
+                    for x in points:
+                        decided = _chain_sublevel_closure_all(comp, q, x)
+                        assert decided == realized.closure_member(x), (chain, q, x)
+                        n_closures += 1
+    assert n_values > 1500 and n_closures > 10000
