@@ -31,7 +31,7 @@ from .basesets import (
     basic_closure_member,
     basic_member,
 )
-from .families import CLOSED_FORM, LABEL_USER, SetLike, Stratification, set_space
+from .families import CLOSED_FORM, LABEL_USER, SetLike, Stratification
 from .numerics import Scalar, eq, le, lt, sq
 from .rosets import RegularOpenSet, validate_regular_open
 from .spaces import NiemytzkiPoint, Point, Space, sq_dist
@@ -123,7 +123,7 @@ def realize_sublevel(family_label: str, U: SetLike, q: Fraction) -> Optional[Rea
     unions, the g family, user-supplied families); callers fall back to
     sampled closures.
     """
-    space = set_space(U)
+    space = U.space
     if family_label not in CLOSED_FORM:
         return None
     if space is Space.SORGENFREY:

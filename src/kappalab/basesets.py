@@ -27,6 +27,7 @@ own topology:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -136,8 +137,17 @@ class ExtremeSingleton:
         return DoubleArrowPoint(Fraction(self.side), self.side)
 
 
+class _Disc:
+    """What the two Niemytzki discs share, built once per set."""
+
+    @cached_property
+    def r2(self) -> Scalar:
+        """The squared radius."""
+        return sq(self.r)
+
+
 @dataclass(frozen=True)
-class InteriorDisc:
+class InteriorDisc(_Disc):
     """Open Euclidean disc B((cx, cy), r), disjoint from the axis: r <= cy."""
 
     cx: Scalar
@@ -156,7 +166,7 @@ class InteriorDisc:
         object.__setattr__(self, "cy", cy)
         object.__setattr__(self, "r", r)
 
-    @property
+    @cached_property
     def center(self) -> NiemytzkiPoint:
         return NiemytzkiPoint(self.cx, self.cy)
 
@@ -167,7 +177,7 @@ class InteriorDisc:
 
 
 @dataclass(frozen=True)
-class TangentDisc:
+class TangentDisc(_Disc):
     """Axis neighborhood {(a, 0)} union B((a, r), r)."""
 
     a: Scalar
@@ -184,7 +194,7 @@ class TangentDisc:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r", r)
 
-    @property
+    @cached_property
     def center(self) -> NiemytzkiPoint:
         return NiemytzkiPoint(self.a, self.r)
 
@@ -203,8 +213,26 @@ def _check_point(s: BasicOpenSet, p: Point) -> None:
         raise SpaceMismatchError(f"set in {s.space}, point in {p.space}")
 
 
+def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | None:
+    """Squared distance from p to the centre of disc s when p lies in s, else None.
+
+    The one membership rule for discs: an open disc never meets the axis, a
+    tangent disc adds its tangency point, and any other point is inside when
+    it is strictly closer to the centre than r.
+    """
+    _check_point(s, p)
+    if is_zero(p.y):
+        if not (isinstance(s, TangentDisc) and eq(p.x, s.a)):
+            return None
+        return sq_dist(p, s.center)
+    d2 = sq_dist(p, s.center)
+    return d2 if lt(d2, s.r2) else None
+
+
 def basic_member(s: BasicOpenSet, p: Point) -> bool:
     """Exact membership of a point in a base element."""
+    if isinstance(s, (InteriorDisc, TangentDisc)):
+        return disc_sq_dist(s, p) is not None
     _check_point(s, p)
     if isinstance(s, HalfOpen):
         return le(s.a, p.x) and lt(p.x, s.b)
@@ -222,14 +250,6 @@ def basic_member(s: BasicOpenSet, p: Point) -> bool:
         return False
     if isinstance(s, ExtremeSingleton):
         return p == s.point
-    if isinstance(s, InteriorDisc):
-        if is_zero(p.y):
-            return False  # open disc never meets the axis
-        return lt(sq_dist(p, s.center), sq(s.r))
-    if isinstance(s, TangentDisc):
-        if is_zero(p.y):
-            return eq(p.x, s.a)
-        return lt(sq_dist(p, s.center), sq(s.r))
     raise TypeError(f"unknown base set {s!r}")
 
 
@@ -244,10 +264,8 @@ def basic_closure_member(s: BasicOpenSet, p: Point) -> bool:
         return le(s.a, p.x) and lt(p.x, s.b)
     if isinstance(s, (ClopenInterval, ExtremeSingleton)):
         return basic_member(s, p)
-    if isinstance(s, InteriorDisc):
-        return le(sq_dist(p, s.center), sq(s.r))
-    if isinstance(s, TangentDisc):
-        return le(sq_dist(p, s.center), sq(s.r))
+    if isinstance(s, (InteriorDisc, TangentDisc)):
+        return le(sq_dist(p, s.center), s.r2)
     raise TypeError(f"unknown base set {s!r}")
 
 

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .approximations import QGrid, stratification_to_approximation
-from .families import FAMILIES, LABEL_G, Stratification
+from .families import FAMILIES, LABEL_G, Stratification, UnindexedSetError
 from .harness import (
     CheckReport,
     SamplePlan,
@@ -127,17 +127,21 @@ def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
 
 def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[DecreasingChain]:
     spec = entry.get("chain", {"sampled": 1})
-    if spec == "pinch":
-        return [double_arrow_pinch_chain(plan.chain_depth)]
     if isinstance(spec, dict) and "sampled" in spec:
         extra = {k for k in spec if k != "sampled"}
         if extra:
             raise SchemaError(f"unknown chain fields {sorted(extra)}")
         rng = plan.rng(f"chains:{S.label}:0")
         return [sample_chain(S.space, rng, plan.chain_depth) for _ in range(_int_field(spec, "sampled"))]
-    if isinstance(spec, dict):
-        return [decode_chain(spec)]
-    raise SchemaError(f"bad chain spec {spec!r}")
+    if spec == "pinch":
+        chain = double_arrow_pinch_chain(plan.chain_depth)
+    elif isinstance(spec, dict):
+        chain = decode_chain(spec)
+    else:
+        raise SchemaError(f"bad chain spec {spec!r}")
+    if chain.space is not S.space:
+        raise SchemaError(f"a {chain.space.value} chain for the {S.space.value} family {S.label}")
+    return [chain]
 
 
 _CHECK_KEYS = {"check", "family", "chain", "n_certificates", "expect", "target", "n", "candidate"}
@@ -363,6 +367,16 @@ def _parse_res(text: str, count: int) -> list[int]:
     return sizes
 
 
+def _axis(lo: Fraction, hi: Fraction, n: int, use_float: bool) -> list[tuple]:
+    """The lattice coordinates lo + (hi - lo) i/n, i < n, as (coordinate, CSV text)
+    pairs; the text is written from the exact coordinate in either mode."""
+    span, out = hi - lo, []
+    for i in range(n):
+        c = lo + span * Fraction(i, n)
+        out.append((float(c) if use_float else c, _csv_num(c)))
+    return out
+
+
 def cmd_sample_grid(args) -> int:
     use_float = _mode() == "float"
     try:
@@ -371,36 +385,33 @@ def cmd_sample_grid(args) -> int:
         raise SchemaError(f"malformed set JSON: {exc}") from exc
     target = decode_set(set_obj)
     S = replace(_family(args.family), budget=args.budget)
+    if target.space is not S.space:
+        raise SchemaError(f"{S.label} is not indexed by {target.space.value} sets")
     bbox = _parse_bbox(args.bbox)
-    rows = []
     if S.space is Space.NIEMYTZKI:
         if len(bbox) != 4:
             raise SchemaError("niemytzki bbox is x0,x1,y0,y1")
         nx, ny = _parse_res(args.res, 2)
         x0, x1, y0, y1 = bbox
         header = "x,y,value"
-        for j in range(ny):
-            y = y0 + (y1 - y0) * Fraction(j, ny) if ny else y0
-            for i in range(nx):
-                x = x0 + (x1 - x0) * Fraction(i, nx) if nx else x0
-                if use_float:
-                    p = NiemytzkiPoint(float(x), float(y))
-                else:
-                    p = NiemytzkiPoint(x, y)
-                v = S.value(target, p)
-                rows.append(f"{_csv_num(x)},{_csv_num(y)},{_csv_num(v)}")
+        xs = _axis(x0, x1, nx, use_float)
+        lattice = (
+            (NiemytzkiPoint(x, y), f"{x_text},{y_text}")
+            for y, y_text in _axis(y0, y1, ny, use_float)
+            for x, x_text in xs
+        )
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
             raise SchemaError("sorgenfrey bbox is x0,x1")
         (n,) = _parse_res(args.res, 1)
-        x0, x1 = bbox
         header = "x,value"
-        for i in range(n):
-            x = x0 + (x1 - x0) * Fraction(i, n)
-            v = S.value(target, SorgenfreyPoint(x))
-            rows.append(f"{_csv_num(x)},{_csv_num(v)}")
+        lattice = ((SorgenfreyPoint(x), x_text) for x, x_text in _axis(*bbox, n, False))
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
+    try:
+        rows = [f"{coords},{_csv_num(S.value(target, p))}" for p, coords in lattice]
+    except UnindexedSetError as exc:
+        raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
     text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
     Path(args.out).write_text(text)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")

@@ -41,9 +41,10 @@ from .basesets import (
     OpenInterval,
     TangentDisc,
     basic_member,
+    disc_sq_dist,
 )
 from .numerics import Scalar, eq, is_zero, le, lt, sq, sqrt_scalar
-from .rosets import RegularOpenSet, basic_subset, member, separated_hulls
+from .rosets import RegularOpenSet, basic_subset, member
 from .spaces import (
     DoubleArrowPoint,
     NiemytzkiPoint,
@@ -62,14 +63,14 @@ CONTAINMENT_ANGLES = 720
 DEFAULT_BUDGET = 6
 
 
+class UnindexedSetError(TypeError, ValueError):
+    """A family was given a set it is not keyed by."""
+
+
 def set_member(s: SetLike, p: Point) -> bool:
     if isinstance(s, RegularOpenSet):
         return member(s, p)
     return basic_member(s, p)
-
-
-def set_space(s: SetLike) -> Space:
-    return s.space
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def sorgenfrey_f(U: RegularOpenSet, x: SorgenfreyPoint) -> Fraction:
         raise SpaceMismatchError("sorgenfrey_f needs a Sorgenfrey set")
     for c in U.components:
         if isinstance(c, OpenInterval):
-            raise ValueError("open intervals are not regular open index sets")
+            raise UnindexedSetError("open intervals are not regular open index sets")
         if le(c.a, x.x) and lt(x.x, c.b):
             return min(c.b, x.x + 1) - x.x
     return Fraction(0)
@@ -119,36 +120,43 @@ def _chord_factor(a: Scalar, r: Scalar, x: Scalar, y: Scalar) -> Scalar:
     return r - r * dx / root
 
 
+def _zero(like: Scalar) -> Scalar:
+    """0 in the numeric mode of ``like``."""
+    return Fraction(0) if isinstance(like, Fraction) else 0.0
+
+
+def _disc_value(U: InteriorDisc | TangentDisc, p: NiemytzkiPoint, d2: Scalar) -> Scalar:
+    """The base-set value at a point p of U, given ``d2 = disc_sq_dist(U, p)``."""
+    if isinstance(U, TangentDisc):
+        if p.on_axis:
+            return U.r
+        if not le(U.r, p.y):
+            return _chord_factor(U.a, U.r, p.x, p.y)
+    return U.r - sqrt_scalar(d2)
+
+
 def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
     """The base-set family value at p; exact whenever no square root appears."""
     if U.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_basic_f needs a Niemytzki base set")
-    if isinstance(U, InteriorDisc):
-        if not basic_member(U, p):
-            return Fraction(0) if isinstance(U.r, Fraction) else 0.0
-        return U.r - sqrt_scalar(sq_dist(p, U.center))
-    if isinstance(U, TangentDisc):
-        if not basic_member(U, p):
-            return Fraction(0) if isinstance(U.r, Fraction) else 0.0
-        if p.on_axis:
-            return U.r
-        if le(U.r, p.y):
-            return U.r - sqrt_scalar(sq_dist(p, U.center))
-        return _chord_factor(U.a, U.r, p.x, p.y)
-    raise TypeError(f"{U!r} is not a Niemytzki base set")
+    if not isinstance(U, (InteriorDisc, TangentDisc)):
+        raise TypeError(f"{U!r} is not a Niemytzki base set")
+    d2 = disc_sq_dist(U, p)
+    return _zero(U.r) if d2 is None else _disc_value(U, p, d2)
 
 
 def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
     """Axis-normalized tangent-disc family: scores 1 at the tangency point."""
     if not isinstance(U, TangentDisc):
         raise TypeError("the g family is indexed by tangent discs only")
-    if not basic_member(U, p):
-        return Fraction(0) if isinstance(U.r, Fraction) else 0.0
+    d2 = disc_sq_dist(U, p)
+    if d2 is None:
+        return _zero(U.r)
     if p.on_axis:
         return Fraction(1) if isinstance(U.r, Fraction) else 1.0
     if le(U.r, p.y):
-        return U.r - sqrt_scalar(sq_dist(p, U.center))
-    scale = ((U.r - 1) * p.y + U.r) / sq(U.r)
+        return U.r - sqrt_scalar(d2)
+    scale = ((U.r - 1) * p.y + U.r) / U.r2
     return _chord_factor(U.a, U.r, p.x, p.y) * scale
 
 
@@ -335,7 +343,7 @@ def pairwise_separated(V: RegularOpenSet) -> bool:
     separated components lies inside one component and the union supremum is
     the exact component maximum.
     """
-    return separated_hulls(V.components)
+    return V.separated
 
 
 def niemytzki_union_f(
@@ -354,17 +362,16 @@ def niemytzki_union_f(
     """
     if V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_union_f needs a Niemytzki set")
-    if V.is_empty or not member(V, p):
-        return Fraction(0) if isinstance(p.x, Fraction) else 0.0
-    if len(V.components) == 1:
-        return niemytzki_basic_f(V.components[0], p)
-    if pairwise_separated(V):
-        values = [niemytzki_basic_f(c, p) for c in V.components]
+    d2s = [disc_sq_dist(c, p) for c in V.components]
+    if all(d2 is None for d2 in d2s):  # p lies outside V
+        return _zero(p.x)
+    values = [
+        _zero(c.r) if d2 is None else _disc_value(c, p, d2) for c, d2 in zip(V.components, d2s)
+    ]
+    if len(V.components) == 1 or pairwise_separated(V):
         return max(values, key=float)
 
-    best = 0.0
-    for c in V.components:
-        best = max(best, float(niemytzki_basic_f(c, p)))
+    best = max(0.0, *map(float, values))
 
     # tangent-disc candidates can only hang at existing tangency points
     tangencies = [c.a for c in V.components if isinstance(c, TangentDisc)]
@@ -377,9 +384,8 @@ def niemytzki_union_f(
     for a in tangencies:
         rho = _tangent_max_radius(a, V)
         if rho > 0:
-            cand = TangentDisc(float(a), rho)
-            if basic_member(cand, NiemytzkiPoint(float(p.x), float(p.y))):
-                best = max(best, float(niemytzki_basic_f(cand, NiemytzkiPoint(float(p.x), float(p.y)))))
+            pf = NiemytzkiPoint(float(p.x), float(p.y))
+            best = max(best, float(niemytzki_basic_f(TangentDisc(float(a), rho), pf)))
 
     centers, radii = _component_arrays(V)
     verts = _uncovered_vertices(V)
@@ -464,7 +470,7 @@ class Stratification:
             raise ValueError("user-supplied families need an evaluator")
 
     def value(self, U: SetLike, p: Point) -> Scalar:
-        if set_space(U) is not self.space or p.space is not self.space:
+        if U.space is not self.space or p.space is not self.space:
             raise SpaceMismatchError("family, set and point must share a space")
         if self.label == LABEL_USER:
             return self.evaluator(U, p)
@@ -490,10 +496,10 @@ def _as_roset(U: SetLike) -> RegularOpenSet:
 def _as_basic(U: SetLike, cls) -> BasicOpenSet:
     if isinstance(U, RegularOpenSet):
         if len(U.components) != 1 or not isinstance(U.components[0], cls):
-            raise TypeError(f"this family is indexed by single {cls.__name__} sets")
+            raise UnindexedSetError(f"this family is indexed by single {cls.__name__} sets")
         return U.components[0]
     if not isinstance(U, cls):
-        raise TypeError(f"this family is indexed by {cls.__name__} sets")
+        raise UnindexedSetError(f"this family is indexed by {cls.__name__} sets")
     return U
 
 

@@ -2,12 +2,15 @@
 
 Two numeric modes coexist in the library:
 
-* exact mode -- values are ``fractions.Fraction``; every comparison is decided
+* exact mode -- values are ``fractions.Fraction`` (plain ``int`` literals
+  count as exact too, ``bool`` does not); every comparison is decided
   exactly.  The Sorgenfrey line and the double arrow space run in this mode
   end to end.
-* float mode -- values are binary64; strict comparisons carry a one-sided
-  margin ``EPS``.  Only the Niemytzki plane, whose distance formulas need
-  square roots, is allowed to operate in this mode.
+* float mode -- values are binary64; comparisons carry a one-sided margin
+  ``EPS``.  The margin applies only when an operand is not exact, so an int
+  literal compared with a Fraction (``lt(0, r)``) is decided exactly.  Only
+  the Niemytzki plane, whose distance formulas need square roots, is allowed
+  to operate in this mode.
 
 Mixing a Fraction and a float inside one comparison is an error; conversions
 must be explicit (``float(value)``).
@@ -29,17 +32,6 @@ class ModeMixError(TypeError):
     """Raised when exact and float scalars meet in a single comparison."""
 
 
-def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ModeMixError(f"cannot coerce {value!r} to an exact rational")
-
-
 def as_scalar(value) -> Scalar:
     """Normalize a numeric input: ints become Fractions, floats stay floats."""
     if isinstance(value, bool):
@@ -53,42 +45,42 @@ def as_scalar(value) -> Scalar:
     raise ModeMixError(f"{value!r} is not a scalar")
 
 
-def is_exact(*values: Scalar) -> bool:
-    """True when every value is an exact rational."""
-    return all(isinstance(v, Fraction) for v in values)
-
-
-def same_mode(*values: Scalar) -> bool:
-    return is_exact(*values) or all(isinstance(v, float) for v in values)
+#: Types decided exactly; ``bool`` is excluded by testing the exact type.
+_EXACT = (Fraction, int)
 
 
 def check_same_mode(*values: Scalar) -> None:
-    if not same_mode(*values):
-        raise ModeMixError(f"mixed exact/float scalars: {values!r}")
+    """Raise unless the values are all exact or all binary64."""
+    exact = type(values[0]) in _EXACT
+    for v in values:
+        if not (type(v) in _EXACT if exact else isinstance(v, float)):
+            raise ModeMixError(f"mixed exact/float scalars: {values!r}")
 
 
 def lt(a: Scalar, b: Scalar) -> bool:
     """Strict a < b: exact for rationals, margin EPS for floats."""
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a < b
     return float(a) < float(b) - EPS
 
 
 def le(a: Scalar, b: Scalar) -> bool:
     """a <= b: exact for rationals, EPS slack for floats."""
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a <= b
     return float(a) <= float(b) + EPS
 
 
 def eq(a: Scalar, b: Scalar) -> bool:
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a == b
     return abs(float(a) - float(b)) <= EPS
 
 
 def is_zero(a: Scalar) -> bool:
-    return eq(a, Fraction(0) if isinstance(a, Fraction) else 0.0)
+    if type(a) in _EXACT:
+        return a == 0
+    return abs(float(a)) <= EPS
 
 
 def _isqrt_exact(n: int) -> int | None:

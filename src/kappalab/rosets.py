@@ -29,6 +29,7 @@ decays in rational arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -89,6 +90,12 @@ class RegularOpenSet:
     @property
     def is_empty(self) -> bool:
         return not self.components
+
+    @cached_property
+    def separated(self) -> bool:
+        """True when the closed hulls of the (disc) components are pairwise
+        disjoint; decided once per set."""
+        return separated_hulls(self.components)
 
 
 def member(s: RegularOpenSet, p: Point) -> bool:

@@ -171,13 +171,20 @@ def encode_roset(s: RegularOpenSet) -> dict:
     }
 
 
+def _space_and_components(obj: dict) -> tuple[Space, list]:
+    """The ``space`` and the ``components`` list of a union or chain object."""
+    space, comps = obj["space"], obj["components"]
+    if not isinstance(space, str) or space not in _SPACES:
+        raise SchemaError(f"unknown space {space!r}")
+    if not isinstance(comps, list):
+        raise SchemaError(f"'components' is a list, got {comps!r}")
+    return _SPACES[space], comps
+
+
 def decode_roset(obj: dict) -> RegularOpenSet:
     _expect_fields(obj, {"space", "components"}, {"certificate"})
-    space = _SPACES.get(obj["space"])
-    if space is None:
-        raise SchemaError(f"unknown space {obj['space']!r}")
-    comps = [decode_basic_set(c) for c in obj["components"]]
-    return validate_regular_open(space, comps)
+    space, comps = _space_and_components(obj)
+    return validate_regular_open(space, [decode_basic_set(c) for c in comps])
 
 
 def decode_set(obj: dict) -> BasicOpenSet | RegularOpenSet:
@@ -249,14 +256,12 @@ def encode_chain(chain: DecreasingChain) -> dict:
 
 def decode_chain(obj: dict) -> DecreasingChain:
     _expect_fields(obj, {"space", "components"}, {"param", "depth", "limit"})
-    space = _SPACES.get(obj["space"])
-    if space is None:
-        raise SchemaError(f"unknown space {obj['space']!r}")
+    space, comps = _space_and_components(obj)
     if obj.get("param", "n") != "n":
         raise SchemaError("chains are indexed by the parameter 'n'")
     try:
-        comps = tuple(decode_parametric_set(c) for c in obj["components"])
-        return DecreasingChain(space, comps, int(obj.get("depth", 64)))
+        lanes = tuple(decode_parametric_set(c) for c in comps)
+        return DecreasingChain(space, lanes, int(obj.get("depth", 64)))
     except ValueError as exc:  # a chain is validated when it is built
         raise SchemaError(f"invalid chain: {exc}") from exc
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .numerics import Scalar, as_scalar, check_same_mode, le, sq, sqrt_scalar
+from .numerics import Scalar, as_scalar, check_same_mode, is_zero, le, sqrt_scalar
 
 
 class Space(Enum):
@@ -86,8 +86,6 @@ class NiemytzkiPoint:
 
     @property
     def on_axis(self) -> bool:
-        from .numerics import is_zero
-
         return is_zero(self.y)
 
 
@@ -106,7 +104,8 @@ def lex_le(a: DoubleArrowPoint, b: DoubleArrowPoint) -> bool:
 
 def sq_dist(p: NiemytzkiPoint, q: NiemytzkiPoint) -> Scalar:
     """Squared Euclidean distance; exact whenever both points are exact."""
-    return sq(p.x - q.x) + sq(p.y - q.y)
+    dx, dy = p.x - q.x, p.y - q.y
+    return dx * dx + dy * dy
 
 
 def euclid_dist(p: NiemytzkiPoint, q: NiemytzkiPoint) -> Scalar:

@@ -35,6 +35,12 @@ def test_constructor_guards():
         TangentDisc(F(0), F(0))
 
 
+def test_deep_axis_neighborhood_has_exact_radius():
+    # 2**-30 lies below EPS; an exact radius must still count as positive
+    p = NiemytzkiPoint(F(1, 3), 0)
+    assert basic_neighborhood(p, 30) == TangentDisc(F(1, 3), F(1, 2**30))
+
+
 def test_sorgenfrey_membership():
     u = HalfOpen(F(0), F(1))
     assert basic_member(u, SorgenfreyPoint(F(0)))  # left endpoint included

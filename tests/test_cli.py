@@ -1,5 +1,6 @@
 """The batch front door: exit codes, reports, CSV sampling."""
 
+import hashlib
 import json
 
 import pytest
@@ -243,6 +244,24 @@ def _explicit_chain(a, b, space="sorgenfrey"):
         {"name": "x", "checks": [_explicit_chain({"const": "0", "over_n": "1/4"}, "1")]},
         {"name": "x", "checks": [_explicit_chain("1", "0")]},
         {"name": "x", "checks": [_explicit_chain("0", "1", space="niemytzki")]},
+        {"name": "x", "checks": [dict(_explicit_chain("0", "1"), family="niemytzki_kappa")]},
+        {
+            "name": "x",
+            "checks": [dict(_explicit_chain("0", "1"), chain={"space": "sorgenfrey", "components": 5})],
+        },
+        {
+            "name": "x",
+            "checks": [
+                {
+                    "check": "condition_1",
+                    "family": {
+                        "label": "user_supplied",
+                        "space": "sorgenfrey",
+                        "table": [{"set": {"space": "sorgenfrey", "components": 5}, "samples": []}],
+                    },
+                }
+            ],
+        },
     ],
     ids=[
         "plan_not_object",
@@ -251,6 +270,9 @@ def _explicit_chain(a, b, space="sorgenfrey"):
         "chain_not_nested",
         "chain_a_above_b",
         "chain_lane_in_another_space",
+        "chain_space_differs_from_family",
+        "chain_components_not_list",
+        "set_components_not_list",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
@@ -268,3 +290,53 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         csvs.append(out.read_text())
     assert "0,0,1" in csvs[0].splitlines()
     assert csvs[1] == csvs[0]
+
+
+@pytest.mark.parametrize(
+    "family, target, bbox, res",
+    [
+        ("g_family", '{"kind": "interior_disc", "cx": "0", "cy": "2", "r": "1"}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "half_open", "a": "0", "b": "1"}', "0,1,0,1", "3x3"),
+        ("sorgenfrey_kappa", '{"kind": "open_interval", "a": "0", "b": "1"}', "0,1", "3"),
+    ],
+    ids=["g_family_interior_disc", "set_in_another_space", "sorgenfrey_open_interval"],
+)
+def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, family, target, bbox, res):
+    argv = ["sample-grid", "--family", family, "--set", target, "--bbox", bbox, "--res", res]
+    assert _schema_error(capsys, argv + ["--out", str(tmp_path / "g.csv")])
+
+
+_TANGENT = '{"kind": "tangent_disc", "a": "0", "r": "1"}'
+_SEPARATED_UNION = (
+    '{"space": "niemytzki", "components": ['
+    '{"kind": "tangent_disc", "a": "-3/4", "r": "1/2"}, '
+    '{"kind": "interior_disc", "cx": "3/4", "cy": "1", "r": "1/2"}]}'
+)
+_SORGENFREY_UNION = (
+    '{"space": "sorgenfrey", "components": ['
+    '{"kind": "half_open", "a": "-3/2", "b": "-1/3"}, '
+    '{"kind": "half_open", "a": "0", "b": "5/2"}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "mode, family, target, bbox, res, sha256",
+    [
+        ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "30x22",
+         "6cfda6ed1ce50bb77c9c40c404733814853409ad23b99107335b715a1c402084"),
+        ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "30x22",
+         "16adb8ff5ddbe947982733d01002c7b973634a13eb98a0d73130ffa21dfb3b35"),
+        ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "15x11",
+         "adff98c60c8b11278adefa3886e60ea67632aed4389090b98b868f878a5a1e1e"),
+        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "660",
+         "26a8c98357d09d86ca427a859d546b10edf274ecf8af506b3e4453552093ba31"),
+    ],
+    ids=["readme_exact", "readme_float", "union_separated", "sorgenfrey"],
+)
+def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
+    # any change to a value, a coordinate or the number format changes the hash
+    monkeypatch.setenv("KAPPALAB_MODE", mode)
+    out = tmp_path / "g.csv"
+    argv = ["sample-grid", "--family", family, "--set", target, f"--bbox={bbox}", "--res", res]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

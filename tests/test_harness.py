@@ -71,6 +71,13 @@ def test_condition_1_fails_on_zero_family_with_witness():
     assert w["member"] is True and w["value"] == "0"
 
 
+def test_condition_1_exact_values_below_eps_are_positive():
+    # every value on [0, 10**-10) is an exact rational below EPS
+    U = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1, 10**10))])
+    rep = check_condition_1(sorgenfrey_kappa(), SamplePlan(seed=1, n_points=40), sets=[U])
+    assert rep.passed
+
+
 def test_condition_1_vacuous_on_empty_set():
     from kappalab.rosets import empty_set
 

@@ -69,6 +69,12 @@ def test_triangle_inequality(t1, t2, t3):
     assert float(euclid_dist(p, r)) <= float(euclid_dist(p, q)) + float(euclid_dist(q, r)) + 1e-9
 
 
+def test_exact_point_just_below_the_axis_is_rejected():
+    # exact coordinates get no EPS slack below the axis
+    with pytest.raises(ValueError):
+        NiemytzkiPoint(0, F(-1, 10**10))
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         NiemytzkiPoint(F(0), F(-1))
