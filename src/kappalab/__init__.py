@@ -31,7 +31,6 @@ from .convergence import ConvergenceCertificate, MalformedWitnessError, verify_c
 from .families import (
     Stratification,
     disc_in_union,
-    disc_in_union_ex,
     double_arrow_ro,
     doublearrow_f,
     g_family,

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -48,7 +47,7 @@ from .refuters import (
 )
 from .rosets import DecreasingChain
 from .sampling import sample_chain, sample_condition3_pairs, double_arrow_pinch_chain
-from .serialize import SchemaError, decode_chain, decode_set, dumps_canonical
+from .serialize import SchemaError, _int_field, decode_chain, decode_set, dumps_canonical
 from .spaces import NiemytzkiPoint, Space, SorgenfreyPoint
 
 _CANDIDATES = {
@@ -69,13 +68,6 @@ def _family(label) -> Stratification:
     if not isinstance(label, str) or label not in FAMILIES:
         raise SchemaError(f"unknown family label {label!r}")
     return FAMILIES[label]()
-
-
-def _int_field(obj: dict, key: str, default=None) -> int:
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{key!r} must be an integer, got {value!r}")
-    return value
 
 
 def _user_family(spec: dict) -> tuple[Stratification, list]:
@@ -384,7 +376,7 @@ def cmd_sample_grid(args) -> int:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed set JSON: {exc}") from exc
     target = decode_set(set_obj)
-    S = replace(_family(args.family), budget=args.budget)
+    S = _family(args.family)
     if target.space is not S.space:
         raise SchemaError(f"{S.label} is not indexed by {target.space.value} sets")
     bbox = _parse_bbox(args.bbox)
@@ -446,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--set", required=True, help="base set or union as JSON")
     p_grid.add_argument("--bbox", required=True, help="x0,x1[,y0,y1] (rationals)")
     p_grid.add_argument("--res", required=True, help="NX x NY (e.g. 300x220) or N")
-    p_grid.add_argument("--budget", type=int, default=6)
     p_grid.add_argument("--out", required=True)
     p_grid.set_defaults(fn=cmd_sample_grid)
     return ap

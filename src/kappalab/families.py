@@ -18,11 +18,12 @@ Values always live in [0, 1] and vanish exactly off the indexing set:
   instead of r.
 
 For a validated finite union V the value is the supremum of the base-set
-values over base sets inscribed in V; the supremum is attained by a base set,
-so a parametric search over inscribed discs (seeded with the components and
-polished by coordinate refinement, each centre's largest inscribed radius
-decided by the closed-form Euclidean distance to the union's complement)
-converges to it from below.
+values over base sets inscribed in V.  It has a closed form
+(docs/derivations.md, "Union suprema"): the larger of D(p) = min(dist(p, F), 1),
+where F is the complement of the union of V's open Euclidean discs, and the
+values at p of the largest tangent discs B*(a, rho_max(a)) inscribed at V's
+tangency points.  Unions with one component or pairwise separated ones keep
+the exact component maximum.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
-
-import numpy as np
 
 from .basesets import (
     BasicOpenSet,
@@ -56,11 +55,6 @@ from .spaces import (
 )
 
 SetLike = Union[BasicOpenSet, RegularOpenSet]
-
-#: Boundary discretization for the sampled multi-component containment test.
-CONTAINMENT_ANGLES = 720
-#: Default number of coordinate-refinement rounds in the union supremum search.
-DEFAULT_BUDGET = 6
 
 
 class UnindexedSetError(TypeError, ValueError):
@@ -161,137 +155,24 @@ def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# containment of a base disc in a finite union
+# the complement of a finite union of discs, in binary64
 
 
-def _component_arrays(V: RegularOpenSet):
-    """(centers, radii) of the open-disc parts of V's components, as float arrays."""
-    centers = np.array(
-        [[float(c.center.x), float(c.center.y)] for c in V.components], dtype=float
-    )
-    radii = np.array([float(c.r) for c in V.components], dtype=float)
-    return centers, radii
+def _norm(dx: float, dy: float) -> float:
+    """sqrt(dx*dx + dy*dy), spelled out: ``math.hypot`` rounds differently,
+    and the last bit of a union value reaches reports and CSVs."""
+    return math.sqrt(dx * dx + dy * dy)
 
 
-def _points_covered(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """For an (m, 2) point array: which points lie in some open component disc."""
-    diff = points[:, None, :] - centers[None, :, :]
-    d2 = np.einsum("mkc,mkc->mk", diff, diff)
-    return (d2 < radii[None, :] ** 2).any(axis=1)
+def _circles(V: RegularOpenSet) -> list[tuple[float, float, float]]:
+    """(cx, cy, r) of the open Euclidean disc of each of V's components."""
+    return [(float(c.center.x), float(c.center.y), float(c.r)) for c in V.components]
 
 
-def _disc_sample_points(cx: float, cy: float, r: float) -> np.ndarray:
-    """The shared sample template scaled onto a concrete disc."""
-    return np.array([[cx, cy]]) + r * _TEMPLATE
-
-
-def _uncovered_vertices(V: RegularOpenSet) -> np.ndarray:
-    """Crossing points of component boundary circles not inside the union.
-
-    These are the complement's sharp corners: a candidate disc strictly
-    containing one cannot be inscribed.  They are the vertex term of the
-    closed-form complement distance, and sampling them closes the blind spot
-    a pure angular discretization has at narrow wedges.
-    """
-    centers, radii = _component_arrays(V)
-    out = []
-    k = centers.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            for v in _circle_intersections(centers[i], radii[i], centers[j], radii[j]):
-                if v[1] < -1e-12:
-                    continue  # below the axis: not in the space
-                y = max(0.0, float(v[1]))
-                if not member(V, NiemytzkiPoint(float(v[0]), y)):
-                    out.append([float(v[0]), y])
-    if not out:
-        return np.zeros((0, 2))
-    return np.array(out)
-
-
-def disc_in_union(candidate: BasicOpenSet, V: RegularOpenSet) -> bool:
-    ok, _method = disc_in_union_ex(candidate, V)
-    return ok
-
-
-def disc_in_union_ex(candidate: BasicOpenSet, V: RegularOpenSet) -> tuple[bool, str]:
-    """Containment of a base disc in a union; ('exact'|'sampled') method tag.
-
-    A single-component target, or a candidate inside one component, is
-    decided by the algebraic disc-in-disc inequality (with the tangency rules
-    for axis neighborhoods).  Other unions get a sampled decision: the
-    candidate's boundary at 720 angles plus an interior grid, every sample
-    required to land in some component.
-    """
-    if candidate.space is not Space.NIEMYTZKI or V.space is not Space.NIEMYTZKI:
-        raise SpaceMismatchError("disc containment is a Niemytzki operation")
-    if not isinstance(candidate, (InteriorDisc, TangentDisc)):
-        raise TypeError(f"{candidate!r} is not a Niemytzki base set")
-    if V.is_empty:
-        return False, "exact"
-    if len(V.components) == 1:
-        return basic_subset(candidate, V.components[0]), "exact"
-    if any(basic_subset(candidate, c) for c in V.components):
-        return True, "exact"
-    if isinstance(candidate, TangentDisc):
-        if not member(V, candidate.axis_point):
-            return False, "sampled"
-        cx, cy, r = float(candidate.a), float(candidate.r), float(candidate.r)
-    else:
-        cx, cy, r = float(candidate.cx), float(candidate.cy), float(candidate.r)
-    centers, radii = _component_arrays(V)
-    verts = _uncovered_vertices(V)
-    if len(verts):
-        d = np.linalg.norm(verts - np.array([[cx, cy]]), axis=1)
-        if (d < r * (1 - 1e-12)).any():
-            return False, "sampled"
-    points = _disc_sample_points(cx, cy, r)
-    covered = _points_covered(points, centers, radii)
-    return bool(covered.all()), "sampled"
-
-
-# ---------------------------------------------------------------------------
-# supremum over inscribed base sets
-
-
-def _euclid_complement_distance(
-    cs: np.ndarray, centers: np.ndarray, radii: np.ndarray, verts: np.ndarray
-) -> np.ndarray:
-    """Euclidean distance from each query center to the complement of the open union.
-
-    Closed form for unions of discs (docs/derivations.md, "Union suprema"):
-    the minimum of (i) the query's height above the axis, (ii) per-circle
-    distances |R_i - d_i| where the nearest circle point is not covered by
-    another disc, and (iii) distances to the uncovered arrangement vertices
-    ``verts`` from ``_uncovered_vertices``.  Queries outside every disc get 0.
-    """
-    m = cs.shape[0]
-    k = centers.shape[0]
-    diff = cs[:, None, :] - centers[None, :, :]
-    d = np.sqrt(np.einsum("mkc,mkc->mk", diff, diff))
-    best = cs[:, 1].copy()  # the axis is (essentially) complement
-    inside_any = (d < radii[None, :]).any(axis=1)
-    for i in range(k):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = diff[:, i, :] / d[:, i, None]
-        unit = np.where(np.isfinite(unit), unit, np.array([[0.0, 1.0]]))
-        nearest = centers[i] + radii[i] * unit
-        covered = np.zeros(m, dtype=bool)
-        for j in range(k):
-            if j == i:
-                continue
-            dj = np.linalg.norm(nearest - centers[j], axis=1)
-            covered |= dj < radii[j]
-        cand = np.abs(radii[i] - d[:, i])
-        best = np.where(~covered, np.minimum(best, cand), best)
-    if len(verts):
-        dv = np.linalg.norm(cs[:, None, :] - verts[None, :, :], axis=2)
-        best = np.minimum(best, dv.min(axis=1))
-    return np.where(inside_any, best, 0.0)
-
-
-def _circle_intersections(c1, r1, c2, r2):
-    d = float(np.linalg.norm(c2 - c1))
+def _circle_intersections(c1, c2) -> list[tuple[float, float]]:
+    (x1, y1, r1), (x2, y2, r2) = c1, c2
+    dx, dy = x2 - x1, y2 - y1
+    d = _norm(dx, dy)
     if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
         return []
     a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
@@ -299,41 +180,63 @@ def _circle_intersections(c1, r1, c2, r2):
     if h2 < 0:
         return []
     h = math.sqrt(h2)
-    mid = c1 + a * (c2 - c1) / d
-    perp = np.array([-(c2 - c1)[1], (c2 - c1)[0]]) / d
-    return [mid + h * perp, mid - h * perp]
+    mx, my = x1 + a * dx / d, y1 + a * dy / d
+    ux, uy = -dy / d, dx / d
+    return [(mx + h * ux, my + h * uy), (mx - h * ux, my - h * uy)]
 
 
-def _sample_template() -> np.ndarray:
-    """Unit-disc sample pattern of the sampled ``disc_in_union`` test:
-    near-boundary ring at 720 angles, interior rings, center."""
-    th = np.linspace(0.0, 2 * math.pi, CONTAINMENT_ANGLES, endpoint=False)
-    parts = [np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-9)]
-    th_i = np.linspace(0.0, 2 * math.pi, 72, endpoint=False)
-    for frac in (0.25, 0.5, 0.75, 0.9):
-        parts.append(np.stack([np.cos(th_i), np.sin(th_i)], axis=1) * frac)
-    parts.append(np.zeros((1, 2)))
-    return np.concatenate(parts, axis=0)
+def _uncovered_vertices(V: RegularOpenSet, circles) -> list[tuple[float, float]]:
+    """Crossing points of component boundary circles not inside the union:
+    the complement's sharp corners."""
+    out = []
+    for i, ci in enumerate(circles):
+        for cj in circles[i + 1 :]:
+            for x, y in _circle_intersections(ci, cj):
+                if y < -1e-12:
+                    continue  # below the axis: not in the space
+                y = max(0.0, y)
+                if not member(V, NiemytzkiPoint(x, y)):
+                    out.append((x, y))
+    return out
 
 
-_TEMPLATE = _sample_template()
+def _complement_distance(V: RegularOpenSet, x: float, y: float) -> float:
+    """Euclidean distance from (x, y) to F, the complement of the union of V's
+    open discs; 0 off the discs.
+
+    Closed form (docs/derivations.md, "Union suprema"): the minimum of (i) the
+    height above the axis, which lies in F, (ii) the distances |R_i - d_i| to
+    the circles whose nearest point to (x, y) no other disc covers, and (iii)
+    the distances to the uncovered crossing vertices.
+    """
+    circles = _circles(V)
+    dists = [_norm(x - cx, y - cy) for cx, cy, _ in circles]
+    if not any(d < r for d, (_, _, r) in zip(dists, circles)):
+        return 0.0
+    best = y
+    for i, ((cx, cy, r), d) in enumerate(zip(circles, dists)):
+        ux, uy = ((x - cx) / d, (y - cy) / d) if d else (0.0, 1.0)
+        nx, ny = cx + r * ux, cy + r * uy
+        if not any(
+            j != i and _norm(nx - ox, ny - oy) < orad
+            for j, (ox, oy, orad) in enumerate(circles)
+        ):
+            best = min(best, abs(r - d))
+    for vx, vy in _uncovered_vertices(V, circles):
+        best = min(best, _norm(x - vx, y - vy))
+    return best
 
 
-def _tangent_max_radius(x0: Scalar, V: RegularOpenSet) -> float:
-    """Largest rho <= 1 with B*(x0, rho) inscribed in V (binary search)."""
-    x0f = float(x0)
-    if disc_in_union(TangentDisc(x0f, 1.0), V):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if mid <= 1e-12:
-            break
-        if disc_in_union(TangentDisc(x0f, mid), V):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _tangent_radius(V: RegularOpenSet, a: Scalar) -> Scalar:
+    """rho_max(a): the largest radius of a component of V tangent to the axis
+    at (a, 0), a tangent disc or an interior disc with r = cy; 0 if none."""
+    radii = [
+        c.r
+        for c in V.components
+        if (isinstance(c, TangentDisc) and eq(c.a, a))
+        or (isinstance(c, InteriorDisc) and c.axis_tangent and eq(c.cx, a))
+    ]
+    return max(radii, default=_zero(a))
 
 
 def pairwise_separated(V: RegularOpenSet) -> bool:
@@ -346,98 +249,60 @@ def pairwise_separated(V: RegularOpenSet) -> bool:
     return V.separated
 
 
-def niemytzki_union_f(
-    V: RegularOpenSet, p: NiemytzkiPoint, budget: int = DEFAULT_BUDGET
-) -> Scalar:
+def disc_in_union(candidate: BasicOpenSet, V: RegularOpenSet) -> bool:
+    """Whether the base disc ``candidate`` lies inside the union V.
+
+    A candidate inside one component is decided by the exact disc-in-disc
+    inequality, and so is every candidate when V has one component or
+    separated ones, since a base set is connected.  Otherwise an interior disc
+    B(c, r) fits when c lies in V and r <= dist(c, F), the closed-form
+    complement distance in binary64; a tangent disc B*(a, rho) fits when
+    (a, 0) lies in V and rho <= rho_max(a), exactly on rational input
+    (docs/derivations.md, "Union suprema").
+    """
+    if candidate.space is not Space.NIEMYTZKI or V.space is not Space.NIEMYTZKI:
+        raise SpaceMismatchError("disc containment is a Niemytzki operation")
+    if not isinstance(candidate, (InteriorDisc, TangentDisc)):
+        raise TypeError(f"{candidate!r} is not a Niemytzki base set")
+    if any(basic_subset(candidate, c) for c in V.components):
+        return True
+    if pairwise_separated(V):  # also true for one component
+        return False
+    if isinstance(candidate, TangentDisc):
+        return member(V, candidate.axis_point) and le(candidate.r, _tangent_radius(V, candidate.a))
+    c = candidate.center
+    return member(V, c) and le(candidate.r, _complement_distance(V, float(c.x), float(c.y)))
+
+
+# ---------------------------------------------------------------------------
+# supremum over inscribed base sets
+
+
+def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
     """Supremum of the base-set values over base sets inscribed in V.
 
     Exact (the component formula) when V has one component or its components
-    are pairwise separated.  Overlapping unions get a lower-bounded
-    approximation: the component maximum, improved by a multi-seed
-    coordinate-refinement search over inscribed discs through p and over
-    tangent discs grown at the union's tangency points.  The largest
-    inscribed disc at a candidate centre is decided by the closed-form
-    complement distance; tangent candidates go through ``disc_in_union``.
-    The result never decreases when the budget grows.
+    are pairwise separated.  Otherwise the closed form of docs/derivations.md,
+    "Union suprema", in binary64: the larger of D(p) = min(dist(p, F), 1), the
+    value of the largest interior disc centred at p, and the values at p of the
+    largest inscribed tangent discs B*(a, rho_max(a)) at V's tangency points a.
     """
     if V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_union_f needs a Niemytzki set")
     d2s = [disc_sq_dist(c, p) for c in V.components]
     if all(d2 is None for d2 in d2s):  # p lies outside V
         return _zero(p.x)
-    values = [
-        _zero(c.r) if d2 is None else _disc_value(c, p, d2) for c, d2 in zip(V.components, d2s)
-    ]
     if len(V.components) == 1 or pairwise_separated(V):
+        values = [
+            _zero(c.r) if d2 is None else _disc_value(c, p, d2)
+            for c, d2 in zip(V.components, d2s)
+        ]
         return max(values, key=float)
-
-    best = max(0.0, *map(float, values))
-
-    # tangent-disc candidates can only hang at existing tangency points
-    tangencies = [c.a for c in V.components if isinstance(c, TangentDisc)]
-    if p.on_axis:
-        for a in tangencies:
-            if eq(a, p.x):
-                rho = _tangent_max_radius(a, V)
-                best = max(best, rho)
-        return best
-    for a in tangencies:
-        rho = _tangent_max_radius(a, V)
-        if rho > 0:
-            pf = NiemytzkiPoint(float(p.x), float(p.y))
-            best = max(best, float(niemytzki_basic_f(TangentDisc(float(a), rho), pf)))
-
-    centers, radii = _component_arrays(V)
-    verts = _uncovered_vertices(V)
-    px, py = float(p.x), float(p.y)
-    pref = np.array([px, py])
-
-    seeds = [pref] + [c for c in centers]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            seeds.append(0.5 * (centers[i] + centers[j]))
-    for v in verts:
-        # kink optima hang off complement corners; aim between corner and p
-        for t in (0.35, 0.7):
-            seeds.append(v + (pref - v) * t)
-    span = max(1.0, float(radii.max()) * 2)
-
-    def disc_value(cs: np.ndarray) -> np.ndarray:
-        """Value at p of the largest inscribed disc centred at each of cs."""
-        radius = np.minimum(_euclid_complement_distance(cs, centers, radii, verts), cs[:, 1])
-        return np.minimum(radius, 1.0) - np.linalg.norm(cs - pref[None, :], axis=1)
-
-    gx = np.linspace(px - span, px + span, 21)
-    gy = np.linspace(max(1e-6, py - span), py + span, 21)
-    grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
-    grid = grid[grid[:, 1] > 0]
-    order = np.argsort(disc_value(grid))[::-1][:2]
-    seeds.extend(grid[k] for k in order)
-
-    def polish(seed: np.ndarray, rounds: int) -> float:
-        cur = seed.copy()
-        step = 0.4 * span
-        cur_val = -np.inf
-        for _ in range(rounds):
-            offs = np.linspace(-step, step, 7)
-            cand = np.stack(
-                np.meshgrid(cur[0] + offs, cur[1] + offs), axis=-1
-            ).reshape(-1, 2)
-            cand = cand[cand[:, 1] > 1e-9]
-            v = disc_value(cand)
-            k = int(np.argmax(v))
-            if v[k] > cur_val:
-                cur_val = float(v[k])
-                cur = cand[k]
-            step /= 5.0
-        return cur_val
-
-    # each polish keeps a running max over its rounds, so the result is
-    # monotone in the budget: a larger budget only extends the rounds run
-    for seed in seeds:
-        if seed[1] <= 0:
-            continue
-        best = max(best, polish(np.asarray(seed, dtype=float), budget))
+    best = min(_complement_distance(V, float(p.x), float(p.y)), 1.0)
+    for c in V.components:
+        if isinstance(c, TangentDisc):
+            tangent = TangentDisc(c.a, _tangent_radius(V, c.a))
+            best = max(best, float(niemytzki_basic_f(tangent, p)))
     return best
 
 
@@ -461,7 +326,6 @@ class Stratification:
     space: Space
     label: str
     evaluator: Callable[[SetLike, Point], Scalar] | None = None
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.label not in FAMILIES and self.label != LABEL_USER:
@@ -483,7 +347,7 @@ class Stratification:
         if isinstance(U, RegularOpenSet):
             if len(U.components) == 1:
                 return niemytzki_basic_f(U.components[0], p)
-            return niemytzki_union_f(U, p, self.budget)
+            return niemytzki_union_f(U, p)
         return niemytzki_basic_f(U, p)
 
 
@@ -511,8 +375,8 @@ def double_arrow_ro() -> Stratification:
     return Stratification(Space.DOUBLE_ARROW, LABEL_DOUBLE_ARROW)
 
 
-def niemytzki_kappa(budget: int = DEFAULT_BUDGET) -> Stratification:
-    return Stratification(Space.NIEMYTZKI, LABEL_NIEMYTZKI, budget=budget)
+def niemytzki_kappa() -> Stratification:
+    return Stratification(Space.NIEMYTZKI, LABEL_NIEMYTZKI)
 
 
 def g_stratification() -> Stratification:

@@ -47,7 +47,6 @@ from .families import (
     Stratification,
     _as_roset,
     niemytzki_basic_f,
-    pairwise_separated,
     set_member,
     sorgenfrey_f,
     tabulated_evaluator,
@@ -94,8 +93,6 @@ from .spaces import (
 TOL_CONT = 1e-3
 TOL_INF = 1e-3
 TOL_SUP = 1e-4
-#: slack for comparisons where one side comes from the union search
-SEARCH_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -220,14 +217,6 @@ def sample_family_pair(
     return sample_nested_pair(S.space, rng)
 
 
-def _pair_is_searched(S: Stratification, U: SetLike, V: SetLike) -> bool:
-    """Whether the value of U or of V comes from the union search."""
-    return S.space is Space.NIEMYTZKI and any(
-        isinstance(X, RegularOpenSet) and len(X.components) > 1 and not pairwise_separated(X)
-        for X in (U, V)
-    )
-
-
 # ---------------------------------------------------------------------------
 # conditions (1) and (2)
 
@@ -280,8 +269,7 @@ def check_condition_1(
 
 
 class _Monotone(NamedTuple):
-    """Condition (2) at a point p for index sets U inside V; ``searched``
-    when a value comes from the union search."""
+    """Condition (2) at a point p for index sets U inside V."""
 
     check_id = "condition_2"
     count_key = "samples"
@@ -289,7 +277,6 @@ class _Monotone(NamedTuple):
     U: SetLike
     V: SetLike
     p: Point
-    searched: bool
 
     @classmethod
     def cases(cls, S: Stratification, plan: SamplePlan):
@@ -297,17 +284,12 @@ class _Monotone(NamedTuple):
         points_per_pair = max(1, plan.n_points // max(1, plan.n_set_pairs))
         for _ in range(plan.n_set_pairs):
             U, V = sample_family_pair(S, rng)
-            searched = _pair_is_searched(S, U, V)
             for _ in range(points_per_pair):
-                yield cls(S, U, V, sample_point_near_set(_as_roset(V), rng), searched)
+                yield cls(S, U, V, sample_point_near_set(_as_roset(V), rng))
 
     def violates(self) -> bool:
-        """f_U(p) <= f_V(p) fails: exact ``le``, or ``SEARCH_SLACK`` when
-        searched."""
-        vu, vv = self.S.value(self.U, self.p), self.S.value(self.V, self.p)
-        if self.searched:
-            return not float(vu) <= float(vv) + SEARCH_SLACK
-        return not le(vu, vv)
+        """f_U(p) <= f_V(p) fails (``le``: exact, EPS when a value is a float)."""
+        return not le(self.S.value(self.U, self.p), self.S.value(self.V, self.p))
 
     def witness(self) -> dict:
         return {
@@ -328,13 +310,12 @@ class _Monotone(NamedTuple):
             V: [(p, decode_scalar(w["big_value"]))],
         }
         S = _replay_family(w, U.space, stored)
-        return cls(S, U, V, p, _pair_is_searched(S, U, V))
+        return cls(S, U, V, p)
 
 
 def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
     """Monotonicity in the index set on constructed nested pairs."""
-    tolerances = {"search_slack": SEARCH_SLACK}
-    return _run(_Monotone, S.label, S.space, tolerances, _Monotone.cases(S, plan))
+    return _run(_Monotone, S.label, S.space, {}, _Monotone.cases(S, plan))
 
 
 # ---------------------------------------------------------------------------

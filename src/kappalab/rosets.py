@@ -1,8 +1,8 @@
 """Canonical finite unions of base sets, regular-openness validation, chains.
 
 A ``RegularOpenSet`` is a finite union of base elements in canonical order
-together with a certificate describing how its regular openness (the set
-equals the interior of its own closure) was established:
+whose regular openness (the set equals the interior of its own closure) was
+decided exactly when it was built:
 
 * Sorgenfrey: after merging overlapping/adjacent intervals every canonical
   component must be left-closed.  A left-open canonical component (a, b)
@@ -69,23 +69,9 @@ class MalformedChainError(ValueError):
 
 
 @dataclass(frozen=True)
-class Certificate:
-    method: str  # "exact" | "sampled"
-    n_samples: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("exact", "sampled"):
-            raise ValueError(f"unknown certificate method {self.method!r}")
-
-
-VALIDATED_EXACT = Certificate("exact")
-
-
-@dataclass(frozen=True)
 class RegularOpenSet:
     space: Space
     components: tuple[BasicOpenSet, ...]
-    certificate: Certificate = VALIDATED_EXACT
 
     @property
     def is_empty(self) -> bool:
@@ -294,11 +280,11 @@ def validate_regular_open(
         canon = _canonical_niemytzki(components)
     else:
         raise ValueError(f"unknown space {space}")
-    return RegularOpenSet(space, tuple(canon), VALIDATED_EXACT)
+    return RegularOpenSet(space, tuple(canon))
 
 
 def empty_set(space: Space) -> RegularOpenSet:
-    return RegularOpenSet(space, (), VALIDATED_EXACT)
+    return RegularOpenSet(space, ())
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ docs/schema.md.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .basesets import (
@@ -34,6 +35,25 @@ from .spaces import DoubleArrowPoint, NiemytzkiPoint, Point, SorgenfreyPoint, Sp
 
 class SchemaError(ValueError):
     """Malformed or unknown-field JSON input."""
+
+
+@contextmanager
+def _invalid(what: str):
+    """Report a construction failure (``ValueError``) as a schema error."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"invalid {what}: {exc}") from exc
+
+
+def _int_field(obj: dict, key: str, default=None) -> int:
+    """``obj[key]`` (or ``default``) as a JSON integer; a bool is not one."""
+    value = obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def encode_scalar(v: Scalar):
@@ -83,15 +103,16 @@ def decode_point(obj: dict) -> Point:
     if not isinstance(obj, dict) or "space" not in obj:
         raise SchemaError(f"bad point {obj!r}")
     space = obj["space"]
-    if space == "sorgenfrey":
-        _expect_fields(obj, {"space", "x"})
-        return SorgenfreyPoint(decode_scalar(obj["x"]))
-    if space == "double_arrow":
-        _expect_fields(obj, {"space", "t", "side"})
-        return DoubleArrowPoint(decode_scalar(obj["t"]), obj["side"])
-    if space == "niemytzki":
-        _expect_fields(obj, {"space", "x", "y"})
-        return NiemytzkiPoint(decode_scalar(obj["x"]), decode_scalar(obj["y"]))
+    with _invalid("point"):
+        if space == "sorgenfrey":
+            _expect_fields(obj, {"space", "x"})
+            return SorgenfreyPoint(decode_scalar(obj["x"]))
+        if space == "double_arrow":
+            _expect_fields(obj, {"space", "t", "side"})
+            return DoubleArrowPoint(decode_scalar(obj["t"]), obj["side"])
+        if space == "niemytzki":
+            _expect_fields(obj, {"space", "x", "y"})
+            return NiemytzkiPoint(decode_scalar(obj["x"]), decode_scalar(obj["y"]))
     raise SchemaError(f"unknown space {space!r}")
 
 
@@ -125,33 +146,34 @@ def decode_basic_set(obj: dict) -> BasicOpenSet:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"bad base set {obj!r}")
     kind = obj["kind"]
-    if kind == "half_open":
-        _expect_fields(obj, {"kind", "a", "b"})
-        return HalfOpen(decode_scalar(obj["a"]), decode_scalar(obj["b"]))
-    if kind == "open_interval":
-        _expect_fields(obj, {"kind", "a", "b"})
-        return OpenInterval(decode_scalar(obj["a"]), decode_scalar(obj["b"]))
-    if kind == "clopen_interval":
-        _expect_fields(
-            obj, {"kind", "a", "b"}, {"include_left_extreme", "include_right_extreme"}
-        )
-        return ClopenInterval(
-            decode_scalar(obj["a"]),
-            decode_scalar(obj["b"]),
-            bool(obj.get("include_left_extreme", False)),
-            bool(obj.get("include_right_extreme", False)),
-        )
-    if kind == "extreme_singleton":
-        _expect_fields(obj, {"kind", "side"})
-        return ExtremeSingleton(obj["side"])
-    if kind == "interior_disc":
-        _expect_fields(obj, {"kind", "cx", "cy", "r"})
-        return InteriorDisc(
-            decode_scalar(obj["cx"]), decode_scalar(obj["cy"]), decode_scalar(obj["r"])
-        )
-    if kind == "tangent_disc":
-        _expect_fields(obj, {"kind", "a", "r"})
-        return TangentDisc(decode_scalar(obj["a"]), decode_scalar(obj["r"]))
+    with _invalid("base set"):
+        if kind == "half_open":
+            _expect_fields(obj, {"kind", "a", "b"})
+            return HalfOpen(decode_scalar(obj["a"]), decode_scalar(obj["b"]))
+        if kind == "open_interval":
+            _expect_fields(obj, {"kind", "a", "b"})
+            return OpenInterval(decode_scalar(obj["a"]), decode_scalar(obj["b"]))
+        if kind == "clopen_interval":
+            _expect_fields(
+                obj, {"kind", "a", "b"}, {"include_left_extreme", "include_right_extreme"}
+            )
+            return ClopenInterval(
+                decode_scalar(obj["a"]),
+                decode_scalar(obj["b"]),
+                bool(obj.get("include_left_extreme", False)),
+                bool(obj.get("include_right_extreme", False)),
+            )
+        if kind == "extreme_singleton":
+            _expect_fields(obj, {"kind", "side"})
+            return ExtremeSingleton(obj["side"])
+        if kind == "interior_disc":
+            _expect_fields(obj, {"kind", "cx", "cy", "r"})
+            return InteriorDisc(
+                decode_scalar(obj["cx"]), decode_scalar(obj["cy"]), decode_scalar(obj["r"])
+            )
+        if kind == "tangent_disc":
+            _expect_fields(obj, {"kind", "a", "r"})
+            return TangentDisc(decode_scalar(obj["a"]), decode_scalar(obj["r"]))
     raise SchemaError(f"unknown base set kind {kind!r}")
 
 
@@ -159,15 +181,10 @@ _SPACES = {s.value: s for s in Space}
 
 
 def encode_roset(s: RegularOpenSet) -> dict:
-    cert = (
-        "exact"
-        if s.certificate.method == "exact"
-        else {"sampled": s.certificate.n_samples}
-    )
     return {
         "space": s.space.value,
         "components": [encode_basic_set(c) for c in s.components],
-        "certificate": cert,
+        "certificate": "exact",  # every union is validated exactly when built
     }
 
 
@@ -184,7 +201,9 @@ def _space_and_components(obj: dict) -> tuple[Space, list]:
 def decode_roset(obj: dict) -> RegularOpenSet:
     _expect_fields(obj, {"space", "components"}, {"certificate"})
     space, comps = _space_and_components(obj)
-    return validate_regular_open(space, [decode_basic_set(c) for c in comps])
+    components = [decode_basic_set(c) for c in comps]
+    with _invalid("union"):
+        return validate_regular_open(space, components)
 
 
 def decode_set(obj: dict) -> BasicOpenSet | RegularOpenSet:
@@ -211,7 +230,7 @@ def decode_param_value(obj) -> ParamValue:
         decode_scalar(obj["const"]),
         decode_scalar(obj.get("over_n", "0")),
         decode_scalar(obj.get("over_n2", "0")),
-        int(obj.get("shift", 0)),
+        _int_field(obj, "shift", 0),
     )
 
 
@@ -259,11 +278,9 @@ def decode_chain(obj: dict) -> DecreasingChain:
     space, comps = _space_and_components(obj)
     if obj.get("param", "n") != "n":
         raise SchemaError("chains are indexed by the parameter 'n'")
-    try:
+    with _invalid("chain"):  # a chain is validated when it is built
         lanes = tuple(decode_parametric_set(c) for c in comps)
-        return DecreasingChain(space, lanes, int(obj.get("depth", 64)))
-    except ValueError as exc:  # a chain is validated when it is built
-        raise SchemaError(f"invalid chain: {exc}") from exc
+        return DecreasingChain(space, lanes, _int_field(obj, "depth", 64))
 
 
 def dumps_canonical(payload) -> str:

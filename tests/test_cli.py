@@ -2,10 +2,23 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kappalab
 from kappalab.cli import main, shipped_scenarios
+
+
+def test_the_program_runs_without_numpy():
+    # a fresh interpreter, so that no test module has imported numpy already
+    src = str(Path(kappalab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kappalab.cli; assert 'numpy' not in sys.modules, 'numpy was imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_shipped_corpus_is_present():
@@ -229,9 +242,15 @@ def test_non_integer_entry_counts_exit_2(tmp_path, capsys, entry):
     assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
 
 
-def _explicit_chain(a, b, space="sorgenfrey"):
-    chain = {"space": space, "components": [{"kind": "half_open", "a": a, "b": b}]}
+def _explicit_chain(a, b, space="sorgenfrey", **fields):
+    chain = {"space": space, "components": [{"kind": "half_open", "a": a, "b": b}], **fields}
     return {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": chain}
+
+
+def _user_table_set(target, samples=()):
+    """A condition 1 entry whose user-family table has one row for ``target``."""
+    row = {"set": target, "samples": list(samples)}
+    return {"check": "condition_1", "family": {"label": "user_supplied", "space": target["space"], "table": [row]}}
 
 
 @pytest.mark.parametrize(
@@ -262,6 +281,42 @@ def _explicit_chain(a, b, space="sorgenfrey"):
                 }
             ],
         },
+        {
+            "name": "x",
+            "checks": [
+                _user_table_set(
+                    {"space": "niemytzki", "components": [{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "1"}]}
+                )
+            ],
+        },
+        {
+            "name": "x",
+            "checks": [
+                _user_table_set({"space": "sorgenfrey", "components": [{"kind": "half_open", "a": "1", "b": "0"}]})
+            ],
+        },
+        {
+            "name": "x",
+            "checks": [
+                _user_table_set(
+                    {"space": "niemytzki", "components": [{"kind": "tangent_disc", "a": "0", "r": "1"}]},
+                    [{"point": {"space": "niemytzki", "x": "0", "y": "-1"}, "value": "1"}],
+                )
+            ],
+        },
+        {
+            "name": "x",
+            "checks": [
+                _user_table_set(
+                    {"space": "double_arrow", "components": [{"kind": "clopen_interval", "a": "0", "b": "1/2"}]},
+                    [{"point": {"space": "double_arrow", "t": "1/4", "side": 7}, "value": "1"}],
+                )
+            ],
+        },
+        {"name": "x", "checks": [_explicit_chain("0", "1", depth=[1])]},
+        {"name": "x", "checks": [_explicit_chain("0", "1", depth=2.5)]},
+        {"name": "x", "checks": [_explicit_chain("0", "1", depth=True)]},
+        {"name": "x", "checks": [_explicit_chain("0", {"const": "1", "over_n": "1", "shift": [1]})]},
     ],
     ids=[
         "plan_not_object",
@@ -273,6 +328,14 @@ def _explicit_chain(a, b, space="sorgenfrey"):
         "chain_space_differs_from_family",
         "chain_components_not_list",
         "set_components_not_list",
+        "union_not_regular_open",
+        "table_row_a_above_b",
+        "table_point_below_the_axis",
+        "table_point_side_not_0_or_1",
+        "chain_depth_not_integer",
+        "chain_depth_fractional",
+        "chain_depth_bool",
+        "lane_shift_not_integer",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
@@ -298,8 +361,9 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         ("g_family", '{"kind": "interior_disc", "cx": "0", "cy": "2", "r": "1"}', "0,1,0,1", "3x3"),
         ("niemytzki_kappa", '{"kind": "half_open", "a": "0", "b": "1"}', "0,1,0,1", "3x3"),
         ("sorgenfrey_kappa", '{"kind": "open_interval", "a": "0", "b": "1"}', "0,1", "3"),
+        ("niemytzki_kappa", '{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "2"}', "0,1,0,1", "3x3"),
     ],
-    ids=["g_family_interior_disc", "set_in_another_space", "sorgenfrey_open_interval"],
+    ids=["g_family_interior_disc", "set_in_another_space", "sorgenfrey_open_interval", "interior_disc_r_above_cy"],
 )
 def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, family, target, bbox, res):
     argv = ["sample-grid", "--family", family, "--set", target, "--bbox", bbox, "--res", res]

@@ -4,8 +4,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
-
 from kappalab import (
     ClopenInterval,
     DoubleArrowPoint,
@@ -13,11 +11,11 @@ from kappalab import (
     HalfOpen,
     InteriorDisc,
     NiemytzkiPoint,
+    NotRegularOpenError,
     SorgenfreyPoint,
     Space,
     TangentDisc,
     disc_in_union,
-    disc_in_union_ex,
     doublearrow_f,
     g_family,
     member,
@@ -27,13 +25,10 @@ from kappalab import (
     sorgenfrey_f,
     validate_regular_open,
 )
-from kappalab.families import (
-    _component_arrays,
-    _euclid_complement_distance,
-    _uncovered_vertices,
-)
+from kappalab.families import _complement_distance
+from kappalab.numerics import le
 from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_sorgenfrey_set
-from test_acceptance import _interior_point_in, _overlapping_union
+from test_acceptance import _interior_point_in, _oracle_circle_cross, _overlapping_union
 
 
 def _ro(space, comps):
@@ -193,17 +188,14 @@ def test_disc_in_union_examples():
 
 def test_disc_in_union_methods():
     single = _ro(Space.NIEMYTZKI, [InteriorDisc(F(0), F(2), F(1))])
-    _, method = disc_in_union_ex(InteriorDisc(F(0), F(2), F(1, 2)), single)
-    assert method == "exact"
+    assert disc_in_union(InteriorDisc(F(0), F(2), F(1, 2)), single)
     union = _ro(
         Space.NIEMYTZKI,
         [InteriorDisc(F(0), F(2), F(1)), InteriorDisc(F(0), F(3), F(1))],
     )
-    ok, method = disc_in_union_ex(InteriorDisc(F(0), F(5, 2), F(3, 4)), union)
-    assert ok and method == "sampled"
+    assert disc_in_union(InteriorDisc(F(0), F(5, 2), F(3, 4)), union)
     # straddling the waist too widely fails
-    ok2, _ = disc_in_union_ex(InteriorDisc(F(0), F(5, 2), F(1)), union)
-    assert not ok2
+    assert not disc_in_union(InteriorDisc(F(0), F(5, 2), F(1)), union)
 
 
 def test_disc_in_union_exact_inside_one_component():
@@ -213,26 +205,45 @@ def test_disc_in_union_exact_inside_one_component():
         Space.NIEMYTZKI,
         [InteriorDisc(F(0), F(2), F(1)), InteriorDisc(F(4), F(2), F(1))],
     )
-    ok, method = disc_in_union_ex(InteriorDisc(F(0), F(2), F(1, 2)), union)
-    assert ok and method == "exact"
+    assert disc_in_union(InteriorDisc(F(0), F(2), F(1, 2)), union)
+
+
+def _ring_inside(V, cx, cy, r, angles=720):
+    """Sampled containment, independent of the closed form: the circle of
+    radius r about (cx, cy) at ``angles`` points must be covered, and no
+    uncovered crossing corner of the union's circles may lie inside it (a
+    narrow complement wedge can hide between the samples)."""
+    circles = [(float(c.center.x), float(c.center.y), float(c.r)) for c in V.components]
+
+    def covered(x, y, margin=0.0):
+        return any((x - a) ** 2 + (y - b) ** 2 < R * R - margin for a, b, R in circles)
+
+    ring = [(cx + r * math.cos(t), cy + r * math.sin(t)) for t in (2 * math.pi * k / angles for k in range(angles))]
+    corners = [
+        v for i, c1 in enumerate(circles) for c2 in circles[i + 1 :] for v in _oracle_circle_cross(c1, c2)
+    ]
+    # a corner lies on two circles: rounding must not count it as covered by them
+    return all(covered(x, y) for x, y in ring) and all(
+        covered(x, y, 1e-12) or math.hypot(x - cx, y - cy) >= r for x, y in corners
+    )
 
 
 def test_complement_distance_agrees_with_sampled_containment():
     # the closed-form radius at interior centres of overlapping unions,
-    # cross-checked against the independent sampled containment test
+    # cross-checked against a boundary-ring sampler and against disc_in_union
     rng = random.Random(607)
     grown = 0
     for i in range(20):
         V = _overlapping_union(rng, 2 if i % 2 == 0 else 3)
-        centers, radii = _component_arrays(V)
-        verts = _uncovered_vertices(V)
         for _ in range(3):
             c = _interior_point_in(V, rng)
             cx, cy = float(c.x), float(c.y)
-            d = float(_euclid_complement_distance(np.array([[cx, cy]]), centers, radii, verts)[0])
+            d = _complement_distance(V, cx, cy)
             assert d > 0, (V, c)
+            assert _ring_inside(V, cx, cy, 0.999999 * d), (V, c, d)
             assert disc_in_union(InteriorDisc(cx, cy, 0.999999 * d), V), (V, c, d)
             if d + 1e-3 <= min(cy, 1.0):
+                assert not _ring_inside(V, cx, cy, d + 1e-3), (V, c, d)
                 assert not disc_in_union(InteriorDisc(cx, cy, d + 1e-3), V), (V, c, d)
                 grown += 1
     assert grown >= 20
@@ -247,6 +258,16 @@ def test_tangent_candidate_needs_its_axis_point():
     assert disc_in_union(TangentDisc(F(0), F(1)), union)
     # at a different tangency there is no axis point to stand on
     assert not disc_in_union(TangentDisc(F(1, 2), F(1, 4)), union)
+
+
+def test_tangent_containment_is_exact_at_the_boundary():
+    # rho_max(0) = 1/2, from the interior disc tangent to the axis at 0
+    union = _ro(
+        Space.NIEMYTZKI,
+        [TangentDisc(F(0), F(1, 4)), InteriorDisc(F(0), F(1, 2), F(1, 2))],
+    )
+    assert disc_in_union(TangentDisc(F(0), F(1, 2)), union)
+    assert not disc_in_union(TangentDisc(F(0), F(1, 2) + F(1, 10**10)), union)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +319,23 @@ def test_union_f_monotone_in_components():
             assert float(niemytzki_union_f(V2, p)) >= float(niemytzki_union_f(V1, p)) - 1e-9
 
 
-def test_union_f_monotone_in_budget():
-    V = _ro(
-        Space.NIEMYTZKI,
-        [InteriorDisc(F(0), F(2), F(1)), InteriorDisc(F(1), F(5, 2), F(1))],
-    )
-    p = NiemytzkiPoint(F(1, 2), F(2))
-    vals = [float(niemytzki_union_f(V, p, budget=b)) for b in (2, 4, 6)]
-    assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
+def test_union_f_monotone_when_a_component_is_dropped():
+    # U = V minus one component is inside V, so f_U <= f_V (exact le, EPS on floats)
+    rng = random.Random(608)
+    pairs = 0
+    for i in range(30):
+        V = _overlapping_union(rng, 2 if i % 2 == 0 else 3)
+        for k in range(len(V.components)):
+            try:
+                U = _ro(Space.NIEMYTZKI, V.components[:k] + V.components[k + 1 :])
+            except NotRegularOpenError:
+                continue  # dropped the tangent disc an axis-tangent disc needs
+            for _ in range(8):
+                p = sample_point_near_set(V, rng)
+                fu, fv = niemytzki_union_f(U, p), niemytzki_union_f(V, p)
+                assert le(fu, fv), (U, V, p, fu, fv)
+                pairs += 1
+    assert pairs >= 500
 
 
 def test_union_f_axis_point_grows_tangent_disc():

@@ -30,6 +30,7 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.basesets import basic_neighborhoods
+from kappalab.serialize import encode_roset
 from kappalab.sampling import sample_point_near_set, sample_set, double_arrow_pinch_chain
 
 
@@ -42,7 +43,7 @@ def test_open_interval_rejected_with_witness():
 def test_adjacent_halfopen_merge():
     s = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1)), HalfOpen(F(1), F(2))])
     assert s.components == (HalfOpen(F(0), F(2)),)
-    assert s.certificate.method == "exact"
+    assert encode_roset(s)["certificate"] == "exact"
 
 
 def test_single_point_gap_rejected():
@@ -65,7 +66,7 @@ def test_tangent_discs_accepted():
     s = validate_regular_open(
         Space.NIEMYTZKI, [TangentDisc(F(0), F(1)), TangentDisc(F(1), F(1))]
     )
-    assert s.certificate.method == "exact"
+    assert encode_roset(s)["certificate"] == "exact"
     assert len(s.components) == 2
 
 
