@@ -28,7 +28,6 @@ the exact component maximum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -43,7 +42,7 @@ from .basesets import (
     disc_sq_dist,
 )
 from .numerics import Scalar, eq, is_zero, le, lt, sq, sqrt_scalar
-from .rosets import RegularOpenSet, basic_subset, member
+from .rosets import RegularOpenSet, _norm, basic_subset, member
 from .spaces import (
     DoubleArrowPoint,
     NiemytzkiPoint,
@@ -158,48 +157,6 @@ def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
 # the complement of a finite union of discs, in binary64
 
 
-def _norm(dx: float, dy: float) -> float:
-    """sqrt(dx*dx + dy*dy), spelled out: ``math.hypot`` rounds differently,
-    and the last bit of a union value reaches reports and CSVs."""
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def _circles(V: RegularOpenSet) -> list[tuple[float, float, float]]:
-    """(cx, cy, r) of the open Euclidean disc of each of V's components."""
-    return [(float(c.center.x), float(c.center.y), float(c.r)) for c in V.components]
-
-
-def _circle_intersections(c1, c2) -> list[tuple[float, float]]:
-    (x1, y1, r1), (x2, y2, r2) = c1, c2
-    dx, dy = x2 - x1, y2 - y1
-    d = _norm(dx, dy)
-    if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
-        return []
-    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
-    h2 = r1 * r1 - a * a
-    if h2 < 0:
-        return []
-    h = math.sqrt(h2)
-    mx, my = x1 + a * dx / d, y1 + a * dy / d
-    ux, uy = -dy / d, dx / d
-    return [(mx + h * ux, my + h * uy), (mx - h * ux, my - h * uy)]
-
-
-def _uncovered_vertices(V: RegularOpenSet, circles) -> list[tuple[float, float]]:
-    """Crossing points of component boundary circles not inside the union:
-    the complement's sharp corners."""
-    out = []
-    for i, ci in enumerate(circles):
-        for cj in circles[i + 1 :]:
-            for x, y in _circle_intersections(ci, cj):
-                if y < -1e-12:
-                    continue  # below the axis: not in the space
-                y = max(0.0, y)
-                if not member(V, NiemytzkiPoint(x, y)):
-                    out.append((x, y))
-    return out
-
-
 def _complement_distance(V: RegularOpenSet, x: float, y: float) -> float:
     """Euclidean distance from (x, y) to F, the complement of the union of V's
     open discs; 0 off the discs.
@@ -209,7 +166,7 @@ def _complement_distance(V: RegularOpenSet, x: float, y: float) -> float:
     the circles whose nearest point to (x, y) no other disc covers, and (iii)
     the distances to the uncovered crossing vertices.
     """
-    circles = _circles(V)
+    circles = V.circles
     dists = [_norm(x - cx, y - cy) for cx, cy, _ in circles]
     if not any(d < r for d, (_, _, r) in zip(dists, circles)):
         return 0.0
@@ -222,7 +179,7 @@ def _complement_distance(V: RegularOpenSet, x: float, y: float) -> float:
             for j, (ox, oy, orad) in enumerate(circles)
         ):
             best = min(best, abs(r - d))
-    for vx, vy in _uncovered_vertices(V, circles):
+    for vx, vy in V.corners:
         best = min(best, _norm(x - vx, y - vy))
     return best
 

@@ -61,6 +61,7 @@ from .rosets import (
     decreasing_chain_interior,
 )
 from .sampling import (
+    SEQUENCE_LENGTH,
     TAIL_START,
     rand_dyadic,
     sample_nested_pair,
@@ -339,7 +340,8 @@ class _Continuity(NamedTuple):
         for U, cert in pairs:
             if not verify_convergence(cert):
                 raise ValueError("certificate failed verification; refuse to test continuity")
-            yield cls(S, U, cert.limit, cert.sequence[tail_start - 1 :], tol, tail_start)
+            tail = tuple(cert.point(n) for n in range(tail_start, SEQUENCE_LENGTH + 1))
+            yield cls(S, U, cert.limit, tail, tol, tail_start)
 
     def deviations(self) -> list[float]:
         f_lim = float(self.S.value(self.U, self.limit))
@@ -378,7 +380,8 @@ def check_condition_3(
     tol: float = TOL_CONT,
     tail_start: int = TAIL_START,
 ) -> CheckReport:
-    """Tail deviation of the family values along certified sequences."""
+    """Tail deviation of the family values along certified sequences, at the
+    points n = tail_start..SEQUENCE_LENGTH of each verified certificate."""
     tolerances = {"tol_cont": tol, "tail_start": tail_start}
     cases = _Continuity.cases(S, pairs, tol, tail_start)
     return _run(_Continuity, S.label, S.space, tolerances, cases)

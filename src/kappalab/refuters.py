@@ -2,10 +2,10 @@
 
 Each refuter renders a non-existence argument as a finite witness bundle:
 a list of typed assertions (memberships, exact values, strict inequalities,
-convergence certificates) that ``reverify_bundle`` replays one by one in
-exact rational arithmetic.  A refuter never reports "consistent": when its
-search fails at the given budget it returns ``NOT_FOUND`` -- absence of a
-witness at a finite budget proves nothing.
+parametric convergence certificates) that ``reverify_bundle`` replays one
+by one in exact rational arithmetic.  A refuter never reports "consistent":
+when its search fails at the given budget it returns ``NOT_FOUND`` --
+absence of a witness at a finite budget proves nothing.
 
 The four targets:
 
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .basesets import HalfOpen, TangentDisc, basic_member
-from .convergence import ConvergenceCertificate, verify_convergence
+from .convergence import ConvergenceCertificate, MalformedWitnessError, verify_convergence
 from .families import FAMILIES
 from .numerics import eq, le, lt
 from .rosets import (
@@ -46,10 +46,12 @@ from .rosets import (
 from .sampling import double_arrow_pinch_chain
 from .serialize import (
     decode_basic_set,
+    decode_certificate,
     decode_chain,
     decode_point,
     decode_scalar,
     encode_basic_set,
+    encode_certificate,
     encode_chain,
     encode_point,
     encode_scalar,
@@ -97,8 +99,10 @@ def _check_assertion(a: dict, candidate=None) -> bool:
             return eq(value, decode_scalar(a["value"]))
         return lt(decode_scalar(a["threshold"]), value)
     if kind == "certificate":
-        cert = _decode_certificate(a["certificate"])
-        return verify_convergence(cert)
+        try:
+            return verify_convergence(decode_certificate(a["certificate"]))
+        except MalformedWitnessError:
+            return False
     if kind == "halfplane_subset":
         disc = decode_basic_set(a["set"])
         return lt(0, disc.a) and le(disc.r, disc.a)
@@ -137,25 +141,6 @@ def reverify_bundle(result: RefutationResult, candidate=None) -> bool:
     if not result.refuted:
         return False
     return all(_check_assertion(a, candidate) for a in result.assertions)
-
-
-def _encode_certificate(cert: ConvergenceCertificate) -> dict:
-    return {
-        "space": cert.space.value,
-        "sequence": [encode_point(p) for p in cert.sequence],
-        "limit": encode_point(cert.limit),
-        "witnesses": [encode_basic_set(w) for w in cert.witnesses],
-    }
-
-
-def _decode_certificate(obj: dict) -> ConvergenceCertificate:
-    space = Space(obj["space"])
-    return ConvergenceCertificate(
-        space,
-        tuple(decode_point(p) for p in obj["sequence"]),
-        decode_point(obj["limit"]),
-        tuple(decode_basic_set(w) for w in obj["witnesses"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +373,18 @@ def _assemble_sorgenfrey_bundle(
             "value": encode_scalar(Fraction(0)),
         }
     )
-    seq = tuple(SorgenfreyPoint(t) for t in xs)
-    wits = tuple(HalfOpen(x, x + 2 * (t - x)) for t in xs)
-    cert = ConvergenceCertificate(Space.SORGENFREY, seq, SorgenfreyPoint(x), wits)
-    assert verify_convergence(cert)
-    assertions.append({"kind": "certificate", "certificate": _encode_certificate(cert)})
+    # the search found x_k at depth >= k, so x_k - x <= 7/2^(6+k) < 2^-(3+k)
+    for k, x_k in enumerate(xs, 1):
+        near = HalfOpen(x, x + Fraction(1, 2 ** (3 + k)))
+        assert basic_member(near, SorgenfreyPoint(x_k))
+        assertions.append(
+            {
+                "kind": "member",
+                "set": encode_basic_set(near),
+                "point": encode_point(SorgenfreyPoint(x_k)),
+                "expect": True,
+            }
+        )
     return RefutationResult(
         claim,
         REFUTED,
@@ -511,11 +503,8 @@ def niemytzki_not_stratifiable(
         num = float
     zero = num(0)
     k0 = max(1, m // 6 + 1)
-    ks = list(range(k0, k0 + K))
     assertions = []
-    seq = []
-    wits = []
-    for k in ks:
+    for k in range(k0, k0 + K):
         xk = a_val + num(Fraction(1, 3 * k))
         ck = num(Fraction(1, 6 * k))
         pk = NiemytzkiPoint(xk, ck)
@@ -548,14 +537,16 @@ def niemytzki_not_stratifiable(
                 "expect": False,
             }
         )
-        seq.append(pk)
-        wits.append(TangentDisc(a_val, num(Fraction(1, k))))
+    # (a + 1/(3k), 1/(6k)) lies in B*(a, 1/k) for every k >= k0: t = 1/k, n = k - k0 + 1
+    over_k = lambda const, c: ParamValue(const, num(c), shift=k0 - 1)
     cert = ConvergenceCertificate(
-        Space.NIEMYTZKI, tuple(seq), NiemytzkiPoint(a_val, zero), tuple(wits)
+        NiemytzkiPoint(a_val, zero),
+        (over_k(a_val, Fraction(1, 3)), over_k(zero, Fraction(1, 6))),
+        over_k(zero, 1),
     )
     if not verify_convergence(cert):
         return RefutationResult(claim, NOT_FOUND, detail={"reason": "certificate failed"})
-    assertions.append({"kind": "certificate", "certificate": _encode_certificate(cert)})
+    assertions.append({"kind": "certificate", "certificate": encode_certificate(cert)})
     return RefutationResult(
         claim,
         REFUTED,
@@ -612,17 +603,15 @@ def g_family_not_extendable(n: int = 1) -> RefutationResult:
             "threshold": encode_scalar(Fraction(1, 2)),
         },
     ]
-    seq = []
-    wits = []
-    for j in range(n, n + 40):
-        rj = Fraction(1, 3 * j)
-        seq.append(NiemytzkiPoint(rj, rj / 2))
-        wits.append(TangentDisc(Fraction(0), Fraction(1, j)))
+    # the probes (1/(3j), 1/(6j)) lie in B*(0, 1/j) for every j >= n: t = 1/j
+    over_j = lambda c: ParamValue(0, c, shift=n - 1)
     cert = ConvergenceCertificate(
-        Space.NIEMYTZKI, tuple(seq), NiemytzkiPoint(Fraction(0), Fraction(0)), tuple(wits)
+        NiemytzkiPoint(Fraction(0), Fraction(0)),
+        (over_j(Fraction(1, 3)), over_j(Fraction(1, 6))),
+        over_j(1),
     )
     assert verify_convergence(cert)
-    assertions.append({"kind": "certificate", "certificate": _encode_certificate(cert)})
+    assertions.append({"kind": "certificate", "certificate": encode_certificate(cert)})
     return RefutationResult(
         claim,
         REFUTED,

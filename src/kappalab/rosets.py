@@ -21,17 +21,17 @@ decided exactly when it was built:
 
 Chains are parametric families n -> set, evaluated to a truncation depth and
 extrapolated exactly: parameters are expressed as c0 + c1/(n+s) + c2/(n+s)^2,
-whose limit is the constant term, or supplied as plain callables, in which
-case a dyadic-tail power-law fit recovers the limit (exact for pure power
-decays in rational arithmetic).
+whose limit is the constant term.  ``tail_positive`` decides the sign of
+such a trajectory's polynomials for every n at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .basesets import (
     BasicOpenSet,
@@ -44,7 +44,7 @@ from .basesets import (
     basic_closure_member,
     basic_member,
 )
-from .numerics import Scalar, as_scalar, eq, le, lt, sq
+from .numerics import Scalar, as_scalar, eq, is_zero, le, lt, sq
 from .spaces import NiemytzkiPoint, Point, SorgenfreyPoint, Space, SpaceMismatchError, sq_dist
 
 
@@ -82,6 +82,49 @@ class RegularOpenSet:
         """True when the closed hulls of the (disc) components are pairwise
         disjoint; decided once per set."""
         return separated_hulls(self.components)
+
+    @cached_property
+    def circles(self) -> tuple[tuple[float, float, float], ...]:
+        """(cx, cy, r) of the open Euclidean disc of each (disc) component, in
+        binary64; built once per set."""
+        return tuple((float(c.center.x), float(c.center.y), float(c.r)) for c in self.components)
+
+    @cached_property
+    def corners(self) -> tuple[tuple[float, float], ...]:
+        """Crossing points of component boundary circles not inside the union,
+        the sharp corners of its complement, in binary64; built once per set."""
+        out = []
+        for i, ci in enumerate(self.circles):
+            for cj in self.circles[i + 1 :]:
+                for x, y in _circle_intersections(ci, cj):
+                    if y < -1e-12:
+                        continue  # below the axis: not in the space
+                    y = max(0.0, y)
+                    if not member(self, NiemytzkiPoint(x, y)):
+                        out.append((x, y))
+        return tuple(out)
+
+
+def _norm(dx: float, dy: float) -> float:
+    """sqrt(dx*dx + dy*dy), spelled out: ``math.hypot`` rounds differently,
+    and the last bit of a union value reaches reports and CSVs."""
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _circle_intersections(c1, c2) -> list[tuple[float, float]]:
+    (x1, y1, r1), (x2, y2, r2) = c1, c2
+    dx, dy = x2 - x1, y2 - y1
+    d = _norm(dx, dy)
+    if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
+        return []
+    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
+    h2 = r1 * r1 - a * a
+    if h2 < 0:
+        return []
+    h = math.sqrt(h2)
+    mx, my = x1 + a * dx / d, y1 + a * dy / d
+    ux, uy = -dy / d, dx / d
+    return [(mx + h * ux, my + h * uy), (mx - h * ux, my - h * uy)]
 
 
 def member(s: RegularOpenSet, p: Point) -> bool:
@@ -309,7 +352,11 @@ class ParamValue:
         d = n + self.shift
         if d <= 0:
             raise ValueError(f"parameter index {n} with shift {self.shift} not positive")
-        return self.const + self.over_n / d + self.over_n2 / (d * d)
+        value = self.const
+        for coeff, den in ((self.over_n, d), (self.over_n2, d * d)):
+            if coeff or isinstance(coeff, float):  # an exact zero term adds nothing
+                value = value + coeff / den
+        return value
 
     def limit(self) -> Scalar:
         return self.const
@@ -318,14 +365,44 @@ class ParamValue:
         """+1 when every element n >= 1 lies strictly above the limit, -1 when
         every one lies strictly below, 0 otherwise (exact).
 
-        The offset c1/d + c2/d^2 has the sign of c1 d + c2, which is monotone
-        in d = n + shift: it keeps the sign of its leading coefficient for
-        every n >= 1 exactly when it already has that sign at n = 1.
+        The offset c1 t + c2 t^2 with t = 1/(n + shift) has the sign of
+        c1 + c2 t, which ``tail_positive`` decides for every n at once.
         """
         c1, c2 = self.over_n, self.over_n2
-        lead = c1 if c1 else c2
-        sign = (lead > 0) - (lead < 0)
-        return sign if sign * (c1 * (1 + self.shift) + c2) > 0 else 0
+        if tail_positive((c1, c2), self.shift):
+            return 1
+        return -1 if tail_positive((-c1, -c2), self.shift) else 0
+
+
+def tail_positive(coeffs: Sequence[Scalar], shift: int, strict: bool = True) -> bool:
+    """Whether q(t) = c0 + c1 t + c2 t^2 is > 0 (``strict``) or >= 0 at every
+    t in (0, 1/(1 + shift)], hence at every t = 1/(n + shift) with n >= 1.
+
+    A zero constant term divides out one t, which keeps the sign on t > 0.
+    Once q(0) is nonzero, q keeps its sign on (0, T] exactly when q(0), q(T)
+    and, for a convex q whose vertex lies in [0, T], the vertex value all
+    have it: a quadratic attains its extremes on [0, T] at those points
+    (docs/derivations.md, "Convergence certificates").  Rationals are
+    decided exactly, binary64 coefficients through ``lt``/``le``.
+    """
+    if 1 + shift <= 0:
+        raise ValueError(f"shift {shift} leaves no index n >= 1")
+    coeffs = list(coeffs)
+    while coeffs and is_zero(coeffs[0]):
+        coeffs.pop(0)
+    if not coeffs:
+        return not strict  # q vanishes identically
+    if not lt(0, coeffs[0]):
+        return False  # q takes the sign of q(0) near t = 0
+    if not any(coeffs[1:]):
+        return True  # a positive constant
+    q0, q1, q2 = (coeffs + [0, 0])[:3]
+    T = Fraction(1, 1 + shift)
+    values = [q0 + q1 * T + q2 * T * T]
+    if q2 > 0 and 0 <= -q1 <= 2 * q2 * T:  # the vertex -q1/(2 q2) lies in [0, T]
+        values.append(q0 - q1 * q1 / (4 * q2))
+    holds = lt if strict else le
+    return all(holds(0, v) for v in values)
 
 
 def const_param(value) -> ParamValue:
@@ -470,70 +547,25 @@ def decreasing_chain_interior(chain: DecreasingChain) -> RegularOpenSet:
 # increasing unions (Niemytzki base elements)
 
 
-def _tail_limit(value_at: Callable[[int], Scalar], depth: int) -> Scalar:
-    """Limit of a parameter tail from dyadic samples.
-
-    A shifted-hyperbola fit L - c/(n+s) is solved exactly from three samples
-    and accepted when it also predicts the fourth; trajectories outside that
-    model fall back to a deep evaluation (within ~2^-24 of the limit).
-    """
-    n1, n2, n3, n4 = depth, 2 * depth, 4 * depth, 8 * depth
-    v1, v2, v3, v4 = value_at(n1), value_at(n2), value_at(n3), value_at(n4)
-    d1, d2 = v2 - v1, v3 - v2
-    if d1 == 0 and d2 == 0 and v4 == v3:
-        return v4
-    if d1 != 0 and d2 != 0 and (2 * d1 - d2) != 0:
-        s = 2 * n1 * (2 * d2 - d1) / (2 * d1 - d2)
-        if s > -n1:
-            c = d1 * (n1 + s) * (n2 + s) / n1
-            limit = v1 + c / (n1 + s)
-            predicted = limit - c / (n4 + s)
-            if isinstance(v4, Fraction) and isinstance(predicted, Fraction):
-                if predicted == v4:
-                    return limit
-            elif abs(float(predicted) - float(v4)) < 1e-12:
-                return limit
-    return value_at(depth * (1 << 24))
-
-
-def increasing_union_limit(
-    chain: ParametricBasicSet | Callable[[int], BasicOpenSet], depth: int = 64
-) -> BasicOpenSet:
-    """Limit base element of an increasing Niemytzki chain.
+def increasing_union_limit(chain: ParametricBasicSet, depth: int = 64) -> BasicOpenSet:
+    """Limit base element of an increasing Niemytzki disc lane.
 
     The union of an increasing sequence of base discs is again a base disc
     (radii converge; two distinct center limits would force one disc with two
     centers), and an increasing tangent-disc chain keeps its tangency point.
-    The returned element contains every evaluated chain member and carries
-    the supremum parameters.
+    The limit carries the constant terms of the lane's parameters; it is
+    checked to contain every evaluated chain member.
     """
-    if isinstance(chain, ParametricBasicSet):
-        elements = [chain.at(n) for n in range(1, depth + 1)]
-        limit_el = chain.at_limit()
-    else:
-        elements = [chain(n) for n in range(1, depth + 1)]
-        first = elements[0]
-        if isinstance(first, TangentDisc):
-            a = _tail_limit(lambda n: chain(n).a, depth)
-            r = _tail_limit(lambda n: chain(n).r, depth)
-            limit_el = TangentDisc(a, r)
-        elif isinstance(first, InteriorDisc):
-            cx = _tail_limit(lambda n: chain(n).cx, depth)
-            cy = _tail_limit(lambda n: chain(n).cy, depth)
-            r = _tail_limit(lambda n: chain(n).r, depth)
-            limit_el = InteriorDisc(cx, cy, r)
-        else:
-            raise TypeError("increasing unions are defined for Niemytzki base sets")
-    shapes = {type(e) for e in elements}
-    if len(shapes) != 1:
-        raise MalformedChainError("chain mixes interior and tangent discs")
+    if getattr(chain, "kind", None) not in ("interior_disc", "tangent_disc"):
+        raise TypeError("increasing unions are defined for Niemytzki disc lanes")
+    elements = [chain.at(n) for n in range(1, depth + 1)]
+    limit_el = chain.at_limit()
     for prev, cur in zip(elements, elements[1:]):
         if not basic_subset(prev, cur):
             raise NonMonotoneChainError("chain is not increasing under inclusion")
     for e in elements:
         if not basic_subset(e, limit_el):
             raise MalformedChainError(
-                f"element {e!r} escapes the extrapolated limit {limit_el!r}; "
-                "centers oscillate beyond tolerance"
+                f"element {e!r} escapes the lane's limit {limit_el!r}"
             )
     return limit_el

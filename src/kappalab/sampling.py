@@ -30,6 +30,7 @@ from .rosets import (
 )
 from .spaces import DoubleArrowPoint, NiemytzkiPoint, Point, SorgenfreyPoint, Space
 
+#: condition 3 evaluates a certificate's points n = TAIL_START..SEQUENCE_LENGTH
 TAIL_START = 100
 SEQUENCE_LENGTH = 128
 
@@ -253,27 +254,22 @@ def sample_nested_pair(
 # convergence certificates with controlled continuity rates
 
 
-def sorgenfrey_certificate(x: Fraction, c: Fraction, length: int = SEQUENCE_LENGTH) -> ConvergenceCertificate:
-    seq = tuple(SorgenfreyPoint(x + c / (n * n)) for n in range(1, length + 1))
-    wits = tuple(HalfOpen(x, x + 2 * c / (n * n)) for n in range(1, length + 1))
-    return ConvergenceCertificate(Space.SORGENFREY, seq, SorgenfreyPoint(x), wits)
+def sorgenfrey_certificate(x: Fraction, c: Fraction) -> ConvergenceCertificate:
+    """Right approach x + c/n^2 -> x inside [x, x + 2c/n^2)."""
+    return ConvergenceCertificate(
+        SorgenfreyPoint(x), (ParamValue(x, 0, c),), ParamValue(0, 0, 2 * c)
+    )
 
 
-def double_arrow_certificate(
-    t: Fraction, side: int, c: Fraction, length: int = SEQUENCE_LENGTH
-) -> ConvergenceCertificate:
-    if side == 0:
-        seq = tuple(DoubleArrowPoint(t - c / (n * n), 1) for n in range(1, length + 1))
-        wits = tuple(ClopenInterval(t - 2 * c / (n * n), t) for n in range(1, length + 1))
-    else:
-        seq = tuple(DoubleArrowPoint(t + c / (n * n), 0) for n in range(1, length + 1))
-        wits = tuple(ClopenInterval(t, t + 2 * c / (n * n)) for n in range(1, length + 1))
-    return ConvergenceCertificate(Space.DOUBLE_ARROW, seq, DoubleArrowPoint(t, side), wits)
+def double_arrow_certificate(t: Fraction, side: int, c: Fraction) -> ConvergenceCertificate:
+    """Approach (t -+ c/n^2, 1 - side) -> (t, side) inside intervals of length 2c/n^2."""
+    step = -c if side == 0 else c
+    return ConvergenceCertificate(
+        DoubleArrowPoint(t, side), (ParamValue(t, 0, step),), ParamValue(0, 0, 2 * c), 1 - side
+    )
 
 
-def niemytzki_axis_certificate(
-    a: Fraction, slope: Fraction, y0: Fraction, length: int = SEQUENCE_LENGTH
-) -> ConvergenceCertificate:
+def niemytzki_axis_certificate(a: Fraction, slope: Fraction, y0: Fraction) -> ConvergenceCertificate:
     """Approach (a + slope*y_n, y_n) -> (a, 0) with y_n = y0 / n^2.
 
     Members sit inside the shrinking tangent discs B*(a, (1 + slope^2) y_n):
@@ -282,26 +278,20 @@ def niemytzki_axis_certificate(
     rho0 = (1 + slope * slope) * y0
     if rho0 > 1:
         raise ValueError("first witness radius exceeds 1; shrink y0")
-    seq = []
-    wits = []
-    for n in range(1, length + 1):
-        y = y0 / (n * n)
-        seq.append(NiemytzkiPoint(a + slope * y, y))
-        wits.append(TangentDisc(a, rho0 / (n * n)))
     return ConvergenceCertificate(
-        Space.NIEMYTZKI, tuple(seq), NiemytzkiPoint(a, Fraction(0)), tuple(wits)
+        NiemytzkiPoint(a, Fraction(0)),
+        (ParamValue(a, 0, slope * y0), ParamValue(0, 0, y0)),
+        ParamValue(0, 0, rho0),
     )
 
 
-def niemytzki_interior_certificate(
-    x: Fraction, y: Fraction, d: Fraction, length: int = SEQUENCE_LENGTH
-) -> ConvergenceCertificate:
+def niemytzki_interior_certificate(x: Fraction, y: Fraction, d: Fraction) -> ConvergenceCertificate:
     """Horizontal approach (x + d/n^2, y) -> (x, y), y > 0, d <= y/4."""
     if d > y / 4:
         raise ValueError("horizontal step too large for disc witnesses")
-    seq = tuple(NiemytzkiPoint(x + d / (n * n), y) for n in range(1, length + 1))
-    wits = tuple(InteriorDisc(x, y, 2 * d / (n * n)) for n in range(1, length + 1))
-    return ConvergenceCertificate(Space.NIEMYTZKI, tuple(seq), NiemytzkiPoint(x, y), wits)
+    return ConvergenceCertificate(
+        NiemytzkiPoint(x, y), (ParamValue(x, 0, d), ParamValue(y)), ParamValue(0, 0, 2 * d)
+    )
 
 
 def sample_certificates(

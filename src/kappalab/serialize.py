@@ -20,6 +20,7 @@ from .basesets import (
     OpenInterval,
     TangentDisc,
 )
+from .convergence import ConvergenceCertificate
 from .numerics import Scalar
 from .rosets import (
     _FLAG_NAMES,
@@ -181,11 +182,7 @@ _SPACES = {s.value: s for s in Space}
 
 
 def encode_roset(s: RegularOpenSet) -> dict:
-    return {
-        "space": s.space.value,
-        "components": [encode_basic_set(c) for c in s.components],
-        "certificate": "exact",  # every union is validated exactly when built
-    }
+    return {"space": s.space.value, "components": [encode_basic_set(c) for c in s.components]}
 
 
 def _space_and_components(obj: dict) -> tuple[Space, list]:
@@ -256,6 +253,11 @@ def decode_parametric_set(obj: dict) -> ParametricBasicSet:
     return ParametricBasicSet(kind, params, flags)
 
 
+def _lane_limits(chain: DecreasingChain) -> list[BasicOpenSet]:
+    """The lanes' limit elements, leaving out the lanes that degenerate."""
+    return [el for el in (c.limit_element() for c in chain.components) if el is not None]
+
+
 def encode_chain(chain: DecreasingChain) -> dict:
     return {
         "space": chain.space.value,
@@ -264,11 +266,7 @@ def encode_chain(chain: DecreasingChain) -> dict:
         "components": [encode_parametric_set(c) for c in chain.components],
         "limit": {
             "space": chain.space.value,
-            "components": [
-                encode_basic_set(el)
-                for el in (c.limit_element() for c in chain.components)
-                if el is not None
-            ],
+            "components": [encode_basic_set(el) for el in _lane_limits(chain)],
         },
     }
 
@@ -280,7 +278,36 @@ def decode_chain(obj: dict) -> DecreasingChain:
         raise SchemaError("chains are indexed by the parameter 'n'")
     with _invalid("chain"):  # a chain is validated when it is built
         lanes = tuple(decode_parametric_set(c) for c in comps)
-        return DecreasingChain(space, lanes, _int_field(obj, "depth", 64))
+        chain = DecreasingChain(space, lanes, _int_field(obj, "depth", 64))
+    if "limit" in obj:
+        _expect_fields(obj["limit"], {"space", "components"})
+        limit_space, limit_comps = _space_and_components(obj["limit"])
+        if limit_space is not space or [decode_basic_set(c) for c in limit_comps] != _lane_limits(chain):
+            raise SchemaError(f"'limit' {obj['limit']!r} is not the limit of the chain's lanes")
+    return chain
+
+
+def encode_certificate(cert: ConvergenceCertificate) -> dict:
+    out = {
+        "limit": encode_point(cert.limit),
+        "sequence": [encode_param_value(pv) for pv in cert.sequence],
+        "size": encode_param_value(cert.size),
+    }
+    if cert.space is Space.DOUBLE_ARROW:
+        out["side"] = cert.side
+    return out
+
+
+def decode_certificate(obj: dict) -> ConvergenceCertificate:
+    _expect_fields(obj, {"limit", "sequence", "size"}, {"side"})
+    if not isinstance(obj["sequence"], list):
+        raise SchemaError(f"'sequence' is a list, got {obj['sequence']!r}")
+    limit = decode_point(obj["limit"])
+    sequence = tuple(decode_param_value(pv) for pv in obj["sequence"])
+    with _invalid("certificate"):
+        return ConvergenceCertificate(
+            limit, sequence, decode_param_value(obj["size"]), _int_field(obj, "side", 0)
+        )
 
 
 def dumps_canonical(payload) -> str:

@@ -317,6 +317,17 @@ def _user_table_set(target, samples=()):
         {"name": "x", "checks": [_explicit_chain("0", "1", depth=2.5)]},
         {"name": "x", "checks": [_explicit_chain("0", "1", depth=True)]},
         {"name": "x", "checks": [_explicit_chain("0", {"const": "1", "over_n": "1", "shift": [1]})]},
+        # the lane [0, 1 + 1/n) has limit [0, 1), not the declared [0, 2)
+        {
+            "name": "x",
+            "checks": [
+                _explicit_chain(
+                    "0",
+                    {"const": "1", "over_n": "1"},
+                    limit={"space": "sorgenfrey", "components": [{"kind": "half_open", "a": "0", "b": "2"}]},
+                )
+            ],
+        },
     ],
     ids=[
         "plan_not_object",
@@ -336,6 +347,7 @@ def _user_table_set(target, samples=()):
         "chain_depth_fractional",
         "chain_depth_bool",
         "lane_shift_not_integer",
+        "chain_limit_not_the_lanes_limit",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
@@ -376,6 +388,12 @@ _SEPARATED_UNION = (
     '{"kind": "tangent_disc", "a": "-3/4", "r": "1/2"}, '
     '{"kind": "interior_disc", "cx": "3/4", "cy": "1", "r": "1/2"}]}'
 )
+_OVERLAPPING_UNION = (
+    '{"space": "niemytzki", "components": ['
+    '{"kind": "tangent_disc", "a": "0", "r": "1/4"}, '
+    '{"kind": "interior_disc", "cx": "0", "cy": "1/2", "r": "1/2"}, '
+    '{"kind": "interior_disc", "cx": "1/2", "cy": "1", "r": "1/2"}]}'
+)
 _SORGENFREY_UNION = (
     '{"space": "sorgenfrey", "components": ['
     '{"kind": "half_open", "a": "-3/2", "b": "-1/3"}, '
@@ -394,8 +412,12 @@ _SORGENFREY_UNION = (
          "adff98c60c8b11278adefa3886e60ea67632aed4389090b98b868f878a5a1e1e"),
         ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "660",
          "26a8c98357d09d86ca427a859d546b10edf274ecf8af506b3e4453552093ba31"),
+        ("exact", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
+         "70d357ff975b26d00d373e7e8551f30c18a5b776c4195ea2b597a336a8fb34e8"),
+        ("float", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
+         "d376555416ff69d10deda6bdaa26160c8c8056d6d36fe534bdace65291161238"),
     ],
-    ids=["readme_exact", "readme_float", "union_separated", "sorgenfrey"],
+    ids=["readme_exact", "readme_float", "union_separated", "sorgenfrey", "union_overlapping_exact", "union_overlapping_float"],
 )
 def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
     # any change to a value, a coordinate or the number format changes the hash

@@ -10,6 +10,7 @@ from kappalab import (
     DoubleArrowPoint,
     HalfOpen,
     NiemytzkiPoint,
+    ParamValue,
     QGrid,
     SamplePlan,
     SorgenfreyPoint,
@@ -128,13 +129,16 @@ def test_condition_3_rejects_invalid_certificates():
     S = sorgenfrey_kappa()
     U = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1))])
     bad = sorgenfrey_certificate(F(0), F(1, 4))
-    # tamper: shift the sequence left of the limit
+    # tamper: approach the limit from the left, outside every [0, s_n)
     from kappalab.convergence import ConvergenceCertificate
 
-    seq = tuple(SorgenfreyPoint(p.x - F(1, 2)) for p in bad.sequence)
-    broken = ConvergenceCertificate(Space.SORGENFREY, seq, bad.limit, bad.witnesses)
+    broken = ConvergenceCertificate(bad.limit, (ParamValue(F(0), 0, F(-1, 4)),), bad.size)
     with pytest.raises(ValueError):
         check_condition_3(S, [(U, broken)])
+    # and witnesses that do not shrink to 0 certify nothing
+    stuck = ConvergenceCertificate(bad.limit, bad.sequence, ParamValue(F(1, 2), F(1, 4), 0))
+    with pytest.raises(ValueError):
+        check_condition_3(S, [(U, stuck)])
 
 
 @pytest.mark.parametrize(

@@ -141,3 +141,44 @@ def test_bundles_fail_closed_on_tampering():
     res = g_family_not_extendable(1)
     res.assertions[0]["expect"] = False  # claim the probe is NOT in the disc
     assert not reverify_bundle(res)
+
+
+def _certificates(res):
+    return [a["certificate"] for a in res.assertions if a["kind"] == "certificate"]
+
+
+def test_bundle_certificates_are_parametric():
+    # (1/(3j), 1/(6j)) in B*(0, 1/j) for every j >= n: three trajectories, one shift
+    (cert,) = _certificates(g_family_not_extendable(10))
+    assert cert == {
+        "limit": {"space": "niemytzki", "x": "0", "y": "0"},
+        "sequence": [{"const": "0", "over_n": "1/3", "shift": 9}, {"const": "0", "over_n": "1/6", "shift": 9}],
+        "size": {"const": "0", "over_n": "1", "shift": 9},
+    }
+    (cert,) = _certificates(niemytzki_not_stratifiable(0, 2, 10, 50))
+    assert cert["size"] == {"const": "0", "over_n": "1", "shift": 1}
+
+
+def test_tampered_parametric_certificate_fails_reverification():
+    res = g_family_not_extendable(1)
+    (cert,) = _certificates(res)
+    cert["sequence"][0]["over_n"] = "2"  # (2/j, 1/(6j)) leaves B*(0, 1/j)
+    assert not reverify_bundle(res)
+    res = niemytzki_not_stratifiable(0, 2, 10, 50)
+    (cert,) = _certificates(res)
+    cert["size"]["const"] = "1/2"  # witnesses that no longer shrink to (0, 0)
+    assert not reverify_bundle(res)
+
+
+def test_sorgenfrey_bundle_states_its_points_as_memberships():
+    # the searched points form no trajectory: each x_k sits in [x, x + 2^-(3+k))
+    res = refute_sorgenfrey_A(right_gap_candidate())
+    assert not _certificates(res)
+    members = [a for a in res.assertions if a["kind"] == "member"]
+    assert len(members) >= 8
+    x = F(res.detail["limit"]["x"])
+    for k, a in enumerate(members, 1):
+        assert a["set"] == {"kind": "half_open", "a": str(x), "b": str(x + F(1, 2 ** (3 + k)))}
+        assert a["expect"] is True
+    members[-1]["point"]["x"] = str(x + F(1, 2 ** (3 + len(members))))
+    assert not reverify_bundle(res, right_gap_candidate())

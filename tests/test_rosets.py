@@ -30,7 +30,7 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.basesets import basic_neighborhoods
-from kappalab.serialize import encode_roset
+from kappalab.serialize import decode_roset, encode_roset
 from kappalab.sampling import sample_point_near_set, sample_set, double_arrow_pinch_chain
 
 
@@ -43,7 +43,8 @@ def test_open_interval_rejected_with_witness():
 def test_adjacent_halfopen_merge():
     s = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1)), HalfOpen(F(1), F(2))])
     assert s.components == (HalfOpen(F(0), F(2)),)
-    assert encode_roset(s)["certificate"] == "exact"
+    # every union is validated exactly when built; the wire form says nothing more
+    assert encode_roset(s) == {"space": "sorgenfrey", "components": [{"kind": "half_open", "a": "0", "b": "2"}]}
 
 
 def test_single_point_gap_rejected():
@@ -66,7 +67,8 @@ def test_tangent_discs_accepted():
     s = validate_regular_open(
         Space.NIEMYTZKI, [TangentDisc(F(0), F(1)), TangentDisc(F(1), F(1))]
     )
-    assert encode_roset(s)["certificate"] == "exact"
+    # the optional input key "certificate" is still accepted
+    assert decode_roset({**encode_roset(s), "certificate": "exact"}) == s
     assert len(s.components) == 2
 
 
@@ -202,22 +204,26 @@ def test_increasing_union_tangent_disc():
     assert increasing_union_limit(chain, 64) == TangentDisc(F(0), F(1))
 
 
+def _interior_lane(cx, cy, r):
+    return ParametricBasicSet("interior_disc", {"cx": cx, "cy": cy, "r": r})
+
+
 def test_increasing_union_constant():
-    assert increasing_union_limit(
-        lambda n: InteriorDisc(F(0), F(2), F(1)), 16
-    ) == InteriorDisc(F(0), F(2), F(1))
+    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(2)), ParamValue(F(1)))
+    assert increasing_union_limit(lane, 16) == InteriorDisc(F(0), F(2), F(1))
 
 
-def test_increasing_union_callable_exact():
-    lim = increasing_union_limit(lambda n: InteriorDisc(F(0), F(1), F(1) - F(1, n + 1)), 16)
-    assert lim == InteriorDisc(F(0), F(1), F(1))
+def test_increasing_union_shifted_lane_exact():
+    # r_n = 1 - 1/(n+1)
+    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(1)), ParamValue(F(1), F(-1), F(0), 1))
+    assert increasing_union_limit(lane, 16) == InteriorDisc(F(0), F(1), F(1))
 
 
 def test_increasing_union_rejects_decreasing():
+    # r_n = 1/2 + 1/(2(n+1))
+    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(2)), ParamValue(F(1, 2), F(1, 2), F(0), 1))
     with pytest.raises(NonMonotoneChainError):
-        increasing_union_limit(
-            lambda n: InteriorDisc(F(0), F(2), F(1, 2) + F(1, 2 * (n + 1))), 8
-        )
+        increasing_union_limit(lane, 8)
 
 
 def test_increasing_union_rejects_mixed_shapes():

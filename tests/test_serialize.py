@@ -22,11 +22,13 @@ from kappalab import (
 from kappalab.serialize import (
     SchemaError,
     decode_basic_set,
+    decode_certificate,
     decode_chain,
     decode_point,
     decode_roset,
     decode_scalar,
     encode_basic_set,
+    encode_certificate,
     encode_chain,
     encode_point,
     encode_roset,
@@ -101,3 +103,48 @@ def test_chain_rejects_unknown_fields():
         decode_chain({"space": "niemytzki", "components": [comp], "bogus": 1})
     with pytest.raises(SchemaError):
         decode_chain({"space": "niemytzki", "components": [dict(comp, color="red")]})
+
+
+def test_chain_limit_must_match_the_lanes():
+    comp = ParametricBasicSet(
+        "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
+    )
+    wire = encode_chain(DecreasingChain(Space.NIEMYTZKI, (comp,), 8))
+    # the same limit written with other rational literals still matches
+    wire["limit"]["components"] = [{"kind": "tangent_disc", "a": "0/3", "r": "2/4"}]
+    assert decode_chain(wire).depth == 8
+    for wrong in (
+        [{"kind": "tangent_disc", "a": "0", "r": "1"}],
+        [],
+        [{"kind": "tangent_disc", "a": "0", "r": "1/2"}] * 2,
+    ):
+        wire["limit"]["components"] = wrong
+        with pytest.raises(SchemaError):
+            decode_chain(wire)
+    wire["limit"] = {"space": "sorgenfrey", "components": []}
+    with pytest.raises(SchemaError):
+        decode_chain(wire)
+
+
+def test_certificate_roundtrip():
+    from kappalab.sampling import double_arrow_certificate, niemytzki_axis_certificate
+
+    for cert in (
+        double_arrow_certificate(F(1, 2), 1, F(1, 16)),
+        niemytzki_axis_certificate(F(1, 2), F(1, 40), F(1, 8)),
+    ):
+        wire = encode_certificate(cert)
+        assert decode_certificate(wire) == cert
+    assert wire == {
+        "limit": {"space": "niemytzki", "x": "1/2", "y": "0"},
+        "sequence": [{"const": "1/2", "over_n2": "1/320"}, {"const": "0", "over_n2": "1/8"}],
+        "size": {"const": "0", "over_n2": "1601/12800"},
+    }
+    for bad in (
+        {**wire, "sequence": wire["sequence"][:1]},  # one coordinate short
+        {**wire, "size": {"const": "0", "over_n": "1", "shift": 2}},  # another shift
+        {**wire, "sequence": "x"},
+        {**wire, "bogus": 1},
+    ):
+        with pytest.raises(SchemaError):
+            decode_certificate(bad)
