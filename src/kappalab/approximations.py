@@ -21,19 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
-from .basesets import (
-    ExtremeSingleton,
-    HalfOpen,
-    InteriorDisc,
-    TangentDisc,
-    basic_closure_member,
-    basic_member,
-)
+from .basesets import ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
 from .families import CLOSED_FORM, LABEL_USER, SetLike, Stratification
 from .numerics import Scalar, eq, le, lt, sq
-from .rosets import RegularOpenSet, validate_regular_open
+from .rosets import _FLAG_NAMES, RegularOpenSet, closure_member, member, validate_regular_open
 from .spaces import NiemytzkiPoint, Point, Space, sq_dist
 
 
@@ -76,44 +70,37 @@ class TangentLens:
         if not lt(self.q, self.r):
             raise ValueError("lens requires q < r")
 
-    def member(self, p: NiemytzkiPoint) -> bool:
+    def _inside(self, p: NiemytzkiPoint, cmp) -> bool:
+        """The lens inequality at p, strict (``lt``) or closed (``le``)."""
         if p.on_axis:
             return eq(p.x, self.a)
         gap = self.r - self.q
         if le(self.r, p.y):
-            return lt(sq_dist(p, NiemytzkiPoint(self.a, self.r)), sq(gap))
-        return lt(
+            return cmp(sq_dist(p, NiemytzkiPoint(self.a, self.r)), sq(gap))
+        return cmp(
             sq(self.r) * sq(p.x - self.a), sq(gap) * (2 * p.y * self.r - sq(p.y))
         )
+
+    def member(self, p: NiemytzkiPoint) -> bool:
+        return self._inside(p, lt)
 
     def closure_member(self, p: NiemytzkiPoint) -> bool:
-        if p.on_axis:
-            return eq(p.x, self.a)
-        gap = self.r - self.q
-        if le(self.r, p.y):
-            return le(sq_dist(p, NiemytzkiPoint(self.a, self.r)), sq(gap))
-        return le(
-            sq(self.r) * sq(p.x - self.a), sq(gap) * (2 * p.y * self.r - sq(p.y))
-        )
+        return self._inside(p, le)
 
 
-@dataclass(frozen=True)
-class RealizedSet:
+class RealizedSet(NamedTuple):
     """A superlevel set with decidable membership and closure membership."""
 
-    member_fn: Callable[[Point], bool]
-    closure_fn: Callable[[Point], bool]
-    description: str = ""
-
-    def member(self, p: Point) -> bool:
-        return self.member_fn(p)
-
-    def closure_member(self, p: Point) -> bool:
-        return self.closure_fn(p)
+    member: Callable[[Point], bool]
+    closure_member: Callable[[Point], bool]
 
 
-def _empty_realized(desc: str = "empty") -> RealizedSet:
-    return RealizedSet(lambda p: False, lambda p: False, desc)
+_EMPTY = RealizedSet(lambda p: False, lambda p: False)
+
+
+def _realized_union(space: Space, components: list) -> RealizedSet:
+    U = validate_regular_open(space, components)
+    return RealizedSet(partial(member, U), partial(closure_member, U))
 
 
 def realize_sublevel(family_label: str, U: SetLike, q: Fraction) -> Optional[RealizedSet]:
@@ -123,62 +110,32 @@ def realize_sublevel(family_label: str, U: SetLike, q: Fraction) -> Optional[Rea
     unions, the g family, user-supplied families); callers fall back to
     sampled closures.
     """
-    space = U.space
     if family_label not in CLOSED_FORM:
         return None
-    if space is Space.SORGENFREY:
-        comps = U.components if isinstance(U, RegularOpenSet) else (U,)
+    comps = U.components if isinstance(U, RegularOpenSet) else (U,)
+    if U.space is Space.SORGENFREY:
+        kept = [HalfOpen(c.a, min(c.b - q, c.b)) for c in comps if lt(c.a, c.b - q)]
+        return _realized_union(U.space, kept)
+    if U.space is Space.DOUBLE_ARROW:
+        # a component longer than q survives whole, a shorter one only by its isolated extremes
         kept = []
         for c in comps:
-            top = c.b - q
-            if lt(c.a, top):
-                kept.append(HalfOpen(c.a, min(top, c.b)))
-        ro = validate_regular_open(space, kept)
-        return RealizedSet(
-            lambda p, s=ro: any(basic_member(c, p) for c in s.components),
-            lambda p, s=ro: any(basic_closure_member(c, p) for c in s.components),
-            f"sorgenfrey sublevel q={q}",
-        )
-    if space is Space.DOUBLE_ARROW:
-        comps = U.components if isinstance(U, RegularOpenSet) else (U,)
-        kept = []
-        for c in comps:
-            if isinstance(c, ExtremeSingleton):
-                kept.append(c)
-                continue
-            if lt(q, c.b - c.a):
+            if isinstance(c, ExtremeSingleton) or lt(q, c.b - c.a):
                 kept.append(c)
             else:
-                if c.include_left_extreme:
-                    kept.append(ExtremeSingleton(0))
-                if c.include_right_extreme:
-                    kept.append(ExtremeSingleton(1))
-        ro = validate_regular_open(space, kept)
-        return RealizedSet(
-            lambda p, s=ro: any(basic_member(c, p) for c in s.components),
-            lambda p, s=ro: any(basic_closure_member(c, p) for c in s.components),
-            f"double arrow sublevel q={q}",
-        )
-    # Niemytzki
-    comps = U.components if isinstance(U, RegularOpenSet) else (U,)
+                flags = (getattr(c, name) for name in _FLAG_NAMES)
+                kept += [ExtremeSingleton(side) for side, flag in enumerate(flags) if flag]
+        return _realized_union(U.space, kept)
     if len(comps) != 1:
         return None
-    c = comps[0]
+    (c,) = comps
+    if not lt(q, c.r):
+        return _EMPTY
     if isinstance(c, InteriorDisc):
-        if not lt(q, c.r):
-            return _empty_realized()
         inner = InteriorDisc(c.cx, c.cy, c.r - q)
-        return RealizedSet(
-            lambda p, s=inner: basic_member(s, p),
-            lambda p, s=inner: basic_closure_member(s, p),
-            f"disc sublevel q={q}",
-        )
-    if isinstance(c, TangentDisc):
-        if not lt(q, c.r):
-            return _empty_realized()
-        lens = TangentLens(c.a, c.r, q)
-        return RealizedSet(lens.member, lens.closure_member, f"lens sublevel q={q}")
-    return None
+        return RealizedSet(partial(basic_member, inner), partial(basic_closure_member, inner))
+    lens = TangentLens(c.a, c.r, q)
+    return RealizedSet(lens.member, lens.closure_member)
 
 
 @dataclass(frozen=True)

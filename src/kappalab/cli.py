@@ -210,7 +210,7 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
     elif kind == "refute":
         target = entry.get("target")
         cand_name = entry.get("candidate", "characteristic")
-        n = _int_field(entry, "n", 50 if target == "niemytzki-strat" else 1)
+        n = _int_field(entry, "n", _default_n(target))
         res = _refute(target, cand_name, plan.seed, plan.chain_depth, n)
         key = f"refute:{target}:{cand_name}" if target == "sorgenfrey-a" else f"refute:{target}"
         out.append((key, res.payload(), res.verdict))
@@ -318,6 +318,10 @@ _REFUTERS = {
 }
 
 
+def _default_n(target) -> int:
+    return 50 if target == "niemytzki-strat" else 1
+
+
 def _refute(target, candidate: str, seed: int, depth: int, n: int) -> RefutationResult:
     if target not in _REFUTERS:
         raise SchemaError(f"unknown refute target {target!r}")
@@ -328,8 +332,7 @@ def _refute(target, candidate: str, seed: int, depth: int, n: int) -> Refutation
 
 def cmd_refute(args) -> int:
     plan_seed = args.seed if args.seed is not None else 0
-    # the command line has no sequence-length option: niemytzki-strat takes it from --depth
-    n = args.depth if args.target == "niemytzki-strat" else args.n
+    n = args.n if args.n is not None else _default_n(args.target)
     res = _refute(args.target, args.candidate, plan_seed, args.depth, n)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
@@ -426,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref = sub.add_parser("refute", help="run one refuter")
     p_ref.add_argument("target", choices=list(_REFUTERS))
     p_ref.add_argument("--candidate", default="characteristic", choices=sorted(_CANDIDATES))
-    p_ref.add_argument("--n", type=int, default=1)
+    p_ref.add_argument("--n", type=int, default=None, help="default 50 for niemytzki-strat, else 1")
     p_ref.add_argument("--depth", type=int, default=64)
     p_ref.add_argument("--seed", type=int, default=None)
     p_ref.add_argument("--expect", choices=["refuted", "not_found_at_budget"])

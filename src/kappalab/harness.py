@@ -13,13 +13,16 @@ The four family conditions and the four approximation conditions:
 (d) chain closures stay inside the chain-interior's family:
     the intersection of cl(U^n_q) lies in (int of the intersection)_p.
 
-Every check consumes a ``SamplePlan`` (seeded, fully deterministic) and
-returns a ``CheckReport``; a failing report carries concrete witnesses that
-``replay_witness`` re-evaluates standalone.
+and the point-vs-set and set-vs-set separations.  Every check consumes a
+``SamplePlan`` (seeded, fully deterministic); each condition and separation
+is one case class, and one runner builds every ``CheckReport``.  A failing
+report carries concrete witnesses that ``replay_witness`` re-evaluates
+standalone with the check's own predicate.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -59,6 +62,7 @@ from .rosets import (
     ParametricBasicSet,
     RegularOpenSet,
     decreasing_chain_interior,
+    validate_regular_open,
 )
 from .sampling import (
     SEQUENCE_LENGTH,
@@ -144,27 +148,22 @@ def _encode_set(U: SetLike) -> dict:
     return encode_basic_set(U)
 
 
-def _run(cond, family: str, space: Space, tolerances: dict, cases: Iterable) -> CheckReport:
-    """Count a condition's cases and keep the witnesses of the first 10
-    violations.  ``cond`` is one of the case classes below; its ``decode``
-    turns a witness back into a case for ``replay_witness``."""
+def _run(
+    check_id: str, conds: Sequence, family: str, space: Space, tolerances: dict, cases: Iterable
+) -> CheckReport:
+    """Count the cases of each kind in ``conds`` (case classes below) and
+    keep the witnesses of the first 10 violations, where the report stops;
+    a kind's ``decode`` turns a witness back into a case for replay."""
+    counts = dict.fromkeys((cond.count_key for cond in conds), 0)
     witnesses = []
-    n = 0
     for case in cases:
-        n += 1
+        counts[case.count_key] += 1
         if case.violates():
             witnesses.append(case.witness())
             if len(witnesses) >= 10:
                 break
-    return CheckReport(
-        check_id=cond.check_id,
-        family=family,
-        space=space.value,
-        passed=not witnesses,
-        counts={cond.count_key: n, "violations": len(witnesses)},
-        tolerances=tolerances,
-        witnesses=witnesses,
-    )
+    counts["violations"] = len(witnesses)
+    return CheckReport(check_id, family, space.value, not witnesses, counts, tolerances, witnesses)
 
 
 def _replay_family(
@@ -179,6 +178,13 @@ def _replay_family(
     if label not in FAMILIES:
         raise ValueError(f"cannot rebuild family {label!r} for replay")
     return FAMILIES[label]()
+
+
+def _kappa_approximation(space: Space) -> Approximation:
+    """The approximation of the space's kappa family (its first registered
+    one): (a)-(d) replay with it, reading grid values from the witness."""
+    S = next(S for S in (make() for make in FAMILIES.values()) if S.space is space)
+    return stratification_to_approximation(S, QGrid())
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +218,6 @@ def sample_family_pair(
         V = sample_family_set(S, rng)
         if isinstance(V, RegularOpenSet) and len(V.components) > 1 and rng.random() < 0.5:
             keep = [c for c in V.components if rng.random() < 0.7] or [V.components[0]]
-            from .rosets import validate_regular_open
-
             return validate_regular_open(S.space, keep), V
     return sample_nested_pair(S.space, rng)
 
@@ -225,7 +229,7 @@ def sample_family_pair(
 class _Support(NamedTuple):
     """Condition (1) at a point p of an index set U."""
 
-    check_id = "condition_1"
+    kind = "condition_1"
     count_key = "samples"
     S: Stratification
     U: SetLike
@@ -247,7 +251,7 @@ class _Support(NamedTuple):
 
     def witness(self) -> dict:
         return {
-            "kind": self.check_id,
+            "kind": self.kind,
             "family": self.S.label,
             "set": _encode_set(self.U),
             "point": encode_point(self.p),
@@ -266,13 +270,13 @@ def check_condition_1(
     S: Stratification, plan: SamplePlan, sets: Optional[Sequence[SetLike]] = None
 ) -> CheckReport:
     """Support identity: membership iff strictly positive value."""
-    return _run(_Support, S.label, S.space, {}, _Support.cases(S, plan, sets))
+    return _run(_Support.kind, (_Support,), S.label, S.space, {}, _Support.cases(S, plan, sets))
 
 
 class _Monotone(NamedTuple):
     """Condition (2) at a point p for index sets U inside V."""
 
-    check_id = "condition_2"
+    kind = "condition_2"
     count_key = "samples"
     S: Stratification
     U: SetLike
@@ -294,7 +298,7 @@ class _Monotone(NamedTuple):
 
     def witness(self) -> dict:
         return {
-            "kind": self.check_id,
+            "kind": self.kind,
             "family": self.S.label,
             "small_set": _encode_set(self.U),
             "big_set": _encode_set(self.V),
@@ -316,7 +320,7 @@ class _Monotone(NamedTuple):
 
 def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
     """Monotonicity in the index set on constructed nested pairs."""
-    return _run(_Monotone, S.label, S.space, {}, _Monotone.cases(S, plan))
+    return _run(_Monotone.kind, (_Monotone,), S.label, S.space, {}, _Monotone.cases(S, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,7 @@ def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
 class _Continuity(NamedTuple):
     """Condition (3) for index set U along the tail of a sequence to limit."""
 
-    check_id = "condition_3"
+    kind = "condition_3"
     count_key = "sequences"
     S: Stratification
     U: SetLike
@@ -355,7 +359,7 @@ class _Continuity(NamedTuple):
         deviation = max(devs)
         worst = self.tail[devs.index(deviation)]
         return {
-            "kind": self.check_id,
+            "kind": self.kind,
             "family": self.S.label,
             "set": _encode_set(self.U),
             "limit": encode_point(self.limit),
@@ -384,7 +388,7 @@ def check_condition_3(
     points n = tail_start..SEQUENCE_LENGTH of each verified certificate."""
     tolerances = {"tol_cont": tol, "tail_start": tail_start}
     cases = _Continuity.cases(S, pairs, tol, tail_start)
-    return _run(_Continuity, S.label, S.space, tolerances, cases)
+    return _run(_Continuity.kind, (_Continuity,), S.label, S.space, tolerances, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,7 @@ def _chain_inf_estimate(
 class _ChainInf(NamedTuple):
     """Condition (4) at a point p for a chain with interior W."""
 
-    check_id = "condition_4"
+    kind = "condition_4"
     count_key = "points"
     S: Stratification
     chain: DecreasingChain
@@ -471,7 +475,7 @@ class _ChainInf(NamedTuple):
         f_w = float(self.S.value(self.W, self.p))
         inf_est, _tol_here = _chain_inf_estimate(self.S, self.chain, self.p, self.tol)
         return {
-            "kind": self.check_id,
+            "kind": self.kind,
             "family": self.S.label,
             "chain": encode_chain(self.chain),
             "point": encode_point(self.p),
@@ -498,7 +502,7 @@ def check_condition_4(
     """f at the chain interior against the chain's value infimum."""
     W = decreasing_chain_interior(chain)
     cases = (_ChainInf(S, chain, W, p, tol) for p in points)
-    return _run(_ChainInf, S.label, S.space, {"tol_inf": tol}, cases)
+    return _run(_ChainInf.kind, (_ChainInf,), S.label, S.space, {"tol_inf": tol}, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -546,106 +550,147 @@ def _points_inside(hood: BasicOpenSet, per_level: int) -> Iterable[Point]:
         raise TypeError(f"unknown neighborhood {hood!r}")
 
 
+class _ApproxUnion(NamedTuple):
+    """Condition (a) at a point p of an index set U: p lies in U exactly when
+    it lies in U_q at the deep probe ``qs[0]``, and no grid value ``qs[1:]``
+    puts p in U_q while the probe leaves it out."""
+
+    kind = "condition_a"
+    count_key = "a_samples"
+    A: Approximation
+    U: SetLike
+    p: Point
+    qs: tuple[Fraction, ...]
+
+    def in_q_sets(self) -> list[bool]:
+        return [self.A.contains(self.U, q, self.p) for q in self.qs]
+
+    def violates(self) -> bool:
+        probed, *in_grid = self.in_q_sets()
+        return set_member(self.U, self.p) != probed or (not probed and any(in_grid))
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.kind,
+            "family": "approximation",
+            "set": _encode_set(self.U),
+            "point": encode_point(self.p),
+            "member": set_member(self.U, self.p),
+            "qs": [encode_scalar(q) for q in self.qs],
+            "in_q_sets": self.in_q_sets(),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _ApproxUnion:
+        U, qs = decode_set(w["set"]), tuple(decode_scalar(q) for q in w["qs"])
+        return cls(_kappa_approximation(U.space), U, decode_point(w["point"]), qs)
+
+
+class _ApproxMonotone(NamedTuple):
+    """Condition (b) at a point p and grid value q for index sets U inside V."""
+
+    kind = "condition_b"
+    count_key = "b_samples"
+    A: Approximation
+    U: SetLike
+    V: SetLike
+    p: Point
+    q: Fraction
+
+    def violates(self) -> bool:
+        return self.A.contains(self.U, self.q, self.p) and not self.A.contains(self.V, self.q, self.p)
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.kind,
+            "family": "approximation",
+            "small_set": _encode_set(self.U),
+            "big_set": _encode_set(self.V),
+            "point": encode_point(self.p),
+            "q": encode_scalar(self.q),
+            "in_small": self.A.contains(self.U, self.q, self.p),
+            "in_big": self.A.contains(self.V, self.q, self.p),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _ApproxMonotone:
+        U, V = decode_set(w["small_set"]), decode_set(w["big_set"])
+        return cls(_kappa_approximation(U.space), U, V, decode_point(w["point"]), decode_scalar(w["q"]))
+
+
+class _ApproxClosure(NamedTuple):
+    """Condition (c) at a point x of an index set U for grid values p < q:
+    x in cl(U_q) implies x in U_p."""
+
+    kind = "condition_c"
+    count_key = "c_samples"
+    A: Approximation
+    U: SetLike
+    p: Fraction
+    q: Fraction
+    x: Point
+
+    def in_closure(self) -> bool:
+        """In closed form where the approximation realizes U_q, else sampled."""
+        realized = self.A.realize(self.U, self.q)
+        if realized is not None:
+            return realized.closure_member(self.x)
+        return sampled_closure_member(lambda z: self.A.contains(self.U, self.q, z), self.x)
+
+    def violates(self) -> bool:
+        return self.in_closure() and not self.A.contains(self.U, self.p, self.x)
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.kind,
+            "family": "approximation",
+            "set": _encode_set(self.U),
+            "point": encode_point(self.x),
+            "p": encode_scalar(self.p),
+            "q": encode_scalar(self.q),
+            "in_closure_of_q": self.in_closure(),
+            "in_p_set": self.A.contains(self.U, self.p, self.x),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _ApproxClosure:
+        U, p, q = decode_set(w["set"]), decode_scalar(w["p"]), decode_scalar(w["q"])
+        return cls(_kappa_approximation(U.space), U, p, q, decode_point(w["point"]))
+
+
+def _abc_cases(A: Approximation, sets, nested_pairs, plan: SamplePlan):
+    """The cases of (a), (b) and (c), in that order, from one seeded stream."""
+    rng = plan.rng("conditions_abc")
+    values = QGrid(plan.grid_m).values
+    probes = (Fraction(1, 2 ** (plan.grid_m + 20)), values[0], values[len(values) // 2], values[-1])
+    for U in sets:
+        big = _as_roset(U)
+        for _ in range(max(1, plan.n_points // max(1, len(sets)))):
+            yield _ApproxUnion(A, U, sample_point_near_set(big, rng), probes)
+    for U, V in nested_pairs:
+        big = _as_roset(V)
+        for _ in range(4):
+            p = sample_point_near_set(big, rng)
+            yield _ApproxMonotone(A, U, V, p, values[rng.randrange(len(values))])
+    for U in sets:
+        big = _as_roset(U)
+        for q in (values[len(values) // 8], values[len(values) // 2], values[-len(values) // 8]):
+            p_val = values[max(0, values.index(q) - max(1, len(values) // 16))]
+            if p_val < q:
+                for _ in range(6):
+                    yield _ApproxClosure(A, U, p_val, q, sample_point_near_set(big, rng))
+
+
 def check_conditions_abc(
     A: Approximation,
     sets: Sequence[SetLike],
     plan: SamplePlan,
-    member_fn: Callable[[SetLike, Point], bool] = set_member,
     nested_pairs: Optional[Sequence[tuple[SetLike, SetLike]]] = None,
 ) -> CheckReport:
     """Sampled verification of the three approximation conditions."""
-    rng = plan.rng("conditions_abc")
-    grid = QGrid(plan.grid_m)
-    values = grid.values
-    deep_probe = Fraction(1, 2 ** (plan.grid_m + 20))
-    witnesses = []
-    counts = {"a_samples": 0, "b_samples": 0, "c_samples": 0}
-
-    for U in sets:
-        big = _as_roset(U)
-        for _ in range(max(1, plan.n_points // max(1, len(sets)))):
-            p = sample_point_near_set(big, rng)
-            counts["a_samples"] += 1
-            inside = member_fn(U, p)
-            probed = A.contains(U, deep_probe, p)
-            if inside != probed:
-                witnesses.append(
-                    {
-                        "kind": "condition_a",
-                        "set": _encode_set(U),
-                        "point": encode_point(p),
-                        "member": inside,
-                        "in_union_of_q": probed,
-                    }
-                )
-            for q in (values[0], values[len(values) // 2], values[-1]):
-                if A.contains(U, q, p) and not probed:
-                    witnesses.append(
-                        {
-                            "kind": "condition_a",
-                            "set": _encode_set(U),
-                            "point": encode_point(p),
-                            "member": inside,
-                            "in_union_of_q": True,
-                        }
-                    )
-
-    if nested_pairs:
-        for U, V in nested_pairs:
-            bigV = _as_roset(V)
-            for _ in range(4):
-                p = sample_point_near_set(bigV, rng)
-                q = values[rng.randrange(len(values))]
-                counts["b_samples"] += 1
-                if A.contains(U, q, p) and not A.contains(V, q, p):
-                    witnesses.append(
-                        {
-                            "kind": "condition_b",
-                            "small_set": _encode_set(U),
-                            "big_set": _encode_set(V),
-                            "point": encode_point(p),
-                            "q": encode_scalar(q),
-                        }
-                    )
-
-    qs = [values[len(values) // 8], values[len(values) // 2], values[-len(values) // 8]]
-    for U in sets:
-        big = _as_roset(U)
-        for q in qs:
-            p_idx = max(0, values.index(q) - max(1, len(values) // 16))
-            p_val = values[p_idx]
-            if not p_val < q:
-                continue
-            realized = A.realize(U, q)
-            for _ in range(6):
-                x = sample_point_near_set(big, rng)
-                counts["c_samples"] += 1
-                if realized is not None:
-                    in_closure = realized.closure_member(x)
-                else:
-                    in_closure = sampled_closure_member(
-                        lambda z: A.contains(U, q, z), x
-                    )
-                if in_closure and not A.contains(U, p_val, x):
-                    witnesses.append(
-                        {
-                            "kind": "condition_c",
-                            "set": _encode_set(U),
-                            "point": encode_point(x),
-                            "p": encode_scalar(p_val),
-                            "q": encode_scalar(q),
-                        }
-                    )
-
-    return CheckReport(
-        check_id="conditions_abc",
-        family="approximation",
-        space=A.space.value,
-        passed=not witnesses,
-        counts=counts,
-        tolerances={"grid_m": plan.grid_m},
-        witnesses=witnesses[:10],
-    )
+    kinds = (_ApproxUnion, _ApproxMonotone, _ApproxClosure)
+    cases = _abc_cases(A, sets, nested_pairs or (), plan)
+    return _run("conditions_abc", kinds, "approximation", A.space, {"grid_m": plan.grid_m}, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +733,7 @@ class _ChainClosure(NamedTuple):
     """Condition (d) at a point x for grid values p < q and a chain with
     interior W."""
 
-    check_id = "condition_d"
+    kind = "condition_d"
     count_key = "samples"
     A: Approximation
     chain: DecreasingChain
@@ -713,7 +758,7 @@ class _ChainClosure(NamedTuple):
 
     def witness(self) -> dict:
         return {
-            "kind": self.check_id,
+            "kind": self.kind,
             "chain": encode_chain(self.chain),
             "point": encode_point(self.x),
             "p": encode_scalar(self.p),
@@ -723,11 +768,7 @@ class _ChainClosure(NamedTuple):
     @classmethod
     def decode(cls, w: dict) -> _ChainClosure:
         chain = decode_chain(w["chain"])
-        # (d) witnesses name no family: replay with the space's kappa family,
-        # the first one registered on the chain's space
-        S = next(S for S in (make() for make in FAMILIES.values()) if S.space is chain.space)
-        A = stratification_to_approximation(S, QGrid())
-        W = decreasing_chain_interior(chain)
+        A, W = _kappa_approximation(chain.space), decreasing_chain_interior(chain)
         return cls(A, chain, W, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
 
 
@@ -741,7 +782,8 @@ def check_condition_d(
     """Chain closures against the chain-interior's family."""
     W = decreasing_chain_interior(chain)
     cases = _ChainClosure.cases(A, chain, W, grid_pairs, points)
-    return _run(_ChainClosure, "approximation", A.space, {"grid_m": plan.grid_m}, cases)
+    tolerances = {"grid_m": plan.grid_m}
+    return _run(_ChainClosure.kind, (_ChainClosure,), "approximation", A.space, tolerances, cases)
 
 
 def chain_check_points(chain: DecreasingChain, plan: SamplePlan) -> list[Point]:
@@ -849,98 +891,128 @@ def separate_regular_closed(
 
     low = lambda p: h(p) < 0.5
     high = lambda p: h(p) > 0.5
+    # the sides are strict sublevel and superlevel sets of one h: they cannot overlap
     for p in f_side:
         if not low(p):
             raise AssertionError(f"zero point of f landed on the high side: {p!r}")
-        if high(p):
-            raise AssertionError(f"sides overlap at {p!r}")
     for p in g_side:
         if not high(p):
             raise AssertionError(f"zero point of g landed on the low side: {p!r}")
-        if low(p):
-            raise AssertionError(f"sides overlap at {p!r}")
     return SeparationResult(low, high, len(f_side), len(g_side))
+
+
+def _fails(construction, *args) -> bool:
+    """Whether a separation construction rejects its input (``ValueError``:
+    values that contradict membership) or fails to split it."""
+    try:
+        construction(*args)
+    except (ValueError, AssertionError):
+        return True
+    return False
+
+
+class _HausdorffSplit(NamedTuple):
+    """The point-vs-set separation of x in U from y off U."""
+
+    kind = "hausdorff"
+    count_key = "hausdorff_configs"
+    S: Stratification
+    U: SetLike
+    x: Point
+    y: Point
+
+    def violates(self) -> bool:
+        return _fails(hausdorff_witness, self.S, self.x, self.y, self.U)
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.kind,
+            "family": self.S.label,
+            "set": _encode_set(self.U),
+            "x": encode_point(self.x),
+            "y": encode_point(self.y),
+            "x_value": encode_scalar(self.S.value(self.U, self.x)),
+            "y_value": encode_scalar(self.S.value(self.U, self.y)),
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _HausdorffSplit:
+        U, x, y = decode_set(w["set"]), decode_point(w["x"]), decode_point(w["y"])
+        stored = lambda: {U: [(x, decode_scalar(w["x_value"])), (y, decode_scalar(w["y_value"]))]}
+        return cls(_replay_family(w, U.space, stored), U, x, y)
+
+
+class _RatioSplit(NamedTuple):
+    """The set-vs-set separation of the zero sets of f = f_U1 and g = f_U2 by
+    h = f/(f+g) at samples that lie in exactly one of the sets."""
+
+    kind = "ratio_separation"
+    count_key = "ratio_configs"
+    S: Stratification
+    U1: SetLike
+    U2: SetLike
+    samples: tuple[Point, ...]
+
+    def violates(self) -> bool:
+        f, g = (lambda p: self.S.value(self.U1, p)), (lambda p: self.S.value(self.U2, p))
+        return _fails(separate_regular_closed, f, g, self.samples)
+
+    def witness(self) -> dict:
+        return {
+            "kind": self.kind,
+            "family": self.S.label,
+            "set_f": _encode_set(self.U1),
+            "set_g": _encode_set(self.U2),
+            "samples": [encode_point(p) for p in self.samples],
+            "f_values": [encode_scalar(self.S.value(self.U1, p)) for p in self.samples],
+            "g_values": [encode_scalar(self.S.value(self.U2, p)) for p in self.samples],
+        }
+
+    @classmethod
+    def decode(cls, w: dict) -> _RatioSplit:
+        U1, U2 = decode_set(w["set_f"]), decode_set(w["set_g"])
+        samples = tuple(decode_point(p) for p in w["samples"])
+        values = lambda key: list(zip(samples, map(decode_scalar, w[key])))
+        stored = lambda: {U1: values("f_values"), U2: values("g_values")}
+        return cls(_replay_family(w, U1.space, stored), U1, U2, samples)
+
+
+def _separation_cases(S: Stratification, plan: SamplePlan):
+    """Point-vs-set configurations, then set pairs, from one seeded stream:
+    up to max(4, n_points // 4) of each kind whose points qualify, within 50
+    draws per configuration."""
+    rng = plan.rng("separations")
+    target = max(4, plan.n_points // 4)
+
+    def hausdorff() -> Optional[_HausdorffSplit]:
+        U = sample_family_set(S, rng)
+        x, y = sample_point_near_set(_as_roset(U), rng), sample_point(S.space, rng)
+        return _HausdorffSplit(S, U, x, y) if set_member(U, x) and not set_member(U, y) else None
+
+    def ratio() -> Optional[_RatioSplit]:
+        U1, U2 = sample_family_set(S, rng), sample_family_set(S, rng)
+        b1, b2 = _as_roset(U1), _as_roset(U2)
+        pts1 = [sample_point_near_set(b1, rng) for _ in range(4)]
+        pts2 = [sample_point_near_set(b2, rng) for _ in range(4)]
+        samples = [p for p in pts1 if set_member(U1, p) and not set_member(U2, p)]
+        samples += [p for p in pts2 if set_member(U2, p) and not set_member(U1, p)]
+        return _RatioSplit(S, U1, U2, tuple(samples)) if samples else None
+
+    for draw in (hausdorff, ratio):
+        yield from itertools.islice(filter(None, (draw() for _ in range(50 * target))), target)
 
 
 def check_separations(S: Stratification, plan: SamplePlan) -> CheckReport:
     """Sampled separation constructions: point-vs-set and set-vs-set.
 
     Point-vs-set: an inside point and an outside point are split by the
-    half-value threshold neighborhoods.  Set-vs-set: for two index sets with
-    separated hulls, the ratio f/(f+g) splits their zero sets across 1/2 on
-    every sample drawn from the union.
+    half-value threshold neighborhoods.  Set-vs-set: for two index sets, the
+    ratio f/(f+g) splits their zero sets across 1/2 on every sample drawn
+    near them that lies in exactly one.  Values that contradict membership
+    fail either construction.
     """
-    rng = plan.rng("separations")
-    witnesses = []
-    n_hausdorff = 0
-    n_ratio = 0
-    target = max(4, plan.n_points // 4)
-    guard = 0
-    while n_hausdorff < target and guard < 50 * target:
-        guard += 1
-        U = sample_family_set(S, rng)
-        big = _as_roset(U)
-        if big.is_empty:
-            continue
-        x = sample_point_near_set(big, rng)
-        y = sample_point(S.space, rng)
-        if not set_member(U, x) or set_member(U, y):
-            continue
-        try:
-            hausdorff_witness(S, x, y, U)
-        except ValueError:
-            continue  # precondition not met; resample the configuration
-        except AssertionError:
-            n_hausdorff += 1
-            witnesses.append(
-                {
-                    "kind": "hausdorff",
-                    "set": _encode_set(U),
-                    "x": encode_point(x),
-                    "y": encode_point(y),
-                }
-            )
-            continue
-        n_hausdorff += 1
-    guard = 0
-    while n_ratio < target and guard < 50 * target:
-        guard += 1
-        U1 = sample_family_set(S, rng)
-        U2 = sample_family_set(S, rng)
-        b1, b2 = _as_roset(U1), _as_roset(U2)
-        if b1.is_empty or b2.is_empty:
-            continue
-        pts1 = [sample_point_near_set(b1, rng) for _ in range(4)]
-        pts2 = [sample_point_near_set(b2, rng) for _ in range(4)]
-        samples = [p for p in pts1 if set_member(U1, p) and not set_member(U2, p)]
-        samples += [p for p in pts2 if set_member(U2, p) and not set_member(U1, p)]
-        if not samples:
-            continue
-        f = lambda p: S.value(U1, p)
-        g = lambda p: S.value(U2, p)
-        try:
-            separate_regular_closed(f, g, samples)
-        except (ValueError, AssertionError) as exc:
-            if isinstance(exc, AssertionError):
-                witnesses.append(
-                    {
-                        "kind": "ratio_separation",
-                        "set_f": _encode_set(U1),
-                        "set_g": _encode_set(U2),
-                        "error": str(exc),
-                    }
-                )
-            continue
-        n_ratio += 1
-    return CheckReport(
-        check_id="separations",
-        family=S.label,
-        space=S.space.value,
-        passed=not witnesses,
-        counts={"hausdorff_configs": n_hausdorff, "ratio_configs": n_ratio},
-        tolerances={},
-        witnesses=witnesses[:10],
-    )
+    cases = _separation_cases(S, plan)
+    return _run("separations", (_HausdorffSplit, _RatioSplit), S.label, S.space, {}, cases)
 
 
 def continuity_negative_control() -> tuple[Stratification, list]:
@@ -966,7 +1038,9 @@ def continuity_negative_control() -> tuple[Stratification, list]:
 
 
 _REPLAYABLE = {
-    cond.check_id: cond for cond in (_Support, _Monotone, _Continuity, _ChainInf, _ChainClosure)
+    cond.kind: cond
+    for cond in (_Support, _Monotone, _Continuity, _ChainInf)
+    + (_ApproxUnion, _ApproxMonotone, _ApproxClosure, _ChainClosure, _HausdorffSplit, _RatioSplit)
 }
 
 

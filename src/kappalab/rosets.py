@@ -173,10 +173,7 @@ def basic_subset(inner: BasicOpenSet, outer: BasicOpenSet) -> bool:
             return outer.include_right_extreme
         return False
     if isinstance(inner, InteriorDisc):
-        if isinstance(outer, InteriorDisc):
-            gap = outer.r - inner.r
-            return le(0, gap) and le(sq_dist(inner.center, outer.center), sq(gap))
-        if isinstance(outer, TangentDisc):
+        if isinstance(outer, (InteriorDisc, TangentDisc)):
             gap = outer.r - inner.r
             return le(0, gap) and le(sq_dist(inner.center, outer.center), sq(gap))
         return False
@@ -403,10 +400,6 @@ def tail_positive(coeffs: Sequence[Scalar], shift: int, strict: bool = True) -> 
         values.append(q0 - q1 * q1 / (4 * q2))
     holds = lt if strict else le
     return all(holds(0, v) for v in values)
-
-
-def const_param(value) -> ParamValue:
-    return ParamValue(as_scalar(value))
 
 
 _PARAM_FIELDS = {

@@ -11,19 +11,12 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .basesets import (
-    BasicOpenSet,
-    ClopenInterval,
-    ExtremeSingleton,
-    HalfOpen,
-    InteriorDisc,
-    OpenInterval,
-    TangentDisc,
-)
+from .basesets import BasicOpenSet, ExtremeSingleton
 from .convergence import ConvergenceCertificate
 from .numerics import Scalar
 from .rosets import (
     _FLAG_NAMES,
+    _KIND_TO_CLS,
     _PARAM_FIELDS,
     DecreasingChain,
     ParametricBasicSet,
@@ -118,29 +111,14 @@ def decode_point(obj: dict) -> Point:
 
 
 def encode_basic_set(s: BasicOpenSet) -> dict:
-    if isinstance(s, HalfOpen):
-        return {"kind": "half_open", "a": encode_scalar(s.a), "b": encode_scalar(s.b)}
-    if isinstance(s, OpenInterval):
-        return {"kind": "open_interval", "a": encode_scalar(s.a), "b": encode_scalar(s.b)}
-    if isinstance(s, ClopenInterval):
-        out = {"kind": "clopen_interval", "a": encode_scalar(s.a), "b": encode_scalar(s.b)}
-        if s.include_left_extreme:
-            out["include_left_extreme"] = True
-        if s.include_right_extreme:
-            out["include_right_extreme"] = True
-        return out
     if isinstance(s, ExtremeSingleton):
         return {"kind": "extreme_singleton", "side": s.side}
-    if isinstance(s, InteriorDisc):
-        return {
-            "kind": "interior_disc",
-            "cx": encode_scalar(s.cx),
-            "cy": encode_scalar(s.cy),
-            "r": encode_scalar(s.r),
-        }
-    if isinstance(s, TangentDisc):
-        return {"kind": "tangent_disc", "a": encode_scalar(s.a), "r": encode_scalar(s.r)}
-    raise TypeError(f"unknown base set {s!r}")
+    kind = getattr(s, "kind", None)
+    if _KIND_TO_CLS.get(kind) is not type(s):
+        raise TypeError(f"unknown base set {s!r}")
+    out = {"kind": kind, **{name: encode_scalar(getattr(s, name)) for name in _PARAM_FIELDS[kind]}}
+    out.update((name, True) for name in _FLAG_NAMES if getattr(s, name, False))
+    return out
 
 
 def decode_basic_set(obj: dict) -> BasicOpenSet:
@@ -148,33 +126,15 @@ def decode_basic_set(obj: dict) -> BasicOpenSet:
         raise SchemaError(f"bad base set {obj!r}")
     kind = obj["kind"]
     with _invalid("base set"):
-        if kind == "half_open":
-            _expect_fields(obj, {"kind", "a", "b"})
-            return HalfOpen(decode_scalar(obj["a"]), decode_scalar(obj["b"]))
-        if kind == "open_interval":
-            _expect_fields(obj, {"kind", "a", "b"})
-            return OpenInterval(decode_scalar(obj["a"]), decode_scalar(obj["b"]))
-        if kind == "clopen_interval":
-            _expect_fields(
-                obj, {"kind", "a", "b"}, {"include_left_extreme", "include_right_extreme"}
-            )
-            return ClopenInterval(
-                decode_scalar(obj["a"]),
-                decode_scalar(obj["b"]),
-                bool(obj.get("include_left_extreme", False)),
-                bool(obj.get("include_right_extreme", False)),
-            )
         if kind == "extreme_singleton":
             _expect_fields(obj, {"kind", "side"})
             return ExtremeSingleton(obj["side"])
-        if kind == "interior_disc":
-            _expect_fields(obj, {"kind", "cx", "cy", "r"})
-            return InteriorDisc(
-                decode_scalar(obj["cx"]), decode_scalar(obj["cy"]), decode_scalar(obj["r"])
-            )
-        if kind == "tangent_disc":
-            _expect_fields(obj, {"kind", "a", "r"})
-            return TangentDisc(decode_scalar(obj["a"]), decode_scalar(obj["r"]))
+        if isinstance(kind, str) and kind in _KIND_TO_CLS:
+            cls, fields = _KIND_TO_CLS[kind], _PARAM_FIELDS[kind]  # wire names are field names
+            flags = {name for name in _FLAG_NAMES if hasattr(cls, name)}
+            _expect_fields(obj, {"kind", *fields}, flags)
+            values = {name: decode_scalar(obj[name]) for name in fields}
+            return cls(**values, **{name: bool(obj[name]) for name in flags if name in obj})
     raise SchemaError(f"unknown base set kind {kind!r}")
 
 

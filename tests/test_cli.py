@@ -426,3 +426,30 @@ def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, targe
     argv = ["sample-grid", "--family", family, "--set", target, f"--bbox={bbox}", "--res", res]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def _refute_bundle(tmp_path, *args):
+    out = tmp_path / "bundle.json"
+    assert main(["refute", "niemytzki-strat", *args, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_refute_niemytzki_strat_reads_n(tmp_path):
+    for args, pinned in ((["--n", "5"], 5), ([], 50)):
+        bundle = _refute_bundle(tmp_path, *args)
+        assert sum(a["kind"] == "value_eq" for a in bundle["assertions"]) == pinned
+
+
+def test_refute_niemytzki_strat_ignores_depth(tmp_path):
+    assert _refute_bundle(tmp_path, "--depth", "7") == _refute_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_refute_bundles_reverify_from_their_json(tmp_path, monkeypatch, mode):
+    from kappalab.refuters import RefutationResult, reverify_bundle
+
+    monkeypatch.setenv("KAPPALAB_MODE", mode)
+    for target in ("sorgenfrey-a", "doublearrow-d", "niemytzki-strat", "g-extend"):
+        out = tmp_path / f"{target}.json"
+        assert main(["refute", target, "--out", str(out)]) == 0
+        assert reverify_bundle(RefutationResult(**json.loads(out.read_text())))

@@ -38,6 +38,11 @@ from kappalab import (
 from kappalab.families import g_stratification
 from kappalab.serialize import encode_chain, encode_point, encode_roset
 from kappalab.harness import (
+    _ApproxClosure,
+    _ApproxMonotone,
+    _ApproxUnion,
+    _HausdorffSplit,
+    _RatioSplit,
     _chain_sublevel_closure_all,
     chain_check_points,
     check_separations,
@@ -358,6 +363,11 @@ def _failing_report(condition):
     if condition == "3":
         S, pairs = continuity_negative_control()
         return check_condition_3(S, pairs)
+    if condition in ("hausdorff", "ratio_separation"):
+        # the zero family fails every separation; at 16 points each kind
+        # draws 4 configurations, within the report's 10 witnesses
+        plan = PLAN if condition == "hausdorff" else SamplePlan(seed=23, n_points=16)
+        return check_separations(user_supplied(Space.SORGENFREY, lambda U, p: F(0)), plan)
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, PLAN)
     if condition == "4":
@@ -366,12 +376,70 @@ def _failing_report(condition):
     return check_condition_d(A, chain, [(F(1, 20), F(1, 15))], points, PLAN)
 
 
-@pytest.mark.parametrize("condition", ["1", "2", "3", "4", "d"])
+@pytest.mark.parametrize("condition", ["1", "2", "3", "4", "d", "hausdorff", "ratio_separation"])
 def test_every_witness_of_a_failing_check_replays(condition):
-    # user-supplied families (1, 2, 3) replay from the values the witness stores
+    # user-supplied families (1, 2, 3, separations) replay from the values
+    # the witness stores
     rep = _failing_report(condition)
     assert not rep.passed and rep.witnesses
+    assert {condition, f"condition_{condition}"} & {w["kind"] for w in rep.witnesses}
     assert all(replay_witness(w) for w in rep.witnesses)
+
+
+def test_check_separations_fails_on_values_that_contradict_membership():
+    # the zero family scores 0 inside its index sets: no threshold splits x
+    # in U from y off U, and no ratio splits two zero sets
+    rep = check_separations(user_supplied(Space.SORGENFREY, lambda U, p: F(0)), PLAN)
+    assert not rep.passed
+    assert rep.counts == {"hausdorff_configs": 10, "ratio_configs": 0, "violations": 10}
+    for w in rep.witnesses:
+        assert w["kind"] == "hausdorff" and w["family"] == "user_supplied"
+        assert w["x_value"] == w["y_value"] == "0"
+        assert replay_witness(w)
+
+
+def test_passing_separation_witnesses_replay_false():
+    # the witness of a configuration the family splits replays to no violation
+    S = niemytzki_kappa()
+    U1 = validate_regular_open(Space.NIEMYTZKI, [TangentDisc(F(0), F(1))])
+    U2 = validate_regular_open(Space.NIEMYTZKI, [TangentDisc(F(3), F(1))])
+    x, y = NiemytzkiPoint(F(0), F(0)), NiemytzkiPoint(F(3), F(0))
+    for case in (_HausdorffSplit(S, U1, x, y), _RatioSplit(S, U1, U2, (x, y))):
+        assert not case.violates()
+        assert not replay_witness(case.witness())
+
+
+def test_approximation_witnesses_replay_to_the_checks_verdict():
+    # hand-built (a), (b) and (c) witnesses replay with the space's kappa
+    # family; a shallow probe, swapped sets and p > q make some of them
+    # violate, so each kind shows both verdicts
+    A = stratification_to_approximation(sorgenfrey_kappa(), QGrid(10))
+    small = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1, 2))])
+    big = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1))])
+    probes = [(F(1, 2**30), F(1, 1024), F(1, 2), F(1023, 1024)), (F(1, 4), F(1, 8), F(1, 2))]
+    seen = set()
+    for p in (SorgenfreyPoint(F(k, 8)) for k in range(-1, 9)):
+        at = {"family": "approximation", "point": encode_point(p)}
+        cases = [
+            (_ApproxUnion(A, big, p, qs), {"set": encode_roset(big), "qs": [str(q) for q in qs]})
+            for qs in probes
+        ]
+        cases += [
+            (
+                _ApproxMonotone(A, U, V, p, F(1, 4)),
+                {"small_set": encode_roset(U), "big_set": encode_roset(V), "q": "1/4"},
+            )
+            for U, V in ((small, big), (big, small))
+        ]
+        cases += [
+            (_ApproxClosure(A, big, p_val, F(1, 4), p), {"set": encode_roset(big), "p": str(p_val), "q": "1/4"})
+            for p_val in (F(1, 8), F(3, 4))
+        ]
+        for case, fields in cases:
+            verdict = case.violates()
+            assert replay_witness({"kind": case.kind, **at, **fields}) == verdict
+            seen.add((case.kind, verdict))
+    assert seen == {(kind, v) for kind in ("condition_a", "condition_b", "condition_c") for v in (True, False)}
 
 
 def test_chain_lane_decisions_match_a_deep_element():

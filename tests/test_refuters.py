@@ -182,3 +182,24 @@ def test_sorgenfrey_bundle_states_its_points_as_memberships():
         assert a["expect"] is True
     members[-1]["point"]["x"] = str(x + F(1, 2 ** (3 + len(members))))
     assert not reverify_bundle(res, right_gap_candidate())
+
+
+def test_tampered_assertion_that_no_longer_decodes_fails_reverification():
+    res = g_family_not_extendable(1)
+    (cert,) = _certificates(res)
+    cert["size"]["shift"] = 3  # two different shifts in one certificate
+    assert not reverify_bundle(res)
+    res = g_family_not_extendable(1)
+    probe = next(a for a in res.assertions if a["kind"] == "member")
+    probe["point"]["y"] = "-1"  # below the axis: not a point of the plane
+    assert not reverify_bundle(res)
+
+
+def test_niemytzki_bundle_leaves_the_sequence_memberships_to_its_certificate():
+    # (a + 1/(3k), 1/(6k)) in B*(a, 1/k) for every k is the certificate's own
+    # statement; the member assertions left say each unit disc misses (a, 0)
+    res = niemytzki_not_stratifiable(0, 2, 10, 50)
+    members = [a for a in res.assertions if a["kind"] == "member"]
+    assert len(members) == 50 and len(res.assertions) == 101
+    assert all(a["expect"] is False and a["set"]["r"] == "1" for a in members)
+    assert all(a["point"] == {"space": "niemytzki", "x": "0", "y": "0"} for a in members)
