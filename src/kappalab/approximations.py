@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .basesets import ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
-from .families import CLOSED_FORM, LABEL_USER, SetLike, Stratification
+from .families import CLOSED_FORM, LABEL_USER, Stratification
 from .numerics import Scalar, eq, le, lt, sq
 from .rosets import _FLAG_NAMES, RegularOpenSet, closure_member, member, validate_regular_open
 from .spaces import NiemytzkiPoint, Point, Space, sq_dist
@@ -103,7 +103,7 @@ def _realized_union(space: Space, components: list) -> RealizedSet:
     return RealizedSet(partial(member, U), partial(closure_member, U))
 
 
-def realize_sublevel(family_label: str, U: SetLike, q: Fraction) -> Optional[RealizedSet]:
+def realize_sublevel(family_label: str, U: RegularOpenSet, q: Fraction) -> Optional[RealizedSet]:
     """Closed-form superlevel set {f_U > q} for a named family, when it exists.
 
     Returns None when no closed form is available (multi-component Niemytzki
@@ -112,7 +112,7 @@ def realize_sublevel(family_label: str, U: SetLike, q: Fraction) -> Optional[Rea
     """
     if family_label not in CLOSED_FORM:
         return None
-    comps = U.components if isinstance(U, RegularOpenSet) else (U,)
+    comps = U.components
     if U.space is Space.SORGENFREY:
         kept = [HalfOpen(c.a, min(c.b - q, c.b)) for c in comps if lt(c.a, c.b - q)]
         return _realized_union(U.space, kept)
@@ -148,17 +148,17 @@ class Approximation:
 
     space: Space
     grid: QGrid
-    contains: Callable[[SetLike, Fraction, Point], bool]
-    realize: Callable[[SetLike, Fraction], Optional[RealizedSet]]
+    contains: Callable[[RegularOpenSet, Fraction, Point], bool]
+    realize: Callable[[RegularOpenSet, Fraction], Optional[RealizedSet]]
 
 
 def stratification_to_approximation(S: Stratification, grid: QGrid) -> Approximation:
     """U_q = {p : f_U(p) > q}: always an approximation when f is a family."""
 
-    def contains(U: SetLike, q: Fraction, p: Point) -> bool:
+    def contains(U: RegularOpenSet, q: Fraction, p: Point) -> bool:
         return lt(q, S.value(U, p))
 
-    def realize(U: SetLike, q: Fraction) -> Optional[RealizedSet]:
+    def realize(U: RegularOpenSet, q: Fraction) -> Optional[RealizedSet]:
         return realize_sublevel(S.label, U, q)
 
     return Approximation(S.space, grid, contains, realize)
@@ -175,7 +175,7 @@ def approximation_to_stratification(A: Approximation, grid: QGrid) -> Stratifica
     """
     values = grid.values
 
-    def evaluate(U: SetLike, p: Point) -> Fraction:
+    def evaluate(U: RegularOpenSet, p: Point) -> Fraction:
         lo, hi = 0, len(values)  # values[:lo] contain p, values[hi:] do not
         while lo < hi:
             mid = (lo + hi) // 2

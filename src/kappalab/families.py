@@ -1,4 +1,4 @@
-"""The explicit function families keyed by (regular) open sets.
+"""The explicit function families keyed by regular open sets.
 
 Values always live in [0, 1] and vanish exactly off the indexing set:
 
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 from .basesets import (
     BasicOpenSet,
     ExtremeSingleton,
     InteriorDisc,
-    OpenInterval,
     TangentDisc,
     basic_member,
     disc_sq_dist,
@@ -53,17 +52,8 @@ from .spaces import (
     sq_dist,
 )
 
-SetLike = Union[BasicOpenSet, RegularOpenSet]
-
-
 class UnindexedSetError(TypeError, ValueError):
     """A family was given a set it is not keyed by."""
-
-
-def set_member(s: SetLike, p: Point) -> bool:
-    if isinstance(s, RegularOpenSet):
-        return member(s, p)
-    return basic_member(s, p)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +65,6 @@ def sorgenfrey_f(U: RegularOpenSet, x: SorgenfreyPoint) -> Fraction:
     if U.space is not Space.SORGENFREY:
         raise SpaceMismatchError("sorgenfrey_f needs a Sorgenfrey set")
     for c in U.components:
-        if isinstance(c, OpenInterval):
-            raise UnindexedSetError("open intervals are not regular open index sets")
         if le(c.a, x.x) and lt(x.x, c.b):
             return min(c.b, x.x + 1) - x.x
     return Fraction(0)
@@ -278,70 +266,55 @@ CLOSED_FORM = (LABEL_SORGENFREY, LABEL_DOUBLE_ARROW, LABEL_NIEMYTZKI)
 
 @dataclass(frozen=True)
 class Stratification:
-    """A function family keyed by sets: label-dispatched or user-supplied."""
+    """A function family keyed by regular open sets: a label and its evaluator."""
 
     space: Space
     label: str
-    evaluator: Callable[[SetLike, Point], Scalar] | None = None
+    evaluator: Callable[[RegularOpenSet, Point], Scalar]
 
     def __post_init__(self):
         if self.label not in FAMILIES and self.label != LABEL_USER:
             raise ValueError(f"unknown family label {self.label!r}")
-        if self.label == LABEL_USER and self.evaluator is None:
-            raise ValueError("user-supplied families need an evaluator")
 
-    def value(self, U: SetLike, p: Point) -> Scalar:
+    def value(self, U: RegularOpenSet, p: Point) -> Scalar:
         if U.space is not self.space or p.space is not self.space:
             raise SpaceMismatchError("family, set and point must share a space")
-        if self.label == LABEL_USER:
-            return self.evaluator(U, p)
-        if self.label == LABEL_SORGENFREY:
-            return sorgenfrey_f(_as_roset(U), p)
-        if self.label == LABEL_DOUBLE_ARROW:
-            return doublearrow_f(_as_roset(U), p)
-        if self.label == LABEL_G:
-            return g_family(_as_basic(U, TangentDisc), p)
-        if isinstance(U, RegularOpenSet):
-            if len(U.components) == 1:
-                return niemytzki_basic_f(U.components[0], p)
-            return niemytzki_union_f(U, p)
-        return niemytzki_basic_f(U, p)
+        return self.evaluator(U, p)
 
 
-def _as_roset(U: SetLike) -> RegularOpenSet:
-    if isinstance(U, RegularOpenSet):
-        return U
-    return RegularOpenSet(U.space, (U,))
+def _niemytzki_value(U: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
+    """The kappa value: the base-set formula on one component, else the
+    union supremum."""
+    if len(U.components) == 1:
+        return niemytzki_basic_f(U.components[0], p)
+    return niemytzki_union_f(U, p)
 
 
-def _as_basic(U: SetLike, cls) -> BasicOpenSet:
-    if isinstance(U, RegularOpenSet):
-        if len(U.components) != 1 or not isinstance(U.components[0], cls):
-            raise UnindexedSetError(f"this family is indexed by single {cls.__name__} sets")
-        return U.components[0]
-    if not isinstance(U, cls):
-        raise UnindexedSetError(f"this family is indexed by {cls.__name__} sets")
-    return U
+def _g_value(U: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
+    """The g family on the sets it is keyed by, single tangent discs."""
+    if len(U.components) != 1 or not isinstance(U.components[0], TangentDisc):
+        raise UnindexedSetError("the g family is indexed by single tangent discs")
+    return g_family(U.components[0], p)
 
 
 def sorgenfrey_kappa() -> Stratification:
-    return Stratification(Space.SORGENFREY, LABEL_SORGENFREY)
+    return Stratification(Space.SORGENFREY, LABEL_SORGENFREY, sorgenfrey_f)
 
 
 def double_arrow_ro() -> Stratification:
-    return Stratification(Space.DOUBLE_ARROW, LABEL_DOUBLE_ARROW)
+    return Stratification(Space.DOUBLE_ARROW, LABEL_DOUBLE_ARROW, doublearrow_f)
 
 
 def niemytzki_kappa() -> Stratification:
-    return Stratification(Space.NIEMYTZKI, LABEL_NIEMYTZKI)
+    return Stratification(Space.NIEMYTZKI, LABEL_NIEMYTZKI, _niemytzki_value)
 
 
 def g_stratification() -> Stratification:
-    return Stratification(Space.NIEMYTZKI, LABEL_G)
+    return Stratification(Space.NIEMYTZKI, LABEL_G, _g_value)
 
 
 #: The named families by label.  Each space's first entry is its kappa
-#: family; user-supplied families bring their own evaluator instead.
+#: family; user-supplied families bring their own evaluator.
 FAMILIES: dict[str, Callable[[], Stratification]] = {
     LABEL_SORGENFREY: sorgenfrey_kappa,
     LABEL_DOUBLE_ARROW: double_arrow_ro,
@@ -354,7 +327,7 @@ def user_supplied(space: Space, evaluator) -> Stratification:
     return Stratification(space, LABEL_USER, evaluator)
 
 
-def tabulated_evaluator(table: dict) -> Callable[[SetLike, Point], Scalar]:
+def tabulated_evaluator(table: dict) -> Callable[[RegularOpenSet, Point], Scalar]:
     """Nearest-sample evaluator for a tabulated family.
 
     ``table`` maps a set key (the set object itself) to a list of
@@ -362,7 +335,7 @@ def tabulated_evaluator(table: dict) -> Callable[[SetLike, Point], Scalar]:
     tabulated point (ties resolved by table order).
     """
 
-    def nearest(U: SetLike, p: Point) -> Scalar:
+    def nearest(U: RegularOpenSet, p: Point) -> Scalar:
         samples = table.get(U)
         if not samples:
             raise KeyError(f"no tabulated samples for {U!r}")

@@ -36,7 +36,6 @@ from .basesets import (
     HalfOpen,
     InteriorDisc,
     TangentDisc,
-    basic_member,
     basic_neighborhood,
 )
 from .convergence import ConvergenceCertificate, verify_convergence
@@ -46,11 +45,8 @@ from .families import (
     LABEL_G,
     LABEL_NIEMYTZKI,
     LABEL_USER,
-    SetLike,
     Stratification,
-    _as_roset,
     niemytzki_basic_f,
-    set_member,
     sorgenfrey_f,
     tabulated_evaluator,
     user_supplied,
@@ -62,6 +58,7 @@ from .rosets import (
     ParametricBasicSet,
     RegularOpenSet,
     decreasing_chain_interior,
+    member,
     validate_regular_open,
 )
 from .sampling import (
@@ -80,7 +77,6 @@ from .serialize import (
     decode_scalar,
     decode_set,
     dumps_canonical,
-    encode_basic_set,
     encode_chain,
     encode_point,
     encode_roset,
@@ -142,12 +138,6 @@ class CheckReport:
         return dumps_canonical(self.payload())
 
 
-def _encode_set(U: SetLike) -> dict:
-    if isinstance(U, RegularOpenSet):
-        return encode_roset(U)
-    return encode_basic_set(U)
-
-
 def _run(
     check_id: str, conds: Sequence, family: str, space: Space, tolerances: dict, cases: Iterable
 ) -> CheckReport:
@@ -191,11 +181,11 @@ def _kappa_approximation(space: Space) -> Approximation:
 # family-aware sampling
 
 
-def sample_family_set(S: Stratification, rng: random.Random) -> SetLike:
+def sample_family_set(S: Stratification, rng: random.Random) -> RegularOpenSet:
     if S.label == LABEL_G:
         a = rand_dyadic(rng, Fraction(-3), Fraction(3))
         r = rand_dyadic(rng, Fraction(1, 16), Fraction(1))
-        return TangentDisc(a, r)
+        return validate_regular_open(S.space, [TangentDisc(a, r)])
     if S.space is Space.NIEMYTZKI:
         roll = rng.random()
         if roll < 0.45:
@@ -208,15 +198,16 @@ def sample_family_set(S: Stratification, rng: random.Random) -> SetLike:
 
 def sample_family_pair(
     S: Stratification, rng: random.Random
-) -> tuple[SetLike, SetLike]:
+) -> tuple[RegularOpenSet, RegularOpenSet]:
     if S.label == LABEL_G:
         a = rand_dyadic(rng, Fraction(-3), Fraction(3))
         r_small = rand_dyadic(rng, Fraction(1, 16), Fraction(1, 2))
         r_big = r_small + rand_dyadic(rng, Fraction(0), Fraction(1, 2))
-        return TangentDisc(a, r_small), TangentDisc(a, r_big)
+        small, big = TangentDisc(a, r_small), TangentDisc(a, r_big)
+        return validate_regular_open(S.space, [small]), validate_regular_open(S.space, [big])
     if S.space is Space.NIEMYTZKI:
         V = sample_family_set(S, rng)
-        if isinstance(V, RegularOpenSet) and len(V.components) > 1 and rng.random() < 0.5:
+        if len(V.components) > 1 and rng.random() < 0.5:
             keep = [c for c in V.components if rng.random() < 0.7] or [V.components[0]]
             return validate_regular_open(S.space, keep), V
     return sample_nested_pair(S.space, rng)
@@ -232,11 +223,11 @@ class _Support(NamedTuple):
     kind = "condition_1"
     count_key = "samples"
     S: Stratification
-    U: SetLike
+    U: RegularOpenSet
     p: Point
 
     @classmethod
-    def cases(cls, S: Stratification, plan: SamplePlan, sets: Optional[Sequence[SetLike]]):
+    def cases(cls, S: Stratification, plan: SamplePlan, sets: Optional[Sequence[RegularOpenSet]]):
         rng = plan.rng("condition_1")
         if sets is None:
             # a pool amortizes set construction; points still vary per sample
@@ -244,19 +235,19 @@ class _Support(NamedTuple):
             sets = [sample_family_set(S, rng) for _ in range(pool_size)]
         for i in range(plan.n_points):
             U = sets[i % len(sets)]
-            yield cls(S, U, sample_point_near_set(_as_roset(U), rng))
+            yield cls(S, U, sample_point_near_set(U, rng))
 
     def violates(self) -> bool:
-        return set_member(self.U, self.p) != lt(0, self.S.value(self.U, self.p))
+        return member(self.U, self.p) != lt(0, self.S.value(self.U, self.p))
 
     def witness(self) -> dict:
         return {
             "kind": self.kind,
             "family": self.S.label,
-            "set": _encode_set(self.U),
+            "set": encode_roset(self.U),
             "point": encode_point(self.p),
             "value": encode_scalar(self.S.value(self.U, self.p)),
-            "member": set_member(self.U, self.p),
+            "member": member(self.U, self.p),
         }
 
     @classmethod
@@ -267,7 +258,7 @@ class _Support(NamedTuple):
 
 
 def check_condition_1(
-    S: Stratification, plan: SamplePlan, sets: Optional[Sequence[SetLike]] = None
+    S: Stratification, plan: SamplePlan, sets: Optional[Sequence[RegularOpenSet]] = None
 ) -> CheckReport:
     """Support identity: membership iff strictly positive value."""
     return _run(_Support.kind, (_Support,), S.label, S.space, {}, _Support.cases(S, plan, sets))
@@ -279,8 +270,8 @@ class _Monotone(NamedTuple):
     kind = "condition_2"
     count_key = "samples"
     S: Stratification
-    U: SetLike
-    V: SetLike
+    U: RegularOpenSet
+    V: RegularOpenSet
     p: Point
 
     @classmethod
@@ -290,7 +281,7 @@ class _Monotone(NamedTuple):
         for _ in range(plan.n_set_pairs):
             U, V = sample_family_pair(S, rng)
             for _ in range(points_per_pair):
-                yield cls(S, U, V, sample_point_near_set(_as_roset(V), rng))
+                yield cls(S, U, V, sample_point_near_set(V, rng))
 
     def violates(self) -> bool:
         """f_U(p) <= f_V(p) fails (``le``: exact, EPS when a value is a float)."""
@@ -300,8 +291,8 @@ class _Monotone(NamedTuple):
         return {
             "kind": self.kind,
             "family": self.S.label,
-            "small_set": _encode_set(self.U),
-            "big_set": _encode_set(self.V),
+            "small_set": encode_roset(self.U),
+            "big_set": encode_roset(self.V),
             "point": encode_point(self.p),
             "small_value": encode_scalar(self.S.value(self.U, self.p)),
             "big_value": encode_scalar(self.S.value(self.V, self.p)),
@@ -333,7 +324,7 @@ class _Continuity(NamedTuple):
     kind = "condition_3"
     count_key = "sequences"
     S: Stratification
-    U: SetLike
+    U: RegularOpenSet
     limit: Point
     tail: Sequence[Point]
     tol: float
@@ -361,7 +352,7 @@ class _Continuity(NamedTuple):
         return {
             "kind": self.kind,
             "family": self.S.label,
-            "set": _encode_set(self.U),
+            "set": encode_roset(self.U),
             "limit": encode_point(self.limit),
             "worst_point": encode_point(worst),
             "limit_value": float(self.S.value(self.U, self.limit)),
@@ -380,7 +371,7 @@ class _Continuity(NamedTuple):
 
 def check_condition_3(
     S: Stratification,
-    pairs: Sequence[tuple[SetLike, ConvergenceCertificate]],
+    pairs: Sequence[tuple[RegularOpenSet, ConvergenceCertificate]],
     tol: float = TOL_CONT,
     tail_start: int = TAIL_START,
 ) -> CheckReport:
@@ -423,7 +414,7 @@ def _lane_limit_value(comp: ParametricBasicSet, p: Point):
     if el is None:
         return Fraction(0)
     if comp.kind == "half_open":
-        return sorgenfrey_f(_as_roset(el), p)
+        return sorgenfrey_f(validate_regular_open(Space.SORGENFREY, [el]), p)
     return niemytzki_basic_f(el, p)
 
 
@@ -558,7 +549,7 @@ class _ApproxUnion(NamedTuple):
     kind = "condition_a"
     count_key = "a_samples"
     A: Approximation
-    U: SetLike
+    U: RegularOpenSet
     p: Point
     qs: tuple[Fraction, ...]
 
@@ -567,15 +558,15 @@ class _ApproxUnion(NamedTuple):
 
     def violates(self) -> bool:
         probed, *in_grid = self.in_q_sets()
-        return set_member(self.U, self.p) != probed or (not probed and any(in_grid))
+        return member(self.U, self.p) != probed or (not probed and any(in_grid))
 
     def witness(self) -> dict:
         return {
             "kind": self.kind,
             "family": "approximation",
-            "set": _encode_set(self.U),
+            "set": encode_roset(self.U),
             "point": encode_point(self.p),
-            "member": set_member(self.U, self.p),
+            "member": member(self.U, self.p),
             "qs": [encode_scalar(q) for q in self.qs],
             "in_q_sets": self.in_q_sets(),
         }
@@ -592,8 +583,8 @@ class _ApproxMonotone(NamedTuple):
     kind = "condition_b"
     count_key = "b_samples"
     A: Approximation
-    U: SetLike
-    V: SetLike
+    U: RegularOpenSet
+    V: RegularOpenSet
     p: Point
     q: Fraction
 
@@ -604,8 +595,8 @@ class _ApproxMonotone(NamedTuple):
         return {
             "kind": self.kind,
             "family": "approximation",
-            "small_set": _encode_set(self.U),
-            "big_set": _encode_set(self.V),
+            "small_set": encode_roset(self.U),
+            "big_set": encode_roset(self.V),
             "point": encode_point(self.p),
             "q": encode_scalar(self.q),
             "in_small": self.A.contains(self.U, self.q, self.p),
@@ -625,7 +616,7 @@ class _ApproxClosure(NamedTuple):
     kind = "condition_c"
     count_key = "c_samples"
     A: Approximation
-    U: SetLike
+    U: RegularOpenSet
     p: Fraction
     q: Fraction
     x: Point
@@ -644,7 +635,7 @@ class _ApproxClosure(NamedTuple):
         return {
             "kind": self.kind,
             "family": "approximation",
-            "set": _encode_set(self.U),
+            "set": encode_roset(self.U),
             "point": encode_point(self.x),
             "p": encode_scalar(self.p),
             "q": encode_scalar(self.q),
@@ -664,28 +655,25 @@ def _abc_cases(A: Approximation, sets, nested_pairs, plan: SamplePlan):
     values = QGrid(plan.grid_m).values
     probes = (Fraction(1, 2 ** (plan.grid_m + 20)), values[0], values[len(values) // 2], values[-1])
     for U in sets:
-        big = _as_roset(U)
         for _ in range(max(1, plan.n_points // max(1, len(sets)))):
-            yield _ApproxUnion(A, U, sample_point_near_set(big, rng), probes)
+            yield _ApproxUnion(A, U, sample_point_near_set(U, rng), probes)
     for U, V in nested_pairs:
-        big = _as_roset(V)
         for _ in range(4):
-            p = sample_point_near_set(big, rng)
+            p = sample_point_near_set(V, rng)
             yield _ApproxMonotone(A, U, V, p, values[rng.randrange(len(values))])
     for U in sets:
-        big = _as_roset(U)
         for q in (values[len(values) // 8], values[len(values) // 2], values[-len(values) // 8]):
             p_val = values[max(0, values.index(q) - max(1, len(values) // 16))]
             if p_val < q:
                 for _ in range(6):
-                    yield _ApproxClosure(A, U, p_val, q, sample_point_near_set(big, rng))
+                    yield _ApproxClosure(A, U, p_val, q, sample_point_near_set(U, rng))
 
 
 def check_conditions_abc(
     A: Approximation,
-    sets: Sequence[SetLike],
+    sets: Sequence[RegularOpenSet],
     plan: SamplePlan,
-    nested_pairs: Optional[Sequence[tuple[SetLike, SetLike]]] = None,
+    nested_pairs: Optional[Sequence[tuple[RegularOpenSet, RegularOpenSet]]] = None,
 ) -> CheckReport:
     """Sampled verification of the three approximation conditions."""
     kinds = (_ApproxUnion, _ApproxMonotone, _ApproxClosure)
@@ -718,7 +706,8 @@ def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point)
         )
     el, r = comp.limit_element(), comp.params["r"]
     if el is not None and q < el.r:
-        return realize_sublevel(LABEL_NIEMYTZKI, el, q).closure_member(x)
+        U = validate_regular_open(Space.NIEMYTZKI, [el])
+        return realize_sublevel(LABEL_NIEMYTZKI, U, q).closure_member(x)
     if q == r.limit() and r.strict_side() > 0:
         # the superlevel sets pinch onto the segment from a tangent disc's
         # tangency point up to its centre, or onto an interior disc's centre
@@ -843,7 +832,7 @@ class HausdorffWitness:
 
 
 def hausdorff_witness(
-    S: Stratification, x: Point, y: Point, U: SetLike
+    S: Stratification, x: Point, y: Point, U: RegularOpenSet
 ) -> HausdorffWitness:
     """Disjoint value-threshold neighborhoods splitting x in U from y off U."""
     fx = S.value(U, x)
@@ -917,7 +906,7 @@ class _HausdorffSplit(NamedTuple):
     kind = "hausdorff"
     count_key = "hausdorff_configs"
     S: Stratification
-    U: SetLike
+    U: RegularOpenSet
     x: Point
     y: Point
 
@@ -928,7 +917,7 @@ class _HausdorffSplit(NamedTuple):
         return {
             "kind": self.kind,
             "family": self.S.label,
-            "set": _encode_set(self.U),
+            "set": encode_roset(self.U),
             "x": encode_point(self.x),
             "y": encode_point(self.y),
             "x_value": encode_scalar(self.S.value(self.U, self.x)),
@@ -949,8 +938,8 @@ class _RatioSplit(NamedTuple):
     kind = "ratio_separation"
     count_key = "ratio_configs"
     S: Stratification
-    U1: SetLike
-    U2: SetLike
+    U1: RegularOpenSet
+    U2: RegularOpenSet
     samples: tuple[Point, ...]
 
     def violates(self) -> bool:
@@ -961,8 +950,8 @@ class _RatioSplit(NamedTuple):
         return {
             "kind": self.kind,
             "family": self.S.label,
-            "set_f": _encode_set(self.U1),
-            "set_g": _encode_set(self.U2),
+            "set_f": encode_roset(self.U1),
+            "set_g": encode_roset(self.U2),
             "samples": [encode_point(p) for p in self.samples],
             "f_values": [encode_scalar(self.S.value(self.U1, p)) for p in self.samples],
             "g_values": [encode_scalar(self.S.value(self.U2, p)) for p in self.samples],
@@ -986,16 +975,15 @@ def _separation_cases(S: Stratification, plan: SamplePlan):
 
     def hausdorff() -> Optional[_HausdorffSplit]:
         U = sample_family_set(S, rng)
-        x, y = sample_point_near_set(_as_roset(U), rng), sample_point(S.space, rng)
-        return _HausdorffSplit(S, U, x, y) if set_member(U, x) and not set_member(U, y) else None
+        x, y = sample_point_near_set(U, rng), sample_point(S.space, rng)
+        return _HausdorffSplit(S, U, x, y) if member(U, x) and not member(U, y) else None
 
     def ratio() -> Optional[_RatioSplit]:
         U1, U2 = sample_family_set(S, rng), sample_family_set(S, rng)
-        b1, b2 = _as_roset(U1), _as_roset(U2)
-        pts1 = [sample_point_near_set(b1, rng) for _ in range(4)]
-        pts2 = [sample_point_near_set(b2, rng) for _ in range(4)]
-        samples = [p for p in pts1 if set_member(U1, p) and not set_member(U2, p)]
-        samples += [p for p in pts2 if set_member(U2, p) and not set_member(U1, p)]
+        pts1 = [sample_point_near_set(U1, rng) for _ in range(4)]
+        pts2 = [sample_point_near_set(U2, rng) for _ in range(4)]
+        samples = [p for p in pts1 if member(U1, p) and not member(U2, p)]
+        samples += [p for p in pts2 if member(U2, p) and not member(U1, p)]
         return _RatioSplit(S, U1, U2, tuple(samples)) if samples else None
 
     for draw in (hausdorff, ratio):
@@ -1016,19 +1004,19 @@ def check_separations(S: Stratification, plan: SamplePlan) -> CheckReport:
 
 
 def continuity_negative_control() -> tuple[Stratification, list]:
-    """The classic discontinuous family: indicators of open intervals.
+    """The classic discontinuous family: indicators of the Euclidean interiors.
 
-    The indicator of (0, 1) is 1 along 1/n^2 -> 0 (a right approach, so the
-    sequence converges) but 0 at the limit; the continuity check must fail.
+    chi_U(x) = 1 when a < x < b for a component [a, b) of U, else 0.  On
+    U = [0, 1) it is 1 along 1/n^2 -> 0 (a right approach, so the sequence
+    converges) but 0 at the limit; the continuity check must fail.
     """
-    from .basesets import OpenInterval
     from .sampling import sorgenfrey_certificate
 
     def chi(U, p):
-        return Fraction(1) if basic_member(U, p) else Fraction(0)
+        return Fraction(1) if any(c.a < p.x < c.b for c in U.components) else Fraction(0)
 
     S = user_supplied(Space.SORGENFREY, chi)
-    U = OpenInterval(Fraction(0), Fraction(1))
+    U = validate_regular_open(Space.SORGENFREY, [HalfOpen(Fraction(0), Fraction(1))])
     cert = sorgenfrey_certificate(Fraction(0), Fraction(1, 4))
     return S, [(U, cert)]
 

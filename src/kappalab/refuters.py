@@ -51,6 +51,7 @@ from .serialize import (
     decode_chain,
     decode_point,
     decode_scalar,
+    decode_set,
     encode_basic_set,
     encode_certificate,
     encode_chain,
@@ -95,7 +96,7 @@ def _check_assertion(a: dict, candidate=None) -> bool:
         )
     if kind in ("value_eq", "value_gt"):
         S = FAMILIES[a["family"]]()
-        value = S.value(decode_basic_set(a["set"]), decode_point(a["point"]))
+        value = S.value(decode_set(a["set"]), decode_point(a["point"]))
         if kind == "value_eq":
             return eq(value, decode_scalar(a["value"]))
         return lt(decode_scalar(a["threshold"]), value)

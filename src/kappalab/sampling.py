@@ -411,8 +411,8 @@ def sample_condition3_pairs(
 
 def sample_condition3_pairs_g(
     rng: random.Random, n: int
-) -> list[tuple[BasicOpenSet, ConvergenceCertificate]]:
-    """(tangent disc, certificate) pairs for the axis-normalized family.
+) -> list[tuple[RegularOpenSet, ConvergenceCertificate]]:
+    """(single tangent disc, certificate) pairs for the axis-normalized family.
 
     The limit is either the disc's own tangency point (value converges to 1)
     or an axis point at least 1/16 away (tail values are exactly 0).
@@ -423,7 +423,7 @@ def sample_condition3_pairs_g(
         # deviation by 1/r, so the budget needs y0/r and slope/sqrt(r) small
         r = rand_dyadic(rng, Fraction(1, 8), Fraction(1))
         a = rand_dyadic(rng, Fraction(-2), Fraction(2))
-        U = TangentDisc(a, r)
+        U = validate_regular_open(Space.NIEMYTZKI, [TangentDisc(a, r)])
         if rng.random() < 0.6:
             limit_x = a
         else:

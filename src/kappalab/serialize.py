@@ -163,9 +163,14 @@ def decode_roset(obj: dict) -> RegularOpenSet:
         return validate_regular_open(space, components)
 
 
-def decode_set(obj: dict) -> BasicOpenSet | RegularOpenSet:
-    """A union when the object lists components, a base set otherwise."""
-    return decode_roset(obj) if "components" in obj else decode_basic_set(obj)
+def decode_set(obj: dict) -> RegularOpenSet:
+    """A union when the object lists components, else a base set read as its
+    one-component union; either is validated as regular open."""
+    if isinstance(obj, dict) and "components" in obj:
+        return decode_roset(obj)
+    base = decode_basic_set(obj)
+    with _invalid("union"):
+        return validate_regular_open(base.space, [base])
 
 
 def encode_param_value(v: ParamValue) -> dict:
@@ -204,7 +209,7 @@ def decode_parametric_set(obj: dict) -> ParametricBasicSet:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"bad parametric set {obj!r}")
     kind = obj["kind"]
-    if kind not in _PARAM_FIELDS:
+    if not isinstance(kind, str) or kind not in _PARAM_FIELDS:
         raise SchemaError(f"unknown parametric kind {kind!r}")
     fields = _PARAM_FIELDS[kind]  # wire names match constructor names
     _expect_fields(obj, {"kind", *fields}, {*_FLAG_NAMES})

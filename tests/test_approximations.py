@@ -47,8 +47,12 @@ def test_superlevel_membership_threshold():
     assert q_any == []  # value 0: in no superlevel
 
 
+def _disc_union():
+    return validate_regular_open(Space.NIEMYTZKI, [InteriorDisc(F(0), F(2), F(1))])
+
+
 def test_disc_superlevel_is_concentric():
-    realized = realize_sublevel("niemytzki_kappa", InteriorDisc(F(0), F(2), F(1)), F(1, 4))
+    realized = realize_sublevel("niemytzki_kappa", _disc_union(), F(1, 4))
     inner = InteriorDisc(F(0), F(2), F(3, 4))
     rng = random.Random(3)
     for _ in range(200):
@@ -60,8 +64,8 @@ def test_disc_superlevel_is_concentric():
 def test_disc_superlevel_closure_nesting_exact():
     # cl B((0,2), 1-q) inside B((0,2), 1-p) for p < q: the radius algebra
     for p_val, q_val in ((F(1, 8), F(1, 4)), (F(1, 3), F(1, 2))):
-        outer = realize_sublevel("niemytzki_kappa", InteriorDisc(F(0), F(2), F(1)), p_val)
-        inner = realize_sublevel("niemytzki_kappa", InteriorDisc(F(0), F(2), F(1)), q_val)
+        outer = realize_sublevel("niemytzki_kappa", _disc_union(), p_val)
+        inner = realize_sublevel("niemytzki_kappa", _disc_union(), q_val)
         # boundary points of the inner closure, exactly on the circle
         for dx, dy in ((1 - q_val, 0), (-(1 - q_val), 0), (0, 1 - q_val), (0, -(1 - q_val))):
             x = NiemytzkiPoint(F(0) + dx, F(2) + dy)

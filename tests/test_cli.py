@@ -313,10 +313,37 @@ def _user_table_set(target, samples=()):
                 )
             ],
         },
+        {
+            "name": "x",
+            "checks": [
+                {
+                    "check": "condition_1",
+                    "family": {
+                        "label": "user_supplied",
+                        "space": "niemytzki",
+                        "table": [
+                            {
+                                "set": {"kind": "interior_disc", "cx": "0", "cy": "1", "r": "1"},
+                                "samples": [{"point": {"space": "niemytzki", "x": "0", "y": "1"}, "value": "1"}],
+                            }
+                        ],
+                    },
+                }
+            ],
+        },
         {"name": "x", "checks": [_explicit_chain("0", "1", depth=[1])]},
         {"name": "x", "checks": [_explicit_chain("0", "1", depth=2.5)]},
         {"name": "x", "checks": [_explicit_chain("0", "1", depth=True)]},
         {"name": "x", "checks": [_explicit_chain("0", {"const": "1", "over_n": "1", "shift": [1]})]},
+        {
+            "name": "x",
+            "checks": [
+                dict(
+                    _explicit_chain("0", "1"),
+                    chain={"space": "sorgenfrey", "components": [{"kind": ["half_open"], "a": "0", "b": "1"}]},
+                )
+            ],
+        },
         # the lane [0, 1 + 1/n) has limit [0, 1), not the declared [0, 2)
         {
             "name": "x",
@@ -343,10 +370,12 @@ def _user_table_set(target, samples=()):
         "table_row_a_above_b",
         "table_point_below_the_axis",
         "table_point_side_not_0_or_1",
+        "bare_table_set_not_regular_open",
         "chain_depth_not_integer",
         "chain_depth_fractional",
         "chain_depth_bool",
         "lane_shift_not_integer",
+        "chain_lane_kind_not_a_string",
         "chain_limit_not_the_lanes_limit",
     ],
 )
@@ -374,8 +403,17 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         ("niemytzki_kappa", '{"kind": "half_open", "a": "0", "b": "1"}', "0,1,0,1", "3x3"),
         ("sorgenfrey_kappa", '{"kind": "open_interval", "a": "0", "b": "1"}', "0,1", "3"),
         ("niemytzki_kappa", '{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "2"}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "1"}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", "5", "0,1,0,1", "3x3"),
     ],
-    ids=["g_family_interior_disc", "set_in_another_space", "sorgenfrey_open_interval", "interior_disc_r_above_cy"],
+    ids=[
+        "g_family_interior_disc",
+        "set_in_another_space",
+        "sorgenfrey_open_interval",
+        "interior_disc_r_above_cy",
+        "interior_disc_r_equal_cy",
+        "set_not_an_object",
+    ],
 )
 def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, family, target, bbox, res):
     argv = ["sample-grid", "--family", family, "--set", target, "--bbox", bbox, "--res", res]

@@ -127,6 +127,9 @@ def test_condition_3_negative_control_fails_and_replays():
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["deviation"] > 1e-3
+    # the index set is the regular open [0, 1), written as a union
+    assert w["set"] == encode_roset(validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1))]))
+    assert (w["limit_value"], w["worst_value"]) == (0.0, 1.0)
     assert replay_witness(w)
 
 
@@ -472,7 +475,7 @@ def test_chain_lane_decisions_match_a_deep_element():
             for comp in chain.components:
                 lim = comp.limit_values()
                 own = lim["r"] if "r" in lim else lim["b"] - lim["a"]
-                lane_element = comp.at(deep)
+                lane_element = validate_regular_open(space, [comp.at(deep)])
                 for q in sorted(grid_qs | {own}):
                     realized = realize_sublevel(S.label, lane_element, q)
                     for x in points:

@@ -14,6 +14,7 @@ from kappalab import (
     NiemytzkiPoint,
     ParamValue,
     ParametricBasicSet,
+    RegularOpenSet,
     SorgenfreyPoint,
     Space,
     TangentDisc,
@@ -27,6 +28,7 @@ from kappalab.serialize import (
     decode_point,
     decode_roset,
     decode_scalar,
+    decode_set,
     encode_basic_set,
     encode_certificate,
     encode_chain,
@@ -75,6 +77,27 @@ def test_basic_set_roundtrip():
         decode_basic_set({"kind": "mystery"})
     with pytest.raises(SchemaError):
         decode_basic_set({"kind": "half_open", "a": "0"})
+
+
+def test_decode_set_reads_a_base_set_as_its_one_component_union():
+    sets = [
+        HalfOpen(F(0), F(1)),
+        ClopenInterval(F(0), F(1, 2), include_left_extreme=True),
+        ExtremeSingleton(1),
+        InteriorDisc(F(0), F(2), F(1)),
+        TangentDisc(F(-1, 2), F(1, 4)),
+    ]
+    for s in sets:
+        U = decode_set(encode_basic_set(s))
+        assert isinstance(U, RegularOpenSet)
+        assert U == validate_regular_open(s.space, [s])
+    # validated like a union: neither base set below is regular open
+    with pytest.raises(SchemaError):
+        decode_set({"kind": "open_interval", "a": "0", "b": "1"})
+    with pytest.raises(SchemaError):
+        decode_set({"kind": "interior_disc", "cx": "0", "cy": "1", "r": "1"})
+    with pytest.raises(SchemaError):
+        decode_set(5)
 
 
 def test_roset_roundtrip_revalidates():
