@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .approximations import QGrid, stratification_to_approximation
-from .families import FAMILIES, LABEL_G, Stratification, UnindexedSetError
+from .families import LABEL_G, Stratification, UnindexedSetError
 from .harness import (
     CheckReport,
     SamplePlan,
@@ -47,7 +47,16 @@ from .refuters import (
 )
 from .rosets import DecreasingChain
 from .sampling import sample_chain, sample_condition3_pairs, double_arrow_pinch_chain
-from .serialize import SchemaError, _int_field, decode_chain, decode_set, dumps_canonical
+from .serialize import (
+    SchemaError,
+    _expect_fields,
+    _int_field,
+    _invalid,
+    decode_chain,
+    decode_family,
+    decode_set,
+    dumps_canonical,
+)
 from .spaces import NiemytzkiPoint, Space, SorgenfreyPoint
 
 _CANDIDATES = {
@@ -62,12 +71,6 @@ def _mode() -> str:
     if mode not in ("exact", "float"):
         raise SchemaError(f"KAPPALAB_MODE must be exact or float, got {mode!r}")
     return mode
-
-
-def _family(label) -> Stratification:
-    if not isinstance(label, str) or label not in FAMILIES:
-        raise SchemaError(f"unknown family label {label!r}")
-    return FAMILIES[label]()
 
 
 def _user_family(spec: dict) -> tuple[Stratification, list]:
@@ -85,19 +88,29 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"bad family space {spec.get('space')!r}") from exc
     table = {}
-    for row in spec.get("table", []):
-        if set(row) != {"set", "samples"}:
-            raise SchemaError(f"table rows need 'set' and 'samples', got {set(row)}")
+    for row in _list_field(spec, "table"):
+        _expect_fields(row, {"set", "samples"})
+        for s in _list_field(row, "samples"):
+            _expect_fields(s, {"point", "value"})
         key = decode_set(row["set"])
         samples = [
             (decode_point(s["point"]), decode_scalar(s["value"])) for s in row["samples"]
         ]
+        if any(obj.space is not space for obj in (key, *(p for p, _ in samples))):
+            raise SchemaError(f"a table row outside the family's {space.value} space")
         table[key] = samples
     if not table:
         raise SchemaError("user-supplied families need a non-empty table")
     from .families import user_supplied
 
     return user_supplied(space, tabulated_evaluator(table)), list(table)
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{key!r} is a list, got {value!r}")
+    return value
 
 
 def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
@@ -114,7 +127,8 @@ def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
         merged["grid_m"] = grid_m
     if depth is not None:
         merged["chain_depth"] = depth
-    return SamplePlan(**merged)
+    with _invalid("plan"):
+        return SamplePlan(**merged)
 
 
 def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[DecreasingChain]:
@@ -150,15 +164,15 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
         if isinstance(entry.get("family"), dict):
             S, sets = _user_family(entry["family"])
         else:
-            S, sets = _family(entry.get("family")), None
+            S, sets = decode_family(entry.get("family")), None
         rep = check_condition_1(S, plan, sets=sets)
         out.append((f"condition_1:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_2":
-        S = _family(entry.get("family"))
+        S = decode_family(entry.get("family"))
         rep = check_condition_2(S, plan)
         out.append((f"condition_2:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_3":
-        S = _family(entry.get("family"))
+        S = decode_family(entry.get("family"))
         n = _int_field(entry, "n_certificates", plan.n_sequences)
         rng = plan.rng(f"cond3:{S.label}")
         if S.label == LABEL_G:
@@ -174,13 +188,13 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
         rep = check_condition_3(S, pairs)
         out.append(("condition_3:negative_control", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_4":
-        S = _family(entry.get("family"))
+        S = decode_family(entry.get("family"))
         for i, chain in enumerate(_chain_from(entry, plan, S)):
             points = chain_check_points(chain, plan)
             rep = check_condition_4(S, chain, points, plan)
             out.append((f"condition_4:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_d":
-        S = _family(entry.get("family"))
+        S = decode_family(entry.get("family"))
         A = stratification_to_approximation(S, QGrid(plan.grid_m))
         for i, chain in enumerate(_chain_from(entry, plan, S)):
             points = chain_check_points(chain, plan)
@@ -191,7 +205,7 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
             rep = check_condition_d(A, chain, pairs, points, plan)
             out.append((f"condition_d:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
     elif kind == "bridge_4_iff_d":
-        S = _family(entry.get("family"))
+        S = decode_family(entry.get("family"))
         for i, chain in enumerate(_chain_from(entry, plan, S)):
             rep4, rep_d, agree = bridge_4_iff_d(S, chain, plan)
             payload = {
@@ -204,7 +218,7 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
             }
             out.append((f"bridge:{S.label}:{i}", payload, "pass" if agree else "fail"))
     elif kind == "separations":
-        S = _family(entry.get("family"))
+        S = decode_family(entry.get("family"))
         rep = check_separations(S, plan)
         out.append((f"separations:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "refute":
@@ -327,11 +341,14 @@ def _refute(target, candidate: str, seed: int, depth: int, n: int) -> Refutation
         raise SchemaError(f"unknown refute target {target!r}")
     if target == "sorgenfrey-a" and candidate not in _CANDIDATES:
         raise SchemaError(f"unknown candidate {candidate!r}")
-    return _REFUTERS[target](candidate, seed, depth, n)
+    with _invalid(f"{target} parameters"):
+        return _REFUTERS[target](candidate, seed, depth, n)
 
 
 def cmd_refute(args) -> int:
     plan_seed = args.seed if args.seed is not None else 0
+    if args.depth < 1:
+        raise SchemaError(f"--depth must be at least 1, got {args.depth}")
     n = args.n if args.n is not None else _default_n(args.target)
     res = _refute(args.target, args.candidate, plan_seed, args.depth, n)
     doc = dumps_canonical(res.payload()) + "\n"
@@ -379,7 +396,7 @@ def cmd_sample_grid(args) -> int:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed set JSON: {exc}") from exc
     target = decode_set(set_obj)
-    S = _family(args.family)
+    S = decode_family(args.family)
     if target.space is not S.space:
         raise SchemaError(f"{S.label} is not indexed by {target.space.value} sets")
     bbox = _parse_bbox(args.bbox)

@@ -46,8 +46,6 @@ from .families import (
     LABEL_NIEMYTZKI,
     LABEL_USER,
     Stratification,
-    niemytzki_basic_f,
-    sorgenfrey_f,
     tabulated_evaluator,
     user_supplied,
 )
@@ -73,6 +71,7 @@ from .sampling import (
 )
 from .serialize import (
     decode_chain,
+    decode_family,
     decode_point,
     decode_scalar,
     decode_set,
@@ -93,7 +92,6 @@ from .spaces import (
 
 TOL_CONT = 1e-3
 TOL_INF = 1e-3
-TOL_SUP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -107,18 +105,15 @@ class SamplePlan:
     grid_m: int = 10
     chain_depth: int = 64
 
+    def __post_init__(self):
+        if self.chain_depth < 1:
+            raise ValueError(f"chain_depth must be at least 1, got {self.chain_depth}")
+
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
 
     def payload(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_points": self.n_points,
-            "n_set_pairs": self.n_set_pairs,
-            "n_sequences": self.n_sequences,
-            "grid_m": self.grid_m,
-            "chain_depth": self.chain_depth,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -165,9 +160,7 @@ def _replay_family(
     label = witness["family"]
     if label == LABEL_USER and stored is not None:
         return user_supplied(space, tabulated_evaluator(stored()))
-    if label not in FAMILIES:
-        raise ValueError(f"cannot rebuild family {label!r} for replay")
-    return FAMILIES[label]()
+    return decode_family(label)
 
 
 def _kappa_approximation(space: Space) -> Approximation:
@@ -398,32 +391,21 @@ def _clopen_lane_keeps(comp: ParametricBasicSet, p: DoubleArrowPoint) -> bool:
     return left and right
 
 
-def _lane_limit_value(comp: ParametricBasicSet, p: Point):
-    """Exact limit of the lane's family values along the chain at p.
+def chain_limit_value(S: Stratification, chain: DecreasingChain, W: RegularOpenSet, p: Point):
+    """inf over the whole (infinite) chain of a closed-form family's values at
+    p, given the chain interior W; None for the other families.
 
-    Interval and disc values are continuous in their parameters and vanish
-    as the point leaves, so the limit is the family's own value on the
-    lane's limit element.  The double arrow value is the component length,
-    so it survives at an endpoint that every element keeps.
+    It is the family's own value on W (docs/derivations.md, "Chain limits"),
+    except at a double arrow endpoint that a lane keeps and W leaves out:
+    there every element's value is the one at the endpoint's twin.
     """
-    if comp.kind == "clopen_interval":
-        if not _clopen_lane_keeps(comp, p):
-            return Fraction(0)
-        return Fraction(1) if p.extreme else comp.params["b"].limit() - comp.params["a"].limit()
-    el = comp.limit_element()
-    if el is None:
-        return Fraction(0)
-    if comp.kind == "half_open":
-        return sorgenfrey_f(validate_regular_open(Space.SORGENFREY, [el]), p)
-    return niemytzki_basic_f(el, p)
-
-
-def chain_limit_value(label: str, chain: DecreasingChain, p: Point):
-    """inf over the whole (infinite) chain of the named family values at p."""
-    if label not in CLOSED_FORM:
+    if S.label not in CLOSED_FORM:
         return None
-    values = [_lane_limit_value(comp, p) for comp in chain.components]
-    return max(values, key=float) if values else Fraction(0)
+    if chain.space is Space.DOUBLE_ARROW and not member(W, p):
+        twin = DoubleArrowPoint(p.t, 1 - p.side)
+        if not twin.extreme and any(_clopen_lane_keeps(comp, p) for comp in chain.components):
+            p = twin
+    return S.value(W, p)
 
 
 def _element_values(S: Stratification, chain: DecreasingChain, p: Point) -> list[float]:
@@ -431,7 +413,7 @@ def _element_values(S: Stratification, chain: DecreasingChain, p: Point) -> list
 
 
 def _chain_inf_estimate(
-    S: Stratification, chain: DecreasingChain, p: Point, tol: float
+    S: Stratification, chain: DecreasingChain, W: RegularOpenSet, p: Point, tol: float
 ) -> tuple[float, float]:
     """(infimum estimate, tolerance) of the chain values at p.
 
@@ -439,7 +421,7 @@ def _chain_inf_estimate(
     the others fall back to the smallest evaluated element, with the
     tolerance widened by the last step's slope over the chain depth.
     """
-    exact_inf = chain_limit_value(S.label, chain, p)
+    exact_inf = chain_limit_value(S, chain, W, p)
     if exact_inf is not None:
         return float(exact_inf), tol
     evaluated = _element_values(S, chain, p)
@@ -459,12 +441,12 @@ class _ChainInf(NamedTuple):
     tol: float
 
     def violates(self) -> bool:
-        inf_est, tol_here = _chain_inf_estimate(self.S, self.chain, self.p, self.tol)
+        inf_est, tol_here = _chain_inf_estimate(self.S, self.chain, self.W, self.p, self.tol)
         return abs(float(self.S.value(self.W, self.p)) - inf_est) > tol_here
 
     def witness(self) -> dict:
         f_w = float(self.S.value(self.W, self.p))
-        inf_est, _tol_here = _chain_inf_estimate(self.S, self.chain, self.p, self.tol)
+        inf_est, _tol_here = _chain_inf_estimate(self.S, self.chain, self.W, self.p, self.tol)
         return {
             "kind": self.kind,
             "family": self.S.label,

@@ -3,7 +3,10 @@
 Each refuter renders a non-existence argument as a finite witness bundle:
 a list of typed assertions (memberships, exact values, strict inequalities,
 parametric convergence certificates) that ``reverify_bundle`` replays one
-by one in exact rational arithmetic.  A refuter never reports "consistent":
+by one in exact rational arithmetic.  Each assertion kind is stated once,
+as its fields and a predicate over their decoded values, and a refuter
+checks its bundle with that same replay before returning it.  A refuter
+never reports "consistent":
 when its search fails at the given budget it returns ``NOT_FOUND`` --
 absence of a witness at a finite budget proves nothing.
 
@@ -28,27 +31,29 @@ The four targets:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .basesets import HalfOpen, TangentDisc, basic_member
-from .convergence import ConvergenceCertificate, MalformedWitnessError, verify_convergence
-from .families import FAMILIES
+from .basesets import HalfOpen, TangentDisc
+from .convergence import ConvergenceCertificate, verify_convergence
+from .families import LABEL_G, LABEL_NIEMYTZKI, UnindexedSetError
 from .numerics import eq, le, lt
 from .rosets import (
     DecreasingChain,
     ParametricBasicSet,
     ParamValue,
+    RegularOpenSet,
     decreasing_chain_interior,
     member,
 )
 from .sampling import double_arrow_pinch_chain
 from .serialize import (
     SchemaError,
-    decode_basic_set,
+    _expect_fields,
     decode_certificate,
     decode_chain,
+    decode_family,
     decode_point,
     decode_scalar,
     decode_set,
@@ -76,76 +81,125 @@ class RefutationResult:
         return self.verdict == REFUTED
 
     def payload(self) -> dict:
-        return {
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "assertions": self.assertions,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# assertion bundle replay
+# assertion kinds: one codec per wire field, one predicate per kind
+
+
+def _decode_expect(value) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"'expect' is true or false, got {value!r}")
+    return value
+
+
+def _decode_set_kind(value) -> str:
+    if value != "open":
+        raise SchemaError(f"candidate assertions read open intervals, got {value!r}")
+    return value
+
+
+_SCALAR = (encode_scalar, decode_scalar)
+
+#: (encode, decode) per field name; a set is written as its base set and
+#: read like every other set, a family as its label
+_CODECS = {
+    "set": (encode_basic_set, decode_set),
+    "point": (encode_point, decode_point),
+    "chain": (encode_chain, decode_chain),
+    "certificate": (encode_certificate, decode_certificate),
+    "family": (str, decode_family),
+    "expect": (bool, _decode_expect),
+    "set_kind": (str, _decode_set_kind),
+    **dict.fromkeys(("a", "b", "t", "value", "threshold"), _SCALAR),
+}
+
+
+def _in_right_half_plane(U: RegularOpenSet, _c) -> bool:
+    """U is one tangent disc B*(a, r) inside x > 0: 0 < a and r <= a."""
+    disc = U.components[0] if len(U.components) == 1 else None
+    return isinstance(disc, TangentDisc) and lt(0, disc.a) and le(disc.r, disc.a)
+
+
+def _open_value(candidate, a, b, t, stored):
+    """The candidate's value on the open interval (a, b) at t; without a
+    candidate, the value the bundle stores."""
+    if candidate is None:
+        return stored
+    if candidate.open_value is None:
+        raise UnindexedSetError(f"{candidate.name} has no open-interval functions")
+    return candidate.open_value(a, b, t)
+
+
+#: kind -> (field names, predicate over the decoded fields and the candidate)
+_KINDS = {
+    "member": (("set", "point", "expect"), lambda U, p, expect, _c: member(U, p) is expect),
+    "value_eq": (
+        ("family", "set", "point", "value"),
+        lambda S, U, p, value, _c: eq(S.value(U, p), value),
+    ),
+    "value_gt": (
+        ("family", "set", "point", "threshold"),
+        lambda S, U, p, threshold, _c: lt(threshold, S.value(U, p)),
+    ),
+    "certificate": (("certificate",), lambda cert, _c: verify_convergence(cert)),
+    "halfplane_subset": (("set",), _in_right_half_plane),
+    "chain_element_contains": (
+        ("chain", "point"),
+        lambda chain, p, _c: all(member(chain.at(k), p) for k in range(1, chain.depth + 1)),
+    ),
+    "chain_interior_excludes": (
+        ("chain", "point"),
+        lambda chain, p, _c: not member(decreasing_chain_interior(chain), p),
+    ),
+    "candidate_value_gt": (
+        ("set_kind", "a", "b", "t", "threshold", "value"),
+        lambda _k, a, b, t, threshold, value, c: lt(threshold, _open_value(c, a, b, t, value)),
+    ),
+    "candidate_value_eq": (
+        ("set_kind", "a", "b", "t", "value"),
+        lambda _k, a, b, t, value, c: eq(_open_value(c, a, b, t, value), value),
+    ),
+}
+
+
+def _assertion(kind: str, *values) -> dict:
+    """The wire dict of an assertion; ``values`` follow the kind's fields."""
+    names, _ = _KINDS[kind]
+    fields = zip(names, values, strict=True)
+    return {"kind": kind, **{name: _CODECS[name][0](v) for name, v in fields}}
 
 
 def _check_assertion(a: dict, candidate=None) -> bool:
-    kind = a["kind"]
-    if kind == "member":
-        return basic_member(decode_basic_set(a["set"]), decode_point(a["point"])) is bool(
-            a["expect"]
-        )
-    if kind in ("value_eq", "value_gt"):
-        S = FAMILIES[a["family"]]()
-        value = S.value(decode_set(a["set"]), decode_point(a["point"]))
-        if kind == "value_eq":
-            return eq(value, decode_scalar(a["value"]))
-        return lt(decode_scalar(a["threshold"]), value)
-    if kind == "certificate":
-        try:
-            return verify_convergence(decode_certificate(a["certificate"]))
-        except MalformedWitnessError:
+    """Whether an assertion holds: its fields decode, its parts lie in one
+    space, and its kind's predicate accepts them.  A schema error or a part
+    the predicate rejects (``ValueError``) makes it false."""
+    kind = a.get("kind") if isinstance(a, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        return False
+    names, holds = _KINDS[kind]
+    try:
+        _expect_fields(a, {"kind", *names})
+        values = [_CODECS[name][1](a[name]) for name in names]
+        if len({v.space for v in values if hasattr(v, "space")}) > 1:
             return False
-    if kind == "halfplane_subset":
-        disc = decode_basic_set(a["set"])
-        return lt(0, disc.a) and le(disc.r, disc.a)
-    if kind == "chain_interior_excludes":
-        chain = decode_chain(a["chain"])
-        W = decreasing_chain_interior(chain)
-        return not member(W, decode_point(a["point"]))
-    if kind == "chain_element_contains":
-        chain = decode_chain(a["chain"])
-        p = decode_point(a["point"])
-        return all(member(chain.at(k), p) for k in range(1, chain.depth + 1))
-    if kind == "candidate_value_gt":
-        threshold = decode_scalar(a["threshold"])
-        if candidate is not None:
-            value = _candidate_eval(candidate, a)
-            return lt(threshold, value)
-        return lt(threshold, decode_scalar(a["value"]))
-    if kind == "candidate_value_eq":
-        expected = decode_scalar(a["value"])
-        if candidate is not None:
-            return eq(_candidate_eval(candidate, a), expected)
-        return True
-    raise ValueError(f"unknown assertion kind {kind!r}")
-
-
-def _candidate_eval(candidate, a: dict):
-    if a["set_kind"] == "half_open_unit":
-        return candidate.half_open_value(decode_scalar(a["x"]), decode_scalar(a["t"]))
-    return candidate.open_value(
-        decode_scalar(a["a"]), decode_scalar(a["b"]), decode_scalar(a["t"])
-    )
+        return holds(*values, candidate)
+    except ValueError:
+        return False
 
 
 def reverify_bundle(result: RefutationResult, candidate=None) -> bool:
     """Replay every assertion of a refuted bundle; True when all hold."""
-    if not result.refuted:
-        return False
-    try:
-        return all(_check_assertion(a, candidate) for a in result.assertions)
-    except SchemaError:
-        return False  # a tampered assertion that no longer decodes
+    return result.refuted and all(_check_assertion(a, candidate) for a in result.assertions)
+
+
+def _refuted(claim: str, assertions: list, detail: dict, candidate=None) -> RefutationResult:
+    """A refuted result, once every assertion holds under the replay's check."""
+    for a in assertions:
+        if not _check_assertion(a, candidate):
+            raise AssertionError(f"{claim}: a {a['kind']} assertion of the bundle fails")
+    return RefutationResult(claim, REFUTED, assertions, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +296,6 @@ def _condition2_violation(cand: SorgenfreyCandidate, rng: random.Random) -> Opti
 
 def refute_sorgenfrey_A(
     cand: SorgenfreyCandidate,
-    budget_grid_pow: int = 12,
     budget_chain: int = 16,
     seed: int = 0,
 ) -> RefutationResult:
@@ -258,22 +311,11 @@ def refute_sorgenfrey_A(
     """
     claim = f"sorgenfrey_A_stratification[{cand.name}]"
     rng = random.Random(seed)
-    c1 = _condition1_violation(cand, rng)
-    if c1 is not None:
-        return RefutationResult(
-            claim,
-            REFUTED,
-            assertions=[],
-            detail={"stage": "condition_1", "sample": _enc_detail(c1)},
-        )
-    c2 = _condition2_violation(cand, rng)
-    if c2 is not None:
-        return RefutationResult(
-            claim,
-            REFUTED,
-            assertions=[],
-            detail={"stage": "condition_2", "sample": _enc_detail(c2)},
-        )
+    stages = (("condition_1", _condition1_violation), ("condition_2", _condition2_violation))
+    for stage, find in stages:
+        sample = find(cand, rng)
+        if sample is not None:
+            return _sample_violation(claim, stage, sample)
     if cand.open_value is None:
         return RefutationResult(
             claim,
@@ -282,7 +324,6 @@ def refute_sorgenfrey_A(
         )
 
     # density search on (0, 2)
-    denom = 2**budget_grid_pow
     for n in (2, 3, 4, 8, 16):
         threshold = Fraction(1, n)
         # dyadic subintervals of (0, 1) at scale 1/16
@@ -321,8 +362,11 @@ def refute_sorgenfrey_A(
     return RefutationResult(claim, NOT_FOUND, detail={"reason": "density search exhausted"})
 
 
-def _enc_detail(d: dict) -> dict:
-    return {k: (encode_scalar(v) if isinstance(v, Fraction) else v) for k, v in d.items()}
+def _sample_violation(claim: str, stage: str, sample: dict) -> RefutationResult:
+    """A support (``condition_1``) or monotonicity (``condition_2``) failure
+    at one sample; its result carries no assertions."""
+    encoded = {k: encode_scalar(v) if isinstance(v, Fraction) else v for k, v in sample.items()}
+    return _refuted(claim, [], {"stage": stage, "sample": encoded})
 
 
 def _assemble_sorgenfrey_bundle(
@@ -335,73 +379,25 @@ def _assemble_sorgenfrey_bundle(
         v_open = cand.open_value(x, b_end, x_k)
         if lt(v_open, v_half):
             # monotonicity breaks on the nested pair [x_k, x_k+1) in (x, 2)
-            return RefutationResult(
-                claim,
-                REFUTED,
-                assertions=[],
-                detail={
-                    "stage": "condition_2",
-                    "sample": _enc_detail(
-                        {"x": x_k, "a": x, "b": b_end, "t": x_k, "small": v_half, "big": v_open}
-                    ),
-                },
-            )
-        assertions.append(
-            {
-                "kind": "candidate_value_gt",
-                "set_kind": "open",
-                "a": encode_scalar(x),
-                "b": encode_scalar(b_end),
-                "t": encode_scalar(x_k),
-                "threshold": encode_scalar(threshold),
-                "value": encode_scalar(v_open),
-            }
-        )
-    v_at_limit = cand.open_value(x, b_end, x)
-    if not eq(v_at_limit, 0):
-        return RefutationResult(
-            claim,
-            REFUTED,
-            assertions=[],
-            detail={
-                "stage": "condition_1",
-                "sample": _enc_detail({"a": x, "b": b_end, "t": x, "expect": "zero"}),
-            },
-        )
-    assertions.append(
-        {
-            "kind": "candidate_value_eq",
-            "set_kind": "open",
-            "a": encode_scalar(x),
-            "b": encode_scalar(b_end),
-            "t": encode_scalar(x),
-            "value": encode_scalar(Fraction(0)),
-        }
-    )
+            sample = {"x": x_k, "a": x, "b": b_end, "t": x_k, "small": v_half, "big": v_open}
+            return _sample_violation(claim, "condition_2", sample)
+        assertions.append(_assertion("candidate_value_gt", "open", x, b_end, x_k, threshold, v_open))
+    if not eq(cand.open_value(x, b_end, x), 0):
+        sample = {"a": x, "b": b_end, "t": x, "expect": "zero"}
+        return _sample_violation(claim, "condition_1", sample)
+    assertions.append(_assertion("candidate_value_eq", "open", x, b_end, x, Fraction(0)))
     # the search found x_k at depth >= k, so x_k - x <= 7/2^(6+k) < 2^-(3+k)
     for k, x_k in enumerate(xs, 1):
         near = HalfOpen(x, x + Fraction(1, 2 ** (3 + k)))
-        assert basic_member(near, SorgenfreyPoint(x_k))
-        assertions.append(
-            {
-                "kind": "member",
-                "set": encode_basic_set(near),
-                "point": encode_point(SorgenfreyPoint(x_k)),
-                "expect": True,
-            }
-        )
-    return RefutationResult(
-        claim,
-        REFUTED,
-        assertions=assertions,
-        detail={
-            "stage": "continuity_chain",
-            "limit": encode_point(SorgenfreyPoint(x)),
-            "threshold": encode_scalar(threshold),
-            "note": "values stay above the threshold on a right-approaching "
-            "rational sequence whose limit value is 0",
-        },
-    )
+        assertions.append(_assertion("member", near, SorgenfreyPoint(x_k), True))
+    detail = {
+        "stage": "continuity_chain",
+        "limit": encode_point(SorgenfreyPoint(x)),
+        "threshold": encode_scalar(threshold),
+        "note": "values stay above the threshold on a right-approaching "
+        "rational sequence whose limit value is 0",
+    }
+    return _refuted(claim, assertions, detail, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +444,20 @@ def doublearrow_not_kappa(
     )
     chain = DecreasingChain(Space.DOUBLE_ARROW, (comp,), depth)
     witness = DoubleArrowPoint(x, 0)
-    for k in range(1, depth + 1):
-        assert member(chain.at(k), witness)  # closure of a clopen element is itself
-        assert q < b - values[k - 1]  # the q-superlevel is the whole element
+    # the q-superlevel of every element is the whole element
+    assert all(q < b - v for v in values)
     W = decreasing_chain_interior(chain)
-    assert not member(W, witness)
     assertions = [
-        {"kind": "chain_element_contains", "chain": encode_chain(chain), "point": encode_point(witness)},
-        {"kind": "chain_interior_excludes", "chain": encode_chain(chain), "point": encode_point(witness)},
+        _assertion("chain_element_contains", chain, witness),
+        _assertion("chain_interior_excludes", chain, witness),
     ]
-    return RefutationResult(
-        claim,
-        REFUTED,
-        assertions=assertions,
-        detail={
-            "witness": encode_point(witness),
-            "p": encode_scalar(p),
-            "q": encode_scalar(q),
-            "interior": [encode_basic_set(c) for c in W.components],
-        },
-    )
+    detail = {
+        "witness": encode_point(witness),
+        "p": encode_scalar(p),
+        "q": encode_scalar(q),
+        "interior": [encode_basic_set(c) for c in W.components],
+    }
+    return _refuted(claim, assertions, detail)
 
 
 def doublearrow_not_kappa_default(depth: int = 64) -> RefutationResult:
@@ -507,55 +497,33 @@ def niemytzki_not_stratifiable(
         a_val = float(a)
         num = float
     zero = num(0)
+    limit = NiemytzkiPoint(a_val, zero)
     k0 = max(1, m // 6 + 1)
     assertions = []
     for k in range(k0, k0 + K):
         xk = a_val + num(Fraction(1, 3 * k))
         ck = num(Fraction(1, 6 * k))
-        pk = NiemytzkiPoint(xk, ck)
-        disc = TangentDisc(xk, num(1))
-        assert basic_member(disc, pk)
+        disc, pk = TangentDisc(xk, num(1)), NiemytzkiPoint(xk, ck)
         assert ck < Fraction(1, m)
-        assertions.append(
-            {
-                "kind": "value_eq",
-                "family": "niemytzki_kappa",
-                "set": encode_basic_set(disc),
-                "point": encode_point(pk),
-                "value": encode_scalar(num(1)),
-            }
-        )
+        assertions.append(_assertion("value_eq", LABEL_NIEMYTZKI, disc, pk, num(1)))
         # the tangent disc misses (a, 0): its only axis point is (x_k, 0)
-        assertions.append(
-            {
-                "kind": "member",
-                "set": encode_basic_set(disc),
-                "point": encode_point(NiemytzkiPoint(a_val, zero)),
-                "expect": False,
-            }
-        )
+        assertions.append(_assertion("member", disc, limit, False))
     # (a + 1/(3k), 1/(6k)) lies in B*(a, 1/k) for every k >= k0: t = 1/k, n = k - k0 + 1
     over_k = lambda const, c: ParamValue(const, num(c), shift=k0 - 1)
     cert = ConvergenceCertificate(
-        NiemytzkiPoint(a_val, zero),
+        limit,
         (over_k(a_val, Fraction(1, 3)), over_k(zero, Fraction(1, 6))),
         over_k(zero, 1),
     )
-    if not verify_convergence(cert):
-        return RefutationResult(claim, NOT_FOUND, detail={"reason": "certificate failed"})
-    assertions.append({"kind": "certificate", "certificate": encode_certificate(cert)})
-    return RefutationResult(
-        claim,
-        REFUTED,
-        assertions=assertions,
-        detail={
-            "threshold": encode_scalar(threshold),
-            "pinned_value": encode_scalar(num(1)),
-            "limit": encode_point(NiemytzkiPoint(a_val, zero)),
-            "note": "monotonicity pins the punctured-plane value above the "
-            "threshold along the certified sequence; support forces 0 at the limit",
-        },
-    )
+    assertions.append(_assertion("certificate", cert))
+    detail = {
+        "threshold": encode_scalar(threshold),
+        "pinned_value": encode_scalar(num(1)),
+        "limit": encode_point(limit),
+        "note": "monotonicity pins the punctured-plane value above the "
+        "threshold along the certified sequence; support forces 0 at the limit",
+    }
+    return _refuted(claim, assertions, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -577,29 +545,8 @@ def g_family_not_extendable(n: int = 1) -> RefutationResult:
     probe = NiemytzkiPoint(r, r / 2)
     outer = TangentDisc(Fraction(0), Fraction(1, n))
     inner = TangentDisc(r, r)
-    assert basic_member(outer, probe)  # squared form: 29/36 < 1 (scaled by 1/n^2)
-    assert basic_member(inner, probe)  # squared form: 1/36 < 4/36 (scaled)
     assert probe.y < inner.r  # the below-diameter case is the one that fires
     g_val = Fraction(1, 2) + Fraction(1, 6 * n)
-    assertions = [
-        {"kind": "member", "set": encode_basic_set(outer), "point": encode_point(probe), "expect": True},
-        {"kind": "member", "set": encode_basic_set(inner), "point": encode_point(probe), "expect": True},
-        {"kind": "halfplane_subset", "set": encode_basic_set(inner)},
-        {
-            "kind": "value_eq",
-            "family": "g_family",
-            "set": encode_basic_set(inner),
-            "point": encode_point(probe),
-            "value": encode_scalar(g_val),
-        },
-        {
-            "kind": "value_gt",
-            "family": "g_family",
-            "set": encode_basic_set(inner),
-            "point": encode_point(probe),
-            "threshold": encode_scalar(Fraction(1, 2)),
-        },
-    ]
     # the probes (1/(3j), 1/(6j)) lie in B*(0, 1/j) for every j >= n: t = 1/j
     over_j = lambda c: ParamValue(0, c, shift=n - 1)
     cert = ConvergenceCertificate(
@@ -607,17 +554,19 @@ def g_family_not_extendable(n: int = 1) -> RefutationResult:
         (over_j(Fraction(1, 3)), over_j(Fraction(1, 6))),
         over_j(1),
     )
-    assert verify_convergence(cert)
-    assertions.append({"kind": "certificate", "certificate": encode_certificate(cert)})
-    return RefutationResult(
-        claim,
-        REFUTED,
-        assertions=assertions,
-        detail={
-            "n": n,
-            "probe": encode_point(probe),
-            "value": encode_scalar(g_val),
-            "note": "a half-plane extension would exceed 1/2 arbitrarily close "
-            "to (0,0) while vanishing there",
-        },
-    )
+    assertions = [
+        _assertion("member", outer, probe, True),  # squared form: 29/36 < 1 (scaled by 1/n^2)
+        _assertion("member", inner, probe, True),  # squared form: 1/36 < 4/36 (scaled)
+        _assertion("halfplane_subset", inner),
+        _assertion("value_eq", LABEL_G, inner, probe, g_val),
+        _assertion("value_gt", LABEL_G, inner, probe, Fraction(1, 2)),
+        _assertion("certificate", cert),
+    ]
+    detail = {
+        "n": n,
+        "probe": encode_point(probe),
+        "value": encode_scalar(g_val),
+        "note": "a half-plane extension would exceed 1/2 arbitrarily close "
+        "to (0,0) while vanishing there",
+    }
+    return _refuted(claim, assertions, detail)

@@ -464,10 +464,10 @@ class ParametricBasicSet:
 class DecreasingChain:
     """A decreasing parametric family of regular open sets, valid once built.
 
-    Construction checks exactly, up to the truncation depth, that component
-    k of element n+1 lies inside component k of element n.  Open intervals
-    are no chain lanes (they are not regular open).  Nesting keeps a
-    tangent-disc lane's tangency point fixed.  The depth-1 components of a
+    Construction checks exactly, up to the truncation depth (at least 1),
+    that component k of element n+1 lies inside component k of element n.
+    Open intervals are no chain lanes (they are not regular open).  Nesting
+    keeps a tangent-disc lane's tangency point fixed.  The depth-1 components of a
     Niemytzki chain have pairwise disjoint closed hulls, so that the
     intersection distributes over the lanes.
     """
@@ -477,6 +477,8 @@ class DecreasingChain:
     depth: int = 64
 
     def __post_init__(self):
+        if self.depth < 1:
+            raise MalformedChainError(f"a chain is evaluated to depth >= 1, got {self.depth}")
         for comp in self.components:
             if comp.kind == "open_interval":
                 raise MalformedChainError("open intervals are not regular open chain elements")

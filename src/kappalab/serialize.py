@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .basesets import BasicOpenSet, ExtremeSingleton
 from .convergence import ConvergenceCertificate
-from .numerics import Scalar
+from .families import FAMILIES, Stratification
+from .numerics import ModeMixError, Scalar
 from .rosets import (
     _FLAG_NAMES,
     _KIND_TO_CLS,
@@ -33,12 +34,13 @@ class SchemaError(ValueError):
 
 @contextmanager
 def _invalid(what: str):
-    """Report a construction failure (``ValueError``) as a schema error."""
+    """Report a construction failure (``ValueError``, or exact and binary64
+    parameters mixed in one object) as a schema error."""
     try:
         yield
     except SchemaError:
         raise
-    except ValueError as exc:
+    except (ValueError, ModeMixError) as exc:
         raise SchemaError(f"invalid {what}: {exc}") from exc
 
 
@@ -171,6 +173,13 @@ def decode_set(obj: dict) -> RegularOpenSet:
     base = decode_basic_set(obj)
     with _invalid("union"):
         return validate_regular_open(base.space, [base])
+
+
+def decode_family(label) -> Stratification:
+    """The named family with this label."""
+    if not isinstance(label, str) or label not in FAMILIES:
+        raise SchemaError(f"unknown family label {label!r}")
+    return FAMILIES[label]()
 
 
 def encode_param_value(v: ParamValue) -> dict:

@@ -253,6 +253,15 @@ def _user_table_set(target, samples=()):
     return {"check": "condition_1", "family": {"label": "user_supplied", "space": target["space"], "table": [row]}}
 
 
+def _user_table(table, space="niemytzki"):
+    """A condition 1 entry whose user family has the given ``table``."""
+    return {"check": "condition_1", "family": {"label": "user_supplied", "space": space, "table": table}}
+
+
+_TABLE_DISC = {"kind": "tangent_disc", "a": "0", "r": "1"}
+_TABLE_POINT = {"space": "niemytzki", "x": "0", "y": "1"}
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -355,6 +364,18 @@ def _user_table_set(target, samples=()):
                 )
             ],
         },
+        {"name": "x", "checks": [_user_table(5)]},
+        {"name": "x", "checks": [_user_table([5])]},
+        {"name": "x", "checks": [_user_table([{"set": _TABLE_DISC, "samples": 5}])]},
+        {"name": "x", "checks": [_user_table([{"set": _TABLE_DISC, "samples": [5]}])]},
+        {"name": "x", "checks": [_user_table([{"set": _TABLE_DISC, "samples": [{"point": _TABLE_POINT}]}])]},
+        {"name": "x", "checks": [_user_table([{"set": {"kind": "half_open", "a": "0", "b": "1"}, "samples": []}])]},
+        {"name": "x", "checks": [_explicit_chain("0", "1", depth=0)]},
+        {
+            "name": "x",
+            "plan": {"chain_depth": 0},
+            "checks": [{"check": "condition_4", "family": "sorgenfrey_kappa"}],
+        },
     ],
     ids=[
         "plan_not_object",
@@ -377,6 +398,14 @@ def _user_table_set(target, samples=()):
         "lane_shift_not_integer",
         "chain_lane_kind_not_a_string",
         "chain_limit_not_the_lanes_limit",
+        "table_not_a_list",
+        "table_row_not_an_object",
+        "samples_not_a_list",
+        "sample_not_an_object",
+        "sample_without_value",
+        "table_row_in_another_space",
+        "chain_depth_0",
+        "plan_chain_depth_0",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
@@ -405,6 +434,7 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         ("niemytzki_kappa", '{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "2"}', "0,1,0,1", "3x3"),
         ("niemytzki_kappa", '{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "1"}', "0,1,0,1", "3x3"),
         ("niemytzki_kappa", "5", "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": 1.0}', "0,1,0,1", "3x3"),
     ],
     ids=[
         "g_family_interior_disc",
@@ -413,11 +443,25 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         "interior_disc_r_above_cy",
         "interior_disc_r_equal_cy",
         "set_not_an_object",
+        "set_mixes_exact_and_float",
     ],
 )
 def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, family, target, bbox, res):
     argv = ["sample-grid", "--family", family, "--set", target, "--bbox", bbox, "--res", res]
     assert _schema_error(capsys, argv + ["--out", str(tmp_path / "g.csv")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refute", "doublearrow-d", "--depth", "0"],
+        ["refute", "g-extend", "--n", "0"],
+        ["check", "--corpus", "--depth", "0"],
+    ],
+    ids=["refute_depth_0", "refute_g_extend_n_0", "corpus_depth_0"],
+)
+def test_counts_below_1_exit_2(capsys, argv):
+    assert _schema_error(capsys, argv)
 
 
 _TANGENT = '{"kind": "tangent_disc", "a": "0", "r": "1"}'

@@ -24,6 +24,7 @@ from kappalab import (
     check_condition_4,
     check_condition_d,
     check_conditions_abc,
+    decreasing_chain_interior,
     double_arrow_ro,
     hausdorff_witness,
     niemytzki_kappa,
@@ -175,7 +176,7 @@ def test_condition_4_exact_infimum_for_tangent_chain():
     chain = DecreasingChain(Space.NIEMYTZKI, (comp,), 64)
     p = NiemytzkiPoint(F(0), F(0))
     # f values along the chain are 1/2 + 1/(n+1); the infimum is exactly 1/2
-    assert chain_limit_value("niemytzki_kappa", chain, p) == F(1, 2)
+    assert chain_limit_value(niemytzki_kappa(), chain, decreasing_chain_interior(chain), p) == F(1, 2)
     rep = check_condition_4(niemytzki_kappa(), chain, [p], PLAN)
     assert rep.passed
 
@@ -190,6 +191,59 @@ def test_condition_4_fails_on_pinch_chain_with_witness():
     # the value infimum along the chain is 1/10, the interior value is 0
     assert abs(w["deviation"] - 0.1) < 1e-12
     assert replay_witness(w)
+
+
+def _merged_lanes(space, kind, *lanes):
+    """A chain whose lanes (limit a, limit b, b's 1/n coefficient) overlap at
+    every n, so that its elements merge them into one component."""
+    from kappalab.rosets import ParamValue, ParametricBasicSet, DecreasingChain
+
+    return DecreasingChain(
+        space,
+        tuple(
+            ParametricBasicSet(kind, {"a": ParamValue(a), "b": ParamValue(b, over_n)})
+            for a, b, over_n in lanes
+        ),
+    )
+
+
+def test_condition_4_on_merged_sorgenfrey_lanes():
+    # [0, 1 + 1/(2n)) and [1, 2 + 1/(2n)) merge to [0, 2 + 1/(2n)), interior [0, 2):
+    # at 1/2 every element's value is 1, and so is the value on the interior
+    chain = _merged_lanes(Space.SORGENFREY, "half_open", (F(0), F(1), F(1, 2)), (F(1), F(2), F(1, 2)))
+    S, plan = sorgenfrey_kappa(), SamplePlan(seed=1)
+    W = decreasing_chain_interior(chain)
+    assert chain_limit_value(S, chain, W, SorgenfreyPoint(F(1, 2))) == 1
+    rep = check_condition_4(S, chain, chain_check_points(chain, plan), plan)
+    assert rep.passed and rep.counts["points"] == 18, rep.witnesses
+    assert bridge_4_iff_d(S, chain, plan)[2]
+
+
+def test_condition_4_witness_on_merged_double_arrow_lanes():
+    # [(1/8,1), (3/8 + 1/(16n),0)] and [(3/8,1), (3/4 + 1/(16n),0)] merge; every
+    # element keeps (3/4, 1) with value 5/8 + 1/(16n), which the interior
+    # [(1/8,1), (3/4,0)] leaves out: the chain fails condition 4 there
+    lanes = ((F(1, 8), F(3, 8), F(1, 16)), (F(3, 8), F(3, 4), F(1, 16)))
+    chain = _merged_lanes(Space.DOUBLE_ARROW, "clopen_interval", *lanes)
+    plan = SamplePlan(seed=1)
+    rep = check_condition_4(double_arrow_ro(), chain, chain_check_points(chain, plan), plan)
+    assert not rep.passed
+    w = rep.witnesses[0]
+    assert w["point"] == {"space": "double_arrow", "t": "3/4", "side": 1}
+    assert w["inf_estimate"] == 0.625 and w["interior_value"] == 0
+    assert replay_witness(w)
+
+
+def _pinch_onto_0_1():
+    """[(0,1), (1/(2n),0)] with (0,0) flagged: every element keeps (0,1), whose
+    values 1/(2n) tend to 0, while its twin (0,0) is the isolated extreme,
+    which scores 1 and is no component length."""
+    from kappalab.rosets import ParamValue, ParametricBasicSet, DecreasingChain
+
+    lane = ParametricBasicSet(
+        "clopen_interval", {"a": ParamValue(F(0)), "b": ParamValue(F(0), F(1, 2))}, {"include_left_extreme": True}
+    )
+    return DecreasingChain(Space.DOUBLE_ARROW, (lane,))
 
 
 def test_condition_2_replay_matches_exact_check():
@@ -463,13 +517,14 @@ def test_chain_lane_decisions_match_a_deep_element():
         chains = [sample_chain(space, rng) for _ in range(20)]
         if space is Space.DOUBLE_ARROW:
             chains.append(double_arrow_pinch_chain())
+            chains.append(_pinch_onto_0_1())
         for chain in chains:
-            first = chain.at(1)
+            first, W = chain.at(1), decreasing_chain_interior(chain)
             points = chain_check_points(chain, PLAN)
             points += [sample_point_near_set(first, rng) for _ in range(12)]
             element = chain.at(deep)
             for p in points:
-                limit = chain_limit_value(S.label, chain, p)
+                limit = chain_limit_value(S, chain, W, p)
                 assert abs(float(limit) - float(S.value(element, p))) <= 1e-5, (chain, p)
                 n_values += 1
             for comp in chain.components:

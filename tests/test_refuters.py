@@ -203,3 +203,100 @@ def test_niemytzki_bundle_leaves_the_sequence_memberships_to_its_certificate():
     assert len(members) == 50 and len(res.assertions) == 101
     assert all(a["expect"] is False and a["set"]["r"] == "1" for a in members)
     assert all(a["point"] == {"space": "niemytzki", "x": "0", "y": "0"} for a in members)
+
+
+_SORGENFREY_POINT = {"space": "sorgenfrey", "x": "0"}
+_INTERIOR_DISC = {"kind": "interior_disc", "cx": "1", "cy": "2", "r": "1"}
+
+
+def _put(index, key, value):
+    def tamper(assertions):
+        assertions[index][key] = value
+
+    return tamper
+
+
+def _drop(index, key):
+    def tamper(assertions):
+        del assertions[index][key]
+
+    return tamper
+
+
+def _replace(index, value):
+    def tamper(assertions):
+        assertions[index] = value
+
+    return tamper
+
+
+def _chain_depth_0(assertions):
+    for a in assertions:  # a depth-0 chain has no element to check
+        a["chain"]["depth"] = 0
+
+
+def _g_bundle():
+    return g_family_not_extendable(1), None
+
+
+def _doublearrow_bundle():
+    return doublearrow_not_kappa_default(), None
+
+
+def _right_gap_bundle():
+    return refute_sorgenfrey_A(right_gap_candidate()), right_gap_candidate()
+
+
+@pytest.mark.parametrize(
+    "bundle, tamper",
+    [
+        (_g_bundle, _put(2, "set", _INTERIOR_DISC)),
+        (_g_bundle, _put(0, "point", _SORGENFREY_POINT)),
+        (_g_bundle, _put(3, "set", {"kind": "half_open", "a": "0", "b": "1"})),
+        (_g_bundle, _put(4, "point", _SORGENFREY_POINT)),
+        (_g_bundle, _drop(0, "point")),
+        (_g_bundle, _put(3, "family", "no_such_family")),
+        (_g_bundle, _put(3, "set", _INTERIOR_DISC)),
+        (_g_bundle, _put(3, "family", ["g_family"])),
+        (_g_bundle, _replace(0, 5)),
+        (_g_bundle, _put(0, "kind", "no_such_kind")),
+        (_g_bundle, _put(3, "set", {"kind": "tangent_disc", "a": "1/3", "r": 0.5})),
+        (_doublearrow_bundle, _chain_depth_0),
+        (_right_gap_bundle, _put(0, "set_kind", "half_open_unit")),
+    ],
+    ids=[
+        "halfplane_set_not_a_tangent_disc",
+        "member_point_in_another_space",
+        "value_set_in_another_space",
+        "value_gt_point_in_another_space",
+        "member_without_point",
+        "unknown_family",
+        "family_does_not_index_the_set",
+        "family_label_not_a_string",
+        "assertion_not_an_object",
+        "unknown_kind",
+        "set_mixes_exact_and_float",
+        "chain_depth_0",
+        "candidate_set_not_open",
+    ],
+)
+def test_tampered_bundle_fails_closed(bundle, tamper):
+    res, candidate = bundle()
+    tamper(res.assertions)
+    assert not reverify_bundle(res, candidate)
+
+
+def test_candidate_without_open_interval_functions_fails_closed():
+    res = refute_sorgenfrey_A(right_gap_candidate())
+    assert not reverify_bundle(res, clopen_only_candidate())
+
+
+def test_refuted_raises_on_a_false_assertion():
+    from kappalab import HalfOpen, SorgenfreyPoint
+    from kappalab.refuters import _assertion, _refuted
+
+    holds = _assertion("member", HalfOpen(F(0), F(1)), SorgenfreyPoint(F(1, 2)), True)
+    assert _refuted("claim", [holds], {}).verdict == REFUTED
+    fails = _assertion("member", HalfOpen(F(0), F(1)), SorgenfreyPoint(F(1)), True)
+    with pytest.raises(AssertionError):
+        _refuted("claim", [holds, fails], {})
