@@ -41,6 +41,7 @@ from .spaces import (
     SpaceMismatchError,
     lex_le,
     sq_dist,
+    sq_dist_terms,
 )
 
 
@@ -145,6 +146,20 @@ class _Disc:
         """The squared radius."""
         return sq(self.r)
 
+    @cached_property
+    def binary64(self) -> tuple[float, float, float]:
+        """The centre and r2 in binary64: the operands that mixed Fraction/float
+        arithmetic converts to on every operation (docs/derivations.md,
+        "Exact kernel")."""
+        c = self.center
+        return float(c.x), float(c.y), float(self.r2)
+
+    def binary64_terms(self, p: NiemytzkiPoint) -> tuple[float, float]:
+        """The squared distance from p to the centre, and r2, in binary64."""
+        cx, cy, r2 = self.binary64
+        dx, dy = float(p.x) - cx, float(p.y) - cy
+        return dx * dx + dy * dy, r2
+
 
 @dataclass(frozen=True)
 class InteriorDisc(_Disc):
@@ -225,8 +240,13 @@ def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | N
         if not (isinstance(s, TangentDisc) and eq(p.x, s.a)):
             return None
         return sq_dist(p, s.center)
-    d2 = sq_dist(p, s.center)
-    return d2 if lt(d2, s.r2) else None
+    if type(s.r) is Fraction and type(p.x) is Fraction:
+        # d2 < r2 cross-multiplied over positive denominators; no quotient
+        # is built for a point outside the disc
+        num, den = sq_dist_terms(p, s.center)
+        return Fraction(num, den) if num * s.r2.denominator < s.r2.numerator * den else None
+    d2, r2 = s.binary64_terms(p)
+    return d2 if lt(d2, r2) else None
 
 
 def basic_member(s: BasicOpenSet, p: Point) -> bool:
@@ -265,7 +285,10 @@ def basic_closure_member(s: BasicOpenSet, p: Point) -> bool:
     if isinstance(s, (ClopenInterval, ExtremeSingleton)):
         return basic_member(s, p)
     if isinstance(s, (InteriorDisc, TangentDisc)):
-        return le(sq_dist(p, s.center), s.r2)
+        if type(s.r) is Fraction and type(p.x) is Fraction:
+            num, den = sq_dist_terms(p, s.center)
+            return num * s.r2.denominator <= s.r2.numerator * den
+        return le(*s.binary64_terms(p))
     raise TypeError(f"unknown base set {s!r}")
 
 

@@ -382,9 +382,13 @@ def _parse_res(text: str, count: int) -> list[int]:
 def _axis(lo: Fraction, hi: Fraction, n: int, use_float: bool) -> list[tuple]:
     """The lattice coordinates lo + (hi - lo) i/n, i < n, as (coordinate, CSV text)
     pairs; the text is written from the exact coordinate in either mode."""
-    span, out = hi - lo, []
+    # lo + (hi - lo) i/n = (base + step i) / den over the integer terms of lo and hi
+    den = lo.denominator * hi.denominator * n
+    base = lo.numerator * hi.denominator * n
+    step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    out = []
     for i in range(n):
-        c = lo + span * Fraction(i, n)
+        c = Fraction(base + step * i, den)
         out.append((float(c) if use_float else c, _csv_num(c)))
     return out
 

@@ -96,7 +96,12 @@ def _chord_factor(a: Scalar, r: Scalar, x: Scalar, y: Scalar) -> Scalar:
     dx = abs(x - a)
     if is_zero(dx):
         return r
-    radicand = 2 * y * r - sq(y)
+    if type(y) is Fraction and type(r) is Fraction:
+        # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd), normalised once
+        yn, yd, rn, rd = y.numerator, y.denominator, r.numerator, r.denominator
+        radicand = Fraction(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
+    else:
+        radicand = 2 * y * r - sq(y)
     root = sqrt_scalar(radicand)
     return r - r * dx / root
 

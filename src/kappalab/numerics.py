@@ -34,6 +34,8 @@ class ModeMixError(TypeError):
 
 def as_scalar(value) -> Scalar:
     """Normalize a numeric input: ints become Fractions, floats stay floats."""
+    if type(value) is Fraction or type(value) is float:
+        return value
     if isinstance(value, bool):
         raise ModeMixError("booleans are not scalars")
     if isinstance(value, (Fraction, float)):

@@ -132,16 +132,30 @@ def _open_value(candidate, a, b, t, stored):
     return candidate.open_value(a, b, t)
 
 
+def _exactly(computed, stored) -> bool:
+    """A computed value that is exact is compared only with an exact field: a
+    binary64 field, which ``numerics`` would compare within EPS, is false."""
+    return type(computed) is not Fraction or type(stored) is Fraction
+
+
+def _value_eq(computed, stored) -> bool:
+    return _exactly(computed, stored) and eq(computed, stored)
+
+
+def _value_gt(computed, threshold) -> bool:
+    return _exactly(computed, threshold) and lt(threshold, computed)
+
+
 #: kind -> (field names, predicate over the decoded fields and the candidate)
 _KINDS = {
     "member": (("set", "point", "expect"), lambda U, p, expect, _c: member(U, p) is expect),
     "value_eq": (
         ("family", "set", "point", "value"),
-        lambda S, U, p, value, _c: eq(S.value(U, p), value),
+        lambda S, U, p, value, _c: _value_eq(S.value(U, p), value),
     ),
     "value_gt": (
         ("family", "set", "point", "threshold"),
-        lambda S, U, p, threshold, _c: lt(threshold, S.value(U, p)),
+        lambda S, U, p, threshold, _c: _value_gt(S.value(U, p), threshold),
     ),
     "certificate": (("certificate",), lambda cert, _c: verify_convergence(cert)),
     "halfplane_subset": (("set",), _in_right_half_plane),
@@ -155,11 +169,11 @@ _KINDS = {
     ),
     "candidate_value_gt": (
         ("set_kind", "a", "b", "t", "threshold", "value"),
-        lambda _k, a, b, t, threshold, value, c: lt(threshold, _open_value(c, a, b, t, value)),
+        lambda _k, a, b, t, threshold, value, c: _value_gt(_open_value(c, a, b, t, value), threshold),
     ),
     "candidate_value_eq": (
         ("set_kind", "a", "b", "t", "value"),
-        lambda _k, a, b, t, value, c: eq(_open_value(c, a, b, t, value), value),
+        lambda _k, a, b, t, value, c: _value_eq(_open_value(c, a, b, t, value), value),
     ),
 }
 

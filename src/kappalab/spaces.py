@@ -102,8 +102,22 @@ def lex_le(a: DoubleArrowPoint, b: DoubleArrowPoint) -> bool:
     return a == b or lex_less(a, b)
 
 
+def sq_dist_terms(p: NiemytzkiPoint, q: NiemytzkiPoint) -> tuple[int, int]:
+    """The squared distance between two exact points as an unreduced pair
+    (numerator, denominator) of integers, the denominator positive."""
+    bx = p.x.denominator * q.x.denominator
+    by = p.y.denominator * q.y.denominator
+    dx = (p.x.numerator * q.x.denominator - q.x.numerator * p.x.denominator) * by
+    dy = (p.y.numerator * q.y.denominator - q.y.numerator * p.y.denominator) * bx
+    den = bx * by
+    return dx * dx + dy * dy, den * den
+
+
 def sq_dist(p: NiemytzkiPoint, q: NiemytzkiPoint) -> Scalar:
-    """Squared Euclidean distance; exact whenever both points are exact."""
+    """Squared Euclidean distance; exact whenever both points are exact, and
+    then normalised once, from integer numerators and denominators."""
+    if type(p.x) is Fraction and type(q.x) is Fraction:
+        return Fraction(*sq_dist_terms(p, q))
     dx, dy = p.x - q.x, p.y - q.y
     return dx * dx + dy * dy
 

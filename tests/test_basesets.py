@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kappalab import (
     ClopenInterval,
@@ -17,7 +18,10 @@ from kappalab import (
     basic_closure_member,
     basic_member,
 )
-from kappalab.basesets import basic_neighborhood
+from kappalab.basesets import basic_neighborhood, disc_sq_dist
+from kappalab.families import _chord_factor
+from kappalab.numerics import EPS, lt, sqrt_scalar
+from kappalab.spaces import sq_dist, sq_dist_terms
 
 
 def test_constructor_guards():
@@ -161,3 +165,99 @@ def test_basic_neighborhoods_contain_their_point():
     for p in pts:
         for k in (1, 3, 6):
             assert basic_member(basic_neighborhood(p, k), p)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the plain Fraction formulas
+
+
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=997)
+_height = st.fractions(min_value=0, max_value=3, max_denominator=997)
+_radius = st.fractions(min_value=0, max_value=1, max_denominator=997).filter(lambda r: r > 0)
+
+
+@st.composite
+def _discs(draw):
+    """An exact InteriorDisc (r <= cy, sometimes r = cy) or TangentDisc."""
+    x, r = draw(_coord), draw(_radius)
+    if draw(st.booleans()):
+        return TangentDisc(x, r)
+    return InteriorDisc(x, r + draw(st.sampled_from([F(0), F(1, 3)]) | _height), r)
+
+
+def _plain_sq_dist(s, px, py):
+    return (px - s.center.x) ** 2 + (py - s.center.y) ** 2
+
+
+def _plain_member_d2(s, px, py):
+    """disc_sq_dist's rule, written with Fraction arithmetic."""
+    d2 = _plain_sq_dist(s, px, py)
+    if py == 0:
+        return d2 if isinstance(s, TangentDisc) and px == s.a else None
+    return d2 if d2 < s.r * s.r else None
+
+
+@given(_coord, _height, _coord, _height)
+def test_integer_sq_dist_is_the_fraction_formula(px, py, qx, qy):
+    p, q = NiemytzkiPoint(px, py), NiemytzkiPoint(qx, qy)
+    num, den = sq_dist_terms(p, q)
+    assert den > 0 and F(num, den) == (px - qx) ** 2 + (py - qy) ** 2
+    d2 = sq_dist(p, q)
+    assert type(d2) is F and d2 == (px - qx) ** 2 + (py - qy) ** 2
+
+
+@given(_discs(), _coord, _height)
+def test_disc_kernel_is_the_fraction_formula(s, px, py):
+    p = NiemytzkiPoint(px, py)
+    assert disc_sq_dist(s, p) == _plain_member_d2(s, px, py)
+    assert basic_member(s, p) is (_plain_member_d2(s, px, py) is not None)
+    assert basic_closure_member(s, p) is (_plain_sq_dist(s, px, py) <= s.r * s.r)
+
+
+@given(_discs(), st.fractions(min_value=-4, max_value=4, max_denominator=97))
+def test_exact_boundary_is_outside_the_disc_and_inside_its_closure(s, t):
+    # (1 - t^2, 2t) / (1 + t^2) runs over the rational points of the unit circle
+    c = s.center
+    p = NiemytzkiPoint(c.x + s.r * (1 - t * t) / (1 + t * t), c.y + s.r * 2 * t / (1 + t * t))
+    assert _plain_sq_dist(s, p.x, p.y) == s.r * s.r
+    tangency = isinstance(s, TangentDisc) and t == -1
+    assert (disc_sq_dist(s, p) is None) is not tangency
+    assert basic_closure_member(s, p)
+
+
+@given(_discs())
+def test_tangency_point(s):
+    c = s.center
+    p = NiemytzkiPoint(c.x, F(0))
+    if isinstance(s, TangentDisc):  # the tangency point is the one axis point inside
+        assert disc_sq_dist(s, p) == s.r * s.r
+    else:  # an interior disc with r = cy touches the axis only in its closure
+        assert disc_sq_dist(s, p) is None
+    assert basic_closure_member(s, p) is (s.r == c.y)
+
+
+@given(_discs(), st.floats(-3, 3), st.floats(1e-6, 3))
+def test_binary64_point_against_an_exact_disc_keeps_its_bits(s, px, py):
+    p, c = NiemytzkiPoint(px, py), s.center
+    assert s.binary64 == (float(c.x), float(c.y), float(s.r2))
+    # what Fraction's operators compute on a float operand
+    dx, dy = px - c.x, py - c.y
+    mixed = dx * dx + dy * dy
+    dx, dy = px - float(c.x), py - float(c.y)
+    converted = dx * dx + dy * dy
+    assert mixed.hex() == converted.hex()
+    d2 = disc_sq_dist(s, p)
+    if lt(converted, s.r2):
+        assert d2.hex() == converted.hex()
+    else:
+        assert d2 is None
+    assert basic_closure_member(s, p) is (converted <= float(s.r2) + EPS)
+
+
+@given(_coord, _radius, _coord, _height.filter(lambda y: y > 0))
+def test_chord_radicand_is_the_fraction_formula(a, r, x, y):
+    if y >= r:
+        y = y * r / (y + r)  # below the horizontal diameter: 0 < y < r
+    plain = r if x == a else r - r * abs(x - a) / sqrt_scalar(2 * y * r - y * y)
+    assert _chord_factor(a, r, x, y) == plain
+    assert type(_chord_factor(a, r, x, y)) is type(plain)

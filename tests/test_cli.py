@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import kappalab
 from kappalab.cli import main, shipped_scenarios
@@ -162,6 +163,25 @@ def test_sample_grid_values_match_library(tmp_path):
         xs, ys, vs = line.split(",")
         v = niemytzki_basic_f(disc, NiemytzkiPoint(F(xs), F(ys)))
         assert abs(float(vs) - float(v)) < 1e-15
+
+
+_BOUND = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+
+
+@given(_BOUND, _BOUND | st.just(None), st.integers(0, 40), st.booleans())
+def test_axis_coordinates_are_the_lattice_formula(lo, hi, n, use_float):
+    from fractions import Fraction as F
+
+    from kappalab.cli import _axis, _csv_num
+
+    hi = lo if hi is None else hi  # a zero span
+    expected = [lo + (hi - lo) * F(i, n) for i in range(n)]
+    axis = _axis(lo, hi, n, use_float)
+    assert [text for _, text in axis] == [_csv_num(c) for c in expected]
+    if use_float:
+        assert [c.hex() for c, _ in axis] == [float(c).hex() for c in expected]
+    else:
+        assert [c for c, _ in axis] == expected and all(type(c) is F for c, _ in axis)
 
 
 def test_scenario_seed_override_changes_reports(tmp_path):

@@ -216,6 +216,13 @@ def _put(index, key, value):
     return tamper
 
 
+def _put_first(kind, key, value):
+    def tamper(assertions):
+        next(a for a in assertions if a["kind"] == kind)[key] = value
+
+    return tamper
+
+
 def _drop(index, key):
     def tamper(assertions):
         del assertions[index][key]
@@ -263,6 +270,9 @@ def _right_gap_bundle():
         (_g_bundle, _put(3, "set", {"kind": "tangent_disc", "a": "1/3", "r": 0.5})),
         (_doublearrow_bundle, _chain_depth_0),
         (_right_gap_bundle, _put(0, "set_kind", "half_open_unit")),
+        (_g_bundle, _put_first("value_eq", "value", 0.6666666667)),
+        (_g_bundle, _put_first("value_gt", "threshold", 0.5)),
+        (_right_gap_bundle, _put_first("candidate_value_eq", "value", 1e-10)),
     ],
     ids=[
         "halfplane_set_not_a_tangent_disc",
@@ -278,6 +288,9 @@ def _right_gap_bundle():
         "set_mixes_exact_and_float",
         "chain_depth_0",
         "candidate_set_not_open",
+        "exact_value_as_binary64",
+        "exact_threshold_as_binary64",
+        "exact_candidate_value_as_binary64",
     ],
 )
 def test_tampered_bundle_fails_closed(bundle, tamper):
