@@ -40,7 +40,6 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     lex_le,
-    sq_dist,
     sq_dist_terms,
 )
 
@@ -154,6 +153,11 @@ class _Disc:
         c = self.center
         return float(c.x), float(c.y), float(self.r2)
 
+    @cached_property
+    def binary64_r(self) -> float:
+        """The radius in binary64, the operand of the values' binary64 path."""
+        return float(self.r)
+
     def binary64_terms(self, p: NiemytzkiPoint) -> tuple[float, float]:
         """The squared distance from p to the centre, and r2, in binary64."""
         cx, cy, r2 = self.binary64
@@ -228,31 +232,41 @@ def _check_point(s: BasicOpenSet, p: Point) -> None:
         raise SpaceMismatchError(f"set in {s.space}, point in {p.space}")
 
 
-def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | None:
-    """Squared distance from p to the centre of disc s when p lies in s, else None.
+def disc_terms(
+    s: InteriorDisc | TangentDisc, p: NiemytzkiPoint
+) -> tuple[int, int] | float | None:
+    """The squared distance from p to the centre of disc s when p lies in s,
+    else None: an unreduced pair (numerator, denominator) of integers when s
+    and p are exact (``spaces.sq_dist_terms``), else binary64.
 
     The one membership rule for discs: an open disc never meets the axis, a
     tangent disc adds its tangency point, and any other point is inside when
     it is strictly closer to the centre than r.
     """
     _check_point(s, p)
-    if is_zero(p.y):
-        if not (isinstance(s, TangentDisc) and eq(p.x, s.a)):
-            return None
-        return sq_dist(p, s.center)
+    tangency = is_zero(p.y)
+    if tangency and not (isinstance(s, TangentDisc) and eq(p.x, s.a)):
+        return None
     if type(s.r) is Fraction and type(p.x) is Fraction:
         # d2 < r2 cross-multiplied over positive denominators; no quotient
-        # is built for a point outside the disc
         num, den = sq_dist_terms(p, s.center)
-        return Fraction(num, den) if num * s.r2.denominator < s.r2.numerator * den else None
+        r2n, r2d = s.r2.as_integer_ratio()
+        return (num, den) if tangency or num * r2d < r2n * den else None
     d2, r2 = s.binary64_terms(p)
-    return d2 if lt(d2, r2) else None
+    return d2 if tangency or lt(d2, r2) else None
+
+
+def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | None:
+    """``disc_terms`` as a scalar: the squared distance from p to the centre of
+    disc s when p lies in s, else None."""
+    d2 = disc_terms(s, p)
+    return Fraction(*d2) if type(d2) is tuple else d2
 
 
 def basic_member(s: BasicOpenSet, p: Point) -> bool:
     """Exact membership of a point in a base element."""
     if isinstance(s, (InteriorDisc, TangentDisc)):
-        return disc_sq_dist(s, p) is not None
+        return disc_terms(s, p) is not None
     _check_point(s, p)
     if isinstance(s, HalfOpen):
         return le(s.a, p.x) and lt(p.x, s.b)
@@ -287,7 +301,8 @@ def basic_closure_member(s: BasicOpenSet, p: Point) -> bool:
     if isinstance(s, (InteriorDisc, TangentDisc)):
         if type(s.r) is Fraction and type(p.x) is Fraction:
             num, den = sq_dist_terms(p, s.center)
-            return num * s.r2.denominator <= s.r2.numerator * den
+            r2n, r2d = s.r2.as_integer_ratio()
+            return num * r2d <= r2n * den
         return le(*s.binary64_terms(p))
     raise TypeError(f"unknown base set {s!r}")
 

@@ -35,6 +35,7 @@ from .harness import (
     chain_check_points,
     continuity_negative_control,
 )
+from .numerics import as_float
 from .refuters import (
     RefutationResult,
     characteristic_candidate,
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_num(v) -> str:
-    f = float(v)
+    f = as_float(v)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)

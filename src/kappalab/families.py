@@ -38,9 +38,9 @@ from .basesets import (
     InteriorDisc,
     TangentDisc,
     basic_member,
-    disc_sq_dist,
+    disc_terms,
 )
-from .numerics import Scalar, eq, is_zero, le, lt, sq, sqrt_scalar
+from .numerics import Scalar, as_float, eq, is_zero, le, lt, sq, sqrt_scalar, sqrt_terms
 from .rosets import RegularOpenSet, _norm, basic_subset, member
 from .spaces import (
     DoubleArrowPoint,
@@ -64,10 +64,15 @@ def sorgenfrey_f(U: RegularOpenSet, x: SorgenfreyPoint) -> Fraction:
     """Largest right gap of x inside U, capped at 1; exact rational."""
     if U.space is not Space.SORGENFREY:
         raise SpaceMismatchError("sorgenfrey_f needs a Sorgenfrey set")
+    xn, xd = x.x.as_integer_ratio()
     for c in U.components:
-        if le(c.a, x.x) and lt(x.x, c.b):
-            return min(c.b, x.x + 1) - x.x
-    return Fraction(0)
+        an, ad = c.a.as_integer_ratio()
+        bn, bd = c.b.as_integer_ratio()
+        # a <= x < b cross-multiplied; then min(b, x + 1) - x = min(b - x, 1)
+        if an * xd <= xn * ad and xn * bd < bn * xd:
+            num, den = bn * xd - xn * bd, bd * xd
+            return _ONE if num >= den else Fraction(num, den)
+    return _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -91,34 +96,53 @@ def doublearrow_f(U: RegularOpenSet, p: DoubleArrowPoint) -> Fraction:
 # Niemytzki base formulas
 
 
-def _chord_factor(a: Scalar, r: Scalar, x: Scalar, y: Scalar) -> Scalar:
-    """r - r|x - a| / sqrt(2yr - y^2), the below-diameter tangent-disc value."""
-    dx = abs(x - a)
-    if is_zero(dx):
+def _chord_factor(a: Fraction, r: Fraction, x: Fraction, y: Fraction) -> Scalar:
+    """r - r|x - a| / sqrt(2yr - y^2), the below-diameter tangent-disc value,
+    from the integer terms of exact a, r, x and y; r itself on the vertical
+    axis x = a (docs/derivations.md, "Exact kernel")."""
+    an, ad = a.as_integer_ratio()
+    rn, rd = r.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    dxn, dxd = abs(xn * ad - an * xd), xd * ad
+    if not dxn:
         return r
-    if type(y) is Fraction and type(r) is Fraction:
-        # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd), normalised once
-        yn, yd, rn, rd = y.numerator, y.denominator, r.numerator, r.denominator
-        radicand = Fraction(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
-    else:
-        radicand = 2 * y * r - sq(y)
-    root = sqrt_scalar(radicand)
-    return r - r * dx / root
+    # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd)
+    root = sqrt_terms(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
+    if type(root) is float:
+        # float(r) - float(r dx) / root, each conversion an int true division
+        return rn / rd - rn * dxn / (rd * dxd) / root
+    return r - r * Fraction(dxn, dxd) / root
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _zero(like: Scalar) -> Scalar:
     """0 in the numeric mode of ``like``."""
-    return Fraction(0) if isinstance(like, Fraction) else 0.0
+    return _ZERO if isinstance(like, Fraction) else 0.0
 
 
-def _disc_value(U: InteriorDisc | TangentDisc, p: NiemytzkiPoint, d2: Scalar) -> Scalar:
-    """The base-set value at a point p of U, given ``d2 = disc_sq_dist(U, p)``."""
-    if isinstance(U, TangentDisc):
-        if p.on_axis:
-            return U.r
-        if not le(U.r, p.y):
+def _disc_value(
+    U: InteriorDisc | TangentDisc, p: NiemytzkiPoint, d2: tuple[int, int] | float
+) -> Scalar:
+    """The base-set value at a point p of U, given ``d2 = disc_terms(U, p)``:
+    from integer terms when U and p are exact, else from U's binary64 view.
+    The exact U.r is returned at the tangency point and, below the diameter,
+    on the vertical axis."""
+    tangent = isinstance(U, TangentDisc)
+    if tangent and p.on_axis:
+        return U.r
+    if type(d2) is tuple:
+        if tangent and lt(p.y, U.r):
             return _chord_factor(U.a, U.r, p.x, p.y)
-    return U.r - sqrt_scalar(d2)
+        root = sqrt_terms(*d2)
+        return U.binary64_r - root if type(root) is float else U.r - root
+    r = U.binary64_r
+    if tangent and not le(r, p.y):
+        dx = abs(p.x - U.binary64[0])  # a tangent disc's centre is (a, r)
+        return U.r if is_zero(dx) else r - r * dx / sqrt_scalar(2 * p.y * r - sq(p.y))
+    return r - sqrt_scalar(d2)
 
 
 def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
@@ -127,7 +151,7 @@ def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
         raise SpaceMismatchError("niemytzki_basic_f needs a Niemytzki base set")
     if not isinstance(U, (InteriorDisc, TangentDisc)):
         raise TypeError(f"{U!r} is not a Niemytzki base set")
-    d2 = disc_sq_dist(U, p)
+    d2 = disc_terms(U, p)
     return _zero(U.r) if d2 is None else _disc_value(U, p, d2)
 
 
@@ -135,15 +159,15 @@ def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
     """Axis-normalized tangent-disc family: scores 1 at the tangency point."""
     if not isinstance(U, TangentDisc):
         raise TypeError("the g family is indexed by tangent discs only")
-    d2 = disc_sq_dist(U, p)
+    d2 = disc_terms(U, p)
     if d2 is None:
         return _zero(U.r)
     if p.on_axis:
-        return Fraction(1) if isinstance(U.r, Fraction) else 1.0
+        return _ONE if isinstance(U.r, Fraction) else 1.0
+    value = _disc_value(U, p, d2)
     if le(U.r, p.y):
-        return U.r - sqrt_scalar(d2)
-    scale = ((U.r - 1) * p.y + U.r) / U.r2
-    return _chord_factor(U.a, U.r, p.x, p.y) * scale
+        return value
+    return value * (((U.r - 1) * p.y + U.r) / U.r2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +263,7 @@ def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
     """
     if V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_union_f needs a Niemytzki set")
-    d2s = [disc_sq_dist(c, p) for c in V.components]
+    d2s = [disc_terms(c, p) for c in V.components]
     if all(d2 is None for d2 in d2s):  # p lies outside V
         return _zero(p.x)
     if len(V.components) == 1 or pairwise_separated(V):
@@ -247,7 +271,7 @@ def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
             _zero(c.r) if d2 is None else _disc_value(c, p, d2)
             for c, d2 in zip(V.components, d2s)
         ]
-        return max(values, key=float)
+        return max(values, key=as_float)
     best = min(_complement_distance(V, float(p.x), float(p.y)), 1.0)
     for c in V.components:
         if isinstance(c, TangentDisc):

@@ -62,44 +62,62 @@ def check_same_mode(*values: Scalar) -> None:
 def lt(a: Scalar, b: Scalar) -> bool:
     """Strict a < b: exact for rationals, margin EPS for floats."""
     if type(a) in _EXACT and type(b) in _EXACT:
-        return a < b
+        # cross-multiplied over the positive denominators
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        return an * bd < bn * ad
     return float(a) < float(b) - EPS
 
 
 def le(a: Scalar, b: Scalar) -> bool:
     """a <= b: exact for rationals, EPS slack for floats."""
     if type(a) in _EXACT and type(b) in _EXACT:
-        return a <= b
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        return an * bd <= bn * ad
     return float(a) <= float(b) + EPS
 
 
 def eq(a: Scalar, b: Scalar) -> bool:
     if type(a) in _EXACT and type(b) in _EXACT:
-        return a == b
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        return an * bd == bn * ad
     return abs(float(a) - float(b)) <= EPS
 
 
 def is_zero(a: Scalar) -> bool:
     if type(a) in _EXACT:
-        return a == 0
+        return a.numerator == 0
     return abs(float(a)) <= EPS
 
 
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def as_float(value: Scalar) -> float:
+    """float(value); a Fraction by int true division, as Fraction does itself."""
+    if type(value) is Fraction:
+        n, d = value.as_integer_ratio()
+        return n / d
+    return float(value)
+
+
+def sqrt_terms(num: int, den: int) -> Scalar:
+    """The square root of num/den, for integers num >= 0 and den > 0 in any
+    terms: the rational root when num*den is a perfect square, else binary64
+    with the bits of math.sqrt(float(Fraction(num, den)))
+    (docs/derivations.md, "Exact kernel")."""
+    if num < 0:
+        raise ValueError("sqrt of a negative scalar")
+    square = num * den
+    root = math.isqrt(square)
+    if root * root == square:
+        return Fraction(root, den)
+    return math.sqrt(num / den)
 
 
 def sqrt_scalar(value: Scalar) -> Scalar:
     """Square root; stays exact when the rational is a perfect square."""
     if isinstance(value, Fraction):
-        if value < 0:
-            raise ValueError("sqrt of a negative scalar")
-        num = _isqrt_exact(value.numerator)
-        den = _isqrt_exact(value.denominator)
-        if num is not None and den is not None:
-            return Fraction(num, den)
-        return math.sqrt(float(value))
+        return sqrt_terms(*value.as_integer_ratio())
     if value < 0:
         if value > -EPS:
             return 0.0

@@ -43,7 +43,10 @@ class SorgenfreyPoint:
     space = Space.SORGENFREY
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_scalar(self.x))
+        x = as_scalar(self.x)
+        if not isinstance(x, Fraction):
+            raise ValueError("Sorgenfrey coordinates must be exact rationals")
+        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,14 @@ class NiemytzkiPoint:
     space = Space.NIEMYTZKI
 
     def __post_init__(self):
-        x, y = as_scalar(self.x), as_scalar(self.y)
-        check_same_mode(x, y)
+        x, y = self.x, self.y
+        if type(x) is not type(y) or type(x) not in (Fraction, float):
+            x, y = as_scalar(x), as_scalar(y)
+            check_same_mode(x, y)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
         if not le(0, y):
             raise ValueError(f"Niemytzki point must satisfy y >= 0, got y={y}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     @property
     def on_axis(self) -> bool:
@@ -104,11 +109,15 @@ def lex_le(a: DoubleArrowPoint, b: DoubleArrowPoint) -> bool:
 
 def sq_dist_terms(p: NiemytzkiPoint, q: NiemytzkiPoint) -> tuple[int, int]:
     """The squared distance between two exact points as an unreduced pair
-    (numerator, denominator) of integers, the denominator positive."""
-    bx = p.x.denominator * q.x.denominator
-    by = p.y.denominator * q.y.denominator
-    dx = (p.x.numerator * q.x.denominator - q.x.numerator * p.x.denominator) * by
-    dy = (p.y.numerator * q.y.denominator - q.y.numerator * p.y.denominator) * bx
+    (numerator, denominator) of integers, the denominator positive and a
+    perfect square (docs/derivations.md, "Exact kernel")."""
+    pxn, pxd = p.x.as_integer_ratio()
+    pyn, pyd = p.y.as_integer_ratio()
+    qxn, qxd = q.x.as_integer_ratio()
+    qyn, qyd = q.y.as_integer_ratio()
+    bx, by = pxd * qxd, pyd * qyd
+    dx = (pxn * qxd - qxn * pxd) * by
+    dy = (pyn * qyd - qyn * pyd) * bx
     den = bx * by
     return dx * dx + dy * dy, den * den
 

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import kappalab
 from kappalab.cli import main, shipped_scenarios
+from kappalab.serialize import SchemaError, decode_point
 
 
 def test_the_program_runs_without_numpy():
@@ -430,6 +431,17 @@ _TABLE_POINT = {"space": "niemytzki", "x": "0", "y": "1"}
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
+@pytest.mark.parametrize("x", [-5e-10, 0.9999999995])
+def test_sorgenfrey_point_with_a_binary64_coordinate_exits_2(tmp_path, capsys, x):
+    # the Sorgenfrey line is exact-only; within EPS, -5e-10 would read as a
+    # member of [0, 1) with value 1 and 0.9999999995 as outside it
+    with pytest.raises(SchemaError):
+        decode_point({"space": "sorgenfrey", "x": x})
+    target = {"space": "sorgenfrey", "components": [{"kind": "half_open", "a": "0", "b": "1"}]}
+    entry = _user_table_set(target, [{"point": {"space": "sorgenfrey", "x": x}, "value": "1"}])
+    assert _schema_error(capsys, _scenario_argv(tmp_path, {"name": "x", "checks": [entry]}))
 
 
 def test_sample_grid_union_uses_the_named_family(tmp_path):

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from kappalab import (
     ClopenInterval,
     DoubleArrowPoint,
@@ -26,7 +28,7 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.families import _complement_distance
-from kappalab.numerics import le
+from kappalab.numerics import EPS, le
 from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_sorgenfrey_set
 from test_acceptance import _interior_point_in, _oracle_circle_cross, _overlapping_union
 
@@ -347,3 +349,120 @@ def test_union_f_axis_point_grows_tangent_disc():
     )
     v = float(niemytzki_union_f(V, NiemytzkiPoint(F(0), F(0))))
     assert v > 0.99
+
+
+# ---------------------------------------------------------------------------
+# the value kernels against the module docstring's formulas, bit for bit
+
+
+def _plain_sqrt(v):
+    """A square root as Fraction arithmetic gives it: rational when both lowest
+    terms are squares, else binary64."""
+    if isinstance(v, F):
+        n, d = math.isqrt(v.numerator), math.isqrt(v.denominator)
+        return F(n, d) if n * n == v.numerator and d * d == v.denominator else math.sqrt(float(v))
+    return math.sqrt(v)
+
+
+def _plain_disc_value(s, px, py, g=False):
+    """The value at (px, py) of the exact base set s under the Niemytzki family
+    (or g), in Fraction arithmetic: a binary64 point mixes in as Python's
+    operators mix it, with EPS in the comparisons."""
+    exact = type(px) is F
+    r, c, tangent = s.r, s.center, isinstance(s, TangentDisc)
+    dx, dy = px - c.x, py - c.y
+    d2 = dx * dx + dy * dy
+    if exact:
+        on_axis, at_a, inside, below = py == 0, tangent and px == s.a, d2 < r * r, py < r
+    else:
+        on_axis, at_a = abs(py) <= EPS, tangent and abs(px - s.a) <= EPS
+        inside, below = d2 < float(r * r) - EPS, not float(r) <= py + EPS
+    if on_axis:
+        return (F(1) if g else r) if at_a else F(0)
+    if not inside:
+        return F(0)
+    if tangent and below:
+        gap = abs(px - s.a)
+        on_vertical = gap == 0 if exact else gap <= EPS
+        chord = r if on_vertical else r - r * gap / _plain_sqrt(2 * py * r - py * py)
+        return chord * (((r - 1) * py + r) / (r * r)) if g else chord
+    return r - _plain_sqrt(d2)
+
+
+def _same_bits(a, b) -> bool:
+    return type(a) is type(b) and (a == b if type(a) is F else a.hex() == b.hex())
+
+
+_offset = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: 0 < t < 1)
+_radius = st.fractions(min_value=F(1, 60), max_value=1, max_denominator=60)
+_PYTHAGOREAN = [(F(3, 5), F(4, 5)), (F(4, 5), F(3, 5)), (F(-3, 5), F(-4, 5)), (F(4, 5), F(-3, 5))]
+
+
+@st.composite
+def _disc_and_point(draw):
+    """An exact disc and a point that exercises one case of the value formula."""
+    r, a, t = draw(_radius), draw(_offset), draw(_unit)
+    if draw(st.booleans()):
+        s = TangentDisc(a, r)
+    else:
+        s = InteriorDisc(a, r + draw(st.sampled_from([F(0), F(1, 3), F(2)])), r)
+    c = s.center
+    cases = ["near", "chord", "rational_distance", "square_radicand", "vertical", "tangency"]
+    case = draw(st.sampled_from(cases))
+    if case == "near":  # inside or outside, above or below the diameter
+        px, py = c.x + r * draw(_offset), abs(c.y + r * draw(_offset))
+    elif case == "chord":  # 0 < y < r and |x - a| < y: below the diameter of B*(a, r)
+        py = r * t
+        px = c.x + py * draw(st.fractions(min_value=-1, max_value=1, max_denominator=60))
+    elif case == "rational_distance":  # d = t r from a 3-4-5 direction
+        ux, uy = draw(st.sampled_from(_PYTHAGOREAN))
+        px, py = c.x + t * r * ux, c.y + t * r * uy
+    elif case == "square_radicand":  # 2yr - y^2 = q^2 with y < r, and |x - a| < q
+        q = 2 * r * t / (1 + t * t)
+        px, py = c.x + q * draw(st.fractions(min_value=-1, max_value=1, max_denominator=60)), 2 * r * t * t / (1 + t * t)
+    elif case == "vertical":  # the disc's vertical axis, below and above the centre
+        px, py = c.x, c.y + r * t * draw(st.sampled_from([-1, 1]))
+    else:
+        px, py = c.x, F(0)
+    return s, px, py
+
+
+@settings(max_examples=500)
+@given(_disc_and_point(), st.booleans())
+def test_niemytzki_value_kernel_is_the_fraction_formula(case, binary64):
+    s, px, py = case
+    if binary64:  # a binary64 point against the exact disc
+        px, py = float(px), float(py)
+    p = NiemytzkiPoint(px, py)
+    assert _same_bits(niemytzki_basic_f(s, p), _plain_disc_value(s, px, py))
+    if isinstance(s, TangentDisc):
+        assert _same_bits(g_family(s, p), _plain_disc_value(s, px, py, g=True))
+
+
+def test_value_kernel_cases_are_reached():
+    # the rational branches and the exact returns on the axes, exact and binary64
+    s = TangentDisc(F(0), F(1))
+    assert niemytzki_basic_f(s, NiemytzkiPoint(F(3, 10), F(1) + F(2, 5))) == F(1, 2)  # 3-4-5
+    assert niemytzki_basic_f(s, NiemytzkiPoint(F(0), F(1, 2))) == F(1)  # vertical axis
+    # y = 2t^2/(1 + t^2) at t = 1/2: y = 2/5, 2y - y^2 = 16/25, and x = 2/5 gives 1 - (2/5)/(4/5)
+    assert niemytzki_basic_f(s, NiemytzkiPoint(F(2, 5), F(2, 5))) == F(1, 2)
+    assert g_family(s, NiemytzkiPoint(F(2, 5), F(2, 5))) == F(1, 2)
+    for x, y in ((0.0, 0.0), (0.0, 0.5)):  # tangency point and vertical axis keep the exact r
+        assert type(niemytzki_basic_f(s, NiemytzkiPoint(x, y))) is F
+    assert type(niemytzki_basic_f(s, NiemytzkiPoint(0.25, 0.5))) is float
+
+
+@st.composite
+def _sorgenfrey_set_and_point(draw):
+    ends = sorted(draw(st.sets(_offset, min_size=4, max_size=4)))
+    U = _ro(Space.SORGENFREY, [HalfOpen(ends[0], ends[1]), HalfOpen(ends[2], ends[3])])
+    x = draw(st.sampled_from([*ends, ends[1] - 1, ends[3] - 1]) | _offset)
+    return U, x
+
+
+@given(_sorgenfrey_set_and_point())
+def test_sorgenfrey_value_kernel_is_the_fraction_formula(case):
+    U, x = case
+    plain = next((min(c.b, x + 1) - x for c in U.components if c.a <= x < c.b), F(0))
+    assert _same_bits(sorgenfrey_f(U, SorgenfreyPoint(x)), plain)

@@ -254,6 +254,16 @@ def _right_gap_bundle():
     return refute_sorgenfrey_A(right_gap_candidate()), right_gap_candidate()
 
 
+def _sorgenfrey_bundle():
+    # the bundle of `refute sorgenfrey-a`, whose default candidate is the characteristic one
+    return refute_sorgenfrey_A(characteristic_candidate()), characteristic_candidate()
+
+
+def _member_point_as_binary64(assertions):
+    point = next(a for a in assertions if a["kind"] == "member")["point"]
+    point["x"] = float(F(point["x"]))
+
+
 @pytest.mark.parametrize(
     "bundle, tamper",
     [
@@ -273,6 +283,7 @@ def _right_gap_bundle():
         (_g_bundle, _put_first("value_eq", "value", 0.6666666667)),
         (_g_bundle, _put_first("value_gt", "threshold", 0.5)),
         (_right_gap_bundle, _put_first("candidate_value_eq", "value", 1e-10)),
+        (_sorgenfrey_bundle, _member_point_as_binary64),
     ],
     ids=[
         "halfplane_set_not_a_tangent_disc",
@@ -291,6 +302,7 @@ def _right_gap_bundle():
         "exact_value_as_binary64",
         "exact_threshold_as_binary64",
         "exact_candidate_value_as_binary64",
+        "sorgenfrey_point_as_binary64",
     ],
 )
 def test_tampered_bundle_fails_closed(bundle, tamper):
