@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .basesets import ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
@@ -47,8 +47,14 @@ class QGrid:
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        d = 2**self.depth
-        return tuple(Fraction(k, d) for k in range(1, d))
+        return _grid_values(self.depth)
+
+
+@cache
+def _grid_values(depth: int) -> tuple[Fraction, ...]:
+    """k/2^depth for 0 < k < 2^depth, built once per depth and process."""
+    d = 2**depth
+    return tuple(Fraction(k, d) for k in range(1, d))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .spaces import (
     SorgenfreyPoint,
     Space,
     SpaceMismatchError,
-    lex_le,
+    check_side,
     sq_dist_terms,
 )
 
@@ -118,6 +118,11 @@ class ClopenInterval:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @cached_property
+    def length(self) -> Fraction:
+        """b - a, the double arrow value on the interval."""
+        return self.b - self.a
+
 
 @dataclass(frozen=True)
 class ExtremeSingleton:
@@ -129,8 +134,7 @@ class ExtremeSingleton:
     kind = "extreme_singleton"
 
     def __post_init__(self):
-        if self.side not in (0, 1):
-            raise ValueError("side must be 0 (minimum) or 1 (maximum)")
+        check_side(self.side)  # 0 for the minimum, 1 for the maximum
 
     @property
     def point(self) -> DoubleArrowPoint:
@@ -273,17 +277,20 @@ def basic_member(s: BasicOpenSet, p: Point) -> bool:
     if isinstance(s, OpenInterval):
         return lt(s.a, p.x) and lt(p.x, s.b)
     if isinstance(s, ClopenInterval):
-        left = DoubleArrowPoint(s.a, 1)
-        right = DoubleArrowPoint(s.b, 0)
-        if lex_le(left, p) and lex_le(p, right):
+        # (a, 1) <= (t, side) <= (b, 0) lexicographically, on the signs of
+        # t - a and b - t cross-multiplied (docs/derivations.md, "Double arrow space")
+        tn, td = p.t.as_integer_ratio()
+        an, ad = s.a.as_integer_ratio()
+        bn, bd = s.b.as_integer_ratio()
+        left, right = tn * ad - an * td, bn * td - tn * bd
+        if (left > 0 or left == 0 and p.side == 1) and (right > 0 or right == 0 and p.side == 0):
             return True
-        if s.include_left_extreme and p == DoubleArrowPoint(Fraction(0), 0):
-            return True
-        if s.include_right_extreme and p == DoubleArrowPoint(Fraction(1), 1):
-            return True
-        return False
+        # a < b keeps (0, 0) and (1, 1) out of the order interval
+        if p.side == 0:
+            return s.include_left_extreme and tn == 0
+        return s.include_right_extreme and tn == td
     if isinstance(s, ExtremeSingleton):
-        return p == s.point
+        return p.side == s.side and p.extreme
     raise TypeError(f"unknown base set {s!r}")
 
 

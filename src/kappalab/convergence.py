@@ -35,7 +35,7 @@ from .basesets import (
     TangentDisc,
 )
 from .rosets import ParamValue, tail_positive
-from .spaces import DoubleArrowPoint, NiemytzkiPoint, Point, SorgenfreyPoint, Space
+from .spaces import DoubleArrowPoint, NiemytzkiPoint, Point, SorgenfreyPoint, Space, check_side
 
 #: the limit coordinates a sequence coordinate converges to, in order
 _COORDS = {
@@ -64,8 +64,7 @@ class ConvergenceCertificate:
             raise ValueError("the sequence and the size need one shift")
         if self.size.shift < 0:
             raise ValueError(f"shift {self.size.shift} leaves no index n >= 1")
-        if self.side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {self.side}")
+        check_side(self.side)
 
     @property
     def space(self) -> Space:

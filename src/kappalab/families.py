@@ -40,8 +40,8 @@ from .basesets import (
     basic_member,
     disc_terms,
 )
-from .numerics import Scalar, as_float, eq, is_zero, le, lt, sq, sqrt_scalar, sqrt_terms
-from .rosets import RegularOpenSet, _norm, basic_subset, member
+from .numerics import Scalar, as_float, is_zero, le, lt, sq, sqrt_scalar, sqrt_terms
+from .rosets import RegularOpenSet, _norm, basic_subset, member, tangent_radius
 from .spaces import (
     DoubleArrowPoint,
     NiemytzkiPoint,
@@ -54,6 +54,9 @@ from .spaces import (
 
 class UnindexedSetError(TypeError, ValueError):
     """A family was given a set it is not keyed by."""
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +90,9 @@ def doublearrow_f(U: RegularOpenSet, p: DoubleArrowPoint) -> Fraction:
         if not basic_member(c, p):
             continue
         if p.extreme or isinstance(c, ExtremeSingleton):
-            return Fraction(1)
-        return c.b - c.a
-    return Fraction(0)
+            return _ONE
+        return c.length
+    return _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +116,6 @@ def _chord_factor(a: Fraction, r: Fraction, x: Fraction, y: Fraction) -> Scalar:
         # float(r) - float(r dx) / root, each conversion an int true division
         return rn / rd - rn * dxn / (rd * dxd) / root
     return r - r * Fraction(dxn, dxd) / root
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _zero(like: Scalar) -> Scalar:
@@ -201,18 +201,6 @@ def _complement_distance(V: RegularOpenSet, x: float, y: float) -> float:
     return best
 
 
-def _tangent_radius(V: RegularOpenSet, a: Scalar) -> Scalar:
-    """rho_max(a): the largest radius of a component of V tangent to the axis
-    at (a, 0), a tangent disc or an interior disc with r = cy; 0 if none."""
-    radii = [
-        c.r
-        for c in V.components
-        if (isinstance(c, TangentDisc) and eq(c.a, a))
-        or (isinstance(c, InteriorDisc) and c.axis_tangent and eq(c.cx, a))
-    ]
-    return max(radii, default=_zero(a))
-
-
 def pairwise_separated(V: RegularOpenSet) -> bool:
     """True when the closed hulls of V's components are pairwise disjoint.
 
@@ -243,7 +231,7 @@ def disc_in_union(candidate: BasicOpenSet, V: RegularOpenSet) -> bool:
     if pairwise_separated(V):  # also true for one component
         return False
     if isinstance(candidate, TangentDisc):
-        return member(V, candidate.axis_point) and le(candidate.r, _tangent_radius(V, candidate.a))
+        return member(V, candidate.axis_point) and le(candidate.r, tangent_radius(V, candidate.a))
     c = candidate.center
     return member(V, c) and le(candidate.r, _complement_distance(V, float(c.x), float(c.y)))
 
@@ -273,10 +261,8 @@ def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
         ]
         return max(values, key=as_float)
     best = min(_complement_distance(V, float(p.x), float(p.y)), 1.0)
-    for c in V.components:
-        if isinstance(c, TangentDisc):
-            tangent = TangentDisc(c.a, _tangent_radius(V, c.a))
-            best = max(best, float(niemytzki_basic_f(tangent, p)))
+    for tangent in V.inscribed_tangent_discs:
+        best = max(best, float(niemytzki_basic_f(tangent, p)))
     return best
 
 

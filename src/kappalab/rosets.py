@@ -104,6 +104,28 @@ class RegularOpenSet:
                         out.append((x, y))
         return tuple(out)
 
+    @cached_property
+    def inscribed_tangent_discs(self) -> tuple[TangentDisc, ...]:
+        """B*(a, rho_max(a)) at the tangency point a of each tangent-disc
+        component, the largest tangent discs inscribed there; built once per set."""
+        return tuple(
+            TangentDisc(c.a, tangent_radius(self, c.a))
+            for c in self.components
+            if isinstance(c, TangentDisc)
+        )
+
+
+def tangent_radius(V: RegularOpenSet, a: Scalar) -> Scalar:
+    """rho_max(a): the largest radius of a component of V tangent to the axis
+    at (a, 0), a tangent disc or an interior disc with r = cy; 0 if none."""
+    radii = [
+        c.r
+        for c in V.components
+        if (isinstance(c, TangentDisc) and eq(c.a, a))
+        or (isinstance(c, InteriorDisc) and c.axis_tangent and eq(c.cx, a))
+    ]
+    return max(radii, default=Fraction(0) if isinstance(a, Fraction) else 0.0)
+
 
 def _norm(dx: float, dy: float) -> float:
     """sqrt(dx*dx + dy*dy), spelled out: ``math.hypot`` rounds differently,

@@ -36,12 +36,16 @@ SEQUENCE_LENGTH = 128
 
 
 def rand_dyadic(rng: random.Random, lo: Fraction, hi: Fraction, depth: int = 8) -> Fraction:
-    """A dyadic rational in [lo, hi] with denominator 2^depth."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    steps = int((hi - lo) * 2**depth)
+    """lo + k/2^depth for a uniform k with the result in [lo, hi]; lo itself,
+    with no draw, when hi - lo < 2^-depth.  Computed on the integer terms of
+    lo and hi (docs/derivations.md, "Double arrow space")."""
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    # floor((hi - lo) 2^depth)
+    steps = ((hn * ld - ln * hd) << depth) // (hd * ld)
     if steps <= 0:
-        return lo
-    return lo + Fraction(rng.randrange(steps + 1), 2**depth)
+        return Fraction(ln, ld)
+    return Fraction((ln << depth) + rng.randrange(steps + 1) * ld, ld << depth)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def _int_field(obj: dict, key: str, default=None) -> int:
     return value
 
 
+def _flag_fields(obj: dict, names) -> dict[str, bool]:
+    """The extreme flags among ``names`` that ``obj`` sets, each a JSON boolean."""
+    flags = {name: obj[name] for name in names if name in obj}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise SchemaError(f"{name!r} must be a boolean, got {value!r}")
+    return flags
+
+
 def encode_scalar(v: Scalar):
     if isinstance(v, Fraction):
         if v.denominator == 1:
@@ -133,10 +142,10 @@ def decode_basic_set(obj: dict) -> BasicOpenSet:
             return ExtremeSingleton(obj["side"])
         if isinstance(kind, str) and kind in _KIND_TO_CLS:
             cls, fields = _KIND_TO_CLS[kind], _PARAM_FIELDS[kind]  # wire names are field names
-            flags = {name for name in _FLAG_NAMES if hasattr(cls, name)}
-            _expect_fields(obj, {"kind", *fields}, flags)
+            flags = [name for name in _FLAG_NAMES if hasattr(cls, name)]
+            _expect_fields(obj, {"kind", *fields}, {*flags})
             values = {name: decode_scalar(obj[name]) for name in fields}
-            return cls(**values, **{name: bool(obj[name]) for name in flags if name in obj})
+            return cls(**values, **_flag_fields(obj, flags))
     raise SchemaError(f"unknown base set kind {kind!r}")
 
 
@@ -223,8 +232,7 @@ def decode_parametric_set(obj: dict) -> ParametricBasicSet:
     fields = _PARAM_FIELDS[kind]  # wire names match constructor names
     _expect_fields(obj, {"kind", *fields}, {*_FLAG_NAMES})
     params = {name: decode_param_value(obj[name]) for name in fields}
-    flags = {name: bool(obj[name]) for name in _FLAG_NAMES if name in obj}
-    return ParametricBasicSet(kind, params, flags)
+    return ParametricBasicSet(kind, params, _flag_fields(obj, _FLAG_NAMES))
 
 
 def _lane_limits(chain: DecreasingChain) -> list[BasicOpenSet]:

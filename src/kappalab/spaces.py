@@ -49,6 +49,12 @@ class SorgenfreyPoint:
         object.__setattr__(self, "x", x)
 
 
+def check_side(side) -> None:
+    """Raise unless ``side`` is the int 0 or 1; a bool or a float is not one."""
+    if type(side) is not int or side not in (0, 1):
+        raise ValueError(f"side must be the integer 0 or 1, got {side!r}")
+
+
 @dataclass(frozen=True)
 class DoubleArrowPoint:
     t: Scalar
@@ -57,19 +63,22 @@ class DoubleArrowPoint:
     space = Space.DOUBLE_ARROW
 
     def __post_init__(self):
-        t = as_scalar(self.t)
-        if not isinstance(t, Fraction):
-            raise ValueError("double arrow coordinates must be exact rationals")
-        if not (0 <= t <= 1):
+        t = self.t
+        if type(t) is not Fraction:
+            t = as_scalar(t)
+            if not isinstance(t, Fraction):
+                raise ValueError("double arrow coordinates must be exact rationals")
+            object.__setattr__(self, "t", t)
+        n, d = t.as_integer_ratio()
+        if not 0 <= n <= d:
             raise ValueError(f"double arrow coordinate {t} outside [0, 1]")
-        if self.side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {self.side}")
-        object.__setattr__(self, "t", t)
+        check_side(self.side)
 
     @property
     def extreme(self) -> bool:
-        """True at the isolated minimum (0, 0) and maximum (1, 1)."""
-        return (self.t, self.side) in ((0, 0), (1, 1))
+        """True at the isolated minimum (0, 0) and maximum (1, 1): t = side."""
+        n, d = self.t.as_integer_ratio()
+        return n == self.side * d
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,6 @@ def lex_less(a: DoubleArrowPoint, b: DoubleArrowPoint) -> bool:
     """Strict lexicographic order on double arrow points."""
     check_space(Space.DOUBLE_ARROW, a, b)
     return a.t < b.t or (a.t == b.t and a.side < b.side)
-
-
-def lex_le(a: DoubleArrowPoint, b: DoubleArrowPoint) -> bool:
-    return a == b or lex_less(a, b)
 
 
 def sq_dist_terms(p: NiemytzkiPoint, q: NiemytzkiPoint) -> tuple[int, int]:

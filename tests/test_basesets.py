@@ -14,6 +14,7 @@ from kappalab import (
     NiemytzkiPoint,
     OpenInterval,
     SorgenfreyPoint,
+    SpaceMismatchError,
     TangentDisc,
     basic_closure_member,
     basic_member,
@@ -21,7 +22,7 @@ from kappalab import (
 from kappalab.basesets import basic_neighborhood, disc_sq_dist
 from kappalab.families import _chord_factor
 from kappalab.numerics import EPS, lt, sqrt_scalar
-from kappalab.spaces import sq_dist, sq_dist_terms
+from kappalab.spaces import lex_less, sq_dist, sq_dist_terms
 
 
 def test_constructor_guards():
@@ -261,3 +262,70 @@ def test_chord_radicand_is_the_fraction_formula(a, r, x, y):
     plain = r if x == a else r - r * abs(x - a) / sqrt_scalar(2 * y * r - y * y)
     assert _chord_factor(a, r, x, y) == plain
     assert type(_chord_factor(a, r, x, y)) is type(plain)
+
+
+# ---------------------------------------------------------------------------
+# double arrow membership on integer terms
+
+
+_MIN, _MAX = DoubleArrowPoint(F(0), 0), DoubleArrowPoint(F(1), 1)
+#: dyadic and other rationals of [0, 1], with both ends drawn often
+_unit = st.sampled_from([F(0), F(1)]) | st.integers(0, 2**10).map(lambda k: F(k, 2**10)) | st.fractions(0, 1)
+
+
+@st.composite
+def _clopen_cases(draw):
+    """A clopen interval 0 <= a < b <= 1 with any flags its ends allow, and
+    points at a, at b, at 0, at 1 and anywhere, on both sides."""
+    a, b = sorted(draw(st.lists(_unit, min_size=2, max_size=2, unique=True)))
+    left = a == 0 and draw(st.booleans())
+    right = b == 1 and draw(st.booleans())
+    ts = {a, b, F(0), F(1), draw(_unit)}
+    return ClopenInterval(a, b, left, right), [DoubleArrowPoint(t, side) for t in ts for side in (0, 1)]
+
+
+def _lex_member(c, p):
+    """Membership by definition: (a, 1) <= p <= (b, 0) in the lexicographic
+    order, or p is a kept extreme."""
+    inside = not lex_less(p, DoubleArrowPoint(c.a, 1)) and not lex_less(DoubleArrowPoint(c.b, 0), p)
+    kept = (c.include_left_extreme and p == _MIN) or (c.include_right_extreme and p == _MAX)
+    return inside, kept
+
+
+@given(_clopen_cases())
+def test_clopen_membership_is_the_lexicographic_order(case):
+    c, points = case
+    for p in points:
+        inside, kept = _lex_member(c, p)
+        assert basic_member(c, p) is (inside or kept)
+        assert basic_closure_member(c, p) is (inside or kept)
+        # with a < b the order interval never holds an isolated extreme
+        assert not (inside and p in (_MIN, _MAX))
+
+
+def test_clopen_membership_flag_combinations():
+    for left in (False, True):
+        for right in (False, True):
+            c = ClopenInterval(F(0), F(1), left, right)
+            assert basic_member(c, _MIN) is left
+            assert basic_member(c, _MAX) is right
+            assert basic_member(c, DoubleArrowPoint(F(0), 1))
+            assert basic_member(c, DoubleArrowPoint(F(1), 0))
+
+
+@given(st.integers(0, 1), _unit, st.integers(0, 1))
+def test_extreme_singleton_membership_is_point_equality(side, t, p_side):
+    p = DoubleArrowPoint(t, p_side)
+    assert basic_member(ExtremeSingleton(side), p) is (p == DoubleArrowPoint(F(side), side))
+
+
+def test_double_arrow_membership_checks_the_space():
+    for s in (ClopenInterval(F(0), F(1)), ExtremeSingleton(0)):
+        with pytest.raises(SpaceMismatchError):
+            basic_member(s, SorgenfreyPoint(F(0)))
+
+
+@pytest.mark.parametrize("side", [True, False, 1.0, F(0), "1", 2, -1])
+def test_extreme_singleton_side_is_the_integer_0_or_1(side):
+    with pytest.raises(ValueError):
+        ExtremeSingleton(side)

@@ -281,6 +281,24 @@ def _user_table(table, space="niemytzki"):
 
 _TABLE_DISC = {"kind": "tangent_disc", "a": "0", "r": "1"}
 _TABLE_POINT = {"space": "niemytzki", "x": "0", "y": "1"}
+_DA_CLOPEN = {"kind": "clopen_interval", "a": "0", "b": "1/2"}
+
+
+def _da_set(*components):
+    return {"space": "double_arrow", "components": list(components)}
+
+
+_DA_SET = _da_set(_DA_CLOPEN)
+
+
+def _da_sample(side):
+    return {"point": {"space": "double_arrow", "t": "1/4", "side": side}, "value": "1/2"}
+
+
+def _da_chain(**flags):
+    """A condition 4 entry whose one double arrow lane [(0,1), (1/2 + 1/(4n), 0)] carries ``flags``."""
+    lane = {"kind": "clopen_interval", "a": "0", "b": {"const": "1/2", "over_n": "1/4"}, **flags}
+    return {"check": "condition_4", "family": "double_arrow_ro", "chain": {"space": "double_arrow", "components": [lane]}}
 
 
 @pytest.mark.parametrize(
@@ -397,6 +415,13 @@ _TABLE_POINT = {"space": "niemytzki", "x": "0", "y": "1"}
             "plan": {"chain_depth": 0},
             "checks": [{"check": "condition_4", "family": "sorgenfrey_kappa"}],
         },
+        {"name": "x", "checks": [_user_table_set(_DA_SET, [_da_sample(True)])]},
+        {"name": "x", "checks": [_user_table_set(_DA_SET, [_da_sample(1.0)])]},
+        {"name": "x", "checks": [_user_table_set(_da_set({"kind": "extreme_singleton", "side": True}))]},
+        {"name": "x", "checks": [_user_table_set(_da_set(dict(_DA_CLOPEN, include_left_extreme="no")))]},
+        {"name": "x", "checks": [_user_table_set(_da_set(dict(_DA_CLOPEN, include_left_extreme=1)))]},
+        {"name": "x", "checks": [_da_chain(include_left_extreme="no")]},
+        {"name": "x", "checks": [_da_chain(include_left_extreme=1)]},
     ],
     ids=[
         "plan_not_object",
@@ -427,6 +452,13 @@ _TABLE_POINT = {"space": "niemytzki", "x": "0", "y": "1"}
         "table_row_in_another_space",
         "chain_depth_0",
         "plan_chain_depth_0",
+        "table_point_side_bool",
+        "table_point_side_float",
+        "extreme_singleton_side_bool",
+        "extreme_flag_string",
+        "extreme_flag_integer",
+        "chain_lane_extreme_flag_string",
+        "chain_lane_extreme_flag_integer",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):

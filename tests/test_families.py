@@ -29,7 +29,13 @@ from kappalab import (
 )
 from kappalab.families import _complement_distance
 from kappalab.numerics import EPS, le
-from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_sorgenfrey_set
+from kappalab.sampling import (
+    rand_dyadic,
+    sample_double_arrow_set,
+    sample_point_near_set,
+    sample_sorgenfrey_set,
+)
+from kappalab.spaces import lex_less
 from test_acceptance import _interior_point_in, _oracle_circle_cross, _overlapping_union
 
 
@@ -104,6 +110,32 @@ def test_doublearrow_f_constant_on_components():
         side = 1 if t == F(1, 8) else 0
         assert doublearrow_f(U, DoubleArrowPoint(t, side)) == F(1, 8)
     assert doublearrow_f(U, DoubleArrowPoint(F(3, 4), 1)) == F(3, 8)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32))
+def test_doublearrow_f_is_its_docstring(seed):
+    # the length b - a of the clopen component through p; 1 at a kept extreme
+    # and on a singleton component; 0 off the set
+    rng = random.Random(seed)
+    U = sample_double_arrow_set(rng)
+    for _ in range(8):
+        p = sample_point_near_set(U, rng)
+        expected = F(0)
+        for c in U.components:
+            if isinstance(c, ExtremeSingleton):
+                if p == c.point:
+                    expected = F(1)
+            elif DoubleArrowPoint(c.a, 1) == p or DoubleArrowPoint(c.b, 0) == p or (
+                lex_less(DoubleArrowPoint(c.a, 1), p) and lex_less(p, DoubleArrowPoint(c.b, 0))
+            ):
+                expected = c.b - c.a
+            elif (c.include_left_extreme and p == DoubleArrowPoint(F(0), 0)) or (
+                c.include_right_extreme and p == DoubleArrowPoint(F(1), 1)
+            ):
+                expected = F(1)
+        value = doublearrow_f(U, p)
+        assert type(value) is F and value == expected
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +341,18 @@ def test_union_f_beats_components_on_overlap():
     assert v > 0.5 + 0.25  # a larger inscribed disc exists through p
     # independent bound: the inscribed radius at (0, 5/2) is sqrt(3)/2
     assert abs(v - math.sqrt(3) / 2) < 1e-4
+
+
+def test_inscribed_tangent_discs_are_built_once_per_set():
+    # B*(a, rho_max(a)) at each tangent component: the larger of the tangent
+    # disc at 0 and the axis-tangent interior disc over it
+    V = _ro(
+        Space.NIEMYTZKI,
+        [TangentDisc(F(0), F(1, 2)), InteriorDisc(F(0), F(3, 4), F(3, 4)), TangentDisc(F(2), F(1, 3))],
+    )
+    discs = V.inscribed_tangent_discs
+    assert discs is V.inscribed_tangent_discs
+    assert discs == (TangentDisc(F(0), F(3, 4)), TangentDisc(F(2), F(1, 3)))
 
 
 def test_union_f_monotone_in_components():

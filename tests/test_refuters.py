@@ -264,6 +264,11 @@ def _member_point_as_binary64(assertions):
     point["x"] = float(F(point["x"]))
 
 
+def _double_arrow_side_as_bool(assertions):
+    for a in assertions:  # side 0 written as false: the same value, not the integer
+        a["point"]["side"] = bool(a["point"]["side"])
+
+
 @pytest.mark.parametrize(
     "bundle, tamper",
     [
@@ -284,6 +289,7 @@ def _member_point_as_binary64(assertions):
         (_g_bundle, _put_first("value_gt", "threshold", 0.5)),
         (_right_gap_bundle, _put_first("candidate_value_eq", "value", 1e-10)),
         (_sorgenfrey_bundle, _member_point_as_binary64),
+        (_doublearrow_bundle, _double_arrow_side_as_bool),
     ],
     ids=[
         "halfplane_set_not_a_tangent_disc",
@@ -303,6 +309,7 @@ def _member_point_as_binary64(assertions):
         "exact_threshold_as_binary64",
         "exact_candidate_value_as_binary64",
         "sorgenfrey_point_as_binary64",
+        "double_arrow_side_as_bool",
     ],
 )
 def test_tampered_bundle_fails_closed(bundle, tamper):

@@ -43,6 +43,29 @@ def test_lex_less_strict_total_order(a, b, c):
         assert lex_less(a, c)
 
 
+@given(st.sampled_from([F(0), F(1)]) | st.fractions(min_value=0, max_value=1), st.integers(0, 1))
+def test_extreme_is_the_isolated_minimum_or_maximum(t, side):
+    assert DoubleArrowPoint(t, side).extreme is ((t, side) in ((0, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("side", [True, False, 1.0, 0.0, F(1), "0", 2, -1, None])
+def test_double_arrow_side_is_the_integer_0_or_1(side):
+    with pytest.raises(ValueError):
+        DoubleArrowPoint(F(1, 2), side)
+
+
+@pytest.mark.parametrize("t", [0, 1, "1/3", F(1, 2)])
+def test_double_arrow_coordinate_is_read_as_a_fraction(t):
+    p = DoubleArrowPoint(t, 0)
+    assert type(p.t) is F and p.t == F(t)
+
+
+@pytest.mark.parametrize("t", [F(-1, 10**9), F(1 + 10**9, 10**9), 0.5, -1, 2])
+def test_double_arrow_coordinate_outside_the_unit_interval_or_binary64_is_rejected(t):
+    with pytest.raises(ValueError):
+        DoubleArrowPoint(t, 0)
+
+
 def test_euclid_dist_examples():
     p = NiemytzkiPoint(F(0), F(2))
     assert euclid_dist(p, p) == 0
