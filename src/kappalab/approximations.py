@@ -25,7 +25,7 @@ from functools import cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .basesets import ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
-from .families import CLOSED_FORM, LABEL_USER, Stratification
+from .families import CLOSED_FORM, Stratification, user_supplied
 from .numerics import Scalar, eq, le, lt, sq
 from .rosets import _FLAG_NAMES, RegularOpenSet, closure_member, member, validate_regular_open
 from .spaces import NiemytzkiPoint, Point, Space, sq_dist
@@ -193,4 +193,4 @@ def approximation_to_stratification(A: Approximation, grid: QGrid) -> Stratifica
             return Fraction(0)
         return values[lo] if lo < len(values) else Fraction(1)
 
-    return Stratification(A.space, LABEL_USER, evaluator=evaluate)
+    return user_supplied(A.space, evaluate)

@@ -40,12 +40,21 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     check_side,
-    sq_dist_terms,
+    sq_dist_of,
 )
 
 
+class _Interval:
+    """What the interval base sets share, built once per set."""
+
+    @cached_property
+    def terms(self) -> tuple[int, int, int, int]:
+        """(an, ad, bn, bd): the lowest terms of a = an/ad and b = bn/bd."""
+        return (*self.a.as_integer_ratio(), *self.b.as_integer_ratio())
+
+
 @dataclass(frozen=True)
-class HalfOpen:
+class HalfOpen(_Interval):
     """Sorgenfrey base interval [a, b)."""
 
     a: Scalar
@@ -65,7 +74,7 @@ class HalfOpen:
 
 
 @dataclass(frozen=True)
-class OpenInterval:
+class OpenInterval(_Interval):
     """Sorgenfrey open interval (a, b) with rational endpoints.
 
     Not regular open in the Sorgenfrey topology: cl (a,b) = [a,b), whose
@@ -89,7 +98,7 @@ class OpenInterval:
 
 
 @dataclass(frozen=True)
-class ClopenInterval:
+class ClopenInterval(_Interval):
     """Double arrow clopen order interval [(a,1), (b,0)].
 
     With ``include_left_extreme`` (only when a = 0) the isolated minimum
@@ -150,6 +159,19 @@ class _Disc:
         return sq(self.r)
 
     @cached_property
+    def terms(self) -> tuple[int, int, int, int, int, int, int, int]:
+        """(cxn, cxd, cyn, cyd, rn, rd, r2n, r2d): the lowest terms of an exact
+        disc's centre, r and r2, the operands of its exact kernel
+        (docs/derivations.md, "Exact kernel")."""
+        c = self.center
+        return (
+            *c.x.as_integer_ratio(),
+            *c.y.as_integer_ratio(),
+            *self.r.as_integer_ratio(),
+            *self.r2.as_integer_ratio(),
+        )
+
+    @cached_property
     def binary64(self) -> tuple[float, float, float]:
         """The centre and r2 in binary64: the operands that mixed Fraction/float
         arithmetic converts to on every operation (docs/derivations.md,
@@ -167,6 +189,26 @@ class _Disc:
         cx, cy, r2 = self.binary64
         dx, dy = float(p.x) - cx, float(p.y) - cy
         return dx * dx + dy * dy, r2
+
+    def exact_d2(self, xn: int, xd: int, yn: int, yd: int) -> tuple[int, int] | None:
+        """``disc_terms`` of an exact disc at the exact point (xn/xd, yn/yd),
+        xd, yd > 0, from the disc's ``terms``."""
+        cxn, cxd, cyn, cyd, _, _, r2n, r2d = self.terms
+        if not yn:  # on the axis only a tangent disc's tangency point, where d2 = r2
+            tangency = isinstance(self, TangentDisc) and xn * cxd == cxn * xd
+            return (r2n, r2d) if tangency else None
+        # d2 < r2 cross-multiplied over positive denominators; no quotient
+        num, den = sq_dist_of(xn, xd, yn, yd, cxn, cxd, cyn, cyd)
+        return (num, den) if num * r2d < r2n * den else None
+
+    def binary64_d2(self, p: NiemytzkiPoint) -> float | None:
+        """``disc_terms`` in binary64: the disc's ``binary64`` view, EPS in the
+        comparisons."""
+        tangency = is_zero(p.y)
+        if tangency and not (isinstance(self, TangentDisc) and eq(p.x, self.a)):
+            return None
+        d2, r2 = self.binary64_terms(p)
+        return d2 if tangency or lt(d2, r2) else None
 
 
 @dataclass(frozen=True)
@@ -241,23 +283,16 @@ def disc_terms(
 ) -> tuple[int, int] | float | None:
     """The squared distance from p to the centre of disc s when p lies in s,
     else None: an unreduced pair (numerator, denominator) of integers when s
-    and p are exact (``spaces.sq_dist_terms``), else binary64.
+    and p are exact (``spaces.sq_dist_of``), else binary64.
 
     The one membership rule for discs: an open disc never meets the axis, a
     tangent disc adds its tangency point, and any other point is inside when
     it is strictly closer to the centre than r.
     """
     _check_point(s, p)
-    tangency = is_zero(p.y)
-    if tangency and not (isinstance(s, TangentDisc) and eq(p.x, s.a)):
-        return None
     if type(s.r) is Fraction and type(p.x) is Fraction:
-        # d2 < r2 cross-multiplied over positive denominators; no quotient
-        num, den = sq_dist_terms(p, s.center)
-        r2n, r2d = s.r2.as_integer_ratio()
-        return (num, den) if tangency or num * r2d < r2n * den else None
-    d2, r2 = s.binary64_terms(p)
-    return d2 if tangency or lt(d2, r2) else None
+        return s.exact_d2(*p.x.as_integer_ratio(), *p.y.as_integer_ratio())
+    return s.binary64_d2(p)
 
 
 def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | None:
@@ -273,15 +308,16 @@ def basic_member(s: BasicOpenSet, p: Point) -> bool:
         return disc_terms(s, p) is not None
     _check_point(s, p)
     if isinstance(s, HalfOpen):
-        return le(s.a, p.x) and lt(p.x, s.b)
+        xn, xd = p.x.as_integer_ratio()
+        an, ad, bn, bd = s.terms
+        return an * xd <= xn * ad and xn * bd < bn * xd
     if isinstance(s, OpenInterval):
         return lt(s.a, p.x) and lt(p.x, s.b)
     if isinstance(s, ClopenInterval):
         # (a, 1) <= (t, side) <= (b, 0) lexicographically, on the signs of
         # t - a and b - t cross-multiplied (docs/derivations.md, "Double arrow space")
         tn, td = p.t.as_integer_ratio()
-        an, ad = s.a.as_integer_ratio()
-        bn, bd = s.b.as_integer_ratio()
+        an, ad, bn, bd = s.terms
         left, right = tn * ad - an * td, bn * td - tn * bd
         if (left > 0 or left == 0 and p.side == 1) and (right > 0 or right == 0 and p.side == 0):
             return True
@@ -307,8 +343,10 @@ def basic_closure_member(s: BasicOpenSet, p: Point) -> bool:
         return basic_member(s, p)
     if isinstance(s, (InteriorDisc, TangentDisc)):
         if type(s.r) is Fraction and type(p.x) is Fraction:
-            num, den = sq_dist_terms(p, s.center)
-            r2n, r2d = s.r2.as_integer_ratio()
+            cxn, cxd, cyn, cyd, _, _, r2n, r2d = s.terms
+            xn, xd = p.x.as_integer_ratio()
+            yn, yd = p.y.as_integer_ratio()
+            num, den = sq_dist_of(xn, xd, yn, yd, cxn, cxd, cyn, cyd)
             return num * r2d <= r2n * den
         return le(*s.binary64_terms(p))
     raise TypeError(f"unknown base set {s!r}")

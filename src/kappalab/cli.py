@@ -99,6 +99,8 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
         ]
         if any(obj.space is not space for obj in (key, *(p for p, _ in samples))):
             raise SchemaError(f"a table row outside the family's {space.value} space")
+        if not samples:
+            raise SchemaError(f"the table row of {key!r} has no samples to evaluate by")
         table[key] = samples
     if not table:
         raise SchemaError("user-supplied families need a non-empty table")
@@ -389,8 +391,12 @@ def _axis(lo: Fraction, hi: Fraction, n: int, use_float: bool) -> list[tuple]:
     step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
     out = []
     for i in range(n):
-        c = Fraction(base + step * i, den)
-        out.append((float(c) if use_float else c, _csv_num(c)))
+        num = base + step * i
+        try:
+            c = num / den  # float(Fraction(num, den)): docs/derivations.md, "Exact kernel"
+        except OverflowError:
+            raise SchemaError("a lattice coordinate is too large for binary64") from None
+        out.append((c if use_float else Fraction(num, den), _csv_num(c)))
     return out
 
 
@@ -411,10 +417,13 @@ def cmd_sample_grid(args) -> int:
         nx, ny = _parse_res(args.res, 2)
         x0, x1, y0, y1 = bbox
         header = "x,y,value"
-        xs = _axis(x0, x1, nx, use_float)
+        xs, ys = _axis(x0, x1, nx, use_float), _axis(y0, y1, ny, use_float)
+        # the rows y0 and y0 + (y1 - y0)(ny - 1)/ny bound the lattice's heights
+        if ny and min(y0, y0 + (y1 - y0) * Fraction(ny - 1, ny)) < 0:
+            raise SchemaError(f"the lattice of --bbox {args.bbox} has rows below the axis y = 0")
         lattice = (
             (NiemytzkiPoint(x, y), f"{x_text},{y_text}")
-            for y, y_text in _axis(y0, y1, ny, use_float)
+            for y, y_text in ys
             for x, x_text in xs
         )
     elif S.space is Space.SORGENFREY:
@@ -426,9 +435,10 @@ def cmd_sample_grid(args) -> int:
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
     try:
-        rows = [f"{coords},{_csv_num(S.value(target, p))}" for p, coords in lattice]
+        f_U = S.at(target)
     except UnindexedSetError as exc:
         raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
+    rows = [f"{coords},{_csv_num(f_U(p))}" for p, coords in lattice]
     text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
     Path(args.out).write_text(text)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")

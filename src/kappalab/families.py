@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .basesets import (
@@ -40,7 +41,7 @@ from .basesets import (
     basic_member,
     disc_terms,
 )
-from .numerics import Scalar, as_float, is_zero, le, lt, sq, sqrt_scalar, sqrt_terms
+from .numerics import Scalar, as_float, is_zero, le, sqrt_scalar, sqrt_terms
 from .rosets import RegularOpenSet, _norm, basic_subset, member, tangent_radius
 from .spaces import (
     DoubleArrowPoint,
@@ -58,58 +59,81 @@ class UnindexedSetError(TypeError, ValueError):
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
+#: f_U as a point function, every per-set invariant of U resolved
+FamilyMember = Callable[[Point], Scalar]
+
+
+def _mismatch(space: Space, p: Point) -> SpaceMismatchError:
+    return SpaceMismatchError(f"a {space.value} member evaluated at a {p.space.value} point")
+
 
 # ---------------------------------------------------------------------------
 # Sorgenfrey
+
+
+def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
+    """f_U(x): the largest right gap of x inside U, capped at 1; exact rational."""
+    space, terms = Space.SORGENFREY, [c.terms for c in U.components]
+
+    def f_U(x: SorgenfreyPoint) -> Fraction:
+        if x.space is not space:
+            raise _mismatch(space, x)
+        xn, xd = x.x.as_integer_ratio()
+        for an, ad, bn, bd in terms:
+            # a <= x < b cross-multiplied; then min(b, x + 1) - x = min(b - x, 1)
+            if an * xd <= xn * ad and xn * bd < bn * xd:
+                num, den = bn * xd - xn * bd, bd * xd
+                return _ONE if num >= den else Fraction(num, den)
+        return _ZERO
+
+    return f_U
 
 
 def sorgenfrey_f(U: RegularOpenSet, x: SorgenfreyPoint) -> Fraction:
     """Largest right gap of x inside U, capped at 1; exact rational."""
     if U.space is not Space.SORGENFREY:
         raise SpaceMismatchError("sorgenfrey_f needs a Sorgenfrey set")
-    xn, xd = x.x.as_integer_ratio()
-    for c in U.components:
-        an, ad = c.a.as_integer_ratio()
-        bn, bd = c.b.as_integer_ratio()
-        # a <= x < b cross-multiplied; then min(b, x + 1) - x = min(b - x, 1)
-        if an * xd <= xn * ad and xn * bd < bn * xd:
-            num, den = bn * xd - xn * bd, bd * xd
-            return _ONE if num >= den else Fraction(num, den)
-    return _ZERO
+    return _bind_sorgenfrey(U)(x)
 
 
 # ---------------------------------------------------------------------------
 # double arrow
 
 
+def _bind_double_arrow(U: RegularOpenSet) -> FamilyMember:
+    """f_U(p): the length of the maximal clopen component through p; 1 at kept
+    extremes."""
+    space, components = Space.DOUBLE_ARROW, U.components
+
+    def f_U(p: DoubleArrowPoint) -> Fraction:
+        if p.space is not space:
+            raise _mismatch(space, p)
+        for c in components:
+            if not basic_member(c, p):
+                continue
+            if p.extreme or isinstance(c, ExtremeSingleton):
+                return _ONE
+            return c.length
+        return _ZERO
+
+    return f_U
+
+
 def doublearrow_f(U: RegularOpenSet, p: DoubleArrowPoint) -> Fraction:
     """Length of the maximal clopen component through p; 1 at kept extremes."""
     if U.space is not Space.DOUBLE_ARROW:
         raise SpaceMismatchError("doublearrow_f needs a double arrow set")
-    for c in U.components:
-        if not basic_member(c, p):
-            continue
-        if p.extreme or isinstance(c, ExtremeSingleton):
-            return _ONE
-        return c.length
-    return _ZERO
+    return _bind_double_arrow(U)(p)
 
 
 # ---------------------------------------------------------------------------
 # Niemytzki base formulas
 
 
-def _chord_factor(a: Fraction, r: Fraction, x: Fraction, y: Fraction) -> Scalar:
+def _chord_value(r: Fraction, rn: int, rd: int, dxn: int, dxd: int, yn: int, yd: int) -> Scalar:
     """r - r|x - a| / sqrt(2yr - y^2), the below-diameter tangent-disc value,
-    from the integer terms of exact a, r, x and y; r itself on the vertical
-    axis x = a (docs/derivations.md, "Exact kernel")."""
-    an, ad = a.as_integer_ratio()
-    rn, rd = r.as_integer_ratio()
-    xn, xd = x.as_integer_ratio()
-    yn, yd = y.as_integer_ratio()
-    dxn, dxd = abs(xn * ad - an * xd), xd * ad
-    if not dxn:
-        return r
+    for r = rn/rd, y = yn/yd and |x - a| = dxn/dxd > 0 (docs/derivations.md,
+    "Exact kernel")."""
     # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd)
     root = sqrt_terms(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
     if type(root) is float:
@@ -118,31 +142,62 @@ def _chord_factor(a: Fraction, r: Fraction, x: Fraction, y: Fraction) -> Scalar:
     return r - r * Fraction(dxn, dxd) / root
 
 
+def _chord_factor(a: Fraction, r: Fraction, x: Fraction, y: Fraction) -> Scalar:
+    """The chord value at (x, y) for exact a, r, x and y > 0; r itself on the
+    vertical axis x = a."""
+    an, ad = a.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    dxn = abs(xn * ad - an * xd)
+    if not dxn:
+        return r
+    return _chord_value(r, *r.as_integer_ratio(), dxn, xd * ad, *y.as_integer_ratio())
+
+
 def _zero(like: Scalar) -> Scalar:
     """0 in the numeric mode of ``like``."""
     return _ZERO if isinstance(like, Fraction) else 0.0
 
 
-def _disc_value(
-    U: InteriorDisc | TangentDisc, p: NiemytzkiPoint, d2: tuple[int, int] | float
-) -> Scalar:
-    """The base-set value at a point p of U, given ``d2 = disc_terms(U, p)``:
-    from integer terms when U and p are exact, else from U's binary64 view.
-    The exact U.r is returned at the tangency point and, below the diameter,
-    on the vertical axis."""
+def _bind_disc(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> FamilyMember:
+    """The base-set value at p, and ``outside`` off U: from integer terms when U
+    and p are exact, else from U's binary64 view.  The exact U.r is returned
+    at the tangency point and, below the diameter, on the vertical axis."""
+    space, r = Space.NIEMYTZKI, U.r
     tangent = isinstance(U, TangentDisc)
-    if tangent and p.on_axis:
-        return U.r
-    if type(d2) is tuple:
-        if tangent and lt(p.y, U.r):
-            return _chord_factor(U.a, U.r, p.x, p.y)
-        root = sqrt_terms(*d2)
-        return U.binary64_r - root if type(root) is float else U.r - root
-    r = U.binary64_r
-    if tangent and not le(r, p.y):
-        dx = abs(p.x - U.binary64[0])  # a tangent disc's centre is (a, r)
-        return U.r if is_zero(dx) else r - r * dx / sqrt_scalar(2 * p.y * r - sq(p.y))
-    return r - sqrt_scalar(d2)
+    exact = type(r) is Fraction
+    if exact:
+        an, ad, _, _, rn, rd, _, _ = U.terms
+    exact_d2, binary64_d2 = U.exact_d2, U.binary64_d2
+
+    def f_U(p: NiemytzkiPoint) -> Scalar:
+        if p.space is not space:
+            raise _mismatch(space, p)
+        x, y = p.x, p.y
+        if exact and type(x) is Fraction:
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            d2 = exact_d2(xn, xd, yn, yd)
+            if d2 is None:
+                return outside
+            if tangent and not yn:
+                return r
+            if tangent and yn * rd < rn * yd:  # below the diameter: 0 < y < r
+                dxn = abs(xn * ad - an * xd)
+                return _chord_value(r, rn, rd, dxn, xd * ad, yn, yd) if dxn else r
+            root = sqrt_terms(*d2)
+            return U.binary64_r - root if type(root) is float else r - root
+        d2 = binary64_d2(p)
+        if d2 is None:
+            return outside
+        r64 = U.binary64_r
+        if tangent and is_zero(y):
+            return r
+        if tangent and not le(r64, y):  # a tangent disc's centre is (a, r)
+            dx = abs(float(x) - U.binary64[0])
+            return r if is_zero(dx) else r64 - r64 * dx / sqrt_scalar(2 * y * r64 - y * y)
+        return r64 - sqrt_scalar(d2)
+
+    return f_U
 
 
 def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
@@ -151,23 +206,51 @@ def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
         raise SpaceMismatchError("niemytzki_basic_f needs a Niemytzki base set")
     if not isinstance(U, (InteriorDisc, TangentDisc)):
         raise TypeError(f"{U!r} is not a Niemytzki base set")
-    d2 = disc_terms(U, p)
-    return _zero(U.r) if d2 is None else _disc_value(U, p, d2)
+    return _bind_disc(U, _zero(U.r))(p)
+
+
+def _bind_g(U: TangentDisc) -> FamilyMember:
+    """The chordal value of U times ((r-1)y + r) / r^2 below the diameter, and
+    1 at the tangency point.  The scale is built from r's integer terms for an
+    exact p, else in binary64 from float(r - 1), float(r) and float(r^2), the
+    operands mixed Fraction/float arithmetic converts to."""
+    disc = _bind_disc(U, None)
+    r = U.r
+    exact = type(r) is Fraction
+    if exact:
+        _, _, _, _, rn, rd, _, _ = U.terms
+        rm1 = (rn - rd) / rd  # float(r - 1), not float(r) - 1
+        zero, one = _ZERO, _ONE
+    else:
+        rm1, zero, one = r - 1, 0.0, 1.0
+
+    def f_U(p: NiemytzkiPoint) -> Scalar:
+        value = disc(p)
+        if value is None:
+            return zero
+        y = p.y
+        if is_zero(y):
+            return one
+        if exact and type(y) is Fraction:
+            yn, yd = y.as_integer_ratio()
+            if rn * yd <= yn * rd:  # r <= y
+                return value
+            # ((r - 1) y + r) / r^2 = ((rn - rd) yn + rn yd) rd / (yd rn^2); a
+            # binary64 value meets it as its int true division, float(scale)
+            num, den = ((rn - rd) * yn + rn * yd) * rd, yd * rn * rn
+            return value * (num / den) if type(value) is float else value * Fraction(num, den)
+        if le(U.binary64_r, y):
+            return value
+        return value * ((rm1 * y + U.binary64_r) / U.binary64[2])
+
+    return f_U
 
 
 def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
     """Axis-normalized tangent-disc family: scores 1 at the tangency point."""
     if not isinstance(U, TangentDisc):
         raise TypeError("the g family is indexed by tangent discs only")
-    d2 = disc_terms(U, p)
-    if d2 is None:
-        return _zero(U.r)
-    if p.on_axis:
-        return _ONE if isinstance(U.r, Fraction) else 1.0
-    value = _disc_value(U, p, d2)
-    if le(U.r, p.y):
-        return value
-    return value * (((U.r - 1) * p.y + U.r) / U.r2)
+    return _bind_g(U)(p)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +323,8 @@ def disc_in_union(candidate: BasicOpenSet, V: RegularOpenSet) -> bool:
 # supremum over inscribed base sets
 
 
-def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
-    """Supremum of the base-set values over base sets inscribed in V.
+def _bind_union(V: RegularOpenSet) -> FamilyMember:
+    """f_V(p): the supremum of the base-set values over base sets inscribed in V.
 
     Exact (the component formula) when V has one component or its components
     are pairwise separated.  Otherwise the closed form of docs/derivations.md,
@@ -249,21 +332,47 @@ def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
     value of the largest interior disc centred at p, and the values at p of the
     largest inscribed tangent discs B*(a, rho_max(a)) at V's tangency points a.
     """
+    if len(V.components) == 1 or pairwise_separated(V):
+        parts = [(_bind_disc(c, None), _zero(c.r)) for c in V.components]
+
+        def f_V(p: NiemytzkiPoint) -> Scalar:
+            if p.space is not Space.NIEMYTZKI:
+                raise _mismatch(Space.NIEMYTZKI, p)
+            # max(values, key=as_float) with off-component values 0, the first
+            # of equal maxima kept; 0 in p's mode when p lies outside V
+            best, best_float, inside = None, 0.0, False
+            for f, zero in parts:
+                value = f(p)
+                if value is None:
+                    value, value_float = zero, 0.0
+                else:
+                    inside, value_float = True, as_float(value)
+                if best is None or value_float > best_float:
+                    best, best_float = value, value_float
+            return best if inside else _zero(p.x)
+
+        return f_V
+    components = V.components
+    tangents = [_bind_disc(t, _zero(t.r)) for t in V.inscribed_tangent_discs]
+
+    def f_V(p: NiemytzkiPoint) -> Scalar:
+        if p.space is not Space.NIEMYTZKI:
+            raise _mismatch(Space.NIEMYTZKI, p)
+        if all(disc_terms(c, p) is None for c in components):  # p lies outside V
+            return _zero(p.x)
+        best = min(_complement_distance(V, float(p.x), float(p.y)), 1.0)
+        for f in tangents:
+            best = max(best, float(f(p)))
+        return best
+
+    return f_V
+
+
+def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
+    """Supremum of the base-set values over base sets inscribed in V."""
     if V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_union_f needs a Niemytzki set")
-    d2s = [disc_terms(c, p) for c in V.components]
-    if all(d2 is None for d2 in d2s):  # p lies outside V
-        return _zero(p.x)
-    if len(V.components) == 1 or pairwise_separated(V):
-        values = [
-            _zero(c.r) if d2 is None else _disc_value(c, p, d2)
-            for c, d2 in zip(V.components, d2s)
-        ]
-        return max(values, key=as_float)
-    best = min(_complement_distance(V, float(p.x), float(p.y)), 1.0)
-    for tangent in V.inscribed_tangent_discs:
-        best = max(best, float(niemytzki_basic_f(tangent, p)))
-    return best
+    return _bind_union(V)(p)
 
 
 # ---------------------------------------------------------------------------
@@ -281,51 +390,60 @@ CLOSED_FORM = (LABEL_SORGENFREY, LABEL_DOUBLE_ARROW, LABEL_NIEMYTZKI)
 
 @dataclass(frozen=True)
 class Stratification:
-    """A function family keyed by regular open sets: a label and its evaluator."""
+    """A function family keyed by regular open sets: a label and its binder,
+    which maps each set U to the point function f_U."""
 
     space: Space
     label: str
-    evaluator: Callable[[RegularOpenSet, Point], Scalar]
+    bind: Callable[[RegularOpenSet], FamilyMember]
 
     def __post_init__(self):
         if self.label not in FAMILIES and self.label != LABEL_USER:
             raise ValueError(f"unknown family label {self.label!r}")
 
-    def value(self, U: RegularOpenSet, p: Point) -> Scalar:
-        if U.space is not self.space or p.space is not self.space:
+    def at(self, U: RegularOpenSet) -> FamilyMember:
+        """f_U, bound once: evaluating it at many points redoes none of U's
+        per-set work (docs/derivations.md, "Exact kernel")."""
+        if U.space is not self.space:
             raise SpaceMismatchError("family, set and point must share a space")
-        return self.evaluator(U, p)
+        return self.bind(U)
+
+    def value(self, U: RegularOpenSet, p: Point) -> Scalar:
+        if p.space is not self.space:
+            raise SpaceMismatchError("family, set and point must share a space")
+        return self.at(U)(p)
 
 
-def _niemytzki_value(U: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
+def _bind_niemytzki(U: RegularOpenSet) -> FamilyMember:
     """The kappa value: the base-set formula on one component, else the
     union supremum."""
     if len(U.components) == 1:
-        return niemytzki_basic_f(U.components[0], p)
-    return niemytzki_union_f(U, p)
+        c = U.components[0]
+        return _bind_disc(c, _zero(c.r))
+    return _bind_union(U)
 
 
-def _g_value(U: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
+def _bind_g_set(U: RegularOpenSet) -> FamilyMember:
     """The g family on the sets it is keyed by, single tangent discs."""
     if len(U.components) != 1 or not isinstance(U.components[0], TangentDisc):
         raise UnindexedSetError("the g family is indexed by single tangent discs")
-    return g_family(U.components[0], p)
+    return _bind_g(U.components[0])
 
 
 def sorgenfrey_kappa() -> Stratification:
-    return Stratification(Space.SORGENFREY, LABEL_SORGENFREY, sorgenfrey_f)
+    return Stratification(Space.SORGENFREY, LABEL_SORGENFREY, _bind_sorgenfrey)
 
 
 def double_arrow_ro() -> Stratification:
-    return Stratification(Space.DOUBLE_ARROW, LABEL_DOUBLE_ARROW, doublearrow_f)
+    return Stratification(Space.DOUBLE_ARROW, LABEL_DOUBLE_ARROW, _bind_double_arrow)
 
 
 def niemytzki_kappa() -> Stratification:
-    return Stratification(Space.NIEMYTZKI, LABEL_NIEMYTZKI, _niemytzki_value)
+    return Stratification(Space.NIEMYTZKI, LABEL_NIEMYTZKI, _bind_niemytzki)
 
 
 def g_stratification() -> Stratification:
-    return Stratification(Space.NIEMYTZKI, LABEL_G, _g_value)
+    return Stratification(Space.NIEMYTZKI, LABEL_G, _bind_g_set)
 
 
 #: The named families by label.  Each space's first entry is its kappa
@@ -338,8 +456,10 @@ FAMILIES: dict[str, Callable[[], Stratification]] = {
 }
 
 
-def user_supplied(space: Space, evaluator) -> Stratification:
-    return Stratification(space, LABEL_USER, evaluator)
+def user_supplied(space: Space, evaluator: Callable[[RegularOpenSet, Point], Scalar]) -> Stratification:
+    """A family given by its evaluator (U, p) -> f_U(p); f_U binds as
+    ``partial(evaluator, U)``."""
+    return Stratification(space, LABEL_USER, partial(partial, evaluator))
 
 
 def tabulated_evaluator(table: dict) -> Callable[[RegularOpenSet, Point], Scalar]:

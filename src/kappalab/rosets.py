@@ -371,8 +371,15 @@ class ParamValue:
         d = n + self.shift
         if d <= 0:
             raise ValueError(f"parameter index {n} with shift {self.shift} not positive")
-        value = self.const
-        for coeff, den in ((self.over_n, d), (self.over_n2, d * d)):
+        c0, c1, c2 = self.const, self.over_n, self.over_n2
+        if type(c0) is Fraction and type(c1) is Fraction and type(c2) is Fraction:
+            # one Fraction over the common denominator c0d c1d c2d d^2
+            an, ad = c0.as_integer_ratio()
+            bn, bd = c1.as_integer_ratio()
+            cn, cd = c2.as_integer_ratio()
+            return Fraction((an * bd * d + bn * ad) * cd * d + cn * ad * bd, ad * bd * cd * d * d)
+        value = c0
+        for coeff, den in ((c1, d), (c2, d * d)):
             if coeff or isinstance(coeff, float):  # an exact zero term adds nothing
                 value = value + coeff / den
         return value

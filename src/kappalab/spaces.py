@@ -43,10 +43,12 @@ class SorgenfreyPoint:
     space = Space.SORGENFREY
 
     def __post_init__(self):
-        x = as_scalar(self.x)
-        if not isinstance(x, Fraction):
-            raise ValueError("Sorgenfrey coordinates must be exact rationals")
-        object.__setattr__(self, "x", x)
+        x = self.x
+        if type(x) is not Fraction:
+            x = as_scalar(x)
+            if not isinstance(x, Fraction):
+                raise ValueError("Sorgenfrey coordinates must be exact rationals")
+            object.__setattr__(self, "x", x)
 
 
 def check_side(side) -> None:
@@ -95,7 +97,7 @@ class NiemytzkiPoint:
             check_same_mode(x, y)
             object.__setattr__(self, "x", x)
             object.__setattr__(self, "y", y)
-        if not le(0, y):
+        if not (y.numerator >= 0 if type(y) is Fraction else le(0, y)):
             raise ValueError(f"Niemytzki point must satisfy y >= 0, got y={y}")
 
     @property
@@ -112,19 +114,28 @@ def lex_less(a: DoubleArrowPoint, b: DoubleArrowPoint) -> bool:
     return a.t < b.t or (a.t == b.t and a.side < b.side)
 
 
-def sq_dist_terms(p: NiemytzkiPoint, q: NiemytzkiPoint) -> tuple[int, int]:
-    """The squared distance between two exact points as an unreduced pair
+def sq_dist_of(
+    pxn: int, pxd: int, pyn: int, pyd: int, qxn: int, qxd: int, qyn: int, qyd: int
+) -> tuple[int, int]:
+    """The squared distance between the exact points (pxn/pxd, pyn/pyd) and
+    (qxn/qxd, qyn/qyd), positive denominators, as an unreduced pair
     (numerator, denominator) of integers, the denominator positive and a
     perfect square (docs/derivations.md, "Exact kernel")."""
-    pxn, pxd = p.x.as_integer_ratio()
-    pyn, pyd = p.y.as_integer_ratio()
-    qxn, qxd = q.x.as_integer_ratio()
-    qyn, qyd = q.y.as_integer_ratio()
     bx, by = pxd * qxd, pyd * qyd
     dx = (pxn * qxd - qxn * pxd) * by
     dy = (pyn * qyd - qyn * pyd) * bx
     den = bx * by
     return dx * dx + dy * dy, den * den
+
+
+def sq_dist_terms(p: NiemytzkiPoint, q: NiemytzkiPoint) -> tuple[int, int]:
+    """``sq_dist_of`` two exact points."""
+    return sq_dist_of(
+        *p.x.as_integer_ratio(),
+        *p.y.as_integer_ratio(),
+        *q.x.as_integer_ratio(),
+        *q.y.as_integer_ratio(),
+    )
 
 
 def sq_dist(p: NiemytzkiPoint, q: NiemytzkiPoint) -> Scalar:

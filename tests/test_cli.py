@@ -212,8 +212,7 @@ def _grid_argv(tmp_path, bbox, res):
         "niemytzki_kappa",
         "--set",
         '{"kind": "tangent_disc", "a": "0", "r": "1"}',
-        "--bbox",
-        bbox,
+        f"--bbox={bbox}",  # one argument, so that a leading "-" is no option
         "--res",
         res,
         "--out",
@@ -227,6 +226,26 @@ def test_sample_grid_malformed_res_exits_2(tmp_path, capsys):
 
 def test_sample_grid_malformed_bbox_exits_2(tmp_path, capsys):
     assert _schema_error(capsys, _grid_argv(tmp_path, "0,foo,0,1", "3x3"))
+
+
+@pytest.mark.parametrize(
+    "bbox, res",
+    [("-1,1,-1,1", "4x4"), ("-1,1,-1/2,1", "4x1"), ("-1,1,0,1e400", "4x4"), ("-1e400,1,0,1", "4x4")],
+    ids=["rows_below_the_axis", "the_one_row_below_the_axis", "y_too_large", "x_too_large"],
+)
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sample_grid_lattice_outside_the_plane_exits_2(tmp_path, capsys, monkeypatch, mode, bbox, res):
+    # decided before anything is written: a row below the axis is no Niemytzki
+    # point, and a coordinate beyond binary64 has no CSV text
+    monkeypatch.setenv("KAPPALAB_MODE", mode)
+    assert _schema_error(capsys, _grid_argv(tmp_path, bbox, res))
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_sample_grid_rows_are_decided_from_the_lattice(tmp_path):
+    # y0 + (y1 - y0) i/ny for i < ny: the one row of 0,-1 is y = 0
+    assert main(_grid_argv(tmp_path, "-1,1,0,-1", "2x1")) == 0
+    assert (tmp_path / "g.csv").read_text() == "x,y,value\n-1,0,0\n0,0,1\n"
 
 
 def _scenario_argv(tmp_path, scenario):
@@ -465,6 +484,12 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
 
 
+def test_user_table_row_without_samples_exits_2(tmp_path, capsys):
+    # nearest-sample evaluation has nothing to read on such a row
+    entry = _user_table_set({"space": "sorgenfrey", "components": [{"kind": "half_open", "a": "0", "b": "1"}]})
+    assert _schema_error(capsys, _scenario_argv(tmp_path, {"name": "x", "checks": [entry]}))
+
+
 @pytest.mark.parametrize("x", [-5e-10, 0.9999999995])
 def test_sorgenfrey_point_with_a_binary64_coordinate_exits_2(tmp_path, capsys, x):
     # the Sorgenfrey line is exact-only; within EPS, -5e-10 would read as a
@@ -540,6 +565,7 @@ _OVERLAPPING_UNION = (
     '{"kind": "interior_disc", "cx": "0", "cy": "1/2", "r": "1/2"}, '
     '{"kind": "interior_disc", "cx": "1/2", "cy": "1", "r": "1/2"}]}'
 )
+_G_TANGENT = '{"kind": "tangent_disc", "a": "1/3", "r": "3/4"}'
 _SORGENFREY_UNION = (
     '{"space": "sorgenfrey", "components": ['
     '{"kind": "half_open", "a": "-3/2", "b": "-1/3"}, '
@@ -562,8 +588,23 @@ _SORGENFREY_UNION = (
          "70d357ff975b26d00d373e7e8551f30c18a5b776c4195ea2b597a336a8fb34e8"),
         ("float", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
          "d376555416ff69d10deda6bdaa26160c8c8056d6d36fe534bdace65291161238"),
+        # the lattice meets the tangency point (1/3, 0), the vertical axis
+        # x = 1/3 and the diameter y = 3/4, where the g scale is 1
+        ("exact", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
+         "4d7410d68405a787531f3a9b0bd741f6714b9902329bb6e1dde40c68f6e17bb2"),
+        ("float", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
+         "176bf202017995458ebf8710253385ad064bd58ab2b3e2d91a2806f0b035c903"),
     ],
-    ids=["readme_exact", "readme_float", "union_separated", "sorgenfrey", "union_overlapping_exact", "union_overlapping_float"],
+    ids=[
+        "readme_exact",
+        "readme_float",
+        "union_separated",
+        "sorgenfrey",
+        "union_overlapping_exact",
+        "union_overlapping_float",
+        "g_exact",
+        "g_float",
+    ],
 )
 def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
     # any change to a value, a coordinate or the number format changes the hash

@@ -27,7 +27,14 @@ from kappalab import (
     sorgenfrey_f,
     validate_regular_open,
 )
-from kappalab.families import _complement_distance
+from kappalab.families import (
+    UnindexedSetError,
+    _complement_distance,
+    double_arrow_ro,
+    g_stratification,
+    niemytzki_kappa,
+    sorgenfrey_kappa,
+)
 from kappalab.numerics import EPS, le
 from kappalab.sampling import (
     rand_dyadic,
@@ -510,3 +517,78 @@ def test_sorgenfrey_value_kernel_is_the_fraction_formula(case):
     U, x = case
     plain = next((min(c.b, x + 1) - x for c in U.components if c.a <= x < c.b), F(0))
     assert _same_bits(sorgenfrey_f(U, SorgenfreyPoint(x)), plain)
+
+
+# ---------------------------------------------------------------------------
+# bound members: f_U bound once, evaluated at many points
+
+
+@st.composite
+def _disc(draw):
+    r = draw(st.fractions(min_value=F(1, 8), max_value=1, max_denominator=24))
+    a = draw(_offset)
+    if draw(st.booleans()):
+        return TangentDisc(a, r)
+    # cy > r: an interior disc off the axis, so any union of these is regular open
+    return InteriorDisc(a, r + draw(st.fractions(min_value=F(1, 24), max_value=1, max_denominator=24)), r)
+
+
+def _binary64_disc(s):
+    if isinstance(s, TangentDisc):
+        return TangentDisc(float(s.a), float(s.r))
+    return InteriorDisc(float(s.cx), float(s.cy), float(s.r))
+
+
+@st.composite
+def _set_and_points(draw):
+    """A Niemytzki set of one to three discs (separated or overlapping), exact
+    or binary64, and points of both modes on the axis, at the tangency points,
+    on the discs' vertical axes and near the discs."""
+    discs = draw(st.lists(_disc(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        discs = [_binary64_disc(s) for s in discs]
+    U = _ro(Space.NIEMYTZKI, discs)
+    points = []
+    for _ in range(draw(st.integers(1, 16))):
+        c = draw(st.sampled_from(U.components)).center
+        cx, cy = F(c.x), F(c.y)
+        kind = draw(st.sampled_from(["tangency", "axis", "vertical", "near"]))
+        if kind == "tangency":
+            x, y = cx, F(0)
+        elif kind == "axis":
+            x, y = cx + draw(_offset), F(0)
+        elif kind == "vertical":
+            x, y = cx, cy * draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
+        else:
+            x, y = cx + draw(_offset), abs(cy + draw(_offset))
+        binary64 = draw(st.booleans())
+        points.append(NiemytzkiPoint(float(x), float(y)) if binary64 else NiemytzkiPoint(x, y))
+    return U, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_set_and_points(), st.sampled_from([niemytzki_kappa, g_stratification]))
+def test_bound_member_is_the_fresh_value_at_every_point(case, family):
+    U, points = case
+    S = family()
+    try:
+        f_U = S.at(U)
+    except UnindexedSetError:  # g is keyed by single tangent discs only
+        assert S.label == "g_family"
+        return
+    for p in points + points[::-1]:
+        assert _same_bits(f_U(p), S.value(U, p))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32))
+def test_bound_sorgenfrey_and_double_arrow_members_are_the_fresh_values(seed):
+    rng = random.Random(seed)
+    for S, U in (
+        (sorgenfrey_kappa(), sample_sorgenfrey_set(rng)),
+        (double_arrow_ro(), sample_double_arrow_set(rng)),
+    ):
+        f_U = S.at(U)
+        for _ in range(16):
+            p = sample_point_near_set(U, rng)
+            assert _same_bits(f_U(p), S.value(U, p))

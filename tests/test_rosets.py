@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kappalab import (
     ClopenInterval,
@@ -306,3 +307,16 @@ def test_chain_interior_contained_in_every_element():
                     p = sample_point_near_set(W if not W.is_empty else el, rng)
                     if member(W, p):
                         assert member(el, p)
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=50)
+
+
+@given(_coeff, _coeff, _coeff, st.integers(0, 5), st.integers(1, 300))
+def test_param_value_is_the_fraction_sum(c0, c1, c2, shift, n):
+    # one Fraction over the common denominator is the term-by-term sum
+    d = n + shift
+    value = ParamValue(c0, c1, c2, shift).at(n)
+    assert type(value) is F and value == c0 + c1 / d + c2 / (d * d)
+    # a binary64 coefficient keeps the float sum
+    assert ParamValue(c0, float(c1), c2, shift).at(n) == c0 + float(c1) / d + c2 / (d * d)
