@@ -184,10 +184,10 @@ class _Disc:
         """The radius in binary64, the operand of the values' binary64 path."""
         return float(self.r)
 
-    def binary64_terms(self, p: NiemytzkiPoint) -> tuple[float, float]:
-        """The squared distance from p to the centre, and r2, in binary64."""
+    def binary64_terms(self, x: Scalar, y: Scalar) -> tuple[float, float]:
+        """The squared distance from (x, y) to the centre, and r2, in binary64."""
         cx, cy, r2 = self.binary64
-        dx, dy = float(p.x) - cx, float(p.y) - cy
+        dx, dy = float(x) - cx, float(y) - cy
         return dx * dx + dy * dy, r2
 
     def exact_d2(self, xn: int, xd: int, yn: int, yd: int) -> tuple[int, int] | None:
@@ -201,14 +201,20 @@ class _Disc:
         num, den = sq_dist_of(xn, xd, yn, yd, cxn, cxd, cyn, cyd)
         return (num, den) if num * r2d < r2n * den else None
 
-    def binary64_d2(self, p: NiemytzkiPoint) -> float | None:
-        """``disc_terms`` in binary64: the disc's ``binary64`` view, EPS in the
-        comparisons."""
-        tangency = is_zero(p.y)
-        if tangency and not (isinstance(self, TangentDisc) and eq(p.x, self.a)):
+    def binary64_d2(self, x: Scalar, y: Scalar) -> float | None:
+        """``disc_terms`` at the point (x, y) in binary64: the disc's
+        ``binary64`` view, EPS in the comparisons."""
+        tangency = is_zero(y)
+        if tangency and not (isinstance(self, TangentDisc) and eq(x, self.a)):
             return None
-        d2, r2 = self.binary64_terms(p)
+        d2, r2 = self.binary64_terms(x, y)
         return d2 if tangency or lt(d2, r2) else None
+
+    def terms_at(self, x: Scalar, y: Scalar) -> tuple[int, int] | float | None:
+        """``disc_terms`` at the point (x, y), both coordinates in one mode."""
+        if type(self.r) is Fraction and type(x) is Fraction:
+            return self.exact_d2(*x.as_integer_ratio(), *y.as_integer_ratio())
+        return self.binary64_d2(x, y)
 
 
 @dataclass(frozen=True)
@@ -290,9 +296,7 @@ def disc_terms(
     it is strictly closer to the centre than r.
     """
     _check_point(s, p)
-    if type(s.r) is Fraction and type(p.x) is Fraction:
-        return s.exact_d2(*p.x.as_integer_ratio(), *p.y.as_integer_ratio())
-    return s.binary64_d2(p)
+    return s.terms_at(p.x, p.y)
 
 
 def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | None:
@@ -348,7 +352,7 @@ def basic_closure_member(s: BasicOpenSet, p: Point) -> bool:
             yn, yd = p.y.as_integer_ratio()
             num, den = sq_dist_of(xn, xd, yn, yd, cxn, cxd, cyn, cyd)
             return num * r2d <= r2n * den
-        return le(*s.binary64_terms(p))
+        return le(*s.binary64_terms(p.x, p.y))
     raise TypeError(f"unknown base set {s!r}")
 
 

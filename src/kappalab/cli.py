@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 from .approximations import QGrid, stratification_to_approximation
 from .families import LABEL_G, Stratification, UnindexedSetError
@@ -58,7 +59,7 @@ from .serialize import (
     decode_set,
     dumps_canonical,
 )
-from .spaces import NiemytzkiPoint, Space, SorgenfreyPoint
+from .spaces import Space
 
 _CANDIDATES = {
     "characteristic": characteristic_candidate,
@@ -372,32 +373,40 @@ def _parse_bbox(text: str) -> list[Fraction]:
 
 
 def _parse_res(text: str, count: int) -> list[int]:
-    """``count`` lattice sizes joined by 'x'."""
+    """``count`` lattice sizes joined by 'x', none negative."""
     try:
         sizes = [int(v) for v in text.split("x")]
     except ValueError:
         sizes = []
-    if len(sizes) != count:
-        raise SchemaError(f"malformed --res {text!r}: need {count} integer(s) joined by 'x'")
+    if len(sizes) != count or min(sizes) < 0:
+        raise SchemaError(f"malformed --res {text!r}: need {count} integer(s) >= 0 joined by 'x'")
     return sizes
+
+
+def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[Sequence[int], int]:
+    """(nums, den): the lattice coordinates lo + (hi - lo) i/n, i < n, are
+    nums[i] / den, with nums[i] = base + step i and den > 0 over the integer
+    terms of lo and hi.  Each has CSV text when the first and the last fit
+    binary64, since the others lie between them."""
+    den = lo.denominator * hi.denominator * n
+    base = lo.numerator * hi.denominator * n
+    step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    nums = range(base, base + step * n, step) if step else [base] * n
+    try:
+        if n:
+            nums[0] / den, nums[-1] / den  # float(): docs/derivations.md, "Exact kernel"
+    except OverflowError:
+        raise SchemaError("a lattice coordinate is too large for binary64") from None
+    return nums, den
 
 
 def _axis(lo: Fraction, hi: Fraction, n: int, use_float: bool) -> list[tuple]:
     """The lattice coordinates lo + (hi - lo) i/n, i < n, as (coordinate, CSV text)
     pairs; the text is written from the exact coordinate in either mode."""
-    # lo + (hi - lo) i/n = (base + step i) / den over the integer terms of lo and hi
-    den = lo.denominator * hi.denominator * n
-    base = lo.numerator * hi.denominator * n
-    step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-    out = []
-    for i in range(n):
-        num = base + step * i
-        try:
-            c = num / den  # float(Fraction(num, den)): docs/derivations.md, "Exact kernel"
-        except OverflowError:
-            raise SchemaError("a lattice coordinate is too large for binary64") from None
-        out.append((c if use_float else Fraction(num, den), _csv_num(c)))
-    return out
+    nums, den = _lattice(lo, hi, n)
+    return [
+        (num / den if use_float else Fraction(num, den), _csv_num(num / den)) for num in nums
+    ]
 
 
 def cmd_sample_grid(args) -> int:
@@ -410,6 +419,10 @@ def cmd_sample_grid(args) -> int:
     S = decode_family(args.family)
     if target.space is not S.space:
         raise SchemaError(f"{S.label} is not indexed by {target.space.value} sets")
+    try:
+        f_U = S.at(target)  # bound once per lattice
+    except UnindexedSetError as exc:
+        raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
     bbox = _parse_bbox(args.bbox)
     if S.space is Space.NIEMYTZKI:
         if len(bbox) != 4:
@@ -417,28 +430,27 @@ def cmd_sample_grid(args) -> int:
         nx, ny = _parse_res(args.res, 2)
         x0, x1, y0, y1 = bbox
         header = "x,y,value"
+        # every coordinate in the one mode, each built once per axis value
         xs, ys = _axis(x0, x1, nx, use_float), _axis(y0, y1, ny, use_float)
         # the rows y0 and y0 + (y1 - y0)(ny - 1)/ny bound the lattice's heights
         if ny and min(y0, y0 + (y1 - y0) * Fraction(ny - 1, ny)) < 0:
             raise SchemaError(f"the lattice of --bbox {args.bbox} has rows below the axis y = 0")
-        lattice = (
-            (NiemytzkiPoint(x, y), f"{x_text},{y_text}")
-            for y, y_text in ys
-            for x, x_text in xs
-        )
+        kernel = f_U.kernel
+        rows = [f"{xt},{yt},{_csv_num(kernel(x, y))}" for y, yt in ys for x, xt in xs]
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
             raise SchemaError("sorgenfrey bbox is x0,x1")
         (n,) = _parse_res(args.res, 1)
         header = "x,value"
-        lattice = ((SorgenfreyPoint(x), x_text) for x, x_text in _axis(*bbox, n, False))
+        nums, den = _lattice(*bbox, n)
+        gap = f_U.kernel
+        rows = []
+        for num in nums:
+            value = gap(num, den)  # docs/derivations.md, "Lattice kernel"
+            value_text = "0" if value is None else _csv_num(value[0] / value[1])
+            rows.append(f"{_csv_num(num / den)},{value_text}")
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
-    try:
-        f_U = S.at(target)
-    except UnindexedSetError as exc:
-        raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
-    rows = [f"{coords},{_csv_num(f_U(p))}" for p, coords in lattice]
     text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
     Path(args.out).write_text(text)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
@@ -479,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_num(v) -> str:
-    f = as_float(v)
-    if f == int(f) and abs(f) < 1e15:
+    f = v if type(v) is float else as_float(v)
+    if f.is_integer() and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .basesets import (
@@ -39,7 +38,6 @@ from .basesets import (
     InteriorDisc,
     TangentDisc,
     basic_member,
-    disc_terms,
 )
 from .numerics import Scalar, as_float, is_zero, le, sqrt_scalar, sqrt_terms
 from .rosets import RegularOpenSet, _norm, basic_subset, member, tangent_radius
@@ -58,13 +56,33 @@ class UnindexedSetError(TypeError, ValueError):
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+#: the Sorgenfrey gap at its cap, min(b - x, 1) = 1
+_UNIT = (1, 1)
 
-#: f_U as a point function, every per-set invariant of U resolved
+#: f_U as a point function, every per-set invariant of U resolved.  A named
+#: family's f_U carries its formula as ``f_U.kernel``, a function of the
+#: point's coordinates: the integer terms (xn, xd) of a Sorgenfrey x, or the
+#: Niemytzki (x, y) in one mode (docs/derivations.md, "Lattice kernel").
 FamilyMember = Callable[[Point], Scalar]
+#: a Niemytzki formula: the value at the coordinates (x, y), both in one mode
+Kernel = Callable[[Scalar, Scalar], Scalar]
 
 
 def _mismatch(space: Space, p: Point) -> SpaceMismatchError:
     return SpaceMismatchError(f"a {space.value} member evaluated at a {p.space.value} point")
+
+
+def _niemytzki_member(kernel: Kernel) -> FamilyMember:
+    """f_U: the point's space check, then ``kernel`` at its coordinates."""
+    space = Space.NIEMYTZKI
+
+    def f_U(p: NiemytzkiPoint) -> Scalar:
+        if p.space is not space:
+            raise _mismatch(space, p)
+        return kernel(p.x, p.y)
+
+    f_U.kernel = kernel
+    return f_U
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +93,25 @@ def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
     """f_U(x): the largest right gap of x inside U, capped at 1; exact rational."""
     space, terms = Space.SORGENFREY, [c.terms for c in U.components]
 
-    def f_U(x: SorgenfreyPoint) -> Fraction:
-        if x.space is not space:
-            raise _mismatch(space, x)
-        xn, xd = x.x.as_integer_ratio()
+    def gap(xn: int, xd: int) -> tuple[int, int] | None:
+        """min(b - x, 1) at x = xn/xd, xd > 0 in any terms, as an unreduced
+        pair (numerator, denominator > 0); None off U."""
         for an, ad, bn, bd in terms:
             # a <= x < b cross-multiplied; then min(b, x + 1) - x = min(b - x, 1)
             if an * xd <= xn * ad and xn * bd < bn * xd:
                 num, den = bn * xd - xn * bd, bd * xd
-                return _ONE if num >= den else Fraction(num, den)
-        return _ZERO
+                return (num, den) if num < den else _UNIT
+        return None
 
+    def f_U(x: SorgenfreyPoint) -> Fraction:
+        if x.space is not space:
+            raise _mismatch(space, x)
+        value = gap(*x.x.as_integer_ratio())
+        if value is None:
+            return _ZERO
+        return _ONE if value is _UNIT else Fraction(*value)
+
+    f_U.kernel = gap
     return f_U
 
 
@@ -158,21 +184,19 @@ def _zero(like: Scalar) -> Scalar:
     return _ZERO if isinstance(like, Fraction) else 0.0
 
 
-def _bind_disc(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> FamilyMember:
-    """The base-set value at p, and ``outside`` off U: from integer terms when U
-    and p are exact, else from U's binary64 view.  The exact U.r is returned
-    at the tangency point and, below the diameter, on the vertical axis."""
-    space, r = Space.NIEMYTZKI, U.r
+def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> Kernel:
+    """The base-set value at (x, y), and ``outside`` off U: from integer terms
+    when U and the point are exact, else from U's binary64 view.  The exact
+    U.r is returned at the tangency point and, below the diameter, on the
+    vertical axis."""
+    r = U.r
     tangent = isinstance(U, TangentDisc)
     exact = type(r) is Fraction
     if exact:
         an, ad, _, _, rn, rd, _, _ = U.terms
     exact_d2, binary64_d2 = U.exact_d2, U.binary64_d2
 
-    def f_U(p: NiemytzkiPoint) -> Scalar:
-        if p.space is not space:
-            raise _mismatch(space, p)
-        x, y = p.x, p.y
+    def value(x: Scalar, y: Scalar) -> Scalar:
         if exact and type(x) is Fraction:
             xn, xd = x.as_integer_ratio()
             yn, yd = y.as_integer_ratio()
@@ -186,7 +210,7 @@ def _bind_disc(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> FamilyM
                 return _chord_value(r, rn, rd, dxn, xd * ad, yn, yd) if dxn else r
             root = sqrt_terms(*d2)
             return U.binary64_r - root if type(root) is float else r - root
-        d2 = binary64_d2(p)
+        d2 = binary64_d2(x, y)
         if d2 is None:
             return outside
         r64 = U.binary64_r
@@ -197,7 +221,7 @@ def _bind_disc(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> FamilyM
             return r if is_zero(dx) else r64 - r64 * dx / sqrt_scalar(2 * y * r64 - y * y)
         return r64 - sqrt_scalar(d2)
 
-    return f_U
+    return value
 
 
 def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
@@ -206,15 +230,16 @@ def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
         raise SpaceMismatchError("niemytzki_basic_f needs a Niemytzki base set")
     if not isinstance(U, (InteriorDisc, TangentDisc)):
         raise TypeError(f"{U!r} is not a Niemytzki base set")
-    return _bind_disc(U, _zero(U.r))(p)
+    return _niemytzki_member(_disc_kernel(U, _zero(U.r)))(p)
 
 
-def _bind_g(U: TangentDisc) -> FamilyMember:
-    """The chordal value of U times ((r-1)y + r) / r^2 below the diameter, and
-    1 at the tangency point.  The scale is built from r's integer terms for an
-    exact p, else in binary64 from float(r - 1), float(r) and float(r^2), the
-    operands mixed Fraction/float arithmetic converts to."""
-    disc = _bind_disc(U, None)
+def _g_kernel(U: TangentDisc) -> Kernel:
+    """The chordal value of U at (x, y) times ((r-1)y + r) / r^2 below the
+    diameter, and 1 at the tangency point.  The scale is built from r's
+    integer terms for an exact point, else in binary64 from float(r - 1),
+    float(r) and float(r^2), the operands mixed Fraction/float arithmetic
+    converts to."""
+    disc = _disc_kernel(U, None)
     r = U.r
     exact = type(r) is Fraction
     if exact:
@@ -224,11 +249,10 @@ def _bind_g(U: TangentDisc) -> FamilyMember:
     else:
         rm1, zero, one = r - 1, 0.0, 1.0
 
-    def f_U(p: NiemytzkiPoint) -> Scalar:
-        value = disc(p)
+    def g(x: Scalar, y: Scalar) -> Scalar:
+        value = disc(x, y)
         if value is None:
             return zero
-        y = p.y
         if is_zero(y):
             return one
         if exact and type(y) is Fraction:
@@ -243,14 +267,14 @@ def _bind_g(U: TangentDisc) -> FamilyMember:
             return value
         return value * ((rm1 * y + U.binary64_r) / U.binary64[2])
 
-    return f_U
+    return g
 
 
 def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
     """Axis-normalized tangent-disc family: scores 1 at the tangency point."""
     if not isinstance(U, TangentDisc):
         raise TypeError("the g family is indexed by tangent discs only")
-    return _bind_g(U)(p)
+    return _niemytzki_member(_g_kernel(U))(p)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +347,9 @@ def disc_in_union(candidate: BasicOpenSet, V: RegularOpenSet) -> bool:
 # supremum over inscribed base sets
 
 
-def _bind_union(V: RegularOpenSet) -> FamilyMember:
-    """f_V(p): the supremum of the base-set values over base sets inscribed in V.
+def _union_kernel(V: RegularOpenSet) -> Kernel:
+    """f_V at (x, y): the supremum of the base-set values over base sets
+    inscribed in V.
 
     Exact (the component formula) when V has one component or its components
     are pairwise separated.  Otherwise the closed form of docs/derivations.md,
@@ -333,46 +358,42 @@ def _bind_union(V: RegularOpenSet) -> FamilyMember:
     largest inscribed tangent discs B*(a, rho_max(a)) at V's tangency points a.
     """
     if len(V.components) == 1 or pairwise_separated(V):
-        parts = [(_bind_disc(c, None), _zero(c.r)) for c in V.components]
+        parts = [(_disc_kernel(c, None), _zero(c.r)) for c in V.components]
 
-        def f_V(p: NiemytzkiPoint) -> Scalar:
-            if p.space is not Space.NIEMYTZKI:
-                raise _mismatch(Space.NIEMYTZKI, p)
+        def component_max(x: Scalar, y: Scalar) -> Scalar:
             # max(values, key=as_float) with off-component values 0, the first
-            # of equal maxima kept; 0 in p's mode when p lies outside V
+            # of equal maxima kept; 0 in the point's mode when it lies outside V
             best, best_float, inside = None, 0.0, False
             for f, zero in parts:
-                value = f(p)
+                value = f(x, y)
                 if value is None:
                     value, value_float = zero, 0.0
                 else:
                     inside, value_float = True, as_float(value)
                 if best is None or value_float > best_float:
                     best, best_float = value, value_float
-            return best if inside else _zero(p.x)
+            return best if inside else _zero(x)
 
-        return f_V
-    components = V.components
-    tangents = [_bind_disc(t, _zero(t.r)) for t in V.inscribed_tangent_discs]
+        return component_max
+    component_d2 = [c.terms_at for c in V.components]
+    tangents = [_disc_kernel(t, _zero(t.r)) for t in V.inscribed_tangent_discs]
 
-    def f_V(p: NiemytzkiPoint) -> Scalar:
-        if p.space is not Space.NIEMYTZKI:
-            raise _mismatch(Space.NIEMYTZKI, p)
-        if all(disc_terms(c, p) is None for c in components):  # p lies outside V
-            return _zero(p.x)
-        best = min(_complement_distance(V, float(p.x), float(p.y)), 1.0)
+    def closed_form(x: Scalar, y: Scalar) -> Scalar:
+        if all(d2(x, y) is None for d2 in component_d2):  # (x, y) lies outside V
+            return _zero(x)
+        best = min(_complement_distance(V, float(x), float(y)), 1.0)
         for f in tangents:
-            best = max(best, float(f(p)))
+            best = max(best, float(f(x, y)))
         return best
 
-    return f_V
+    return closed_form
 
 
 def niemytzki_union_f(V: RegularOpenSet, p: NiemytzkiPoint) -> Scalar:
     """Supremum of the base-set values over base sets inscribed in V."""
     if V.space is not Space.NIEMYTZKI:
         raise SpaceMismatchError("niemytzki_union_f needs a Niemytzki set")
-    return _bind_union(V)(p)
+    return _niemytzki_member(_union_kernel(V))(p)
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +440,15 @@ def _bind_niemytzki(U: RegularOpenSet) -> FamilyMember:
     union supremum."""
     if len(U.components) == 1:
         c = U.components[0]
-        return _bind_disc(c, _zero(c.r))
-    return _bind_union(U)
+        return _niemytzki_member(_disc_kernel(c, _zero(c.r)))
+    return _niemytzki_member(_union_kernel(U))
 
 
 def _bind_g_set(U: RegularOpenSet) -> FamilyMember:
     """The g family on the sets it is keyed by, single tangent discs."""
     if len(U.components) != 1 or not isinstance(U.components[0], TangentDisc):
         raise UnindexedSetError("the g family is indexed by single tangent discs")
-    return _bind_g(U.components[0])
+    return _niemytzki_member(_g_kernel(U.components[0]))
 
 
 def sorgenfrey_kappa() -> Stratification:
@@ -457,9 +478,18 @@ FAMILIES: dict[str, Callable[[], Stratification]] = {
 
 
 def user_supplied(space: Space, evaluator: Callable[[RegularOpenSet, Point], Scalar]) -> Stratification:
-    """A family given by its evaluator (U, p) -> f_U(p); f_U binds as
-    ``partial(evaluator, U)``."""
-    return Stratification(space, LABEL_USER, partial(partial, evaluator))
+    """A family given by its evaluator (U, p) -> f_U(p); f_U checks p's space,
+    as every bound member does, then calls ``evaluator(U, p)``."""
+
+    def bind(U: RegularOpenSet) -> FamilyMember:
+        def f_U(p: Point) -> Scalar:
+            if p.space is not space:
+                raise _mismatch(space, p)
+            return evaluator(U, p)
+
+        return f_U
+
+    return Stratification(space, LABEL_USER, bind)
 
 
 def tabulated_evaluator(table: dict) -> Callable[[RegularOpenSet, Point], Scalar]:

@@ -332,8 +332,9 @@ class _Continuity(NamedTuple):
             yield cls(S, U, cert.limit, tail, tol, tail_start)
 
     def deviations(self) -> list[float]:
-        f_lim = float(self.S.value(self.U, self.limit))
-        return [abs(float(self.S.value(self.U, s)) - f_lim) for s in self.tail]
+        f_U = self.S.at(self.U)
+        f_lim = float(f_U(self.limit))
+        return [abs(float(f_U(s)) - f_lim) for s in self.tail]
 
     def violates(self) -> bool:
         return max(self.deviations(), default=0.0) > self.tol
@@ -817,15 +818,15 @@ def hausdorff_witness(
     S: Stratification, x: Point, y: Point, U: RegularOpenSet
 ) -> HausdorffWitness:
     """Disjoint value-threshold neighborhoods splitting x in U from y off U."""
-    fx = S.value(U, x)
-    fy = S.value(U, y)
+    f_U = S.at(U)
+    fx, fy = f_U(x), f_U(y)
     if not lt(0, fx):
         raise ValueError(f"need a positive value at the inside point, got {fx}")
     if not is_zero(fy):
         raise ValueError(f"need value 0 at the outside point, got {fy}")
     t = fx / 2
-    upper = lambda p: lt(t, S.value(U, p))
-    lower = lambda p: lt(S.value(U, p), t)
+    upper = lambda p: lt(t, f_U(p))
+    lower = lambda p: lt(f_U(p), t)
     if not upper(x) or not lower(y):
         raise AssertionError("threshold neighborhoods failed to split the pair")
     return HausdorffWitness(t, upper, lower)
@@ -896,14 +897,15 @@ class _HausdorffSplit(NamedTuple):
         return _fails(hausdorff_witness, self.S, self.x, self.y, self.U)
 
     def witness(self) -> dict:
+        f_U = self.S.at(self.U)
         return {
             "kind": self.kind,
             "family": self.S.label,
             "set": encode_roset(self.U),
             "x": encode_point(self.x),
             "y": encode_point(self.y),
-            "x_value": encode_scalar(self.S.value(self.U, self.x)),
-            "y_value": encode_scalar(self.S.value(self.U, self.y)),
+            "x_value": encode_scalar(f_U(self.x)),
+            "y_value": encode_scalar(f_U(self.y)),
         }
 
     @classmethod
@@ -925,8 +927,9 @@ class _RatioSplit(NamedTuple):
     samples: tuple[Point, ...]
 
     def violates(self) -> bool:
-        f, g = (lambda p: self.S.value(self.U1, p)), (lambda p: self.S.value(self.U2, p))
-        return _fails(separate_regular_closed, f, g, self.samples)
+        # f and g bound once per set, inside the rejection test
+        S = self.S
+        return _fails(lambda: separate_regular_closed(S.at(self.U1), S.at(self.U2), self.samples))
 
     def witness(self) -> dict:
         return {
@@ -935,8 +938,8 @@ class _RatioSplit(NamedTuple):
             "set_f": encode_roset(self.U1),
             "set_g": encode_roset(self.U2),
             "samples": [encode_point(p) for p in self.samples],
-            "f_values": [encode_scalar(self.S.value(self.U1, p)) for p in self.samples],
-            "g_values": [encode_scalar(self.S.value(self.U2, p)) for p in self.samples],
+            "f_values": [encode_scalar(f) for f in map(self.S.at(self.U1), self.samples)],
+            "g_values": [encode_scalar(g) for g in map(self.S.at(self.U2), self.samples)],
         }
 
     @classmethod

@@ -1,18 +1,32 @@
 """The batch front door: exit codes, reports, CSV sampling."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import kappalab
-from kappalab.cli import main, shipped_scenarios
-from kappalab.serialize import SchemaError, decode_point
+from kappalab import (
+    HalfOpen,
+    InteriorDisc,
+    NiemytzkiPoint,
+    SorgenfreyPoint,
+    Space,
+    TangentDisc,
+    validate_regular_open,
+)
+from kappalab.cli import _csv_num, main, shipped_scenarios
+from kappalab.serialize import SchemaError, decode_family, decode_point, encode_roset
 
 
 def test_the_program_runs_without_numpy():
@@ -206,15 +220,19 @@ def _schema_error(capsys, argv) -> bool:
 
 
 def _grid_argv(tmp_path, bbox, res):
+    # a bbox of two numbers is a Sorgenfrey lattice, of four a Niemytzki one
+    if bbox.count(",") == 1:
+        family, target = "sorgenfrey_kappa", '{"kind": "half_open", "a": "0", "b": "1"}'
+    else:
+        family, target = "niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": "1"}'
     return [
         "sample-grid",
         "--family",
-        "niemytzki_kappa",
+        family,
         "--set",
-        '{"kind": "tangent_disc", "a": "0", "r": "1"}',
-        f"--bbox={bbox}",  # one argument, so that a leading "-" is no option
-        "--res",
-        res,
+        target,
+        f"--bbox={bbox}",  # one argument each, so that a leading "-" is no option
+        f"--res={res}",
         "--out",
         str(tmp_path / "g.csv"),
     ]
@@ -230,13 +248,32 @@ def test_sample_grid_malformed_bbox_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bbox, res",
-    [("-1,1,-1,1", "4x4"), ("-1,1,-1/2,1", "4x1"), ("-1,1,0,1e400", "4x4"), ("-1e400,1,0,1", "4x4")],
-    ids=["rows_below_the_axis", "the_one_row_below_the_axis", "y_too_large", "x_too_large"],
+    [
+        ("-1,1,-1,1", "4x4"),
+        ("-1,1,-1/2,1", "4x1"),
+        ("-1,1,0,1e400", "4x4"),
+        ("-1e400,1,0,1", "4x4"),
+        ("-1,1,0,1", "-3x4"),
+        ("-1,1,0,1", "3x-1"),
+        ("-1,1", "-5"),
+        ("-1e400,1", "4"),
+    ],
+    ids=[
+        "rows_below_the_axis",
+        "the_one_row_below_the_axis",
+        "y_too_large",
+        "x_too_large",
+        "negative_nx",
+        "negative_ny",
+        "negative_sorgenfrey_n",
+        "sorgenfrey_x_too_large",
+    ],
 )
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_sample_grid_lattice_outside_the_plane_exits_2(tmp_path, capsys, monkeypatch, mode, bbox, res):
     # decided before anything is written: a row below the axis is no Niemytzki
-    # point, and a coordinate beyond binary64 has no CSV text
+    # point, a coordinate beyond binary64 has no CSV text, and a negative
+    # lattice size is no lattice
     monkeypatch.setenv("KAPPALAB_MODE", mode)
     assert _schema_error(capsys, _grid_argv(tmp_path, bbox, res))
     assert not (tmp_path / "g.csv").exists()
@@ -584,6 +621,9 @@ _SORGENFREY_UNION = (
          "adff98c60c8b11278adefa3886e60ea67632aed4389090b98b868f878a5a1e1e"),
         ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "660",
          "26a8c98357d09d86ca427a859d546b10edf274ecf8af506b3e4453552093ba31"),
+        # bbox ends with denominators 3 and 4: unreduced lattice terms over 12 * 91
+        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-7/3,11/4", "91",
+         "83ca63020baad73ea1ce55b2c7263080c42aa0f506fd5c7d3b2bac117fa5329c"),
         ("exact", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
          "70d357ff975b26d00d373e7e8551f30c18a5b776c4195ea2b597a336a8fb34e8"),
         ("float", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
@@ -600,6 +640,7 @@ _SORGENFREY_UNION = (
         "readme_float",
         "union_separated",
         "sorgenfrey",
+        "sorgenfrey_thirds_quarters",
         "union_overlapping_exact",
         "union_overlapping_float",
         "g_exact",
@@ -613,6 +654,105 @@ def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, targe
     argv = ["sample-grid", "--family", family, "--set", target, f"--bbox={bbox}", "--res", res]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+_STEP = st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40)
+_OFFSET = st.fractions(min_value=-2, max_value=2, max_denominator=30)
+_RADIUS = st.fractions(min_value=F(1, 8), max_value=1, max_denominator=24)
+
+
+@st.composite
+def _axis_through(draw, point):
+    """(lo, hi, n) of a lattice axis lo + (hi - lo) i/n whose i0-th coordinate
+    is ``point``, ascending or descending."""
+    n, step = draw(st.integers(1, 9)), draw(_STEP) * draw(st.sampled_from([1, -1]))
+    lo = point - draw(st.integers(0, n - 1)) * step
+    return lo, lo + n * step, n
+
+
+@st.composite
+def _rows_through(draw, height):
+    """(lo, hi, n) of lattice rows k h, k < n, h = height/j: through the axis
+    y = 0 and through ``height``, ascending or descending."""
+    n = draw(st.integers(2, 9))
+    h = height / draw(st.integers(1, n - 1))
+    return (F(0), n * h, n) if draw(st.booleans()) else ((n - 1) * h, -h, n)
+
+
+@st.composite
+def _niemytzki_lattice(draw):
+    """A Niemytzki family, an exact or binary64 set of its and a lattice
+    through a centre's vertical axis, a diameter, the axis y = 0 and (for a
+    tangent disc) the tangency point."""
+    r, a = draw(_RADIUS), draw(_OFFSET)
+    first = TangentDisc(a, r) if draw(st.booleans()) else InteriorDisc(a, r + draw(_STEP), r)
+    kind = draw(st.sampled_from(["disc", "g", "separated", "overlapping"]))
+    if kind in ("disc", "g"):
+        components = [first if kind == "disc" else TangentDisc(a, r)]
+    elif kind == "separated":  # hulls 5 apart
+        components = [first, TangentDisc(a + 5, draw(_RADIUS))]
+    else:  # the second centre inside the first disc, neither disc inside the other
+        c = first.center
+        components = [first, InteriorDisc(c.x + r / 2, c.y + r / 4, 3 * r / 4)]
+    if draw(st.booleans()):
+        components = [
+            TangentDisc(float(s.a), float(s.r)) if isinstance(s, TangentDisc)
+            else InteriorDisc(float(s.cx), float(s.cy), float(s.r))
+            for s in components
+        ]
+    U = validate_regular_open(Space.NIEMYTZKI, components)
+    c = draw(st.sampled_from(U.components)).center
+    x_axis = draw(_axis_through(F(c.x)))
+    y_axis = draw(_rows_through(F(c.y)) | _rows_through(draw(_STEP)))
+    family = "g_family" if kind == "g" else "niemytzki_kappa"
+    return family, U, x_axis, y_axis
+
+
+@st.composite
+def _sorgenfrey_lattice(draw):
+    """A Sorgenfrey union of two components and a lattice through an endpoint
+    b, through b - 1 or through neither."""
+    ends = sorted(draw(st.sets(_OFFSET, min_size=4, max_size=4)))
+    U = validate_regular_open(
+        Space.SORGENFREY, [HalfOpen(ends[0], ends[1]), HalfOpen(ends[2], ends[3])]
+    )
+    through = draw(st.sampled_from([*ends, ends[1] - 1, ends[3] - 1]) | _OFFSET)
+    return "sorgenfrey_kappa", U, draw(_axis_through(through)), None
+
+
+def _coordinates(lo, hi, n):
+    return [lo + (hi - lo) * F(i, n) for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_niemytzki_lattice() | _sorgenfrey_lattice(), st.sampled_from(["exact", "float"]))
+def test_sample_grid_rows_are_the_family_values(case, mode):
+    # each row is the CSV text of float(coordinate) and of S.value at the point
+    # the row names, in the mode's coordinates: the lattice kernel on unreduced
+    # integer terms is the point function
+    family, U, x_axis, y_axis = case
+    S = decode_family(family)
+    bbox = ",".join(str(v) for v in (*x_axis[:2], *(y_axis or ())[:2]))
+    res = f"{x_axis[2]}x{y_axis[2]}" if y_axis else str(x_axis[2])
+    xs = _coordinates(*x_axis)
+    if y_axis:
+        to = float if mode == "float" else F
+        rows = [
+            f"{_csv_num(float(x))},{_csv_num(float(y))},"
+            f"{_csv_num(S.value(U, NiemytzkiPoint(to(x), to(y))))}"
+            for y in _coordinates(*y_axis)
+            for x in xs
+        ]
+        header = "x,y,value"
+    else:
+        rows = [f"{_csv_num(float(x))},{_csv_num(S.value(U, SorgenfreyPoint(x)))}" for x in xs]
+        header = "x,value"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"KAPPALAB_MODE": mode}):
+        out = Path(tmp) / "g.csv"
+        argv = ["sample-grid", "--family", family, "--set", json.dumps(encode_roset(U))]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + [f"--bbox={bbox}", f"--res={res}", "--out", str(out)]) == 0
+        assert out.read_text() == "\n".join([header, *rows]) + "\n"
 
 
 def _refute_bundle(tmp_path, *args):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappalab import (
@@ -16,6 +17,7 @@ from kappalab import (
     NotRegularOpenError,
     SorgenfreyPoint,
     Space,
+    SpaceMismatchError,
     TangentDisc,
     disc_in_union,
     doublearrow_f,
@@ -28,12 +30,15 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.families import (
+    FAMILIES,
     UnindexedSetError,
     _complement_distance,
     double_arrow_ro,
     g_stratification,
     niemytzki_kappa,
     sorgenfrey_kappa,
+    tabulated_evaluator,
+    user_supplied,
 )
 from kappalab.numerics import EPS, le
 from kappalab.sampling import (
@@ -592,3 +597,49 @@ def test_bound_sorgenfrey_and_double_arrow_members_are_the_fresh_values(seed):
         for _ in range(16):
             p = sample_point_near_set(U, rng)
             assert _same_bits(f_U(p), S.value(U, p))
+
+
+_ONE_SET = {
+    Space.SORGENFREY: _ro(Space.SORGENFREY, [HalfOpen(F(0), F(1))]),
+    Space.DOUBLE_ARROW: _ro(Space.DOUBLE_ARROW, [ClopenInterval(F(0), F(1, 2))]),
+    Space.NIEMYTZKI: _ro(Space.NIEMYTZKI, [TangentDisc(F(0), F(1))]),
+}
+_ONE_POINT_EACH = [
+    SorgenfreyPoint(F(1, 2)),
+    DoubleArrowPoint(F(1, 4), 1),
+    NiemytzkiPoint(F(0), F(1, 2)),
+    NiemytzkiPoint(0.25, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        *(pytest.param(make(), id=label) for label, make in FAMILIES.items()),
+        *(
+            pytest.param(user_supplied(space, lambda U, p: F(1, 3)), id=f"user_{space.value}")
+            for space in Space
+        ),
+        # nearest-sample: a point of another space has no distance to the samples
+        pytest.param(
+            user_supplied(
+                Space.SORGENFREY,
+                tabulated_evaluator({_ONE_SET[Space.SORGENFREY]: [(SorgenfreyPoint(F(0)), F(1))]}),
+            ),
+            id="user_tabulated_sorgenfrey",
+        ),
+    ],
+)
+def test_bound_member_and_value_agree_at_points_of_every_space(family):
+    # S.at(U)(p) is S.value(U, p): the same bits, or the same SpaceMismatchError
+    # at a point of another space
+    U = _ONE_SET[family.space]
+    f_U = family.at(U)
+    for p in _ONE_POINT_EACH:
+        if p.space is family.space:
+            assert _same_bits(f_U(p), family.value(U, p))
+            continue
+        with pytest.raises(SpaceMismatchError):
+            f_U(p)
+        with pytest.raises(SpaceMismatchError):
+            family.value(U, p)
