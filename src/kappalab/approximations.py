@@ -159,10 +159,17 @@ class Approximation:
 
 
 def stratification_to_approximation(S: Stratification, grid: QGrid) -> Approximation:
-    """U_q = {p : f_U(p) > q}: always an approximation when f is a family."""
+    """U_q = {p : f_U(p) > q}: always an approximation when f is a family.
+
+    The checks ask about one set at many grid values and points in a row, so
+    ``contains`` keeps the last set's f_U bound (a one-slot memo on the set's
+    identity) and binds again only when the set changes."""
+    last = [None, None]  # the last set and its f_U
 
     def contains(U: RegularOpenSet, q: Fraction, p: Point) -> bool:
-        return lt(q, S.value(U, p))
+        if U is not last[0]:
+            last[:] = U, S.at(U)
+        return lt(q, last[1](p))
 
     def realize(U: RegularOpenSet, q: Fraction) -> Optional[RealizedSet]:
         return realize_sublevel(S.label, U, q)

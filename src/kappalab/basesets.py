@@ -49,7 +49,8 @@ class _Interval:
 
     @cached_property
     def terms(self) -> tuple[int, int, int, int]:
-        """(an, ad, bn, bd): the lowest terms of a = an/ad and b = bn/bd."""
+        """(an, ad, bn, bd): the lowest terms of a = an/ad and b = bn/bd; the
+        constructor decides the endpoints' order on them."""
         return (*self.a.as_integer_ratio(), *self.b.as_integer_ratio())
 
 
@@ -67,10 +68,11 @@ class HalfOpen(_Interval):
         a, b = as_scalar(self.a), as_scalar(self.b)
         if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
             raise ValueError("Sorgenfrey endpoints must be exact rationals")
-        if not a < b:
-            raise ValueError(f"need a < b, got [{a}, {b})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        an, ad, bn, bd = self.terms
+        if not an * bd < bn * ad:
+            raise ValueError(f"need a < b, got [{a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,15 @@ class ClopenInterval(_Interval):
         a, b = as_scalar(self.a), as_scalar(self.b)
         if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
             raise ValueError("double arrow endpoints must be exact rationals")
-        if not (0 <= a < b <= 1):
-            raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-        if self.include_left_extreme and a != 0:
-            raise ValueError("include_left_extreme requires a = 0")
-        if self.include_right_extreme and b != 1:
-            raise ValueError("include_right_extreme requires b = 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        an, ad, bn, bd = self.terms
+        if not (0 <= an and an * bd < bn * ad and bn <= bd):
+            raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+        if self.include_left_extreme and an != 0:
+            raise ValueError("include_left_extreme requires a = 0")
+        if self.include_right_extreme and bn != bd:
+            raise ValueError("include_right_extreme requires b = 1")
 
     @cached_property
     def length(self) -> Fraction:

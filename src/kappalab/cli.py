@@ -117,6 +117,15 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
+def _count_field(obj: dict, key: str, default=None) -> int:
+    """``obj[key]`` (or ``default``) as a JSON integer of at least 1: a count
+    of 0 would run no samples and pass."""
+    value = _int_field(obj, key, default)
+    if value < 1:
+        raise SchemaError(f"{key!r} must be at least 1, got {value}")
+    return value
+
+
 def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
     if not isinstance(obj, dict):
         raise SchemaError(f"a plan is an object, got {obj!r}")
@@ -142,7 +151,7 @@ def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[Decrea
         if extra:
             raise SchemaError(f"unknown chain fields {sorted(extra)}")
         rng = plan.rng(f"chains:{S.label}:0")
-        return [sample_chain(S.space, rng, plan.chain_depth) for _ in range(_int_field(spec, "sampled"))]
+        return [sample_chain(S.space, rng, plan.chain_depth) for _ in range(_count_field(spec, "sampled"))]
     if spec == "pinch":
         chain = double_arrow_pinch_chain(plan.chain_depth)
     elif isinstance(spec, dict):
@@ -177,7 +186,7 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
         out.append((f"condition_2:{S.label}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_3":
         S = decode_family(entry.get("family"))
-        n = _int_field(entry, "n_certificates", plan.n_sequences)
+        n = _count_field(entry, "n_certificates", plan.n_sequences)
         rng = plan.rng(f"cond3:{S.label}")
         if S.label == LABEL_G:
             from .sampling import sample_condition3_pairs_g
@@ -228,7 +237,7 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
     elif kind == "refute":
         target = entry.get("target")
         cand_name = entry.get("candidate", "characteristic")
-        n = _int_field(entry, "n", _default_n(target))
+        n = _count_field(entry, "n", _default_n(target))
         res = _refute(target, cand_name, plan.seed, plan.chain_depth, n)
         key = f"refute:{target}:{cand_name}" if target == "sorgenfrey-a" else f"refute:{target}"
         out.append((key, res.payload(), res.verdict))
@@ -354,6 +363,8 @@ def cmd_refute(args) -> int:
     if args.depth < 1:
         raise SchemaError(f"--depth must be at least 1, got {args.depth}")
     n = args.n if args.n is not None else _default_n(args.target)
+    if n < 1:
+        raise SchemaError(f"--n must be at least 1, got {n}")
     res = _refute(args.target, args.candidate, plan_seed, args.depth, n)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:

@@ -45,6 +45,7 @@ from .families import (
     LABEL_G,
     LABEL_NIEMYTZKI,
     LABEL_USER,
+    FamilyMember,
     Stratification,
     tabulated_evaluator,
     user_supplied,
@@ -106,8 +107,10 @@ class SamplePlan:
     chain_depth: int = 64
 
     def __post_init__(self):
-        if self.chain_depth < 1:
-            raise ValueError(f"chain_depth must be at least 1, got {self.chain_depth}")
+        # a budget of 0 would pass every check on no samples at all
+        for name in ("n_points", "n_set_pairs", "n_sequences", "grid_m", "chain_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
@@ -173,11 +176,13 @@ def _kappa_approximation(space: Space) -> Approximation:
 # ---------------------------------------------------------------------------
 # family-aware sampling
 
+_SIXTEENTH, _HALF = Fraction(1, 16), Fraction(1, 2)
+
 
 def sample_family_set(S: Stratification, rng: random.Random) -> RegularOpenSet:
     if S.label == LABEL_G:
-        a = rand_dyadic(rng, Fraction(-3), Fraction(3))
-        r = rand_dyadic(rng, Fraction(1, 16), Fraction(1))
+        a = rand_dyadic(rng, -3, 3)
+        r = rand_dyadic(rng, _SIXTEENTH, 1)
         return validate_regular_open(S.space, [TangentDisc(a, r)])
     if S.space is Space.NIEMYTZKI:
         roll = rng.random()
@@ -193,9 +198,9 @@ def sample_family_pair(
     S: Stratification, rng: random.Random
 ) -> tuple[RegularOpenSet, RegularOpenSet]:
     if S.label == LABEL_G:
-        a = rand_dyadic(rng, Fraction(-3), Fraction(3))
-        r_small = rand_dyadic(rng, Fraction(1, 16), Fraction(1, 2))
-        r_big = r_small + rand_dyadic(rng, Fraction(0), Fraction(1, 2))
+        a = rand_dyadic(rng, -3, 3)
+        r_small = rand_dyadic(rng, _SIXTEENTH, _HALF)
+        r_big = r_small + rand_dyadic(rng, 0, _HALF)
         small, big = TangentDisc(a, r_small), TangentDisc(a, r_big)
         return validate_regular_open(S.space, [small]), validate_regular_open(S.space, [big])
     if S.space is Space.NIEMYTZKI:
@@ -211,12 +216,13 @@ def sample_family_pair(
 
 
 class _Support(NamedTuple):
-    """Condition (1) at a point p of an index set U."""
+    """Condition (1) at a point p of an index set U, with f_U bound once per set."""
 
     kind = "condition_1"
     count_key = "samples"
     S: Stratification
     U: RegularOpenSet
+    f_U: FamilyMember
     p: Point
 
     @classmethod
@@ -226,12 +232,14 @@ class _Support(NamedTuple):
             # a pool amortizes set construction; points still vary per sample
             pool_size = max(1, min(plan.n_points, plan.n_points // 12 + 1))
             sets = [sample_family_set(S, rng) for _ in range(pool_size)]
+        # only the first n_points sets are ever visited
+        pool = [(U, S.at(U)) for U in sets[: plan.n_points]]
         for i in range(plan.n_points):
-            U = sets[i % len(sets)]
-            yield cls(S, U, sample_point_near_set(U, rng))
+            U, f_U = pool[i % len(pool)]
+            yield cls(S, U, f_U, sample_point_near_set(U, rng))
 
     def violates(self) -> bool:
-        return member(self.U, self.p) != lt(0, self.S.value(self.U, self.p))
+        return member(self.U, self.p) != lt(0, self.f_U(self.p))
 
     def witness(self) -> dict:
         return {
@@ -239,7 +247,7 @@ class _Support(NamedTuple):
             "family": self.S.label,
             "set": encode_roset(self.U),
             "point": encode_point(self.p),
-            "value": encode_scalar(self.S.value(self.U, self.p)),
+            "value": encode_scalar(self.f_U(self.p)),
             "member": member(self.U, self.p),
         }
 
@@ -247,7 +255,7 @@ class _Support(NamedTuple):
     def decode(cls, w: dict) -> _Support:
         U, p = decode_set(w["set"]), decode_point(w["point"])
         S = _replay_family(w, U.space, lambda: {U: [(p, decode_scalar(w["value"]))]})
-        return cls(S, U, p)
+        return cls(S, U, S.at(U), p)
 
 
 def check_condition_1(
@@ -258,13 +266,16 @@ def check_condition_1(
 
 
 class _Monotone(NamedTuple):
-    """Condition (2) at a point p for index sets U inside V."""
+    """Condition (2) at a point p for index sets U inside V, with f_U and f_V
+    bound once per pair."""
 
     kind = "condition_2"
     count_key = "samples"
     S: Stratification
     U: RegularOpenSet
     V: RegularOpenSet
+    f_U: FamilyMember
+    f_V: FamilyMember
     p: Point
 
     @classmethod
@@ -273,12 +284,13 @@ class _Monotone(NamedTuple):
         points_per_pair = max(1, plan.n_points // max(1, plan.n_set_pairs))
         for _ in range(plan.n_set_pairs):
             U, V = sample_family_pair(S, rng)
+            f_U, f_V = S.at(U), S.at(V)
             for _ in range(points_per_pair):
-                yield cls(S, U, V, sample_point_near_set(V, rng))
+                yield cls(S, U, V, f_U, f_V, sample_point_near_set(V, rng))
 
     def violates(self) -> bool:
         """f_U(p) <= f_V(p) fails (``le``: exact, EPS when a value is a float)."""
-        return not le(self.S.value(self.U, self.p), self.S.value(self.V, self.p))
+        return not le(self.f_U(self.p), self.f_V(self.p))
 
     def witness(self) -> dict:
         return {
@@ -287,8 +299,8 @@ class _Monotone(NamedTuple):
             "small_set": encode_roset(self.U),
             "big_set": encode_roset(self.V),
             "point": encode_point(self.p),
-            "small_value": encode_scalar(self.S.value(self.U, self.p)),
-            "big_value": encode_scalar(self.S.value(self.V, self.p)),
+            "small_value": encode_scalar(self.f_U(self.p)),
+            "big_value": encode_scalar(self.f_V(self.p)),
         }
 
     @classmethod
@@ -299,7 +311,7 @@ class _Monotone(NamedTuple):
             V: [(p, decode_scalar(w["big_value"]))],
         }
         S = _replay_family(w, U.space, stored)
-        return cls(S, U, V, p)
+        return cls(S, U, V, S.at(U), S.at(V), p)
 
 
 def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:

@@ -225,12 +225,14 @@ def _sort_key(c: BasicOpenSet):
 
 
 def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
-    items = []  # (left, left_closed, right)
+    """The merged components in order; a component that nothing merged into
+    is the input object itself, not built again."""
+    items = []  # (left, left_closed, right, the input component it starts from)
     for c in components:
         if isinstance(c, HalfOpen):
-            items.append([c.a, True, c.b])
+            items.append([c.a, True, c.b, c])
         elif isinstance(c, OpenInterval):
-            items.append([c.a, False, c.b])
+            items.append([c.a, False, c.b, c])
         else:
             raise TypeError(f"{c!r} is not a Sorgenfrey base set")
     items.sort(key=lambda it: (it[0], not it[1]))
@@ -244,9 +246,9 @@ def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenS
                 continue
         merged.append(list(it))
     out: list[BasicOpenSet] = []
-    for left, closed, right in merged:
+    for left, closed, right, first in merged:
         if closed:
-            out.append(HalfOpen(left, right))
+            out.append(first if right == first.b else HalfOpen(left, right))
         else:
             raise NotRegularOpenError(
                 f"canonical component ({left}, {right}) is left-open: "
@@ -257,16 +259,18 @@ def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenS
 
 
 def _canonical_double_arrow(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
-    intervals = []
-    left_single = right_single = False
+    """The merged components in order; a component that nothing merged into
+    is the input object itself, not built again."""
+    intervals = []  # (a, b, left flag, right flag, the input component it starts from)
+    left_single = right_single = None
     for c in components:
         if isinstance(c, ClopenInterval):
-            intervals.append([c.a, c.b, c.include_left_extreme, c.include_right_extreme])
+            intervals.append([c.a, c.b, c.include_left_extreme, c.include_right_extreme, c])
         elif isinstance(c, ExtremeSingleton):
             if c.side == 0:
-                left_single = True
+                left_single = c
             else:
-                right_single = True
+                right_single = c
         else:
             raise TypeError(f"{c!r} is not a double arrow base set")
     intervals.sort(key=lambda it: (it[0], it[1]))
@@ -282,17 +286,19 @@ def _canonical_double_arrow(components: Sequence[BasicOpenSet]) -> list[BasicOpe
     if left_single:
         if merged and merged[0][0] == 0:
             merged[0][2] = True
-            left_single = False
+            left_single = None
     if right_single:
         if merged and merged[-1][1] == 1:
             merged[-1][3] = True
-            right_single = False
+            right_single = None
     out: list[BasicOpenSet] = []
     if left_single:
-        out.append(ExtremeSingleton(0))
-    out.extend(ClopenInterval(a, b, fl, fr) for a, b, fl, fr in merged)
+        out.append(left_single)
+    for a, b, fl, fr, first in merged:
+        unchanged = (b, fl, fr) == (first.b, first.include_left_extreme, first.include_right_extreme)
+        out.append(first if unchanged else ClopenInterval(a, b, fl, fr))
     if right_single:
-        out.append(ExtremeSingleton(1))
+        out.append(right_single)
     return out
 
 

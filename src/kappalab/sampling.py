@@ -21,6 +21,7 @@ from .basesets import (
     TangentDisc,
 )
 from .convergence import ConvergenceCertificate
+from .numerics import Scalar
 from .rosets import (
     DecreasingChain,
     ParametricBasicSet,
@@ -35,71 +36,111 @@ TAIL_START = 100
 SEQUENCE_LENGTH = 128
 
 
-def rand_dyadic(rng: random.Random, lo: Fraction, hi: Fraction, depth: int = 8) -> Fraction:
-    """lo + k/2^depth for a uniform k with the result in [lo, hi]; lo itself,
-    with no draw, when hi - lo < 2^-depth.  Computed on the integer terms of
-    lo and hi (docs/derivations.md, "Double arrow space")."""
-    ln, ld = lo.as_integer_ratio()
-    hn, hd = hi.as_integer_ratio()
+def dyadic_terms(
+    rng: random.Random, ln: int, ld: int, hn: int, hd: int, depth: int = 8
+) -> tuple[int, int]:
+    """``rand_dyadic`` on integer terms: the draw lo + k/2^depth as an
+    unreduced (numerator, positive denominator) pair, for lo = ln/ld and
+    hi = hn/hd given by any terms with ld, hd > 0 (docs/derivations.md,
+    "Sampling on integer terms")."""
     # floor((hi - lo) 2^depth)
     steps = ((hn * ld - ln * hd) << depth) // (hd * ld)
     if steps <= 0:
-        return Fraction(ln, ld)
-    return Fraction((ln << depth) + rng.randrange(steps + 1) * ld, ld << depth)
+        return ln, ld
+    return (ln << depth) + rng.randrange(steps + 1) * ld, ld << depth
+
+
+def rand_dyadic(rng: random.Random, lo: Scalar | int, hi: Scalar | int, depth: int = 8) -> Fraction:
+    """lo + k/2^depth for a uniform k with the result in [lo, hi]; lo itself,
+    with no draw, when hi - lo < 2^-depth.  The bounds are Fractions, ints or
+    binary64, read by their integer terms (docs/derivations.md, "Double arrow
+    space")."""
+    return Fraction(*dyadic_terms(rng, *lo.as_integer_ratio(), *hi.as_integer_ratio(), depth))
+
+
+def _plus(x: Scalar, n: int, d: int) -> Scalar:
+    """x + n/d (d > 0): one Fraction from integer terms when x is exact, the
+    binary64 sum when x is a float."""
+    if type(x) is Fraction:
+        xn, xd = x.as_integer_ratio()
+        return Fraction(xn * d + n * xd, xd * d)
+    return x + Fraction(n, d)
+
+
+def _times(x: Scalar, n: int, d: int) -> Scalar:
+    """x * n/d (d > 0), exact or binary64 as ``_plus``."""
+    if type(x) is Fraction:
+        xn, xd = x.as_integer_ratio()
+        return Fraction(xn * n, xd * d)
+    return x * Fraction(n, d)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+#: the lowest off-axis sample point and the smallest sampled disc radius
+_Y_MIN, _R_MIN = Fraction(1, 1024), Fraction(1, 16)
+#: the isolated double arrow extremes (0, 0) and (1, 1)
+_EXTREMES = (DoubleArrowPoint(_ZERO, 0), DoubleArrowPoint(_ONE, 1))
+
+#: Cut numerators over 2^8 as (lowest, steps): a Sorgenfrey cut is
+#: rand_dyadic(-4, 4) = (-1024 + k)/2^8 with k <= 2048, a double arrow cut
+#: rand_dyadic(1/32, 31/32) = (8 + k)/2^8 with k <= 240
+_SORGENFREY_CUTS = (-4 << 8, 8 << 8)
+_DOUBLE_ARROW_CUTS = (8, 240)
+#: the optional component {(0, 0)} + [(0, 1), (1/64, 0)] at the left extreme
+_LEFT_EXTREME_INTERVAL = ClopenInterval(_ZERO, Fraction(1, 64), include_left_extreme=True)
 
 
 # ---------------------------------------------------------------------------
 # sets
 
 
+def _paired_cuts(rng: random.Random, k: int, lowest: int, steps: int) -> list[tuple[int, int]]:
+    """Up to k (left, right) numerators over 2^8 from 2k + 2 dyadic cuts:
+    the draws deduplicated, sorted and paired off from the left, so every
+    pair is in order and apart from the next."""
+    cuts = sorted({lowest + rng.randrange(steps + 1) for _ in range(2 * k + 2)})
+    return list(zip(cuts[0::2], cuts[1::2]))[:k]
+
+
 def sample_sorgenfrey_set(rng: random.Random, max_components: int = 3) -> RegularOpenSet:
     k = rng.randint(1, max_components)
-    cuts = sorted(
-        {rand_dyadic(rng, Fraction(-4), Fraction(4)) for _ in range(2 * k + 2)}
-    )
-    comps = []
-    i = 0
-    while i + 1 < len(cuts) and len(comps) < k:
-        if cuts[i] < cuts[i + 1]:
-            comps.append(HalfOpen(cuts[i], cuts[i + 1]))
-        i += 2
-    if not comps:
-        comps = [HalfOpen(Fraction(0), Fraction(1))]
+    comps = [
+        HalfOpen(Fraction(a, 256), Fraction(b, 256))
+        for a, b in _paired_cuts(rng, k, *_SORGENFREY_CUTS)
+    ] or [HalfOpen(_ZERO, _ONE)]
     return validate_regular_open(Space.SORGENFREY, comps)
 
 
 def sample_double_arrow_set(rng: random.Random, max_components: int = 3) -> RegularOpenSet:
     k = rng.randint(1, max_components)
-    cuts = sorted(
-        {rand_dyadic(rng, Fraction(1, 32), Fraction(31, 32)) for _ in range(2 * k + 2)}
-    )
-    comps: list[BasicOpenSet] = []
-    i = 0
-    while i + 1 < len(cuts) and len(comps) < k:
-        if cuts[i] < cuts[i + 1]:
-            comps.append(ClopenInterval(cuts[i], cuts[i + 1]))
-        i += 2
-    if not comps:
-        comps = [ClopenInterval(Fraction(1, 4), Fraction(3, 4))]
+    comps: list[BasicOpenSet] = [
+        ClopenInterval(Fraction(a, 256), Fraction(b, 256))
+        for a, b in _paired_cuts(rng, k, *_DOUBLE_ARROW_CUTS)
+    ] or [ClopenInterval(Fraction(1, 4), Fraction(3, 4))]
     roll = rng.random()
     if roll < 0.15:
-        comps.append(ClopenInterval(Fraction(0), Fraction(1, 64), include_left_extreme=True))
+        comps.append(_LEFT_EXTREME_INTERVAL)
     elif roll < 0.25:
         comps.append(ExtremeSingleton(rng.randint(0, 1)))
     return validate_regular_open(Space.DOUBLE_ARROW, comps)
 
 
+def _sample_interior_disc(rng: random.Random, lo: int, hi: int) -> InteriorDisc:
+    """B((cx, cy), r) with cx = rand_dyadic(lo, hi), cy = rand_dyadic(1/4, 2)
+    and r = rand_dyadic(1/16, min(1, 3cy/4)): r stays strictly below cy, as
+    an uncovered axis-tangent disc is not regular open."""
+    cx = Fraction(*dyadic_terms(rng, lo, 1, hi, 1))
+    cyn, cyd = dyadic_terms(rng, 1, 4, 2, 1)
+    r_hi = (3 * cyn, 4 * cyd) if 3 * cyn < 4 * cyd else (1, 1)
+    r = Fraction(*dyadic_terms(rng, 1, 16, *r_hi))
+    return InteriorDisc(cx, Fraction(cyn, cyd), r)
+
+
 def sample_niemytzki_component(rng: random.Random) -> BasicOpenSet:
     if rng.random() < 0.5:
-        a = rand_dyadic(rng, Fraction(-3), Fraction(3))
-        r = rand_dyadic(rng, Fraction(1, 16), Fraction(1))
-        return TangentDisc(a, r)
-    cx = rand_dyadic(rng, Fraction(-3), Fraction(3))
-    cy = rand_dyadic(rng, Fraction(1, 4), Fraction(2))
-    # keep r strictly below cy: an uncovered axis-tangent disc is not regular open
-    r_hi = min(Fraction(1), cy * Fraction(3, 4))
-    r = rand_dyadic(rng, Fraction(1, 16), r_hi)
-    return InteriorDisc(cx, cy, r)
+        a = rand_dyadic(rng, -3, 3)
+        return TangentDisc(a, rand_dyadic(rng, _R_MIN, 1))
+    return _sample_interior_disc(rng, -3, 3)
 
 
 def sample_niemytzki_set(rng: random.Random, max_components: int = 3) -> RegularOpenSet:
@@ -111,20 +152,16 @@ def sample_niemytzki_set(rng: random.Random, max_components: int = 3) -> Regular
 def sample_niemytzki_set_separated(
     rng: random.Random, max_components: int = 3
 ) -> RegularOpenSet:
-    """A union whose components live in disjoint x-bands (exact value path)."""
+    """A union whose components live in disjoint x-bands (exact value path):
+    component i is centred in [8i - 1, 8i + 1]."""
     k = rng.randint(1, max_components)
     comps = []
-    for i in range(k):
-        band = Fraction(8 * i)
+    for band in range(0, 8 * k, 8):
         if rng.random() < 0.5:
-            a = band + rand_dyadic(rng, Fraction(-1), Fraction(1))
-            r = rand_dyadic(rng, Fraction(1, 16), Fraction(1))
-            comps.append(TangentDisc(a, r))
+            a = Fraction(*dyadic_terms(rng, band - 1, 1, band + 1, 1))
+            comps.append(TangentDisc(a, rand_dyadic(rng, _R_MIN, 1)))
         else:
-            cx = band + rand_dyadic(rng, Fraction(-1), Fraction(1))
-            cy = rand_dyadic(rng, Fraction(1, 4), Fraction(2))
-            r_hi = min(Fraction(1), cy * Fraction(3, 4))
-            comps.append(InteriorDisc(cx, cy, rand_dyadic(rng, Fraction(1, 16), r_hi)))
+            comps.append(_sample_interior_disc(rng, band - 1, band + 1))
     return validate_regular_open(Space.NIEMYTZKI, comps)
 
 
@@ -142,31 +179,32 @@ def sample_set(space: Space, rng: random.Random, max_components: int = 3) -> Reg
 
 def sample_point(space: Space, rng: random.Random) -> Point:
     if space is Space.SORGENFREY:
-        return SorgenfreyPoint(rand_dyadic(rng, Fraction(-5), Fraction(5), depth=10))
+        return SorgenfreyPoint(rand_dyadic(rng, -5, 5, depth=10))
     if space is Space.DOUBLE_ARROW:
         roll = rng.random()
         if roll < 0.05:
-            side = rng.randint(0, 1)
-            return DoubleArrowPoint(Fraction(side), side)
-        return DoubleArrowPoint(
-            rand_dyadic(rng, Fraction(0), Fraction(1), depth=10), rng.randint(0, 1)
-        )
+            return _EXTREMES[rng.randint(0, 1)]
+        return DoubleArrowPoint(rand_dyadic(rng, 0, 1, depth=10), rng.randint(0, 1))
     roll = rng.random()
-    x = rand_dyadic(rng, Fraction(-4), Fraction(4), depth=10)
+    x = rand_dyadic(rng, -4, 4, depth=10)
     if roll < 0.2:
-        return NiemytzkiPoint(x, Fraction(0))
-    return NiemytzkiPoint(x, rand_dyadic(rng, Fraction(1, 1024), Fraction(3), depth=10))
+        return NiemytzkiPoint(x, _ZERO)
+    return NiemytzkiPoint(x, rand_dyadic(rng, _Y_MIN, 3, depth=10))
 
 
 def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
-    """Points biased toward the set: interior, near-boundary and outside."""
+    """Points biased toward the set: interior, near-boundary and outside.
+
+    Each coordinate is one Fraction built from integer terms
+    (docs/derivations.md, "Sampling on integer terms")."""
     if U.is_empty:
         return sample_point(U.space, rng)
     c = rng.choice(U.components)
     roll = rng.random()
     if U.space is Space.SORGENFREY:
         if roll < 0.5:
-            return SorgenfreyPoint(rand_dyadic(rng, c.a, c.b - Fraction(1, 256)))
+            an, ad, bn, bd = c.terms  # a draw in [a, b - 1/256]
+            return SorgenfreyPoint(Fraction(*dyadic_terms(rng, an, ad, (bn << 8) - bd, bd << 8)))
         if roll < 0.7:
             return SorgenfreyPoint(c.a)
         if roll < 0.85:
@@ -176,9 +214,8 @@ def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
         if isinstance(c, ExtremeSingleton):
             return c.point
         if roll < 0.4:
-            return DoubleArrowPoint(
-                rand_dyadic(rng, c.a, c.b, depth=10), rng.randint(0, 1)
-            )
+            t = Fraction(*dyadic_terms(rng, *c.terms, 10))
+            return DoubleArrowPoint(t, rng.randint(0, 1))
         if roll < 0.55:
             return DoubleArrowPoint(c.a, 1)
         if roll < 0.7:
@@ -188,20 +225,23 @@ def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
         return sample_point(U.space, rng)
     if isinstance(c, TangentDisc):
         if roll < 0.25:
-            return NiemytzkiPoint(c.a, Fraction(0))
+            return NiemytzkiPoint(c.a, _ZERO)
         if roll < 0.6:
-            t = rand_dyadic(rng, Fraction(1, 64), Fraction(15, 8))
-            return NiemytzkiPoint(c.a, c.r * t)  # on the vertical axis of the disc
+            # on the vertical axis of the disc: (a, r t), t = rand_dyadic(1/64, 15/8)
+            return NiemytzkiPoint(c.a, _times(c.r, *dyadic_terms(rng, 1, 64, 15, 8)))
         if roll < 0.85:
-            dx = rand_dyadic(rng, -c.r / 2, c.r / 2)
-            return NiemytzkiPoint(c.a + dx, c.r)
+            # (a + dx, r), dx = rand_dyadic(-r/2, r/2)
+            rn, rd = c.r.as_integer_ratio()
+            return NiemytzkiPoint(_plus(c.a, *dyadic_terms(rng, -rn, 2 * rd, rn, 2 * rd)), c.r)
         return sample_point(U.space, rng)
     if roll < 0.4:
-        return NiemytzkiPoint(c.cx, c.cy)
+        return c.center
     if roll < 0.7:
-        dx = rand_dyadic(rng, -c.r, c.r)
-        dy = rand_dyadic(rng, -c.r / 2, c.r / 2)
-        return NiemytzkiPoint(c.cx + dx, max(Fraction(0), c.cy + dy))
+        # (cx + dx, cy + dy), dx = rand_dyadic(-r, r), dy = rand_dyadic(-r/2, r/2);
+        # r <= cy keeps cy + dy >= cy/2 > 0
+        rn, rd = c.r.as_integer_ratio()
+        x = _plus(c.cx, *dyadic_terms(rng, -rn, rd, rn, rd))
+        return NiemytzkiPoint(x, _plus(c.cy, *dyadic_terms(rng, -rn, 2 * rd, rn, 2 * rd)))
     return sample_point(U.space, rng)
 
 
@@ -209,32 +249,36 @@ def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
 # nested pairs (for the monotonicity condition)
 
 
+def _shrunk_ends(c: HalfOpen | ClopenInterval, i: int, j: int) -> tuple[Fraction, Fraction]:
+    """(a + (b - a) i/16, b - (b - a) j/16) from the interval's integer terms,
+    in order: for i + j < 16 the gap (b - a)(16 - i - j)/16 stays positive."""
+    an, ad, bn, bd = c.terms
+    left, right = an * bd, bn * ad  # a and b over ad * bd
+    den = (ad * bd) << 4
+    width = right - left
+    return Fraction(16 * left + width * i, den), Fraction(16 * right - width * j, den)
+
+
 def _shrink_component(c: BasicOpenSet, rng: random.Random) -> BasicOpenSet | None:
+    """A base set inside c, drawn on c's integer terms (sampled sets are exact)."""
     if isinstance(c, HalfOpen):
-        width = c.b - c.a
-        da = width * Fraction(rng.randrange(0, 4), 16)
-        db = width * Fraction(rng.randrange(1, 4), 16)
-        if c.a + da < c.b - db:
-            return HalfOpen(c.a + da, c.b - db)
-        return None
+        i, j = rng.randrange(0, 4), rng.randrange(1, 4)
+        return HalfOpen(*_shrunk_ends(c, i, j))
     if isinstance(c, ClopenInterval):
-        width = c.b - c.a
-        da = width * Fraction(rng.randrange(0, 4), 16)
-        db = width * Fraction(rng.randrange(0, 4), 16)
-        if c.a + da < c.b - db:
-            keep_left = c.include_left_extreme and da == 0
-            keep_right = c.include_right_extreme and db == 0
-            return ClopenInterval(c.a + da, c.b - db, keep_left, keep_right)
-        return None
+        i, j = rng.randrange(0, 4), rng.randrange(0, 4)
+        keep_left = c.include_left_extreme and i == 0
+        keep_right = c.include_right_extreme and j == 0
+        return ClopenInterval(*_shrunk_ends(c, i, j), keep_left, keep_right)
     if isinstance(c, ExtremeSingleton):
         return c
     if isinstance(c, TangentDisc):
-        r = c.r * Fraction(rng.randrange(8, 16), 16)
-        return TangentDisc(c.a, r)
+        return TangentDisc(c.a, _times(c.r, rng.randrange(8, 16), 16))
     if isinstance(c, InteriorDisc):
-        r = c.r * Fraction(rng.randrange(8, 16), 16)
-        shift = (c.r - r) * Fraction(rng.randrange(0, 16), 16)
-        return InteriorDisc(c.cx + shift, c.cy, r)
+        # radius r k/16, centre moved right by (r - r k/16) m/16 = r (16 - k) m/256
+        k = rng.randrange(8, 16)
+        r = _times(c.r, k, 16)
+        rn, rd = c.r.as_integer_ratio()
+        return InteriorDisc(_plus(c.cx, rn * (16 - k) * rng.randrange(0, 16), rd << 8), c.cy, r)
     return None
 
 

@@ -1,5 +1,6 @@
 """q-indexed families and the two transforms."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -28,6 +29,29 @@ from kappalab import (
 from kappalab.approximations import Approximation, TangentLens
 from kappalab.families import FAMILIES, niemytzki_basic_f
 from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_set
+
+
+def test_contains_binds_once_per_run_of_one_set():
+    binds = []
+    S = sorgenfrey_kappa()
+    counting = dataclasses.replace(S, bind=lambda U: binds.append(U) or S.bind(U))
+    A, qs = stratification_to_approximation(counting, QGrid(6)), QGrid(6).values
+    rng = random.Random(4)
+    U, V = sample_set(Space.SORGENFREY, rng), sample_set(Space.SORGENFREY, rng)
+    points = [sample_point_near_set(U, rng) for _ in range(20)]
+    got = [A.contains(U, q, p) for p in points for q in qs]
+    assert got == [S.value(U, p) > q for p in points for q in qs]
+    assert binds == [U]
+    A.contains(V, F(1, 2), points[0])
+    A.contains(U, F(1, 2), points[0])
+    assert binds == [U, V, U]
+    # the reconstruction's binary search asks about one set: no bind while it stays
+    R = approximation_to_stratification(A, QGrid(6))
+    for p in points:
+        R.value(U, p)
+    assert binds == [U, V, U]
+    R.value(V, points[0])
+    assert binds == [U, V, U, V]
 
 
 def test_qgrid():

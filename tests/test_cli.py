@@ -319,6 +319,42 @@ def test_non_integer_entry_counts_exit_2(tmp_path, capsys, entry):
     assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
 
 
+_SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
+
+
+@pytest.mark.parametrize(
+    "plan, entry",
+    [
+        ({"n_points": -5, "n_set_pairs": 0}, _SORGENFREY_1),
+        ({"n_points": 0}, _SORGENFREY_1),
+        ({"n_set_pairs": 0}, {"check": "condition_2", "family": "double_arrow_ro"}),
+        ({"n_sequences": 0}, {"check": "condition_3", "family": "sorgenfrey_kappa"}),
+        ({"grid_m": 0}, {"check": "condition_d", "family": "sorgenfrey_kappa"}),
+        ({"chain_depth": 0}, {"check": "condition_4", "family": "sorgenfrey_kappa"}),
+        ({}, {"check": "condition_3", "family": "sorgenfrey_kappa", "n_certificates": -3}),
+        ({}, {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": {"sampled": 0}}),
+        ({}, {"check": "refute", "target": "niemytzki-strat", "n": 0}),
+        ({}, {"check": "refute", "target": "g-extend", "n": -1}),
+    ],
+    ids=[
+        "n_points_negative",
+        "n_points_0",
+        "n_set_pairs_0",
+        "n_sequences_0",
+        "grid_m_0",
+        "chain_depth_0",
+        "n_certificates_negative",
+        "sampled_0",
+        "refute_n_0",
+        "refute_n_negative",
+    ],
+)
+def test_budgets_below_1_exit_2(tmp_path, capsys, plan, entry):
+    # a budget of 0 would run no samples and pass
+    scenario = {"name": "x", "plan": plan, "checks": [entry]}
+    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
 def _explicit_chain(a, b, space="sorgenfrey", **fields):
     chain = {"space": space, "components": [{"kind": "half_open", "a": a, "b": b}], **fields}
     return {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": chain}
@@ -582,12 +618,73 @@ def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, famil
     [
         ["refute", "doublearrow-d", "--depth", "0"],
         ["refute", "g-extend", "--n", "0"],
+        ["refute", "niemytzki-strat", "--n", "0"],
+        ["refute", "niemytzki-strat", "--n", "-2"],
         ["check", "--corpus", "--depth", "0"],
+        ["check", "--corpus", "--grid-m", "0"],
     ],
-    ids=["refute_depth_0", "refute_g_extend_n_0", "corpus_depth_0"],
+    ids=[
+        "refute_depth_0",
+        "refute_g_extend_n_0",
+        "refute_niemytzki_strat_n_0",
+        "refute_niemytzki_strat_n_negative",
+        "corpus_depth_0",
+        "corpus_grid_m_0",
+    ],
 )
 def test_counts_below_1_exit_2(capsys, argv):
     assert _schema_error(capsys, argv)
+
+
+#: sha256 of each corpus report (``check --corpus --out``) by plan seed
+#: override: any change to a verdict, a witness, a count or the report
+#: format changes a hash
+_CORPUS_REPORTS = {
+    None: {
+        "condition4_chains": "d6c0b4584adf681dc9b20c7632f5d41a837b33fff29422a3670cf4512b7f5bec",
+        "continuity_negative_control": "f896c9cff92ae58e97a7aee9aa95adbf091579e84d5296aa03bb4e09aba37174",
+        "doublearrow_condition_d": "f094cf933814762f9290bc45df55baf73b773044b19b65e7dae6e059ecdbfa6e",
+        "doublearrow_ro_full": "27f321ebec7375717a5039a48311350bcfc01a69c39dcad15ca0cd24c6892f36",
+        "g_family_checks": "70c692db6e03f8e5813588011c338c0c92a455231a84f31599cb743cc8f2d4d1",
+        "niemytzki_kappa_full": "12301dea530ec9e0347acb38dcb74f33458fcfc051b1b2d4152758bc99164eb1",
+        "refuters": "6ea24f625feb7910f699cb76c00acf4a870b8ef4cc1f4616b2547cad459bcc10",
+        "separations": "6d769e543c7a74996ee5832fc2e1578ce40a70c98e2a96b9c158626869faa5f0",
+        "sorgenfrey_kappa_full": "078535cc35a7175681891407c34705d728964df5012666b94a8153d23d70fd38",
+    },
+    99: {
+        "condition4_chains": "f8dbbfe03bee6e40cd2ec47b822d7924540d8e57351b2878999255b5fdfe99be",
+        "continuity_negative_control": "1520991e1354c6f62d98af431826b6fbab6cf005f76292ce406a4c3df4467ac8",
+        "doublearrow_condition_d": "d6f50d681ca11602a6719489f4732a6dd011b740665343ce6852b788fe71623f",
+        "doublearrow_ro_full": "2f8b3617c43a7dc5ebf1f59801f94e8df15c8cd836c7e1abae1e11ee6047ad83",
+        "g_family_checks": "10b566bc43382e326cdac5cf8e0dbe0995e7cdac453ed512b1a6caccb56fd72f",
+        "niemytzki_kappa_full": "7f1593dc6f6a9cda9a0a1ed1954f0875d745b1d2b76e7d4b229e21e0577b0b7c",
+        "refuters": "ee0430378bcb9529fc33e7651482dbb8eb69b7e8afa05b5d318d7648fbed227d",
+        "separations": "b44e04dcb68a498c2ee01838460fb9661e297e28193dee40f85f67ab09ab3546",
+        "sorgenfrey_kappa_full": "aad4bb2949e3330a9d6abe8a7fb6a56ab5dda89844aad5514ff7e0d2c3b7ec31",
+    },
+    8: {
+        "condition4_chains": "35c566908626fd13b5a5603d23a99515b6dffca6e2e238d7896d53ea8d7a537d",
+        "continuity_negative_control": "eab63473ee702a2bed597697da88a051b79e96edfad9e34acd04ad370dd8d9d9",
+        "doublearrow_condition_d": "73dc23d59a0db71a8a42def383d251bdeb7d49ed69d394573114843dc8b8ed7a",
+        "doublearrow_ro_full": "8eec313da685146a3041959d24776d981ae6acf70403c1d0a8c5fbd149252224",
+        "g_family_checks": "c5d625d366b552acc931179e88f38501e1ec6f67afcb6451c6d0785a36c37943",
+        "niemytzki_kappa_full": "51dfe98a16df334d7bc398659206cdb91b13e1dd6f36de6bda167da660370091",
+        "refuters": "44f2f9bb98b09bccb6b0d96666011555e88e3c149df78888ef0f518c77baa2f5",
+        "separations": "329d5c0beefec992e34ef18a14dc9ccc4540cfb148387e7b9a8eae13cc1349c3",
+        "sorgenfrey_kappa_full": "213db432be0dd2fcde0da9013a0357a078e7f1c72f24a73d186344c0260876c0",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", list(_CORPUS_REPORTS), ids=["shipped_seeds", "seed_99", "seed_8"])
+def test_corpus_report_bytes_are_pinned(tmp_path, monkeypatch, seed):
+    monkeypatch.delenv("KAPPALAB_MODE", raising=False)  # the refuters report exact bundles
+    argv = ["check", "--corpus", "--out", str(tmp_path)]
+    assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
+    got = {
+        path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.glob("*.json")
+    }
+    assert got == _CORPUS_REPORTS[seed]
 
 
 _TANGENT = '{"kind": "tangent_disc", "a": "0", "r": "1"}'

@@ -1,6 +1,7 @@
 """Axiom checkers: passes on the named families, fails with replayable
 witnesses on broken ones, determinism."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -76,6 +77,38 @@ def test_condition_1_fails_on_zero_family_with_witness():
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["member"] is True and w["value"] == "0"
+
+
+@pytest.mark.parametrize("budget", ["n_points", "n_set_pairs", "n_sequences", "grid_m", "chain_depth"])
+def test_sample_plan_budgets_are_at_least_1(budget):
+    with pytest.raises(ValueError, match=f"{budget} must be at least 1"):
+        SamplePlan(**{budget: 0})
+    assert getattr(SamplePlan(**{budget: 1}), budget) == 1
+
+
+def _counting_user_family(space, binds):
+    """A user family with the space's kappa values whose binder appends
+    each set it binds to ``binds``."""
+    kappa = {Space.SORGENFREY: sorgenfrey_kappa, Space.DOUBLE_ARROW: double_arrow_ro}[space]()
+    S = user_supplied(space, kappa.value)
+
+    def bind(U):
+        binds.append(U)
+        return S.bind(U)
+
+    return dataclasses.replace(S, bind=bind)
+
+
+@pytest.mark.parametrize("space", [Space.SORGENFREY, Space.DOUBLE_ARROW])
+def test_conditions_1_2_bind_each_set_once(space):
+    binds = []
+    S = _counting_user_family(space, binds)
+    assert check_condition_1(S, PLAN).passed
+    pool_size = PLAN.n_points // 12 + 1
+    assert len(binds) == pool_size == len(set(map(id, binds)))
+    binds.clear()
+    assert check_condition_2(S, PLAN).passed
+    assert len(binds) == 2 * PLAN.n_set_pairs
 
 
 def test_condition_1_exact_values_below_eps_are_positive():
