@@ -195,8 +195,8 @@ def sample_point(space: Space, rng: random.Random) -> Point:
 def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
     """Points biased toward the set: interior, near-boundary and outside.
 
-    Each coordinate is one Fraction built from integer terms
-    (docs/derivations.md, "Sampling on integer terms")."""
+    Each drawn coordinate of an exact set is one Fraction built from
+    integer terms (docs/derivations.md, "Sampling on integer terms")."""
     if U.is_empty:
         return sample_point(U.space, rng)
     c = rng.choice(U.components)
