@@ -85,7 +85,6 @@ from .rosets import (
     basic_subset,
     closure_member,
     decreasing_chain_interior,
-    increasing_union_limit,
     member,
     validate_regular_open,
 )

@@ -24,6 +24,8 @@ from typing import Sequence
 from .approximations import QGrid, stratification_to_approximation
 from .families import LABEL_G, Stratification, UnindexedSetError
 from .harness import (
+    BRIDGE_PAIRS,
+    D_PAIRS,
     CheckReport,
     SamplePlan,
     bridge_4_iff_d,
@@ -35,9 +37,12 @@ from .harness import (
     check_separations,
     chain_check_points,
     continuity_negative_control,
+    grid_pairs,
 )
 from .numerics import as_float
 from .refuters import (
+    NOT_FOUND,
+    REFUTED,
     RefutationResult,
     characteristic_candidate,
     clopen_only_candidate,
@@ -95,6 +100,8 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
         for s in _list_field(row, "samples"):
             _expect_fields(s, {"point", "value"})
         key = decode_set(row["set"])
+        if any(type(getattr(c, "r", None)) is float for c in key.components):
+            raise SchemaError(f"a table set is exact, got the binary64 set {key!r}")
         samples = [
             (decode_point(s["point"]), decode_scalar(s["value"])) for s in row["samples"]
         ]
@@ -126,10 +133,10 @@ def _count_field(obj: dict, key: str, default=None) -> int:
     return value
 
 
-def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
+def _plan_from(obj: dict, seed=None, grid_m=None) -> SamplePlan:
     if not isinstance(obj, dict):
         raise SchemaError(f"a plan is an object, got {obj!r}")
-    allowed = {"seed", "n_points", "n_set_pairs", "n_sequences", "grid_m", "chain_depth"}
+    allowed = {"seed", "n_points", "n_set_pairs", "n_sequences", "grid_m"}
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"unknown plan fields {sorted(unknown)}")
@@ -138,8 +145,6 @@ def _plan_from(obj: dict, seed=None, grid_m=None, depth=None) -> SamplePlan:
         merged["seed"] = seed
     if grid_m is not None:
         merged["grid_m"] = grid_m
-    if depth is not None:
-        merged["chain_depth"] = depth
     with _invalid("plan"):
         return SamplePlan(**merged)
 
@@ -151,9 +156,9 @@ def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[Decrea
         if extra:
             raise SchemaError(f"unknown chain fields {sorted(extra)}")
         rng = plan.rng(f"chains:{S.label}:0")
-        return [sample_chain(S.space, rng, plan.chain_depth) for _ in range(_count_field(spec, "sampled"))]
+        return [sample_chain(S.space, rng) for _ in range(_count_field(spec, "sampled"))]
     if spec == "pinch":
-        chain = double_arrow_pinch_chain(plan.chain_depth)
+        chain = double_arrow_pinch_chain()
     elif isinstance(spec, dict):
         chain = decode_chain(spec)
     else:
@@ -163,15 +168,45 @@ def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[Decrea
     return [chain]
 
 
-_CHECK_KEYS = {"check", "family", "chain", "n_certificates", "expect", "target", "n", "candidate"}
+#: the fields each check kind reads, besides "check" and "expect"
+_CHECK_FIELDS = {
+    "condition_1": {"family"},
+    "condition_2": {"family"},
+    "condition_3": {"family", "n_certificates"},
+    "condition_3_negative_control": set(),
+    "condition_4": {"family", "chain"},
+    "condition_d": {"family", "chain"},
+    "bridge_4_iff_d": {"family", "chain"},
+    "separations": {"family"},
+    "refute": {"target", "n", "candidate"},
+}
+_VERDICTS = ("pass", "fail")
+_REFUTE_VERDICTS = (REFUTED, NOT_FOUND)
+
+
+def _expected(entry: dict) -> str:
+    """Check an entry's kind and fields; its expected verdict, "pass" unless
+    it gives one of its kind's verdicts."""
+    kind = entry.get("check")
+    if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
+        raise SchemaError(f"unknown check {kind!r}")
+    unknown = set(entry) - _CHECK_FIELDS[kind] - {"check", "expect"}
+    if unknown:
+        raise SchemaError(f"unknown {kind} fields {sorted(unknown)}")
+    verdicts = _REFUTE_VERDICTS if kind == "refute" else _VERDICTS
+    if "expect" in entry and entry["expect"] not in verdicts:
+        raise SchemaError(f"'expect' of a {kind} entry is one of {verdicts}, got {entry['expect']!r}")
+    return entry.get("expect", "pass")
+
+
+def _grid_pairs(plan: SamplePlan, divisors) -> list:
+    with _invalid("plan"):
+        return grid_pairs(plan.grid_m, divisors)
 
 
 def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckReport | dict, str]]:
-    """Run one scenario entry; returns (key, report-or-payload, verdict)."""
-    unknown = set(entry) - _CHECK_KEYS
-    if unknown:
-        raise SchemaError(f"unknown check fields {sorted(unknown)}")
-    kind = entry.get("check")
+    """Run one entry that ``_expected`` accepted; returns (key, report-or-payload, verdict)."""
+    kind = entry["check"]
     out = []
     if kind == "condition_1":
         if isinstance(entry.get("family"), dict):
@@ -208,17 +243,15 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
             out.append((f"condition_4:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
     elif kind == "condition_d":
         S = decode_family(entry.get("family"))
+        pairs = _grid_pairs(plan, D_PAIRS)
         A = stratification_to_approximation(S, QGrid(plan.grid_m))
         for i, chain in enumerate(_chain_from(entry, plan, S)):
             points = chain_check_points(chain, plan)
-            grid = QGrid(plan.grid_m).values
-            size = len(grid)
-            pairs = [(grid[size // 20], grid[size // 12]), (grid[size // 3], grid[size // 2])]
-            pairs = [(p, q) for p, q in pairs if p < q]
             rep = check_condition_d(A, chain, pairs, points, plan)
             out.append((f"condition_d:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
     elif kind == "bridge_4_iff_d":
         S = decode_family(entry.get("family"))
+        _grid_pairs(plan, BRIDGE_PAIRS)  # the pairs bridge_4_iff_d checks
         for i, chain in enumerate(_chain_from(entry, plan, S)):
             rep4, rep_d, agree = bridge_4_iff_d(S, chain, plan)
             payload = {
@@ -238,11 +271,9 @@ def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckRepo
         target = entry.get("target")
         cand_name = entry.get("candidate", "characteristic")
         n = _count_field(entry, "n", _default_n(target))
-        res = _refute(target, cand_name, plan.seed, plan.chain_depth, n)
+        res = _refute(target, cand_name, plan.seed, n)
         key = f"refute:{target}:{cand_name}" if target == "sorgenfrey-a" else f"refute:{target}"
         out.append((key, res.payload(), res.verdict))
-    else:
-        raise SchemaError(f"unknown check {kind!r}")
     return out
 
 
@@ -254,7 +285,6 @@ def run_scenario(
     seed_override=None,
     out_dir: str | None = None,
     grid_m=None,
-    depth=None,
 ) -> int:
     if not isinstance(scenario, dict):
         raise SchemaError(f"a scenario is an object, got {scenario!r}")
@@ -263,15 +293,22 @@ def run_scenario(
         raise SchemaError(f"unknown scenario fields {sorted(unknown)}")
     if "name" not in scenario or "checks" not in scenario:
         raise SchemaError("scenario needs 'name' and 'checks'")
+    name = scenario["name"]
+    if not isinstance(name, str) or name in ("", ".", "..") or {"/", "\\", "\0"} & set(name):
+        raise SchemaError(f"a scenario name is a plain file name, got {name!r}")
     checks = scenario["checks"]
     if not isinstance(checks, list) or not all(isinstance(e, dict) for e in checks):
         raise SchemaError(f"'checks' is a list of objects, got {checks!r}")
-    plan = _plan_from(scenario.get("plan", {}), seed_override, grid_m, depth)
+    plan = _plan_from(scenario.get("plan", {}), seed_override, grid_m)
     results = []
     mismatches = []
     for entry in checks:
-        expected = entry.get("expect", "pass")
-        for key, rep, verdict in _run_check_entry(entry, plan):
+        expected = _expected(entry)
+        try:
+            ran = _run_check_entry(entry, plan)
+        except UnindexedSetError as exc:
+            raise SchemaError(f"the {entry.get('family')} family cannot index a set: {exc}") from exc
+        for key, rep, verdict in ran:
             payload = rep.payload() if isinstance(rep, CheckReport) else rep
             results.append({"key": key, "expected": expected, "verdict": verdict, "report": payload})
             if verdict != expected:
@@ -324,24 +361,24 @@ def cmd_check(args) -> int:
     worst = 0
     if args.corpus:
         for name in shipped_scenarios():
-            code = run_scenario(_load_shipped(name), args.seed, args.out, args.grid_m, args.depth)
+            code = run_scenario(_load_shipped(name), args.seed, args.out, args.grid_m)
             worst = max(worst, code)
         return worst
     if not args.scenario:
         raise SchemaError("check needs --scenario <path> or --corpus")
     scenario = _load_scenario_file(args.scenario)
-    return run_scenario(scenario, args.seed, args.out, args.grid_m, args.depth)
+    return run_scenario(scenario, args.seed, args.out, args.grid_m)
 
 
-#: refute targets as functions of (candidate, seed, chain depth, n);
+#: refute targets as functions of (candidate, seed, n);
 #: niemytzki-strat reads n as its sequence length
 _REFUTERS = {
-    "sorgenfrey-a": lambda cand, seed, depth, n: refute_sorgenfrey_A(_CANDIDATES[cand](), seed=seed),
-    "doublearrow-d": lambda cand, seed, depth, n: doublearrow_not_kappa_default(depth),
-    "niemytzki-strat": lambda cand, seed, depth, n: niemytzki_not_stratifiable(
+    "sorgenfrey-a": lambda cand, seed, n: refute_sorgenfrey_A(_CANDIDATES[cand](), seed=seed),
+    "doublearrow-d": lambda cand, seed, n: doublearrow_not_kappa_default(),
+    "niemytzki-strat": lambda cand, seed, n: niemytzki_not_stratifiable(
         0.0 if _mode() == "float" else Fraction(0), 2, 10, n
     ),
-    "g-extend": lambda cand, seed, depth, n: g_family_not_extendable(n),
+    "g-extend": lambda cand, seed, n: g_family_not_extendable(n),
 }
 
 
@@ -349,23 +386,21 @@ def _default_n(target) -> int:
     return 50 if target == "niemytzki-strat" else 1
 
 
-def _refute(target, candidate: str, seed: int, depth: int, n: int) -> RefutationResult:
+def _refute(target, candidate: str, seed: int, n: int) -> RefutationResult:
     if target not in _REFUTERS:
         raise SchemaError(f"unknown refute target {target!r}")
     if target == "sorgenfrey-a" and candidate not in _CANDIDATES:
         raise SchemaError(f"unknown candidate {candidate!r}")
     with _invalid(f"{target} parameters"):
-        return _REFUTERS[target](candidate, seed, depth, n)
+        return _REFUTERS[target](candidate, seed, n)
 
 
 def cmd_refute(args) -> int:
     plan_seed = args.seed if args.seed is not None else 0
-    if args.depth < 1:
-        raise SchemaError(f"--depth must be at least 1, got {args.depth}")
     n = args.n if args.n is not None else _default_n(args.target)
     if n < 1:
         raise SchemaError(f"--n must be at least 1, got {n}")
-    res = _refute(args.target, args.candidate, plan_seed, args.depth, n)
+    res = _refute(args.target, args.candidate, plan_seed, n)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
         Path(args.out).write_text(doc)
@@ -468,8 +503,16 @@ def cmd_sample_grid(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line, an unknown option included, is a schema
+    error (exit 2), as malformed JSON is."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kappalab", description=__doc__)
+    ap = _Parser(prog="kappalab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a scenario file (or the shipped corpus)")
@@ -477,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--corpus", action="store_true", help="run every shipped scenario")
     p_check.add_argument("--seed", type=int, default=None, help="override the plan seed")
     p_check.add_argument("--grid-m", type=int, default=None, help="override the dyadic grid depth")
-    p_check.add_argument("--depth", type=int, default=None, help="override the chain truncation depth")
     p_check.add_argument("--out", help="directory for JSON/text reports")
     p_check.set_defaults(fn=cmd_check)
 
@@ -485,9 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("target", choices=list(_REFUTERS))
     p_ref.add_argument("--candidate", default="characteristic", choices=sorted(_CANDIDATES))
     p_ref.add_argument("--n", type=int, default=None, help="default 50 for niemytzki-strat, else 1")
-    p_ref.add_argument("--depth", type=int, default=64)
     p_ref.add_argument("--seed", type=int, default=None)
-    p_ref.add_argument("--expect", choices=["refuted", "not_found_at_budget"])
+    p_ref.add_argument("--expect", choices=_REFUTE_VERDICTS)
     p_ref.add_argument("--out", help="path for the witness bundle JSON")
     p_ref.set_defaults(fn=cmd_refute)
 
@@ -509,9 +550,8 @@ def _csv_num(v) -> str:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")

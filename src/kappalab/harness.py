@@ -52,11 +52,11 @@ from .families import (
 )
 from .numerics import Scalar, eq, is_zero, le, lt
 from .rosets import (
-    _FLAG_NAMES,
     DecreasingChain,
     ParametricBasicSet,
     RegularOpenSet,
     decreasing_chain_interior,
+    lane_keeps,
     member,
     validate_regular_open,
 )
@@ -104,11 +104,10 @@ class SamplePlan:
     n_set_pairs: int = 120
     n_sequences: int = 24
     grid_m: int = 10
-    chain_depth: int = 64
 
     def __post_init__(self):
         # a budget of 0 would pass every check on no samples at all
-        for name in ("n_points", "n_set_pairs", "n_sequences", "grid_m", "chain_depth"):
+        for name in ("n_points", "n_set_pairs", "n_sequences", "grid_m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -392,18 +391,6 @@ def check_condition_3(
 # condition (4): chain infimum
 
 
-def _clopen_lane_keeps(comp: ParametricBasicSet, p: DoubleArrowPoint) -> bool:
-    """Whether p lies in every element of a double arrow lane: the interior
-    of the limit interval, an extreme point the lane flags, and an endpoint
-    whose parameter approaches its limit strictly from outside."""
-    if p.extreme:
-        return bool(comp.flags.get(_FLAG_NAMES[p.side]))
-    a, b = comp.params["a"], comp.params["b"]
-    left = p.t > a.limit() or (p.t == a.limit() and (p.side == 1 or a.strict_side() < 0))
-    right = p.t < b.limit() or (p.t == b.limit() and (p.side == 0 or b.strict_side() > 0))
-    return left and right
-
-
 def chain_limit_value(S: Stratification, chain: DecreasingChain, W: RegularOpenSet, p: Point):
     """inf over the whole (infinite) chain of a closed-form family's values at
     p, given the chain interior W; None for the other families.
@@ -416,13 +403,18 @@ def chain_limit_value(S: Stratification, chain: DecreasingChain, W: RegularOpenS
         return None
     if chain.space is Space.DOUBLE_ARROW and not member(W, p):
         twin = DoubleArrowPoint(p.t, 1 - p.side)
-        if not twin.extreme and any(_clopen_lane_keeps(comp, p) for comp in chain.components):
+        if not twin.extreme and any(lane_keeps(comp, p) for comp in chain.components):
             p = twin
     return S.value(W, p)
 
 
+#: elements 1..INF_SCAN whose values stand in for the chain infimum of a
+#: family with no closed-form chain limit
+INF_SCAN = 64
+
+
 def _element_values(S: Stratification, chain: DecreasingChain, p: Point) -> list[float]:
-    return [float(S.value(U, p)) for U in chain.element_sets()]
+    return [float(S.value(chain.at(n), p)) for n in range(1, INF_SCAN + 1)]
 
 
 def _chain_inf_estimate(
@@ -431,15 +423,15 @@ def _chain_inf_estimate(
     """(infimum estimate, tolerance) of the chain values at p.
 
     Families with a closed-form chain limit compare against it at ``tol``;
-    the others fall back to the smallest evaluated element, with the
-    tolerance widened by the last step's slope over the chain depth.
+    the others fall back to the smallest of the first ``INF_SCAN`` elements,
+    with the tolerance widened by the last step's slope over that many steps.
     """
     exact_inf = chain_limit_value(S, chain, W, p)
     if exact_inf is not None:
         return float(exact_inf), tol
     evaluated = _element_values(S, chain, p)
     slope = max(0.0, evaluated[-2] - evaluated[-1]) if len(evaluated) > 1 else 0.0
-    return min(evaluated), tol + chain.depth * slope
+    return min(evaluated), tol + INF_SCAN * slope
 
 
 class _ChainInf(NamedTuple):
@@ -694,9 +686,9 @@ def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point)
         return x.x >= a and (x.x < top or (x.x == top and b.strict_side() > 0))
     if comp.kind == "clopen_interval":
         a, b = comp.params["a"], comp.params["b"]
-        length = b.limit() - a.limit()
+        length = comp.limit_size()
         strict = a.strict_side() < 0 or b.strict_side() > 0
-        return _clopen_lane_keeps(comp, x) and (
+        return lane_keeps(comp, x) and (
             x.extreme or q < length or (q == length and strict)
         )
     el, r = comp.limit_element(), comp.params["r"]
@@ -756,6 +748,23 @@ class _ChainClosure(NamedTuple):
         return cls(A, chain, W, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
 
 
+#: index divisors (i, j) of the grid pairs (values[size // i], values[size // j])
+#: that a scenario's condition (d) entry and ``bridge_4_iff_d`` check
+D_PAIRS = ((20, 12), (3, 2))
+BRIDGE_PAIRS = ((16, 12), (20, 15), (3, 2))
+
+
+def grid_pairs(grid_m: int, divisors: Sequence[tuple[int, int]]) -> list[tuple[Fraction, Fraction]]:
+    """The pairs p < q among the grid values at indices size // i and size // j;
+    ``ValueError`` when there is none, as condition (d) would run on no samples."""
+    values = QGrid(grid_m).values
+    pairs = [(values[len(values) // i], values[len(values) // j]) for i, j in divisors]
+    pairs = [(p, q) for p, q in pairs if p < q]
+    if not pairs:
+        raise ValueError(f"grid_m {grid_m} leaves no grid pair p < q for condition (d)")
+    return pairs
+
+
 def check_condition_d(
     A: Approximation,
     chain: DecreasingChain,
@@ -801,16 +810,10 @@ def bridge_4_iff_d(
     S: Stratification, chain: DecreasingChain, plan: SamplePlan
 ) -> tuple[CheckReport, CheckReport, bool]:
     """Verdict agreement between the chain-infimum and chain-closure checks."""
+    pairs = grid_pairs(plan.grid_m, BRIDGE_PAIRS)
     points = chain_check_points(chain, plan)
     report4 = check_condition_4(S, chain, points, plan)
     A = stratification_to_approximation(S, QGrid(plan.grid_m))
-    grid = QGrid(plan.grid_m).values
-    pairs = [
-        (grid[len(grid) // 16], grid[len(grid) // 12]),
-        (grid[len(grid) // 20], grid[len(grid) // 15]),
-        (grid[len(grid) // 3], grid[len(grid) // 2]),
-    ]
-    pairs = [(p, q) for p, q in pairs if p < q]
     report_d = check_condition_d(A, chain, pairs, points, plan)
     return report4, report_d, report4.passed == report_d.passed
 

@@ -45,6 +45,7 @@ from .rosets import (
     ParamValue,
     RegularOpenSet,
     decreasing_chain_interior,
+    lane_keeps,
     member,
 )
 from .sampling import double_arrow_pinch_chain
@@ -161,7 +162,7 @@ _KINDS = {
     "halfplane_subset": (("set",), _in_right_half_plane),
     "chain_element_contains": (
         ("chain", "point"),
-        lambda chain, p, _c: all(member(chain.at(k), p) for k in range(1, chain.depth + 1)),
+        lambda chain, p, _c: any(lane_keeps(comp, p) for comp in chain.components),
     ),
     "chain_interior_excludes": (
         ("chain", "point"),
@@ -418,19 +419,14 @@ def _assemble_sorgenfrey_bundle(
 # double arrow chain violation
 
 
-def doublearrow_not_kappa(
-    x_seq: ParamValue,
-    p: Fraction,
-    q: Fraction,
-    depth: int = 64,
-) -> RefutationResult:
+def doublearrow_not_kappa(x_seq: ParamValue, p: Fraction, q: Fraction) -> RefutationResult:
     """The clopen chain [(x_k,1),(1/5,0)] against the chain-closure condition.
 
     Requires 0 <= x_k <= x <= 1/10 (x the limit of the sequence) and
     p < q < 1/5 - x.  A strictly increasing approach yields the witness
     (x, 0): it lies in every element (all of which equal their own closures
-    and their own q-superlevels), yet the chain interior [(x,1),(1/5,0)]
-    excludes it.
+    and their own q-superlevels, as q < 1/5 - x < 1/5 - x_k), yet the chain
+    interior [(x,1),(1/5,0)] excludes it.
     """
     claim = "double_arrow_chain_closure"
     x = x_seq.limit()
@@ -441,13 +437,10 @@ def doublearrow_not_kappa(
         raise ValueError("need p < q")
     if not (q < b - x):
         raise ValueError("need q < 1/5 - x")
-    values = [x_seq.at(k) for k in range(1, depth + 1)]
-    if any(v < 0 or v > x for v in values):
-        raise ValueError("sequence must stay in [0, x]")
-    strictly_increasing = all(v < x for v in values) and all(
-        values[i] < values[i + 1] for i in range(len(values) - 1)
-    )
-    if not strictly_increasing:
+    # x_{k+1} - x_k has the sign of -(c1 + c2 u_k): negative rates at both
+    # ends of u_k's range make every step a strict rise
+    at_first, at_limit = x_seq.end_rates()
+    if not (lt(at_first, 0) and le(at_limit, 0)):
         return RefutationResult(
             claim,
             NOT_FOUND,
@@ -456,10 +449,8 @@ def doublearrow_not_kappa(
     comp = ParametricBasicSet(
         "clopen_interval", {"a": x_seq, "b": ParamValue(b)}
     )
-    chain = DecreasingChain(Space.DOUBLE_ARROW, (comp,), depth)
+    chain = DecreasingChain(Space.DOUBLE_ARROW, (comp,))
     witness = DoubleArrowPoint(x, 0)
-    # the q-superlevel of every element is the whole element
-    assert all(q < b - v for v in values)
     W = decreasing_chain_interior(chain)
     assertions = [
         _assertion("chain_element_contains", chain, witness),
@@ -474,10 +465,9 @@ def doublearrow_not_kappa(
     return _refuted(claim, assertions, detail)
 
 
-def doublearrow_not_kappa_default(depth: int = 64) -> RefutationResult:
-    chain = double_arrow_pinch_chain(depth)
-    x_seq = chain.components[0].params["a"]
-    return doublearrow_not_kappa(x_seq, Fraction(1, 20), Fraction(1, 15), depth)
+def doublearrow_not_kappa_default() -> RefutationResult:
+    x_seq = double_arrow_pinch_chain().components[0].params["a"]
+    return doublearrow_not_kappa(x_seq, Fraction(1, 20), Fraction(1, 15))
 
 
 # ---------------------------------------------------------------------------

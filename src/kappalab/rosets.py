@@ -19,10 +19,10 @@ decided exactly when it was built:
   closed discs leave an uncovered wedge), so no other failures exist.
   See docs/derivations.md.
 
-Chains are parametric families n -> set, evaluated to a truncation depth and
-extrapolated exactly: parameters are expressed as c0 + c1/(n+s) + c2/(n+s)^2,
-whose limit is the constant term.  ``tail_positive`` decides the sign of
-such a trajectory's polynomials for every n at once.
+Chains are parametric families n -> set whose parameters are
+c0 + c1/(n+s) + c2/(n+s)^2, with the constant term as limit.  Nesting, the
+sign of an offset and the size of every element are decided for every n at
+once from the coefficients (docs/derivations.md, "Chain limits").
 """
 
 from __future__ import annotations
@@ -61,11 +61,13 @@ class NotRegularOpenError(ValueError):
 
 
 class NonMonotoneChainError(ValueError):
-    """A chain failed its inclusion checks at some evaluated index."""
+    """A chain lane whose element n+1 does not lie in element n for some n."""
 
 
 class MalformedChainError(ValueError):
-    """A chain whose parameters do not converge (e.g. oscillating centers)."""
+    """A chain whose lanes are no decreasing chain of base sets for another
+    reason than nesting: an open-interval lane, a disc lane with two shifts,
+    a size that falls below 0, or Niemytzki lanes whose hulls meet."""
 
 
 @dataclass(frozen=True)
@@ -393,6 +395,16 @@ class ParamValue:
     def limit(self) -> Scalar:
         return self.const
 
+    def end_rates(self) -> tuple[Scalar, Scalar]:
+        """The rate c1 + c2 u at u = t_1 + t_2 and at u = 0, t_n = 1/(n + shift):
+        v(n+1) - v(n) = -(t_n - t_{n+1}) (c1 + c2 (t_n + t_{n+1})), so a convex
+        condition on the rates holds at every step exactly when it holds at
+        these two ends (docs/derivations.md, "Nesting for every n")."""
+        if 1 + self.shift <= 0:
+            raise ValueError(f"shift {self.shift} leaves no index n >= 1")
+        u1 = Fraction(1, 1 + self.shift) + Fraction(1, 2 + self.shift)
+        return self.over_n + self.over_n2 * u1, self.over_n
+
     def strict_side(self) -> int:
         """+1 when every element n >= 1 lies strictly above the limit, -1 when
         every one lies strictly below, 0 otherwise (exact).
@@ -479,8 +491,10 @@ class ParametricBasicSet:
     def limit_values(self) -> dict:
         return {name: pv.limit() for name, pv in self.params.items()}
 
-    def at_limit(self) -> BasicOpenSet:
-        return _KIND_TO_CLS[self.kind](**self.limit_values(), **self.flags)
+    def limit_size(self) -> Scalar:
+        """The width b - a or the radius r at the limit parameters."""
+        lim = self.limit_values()
+        return lim["r"] if "r" in lim else lim["b"] - lim["a"]
 
     def limit_element(self) -> Optional[BasicOpenSet]:
         """The base element at the limit parameters, or None when the limit
@@ -490,53 +504,91 @@ class ParametricBasicSet:
         0 <= a, b <= 1, extreme flags only at a fixed endpoint), so the limit
         of a valid lane keeps it.
         """
-        lim = self.limit_values()
-        size = lim["r"] if "r" in lim else lim["b"] - lim["a"]
-        return self.at_limit() if lt(0, size) else None
+        if lt(0, self.limit_size()):
+            return _KIND_TO_CLS[self.kind](**self.limit_values(), **self.flags)
+        return None
+
+    def check_decreasing(self) -> None:
+        """Raise unless element n+1 lies in element n and has a positive size
+        for every n >= 1, given a valid element 1 (docs/derivations.md,
+        "Nesting for every n")."""
+        moving = {pv.shift for pv in self.params.values() if pv.over_n or pv.over_n2}
+        if self.kind in ("interior_disc", "tangent_disc") and len(moving) > 1:
+            raise MalformedChainError(
+                f"the moving parameters of a {self.kind} lane need one shift, got {sorted(moving)}"
+            )
+        rates = {name: pv.end_rates() for name, pv in self.params.items()}
+        for end, where in enumerate(("from n=1 to n=2", "for large n")):
+            if not _steps_nest(self.kind, self.flags, {name: r[end] for name, r in rates.items()}):
+                raise NonMonotoneChainError(f"{self.kind} lane not decreasing {where}")
+        if lt(self.limit_size(), 0):
+            raise MalformedChainError(f"{self.kind} lane shrinks below size 0")
+
+
+def _steps_nest(kind: str, flags: dict, rates: dict) -> bool:
+    """Whether element n+1 lies in element n when each parameter steps by
+    -delta * rates[name], delta > 0 (one delta per disc lane)."""
+    if kind in ("half_open", "clopen_interval"):
+        fixed = [rates[end] for end, name in zip("ab", _FLAG_NAMES) if flags.get(name)]
+        return le(rates["a"], 0) and le(0, rates["b"]) and all(is_zero(r) for r in fixed)
+    if kind == "tangent_disc":
+        return is_zero(rates["a"]) and le(0, rates["r"])
+    return le(0, rates["r"]) and le(sq(rates["cx"]) + sq(rates["cy"]), sq(rates["r"]))
+
+
+def lane_keeps(comp: ParametricBasicSet, p: Point) -> bool:
+    """Whether p lies in every element of a decreasing lane: in the limit
+    interval, with an endpoint only when its parameter approaches strictly
+    from outside, or a flagged extreme; in the open limit disc, or a tangent
+    lane's tangency point.  A point of the limit circle is answered False,
+    also where a strict approach keeps it."""
+    if comp.kind == "half_open":
+        a, b = comp.params["a"], comp.params["b"]
+        return p.x >= a.limit() and (p.x < b.limit() or (p.x == b.limit() and b.strict_side() > 0))
+    if comp.kind == "clopen_interval":
+        if p.extreme:
+            return bool(comp.flags.get(_FLAG_NAMES[p.side]))
+        a, b = comp.params["a"], comp.params["b"]
+        left = p.t > a.limit() or (p.t == a.limit() and (p.side == 1 or a.strict_side() < 0))
+        right = p.t < b.limit() or (p.t == b.limit() and (p.side == 0 or b.strict_side() > 0))
+        return left and right
+    if comp.kind == "tangent_disc" and is_zero(p.y):
+        return basic_member(comp.at(1), p)  # every element has the one tangency point
+    el = comp.limit_element()
+    return el is not None and basic_member(el, p)
 
 
 @dataclass(frozen=True)
 class DecreasingChain:
     """A decreasing parametric family of regular open sets, valid once built.
 
-    Construction checks exactly, up to the truncation depth (at least 1),
-    that component k of element n+1 lies inside component k of element n.
-    Open intervals are no chain lanes (they are not regular open).  Nesting
-    keeps a tangent-disc lane's tangency point fixed.  The depth-1 components of a
+    Construction builds element 1 and decides that each lane nests for every
+    n (``ParametricBasicSet.check_decreasing``).  Open intervals are no
+    chain lanes (they are not regular open).  The first components of a
     Niemytzki chain have pairwise disjoint closed hulls, so that the
     intersection distributes over the lanes.
     """
 
     space: Space
     components: tuple[ParametricBasicSet, ...]
-    depth: int = 64
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise MalformedChainError(f"a chain is evaluated to depth >= 1, got {self.depth}")
+        firsts = []
         for comp in self.components:
             if comp.kind == "open_interval":
                 raise MalformedChainError("open intervals are not regular open chain elements")
-            prev = comp.at(1)
-            if prev.space is not self.space:
+            firsts.append(comp.at(1))
+            if firsts[-1].space is not self.space:
                 raise SpaceMismatchError(f"{comp.kind} lane in a {self.space.value} chain")
-            for n in range(2, self.depth + 1):
-                cur = comp.at(n)
-                if not basic_subset(cur, prev):
-                    raise NonMonotoneChainError(f"component {comp.kind} not decreasing at n={n}")
-                prev = cur
-        if self.space is Space.NIEMYTZKI and not separated_hulls(
-            [c.at(1) for c in self.components]
-        ):
+            comp.check_decreasing()
+        validate_regular_open(self.space, firsts)  # nesting keeps the later elements regular open
+        if self.space is Space.NIEMYTZKI and not separated_hulls(firsts):
             raise MalformedChainError(
                 "multi-component Niemytzki chains need pairwise disjoint component lanes"
             )
 
     def at(self, n: int) -> RegularOpenSet:
         return validate_regular_open(self.space, [c.at(n) for c in self.components])
-
-    def element_sets(self) -> list[RegularOpenSet]:
-        return [self.at(n) for n in range(1, self.depth + 1)]
 
 
 def separated_hulls(discs: Sequence[BasicOpenSet]) -> bool:
@@ -564,38 +616,6 @@ def decreasing_chain_interior(chain: DecreasingChain) -> RegularOpenSet:
             if comp.kind == "clopen_interval":  # pinched: only flagged extremes remain
                 flags = [comp.flags.get(name) for name in _FLAG_NAMES]
                 out += [ExtremeSingleton(side) for side, flag in enumerate(flags) if flag]
-        elif isinstance(el, InteriorDisc) and el.axis_tangent:
-            # nesting never lowers the gap cy_n - r_n, so only elements that
-            # touch the axis themselves (not regular open) converge onto it
-            raise MalformedChainError("interior-disc chain converged onto the axis")
         else:
             out.append(el)
     return validate_regular_open(chain.space, out)
-
-
-# ---------------------------------------------------------------------------
-# increasing unions (Niemytzki base elements)
-
-
-def increasing_union_limit(chain: ParametricBasicSet, depth: int = 64) -> BasicOpenSet:
-    """Limit base element of an increasing Niemytzki disc lane.
-
-    The union of an increasing sequence of base discs is again a base disc
-    (radii converge; two distinct center limits would force one disc with two
-    centers), and an increasing tangent-disc chain keeps its tangency point.
-    The limit carries the constant terms of the lane's parameters; it is
-    checked to contain every evaluated chain member.
-    """
-    if getattr(chain, "kind", None) not in ("interior_disc", "tangent_disc"):
-        raise TypeError("increasing unions are defined for Niemytzki disc lanes")
-    elements = [chain.at(n) for n in range(1, depth + 1)]
-    limit_el = chain.at_limit()
-    for prev, cur in zip(elements, elements[1:]):
-        if not basic_subset(prev, cur):
-            raise NonMonotoneChainError("chain is not increasing under inclusion")
-    for e in elements:
-        if not basic_subset(e, limit_el):
-            raise MalformedChainError(
-                f"element {e!r} escapes the lane's limit {limit_el!r}"
-            )
-    return limit_el

@@ -487,7 +487,7 @@ def sample_condition3_pairs_g(
 # decreasing chains with declared limits
 
 
-def sample_chain(space: Space, rng: random.Random, depth: int = 64) -> DecreasingChain:
+def sample_chain(space: Space, rng: random.Random) -> DecreasingChain:
     if space is Space.SORGENFREY:
         a0 = rand_dyadic(rng, Fraction(-2), Fraction(2))
         width = rand_dyadic(rng, Fraction(1, 8), Fraction(2))
@@ -497,7 +497,7 @@ def sample_chain(space: Space, rng: random.Random, depth: int = 64) -> Decreasin
             "half_open",
             {"a": ParamValue(a0, -ca), "b": ParamValue(a0 + width, cb)},
         )
-        return DecreasingChain(space, (comp,), depth)
+        return DecreasingChain(space, (comp,))
     if space is Space.DOUBLE_ARROW:
         a0 = rand_dyadic(rng, Fraction(1, 8), Fraction(3, 8))
         b0 = rand_dyadic(rng, Fraction(1, 2), Fraction(7, 8))
@@ -507,13 +507,13 @@ def sample_chain(space: Space, rng: random.Random, depth: int = 64) -> Decreasin
             "clopen_interval",
             {"a": ParamValue(a0, -ca), "b": ParamValue(b0, cb)},
         )
-        return DecreasingChain(space, (comp,), depth)
+        return DecreasingChain(space, (comp,))
     if rng.random() < 0.5:
         a = rand_dyadic(rng, Fraction(-2), Fraction(2))
         r0 = rand_dyadic(rng, Fraction(1, 8), Fraction(3, 4))
         cr = rand_dyadic(rng, Fraction(1, 64), Fraction(1, 4))
         comp = ParametricBasicSet("tangent_disc", {"a": ParamValue(a), "r": ParamValue(r0, cr)})
-        return DecreasingChain(space, (comp,), depth)
+        return DecreasingChain(space, (comp,))
     cx = rand_dyadic(rng, Fraction(-2), Fraction(2))
     cy = rand_dyadic(rng, Fraction(1, 2), Fraction(2))
     r_hi = min(Fraction(1, 2), cy / 2)
@@ -524,10 +524,10 @@ def sample_chain(space: Space, rng: random.Random, depth: int = 64) -> Decreasin
         "interior_disc",
         {"cx": ParamValue(cx, dx), "cy": ParamValue(cy), "r": ParamValue(r0, cr)},
     )
-    return DecreasingChain(space, (comp,), depth)
+    return DecreasingChain(space, (comp,))
 
 
-def double_arrow_pinch_chain(depth: int = 64) -> DecreasingChain:
+def double_arrow_pinch_chain() -> DecreasingChain:
     """The clopen chain [(x_k, 1), (1/5, 0)] with x_k increasing to 1/10."""
     comp = ParametricBasicSet(
         "clopen_interval",
@@ -536,4 +536,4 @@ def double_arrow_pinch_chain(depth: int = 64) -> DecreasingChain:
             "b": ParamValue(Fraction(1, 5)),
         },
     )
-    return DecreasingChain(Space.DOUBLE_ARROW, (comp,), depth)
+    return DecreasingChain(Space.DOUBLE_ARROW, (comp,))

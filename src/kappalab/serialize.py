@@ -244,7 +244,6 @@ def encode_chain(chain: DecreasingChain) -> dict:
     return {
         "space": chain.space.value,
         "param": "n",
-        "depth": chain.depth,
         "components": [encode_parametric_set(c) for c in chain.components],
         "limit": {
             "space": chain.space.value,
@@ -254,13 +253,13 @@ def encode_chain(chain: DecreasingChain) -> dict:
 
 
 def decode_chain(obj: dict) -> DecreasingChain:
-    _expect_fields(obj, {"space", "components"}, {"param", "depth", "limit"})
+    _expect_fields(obj, {"space", "components"}, {"param", "limit"})
     space, comps = _space_and_components(obj)
     if obj.get("param", "n") != "n":
         raise SchemaError("chains are indexed by the parameter 'n'")
     with _invalid("chain"):  # a chain is validated when it is built
         lanes = tuple(decode_parametric_set(c) for c in comps)
-        chain = DecreasingChain(space, lanes, _int_field(obj, "depth", 64))
+        chain = DecreasingChain(space, lanes)
     if "limit" in obj:
         _expect_fields(obj["limit"], {"space", "components"})
         limit_space, limit_comps = _space_and_components(obj["limit"])

@@ -331,6 +331,9 @@ _SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
         ({"n_sequences": 0}, {"check": "condition_3", "family": "sorgenfrey_kappa"}),
         ({"grid_m": 0}, {"check": "condition_d", "family": "sorgenfrey_kappa"}),
         ({"chain_depth": 0}, {"check": "condition_4", "family": "sorgenfrey_kappa"}),
+        ({"grid_m": 1}, {"check": "condition_d", "family": "sorgenfrey_kappa"}),
+        ({"grid_m": 2}, {"check": "condition_d", "family": "sorgenfrey_kappa"}),
+        ({"grid_m": 2}, {"check": "bridge_4_iff_d", "family": "sorgenfrey_kappa"}),
         ({}, {"check": "condition_3", "family": "sorgenfrey_kappa", "n_certificates": -3}),
         ({}, {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": {"sampled": 0}}),
         ({}, {"check": "refute", "target": "niemytzki-strat", "n": 0}),
@@ -343,6 +346,9 @@ _SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
         "n_sequences_0",
         "grid_m_0",
         "chain_depth_0",
+        "condition_d_grid_m_1",
+        "condition_d_grid_m_2",
+        "bridge_grid_m_2",
         "n_certificates_negative",
         "sampled_0",
         "refute_n_0",
@@ -358,6 +364,13 @@ def test_budgets_below_1_exit_2(tmp_path, capsys, plan, entry):
 def _explicit_chain(a, b, space="sorgenfrey", **fields):
     chain = {"space": space, "components": [{"kind": "half_open", "a": a, "b": b}], **fields}
     return {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": chain}
+
+
+def _disc_chain(r):
+    """A condition 4 entry whose one interior-disc lane has the radius ``r``
+    and the centre (1/(8(n+1)), 1)."""
+    lane = {"kind": "interior_disc", "cx": {"const": "0", "over_n": "1/8", "shift": 1}, "cy": "1", "r": r}
+    return {"check": "condition_4", "family": "niemytzki_kappa", "chain": {"space": "niemytzki", "components": [lane]}}
 
 
 def _user_table_set(target, samples=()):
@@ -514,6 +527,38 @@ def _da_chain(**flags):
         {"name": "x", "checks": [_user_table_set(_da_set(dict(_DA_CLOPEN, include_left_extreme=1)))]},
         {"name": "x", "checks": [_da_chain(include_left_extreme="no")]},
         {"name": "x", "checks": [_da_chain(include_left_extreme=1)]},
+        {"name": "../escape", "checks": [_SORGENFREY_1]},
+        {"name": "sub/c", "checks": [_SORGENFREY_1]},
+        {"name": 5, "checks": [_SORGENFREY_1]},
+        {"name": "..", "checks": [_SORGENFREY_1]},
+        {"name": "x", "checks": [dict(_SORGENFREY_1, expect="passs")]},
+        {"name": "x", "checks": [{"check": "refute", "target": "g-extend", "expect": "pass"}]},
+        {
+            "name": "x",
+            "checks": [
+                {
+                    "check": "condition_2",
+                    "family": "sorgenfrey_kappa",
+                    "target": "g-extend",
+                    "chain": "pinch",
+                    "n": 3,
+                    "candidate": "right_gap",
+                }
+            ],
+        },
+        {"name": "x", "checks": [dict(_SORGENFREY_1, chain={"sampled": 2})]},
+        # [0, 1 - 1/n + 100/n^2) shrinks to [0, 399/400) at n = 200 and grows back
+        {"name": "x", "checks": [_explicit_chain("0", {"const": "1", "over_n": "-1", "over_n2": "100"})]},
+        # nested at every n (the centre moves by less than the radius falls), but
+        # the moving parameters of a disc lane must share one shift
+        {"name": "x", "checks": [_disc_chain(r={"const": "1/4", "over_n": "1/8"})]},
+        {"name": "x", "checks": [_user_table([{"set": {"kind": "tangent_disc", "a": 0.5, "r": 0.5}, "samples": [
+            {"point": {"space": "niemytzki", "x": 0.5, "y": 0.25}, "value": 0.25}]}])]},
+        # element 1, B((1/16, 1), 1), touches the axis at a point it leaves out
+        {"name": "x", "checks": [_disc_chain(r={"const": "1/2", "over_n": "1", "shift": 1})]},
+        {"name": "x", "checks": [{"check": "condition_4", "family": "g_family", "chain": {"sampled": 3}}]},
+        {"name": "x", "checks": [{"check": "condition_d", "family": "g_family", "chain": {"sampled": 3}}]},
+        {"name": "x", "checks": [{"check": "bridge_4_iff_d", "family": "g_family", "chain": {"sampled": 3}}]},
     ],
     ids=[
         "plan_not_object",
@@ -551,10 +596,32 @@ def _da_chain(**flags):
         "extreme_flag_integer",
         "chain_lane_extreme_flag_string",
         "chain_lane_extreme_flag_integer",
+        "name_escapes_the_out_directory",
+        "name_in_a_subdirectory",
+        "name_not_a_string",
+        "name_dot_dot",
+        "expect_not_a_verdict",
+        "refute_expect_not_a_refute_verdict",
+        "condition_2_with_refute_and_chain_fields",
+        "condition_1_with_a_chain",
+        "lane_grows_back_after_n_200",
+        "disc_lane_with_two_shifts",
+        "table_set_binary64",
+        "chain_element_1_not_regular_open",
+        "g_family_condition_4_sampled_chain",
+        "g_family_condition_d_sampled_chain",
+        "g_family_bridge_sampled_chain",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
     assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+
+
+def test_scenario_name_cannot_leave_the_out_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _scenario_argv(tmp_path, {"name": "../escape", "checks": [_SORGENFREY_1]})
+    assert _schema_error(capsys, argv + ["--out", str(out)])
+    assert not (tmp_path / "escape.json").exists() and not out.exists()
 
 
 def test_user_table_row_without_samples_exits_2(tmp_path, capsys):
@@ -636,42 +703,59 @@ def test_counts_below_1_exit_2(capsys, argv):
     assert _schema_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refute", "doublearrow-d", "--depth", "64"],
+        ["refute", "niemytzki-strat", "--depth", "7"],
+        ["check", "--corpus", "--depth", "64"],
+        ["refute", "no-such-target"],
+        ["check", "--grid-m", "x"],
+    ],
+    ids=["refute_doublearrow_d_depth", "refute_niemytzki_strat_depth", "check_corpus_depth", "refute_target", "grid_m_not_an_integer"],
+)
+def test_malformed_command_line_exits_2(capsys, argv):
+    # chains are decided for every n, so no command takes a truncation depth;
+    # a command line is input like a scenario file, and fails the same way
+    assert _schema_error(capsys, argv)
+
+
 #: sha256 of each corpus report (``check --corpus --out``) by plan seed
 #: override: any change to a verdict, a witness, a count or the report
 #: format changes a hash
 _CORPUS_REPORTS = {
     None: {
-        "condition4_chains": "d6c0b4584adf681dc9b20c7632f5d41a837b33fff29422a3670cf4512b7f5bec",
-        "continuity_negative_control": "f896c9cff92ae58e97a7aee9aa95adbf091579e84d5296aa03bb4e09aba37174",
-        "doublearrow_condition_d": "f094cf933814762f9290bc45df55baf73b773044b19b65e7dae6e059ecdbfa6e",
-        "doublearrow_ro_full": "27f321ebec7375717a5039a48311350bcfc01a69c39dcad15ca0cd24c6892f36",
-        "g_family_checks": "70c692db6e03f8e5813588011c338c0c92a455231a84f31599cb743cc8f2d4d1",
-        "niemytzki_kappa_full": "12301dea530ec9e0347acb38dcb74f33458fcfc051b1b2d4152758bc99164eb1",
-        "refuters": "6ea24f625feb7910f699cb76c00acf4a870b8ef4cc1f4616b2547cad459bcc10",
-        "separations": "6d769e543c7a74996ee5832fc2e1578ce40a70c98e2a96b9c158626869faa5f0",
-        "sorgenfrey_kappa_full": "078535cc35a7175681891407c34705d728964df5012666b94a8153d23d70fd38",
+        "condition4_chains": "00618ec06aad1357626ae2063f70e7d549d1b6cfb832677e61309a97f70b0eb1",
+        "continuity_negative_control": "82b6be11f18d808d898efd83be7825e17b17b77fd840b8247b0a099a4955e5e1",
+        "doublearrow_condition_d": "e689a2a6f964883445737df79a6b2de3c650d622105ec5b72750077b501806de",
+        "doublearrow_ro_full": "cb57671a975e86e8a707ddccbcc246ae11493502969e11217492018baf10f609",
+        "g_family_checks": "bb4fdd80532b590fd899167810667e25a25337f5e954aed2a44044caa1325fd6",
+        "niemytzki_kappa_full": "4eed1f445eab68a5c51553cb160921cab280910c0eacf920ec4e1f2d10cff25d",
+        "refuters": "d6a33abe9d4bc28b67162bf7fd380f53bcff173550ec3a008eaa41cdba21d867",
+        "separations": "b14351c0226b24702a1cae7ce0d44f243a9502fd91cc6a6bc0eb6484e8bf9a9f",
+        "sorgenfrey_kappa_full": "cc72aadcde7dc597213e0dffcd189b3cb97486de9754b996f646d7c18519e190",
     },
     99: {
-        "condition4_chains": "f8dbbfe03bee6e40cd2ec47b822d7924540d8e57351b2878999255b5fdfe99be",
-        "continuity_negative_control": "1520991e1354c6f62d98af431826b6fbab6cf005f76292ce406a4c3df4467ac8",
-        "doublearrow_condition_d": "d6f50d681ca11602a6719489f4732a6dd011b740665343ce6852b788fe71623f",
-        "doublearrow_ro_full": "2f8b3617c43a7dc5ebf1f59801f94e8df15c8cd836c7e1abae1e11ee6047ad83",
-        "g_family_checks": "10b566bc43382e326cdac5cf8e0dbe0995e7cdac453ed512b1a6caccb56fd72f",
-        "niemytzki_kappa_full": "7f1593dc6f6a9cda9a0a1ed1954f0875d745b1d2b76e7d4b229e21e0577b0b7c",
-        "refuters": "ee0430378bcb9529fc33e7651482dbb8eb69b7e8afa05b5d318d7648fbed227d",
-        "separations": "b44e04dcb68a498c2ee01838460fb9661e297e28193dee40f85f67ab09ab3546",
-        "sorgenfrey_kappa_full": "aad4bb2949e3330a9d6abe8a7fb6a56ab5dda89844aad5514ff7e0d2c3b7ec31",
+        "condition4_chains": "e38c9b61a2ab6a09b1c74f84f2e4724d7121e473ff780b0302393bd0daa1972f",
+        "continuity_negative_control": "8ad66316ab739b27eb8c6c0c46921f92e400bde062b5b01db762eb522b2db9c3",
+        "doublearrow_condition_d": "f5d767899dd7d4103bd1872f8cc217dd1fbf833e9a577138f2ec4f563f9008c1",
+        "doublearrow_ro_full": "7734fd7d75fd4121c0b95b8130edfd272572cd0010b85ae9a6f7c1584afd5cf4",
+        "g_family_checks": "bf6eb7bdba976aa01e77be96b5dc79d2574d9bd09c268a20ae059e024c20d274",
+        "niemytzki_kappa_full": "220931bbac2cb36670e2901b6d26e7824f693aaf0a87e07cfc34f8841c0fb0b5",
+        "refuters": "7e321baa15de4586016c9df6f5e2bb972dfe102228427705b6a5c9b4da967b83",
+        "separations": "04dc31d06750ef475f2f42077af0ea042ff7ae8960133f979853639a4808cf90",
+        "sorgenfrey_kappa_full": "2e6b8aa244b58af7e00d616315f0bfbab5986f03fa14a86dcca9443262bda45a",
     },
     8: {
-        "condition4_chains": "35c566908626fd13b5a5603d23a99515b6dffca6e2e238d7896d53ea8d7a537d",
-        "continuity_negative_control": "eab63473ee702a2bed597697da88a051b79e96edfad9e34acd04ad370dd8d9d9",
-        "doublearrow_condition_d": "73dc23d59a0db71a8a42def383d251bdeb7d49ed69d394573114843dc8b8ed7a",
-        "doublearrow_ro_full": "8eec313da685146a3041959d24776d981ae6acf70403c1d0a8c5fbd149252224",
-        "g_family_checks": "c5d625d366b552acc931179e88f38501e1ec6f67afcb6451c6d0785a36c37943",
-        "niemytzki_kappa_full": "51dfe98a16df334d7bc398659206cdb91b13e1dd6f36de6bda167da660370091",
-        "refuters": "44f2f9bb98b09bccb6b0d96666011555e88e3c149df78888ef0f518c77baa2f5",
-        "separations": "329d5c0beefec992e34ef18a14dc9ccc4540cfb148387e7b9a8eae13cc1349c3",
-        "sorgenfrey_kappa_full": "213db432be0dd2fcde0da9013a0357a078e7f1c72f24a73d186344c0260876c0",
+        "condition4_chains": "8e1847d2b0ee28035c664da4a4f5b805b74704e757ca5c4c06f16ff41946b817",
+        "continuity_negative_control": "bf76254e3f59d8f8db0803e5df035e3838da9abec3fb99faf25d92e421fc0186",
+        "doublearrow_condition_d": "2335f37eb00a9089d820bdf3ec23ece9c027992d0564c7326e83c205104400b1",
+        "doublearrow_ro_full": "cf2071e4302aac1bbffba240b7d98e5a06c16f923a7dc5ee200fc849bbe7231f",
+        "g_family_checks": "9cc73cb36975960089492a4bf7245e101bccfc0c3cb67986fce25d1746e8416b",
+        "niemytzki_kappa_full": "b084eb40113b60f9efe668de8639ba91c0d955a22b09504b001dc30d2a0b7787",
+        "refuters": "225a31f3662c51fcc1649962e5e3b3d32d8e59b9169a2e63724595c3cbceca15",
+        "separations": "ee171873aefc44220c1c0f88a3703ea77760a4bf99c776855ea208daf008c9a9",
+        "sorgenfrey_kappa_full": "69abeb508e07bd364986e251fce09e1cf1e8633f10b2bef3f6bc3c50a773662b",
     },
 }
 
@@ -862,10 +946,6 @@ def test_refute_niemytzki_strat_reads_n(tmp_path):
     for args, pinned in ((["--n", "5"], 5), ([], 50)):
         bundle = _refute_bundle(tmp_path, *args)
         assert sum(a["kind"] == "value_eq" for a in bundle["assertions"]) == pinned
-
-
-def test_refute_niemytzki_strat_ignores_depth(tmp_path):
-    assert _refute_bundle(tmp_path, "--depth", "7") == _refute_bundle(tmp_path)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -79,7 +79,7 @@ def test_condition_1_fails_on_zero_family_with_witness():
     assert w["member"] is True and w["value"] == "0"
 
 
-@pytest.mark.parametrize("budget", ["n_points", "n_set_pairs", "n_sequences", "grid_m", "chain_depth"])
+@pytest.mark.parametrize("budget", ["n_points", "n_set_pairs", "n_sequences", "grid_m"])
 def test_sample_plan_budgets_are_at_least_1(budget):
     with pytest.raises(ValueError, match=f"{budget} must be at least 1"):
         SamplePlan(**{budget: 0})
@@ -206,7 +206,7 @@ def test_condition_4_exact_infimum_for_tangent_chain():
     comp = ParametricBasicSet(
         "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
     )
-    chain = DecreasingChain(Space.NIEMYTZKI, (comp,), 64)
+    chain = DecreasingChain(Space.NIEMYTZKI, (comp,))
     p = NiemytzkiPoint(F(0), F(0))
     # f values along the chain are 1/2 + 1/(n+1); the infimum is exactly 1/2
     assert chain_limit_value(niemytzki_kappa(), chain, decreasing_chain_interior(chain), p) == F(1, 2)
@@ -302,7 +302,7 @@ def test_condition_4_replay_without_closed_form_limit():
     comp = ParametricBasicSet(
         "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
     )
-    chain = DecreasingChain(Space.NIEMYTZKI, (comp,), 64)
+    chain = DecreasingChain(Space.NIEMYTZKI, (comp,))
     S = g_stratification()
     for p in chain_check_points(chain, PLAN)[:6]:
         w = {

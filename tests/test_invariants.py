@@ -32,7 +32,7 @@ def test_points_outside_chain_interior_have_no_inscribed_neighborhood():
     rng = random.Random(71)
     for space in (Space.SORGENFREY, Space.NIEMYTZKI, Space.DOUBLE_ARROW):
         for _ in range(4):
-            chain = sample_chain(space, rng, depth=24)
+            chain = sample_chain(space, rng)
             W = decreasing_chain_interior(chain)
             elements = [chain.at(n) for n in (1, 8, 24)]
             for _ in range(8):
@@ -130,6 +130,6 @@ def test_mode_env_var(tmp_path, monkeypatch):
 
     out = tmp_path / "b.json"
     monkeypatch.setenv("KAPPALAB_MODE", "float")
-    assert main(["refute", "niemytzki-strat", "--depth", "20", "--expect", "refuted", "--out", str(out)]) == 0
+    assert main(["refute", "niemytzki-strat", "--expect", "refuted", "--out", str(out)]) == 0
     monkeypatch.setenv("KAPPALAB_MODE", "bogus")
-    assert main(["refute", "niemytzki-strat", "--depth", "20"]) == 2
+    assert main(["refute", "niemytzki-strat"]) == 2

@@ -7,7 +7,12 @@ import pytest
 from kappalab import (
     NOT_FOUND,
     REFUTED,
+    DecreasingChain,
+    NiemytzkiPoint,
+    ParametricBasicSet,
     ParamValue,
+    SorgenfreyPoint,
+    Space,
     SorgenfreyCandidate,
     characteristic_candidate,
     clopen_only_candidate,
@@ -17,6 +22,7 @@ from kappalab import (
     niemytzki_not_stratifiable,
     refute_sorgenfrey_A,
     reverify_bundle,
+    member,
     right_gap_candidate,
 )
 
@@ -70,11 +76,46 @@ def test_doublearrow_refuter_default():
     assert reverify_bundle(res)
 
 
-def test_doublearrow_refuter_depth_invariance():
-    shallow = doublearrow_not_kappa_default(depth=16)
-    deep = doublearrow_not_kappa_default(depth=128)
-    assert shallow.verdict == deep.verdict == REFUTED
-    assert shallow.detail["witness"] == deep.detail["witness"]
+def test_doublearrow_refuter_decides_the_approach_for_every_n():
+    # x_k = 1/10 + 1/(1000k) - 1/(10k^2) rises while k < 200 and then falls back
+    # onto 1/10 from above: no strictly increasing approach, though the first
+    # 64 values rise below 1/10
+    x_seq = ParamValue(F(1, 10), F(1, 1000), F(-1, 10))
+    assert all(x_seq.at(k) < x_seq.at(k + 1) < F(1, 10) for k in range(1, 65))
+    assert x_seq.at(300) < x_seq.at(299) and x_seq.at(300) > F(1, 10)
+    assert doublearrow_not_kappa(x_seq, F(1, 20), F(1, 15)).verdict == NOT_FOUND
+    # 1/10 - 1/(10(k+1)) rises at every k
+    res = doublearrow_not_kappa(ParamValue(F(1, 10), F(-1, 10), F(0), 1), F(1, 20), F(1, 15))
+    assert res.verdict == REFUTED and reverify_bundle(res)
+
+
+def _contains(chain, p) -> bool:
+    from kappalab.refuters import _assertion, _check_assertion
+
+    return _check_assertion(_assertion("chain_element_contains", chain, p))
+
+
+def test_chain_element_contains_is_decided_for_every_n():
+    # 1 + 1/100 lies in [0, 1 + 1/n) for n < 100 only
+    lane = ParametricBasicSet("half_open", {"a": ParamValue(F(0)), "b": ParamValue(F(1), F(1))})
+    chain = DecreasingChain(Space.SORGENFREY, (lane,))
+    assert all(member(chain.at(n), SorgenfreyPoint(F(101, 100))) for n in range(1, 100))
+    assert not _contains(chain, SorgenfreyPoint(F(101, 100)))
+    # the right end 1 is approached strictly from above: every element keeps it
+    assert _contains(chain, SorgenfreyPoint(F(1))) and not _contains(chain, SorgenfreyPoint(F(-1, 8)))
+
+
+def test_chain_element_contains_fails_closed_on_the_limit_circle():
+    # B*(0, 1/2 + 1/(n+1)) shrinks strictly onto B*(0, 1/2): the top (0, 1) of
+    # the limit circle lies in every element, but the assertion does not claim it
+    lane = ParametricBasicSet("tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)})
+    chain = DecreasingChain(Space.NIEMYTZKI, (lane,))
+    top = NiemytzkiPoint(F(0), F(1))
+    assert all(member(chain.at(n), top) for n in (1, 10, 1000))
+    assert not _contains(chain, top)
+    # the open limit disc and the tangency point are kept
+    assert _contains(chain, NiemytzkiPoint(F(0), F(99, 100))) and _contains(chain, NiemytzkiPoint(F(0), F(0)))
+    assert not _contains(chain, NiemytzkiPoint(F(1, 100), F(0)))
 
 
 def test_doublearrow_refuter_constant_chain_not_found():

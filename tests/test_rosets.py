@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kappalab import (
     ClopenInterval,
@@ -26,11 +26,11 @@ from kappalab import (
     basic_subset,
     closure_member,
     decreasing_chain_interior,
-    increasing_union_limit,
     member,
     validate_regular_open,
 )
 from kappalab.basesets import basic_neighborhoods
+from kappalab.rosets import MalformedChainError
 from kappalab.serialize import decode_roset, encode_roset
 from kappalab.sampling import sample_point_near_set, sample_set, double_arrow_pinch_chain
 
@@ -183,58 +183,185 @@ def test_basic_subset_cases():
 
 
 # ---------------------------------------------------------------------------
-# increasing unions
+# nesting for every n
 
 
-def test_increasing_union_interior_disc():
-    chain = ParametricBasicSet(
+def test_lane_that_grows_back_after_n_200_is_rejected():
+    # [0, 1 - 1/n + 100/n^2) shrinks to [0, 399/400) at n = 200 and then grows
+    # back towards [0, 1): the first 64 elements nest, U_201 does not lie in U_200
+    lane = ParametricBasicSet("half_open", {"a": ParamValue(F(0)), "b": ParamValue(F(1), F(-1), F(100))})
+    assert all(basic_subset(lane.at(n + 1), lane.at(n)) for n in range(1, 200))
+    assert lane.at(200) == HalfOpen(F(0), F(399, 400))
+    assert not basic_subset(lane.at(201), lane.at(200))
+    with pytest.raises(NonMonotoneChainError, match="for large n"):
+        DecreasingChain(Space.SORGENFREY, (lane,))
+
+
+def test_growing_lanes_are_no_decreasing_chains():
+    # the lanes an increasing union would take, r_n = 1 - 1/(n+1) on an interior
+    # and on a tangent disc, fail at the first step; a constant lane is its own limit
+    growing = ParamValue(F(1), F(-1), F(0), 1)
+    for kind, params, space in (
+        ("interior_disc", {"cx": ParamValue(F(0)), "cy": ParamValue(F(1)), "r": growing}, Space.NIEMYTZKI),
+        ("tangent_disc", {"a": ParamValue(F(0)), "r": growing}, Space.NIEMYTZKI),
+        ("half_open", {"a": ParamValue(F(0)), "b": growing}, Space.SORGENFREY),
+    ):
+        with pytest.raises(NonMonotoneChainError, match="from n=1 to n=2"):
+            DecreasingChain(space, (ParametricBasicSet(kind, params),))
+    constant = {"cx": ParamValue(F(0)), "cy": ParamValue(F(2)), "r": ParamValue(F(1))}
+    chain = DecreasingChain(Space.NIEMYTZKI, (ParametricBasicSet("interior_disc", constant),))
+    assert decreasing_chain_interior(chain).components == (InteriorDisc(F(0), F(2), F(1)),)
+
+
+def test_disc_lane_needs_one_shift():
+    # the centre (1/(8(n+1)), 1) moves by less than the radius 1/4 + 1/(8n)
+    # falls, so the lane nests; its moving parameters still need one shift
+    lane = ParametricBasicSet(
         "interior_disc",
-        {"cx": ParamValue(F(0)), "cy": ParamValue(F(1)), "r": ParamValue(F(1), F(-1), F(0), 1)},
+        {"cx": ParamValue(F(0), F(1, 8), F(0), 1), "cy": ParamValue(F(1)), "r": ParamValue(F(1, 4), F(1, 8))},
     )
-    lim = increasing_union_limit(chain, 64)
-    assert lim == InteriorDisc(F(0), F(1), F(1))
-    # every evaluated element is contained in the limit
-    for n in range(1, 65):
-        assert basic_subset(chain.at(n), lim)
+    assert all(basic_subset(lane.at(n + 1), lane.at(n)) for n in range(1, 100))
+    with pytest.raises(MalformedChainError, match="one shift"):
+        DecreasingChain(Space.NIEMYTZKI, (lane,))
+    one_shift = dict(lane.params, cx=ParamValue(F(0), F(1, 8)))
+    DecreasingChain(Space.NIEMYTZKI, (ParametricBasicSet("interior_disc", one_shift),))
 
 
-def test_increasing_union_tangent_disc():
-    chain = ParametricBasicSet(
-        "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1), F(-1), F(0), 1)}
-    )
-    assert increasing_union_limit(chain, 64) == TangentDisc(F(0), F(1))
-
-
-def _interior_lane(cx, cy, r):
-    return ParametricBasicSet("interior_disc", {"cx": cx, "cy": cy, "r": r})
-
-
-def test_increasing_union_constant():
-    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(2)), ParamValue(F(1)))
-    assert increasing_union_limit(lane, 16) == InteriorDisc(F(0), F(2), F(1))
-
-
-def test_increasing_union_shifted_lane_exact():
-    # r_n = 1 - 1/(n+1)
-    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(1)), ParamValue(F(1), F(-1), F(0), 1))
-    assert increasing_union_limit(lane, 16) == InteriorDisc(F(0), F(1), F(1))
-
-
-def test_increasing_union_rejects_decreasing():
-    # r_n = 1/2 + 1/(2(n+1))
-    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(2)), ParamValue(F(1, 2), F(1, 2), F(0), 1))
+def test_flagged_endpoint_stays_put():
+    # (0,0) is flagged only while a = 0; a = 1/(4n) - 1/(4n^2) is 0 at n = 1 only
+    b = ParamValue(F(3, 4))
+    moving = ParamValue(F(0), F(1, 4), F(-1, 4))
+    flags = {"include_left_extreme": True}
+    assert moving.at(1) == 0 and moving.at(2) > 0
     with pytest.raises(NonMonotoneChainError):
-        increasing_union_limit(lane, 8)
+        DecreasingChain(Space.DOUBLE_ARROW, (ParametricBasicSet("clopen_interval", {"a": moving, "b": b}, flags),))
+    DecreasingChain(Space.DOUBLE_ARROW, (ParametricBasicSet("clopen_interval", {"a": ParamValue(F(0)), "b": b}, flags),))
 
 
-def test_increasing_union_rejects_mixed_shapes():
-    def mixed(n):
-        if n % 2:
-            return TangentDisc(F(0), F(1, 2))
-        return InteriorDisc(F(0), F(2), F(1))
+def test_lane_size_stays_positive():
+    # [1 - 1/n, 1/2 + 1/(2n)) nests but is empty from n = 3 on
+    lane = ParametricBasicSet("half_open", {"a": ParamValue(F(1), F(-1)), "b": ParamValue(F(1, 2), F(1, 2))})
+    with pytest.raises(MalformedChainError, match="size"):
+        DecreasingChain(Space.SORGENFREY, (lane,))
+    # a radius falling to -1/4; and one falling strictly to 0, which every element clears
+    for r, ok in ((ParamValue(F(-1, 4), F(1)), False), (ParamValue(F(0), F(1, 2)), True)):
+        lane = ParametricBasicSet("tangent_disc", {"a": ParamValue(F(0)), "r": r})
+        assert _decided(Space.NIEMYTZKI, lane) is ok
 
-    with pytest.raises(Exception):
-        increasing_union_limit(mixed, 8)
+
+def _nests_to(lane, last=10**4) -> bool:
+    """Whether elements 1..last exist and each lies inside the one before."""
+    prev = lane.at(1)
+    for n in range(2, last + 1):
+        try:
+            cur = lane.at(n)
+        except ValueError:  # an interval or disc of size 0 or less
+            return False
+        if not basic_subset(cur, prev):
+            return False
+        prev = cur
+    return True
+
+
+def _decided(space, lane) -> bool:
+    try:
+        DecreasingChain(space, (lane,))
+    except (NonMonotoneChainError, MalformedChainError):
+        return False
+    return True
+
+
+def _builds(lane) -> bool:
+    try:
+        lane.at(1)
+    except ValueError:
+        return False
+    return True
+
+
+# Coefficients c1, c2 are k/128 with |k| <= 16, shifts 0..3.  A lane that does
+# not nest for every n then fails at a step n <= 4096, inside the scan to 10^4
+# (docs/derivations.md, "Nesting for every n": it nests exactly when it nests
+# at u_1, the first step, and at u = 0, and u_n = t_n + t_{n+1} < 2/(n+s)):
+# * an endpoint, a tangency point or a radius fails only at u = 0 when its rate
+#   c1 + c2 u changes sign at u* = -c1/c2 >= 1/16; every u_n < u* fails, and
+#   u_n < 1/16 once n >= 32;
+# * a disc lane fails only at u = 0 when 128^2 (L_r^2 - |L_centre|^2) =
+#   A u^2 + B u + C, an integer quadratic with |A| <= 512 and |B| <= 1536, has
+#   C <= -1; a root u in (0, 1] has 1 <= |A u^2 + B u| <= 2048 u, so the
+#   quadratic stays negative on [0, 1/2048] and every u_n < 1/2048 fails,
+#   which holds once n + s >= 4096;
+# * the limit width or radius is >= 0 here, so a lane with a valid element 1
+#   keeps a positive size at every n.
+_shift = st.integers(0, 3)
+_sixteenths = lambda lo, hi: st.integers(lo, hi).map(lambda k: F(k, 16))
+
+
+@st.composite
+def _moving(draw, const, shift=None, lo=-16, hi=16):
+    """c0 + c1 t + c2 t^2 with c1 = k/128 for lo <= k <= hi, which steers the
+    draws towards the sign a decreasing lane needs, and c2 = k/128, |k| <= 16."""
+    c1, c2 = draw(st.integers(lo, hi)), draw(st.integers(-16, 16))
+    return ParamValue(draw(const), F(c1, 128), F(c2, 128), draw(_shift) if shift is None else shift)
+
+
+@st.composite
+def _lanes(draw, kind):
+    if kind in ("half_open", "clopen_interval"):
+        a = draw(_moving(_sixteenths(4, 8), lo=-16, hi=4))
+        b = draw(_moving(st.just(a.const + draw(_sixteenths(0, 4))), lo=-4, hi=16))
+        return ParametricBasicSet(kind, {"a": a, "b": b})
+    shift = draw(_shift)
+    r = draw(_moving(_sixteenths(0, 8), shift, lo=-4))
+    if kind == "tangent_disc":
+        a = draw(st.one_of(st.just(ParamValue(F(0))), _moving(st.just(F(0)), shift)))
+        return ParametricBasicSet(kind, {"a": a, "r": r})
+    cx = draw(_moving(_sixteenths(-8, 8), shift, lo=-8, hi=8))
+    cy = draw(_moving(_sixteenths(16, 32), shift, lo=-8, hi=8))
+    return ParametricBasicSet(kind, {"cx": cx, "cy": cy, "r": r})
+
+
+_LANE_SPACES = {
+    "half_open": Space.SORGENFREY,
+    "clopen_interval": Space.DOUBLE_ARROW,
+    "tangent_disc": Space.NIEMYTZKI,
+    "interior_disc": Space.NIEMYTZKI,
+}
+
+
+_TAIL_FAILURES = {
+    # b = 1 - 1/(128n) + 1/(8n^2): rises again once u_n < 1/16
+    "half_open": {"a": ParamValue(F(0)), "b": ParamValue(F(1), F(-1, 128), F(1, 8))},
+    # a = 1/4 + 1/(128n) - 1/(8n^2): falls again once u_n < 1/16
+    "clopen_interval": {"a": ParamValue(F(1, 4), F(1, 128), F(-1, 8)), "b": ParamValue(F(1, 2))},
+    # r = 1/2 - 1/(128(n+2)) + 1/(8(n+2)^2): grows again once u_n < 1/16
+    "tangent_disc": {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(-1, 128), F(1, 8), 2)},
+    # the centre moves at rate 1/64, the radius falls at rate 1/128 + u/8: the
+    # centre outruns it once u_n < 1/16
+    "interior_disc": {
+        "cx": ParamValue(F(0), F(1, 64)),
+        "cy": ParamValue(F(1)),
+        "r": ParamValue(F(1, 2), F(1, 128), F(1, 8)),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(_TAIL_FAILURES))
+def test_nesting_decider_catches_failures_past_the_first_steps(kind):
+    lane = ParametricBasicSet(kind, _TAIL_FAILURES[kind])
+    assert all(basic_subset(lane.at(n + 1), lane.at(n)) for n in range(1, 20))
+    assert not _nests_to(lane, 100)
+    with pytest.raises(NonMonotoneChainError, match="for large n"):
+        DecreasingChain(_LANE_SPACES[kind], (lane,))
+
+
+@pytest.mark.parametrize("kind", list(_LANE_SPACES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nesting_decider_agrees_with_explicit_nesting(kind, data):
+    lane = data.draw(_lanes(kind))
+    assume(_builds(lane))
+    assert _decided(_LANE_SPACES[kind], lane) == _nests_to(lane)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +372,7 @@ def test_decreasing_tangent_chain_interior():
     comp = ParametricBasicSet(
         "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
     )
-    W = decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,), 64))
+    W = decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,)))
     assert W.components == (TangentDisc(F(0), F(1, 2)),)
     # boundary points: the tangency stays in, the new boundary circle is out
     assert member(W, NiemytzkiPoint(F(0), F(0)))
@@ -256,11 +383,11 @@ def test_decreasing_tangent_chain_empty():
     comp = ParametricBasicSet(
         "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(0), F(1))}
     )
-    assert decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,), 64)).is_empty
+    assert decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,))).is_empty
 
 
 def test_decreasing_pinch_chain():
-    chain = double_arrow_pinch_chain(64)
+    chain = double_arrow_pinch_chain()
     W = decreasing_chain_interior(chain)
     assert W.components == (ClopenInterval(F(1, 10), F(1, 5)),)
     p = DoubleArrowPoint(F(1, 10), 0)
@@ -273,7 +400,7 @@ def test_decreasing_sorgenfrey_chain():
     comp = ParametricBasicSet(
         "half_open", {"a": ParamValue(F(0), F(-1, 4)), "b": ParamValue(F(1), F(1, 4))}
     )
-    W = decreasing_chain_interior(DecreasingChain(Space.SORGENFREY, (comp,), 64))
+    W = decreasing_chain_interior(DecreasingChain(Space.SORGENFREY, (comp,)))
     assert W.components == (HalfOpen(F(0), F(1)),)
 
 
@@ -282,7 +409,7 @@ def test_decreasing_chain_rejects_non_monotone():
         "half_open", {"a": ParamValue(F(0), F(1, 4)), "b": ParamValue(F(1))}
     )  # a_n decreasing: the sets grow
     with pytest.raises(NonMonotoneChainError):
-        decreasing_chain_interior(DecreasingChain(Space.SORGENFREY, (comp,), 16))
+        decreasing_chain_interior(DecreasingChain(Space.SORGENFREY, (comp,)))
 
 
 def test_decreasing_tangent_chain_requires_fixed_tangency():
@@ -290,7 +417,7 @@ def test_decreasing_tangent_chain_requires_fixed_tangency():
         "tangent_disc", {"a": ParamValue(F(0), F(1, 8)), "r": ParamValue(F(1, 2), F(1, 4))}
     )
     with pytest.raises(Exception):
-        decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,), 16))
+        decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,)))
 
 
 def test_chain_interior_contained_in_every_element():
@@ -299,7 +426,7 @@ def test_chain_interior_contained_in_every_element():
 
     for space in (Space.SORGENFREY, Space.NIEMYTZKI, Space.DOUBLE_ARROW):
         for _ in range(6):
-            chain = sample_chain(space, rng, depth=32)
+            chain = sample_chain(space, rng)
             W = decreasing_chain_interior(chain)
             for n in (1, 7, 32):
                 el = chain.at(n)

@@ -111,13 +111,15 @@ def test_chain_roundtrip_and_limit():
     comp = ParametricBasicSet(
         "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
     )
-    chain = DecreasingChain(Space.NIEMYTZKI, (comp,), 32)
+    chain = DecreasingChain(Space.NIEMYTZKI, (comp,))
     wire = encode_chain(chain)
-    assert wire["param"] == "n" and wire["depth"] == 32
+    # a chain is decided for every n, so no truncation depth travels with it
+    assert set(wire) == {"space", "param", "components", "limit"} and wire["param"] == "n"
     assert wire["limit"]["components"] == [{"kind": "tangent_disc", "a": "0", "r": "1/2"}]
     back = decode_chain(wire)
-    assert back.at(1) == chain.at(1)
-    assert back.depth == 32
+    assert back == chain and encode_chain(back) == wire
+    with pytest.raises(SchemaError):
+        decode_chain(dict(wire, depth=64))  # the old field is an unknown one
 
 
 def test_chain_rejects_unknown_fields():
@@ -132,10 +134,10 @@ def test_chain_limit_must_match_the_lanes():
     comp = ParametricBasicSet(
         "tangent_disc", {"a": ParamValue(F(0)), "r": ParamValue(F(1, 2), F(1), F(0), 1)}
     )
-    wire = encode_chain(DecreasingChain(Space.NIEMYTZKI, (comp,), 8))
+    wire = encode_chain(DecreasingChain(Space.NIEMYTZKI, (comp,)))
     # the same limit written with other rational literals still matches
     wire["limit"]["components"] = [{"kind": "tangent_disc", "a": "0/3", "r": "2/4"}]
-    assert decode_chain(wire).depth == 8
+    assert decode_chain(wire).components == (comp,)
     for wrong in (
         [{"kind": "tangent_disc", "a": "0", "r": "1"}],
         [],
