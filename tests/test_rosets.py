@@ -197,20 +197,48 @@ def test_lane_that_grows_back_after_n_200_is_rejected():
         DecreasingChain(Space.SORGENFREY, (lane,))
 
 
-def test_growing_lanes_are_no_decreasing_chains():
-    # the lanes an increasing union would take, r_n = 1 - 1/(n+1) on an interior
-    # and on a tangent disc, fail at the first step; a constant lane is its own limit
-    growing = ParamValue(F(1), F(-1), F(0), 1)
-    for kind, params, space in (
-        ("interior_disc", {"cx": ParamValue(F(0)), "cy": ParamValue(F(1)), "r": growing}, Space.NIEMYTZKI),
-        ("tangent_disc", {"a": ParamValue(F(0)), "r": growing}, Space.NIEMYTZKI),
-        ("half_open", {"a": ParamValue(F(0)), "b": growing}, Space.SORGENFREY),
-    ):
-        with pytest.raises(NonMonotoneChainError, match="from n=1 to n=2"):
-            DecreasingChain(space, (ParametricBasicSet(kind, params),))
-    constant = {"cx": ParamValue(F(0)), "cy": ParamValue(F(2)), "r": ParamValue(F(1))}
-    chain = DecreasingChain(Space.NIEMYTZKI, (ParametricBasicSet("interior_disc", constant),))
+# The lanes that an increasing union would take, r_n = 1 - 1/(n+1), grow at
+# the first step, so no decreasing chain is built from them; a constant lane
+# nests and is its own limit.
+
+_GROWING = ParamValue(F(1), F(-1), F(0), 1)
+
+
+def _interior_lane(cx, cy, r):
+    return ParametricBasicSet("interior_disc", {"cx": cx, "cy": cy, "r": r})
+
+
+def test_increasing_union_interior_disc():
+    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(1)), _GROWING)
+    # every element lies in B((0, 1), 1), and each lies in the next, not the other way round
+    for n in range(1, 65):
+        assert basic_subset(lane.at(n), InteriorDisc(F(0), F(1), F(1)))
+        assert basic_subset(lane.at(n), lane.at(n + 1))
+    with pytest.raises(NonMonotoneChainError, match="from n=1 to n=2"):
+        DecreasingChain(Space.NIEMYTZKI, (lane,))
+
+
+def test_increasing_union_tangent_disc():
+    lane = ParametricBasicSet("tangent_disc", {"a": ParamValue(F(0)), "r": _GROWING})
+    assert basic_subset(lane.at(64), TangentDisc(F(0), F(1)))
+    with pytest.raises(NonMonotoneChainError, match="from n=1 to n=2"):
+        DecreasingChain(Space.NIEMYTZKI, (lane,))
+
+
+def test_increasing_union_constant():
+    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(2)), ParamValue(F(1)))
+    chain = DecreasingChain(Space.NIEMYTZKI, (lane,))
     assert decreasing_chain_interior(chain).components == (InteriorDisc(F(0), F(2), F(1)),)
+
+
+def test_increasing_union_shifted_lane_exact():
+    # the shifted lane's elements are exact: r_n = 1 - 1/(n+1) on a disc, b_n on [0, b_n)
+    lane = _interior_lane(ParamValue(F(0)), ParamValue(F(1)), _GROWING)
+    assert [lane.at(n).r for n in (1, 2, 16)] == [F(1, 2), F(2, 3), F(16, 17)]
+    half_open = ParametricBasicSet("half_open", {"a": ParamValue(F(0)), "b": _GROWING})
+    assert half_open.at(16) == HalfOpen(F(0), F(16, 17))
+    with pytest.raises(NonMonotoneChainError, match="from n=1 to n=2"):
+        DecreasingChain(Space.SORGENFREY, (half_open,))
 
 
 def test_disc_lane_needs_one_shift():
