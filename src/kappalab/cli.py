@@ -16,13 +16,15 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 from .approximations import QGrid, stratification_to_approximation
-from .families import LABEL_G, Stratification, UnindexedSetError
+from .basesets import basic_member
+from .families import _UNIT, LABEL_G, Stratification, UnindexedSetError
 from .harness import (
     BRIDGE_PAIRS,
     D_PAIRS,
@@ -64,7 +66,7 @@ from .serialize import (
     decode_set,
     dumps_canonical,
 )
-from .spaces import Space
+from .spaces import SorgenfreyPoint, Space
 
 _CANDIDATES = {
     "characteristic": characteristic_candidate,
@@ -180,13 +182,15 @@ _CHECK_FIELDS = {
     "separations": {"family"},
     "refute": {"target", "n", "candidate"},
 }
+#: each kind's verdicts, its default expectation first
 _VERDICTS = ("pass", "fail")
 _REFUTE_VERDICTS = (REFUTED, NOT_FOUND)
 
 
 def _expected(entry: dict) -> str:
-    """Check an entry's kind and fields; its expected verdict, "pass" unless
-    it gives one of its kind's verdicts."""
+    """Check an entry's kind and fields; its expected verdict, one of its
+    kind's verdicts: "pass" for a check and "refuted" for a refute entry
+    unless it gives another."""
     kind = entry.get("check")
     if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
         raise SchemaError(f"unknown check {kind!r}")
@@ -196,7 +200,7 @@ def _expected(entry: dict) -> str:
     verdicts = _REFUTE_VERDICTS if kind == "refute" else _VERDICTS
     if "expect" in entry and entry["expect"] not in verdicts:
         raise SchemaError(f"'expect' of a {kind} entry is one of {verdicts}, got {entry['expect']!r}")
-    return entry.get("expect", "pass")
+    return entry.get("expect", verdicts[0])
 
 
 def _grid_pairs(plan: SamplePlan, divisors) -> list:
@@ -455,6 +459,48 @@ def _axis(lo: Fraction, hi: Fraction, n: int, use_float: bool) -> list[tuple]:
     ]
 
 
+def _first_reaching(nums: Sequence[int], den: int, c) -> int:
+    """The first index i at which the lattice coordinate nums[i] / den reaches
+    c, a Fraction or a float compared exactly: x >= c on an ascending or
+    constant lattice, x <= c on a descending one; len(nums) if none does."""
+    cn, cd = c.as_integer_ratio()
+    sign = -1 if len(nums) > 1 and nums[-1] < nums[0] else 1
+    return bisect_left(nums, True, key=lambda num: sign * (num * cd - cn * den) >= 0)
+
+
+def _spans(n: int, components) -> list[tuple[int, int]]:
+    """The runs [lo, hi) of indices i < n at which some component holds, in
+    order, disjoint and not adjacent.  ``components`` pairs each component's
+    membership test ``inside(i)`` with a seed: the indices inside it are
+    contiguous and, when there are any, seed - 1 or seed is one of them
+    (docs/derivations.md, "Row spans")."""
+    runs = []
+    for inside, seed in components:
+        for m in (seed - 1, seed):
+            if 0 <= m < n and inside(m):
+                lo = bisect_left(range(m), True, key=inside)
+                hi = m + bisect_left(range(m, n), True, key=lambda i: not inside(i))
+                runs.append((lo, hi))
+                break
+    spans = []
+    for lo, hi in sorted(runs):
+        if spans and lo <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
+        else:
+            spans.append((lo, hi))
+    return spans
+
+
+def _segments(n: int, spans: list[tuple[int, int]]):
+    """(lo, hi, inside): [0, n) cut at the ends of ``spans``, in order."""
+    start = 0
+    for lo, hi in spans:
+        yield start, lo, False
+        yield lo, hi, True
+        start = hi
+    yield start, n, False
+
+
 def cmd_sample_grid(args) -> int:
     use_float = _mode() == "float"
     try:
@@ -470,6 +516,9 @@ def cmd_sample_grid(args) -> int:
     except UnindexedSetError as exc:
         raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
     bbox = _parse_bbox(args.bbox)
+    # the kernel runs only on the spans of U; every named kernel is 0 off U,
+    # written "0" (docs/derivations.md, "Row spans")
+    rows = []
     if S.space is Space.NIEMYTZKI:
         if len(bbox) != 4:
             raise SchemaError("niemytzki bbox is x0,x1,y0,y1")
@@ -482,7 +531,20 @@ def cmd_sample_grid(args) -> int:
         if ny and min(y0, y0 + (y1 - y0) * Fraction(ny - 1, ny)) < 0:
             raise SchemaError(f"the lattice of --bbox {args.bbox} has rows below the axis y = 0")
         kernel = f_U.kernel
-        rows = [f"{xt},{yt},{_csv_num(kernel(x, y))}" for y, yt in ys for x, xt in xs]
+        cols = [x for x, _ in xs]
+        # a disc's run on a row is where |x - cx| is small enough: it holds at
+        # the column reaching cx, or at the one before, when it is not empty
+        xnums, xden = _lattice(x0, x1, nx)
+        seeds = [(c.terms_at, _first_reaching(xnums, xden, c.center.x)) for c in target.components]
+        for y, yt in ys:
+            spans = _spans(
+                nx, [(lambda i, at=at: at(cols[i], y) is not None, seed) for at, seed in seeds]
+            )
+            for lo, hi, inside in _segments(nx, spans):
+                if inside:
+                    rows += [f"{xt},{yt},{_csv_num(kernel(x, y))}" for x, xt in xs[lo:hi]]
+                else:
+                    rows += [f"{xt},{yt},0" for _, xt in xs[lo:hi]]
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
             raise SchemaError("sorgenfrey bbox is x0,x1")
@@ -490,11 +552,20 @@ def cmd_sample_grid(args) -> int:
         header = "x,value"
         nums, den = _lattice(*bbox, n)
         gap = f_U.kernel
-        rows = []
-        for num in nums:
-            value = gap(num, den)  # docs/derivations.md, "Lattice kernel"
-            value_text = "0" if value is None else _csv_num(value[0] / value[1])
-            rows.append(f"{_csv_num(num / den)},{value_text}")
+        members = [
+            (lambda i, c=c: basic_member(c, SorgenfreyPoint(Fraction(nums[i], den))),
+             _first_reaching(nums, den, c.a))
+            for c in target.components
+        ]
+        spans = _spans(n, members)
+        for lo, hi, inside in _segments(n, spans):
+            if not inside:
+                rows += [f"{_csv_num(num / den)},0" for num in nums[lo:hi]]
+                continue
+            for num in nums[lo:hi]:
+                value = gap(num, den)  # docs/derivations.md, "Lattice kernel"
+                value_text = "1" if value is _UNIT else _csv_num(value[0] / value[1])
+                rows.append(f"{_csv_num(num / den)},{value_text}")
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
     text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")

@@ -83,6 +83,15 @@ def test_unexpected_verdict_exits_3(tmp_path):
     assert main(["check", "--scenario", str(path)]) == 3
 
 
+def test_refute_entry_expects_refuted_by_default(tmp_path, capsys):
+    # a refuter reports "refuted" or "not_found_at_budget", never "pass"
+    scenario = {"name": "refute_default", "checks": [{"check": "refute", "target": "g-extend"}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["check", "--scenario", str(path)]) == 0
+    assert "ok refute:g-extend: verdict=refuted expected=refuted" in capsys.readouterr().out
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -837,6 +846,38 @@ def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, targe
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "mode, family, target, bbox, res, sha256",
+    [
+        ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
+         "04d7e334b8e080215aa756ce41be4209563ff6e17d7e9d0ed5b04d34aedc4031"),
+        ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
+         "6fa33aa1737cd44286bd1cd70eafac551d1677973799fb3275306c8744cec2b7"),
+        ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
+         "9f994510ac8fc9e1dedd05fb245d4e66e57db5d163a8ad971d715bc90588b425"),
+        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "66000",
+         "4f4c914220f2ed2df141f40f19027995605f41ced9e5571195acd084342fc790"),
+        # the README lattice with both axes descending
+        ("exact", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
+         "d3e8e86d76e7f4eb3d17f238c8dac730df8e5e578a4aa0f4e6db72d65d1f4489"),
+        ("float", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
+         "5f587487ae017f6cb22977bdf371b283b1789d9459ddadc31b0b68215ad7b424"),
+    ],
+    ids=[
+        "readme_exact",
+        "readme_float",
+        "union_separated",
+        "sorgenfrey",
+        "readme_descending_exact",
+        "readme_descending_float",
+    ],
+)
+def test_full_size_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
+    # the four lattices of the benchmark's grid workload at their full size,
+    # and the README lattice drawn from its other corner
+    test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256)
+
+
 _STEP = st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40)
 _OFFSET = st.fractions(min_value=-2, max_value=2, max_denominator=30)
 _RADIUS = st.fractions(min_value=F(1, 8), max_value=1, max_denominator=24)
@@ -905,16 +946,11 @@ def _coordinates(lo, hi, n):
     return [lo + (hi - lo) * F(i, n) for i in range(n)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_niemytzki_lattice() | _sorgenfrey_lattice(), st.sampled_from(["exact", "float"]))
-def test_sample_grid_rows_are_the_family_values(case, mode):
-    # each row is the CSV text of float(coordinate) and of S.value at the point
-    # the row names, in the mode's coordinates: the lattice kernel on unreduced
-    # integer terms is the point function
-    family, U, x_axis, y_axis = case
+def _family_csv(family, U, x_axis, y_axis, mode) -> str:
+    """The CSV of ``family`` on U over the lattice of (lo, hi, n) axes, one
+    ``S.value`` per point: each row is the CSV text of float(coordinate) and
+    of the value at the point the row names, in the mode's coordinates."""
     S = decode_family(family)
-    bbox = ",".join(str(v) for v in (*x_axis[:2], *(y_axis or ())[:2]))
-    res = f"{x_axis[2]}x{y_axis[2]}" if y_axis else str(x_axis[2])
     xs = _coordinates(*x_axis)
     if y_axis:
         to = float if mode == "float" else F
@@ -928,12 +964,91 @@ def test_sample_grid_rows_are_the_family_values(case, mode):
     else:
         rows = [f"{_csv_num(float(x))},{_csv_num(S.value(U, SorgenfreyPoint(x)))}" for x in xs]
         header = "x,value"
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _sample_grid_csv(family, U, x_axis, y_axis, mode) -> str:
+    """The CSV ``sample-grid`` writes for ``family`` on U over that lattice."""
+    bbox = ",".join(str(v) for v in (*x_axis[:2], *(y_axis or ())[:2]))
+    res = f"{x_axis[2]}x{y_axis[2]}" if y_axis else str(x_axis[2])
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"KAPPALAB_MODE": mode}):
         out = Path(tmp) / "g.csv"
         argv = ["sample-grid", "--family", family, "--set", json.dumps(encode_roset(U))]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv + [f"--bbox={bbox}", f"--res={res}", "--out", str(out)]) == 0
-        assert out.read_text() == "\n".join([header, *rows]) + "\n"
+        return out.read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_niemytzki_lattice() | _sorgenfrey_lattice(), st.sampled_from(["exact", "float"]))
+def test_sample_grid_rows_are_the_family_values(case, mode):
+    # the lattice kernel on unreduced integer terms, called on the row spans
+    # of U, is the point function
+    family, U, x_axis, y_axis = case
+    assert _sample_grid_csv(family, U, x_axis, y_axis, mode) == _family_csv(
+        family, U, x_axis, y_axis, mode
+    )
+
+
+def _axis_with(point, index, n, step):
+    """(lo, hi, n): the lattice axis of n coordinates ``step`` apart whose
+    ``index``-th coordinate, counted from the low end, is ``point``; it runs
+    from the high end down when ``step`` is negative."""
+    low = point - index * abs(step)
+    lo = low if step > 0 else low + (n - 1) * abs(step)
+    return lo, lo + n * step, n
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("binary64", [False, True], ids=["exact_set", "binary64_set"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["ascending", "descending"])
+@pytest.mark.parametrize("shape", ["tangent", "interior", "overlapping", "g"])
+def test_row_spans_end_on_lattice_points(shape, sign, binary64, mode):
+    # circles of radius 5s through lattice points: on the rows cy +- 3s and
+    # cy +- 4s a circle crosses the row at the columns cx +- 4s and cx +- 3s,
+    # which lie on it and so just outside the open disc; the row y = 0 meets a
+    # tangent disc at its tangency column only.  s = 1/16 keeps a binary64
+    # set's boundary points exact, s = 1/12 puts rounding next to an exact one.
+    s = F(1, 16) if binary64 else F(1, 12)
+    a = F(1, 3) if not binary64 else F(5, 16)
+    components = {
+        "tangent": [TangentDisc(a, 5 * s)],
+        "g": [TangentDisc(a, 5 * s)],
+        "interior": [InteriorDisc(a, 6 * s, 5 * s)],
+        # the second centre 3s right of and 3s above the first: they overlap
+        "overlapping": [TangentDisc(a, 5 * s), InteriorDisc(a + 3 * s, 8 * s, 5 * s)],
+    }[shape]
+    if binary64:
+        components = [
+            TangentDisc(float(c.a), float(c.r)) if isinstance(c, TangentDisc)
+            else InteriorDisc(float(c.cx), float(c.cy), float(c.r))
+            for c in components
+        ]
+    U = validate_regular_open(Space.NIEMYTZKI, components)
+    # 120 columns s/3 apart with the centre column 50th; rows s apart from y = 0
+    x_axis = _axis_with(a, 50, 120, sign * s / 3)
+    y_axis = _axis_with(F(0), 0, 15, sign * s)
+    family = "g_family" if shape == "g" else "niemytzki_kappa"
+    got = _sample_grid_csv(family, U, x_axis, y_axis, mode)
+    assert got == _family_csv(family, U, x_axis, y_axis, mode)
+    assert got.count(",0\n") < 120 * 15  # some run is not empty
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["ascending", "descending"])
+@pytest.mark.parametrize("n", [40, 200])
+def test_sorgenfrey_spans_end_on_lattice_points(n, sign, mode):
+    # every a and b a lattice point, so is b - 1 where the gap reaches its cap;
+    # the first component starts before the lattice, the last ends after it
+    h = F(1, 40)
+    lo = F(-7, 3)
+    ends = [(-3, n // 5), (n // 5 + 5, n // 5 + 65), (n - 30, n + 10)]
+    U = validate_regular_open(
+        Space.SORGENFREY, [HalfOpen(lo + i * h, lo + j * h) for i, j in ends]
+    )
+    x_axis = _axis_with(lo, 0, n, sign * h)
+    got = _sample_grid_csv("sorgenfrey_kappa", U, x_axis, None, mode)
+    assert got == _family_csv("sorgenfrey_kappa", U, x_axis, None, mode)
 
 
 def _refute_bundle(tmp_path, *args):
