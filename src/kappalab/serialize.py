@@ -8,6 +8,7 @@ docs/schema.md.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -79,6 +80,8 @@ def decode_scalar(v) -> Scalar:
         raise SchemaError(f"bad scalar {v!r}")
     if isinstance(v, int):
         return Fraction(v)
+    if not math.isfinite(v):  # Python's JSON reader accepts NaN and Infinity
+        raise SchemaError(f"a binary64 scalar is finite, got {v!r}")
     return float(v)
 
 

@@ -673,6 +673,8 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         ("niemytzki_kappa", '{"kind": "interior_disc", "cx": "0", "cy": "1", "r": "1"}', "0,1,0,1", "3x3"),
         ("niemytzki_kappa", "5", "0,1,0,1", "3x3"),
         ("niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": 1.0}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "tangent_disc", "a": NaN, "r": 1.0}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "interior_disc", "cx": -Infinity, "cy": 1.0, "r": 0.5}', "0,1,0,1", "3x3"),
     ],
     ids=[
         "g_family_interior_disc",
@@ -682,6 +684,8 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         "interior_disc_r_equal_cy",
         "set_not_an_object",
         "set_mixes_exact_and_float",
+        "set_coordinate_nan",
+        "set_coordinate_infinite",
     ],
 )
 def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, family, target, bbox, res):
@@ -824,6 +828,20 @@ _SORGENFREY_UNION = (
          "4d7410d68405a787531f3a9b0bd741f6714b9902329bb6e1dde40c68f6e17bb2"),
         ("float", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
          "176bf202017995458ebf8710253385ad064bd58ab2b3e2d91a2806f0b035c903"),
+        # the four lattices of the benchmark's grid workload at full size
+        ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
+         "04d7e334b8e080215aa756ce41be4209563ff6e17d7e9d0ed5b04d34aedc4031"),
+        ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
+         "6fa33aa1737cd44286bd1cd70eafac551d1677973799fb3275306c8744cec2b7"),
+        ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
+         "9f994510ac8fc9e1dedd05fb245d4e66e57db5d163a8ad971d715bc90588b425"),
+        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "66000",
+         "4f4c914220f2ed2df141f40f19027995605f41ced9e5571195acd084342fc790"),
+        # the full-size README lattice drawn from its other corner: both axes descending
+        ("exact", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
+         "d3e8e86d76e7f4eb3d17f238c8dac730df8e5e578a4aa0f4e6db72d65d1f4489"),
+        ("float", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
+         "5f587487ae017f6cb22977bdf371b283b1789d9459ddadc31b0b68215ad7b424"),
     ],
     ids=[
         "readme_exact",
@@ -835,6 +853,12 @@ _SORGENFREY_UNION = (
         "union_overlapping_float",
         "g_exact",
         "g_float",
+        "full_size_readme_exact",
+        "full_size_readme_float",
+        "full_size_union_separated",
+        "full_size_sorgenfrey",
+        "full_size_readme_descending_exact",
+        "full_size_readme_descending_float",
     ],
 )
 def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
@@ -844,38 +868,6 @@ def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, targe
     argv = ["sample-grid", "--family", family, "--set", target, f"--bbox={bbox}", "--res", res]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
-
-
-@pytest.mark.parametrize(
-    "mode, family, target, bbox, res, sha256",
-    [
-        ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
-         "04d7e334b8e080215aa756ce41be4209563ff6e17d7e9d0ed5b04d34aedc4031"),
-        ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
-         "6fa33aa1737cd44286bd1cd70eafac551d1677973799fb3275306c8744cec2b7"),
-        ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
-         "9f994510ac8fc9e1dedd05fb245d4e66e57db5d163a8ad971d715bc90588b425"),
-        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "66000",
-         "4f4c914220f2ed2df141f40f19027995605f41ced9e5571195acd084342fc790"),
-        # the README lattice with both axes descending
-        ("exact", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
-         "d3e8e86d76e7f4eb3d17f238c8dac730df8e5e578a4aa0f4e6db72d65d1f4489"),
-        ("float", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
-         "5f587487ae017f6cb22977bdf371b283b1789d9459ddadc31b0b68215ad7b424"),
-    ],
-    ids=[
-        "readme_exact",
-        "readme_float",
-        "union_separated",
-        "sorgenfrey",
-        "readme_descending_exact",
-        "readme_descending_float",
-    ],
-)
-def test_full_size_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
-    # the four lattices of the benchmark's grid workload at their full size,
-    # and the README lattice drawn from its other corner
-    test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256)
 
 
 _STEP = st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40)
@@ -1036,13 +1028,17 @@ def test_row_spans_end_on_lattice_points(shape, sign, binary64, mode):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("sign", [1, -1], ids=["ascending", "descending"])
-@pytest.mark.parametrize("n", [40, 200])
-def test_sorgenfrey_spans_end_on_lattice_points(n, sign, mode):
-    # every a and b a lattice point, so is b - 1 where the gap reaches its cap;
-    # the first component starts before the lattice, the last ends after it
-    h = F(1, 40)
-    lo = F(-7, 3)
-    ends = [(-3, n // 5), (n // 5 + 5, n // 5 + 65), (n - 30, n + 10)]
+@pytest.mark.parametrize(
+    "n, ends",
+    [(40, [(-3, 8), (12, 17), (20, 65)]), (200, [(-3, 40), (45, 105), (170, 210)])],
+    ids=["40_columns", "200_columns"],
+)
+def test_sorgenfrey_spans_end_on_lattice_points(n, ends, sign, mode):
+    # the components [lo + i h, lo + j h) of U, h = 1/40, for (i, j) in ends:
+    # every a and b is a lattice point or lies past an end of the lattice, and
+    # so is b - 1, where the gap of the last component longer than 1 reaches
+    # its cap
+    h, lo = F(1, 40), F(-7, 3)
     U = validate_regular_open(
         Space.SORGENFREY, [HalfOpen(lo + i * h, lo + j * h) for i, j in ends]
     )
