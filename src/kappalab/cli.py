@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .approximations import QGrid, stratification_to_approximation
 from .basesets import basic_member
-from .families import _UNIT, LABEL_G, Stratification, UnindexedSetError
+from .families import LABEL_G, Stratification, UnindexedSetError
 from .harness import (
     BRIDGE_PAIRS,
     D_PAIRS,
@@ -333,11 +333,23 @@ def run_scenario(
     text = "\n".join(text_lines) + "\n"
     if out_dir:
         out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / f"{scenario['name']}.json").write_text(dumps_canonical(doc) + "\n")
-        (out_path / f"{scenario['name']}.txt").write_text(text)
+        _write(out_path / f"{scenario['name']}.json", dumps_canonical(doc) + "\n", make_dirs=True)
+        _write(out_path / f"{scenario['name']}.txt", text)
     sys.stdout.write(text)
     return 0 if not mismatches else 3
+
+
+def _write(path: Path, text: str, make_dirs: bool = False) -> None:
+    """Write an --out file, after its missing directories with ``make_dirs``.
+    A path the command cannot write (a missing directory, a directory where
+    the file goes, a file where a directory goes) is a schema error, and
+    nothing is written to it."""
+    try:
+        if make_dirs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write --out {str(path)!r}: {exc.strerror}") from None
 
 
 def _load_scenario_file(path: str) -> dict:
@@ -407,7 +419,7 @@ def cmd_refute(args) -> int:
     res = _refute(args.target, args.candidate, plan_seed, n)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
-        Path(args.out).write_text(doc)
+        _write(Path(args.out), doc)
     sys.stdout.write(f"{args.target}: {res.verdict}\n")
     expected = args.expect
     if expected and res.verdict != expected:
@@ -468,37 +480,43 @@ def _first_reaching(nums: Sequence[int], den: int, c) -> int:
     return bisect_left(nums, True, key=lambda num: sign * (num * cd - cn * den) >= 0)
 
 
-def _spans(n: int, components) -> list[tuple[int, int]]:
-    """The runs [lo, hi) of indices i < n at which some component holds, in
-    order, disjoint and not adjacent.  ``components`` pairs each component's
-    membership test ``inside(i)`` with a seed: the indices inside it are
-    contiguous and, when there are any, seed - 1 or seed is one of them
-    (docs/derivations.md, "Row spans")."""
+def _runs(n: int, components, merge: bool) -> list[tuple[int, int, int]]:
+    """(lo, hi, k): the run [lo, hi) of indices i < n at which component k
+    holds, for each component whose run is not empty, in order.
+    ``components`` pairs each component's membership test ``inside(i)`` with
+    a seed: the indices inside it are contiguous and, when there are any,
+    seed - 1 or seed is one of them (docs/derivations.md, "Row spans").  With
+    ``merge`` the runs of components that may overlap are merged into
+    disjoint, non-adjacent spans, each with the component index 0."""
     runs = []
-    for inside, seed in components:
+    for k, (inside, seed) in enumerate(components):
         for m in (seed - 1, seed):
             if 0 <= m < n and inside(m):
                 lo = bisect_left(range(m), True, key=inside)
                 hi = m + bisect_left(range(m, n), True, key=lambda i: not inside(i))
-                runs.append((lo, hi))
+                runs.append((lo, hi, k))
                 break
+    runs.sort()
+    if not merge:
+        return runs
     spans = []
-    for lo, hi in sorted(runs):
+    for lo, hi, _ in runs:
         if spans and lo <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
+            spans[-1] = (spans[-1][0], max(spans[-1][1], hi), 0)
         else:
-            spans.append((lo, hi))
+            spans.append((lo, hi, 0))
     return spans
 
 
-def _segments(n: int, spans: list[tuple[int, int]]):
-    """(lo, hi, inside): [0, n) cut at the ends of ``spans``, in order."""
+def _segments(n: int, runs: list[tuple[int, int, int]]):
+    """(lo, hi, k): [0, n) cut at the ends of the disjoint ``runs``, in
+    order; k is None between runs."""
     start = 0
-    for lo, hi in spans:
-        yield start, lo, False
-        yield lo, hi, True
+    for lo, hi, k in runs:
+        yield start, lo, None
+        yield lo, hi, k
         start = hi
-    yield start, n, False
+    yield start, n, None
 
 
 def cmd_sample_grid(args) -> int:
@@ -516,8 +534,10 @@ def cmd_sample_grid(args) -> int:
     except UnindexedSetError as exc:
         raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
     bbox = _parse_bbox(args.bbox)
-    # the kernel runs only on the spans of U; every named kernel is 0 off U,
-    # written "0" (docs/derivations.md, "Row spans")
+    # values are computed only on the runs of U's components; every named
+    # kernel is 0 off U, written "0" (docs/derivations.md, "Row spans"), and
+    # a run of one component is evaluated by that component's staged form
+    # (docs/derivations.md, "Separable terms")
     rows = []
     if S.space is Space.NIEMYTZKI:
         if len(bbox) != 4:
@@ -527,49 +547,56 @@ def cmd_sample_grid(args) -> int:
         header = "x,y,value"
         # every coordinate in the one mode, each built once per axis value
         xs, ys = _axis(x0, x1, nx, use_float), _axis(y0, y1, ny, use_float)
+        cols, xtexts = [x for x, _ in xs], [xt for _, xt in xs]
+        heights = [y for y, _ in ys]
+        # the same coordinates as integer terms over one denominator per axis
+        xterms, yterms = _lattice(x0, x1, nx), _lattice(y0, y1, ny)
         # the rows y0 and y0 + (y1 - y0)(ny - 1)/ny bound the lattice's heights
         if ny and min(y0, y0 + (y1 - y0) * Fraction(ny - 1, ny)) < 0:
             raise SchemaError(f"the lattice of --bbox {args.bbox} has rows below the axis y = 0")
         kernel = f_U.kernel
-        cols = [x for x, _ in xs]
+        overlapping = kernel.lattice is None
+        if overlapping:
+
+            def values(k, j, lo, hi):
+                return [kernel(x, heights[j]) for x in cols[lo:hi]]
+
+        else:
+            values = kernel.lattice(cols, heights, xterms, yterms)
         # a disc's run on a row is where |x - cx| is small enough: it holds at
         # the column reaching cx, or at the one before, when it is not empty
-        xnums, xden = _lattice(x0, x1, nx)
-        seeds = [(c.terms_at, _first_reaching(xnums, xden, c.center.x)) for c in target.components]
-        for y, yt in ys:
-            spans = _spans(
-                nx, [(lambda i, at=at: at(cols[i], y) is not None, seed) for at, seed in seeds]
+        seeds = [(c.terms_at, _first_reaching(*xterms, c.center.x)) for c in target.components]
+        for j, (y, yt) in enumerate(ys):
+            runs = _runs(
+                nx, [(lambda i, at=at: at(cols[i], y) is not None, seed) for at, seed in seeds], overlapping
             )
-            for lo, hi, inside in _segments(nx, spans):
-                if inside:
-                    rows += [f"{xt},{yt},{_csv_num(kernel(x, y))}" for x, xt in xs[lo:hi]]
+            for lo, hi, k in _segments(nx, runs):
+                if k is None:
+                    rows += [f"{xt},{yt},0" for xt in xtexts[lo:hi]]
                 else:
-                    rows += [f"{xt},{yt},0" for _, xt in xs[lo:hi]]
+                    rows += [f"{xt},{yt},{_csv_num(v)}" for xt, v in zip(xtexts[lo:hi], values(k, j, lo, hi))]
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
             raise SchemaError("sorgenfrey bbox is x0,x1")
         (n,) = _parse_res(args.res, 1)
         header = "x,value"
         nums, den = _lattice(*bbox, n)
-        gap = f_U.kernel
+        xtexts = [_csv_num(num / den) for num in nums]
+        values = f_U.kernel.lattice(nums, den)  # docs/derivations.md, "Lattice kernel"
         members = [
             (lambda i, c=c: basic_member(c, SorgenfreyPoint(Fraction(nums[i], den))),
              _first_reaching(nums, den, c.a))
             for c in target.components
         ]
-        spans = _spans(n, members)
-        for lo, hi, inside in _segments(n, spans):
-            if not inside:
-                rows += [f"{_csv_num(num / den)},0" for num in nums[lo:hi]]
-                continue
-            for num in nums[lo:hi]:
-                value = gap(num, den)  # docs/derivations.md, "Lattice kernel"
-                value_text = "1" if value is _UNIT else _csv_num(value[0] / value[1])
-                rows.append(f"{_csv_num(num / den)},{value_text}")
+        for lo, hi, k in _segments(n, _runs(n, members, False)):
+            if k is None:
+                rows += [f"{xt},0" for xt in xtexts[lo:hi]]
+            else:
+                rows += [f"{xt},{_csv_num(v)}" for xt, v in zip(xtexts[lo:hi], values(k, lo, hi))]
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
     text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
-    Path(args.out).write_text(text)
+    _write(Path(args.out), text)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
     return 0
 

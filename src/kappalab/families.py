@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, sqrt
 from typing import Callable
 
 from .basesets import (
@@ -66,6 +67,13 @@ _UNIT = (1, 1)
 FamilyMember = Callable[[Point], Scalar]
 #: a Niemytzki formula: the value at the coordinates (x, y), both in one mode
 Kernel = Callable[[Scalar, Scalar], Scalar]
+#: A Niemytzki kernel's staged form (docs/derivations.md, "Separable terms")
+#: is ``kernel.lattice(xs, ys, xterms, yterms)``, for a lattice's axes as
+#: coordinates in one mode and as integer terms (nums, den).  It does the
+#: work of each column once and returns ``values(k, j, lo, hi)``: the
+#: kernel's values at the columns lo..hi-1 of row j, a run inside U's k-th
+#: component, doing the work of the row once and no membership test.
+RunValues = Callable[[int, int, int, int], list]
 
 
 def _mismatch(space: Space, p: Point) -> SpaceMismatchError:
@@ -103,6 +111,18 @@ def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
                 return (num, den) if num < den else _UNIT
         return None
 
+    def lattice(nums, den: int) -> Callable[[int, int, int], list]:
+        """``values(k, lo, hi)``: the gaps in binary64 at the lattice points
+        nums[i] / den, lo <= i < hi, all inside U's k-th component [a, b): the
+        int true division of b - x's pair, 1.0 at the cap."""
+
+        def values(k: int, lo: int, hi: int) -> list:
+            _, _, bn, bd = terms[k]
+            top, under = bn * den, bd * den
+            return [1.0 if g >= under else g / under for g in [top - num * bd for num in nums[lo:hi]]]
+
+        return values
+
     def f_U(x: SorgenfreyPoint) -> Fraction:
         if x.space is not space:
             raise _mismatch(space, x)
@@ -111,6 +131,7 @@ def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
             return _ZERO
         return _ONE if value is _UNIT else Fraction(*value)
 
+    gap.lattice = lattice
     f_U.kernel = gap
     return f_U
 
@@ -156,12 +177,17 @@ def doublearrow_f(U: RegularOpenSet, p: DoubleArrowPoint) -> Fraction:
 # Niemytzki base formulas
 
 
+def _chord_root(rn: int, rd: int, yn: int, yd: int) -> Scalar:
+    """sqrt(2yr - y^2) for r = rn/rd and y = yn/yd, in any terms."""
+    # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd)
+    return sqrt_terms(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
+
+
 def _chord_value(r: Fraction, rn: int, rd: int, dxn: int, dxd: int, yn: int, yd: int) -> Scalar:
     """r - r|x - a| / sqrt(2yr - y^2), the below-diameter tangent-disc value,
     for r = rn/rd, y = yn/yd and |x - a| = dxn/dxd > 0 (docs/derivations.md,
     "Exact kernel")."""
-    # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd)
-    root = sqrt_terms(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
+    root = _chord_root(rn, rd, yn, yd)
     if type(root) is float:
         # float(r) - float(r dx) / root, each conversion an int true division
         return rn / rd - rn * dxn / (rd * dxd) / root
@@ -188,13 +214,20 @@ def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> Kerne
     """The base-set value at (x, y), and ``outside`` off U: from integer terms
     when U and the point are exact, else from U's binary64 view.  The exact
     U.r is returned at the tangency point and, below the diameter, on the
-    vertical axis."""
+    vertical axis.  ``value.lattice`` is the same formula staged by column
+    and row; the point form stays the reference it is tested against, since
+    the harness evaluates one point at a time."""
     r = U.r
     tangent = isinstance(U, TangentDisc)
     exact = type(r) is Fraction
     if exact:
-        an, ad, _, _, rn, rd, _, _ = U.terms
+        cxn, cxd, cyn, cyd, rn, rd, _, _ = U.terms  # a tangent disc's centre is (a, r)
     exact_d2, binary64_d2 = U.exact_d2, U.binary64_d2
+
+    def binary64_chord_root(y: Scalar) -> float:
+        """sqrt(2yr - y^2) through U's binary64 view, y in its own mode."""
+        r64 = U.binary64_r
+        return sqrt_scalar(2 * y * r64 - y * y)
 
     def value(x: Scalar, y: Scalar) -> Scalar:
         if exact and type(x) is Fraction:
@@ -206,8 +239,8 @@ def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> Kerne
             if tangent and not yn:
                 return r
             if tangent and yn * rd < rn * yd:  # below the diameter: 0 < y < r
-                dxn = abs(xn * ad - an * xd)
-                return _chord_value(r, rn, rd, dxn, xd * ad, yn, yd) if dxn else r
+                dxn = abs(xn * cxd - cxn * xd)
+                return _chord_value(r, rn, rd, dxn, xd * cxd, yn, yd) if dxn else r
             root = sqrt_terms(*d2)
             return U.binary64_r - root if type(root) is float else r - root
         d2 = binary64_d2(x, y)
@@ -218,9 +251,71 @@ def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> Kerne
             return r
         if tangent and not le(r64, y):  # a tangent disc's centre is (a, r)
             dx = abs(float(x) - U.binary64[0])
-            return r if is_zero(dx) else r64 - r64 * dx / sqrt_scalar(2 * y * r64 - y * y)
+            return r if is_zero(dx) else r64 - r64 * dx / binary64_chord_root(y)
         return r64 - sqrt_scalar(d2)
 
+    def exact_lattice(xterms: tuple, yterms: tuple) -> RunValues:
+        """``value`` on exact coordinates, over the lattice's common
+        denominators: d2 = (A_i + B_j) / (bx by)^2 with A_i = (ex_i by)^2 and
+        B_j = (ey_j bx)^2, ex and ey the offsets from the centre."""
+        (xnums, xden), (ynums, yden) = xterms, yterms
+        bx, by = xden * cxd, yden * cyd
+        bb = bx * by
+        square = bb * bb
+        ex = [xn * cxd - cxn * xden for xn in xnums]  # x - cx = ex / bx
+        sq_ex = [(e * by) ** 2 for e in ex]
+        # float(r |x - a|) per column, for the chord rows of a tangent disc
+        r_dx = [rn * abs(e) / (rd * bx) for e in ex] if tangent else None
+        r64 = U.binary64_r
+
+        def values(k: int, j: int, lo: int, hi: int) -> list:
+            yn = ynums[j]
+            if tangent and not yn:
+                return [r] * (hi - lo)
+            if tangent and yn * rd < rn * yden:  # below the diameter: 0 < y < r
+                root = _chord_root(rn, rd, yn, yden)
+                if type(root) is float:
+                    return [r64 - r_dx[i] / root if ex[i] else r for i in range(lo, hi)]
+                return [r - r * Fraction(abs(ex[i]), bx) / root if ex[i] else r for i in range(lo, hi)]
+            ey2 = ((yn * cyd - cyn * yden) * bx) ** 2
+            out = []
+            for a2 in sq_ex[lo:hi]:
+                num = a2 + ey2
+                q = isqrt(num)  # the denominator is a square: rational iff num is
+                out.append(r - Fraction(q, bb) if q * q == num else r64 - sqrt(num / square))
+            return out
+
+        return values
+
+    def binary64_lattice(xs: list, ys: list) -> RunValues:
+        """``value`` through U's binary64 view, one float(x) - cx per column."""
+        cx, cy, _ = U.binary64
+        r64 = U.binary64_r
+        dxs = [float(x) - cx for x in xs]
+        sq_dx = [dx * dx for dx in dxs]
+        if tangent:
+            on_axis = [is_zero(dx) for dx in dxs]
+            r_dx = [r64 * abs(dx) for dx in dxs]
+
+        def values(k: int, j: int, lo: int, hi: int) -> list:
+            y = ys[j]
+            if tangent and is_zero(y):
+                return [r] * (hi - lo)
+            if tangent and not le(r64, y):
+                root = binary64_chord_root(y)
+                return [r if on_axis[i] else r64 - r_dx[i] / root for i in range(lo, hi)]
+            dy = float(y) - cy
+            dy2 = dy * dy
+            return [r64 - sqrt(dx2 + dy2) for dx2 in sq_dx[lo:hi]]
+
+        return values
+
+    def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
+        if exact and xs and type(xs[0]) is Fraction:
+            return exact_lattice(xterms, yterms)
+        return binary64_lattice(xs, ys)
+
+    value.lattice = lattice
     return value
 
 
@@ -249,24 +344,46 @@ def _g_kernel(U: TangentDisc) -> Kernel:
     else:
         rm1, zero, one = r - 1, 0.0, 1.0
 
+    def scaling(y: Scalar) -> Callable[[Scalar], Scalar] | None:
+        """The product of a value at height y > 0 with the scale, in the
+        value's arithmetic; None at or above the diameter (r <= y), where
+        the value is unscaled."""
+        if exact and type(y) is Fraction:
+            yn, yd = y.as_integer_ratio()
+            if rn * yd <= yn * rd:
+                return None
+            # ((r - 1) y + r) / r^2 = ((rn - rd) yn + rn yd) rd / (yd rn^2); a
+            # binary64 value meets it as its int true division, float(scale)
+            num, den = ((rn - rd) * yn + rn * yd) * rd, yd * rn * rn
+            scale64 = num / den
+            return lambda v: v * scale64 if type(v) is float else v * Fraction(num, den)
+        if le(U.binary64_r, y):
+            return None
+        scale64 = (rm1 * y + U.binary64_r) / U.binary64[2]
+        return lambda v: v * scale64
+
     def g(x: Scalar, y: Scalar) -> Scalar:
         value = disc(x, y)
         if value is None:
             return zero
         if is_zero(y):
             return one
-        if exact and type(y) is Fraction:
-            yn, yd = y.as_integer_ratio()
-            if rn * yd <= yn * rd:  # r <= y
-                return value
-            # ((r - 1) y + r) / r^2 = ((rn - rd) yn + rn yd) rd / (yd rn^2); a
-            # binary64 value meets it as its int true division, float(scale)
-            num, den = ((rn - rd) * yn + rn * yd) * rd, yd * rn * rn
-            return value * (num / den) if type(value) is float else value * Fraction(num, den)
-        if le(U.binary64_r, y):
-            return value
-        return value * ((rm1 * y + U.binary64_r) / U.binary64[2])
+        scale = scaling(y)
+        return value if scale is None else scale(value)
 
+    def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
+        disc_values = disc.lattice(xs, ys, xterms, yterms)
+
+        def values(k: int, j: int, lo: int, hi: int) -> list:
+            y = ys[j]
+            if is_zero(y):
+                return [one] * (hi - lo)
+            chord, scale = disc_values(k, j, lo, hi), scaling(y)
+            return chord if scale is None else [scale(v) for v in chord]
+
+        return values
+
+    g.lattice = lattice
     return g
 
 
@@ -374,6 +491,17 @@ def _union_kernel(V: RegularOpenSet) -> Kernel:
                     best, best_float = value, value_float
             return best if inside else _zero(x)
 
+        def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
+            forms = [f.lattice(xs, ys, xterms, yterms) for f, _ in parts]
+
+            def values(k: int, j: int, lo: int, hi: int) -> list:
+                # the run lies in component k alone, the others are 0 on it:
+                # the maximum is the component's value unless that is not positive
+                return [v if as_float(v) > 0 else _zero(v) for v in forms[k](0, j, lo, hi)]
+
+            return values
+
+        component_max.lattice = lattice
         return component_max
     component_d2 = [c.terms_at for c in V.components]
     tangents = [_disc_kernel(t, _zero(t.r)) for t in V.inscribed_tangent_discs]
@@ -386,6 +514,7 @@ def _union_kernel(V: RegularOpenSet) -> Kernel:
             best = max(best, float(f(x, y)))
         return best
 
+    closed_form.lattice = None  # runs of components overlap: the kernel per point
     return closed_form
 
 

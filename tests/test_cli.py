@@ -724,13 +724,34 @@ def test_counts_below_1_exit_2(capsys, argv):
         ["check", "--corpus", "--depth", "64"],
         ["refute", "no-such-target"],
         ["check", "--grid-m", "x"],
+        ["sample-grid", "--family", "niemytzki_kappa", "--set", '{"kind": "tangent_disc", "a": "0", "r": "1"}',
+         "--bbox=-1,1,0,1", "--res", "4x4", "--out", "{tmp}/no/such/dir/x.csv"],
+        ["sample-grid", "--family", "niemytzki_kappa", "--set", '{"kind": "tangent_disc", "a": "0", "r": "1"}',
+         "--bbox=-1,1,0,1", "--res", "4x4", "--out", "{tmp}"],
+        ["refute", "g-extend", "--out", "{tmp}/no/such/dir/x.json"],
+        ["check", "--scenario", "{tmp}/s.json", "--out", "{tmp}/s.json"],
     ],
-    ids=["refute_doublearrow_d_depth", "refute_niemytzki_strat_depth", "check_corpus_depth", "refute_target", "grid_m_not_an_integer"],
+    ids=[
+        "refute_doublearrow_d_depth",
+        "refute_niemytzki_strat_depth",
+        "check_corpus_depth",
+        "refute_target",
+        "grid_m_not_an_integer",
+        "sample_grid_out_in_a_missing_directory",
+        "sample_grid_out_is_a_directory",
+        "refute_out_in_a_missing_directory",
+        "check_out_is_a_file",
+    ],
 )
-def test_malformed_command_line_exits_2(capsys, argv):
+def test_malformed_command_line_exits_2(tmp_path, capsys, argv):
     # chains are decided for every n, so no command takes a truncation depth;
-    # a command line is input like a scenario file, and fails the same way
-    assert _schema_error(capsys, argv)
+    # a command line is input like a scenario file, and fails the same way.
+    # An --out the command cannot write is one too, and leaves no file behind.
+    scenario = json.dumps({"name": "s", "checks": [{"check": "condition_3_negative_control", "expect": "fail"}]})
+    (tmp_path / "s.json").write_text(scenario)
+    assert _schema_error(capsys, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
+    assert (tmp_path / "s.json").read_text() == scenario
 
 
 #: sha256 of each corpus report (``check --corpus --out``) by plan seed
@@ -802,6 +823,12 @@ _SORGENFREY_UNION = (
     '{"kind": "half_open", "a": "-3/2", "b": "-1/3"}, '
     '{"kind": "half_open", "a": "0", "b": "5/2"}]}'
 )
+_INTERIOR = '{"kind": "interior_disc", "cx": "1/3", "cy": "5/4", "r": "3/4"}'
+_BINARY64_TANGENT = '{"kind": "tangent_disc", "a": 0.1, "r": 0.7}'
+#: r = 5s, s = 1/12: on the rows y = s and 2s the chord root sqrt(2yr - y^2)
+#: is 3s and 4s, and the circle crosses those rows at the columns a +- 4s and
+#: a +- 3s of a lattice s/3 apart through x = a
+_PYTHAGOREAN_TANGENT = '{"kind": "tangent_disc", "a": "1/3", "r": "5/12"}'
 
 
 @pytest.mark.parametrize(
@@ -842,6 +869,22 @@ _SORGENFREY_UNION = (
          "d3e8e86d76e7f4eb3d17f238c8dac730df8e5e578a4aa0f4e6db72d65d1f4489"),
         ("float", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
          "5f587487ae017f6cb22977bdf371b283b1789d9459ddadc31b0b68215ad7b424"),
+        ("exact", "niemytzki_kappa", _INTERIOR, "-1/2,7/6,1/2,2", "40x30",
+         "d302e7eac73610fbea2e0fb18f0b0d3b148b127994772e46e9f4d71b1e8ed683"),
+        ("float", "niemytzki_kappa", _INTERIOR, "-1/2,7/6,1/2,2", "40x30",
+         "943394c882b1195e1c09d5342e5122bff83cffe5c05bf8b38c0dfd38fa080dd2"),
+        ("float", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
+         "cf21cd2ffff86e45e49591536f672fc0cce407b0220975eccaf81706deaa020f"),
+        # a binary64 set: exact coordinates meet its binary64 view, whose
+        # chord radicand converts y^2 once instead of squaring float(y)
+        ("exact", "niemytzki_kappa", _BINARY64_TANGENT, "-1,6/5,0,3/2", "40x30",
+         "68d429c1bad5b00d850354eeca62298d361d4bd5a4e158286976902f21bb6054"),
+        ("float", "niemytzki_kappa", _BINARY64_TANGENT, "-1,6/5,0,3/2", "40x30",
+         "eef443dd0243b13ffc268a51762f995a93fd4239dbc14140af30c39d50476c29"),
+        ("exact", "niemytzki_kappa", _PYTHAGOREAN_TANGENT, "-19/18,41/18,0,5/4", "120x15",
+         "e420c82e3464af2284200eb5867dc7057dbeb8010440f38267501469f58e1b35"),
+        ("float", "niemytzki_kappa", _PYTHAGOREAN_TANGENT, "-19/18,41/18,0,5/4", "120x15",
+         "2b4ba1abfbf51995f367254b3230853309f73c1e5d10749ec12d4fae189d0ed4"),
     ],
     ids=[
         "readme_exact",
@@ -859,6 +902,13 @@ _SORGENFREY_UNION = (
         "full_size_sorgenfrey",
         "full_size_readme_descending_exact",
         "full_size_readme_descending_float",
+        "interior_exact",
+        "interior_float",
+        "full_size_union_separated_float",
+        "binary64_tangent_exact",
+        "binary64_tangent_float",
+        "pythagorean_tangent_exact",
+        "pythagorean_tangent_float",
     ],
 )
 def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
@@ -868,6 +918,39 @@ def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, targe
     argv = ["sample-grid", "--family", family, "--set", target, f"--bbox={bbox}", "--res", res]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_sample_grid_does_column_and_row_work_once(tmp_path, monkeypatch):
+    # the full-size binary64 README lattice, 300 columns by 220 rows: a point
+    # inside U repeats no test its run, its row or its column decided, so
+    # is_zero runs per row, per column and per bisection step (81,558 calls
+    # when every point repeated them) and the disc membership test
+    # O(log columns) times per row, not once per point
+    import kappalab.basesets
+    import kappalab.numerics
+    from kappalab.basesets import _Disc
+
+    counts = {"is_zero": 0, "member": 0}
+    is_zero, member = kappalab.numerics.is_zero, _Disc.binary64_d2
+
+    def counted_is_zero(a):
+        counts["is_zero"] += 1
+        return is_zero(a)
+
+    def counted_member(disc, x, y):
+        counts["member"] += 1
+        return member(disc, x, y)
+
+    for module in (kappalab.basesets, kappalab.families, kappalab.numerics, kappalab.rosets, kappalab.spaces):
+        if hasattr(module, "is_zero"):
+            monkeypatch.setattr(module, "is_zero", counted_is_zero)
+    monkeypatch.setattr(_Disc, "binary64_d2", counted_member)
+    monkeypatch.setenv("KAPPALAB_MODE", "float")
+    argv = ["sample-grid", "--family", "niemytzki_kappa", "--set", _TANGENT, "--bbox=-3/2,3/2,0,11/5"]
+    assert main(argv + ["--res", "300x220", "--out", str(tmp_path / "g.csv")]) == 0
+    rows, columns = 220, 300
+    assert counts["is_zero"] < 8_000
+    assert counts["member"] <= rows * 2 * (columns.bit_length() + 1)
 
 
 _STEP = st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40)
