@@ -49,6 +49,10 @@ class QGrid:
     def values(self) -> tuple[Fraction, ...]:
         return _grid_values(self.depth)
 
+    def value(self, k: int) -> Fraction:
+        """values[k], 0 <= k < 2^depth - 1, without building ``values``."""
+        return Fraction(k + 1, 2**self.depth)
+
 
 @cache
 def _grid_values(depth: int) -> tuple[Fraction, ...]:

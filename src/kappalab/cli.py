@@ -63,6 +63,7 @@ from .serialize import (
     _invalid,
     decode_chain,
     decode_family,
+    decode_scalar,
     decode_set,
     dumps_canonical,
 )
@@ -86,7 +87,7 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
     """A tabulated family: per set, (point, value) samples with
     nearest-sample evaluation semantics.  Returns the family and its sets."""
     from .families import tabulated_evaluator
-    from .serialize import decode_point, decode_scalar
+    from .serialize import decode_point
 
     _known = {"label", "space", "table"}
     unknown = set(spec) - _known
@@ -304,6 +305,11 @@ def run_scenario(
     if not isinstance(checks, list) or not all(isinstance(e, dict) for e in checks):
         raise SchemaError(f"'checks' is a list of objects, got {checks!r}")
     plan = _plan_from(scenario.get("plan", {}), seed_override, grid_m)
+    if out_dir:
+        try:  # before any check runs
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"cannot write --out {out_dir!r}: {exc.strerror}") from None
     results = []
     mismatches = []
     for entry in checks:
@@ -333,20 +339,17 @@ def run_scenario(
     text = "\n".join(text_lines) + "\n"
     if out_dir:
         out_path = Path(out_dir)
-        _write(out_path / f"{scenario['name']}.json", dumps_canonical(doc) + "\n", make_dirs=True)
+        _write(out_path / f"{scenario['name']}.json", dumps_canonical(doc) + "\n")
         _write(out_path / f"{scenario['name']}.txt", text)
     sys.stdout.write(text)
     return 0 if not mismatches else 3
 
 
-def _write(path: Path, text: str, make_dirs: bool = False) -> None:
-    """Write an --out file, after its missing directories with ``make_dirs``.
-    A path the command cannot write (a missing directory, a directory where
-    the file goes, a file where a directory goes) is a schema error, and
+def _write(path: Path, text: str) -> None:
+    """Write an --out file.  A path the command cannot write (a missing
+    directory, a directory where the file goes) is a schema error, and
     nothing is written to it."""
     try:
-        if make_dirs:
-            path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
         raise SchemaError(f"cannot write --out {str(path)!r}: {exc.strerror}") from None
@@ -429,9 +432,9 @@ def cmd_refute(args) -> int:
 
 def _parse_bbox(text: str) -> list[Fraction]:
     try:
-        return [Fraction(p) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"malformed --bbox {text!r}") from exc
+        return [decode_scalar(p) for p in text.split(",")]
+    except SchemaError as exc:
+        raise SchemaError(f"malformed --bbox {text!r}: {exc}") from None
 
 
 def _parse_res(text: str, count: int) -> list[int]:
@@ -445,30 +448,21 @@ def _parse_res(text: str, count: int) -> list[int]:
     return sizes
 
 
-def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[Sequence[int], int]:
-    """(nums, den): the lattice coordinates lo + (hi - lo) i/n, i < n, are
-    nums[i] / den, with nums[i] = base + step i and den > 0 over the integer
-    terms of lo and hi.  Each has CSV text when the first and the last fit
-    binary64, since the others lie between them."""
+def _axis(lo: Fraction, hi: Fraction, n: int, exact: bool) -> tuple[tuple[Sequence[int], int], list, list[str]]:
+    """The lattice coordinates lo + (hi - lo) i/n, i < n, three ways: as
+    integer terms (nums, den), nums[i] = base + step i and den > 0 over the
+    integer terms of lo and hi; as Fractions with ``exact``, else binary64;
+    and as CSV text, written from the exact coordinate in either mode."""
     den = lo.denominator * hi.denominator * n
     base = lo.numerator * hi.denominator * n
     step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
     nums = range(base, base + step * n, step) if step else [base] * n
     try:
-        if n:
-            nums[0] / den, nums[-1] / den  # float(): docs/derivations.md, "Exact kernel"
+        floats = [num / den for num in nums]  # float(): docs/derivations.md, "Exact kernel"
     except OverflowError:
         raise SchemaError("a lattice coordinate is too large for binary64") from None
-    return nums, den
-
-
-def _axis(lo: Fraction, hi: Fraction, n: int, use_float: bool) -> list[tuple]:
-    """The lattice coordinates lo + (hi - lo) i/n, i < n, as (coordinate, CSV text)
-    pairs; the text is written from the exact coordinate in either mode."""
-    nums, den = _lattice(lo, hi, n)
-    return [
-        (num / den if use_float else Fraction(num, den), _csv_num(num / den)) for num in nums
-    ]
+    coords = [Fraction(num, den) for num in nums] if exact else floats
+    return (nums, den), coords, [_csv_num(f) for f in floats]
 
 
 def _first_reaching(nums: Sequence[int], den: int, c) -> int:
@@ -480,14 +474,14 @@ def _first_reaching(nums: Sequence[int], den: int, c) -> int:
     return bisect_left(nums, True, key=lambda num: sign * (num * cd - cn * den) >= 0)
 
 
-def _runs(n: int, components, merge: bool) -> list[tuple[int, int, int]]:
-    """(lo, hi, k): the run [lo, hi) of indices i < n at which component k
-    holds, for each component whose run is not empty, in order.
-    ``components`` pairs each component's membership test ``inside(i)`` with
-    a seed: the indices inside it are contiguous and, when there are any,
-    seed - 1 or seed is one of them (docs/derivations.md, "Row spans").  With
-    ``merge`` the runs of components that may overlap are merged into
-    disjoint, non-adjacent spans, each with the component index 0."""
+def _runs(n: int, components) -> list[tuple[int, int, int]]:
+    """(lo, hi, k): the runs [lo, hi) of indices i < n at which U's
+    components hold, disjoint and in order.  ``components`` pairs each
+    component's membership test ``inside(i)`` with a seed: the indices
+    inside it are contiguous and, when there are any, seed - 1 or seed is
+    one of them (docs/derivations.md, "Row spans").  A run is component k's
+    own, except that runs which overlap, as only an overlapping union's can,
+    merge into one with the first run's k."""
     runs = []
     for k, (inside, seed) in enumerate(components):
         for m in (seed - 1, seed):
@@ -496,15 +490,13 @@ def _runs(n: int, components, merge: bool) -> list[tuple[int, int, int]]:
                 hi = m + bisect_left(range(m, n), True, key=lambda i: not inside(i))
                 runs.append((lo, hi, k))
                 break
-    runs.sort()
-    if not merge:
-        return runs
     spans = []
-    for lo, hi, _ in runs:
-        if spans and lo <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], hi), 0)
+    for run in sorted(runs):
+        if spans and run[0] < spans[-1][1]:
+            lo, hi, k = spans[-1]
+            spans[-1] = (lo, max(hi, run[1]), k)
         else:
-            spans.append((lo, hi, 0))
+            spans.append(run)
     return spans
 
 
@@ -534,67 +526,60 @@ def cmd_sample_grid(args) -> int:
     except UnindexedSetError as exc:
         raise SchemaError(f"{S.label} cannot index the given set: {exc}") from exc
     bbox = _parse_bbox(args.bbox)
-    # values are computed only on the runs of U's components; every named
-    # kernel is 0 off U, written "0" (docs/derivations.md, "Row spans"), and
-    # a run of one component is evaluated by that component's staged form
-    # (docs/derivations.md, "Separable terms")
-    rows = []
+    # members(y): each component's membership test inside(i) on the row y,
+    # with its run's seed column (docs/derivations.md, "Row spans")
     if S.space is Space.NIEMYTZKI:
         if len(bbox) != 4:
             raise SchemaError("niemytzki bbox is x0,x1,y0,y1")
         nx, ny = _parse_res(args.res, 2)
         x0, x1, y0, y1 = bbox
-        header = "x,y,value"
-        # every coordinate in the one mode, each built once per axis value
-        xs, ys = _axis(x0, x1, nx, use_float), _axis(y0, y1, ny, use_float)
-        cols, xtexts = [x for x, _ in xs], [xt for _, xt in xs]
-        heights = [y for y, _ in ys]
-        # the same coordinates as integer terms over one denominator per axis
-        xterms, yterms = _lattice(x0, x1, nx), _lattice(y0, y1, ny)
         # the rows y0 and y0 + (y1 - y0)(ny - 1)/ny bound the lattice's heights
         if ny and min(y0, y0 + (y1 - y0) * Fraction(ny - 1, ny)) < 0:
             raise SchemaError(f"the lattice of --bbox {args.bbox} has rows below the axis y = 0")
-        kernel = f_U.kernel
-        overlapping = kernel.lattice is None
-        if overlapping:
-
-            def values(k, j, lo, hi):
-                return [kernel(x, heights[j]) for x in cols[lo:hi]]
-
-        else:
-            values = kernel.lattice(cols, heights, xterms, yterms)
+        header = "x,y,value"
+        # every coordinate in the one mode, each built once per axis value
+        xterms, xs, xtexts = _axis(x0, x1, nx, not use_float)
+        yterms, ys, ytexts = _axis(y0, y1, ny, not use_float)
+        ytexts = ["," + yt for yt in ytexts]  # the y column, after x
         # a disc's run on a row is where |x - cx| is small enough: it holds at
         # the column reaching cx, or at the one before, when it is not empty
         seeds = [(c.terms_at, _first_reaching(*xterms, c.center.x)) for c in target.components]
-        for j, (y, yt) in enumerate(ys):
-            runs = _runs(
-                nx, [(lambda i, at=at: at(cols[i], y) is not None, seed) for at, seed in seeds], overlapping
-            )
-            for lo, hi, k in _segments(nx, runs):
-                if k is None:
-                    rows += [f"{xt},{yt},0" for xt in xtexts[lo:hi]]
-                else:
-                    rows += [f"{xt},{yt},{_csv_num(v)}" for xt, v in zip(xtexts[lo:hi], values(k, j, lo, hi))]
+
+        def members(y):
+            return [(lambda i, at=at: at(xs[i], y) is not None, seed) for at, seed in seeds]
+
     elif S.space is Space.SORGENFREY:
         if len(bbox) != 2:
             raise SchemaError("sorgenfrey bbox is x0,x1")
-        (n,) = _parse_res(args.res, 1)
+        (nx,) = _parse_res(args.res, 1)
         header = "x,value"
-        nums, den = _lattice(*bbox, n)
-        xtexts = [_csv_num(num / den) for num in nums]
-        values = f_U.kernel.lattice(nums, den)  # docs/derivations.md, "Lattice kernel"
-        members = [
-            (lambda i, c=c: basic_member(c, SorgenfreyPoint(Fraction(nums[i], den))),
-             _first_reaching(nums, den, c.a))
-            for c in target.components
-        ]
-        for lo, hi, k in _segments(n, _runs(n, members, False)):
-            if k is None:
-                rows += [f"{xt},0" for xt in xtexts[lo:hi]]
-            else:
-                rows += [f"{xt},{_csv_num(v)}" for xt, v in zip(xtexts[lo:hi], values(k, lo, hi))]
+        # exact by construction: the gap and [a, b)'s test read the terms, so
+        # the coordinates are binary64, with no Fraction per column
+        xterms, xs, xtexts = _axis(*bbox, nx, False)
+        yterms, ys, ytexts = None, [None], [""]  # one row, with no y column
+        nums, den = xterms
+
+        def members(y):
+            return [
+                (lambda i, c=c: basic_member(c, SorgenfreyPoint(Fraction(nums[i], den))),
+                 _first_reaching(nums, den, c.a))
+                for c in target.components
+            ]
+
     else:
         raise SchemaError("sample-grid supports niemytzki and sorgenfrey families")
+    # values are computed only on the runs of U's components; every named
+    # kernel is 0 off U, written "0" (docs/derivations.md, "Row spans"), and
+    # a run is evaluated by the kernel's staged form (docs/derivations.md,
+    # "Separable terms")
+    values = f_U.kernel.lattice(xs, ys, xterms, yterms)
+    rows = []
+    for j, (y, yt) in enumerate(zip(ys, ytexts)):
+        for lo, hi, k in _segments(nx, _runs(nx, members(y))):
+            if k is None:
+                rows += [f"{xt}{yt},0" for xt in xtexts[lo:hi]]
+            else:
+                rows += [f"{xt}{yt},{_csv_num(v)}" for xt, v in zip(xtexts[lo:hi], values(k, j, lo, hi))]
     text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
     _write(Path(args.out), text)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")

@@ -67,12 +67,13 @@ _UNIT = (1, 1)
 FamilyMember = Callable[[Point], Scalar]
 #: a Niemytzki formula: the value at the coordinates (x, y), both in one mode
 Kernel = Callable[[Scalar, Scalar], Scalar]
-#: A Niemytzki kernel's staged form (docs/derivations.md, "Separable terms")
-#: is ``kernel.lattice(xs, ys, xterms, yterms)``, for a lattice's axes as
-#: coordinates in one mode and as integer terms (nums, den).  It does the
-#: work of each column once and returns ``values(k, j, lo, hi)``: the
-#: kernel's values at the columns lo..hi-1 of row j, a run inside U's k-th
-#: component, doing the work of the row once and no membership test.
+#: A named kernel's staged form (docs/derivations.md, "Separable terms") is
+#: ``kernel.lattice(xs, ys, xterms, yterms)``, for a lattice's axes as
+#: coordinates in one mode and as integer terms (nums, den); a Sorgenfrey
+#: lattice is the one row ys = [None], yterms = None.  It does the work of
+#: each column once and returns ``values(k, j, lo, hi)``: the kernel's
+#: values at the columns lo..hi-1 of row j, a run inside U's k-th component,
+#: doing the work of the row once and no membership test.
 RunValues = Callable[[int, int, int, int], list]
 
 
@@ -111,12 +112,13 @@ def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
                 return (num, den) if num < den else _UNIT
         return None
 
-    def lattice(nums, den: int) -> Callable[[int, int, int], list]:
-        """``values(k, lo, hi)``: the gaps in binary64 at the lattice points
-        nums[i] / den, lo <= i < hi, all inside U's k-th component [a, b): the
-        int true division of b - x's pair, 1.0 at the cap."""
+    def lattice(xs: list, ys: list, xterms: tuple, yterms: None) -> RunValues:
+        """The gaps in binary64 at the points nums[i] / den of ``xterms``, on
+        a run inside U's k-th component [a, b): the int true division of
+        b - x's pair, 1.0 at the cap."""
+        nums, den = xterms
 
-        def values(k: int, lo: int, hi: int) -> list:
+        def values(k: int, j: int, lo: int, hi: int) -> list:
             _, _, bn, bd = terms[k]
             top, under = bn * den, bd * den
             return [1.0 if g >= under else g / under for g in [top - num * bd for num in nums[lo:hi]]]
@@ -514,7 +516,11 @@ def _union_kernel(V: RegularOpenSet) -> Kernel:
             best = max(best, float(f(x, y)))
         return best
 
-    closed_form.lattice = None  # runs of components overlap: the kernel per point
+    def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
+        # the closed form is no one component's value: the kernel at each point
+        return lambda k, j, lo, hi: [closed_form(x, ys[j]) for x in xs[lo:hi]]
+
+    closed_form.lattice = lattice
     return closed_form
 
 

@@ -639,18 +639,18 @@ class _ApproxClosure(NamedTuple):
 def _abc_cases(A: Approximation, sets, nested_pairs, plan: SamplePlan):
     """The cases of (a), (b) and (c), in that order, from one seeded stream."""
     rng = plan.rng("conditions_abc")
-    values = QGrid(plan.grid_m).values
-    probes = (Fraction(1, 2 ** (plan.grid_m + 20)), values[0], values[len(values) // 2], values[-1])
+    grid, n = QGrid(plan.grid_m), 2**plan.grid_m - 1  # n grid values
+    probes = (Fraction(1, 2 ** (plan.grid_m + 20)), grid.value(0), grid.value(n // 2), grid.value(n - 1))
     for U in sets:
         for _ in range(max(1, plan.n_points // max(1, len(sets)))):
             yield _ApproxUnion(A, U, sample_point_near_set(U, rng), probes)
     for U, V in nested_pairs:
         for _ in range(4):
             p = sample_point_near_set(V, rng)
-            yield _ApproxMonotone(A, U, V, p, values[rng.randrange(len(values))])
+            yield _ApproxMonotone(A, U, V, p, grid.value(rng.randrange(n)))
     for U in sets:
-        for q in (values[len(values) // 8], values[len(values) // 2], values[-len(values) // 8]):
-            p_val = values[max(0, values.index(q) - max(1, len(values) // 16))]
+        for k in (n // 8, n // 2, (-n // 8) % n):  # the last is values[-n // 8]
+            q, p_val = grid.value(k), grid.value(max(0, k - max(1, n // 16)))
             if p_val < q:
                 for _ in range(6):
                     yield _ApproxClosure(A, U, p_val, q, sample_point_near_set(U, rng))
@@ -757,8 +757,8 @@ BRIDGE_PAIRS = ((16, 12), (20, 15), (3, 2))
 def grid_pairs(grid_m: int, divisors: Sequence[tuple[int, int]]) -> list[tuple[Fraction, Fraction]]:
     """The pairs p < q among the grid values at indices size // i and size // j;
     ``ValueError`` when there is none, as condition (d) would run on no samples."""
-    values = QGrid(grid_m).values
-    pairs = [(values[len(values) // i], values[len(values) // j]) for i, j in divisors]
+    grid, n = QGrid(grid_m), 2**grid_m - 1  # n grid values
+    pairs = [(grid.value(n // i), grid.value(n // j)) for i, j in divisors]
     pairs = [(p, q) for p, q in pairs if p < q]
     if not pairs:
         raise ValueError(f"grid_m {grid_m} leaves no grid pair p < q for condition (d)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -72,6 +73,9 @@ def encode_scalar(v: Scalar):
 
 def decode_scalar(v) -> Scalar:
     if isinstance(v, str):
+        # an integer or "p/q"; Fraction() also reads "1e10000000", for seconds
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
+            raise SchemaError(f"bad rational literal {v!r}: an integer or p/q")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:

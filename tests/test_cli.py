@@ -25,6 +25,7 @@ from kappalab import (
     TangentDisc,
     validate_regular_open,
 )
+from kappalab.basesets import basic_member
 from kappalab.cli import _csv_num, main, shipped_scenarios
 from kappalab.serialize import SchemaError, decode_family, decode_point, encode_roset
 
@@ -200,12 +201,13 @@ def test_axis_coordinates_are_the_lattice_formula(lo, hi, n, use_float):
 
     hi = lo if hi is None else hi  # a zero span
     expected = [lo + (hi - lo) * F(i, n) for i in range(n)]
-    axis = _axis(lo, hi, n, use_float)
-    assert [text for _, text in axis] == [_csv_num(c) for c in expected]
+    (nums, den), coords, texts = _axis(lo, hi, n, not use_float)
+    assert [F(num, den) for num in nums] == expected
+    assert texts == [_csv_num(c) for c in expected]
     if use_float:
-        assert [c.hex() for c, _ in axis] == [float(c).hex() for c in expected]
+        assert [c.hex() for c in coords] == [float(c).hex() for c in expected]
     else:
-        assert [c for c, _ in axis] == expected and all(type(c) is F for c, _ in axis)
+        assert coords == expected and all(type(c) is F for c in coords)
 
 
 def test_scenario_seed_override_changes_reports(tmp_path):
@@ -260,12 +262,12 @@ def test_sample_grid_malformed_bbox_exits_2(tmp_path, capsys):
     [
         ("-1,1,-1,1", "4x4"),
         ("-1,1,-1/2,1", "4x1"),
-        ("-1,1,0,1e400", "4x4"),
-        ("-1e400,1,0,1", "4x4"),
+        (f"-1,1,0,{10 ** 400}", "4x4"),
+        (f"-{10 ** 400},1,0,1", "4x4"),
         ("-1,1,0,1", "-3x4"),
         ("-1,1,0,1", "3x-1"),
         ("-1,1", "-5"),
-        ("-1e400,1", "4"),
+        (f"-{10 ** 400},1", "4"),
     ],
     ids=[
         "rows_below_the_axis",
@@ -568,6 +570,13 @@ def _da_chain(**flags):
         {"name": "x", "checks": [{"check": "condition_4", "family": "g_family", "chain": {"sampled": 3}}]},
         {"name": "x", "checks": [{"check": "condition_d", "family": "g_family", "chain": {"sampled": 3}}]},
         {"name": "x", "checks": [{"check": "bridge_4_iff_d", "family": "g_family", "chain": {"sampled": 3}}]},
+        # an exact rational is an integer or p/q, and nothing else Fraction() reads
+        {"name": "x", "checks": [_explicit_chain("0", "1e0")]},
+        {"name": "x", "checks": [_explicit_chain("0", "0.5")]},
+        {"name": "x", "checks": [_explicit_chain("0", " 1/2")]},
+        {"name": "x", "checks": [_explicit_chain("0", "1_0")]},
+        {"name": "x", "checks": [_user_table([{"set": _TABLE_DISC, "samples": [
+            {"point": {"space": "niemytzki", "x": "0", "y": "5e-1"}, "value": "1/2"}]}])]},
     ],
     ids=[
         "plan_not_object",
@@ -620,6 +629,11 @@ def _da_chain(**flags):
         "g_family_condition_4_sampled_chain",
         "g_family_condition_d_sampled_chain",
         "g_family_bridge_sampled_chain",
+        "rational_with_an_exponent",
+        "rational_with_a_decimal_point",
+        "rational_with_a_space",
+        "rational_with_an_underscore",
+        "table_point_with_an_exponent",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
@@ -675,6 +689,10 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         ("niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": 1.0}', "0,1,0,1", "3x3"),
         ("niemytzki_kappa", '{"kind": "tangent_disc", "a": NaN, "r": 1.0}', "0,1,0,1", "3x3"),
         ("niemytzki_kappa", '{"kind": "interior_disc", "cx": -Infinity, "cy": 1.0, "r": 0.5}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": "1e0"}', "0,1,0,1", "3x3"),
+        ("niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": "1"}', "0,1,0,1e0", "3x3"),
+        ("niemytzki_kappa", '{"kind": "tangent_disc", "a": "0", "r": "1"}', "0,0.5,0,1", "3x3"),
+        ("sorgenfrey_kappa", '{"kind": "half_open", "a": "0", "b": "1"}', "0, 1", "3"),
     ],
     ids=[
         "g_family_interior_disc",
@@ -686,6 +704,10 @@ def test_sample_grid_union_uses_the_named_family(tmp_path):
         "set_mixes_exact_and_float",
         "set_coordinate_nan",
         "set_coordinate_infinite",
+        "set_rational_with_an_exponent",
+        "bbox_rational_with_an_exponent",
+        "bbox_rational_with_a_decimal_point",
+        "bbox_rational_with_a_space",
     ],
 )
 def test_sample_grid_set_the_family_cannot_index_exits_2(tmp_path, capsys, family, target, bbox, res):
@@ -752,6 +774,43 @@ def test_malformed_command_line_exits_2(tmp_path, capsys, argv):
     assert _schema_error(capsys, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
     assert (tmp_path / "s.json").read_text() == scenario
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a_file", "below_a_file"])
+@pytest.mark.parametrize("source", ["corpus", "scenario"])
+def test_check_out_that_is_no_directory_exits_2_before_any_check(tmp_path, capsys, monkeypatch, source, out):
+    # the --out directory is made, or rejected under the name it was given,
+    # before the first check of the first scenario runs
+    import kappalab.harness
+
+    def no_check(*args):
+        raise RuntimeError("a check ran")
+
+    monkeypatch.setattr(kappalab.harness, "_run", no_check)
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / out)
+    if source == "corpus":
+        argv = ["check", "--corpus"]
+    else:
+        argv = _scenario_argv(tmp_path, {"name": "x", "checks": [_SORGENFREY_1]})
+    assert main(argv + ["--out", out]) == 2
+    assert f"cannot write --out {out!r}:" in capsys.readouterr().err
+
+
+def test_condition_d_at_grid_m_64_builds_no_grid(tmp_path, capsys, monkeypatch):
+    # the pairs read four of the 2^64 - 1 grid values, from their indices
+    import kappalab.approximations
+
+    grid_values = kappalab.approximations._grid_values
+
+    def shallow_only(depth):
+        assert depth <= 16, f"built all 2^{depth} - 1 grid values"
+        return grid_values(depth)
+
+    monkeypatch.setattr(kappalab.approximations, "_grid_values", shallow_only)
+    entry = {"check": "condition_d", "family": "double_arrow_ro", "chain": "pinch", "expect": "fail"}
+    assert main(_scenario_argv(tmp_path, {"name": "x", "plan": {"grid_m": 64}, "checks": [entry]})) == 0
+    assert "ok condition_d:double_arrow_ro:0: verdict=fail" in capsys.readouterr().out
 
 
 #: sha256 of each corpus report (``check --corpus --out``) by plan seed
@@ -1077,7 +1136,9 @@ def _axis_with(point, index, n, step):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("binary64", [False, True], ids=["exact_set", "binary64_set"])
 @pytest.mark.parametrize("sign", [1, -1], ids=["ascending", "descending"])
-@pytest.mark.parametrize("shape", ["tangent", "interior", "overlapping", "g"])
+@pytest.mark.parametrize(
+    "shape", ["tangent", "interior", "overlapping", "g", "separated_adjacent", "overlapping_nested"]
+)
 def test_row_spans_end_on_lattice_points(shape, sign, binary64, mode):
     # circles of radius 5s through lattice points: on the rows cy +- 3s and
     # cy +- 4s a circle crosses the row at the columns cx +- 4s and cx +- 3s,
@@ -1092,6 +1153,13 @@ def test_row_spans_end_on_lattice_points(shape, sign, binary64, mode):
         "interior": [InteriorDisc(a, 6 * s, 5 * s)],
         # the second centre 3s right of and 3s above the first: they overlap
         "overlapping": [TangentDisc(a, 5 * s), InteriorDisc(a + 3 * s, 8 * s, 5 * s)],
+        # hulls s/12 apart: on the row y = 6s the first run ends at the column
+        # a + 14s/3 and the second starts at the next one, a + 5s
+        "separated_adjacent": [InteriorDisc(a, 6 * s, 29 * s / 6), InteriorDisc(a + 107 * s / 12, 6 * s, 4 * s)],
+        # on the row y = 9s the third disc's run lies inside the first's
+        "overlapping_nested": [
+            TangentDisc(a, 5 * s), InteriorDisc(a + 3 * s, 8 * s, 5 * s), InteriorDisc(a - s, 19 * s / 2, s)
+        ],
     }[shape]
     if binary64:
         components = [
@@ -1107,6 +1175,17 @@ def test_row_spans_end_on_lattice_points(shape, sign, binary64, mode):
     got = _sample_grid_csv(family, U, x_axis, y_axis, mode)
     assert got == _family_csv(family, U, x_axis, y_axis, mode)
     assert got.count(",0\n") < 120 * 15  # some run is not empty
+    # the columns of each component's run on each row, in the mode's coordinates
+    to = float if mode == "float" else F
+    runs = [
+        [{i for i, x in enumerate(_coordinates(*x_axis)) if basic_member(c, NiemytzkiPoint(to(x), to(y)))}
+         for c in U.components]
+        for y in _coordinates(*y_axis)
+    ]
+    if shape == "separated_adjacent":  # each run keeps its component's staged form
+        assert U.separated and any(p and q and max(p) + 1 == min(q) for row in runs for p in row for q in row)
+    if shape == "overlapping_nested":  # the merged run is written once
+        assert not U.separated and any(p and p < q for row in runs for p in row for q in row)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

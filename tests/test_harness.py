@@ -571,3 +571,10 @@ def test_chain_lane_decisions_match_a_deep_element():
                         assert decided == realized.closure_member(x), (chain, q, x)
                         n_closures += 1
     assert n_values > 1500 and n_closures > 10000
+
+
+def test_grid_values_by_index_are_the_grid():
+    # grid_pairs and the (a)-(c) probes pick grid values by index, unbuilt
+    for depth in range(1, 13):
+        grid = QGrid(depth)
+        assert [grid.value(k) for k in range(2**depth - 1)] == list(grid.values)

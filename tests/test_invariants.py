@@ -133,3 +133,28 @@ def test_mode_env_var(tmp_path, monkeypatch):
     assert main(["refute", "niemytzki-strat", "--expect", "refuted", "--out", str(out)]) == 0
     monkeypatch.setenv("KAPPALAB_MODE", "bogus")
     assert main(["refute", "niemytzki-strat"]) == 2
+
+
+def test_no_unused_module_level_imports():
+    # a module-level import that nothing in its module reads is dead code;
+    # the package's __init__ imports are its API and are exempt
+    import ast
+    from pathlib import Path
+
+    import kappalab
+
+    unused = []
+    for path in sorted(Path(kappalab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused
