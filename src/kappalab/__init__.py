@@ -95,7 +95,6 @@ from .spaces import (
     SorgenfreyPoint,
     Space,
     SpaceMismatchError,
-    euclid_dist,
     lex_less,
 )
 

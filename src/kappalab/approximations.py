@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .basesets import ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
@@ -45,20 +45,10 @@ class QGrid:
     def step(self) -> Fraction:
         return Fraction(1, 2**self.depth)
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return _grid_values(self.depth)
-
     def value(self, k: int) -> Fraction:
-        """values[k], 0 <= k < 2^depth - 1, without building ``values``."""
+        """The k-th grid value in increasing order, (k + 1)/2^depth for
+        0 <= k < 2^depth - 1."""
         return Fraction(k + 1, 2**self.depth)
-
-
-@cache
-def _grid_values(depth: int) -> tuple[Fraction, ...]:
-    """k/2^depth for 0 < k < 2^depth, built once per depth and process."""
-    d = 2**depth
-    return tuple(Fraction(k, d) for k in range(1, d))
 
 
 @dataclass(frozen=True)
@@ -190,18 +180,18 @@ def approximation_to_stratification(A: Approximation, grid: QGrid) -> Stratifica
     value is a grid value or 0/1; within one grid step otherwise.  Condition
     (c) makes U_q decrease in q, so a binary search finds that q.
     """
-    values = grid.values
+    size = 2**grid.depth - 1  # grid values, read by index: O(depth) per point
 
     def evaluate(U: RegularOpenSet, p: Point) -> Fraction:
-        lo, hi = 0, len(values)  # values[:lo] contain p, values[hi:] do not
+        lo, hi = 0, size  # values 0..lo-1 contain p, values hi.. do not
         while lo < hi:
             mid = (lo + hi) // 2
-            if A.contains(U, values[mid], p):
+            if A.contains(U, grid.value(mid), p):
                 lo = mid + 1
             else:
                 hi = mid
         if lo == 0:
             return Fraction(0)
-        return values[lo] if lo < len(values) else Fraction(1)
+        return grid.value(lo) if lo < size else Fraction(1)
 
     return user_supplied(A.space, evaluate)

@@ -302,13 +302,6 @@ def disc_terms(
     return s.terms_at(p.x, p.y)
 
 
-def disc_sq_dist(s: InteriorDisc | TangentDisc, p: NiemytzkiPoint) -> Scalar | None:
-    """``disc_terms`` as a scalar: the squared distance from p to the centre of
-    disc s when p lies in s, else None."""
-    d2 = disc_terms(s, p)
-    return Fraction(*d2) if type(d2) is tuple else d2
-
-
 def basic_member(s: BasicOpenSet, p: Point) -> bool:
     """Exact membership of a point in a base element."""
     if isinstance(s, (InteriorDisc, TangentDisc)):

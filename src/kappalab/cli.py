@@ -18,13 +18,14 @@ import os
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .approximations import QGrid, stratification_to_approximation
 from .basesets import basic_member
-from .families import LABEL_G, Stratification, UnindexedSetError
+from .families import LABEL_G, Stratification, UnindexedSetError, tabulated_evaluator, user_supplied
 from .harness import (
     BRIDGE_PAIRS,
     D_PAIRS,
@@ -37,6 +38,7 @@ from .harness import (
     check_condition_4,
     check_condition_d,
     check_separations,
+    chain_bound_sets,
     chain_check_points,
     continuity_negative_control,
     grid_pairs,
@@ -55,7 +57,12 @@ from .refuters import (
     right_gap_candidate,
 )
 from .rosets import DecreasingChain
-from .sampling import sample_chain, sample_condition3_pairs, double_arrow_pinch_chain
+from .sampling import (
+    double_arrow_pinch_chain,
+    sample_chain,
+    sample_condition3_pairs,
+    sample_condition3_pairs_g,
+)
 from .serialize import (
     SchemaError,
     _expect_fields,
@@ -63,6 +70,7 @@ from .serialize import (
     _invalid,
     decode_chain,
     decode_family,
+    decode_point,
     decode_scalar,
     decode_set,
     dumps_canonical,
@@ -86,11 +94,7 @@ def _mode() -> str:
 def _user_family(spec: dict) -> tuple[Stratification, list]:
     """A tabulated family: per set, (point, value) samples with
     nearest-sample evaluation semantics.  Returns the family and its sets."""
-    from .families import tabulated_evaluator
-    from .serialize import decode_point
-
-    _known = {"label", "space", "table"}
-    unknown = set(spec) - _known
+    unknown = set(spec) - {"label", "space", "table"}
     if unknown:
         raise SchemaError(f"unknown family fields {sorted(unknown)}")
     try:
@@ -115,8 +119,6 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
         table[key] = samples
     if not table:
         raise SchemaError("user-supplied families need a non-empty table")
-    from .families import user_supplied
-
     return user_supplied(space, tabulated_evaluator(table)), list(table)
 
 
@@ -139,8 +141,7 @@ def _count_field(obj: dict, key: str, default=None) -> int:
 def _plan_from(obj: dict, seed=None, grid_m=None) -> SamplePlan:
     if not isinstance(obj, dict):
         raise SchemaError(f"a plan is an object, got {obj!r}")
-    allowed = {"seed", "n_points", "n_set_pairs", "n_sequences", "grid_m"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - {"seed", "n_points", "n_set_pairs", "n_sequences", "grid_m"}
     if unknown:
         raise SchemaError(f"unknown plan fields {sorted(unknown)}")
     merged = {key: _int_field(obj, key) for key in obj}
@@ -153,144 +154,145 @@ def _plan_from(obj: dict, seed=None, grid_m=None) -> SamplePlan:
 
 
 def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[DecreasingChain]:
+    """The entry's chains, once S has bound every set a chain check evaluates
+    it on: a set S does not index is a schema error before any check runs."""
     spec = entry.get("chain", {"sampled": 1})
     if isinstance(spec, dict) and "sampled" in spec:
         extra = {k for k in spec if k != "sampled"}
         if extra:
             raise SchemaError(f"unknown chain fields {sorted(extra)}")
         rng = plan.rng(f"chains:{S.label}:0")
-        return [sample_chain(S.space, rng) for _ in range(_count_field(spec, "sampled"))]
-    if spec == "pinch":
-        chain = double_arrow_pinch_chain()
+        chains = [sample_chain(S.space, rng) for _ in range(_count_field(spec, "sampled"))]
+    elif spec == "pinch":
+        chains = [double_arrow_pinch_chain()]
     elif isinstance(spec, dict):
-        chain = decode_chain(spec)
+        chains = [decode_chain(spec)]
+        if any(type(getattr(c, "r", None)) is float for c in chains[0].at(1).components):
+            raise SchemaError(f"a chain is exact, got the binary64 chain {spec!r}")
     else:
         raise SchemaError(f"bad chain spec {spec!r}")
-    if chain.space is not S.space:
-        raise SchemaError(f"a {chain.space.value} chain for the {S.space.value} family {S.label}")
-    return [chain]
+    if chains[0].space is not S.space:
+        raise SchemaError(f"a {chains[0].space.value} chain for the {S.space.value} family {S.label}")
+    try:
+        for chain in chains:
+            for U in chain_bound_sets(S, chain):
+                S.at(U)
+    except UnindexedSetError as exc:
+        raise SchemaError(f"the {S.label} family cannot index a set: {exc}") from exc
+    return chains
 
 
-#: the fields each check kind reads, besides "check" and "expect"
-_CHECK_FIELDS = {
-    "condition_1": {"family"},
-    "condition_2": {"family"},
-    "condition_3": {"family", "n_certificates"},
-    "condition_3_negative_control": set(),
-    "condition_4": {"family", "chain"},
-    "condition_d": {"family", "chain"},
-    "bridge_4_iff_d": {"family", "chain"},
-    "separations": {"family"},
-    "refute": {"target", "n", "candidate"},
+def _report(rep: CheckReport | RefutationResult) -> tuple[dict, bool]:
+    """A report's payload, and whether its check held: the check passed, or
+    the refuter found its counterexample."""
+    return rep.payload(), rep.refuted if isinstance(rep, RefutationResult) else rep.passed
+
+
+def _on_family(check, tables=False):
+    """The build of a kind that runs ``check(S, sets, plan)`` once on its
+    family: a named one or, with ``tables``, a user table with the sets ``sets``."""
+
+    def build(entry: dict, plan: SamplePlan) -> list:
+        family = entry.get("family")
+        S, sets = _user_family(family) if tables and isinstance(family, dict) else (decode_family(family), None)
+        return [(f"{entry['check']}:{S.label}", lambda: _report(check(S, sets, plan)))]
+
+    return build
+
+
+def _build_condition_3(entry: dict, plan: SamplePlan) -> list:
+    S = decode_family(entry.get("family"))
+    n = _count_field(entry, "n_certificates", plan.n_sequences)
+
+    def run():
+        rng = plan.rng(f"cond3:{S.label}")
+        pairs = sample_condition3_pairs_g(rng, n) if S.label == LABEL_G else sample_condition3_pairs(S.space, rng, n)
+        return _report(check_condition_3(S, pairs))
+
+    return [(f"condition_3:{S.label}", run)]
+
+
+def _on_chains(prefix: str, divisors, check):
+    """The build of a chain kind: ``check(S, chain, i, pairs, plan)`` on each
+    chain i of the entry, with the grid pairs of ``divisors`` when given."""
+
+    def build(entry: dict, plan: SamplePlan) -> list:
+        S = decode_family(entry.get("family"))
+        with _invalid("plan"):
+            pairs = divisors and grid_pairs(plan.grid_m, divisors)
+        chains = enumerate(_chain_from(entry, plan, S))
+        return [(f"{prefix}:{S.label}:{i}", partial(check, S, chain, i, pairs, plan)) for i, chain in chains]
+
+    return build
+
+
+def _condition_4(S, chain, i, pairs, plan) -> tuple[dict, bool]:
+    return _report(check_condition_4(S, chain, chain_check_points(chain, plan), plan))
+
+
+def _condition_d(S, chain, i, pairs, plan) -> tuple[dict, bool]:
+    A = stratification_to_approximation(S, QGrid(plan.grid_m))
+    return _report(check_condition_d(A, chain, pairs, chain_check_points(chain, plan), plan))
+
+
+def _bridge(S, chain, i, pairs, plan) -> tuple[dict, bool]:
+    # bridge_4_iff_d takes its own grid pairs: ``pairs`` only showed they exist
+    rep4, rep_d, agree = bridge_4_iff_d(S, chain, plan)
+    parts = {"condition_4": rep4.payload(), "condition_d": rep_d.payload(), "agree": agree}
+    return {"check_id": "bridge_4_iff_d", "family": S.label, "chain_index": i, **parts}, agree
+
+
+def _build_refute(entry: dict, plan: SamplePlan) -> list:
+    target, candidate = entry.get("target"), entry.get("candidate", "characteristic")
+    refute = _refuter(target, candidate, _count_field(entry, "n", _default_n(target)))
+    key = f"refute:{target}:{candidate}" if target == "sorgenfrey-a" else f"refute:{target}"
+    return [(key, lambda: _report(refute(plan.seed)))]
+
+
+#: a check's verdicts: the first when it holds, and the default expectation
+_PASS_FAIL = ("pass", "fail")
+
+#: each check kind: (the fields it reads besides "check" and "expect", its
+#: verdicts, build).  build(entry, plan) decodes the entry and returns its
+#: cases as (key, run) pairs, where run() runs one check and returns
+#: ``_report``'s pair.  A run calls the check functions by their module-level
+#: names, so that a tracer which rebinds those names sees every call.
+_KINDS = {
+    "condition_1": (
+        {"family"}, _PASS_FAIL, _on_family(lambda S, sets, plan: check_condition_1(S, plan, sets=sets), tables=True)
+    ),
+    "condition_2": ({"family"}, _PASS_FAIL, _on_family(lambda S, sets, plan: check_condition_2(S, plan))),
+    "condition_3": ({"family", "n_certificates"}, _PASS_FAIL, _build_condition_3),
+    "condition_3_negative_control": (set(), _PASS_FAIL, lambda entry, plan: [(
+        "condition_3:negative_control", lambda: _report(check_condition_3(*continuity_negative_control())))]),
+    "condition_4": ({"family", "chain"}, _PASS_FAIL, _on_chains("condition_4", None, _condition_4)),
+    "condition_d": ({"family", "chain"}, _PASS_FAIL, _on_chains("condition_d", D_PAIRS, _condition_d)),
+    "bridge_4_iff_d": ({"family", "chain"}, _PASS_FAIL, _on_chains("bridge", BRIDGE_PAIRS, _bridge)),
+    "separations": ({"family"}, _PASS_FAIL, _on_family(lambda S, sets, plan: check_separations(S, plan))),
+    "refute": ({"target", "n", "candidate"}, (REFUTED, NOT_FOUND), _build_refute),
 }
-#: each kind's verdicts, its default expectation first
-_VERDICTS = ("pass", "fail")
-_REFUTE_VERDICTS = (REFUTED, NOT_FOUND)
 
 
-def _expected(entry: dict) -> str:
-    """Check an entry's kind and fields; its expected verdict, one of its
-    kind's verdicts: "pass" for a check and "refuted" for a refute entry
-    unless it gives another."""
+def _build_entry(entry: dict, plan: SamplePlan) -> list[tuple]:
+    """An entry's cases as (key, expected verdict, verdicts, run)."""
     kind = entry.get("check")
-    if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown check {kind!r}")
-    unknown = set(entry) - _CHECK_FIELDS[kind] - {"check", "expect"}
+    fields, verdicts, build = _KINDS[kind]
+    unknown = set(entry) - fields - {"check", "expect"}
     if unknown:
         raise SchemaError(f"unknown {kind} fields {sorted(unknown)}")
-    verdicts = _REFUTE_VERDICTS if kind == "refute" else _VERDICTS
-    if "expect" in entry and entry["expect"] not in verdicts:
-        raise SchemaError(f"'expect' of a {kind} entry is one of {verdicts}, got {entry['expect']!r}")
-    return entry.get("expect", verdicts[0])
-
-
-def _grid_pairs(plan: SamplePlan, divisors) -> list:
-    with _invalid("plan"):
-        return grid_pairs(plan.grid_m, divisors)
-
-
-def _run_check_entry(entry: dict, plan: SamplePlan) -> list[tuple[str, CheckReport | dict, str]]:
-    """Run one entry that ``_expected`` accepted; returns (key, report-or-payload, verdict)."""
-    kind = entry["check"]
-    out = []
-    if kind == "condition_1":
-        if isinstance(entry.get("family"), dict):
-            S, sets = _user_family(entry["family"])
-        else:
-            S, sets = decode_family(entry.get("family")), None
-        rep = check_condition_1(S, plan, sets=sets)
-        out.append((f"condition_1:{S.label}", rep, "pass" if rep.passed else "fail"))
-    elif kind == "condition_2":
-        S = decode_family(entry.get("family"))
-        rep = check_condition_2(S, plan)
-        out.append((f"condition_2:{S.label}", rep, "pass" if rep.passed else "fail"))
-    elif kind == "condition_3":
-        S = decode_family(entry.get("family"))
-        n = _count_field(entry, "n_certificates", plan.n_sequences)
-        rng = plan.rng(f"cond3:{S.label}")
-        if S.label == LABEL_G:
-            from .sampling import sample_condition3_pairs_g
-
-            pairs = sample_condition3_pairs_g(rng, n)
-        else:
-            pairs = sample_condition3_pairs(S.space, rng, n)
-        rep = check_condition_3(S, pairs)
-        out.append((f"condition_3:{S.label}", rep, "pass" if rep.passed else "fail"))
-    elif kind == "condition_3_negative_control":
-        S, pairs = continuity_negative_control()
-        rep = check_condition_3(S, pairs)
-        out.append(("condition_3:negative_control", rep, "pass" if rep.passed else "fail"))
-    elif kind == "condition_4":
-        S = decode_family(entry.get("family"))
-        for i, chain in enumerate(_chain_from(entry, plan, S)):
-            points = chain_check_points(chain, plan)
-            rep = check_condition_4(S, chain, points, plan)
-            out.append((f"condition_4:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
-    elif kind == "condition_d":
-        S = decode_family(entry.get("family"))
-        pairs = _grid_pairs(plan, D_PAIRS)
-        A = stratification_to_approximation(S, QGrid(plan.grid_m))
-        for i, chain in enumerate(_chain_from(entry, plan, S)):
-            points = chain_check_points(chain, plan)
-            rep = check_condition_d(A, chain, pairs, points, plan)
-            out.append((f"condition_d:{S.label}:{i}", rep, "pass" if rep.passed else "fail"))
-    elif kind == "bridge_4_iff_d":
-        S = decode_family(entry.get("family"))
-        _grid_pairs(plan, BRIDGE_PAIRS)  # the pairs bridge_4_iff_d checks
-        for i, chain in enumerate(_chain_from(entry, plan, S)):
-            rep4, rep_d, agree = bridge_4_iff_d(S, chain, plan)
-            payload = {
-                "check_id": "bridge_4_iff_d",
-                "family": S.label,
-                "chain_index": i,
-                "condition_4": rep4.payload(),
-                "condition_d": rep_d.payload(),
-                "agree": agree,
-            }
-            out.append((f"bridge:{S.label}:{i}", payload, "pass" if agree else "fail"))
-    elif kind == "separations":
-        S = decode_family(entry.get("family"))
-        rep = check_separations(S, plan)
-        out.append((f"separations:{S.label}", rep, "pass" if rep.passed else "fail"))
-    elif kind == "refute":
-        target = entry.get("target")
-        cand_name = entry.get("candidate", "characteristic")
-        n = _count_field(entry, "n", _default_n(target))
-        res = _refute(target, cand_name, plan.seed, n)
-        key = f"refute:{target}:{cand_name}" if target == "sorgenfrey-a" else f"refute:{target}"
-        out.append((key, res.payload(), res.verdict))
-    return out
+    expected = entry.get("expect", verdicts[0])
+    if expected not in verdicts:
+        raise SchemaError(f"'expect' of a {kind} entry is one of {verdicts}, got {expected!r}")
+    return [(key, expected, verdicts, run) for key, run in build(entry, plan)]
 
 
 _SCENARIO_KEYS = {"name", "plan", "checks"}
 
 
-def run_scenario(
-    scenario: dict,
-    seed_override=None,
-    out_dir: str | None = None,
-    grid_m=None,
-) -> int:
+def _build_scenario(scenario: dict, seed_override=None, grid_m=None) -> tuple[str, SamplePlan, list]:
+    """A scenario's name, plan and the cases of all its entries, in order."""
     if not isinstance(scenario, dict):
         raise SchemaError(f"a scenario is an object, got {scenario!r}")
     unknown = set(scenario) - _SCENARIO_KEYS
@@ -305,44 +307,31 @@ def run_scenario(
     if not isinstance(checks, list) or not all(isinstance(e, dict) for e in checks):
         raise SchemaError(f"'checks' is a list of objects, got {checks!r}")
     plan = _plan_from(scenario.get("plan", {}), seed_override, grid_m)
-    if out_dir:
-        try:  # before any check runs
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SchemaError(f"cannot write --out {out_dir!r}: {exc.strerror}") from None
+    return name, plan, [case for entry in checks for case in _build_entry(entry, plan)]
+
+
+def run_scenario(scenario: tuple[str, SamplePlan, list], out_dir: str | None = None) -> int:
+    """Run a built scenario's cases in order and report them; 0 when every
+    verdict is the expected one, else 3."""
+    name, plan, cases = scenario
     results = []
-    mismatches = []
-    for entry in checks:
-        expected = _expected(entry)
-        try:
-            ran = _run_check_entry(entry, plan)
-        except UnindexedSetError as exc:
-            raise SchemaError(f"the {entry.get('family')} family cannot index a set: {exc}") from exc
-        for key, rep, verdict in ran:
-            payload = rep.payload() if isinstance(rep, CheckReport) else rep
-            results.append({"key": key, "expected": expected, "verdict": verdict, "report": payload})
-            if verdict != expected:
-                mismatches.append((key, expected, verdict))
-    doc = {
-        "scenario": scenario["name"],
-        "plan": plan.payload(),
-        "results": results,
-        "all_expected": not mismatches,
-    }
-    text_lines = [f"scenario {scenario['name']} (seed {plan.seed})"]
+    for key, expected, verdicts, run in cases:
+        payload, held = run()
+        verdict = verdicts[0] if held else verdicts[1]
+        results.append({"key": key, "expected": expected, "verdict": verdict, "report": payload})
+    all_expected = all(r["verdict"] == r["expected"] for r in results)
+    doc = {"scenario": name, "plan": plan.payload(), "results": results, "all_expected": all_expected}
+    text_lines = [f"scenario {name} (seed {plan.seed})"]
     for r in results:
         mark = "ok " if r["verdict"] == r["expected"] else "XX "
-        text_lines.append(
-            f"  {mark}{r['key']}: verdict={r['verdict']} expected={r['expected']}"
-        )
-    text_lines.append("all verdicts as expected" if not mismatches else "UNEXPECTED VERDICTS")
+        text_lines.append(f"  {mark}{r['key']}: verdict={r['verdict']} expected={r['expected']}")
+    text_lines.append("all verdicts as expected" if all_expected else "UNEXPECTED VERDICTS")
     text = "\n".join(text_lines) + "\n"
     if out_dir:
-        out_path = Path(out_dir)
-        _write(out_path / f"{scenario['name']}.json", dumps_canonical(doc) + "\n")
-        _write(out_path / f"{scenario['name']}.txt", text)
+        _write(Path(out_dir) / f"{name}.json", dumps_canonical(doc) + "\n")
+        _write(Path(out_dir) / f"{name}.txt", text)
     sys.stdout.write(text)
-    return 0 if not mismatches else 3
+    return 0 if all_expected else 3
 
 
 def _write(path: Path, text: str) -> None:
@@ -377,16 +366,20 @@ def _load_shipped(name: str) -> dict:
 
 
 def cmd_check(args) -> int:
-    worst = 0
-    if args.corpus:
-        for name in shipped_scenarios():
-            code = run_scenario(_load_shipped(name), args.seed, args.out, args.grid_m)
-            worst = max(worst, code)
-        return worst
-    if not args.scenario:
+    if not (args.corpus or args.scenario):
         raise SchemaError("check needs --scenario <path> or --corpus")
-    scenario = _load_scenario_file(args.scenario)
-    return run_scenario(scenario, args.seed, args.out, args.grid_m)
+    if args.corpus:
+        scenarios = [_load_shipped(name) for name in shipped_scenarios()]
+    else:
+        scenarios = [_load_scenario_file(args.scenario)]
+    # every entry of every scenario is built before --out is made and any check runs
+    built = [_build_scenario(scenario, args.seed, args.grid_m) for scenario in scenarios]
+    if args.out:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+    return max(run_scenario(scenario, args.out) for scenario in built)
 
 
 #: refute targets as functions of (candidate, seed, n);
@@ -405,13 +398,13 @@ def _default_n(target) -> int:
     return 50 if target == "niemytzki-strat" else 1
 
 
-def _refute(target, candidate: str, seed: int, n: int) -> RefutationResult:
+def _refuter(target, candidate, n: int) -> Callable[[int], RefutationResult]:
+    """A valid target's refuter as a function of the plan seed."""
     if target not in _REFUTERS:
         raise SchemaError(f"unknown refute target {target!r}")
     if target == "sorgenfrey-a" and candidate not in _CANDIDATES:
         raise SchemaError(f"unknown candidate {candidate!r}")
-    with _invalid(f"{target} parameters"):
-        return _REFUTERS[target](candidate, seed, n)
+    return lambda seed: _REFUTERS[target](candidate, seed, n)
 
 
 def cmd_refute(args) -> int:
@@ -419,7 +412,7 @@ def cmd_refute(args) -> int:
     n = args.n if args.n is not None else _default_n(args.target)
     if n < 1:
         raise SchemaError(f"--n must be at least 1, got {n}")
-    res = _refute(args.target, args.candidate, plan_seed, n)
+    res = _refuter(args.target, args.candidate, n)(plan_seed)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
         _write(Path(args.out), doc)
@@ -611,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("--candidate", default="characteristic", choices=sorted(_CANDIDATES))
     p_ref.add_argument("--n", type=int, default=None, help="default 50 for niemytzki-strat, else 1")
     p_ref.add_argument("--seed", type=int, default=None)
-    p_ref.add_argument("--expect", choices=_REFUTE_VERDICTS)
+    p_ref.add_argument("--expect", choices=_KINDS["refute"][1])
     p_ref.add_argument("--out", help="path for the witness bundle JSON")
     p_ref.set_defaults(fn=cmd_refute)
 

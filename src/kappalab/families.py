@@ -196,17 +196,6 @@ def _chord_value(r: Fraction, rn: int, rd: int, dxn: int, dxd: int, yn: int, yd:
     return r - r * Fraction(dxn, dxd) / root
 
 
-def _chord_factor(a: Fraction, r: Fraction, x: Fraction, y: Fraction) -> Scalar:
-    """The chord value at (x, y) for exact a, r, x and y > 0; r itself on the
-    vertical axis x = a."""
-    an, ad = a.as_integer_ratio()
-    xn, xd = x.as_integer_ratio()
-    dxn = abs(xn * ad - an * xd)
-    if not dxn:
-        return r
-    return _chord_value(r, *r.as_integer_ratio(), dxn, xd * ad, *y.as_integer_ratio())
-
-
 def _zero(like: Scalar) -> Scalar:
     """0 in the numeric mode of ``like``."""
     return _ZERO if isinstance(like, Fraction) else 0.0

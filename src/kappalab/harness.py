@@ -417,6 +417,13 @@ def _element_values(S: Stratification, chain: DecreasingChain, p: Point) -> list
     return [float(S.value(chain.at(n), p)) for n in range(1, INF_SCAN + 1)]
 
 
+def chain_bound_sets(S: Stratification, chain: DecreasingChain) -> list[RegularOpenSet]:
+    """The sets at which conditions 4 and (d) bind S on a chain: its interior
+    and, for a family with no closed-form chain limit, elements 1..INF_SCAN."""
+    W = [decreasing_chain_interior(chain)]
+    return W if S.label in CLOSED_FORM else W + [chain.at(n) for n in range(1, INF_SCAN + 1)]
+
+
 def _chain_inf_estimate(
     S: Stratification, chain: DecreasingChain, W: RegularOpenSet, p: Point, tol: float
 ) -> tuple[float, float]:

@@ -58,21 +58,16 @@ def rand_dyadic(rng: random.Random, lo: Scalar | int, hi: Scalar | int, depth: i
     return Fraction(*dyadic_terms(rng, *lo.as_integer_ratio(), *hi.as_integer_ratio(), depth))
 
 
-def _plus(x: Scalar, n: int, d: int) -> Scalar:
-    """x + n/d (d > 0): one Fraction from integer terms when x is exact, the
-    binary64 sum when x is a float."""
-    if type(x) is Fraction:
-        xn, xd = x.as_integer_ratio()
-        return Fraction(xn * d + n * xd, xd * d)
-    return x + Fraction(n, d)
+def _plus(x: Fraction, n: int, d: int) -> Fraction:
+    """x + n/d (d > 0), one Fraction from integer terms."""
+    xn, xd = x.as_integer_ratio()
+    return Fraction(xn * d + n * xd, xd * d)
 
 
-def _times(x: Scalar, n: int, d: int) -> Scalar:
-    """x * n/d (d > 0), exact or binary64 as ``_plus``."""
-    if type(x) is Fraction:
-        xn, xd = x.as_integer_ratio()
-        return Fraction(xn * n, xd * d)
-    return x * Fraction(n, d)
+def _times(x: Fraction, n: int, d: int) -> Fraction:
+    """x * n/d (d > 0), one Fraction from integer terms."""
+    xn, xd = x.as_integer_ratio()
+    return Fraction(xn * n, xd * d)
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .numerics import Scalar, as_scalar, check_same_mode, is_zero, le, sqrt_scalar
+from .numerics import Scalar, as_scalar, check_same_mode, is_zero, le
 
 
 class Space(Enum):
@@ -145,13 +145,3 @@ def sq_dist(p: NiemytzkiPoint, q: NiemytzkiPoint) -> Scalar:
         return Fraction(*sq_dist_terms(p, q))
     dx, dy = p.x - q.x, p.y - q.y
     return dx * dx + dy * dy
-
-
-def euclid_dist(p: NiemytzkiPoint, q: NiemytzkiPoint) -> Scalar:
-    """Euclidean distance between two upper-half-plane points.
-
-    Stays exact when the squared distance is a perfect rational square
-    (e.g. 3-4-5 configurations); otherwise returns binary64.
-    """
-    check_space(Space.NIEMYTZKI, p, q)
-    return sqrt_scalar(sq_dist(p, q))

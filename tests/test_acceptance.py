@@ -112,7 +112,7 @@ def test_criterion_3_chain_conditions():
     ):
         S = family()
         A = stratification_to_approximation(S, QGrid(plan.grid_m))
-        grid = QGrid(plan.grid_m).values
+        grid = [F(k, 2**plan.grid_m) for k in range(1, 2**plan.grid_m)]  # the grid values
         pairs = [(grid[50], grid[85]), (grid[300], grid[600])]
         for _ in range(count):
             chain = sample_chain(space, rng)

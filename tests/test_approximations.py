@@ -35,7 +35,7 @@ def test_contains_binds_once_per_run_of_one_set():
     binds = []
     S = sorgenfrey_kappa()
     counting = dataclasses.replace(S, bind=lambda U: binds.append(U) or S.bind(U))
-    A, qs = stratification_to_approximation(counting, QGrid(6)), QGrid(6).values
+    A, qs = stratification_to_approximation(counting, QGrid(6)), [F(k, 64) for k in range(1, 64)]
     rng = random.Random(4)
     U, V = sample_set(Space.SORGENFREY, rng), sample_set(Space.SORGENFREY, rng)
     points = [sample_point_near_set(U, rng) for _ in range(20)]
@@ -56,7 +56,7 @@ def test_contains_binds_once_per_run_of_one_set():
 
 def test_qgrid():
     g = QGrid(4)
-    assert g.values == tuple(F(k, 16) for k in range(1, 16))
+    assert [g.value(k) for k in range(15)] == [F(k, 16) for k in range(1, 16)]
     assert g.step == F(1, 16)
 
 
@@ -67,7 +67,7 @@ def test_superlevel_membership_threshold():
     p = SorgenfreyPoint(F(3, 10))  # value 7/10
     assert A.contains(U, F(1, 2), p)  # 0.7 > 0.5
     assert not A.contains(U, F(3, 4), p)
-    q_any = [q for q in QGrid(4).values if A.contains(U, q, SorgenfreyPoint(F(2)))]
+    q_any = [q for q in (F(k, 16) for k in range(1, 16)) if A.contains(U, q, SorgenfreyPoint(F(2)))]
     assert q_any == []  # value 0: in no superlevel
 
 
@@ -182,6 +182,28 @@ def test_roundtrip_exactness_on_grid_values():
     U1 = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(2))])
     assert S2.value(U1, SorgenfreyPoint(F(0))) == 1
     assert S2.value(U1, SorgenfreyPoint(F(3))) == 0
+
+
+@pytest.mark.parametrize("x, value", [(F(0), 1), (F(13, 8), F(3, 8)), (F(2), 0), (F(-1), 0)])
+def test_deep_reconstruction_searches_by_index(monkeypatch, x, value):
+    # one point of a QGrid(20) reconstruction: a binary search over the
+    # 2^20 - 1 grid values asks A.contains at most 21 times and reads each
+    # value it asks about from its index, with no tuple of all of them
+    reads, grid_value = [], QGrid.value
+
+    def counting_value(grid, k):
+        reads.append(k)
+        return grid_value(grid, k)
+
+    monkeypatch.setattr(QGrid, "value", counting_value)
+    S, grid, asked = sorgenfrey_kappa(), QGrid(20), []
+    A = stratification_to_approximation(S, grid)
+    counting = dataclasses.replace(A, contains=lambda U, q, p: asked.append(q) or A.contains(U, q, p))
+    U = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(2))])  # grid values, 0 and 1 are exact
+    assert approximation_to_stratification(counting, grid).value(U, SorgenfreyPoint(x)) == value
+    assert 1 <= len(asked) <= 21
+    assert len(reads) <= 22  # the values asked about, and the one returned
+    assert asked == [grid_value(grid, k) for k in reads[: len(asked)]]
 
 
 @pytest.mark.parametrize("label", sorted(FAMILIES))

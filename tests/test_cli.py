@@ -20,6 +20,7 @@ from kappalab import (
     HalfOpen,
     InteriorDisc,
     NiemytzkiPoint,
+    QGrid,
     SorgenfreyPoint,
     Space,
     TangentDisc,
@@ -230,6 +231,23 @@ def _schema_error(capsys, argv) -> bool:
     return code == 2 and capsys.readouterr().err.startswith("schema error:")
 
 
+def _rejected_before_any_check(tmp_path, capsys, monkeypatch, argv) -> bool:
+    """Whether ``argv`` with an --out directory is a schema error that makes
+    no directory and runs no check: every entry of every scenario is built
+    before --out is made, and ``harness._run`` (spied on) is never called."""
+    import kappalab.harness
+
+    ran, run = [], kappalab.harness._run
+
+    def counting_run(check_id, *args):
+        ran.append(check_id)
+        return run(check_id, *args)
+
+    monkeypatch.setattr(kappalab.harness, "_run", counting_run)
+    out = tmp_path / "out"
+    return _schema_error(capsys, argv + ["--out", str(out)]) and not out.exists() and ran == []
+
+
 def _grid_argv(tmp_path, bbox, res):
     # a bbox of two numbers is a Sorgenfrey lattice, of four a Niemytzki one
     if bbox.count(",") == 1:
@@ -366,10 +384,10 @@ _SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
         "refute_n_negative",
     ],
 )
-def test_budgets_below_1_exit_2(tmp_path, capsys, plan, entry):
+def test_budgets_below_1_exit_2(tmp_path, capsys, monkeypatch, plan, entry):
     # a budget of 0 would run no samples and pass
     scenario = {"name": "x", "plan": plan, "checks": [entry]}
-    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+    assert _rejected_before_any_check(tmp_path, capsys, monkeypatch, _scenario_argv(tmp_path, scenario))
 
 
 def _explicit_chain(a, b, space="sorgenfrey", **fields):
@@ -409,6 +427,15 @@ _DA_SET = _da_set(_DA_CLOPEN)
 
 def _da_sample(side):
     return {"point": {"space": "double_arrow", "t": "1/4", "side": side}, "value": "1/2"}
+
+
+_CONDITION_2 = {"check": "condition_2", "family": "sorgenfrey_kappa"}
+_BINARY64_R = {"const": 0.5, "over_n": 0.25}
+
+
+def _binary64_chain(lane):
+    """A condition 4 entry whose one Niemytzki lane ``lane`` is binary64."""
+    return {"check": "condition_4", "family": "niemytzki_kappa", "chain": {"space": "niemytzki", "components": [lane]}}
 
 
 def _da_chain(**flags):
@@ -577,6 +604,12 @@ def _da_chain(**flags):
         {"name": "x", "checks": [_explicit_chain("0", "1_0")]},
         {"name": "x", "checks": [_user_table([{"set": _TABLE_DISC, "samples": [
             {"point": {"space": "niemytzki", "x": "0", "y": "5e-1"}, "value": "1/2"}]}])]},
+        # a later entry's schema error comes before the earlier entry runs
+        {"name": "x", "checks": [_CONDITION_2, {"check": "condition_1", "family": "no_such"}]},
+        {"name": "x", "checks": [_CONDITION_2, {"check": "condition_4", "family": "g_family", "chain": {"sampled": 3}}]},
+        # the checks sample and decide on exact chains only
+        {"name": "x", "checks": [_binary64_chain({"kind": "tangent_disc", "a": 0.5, "r": _BINARY64_R})]},
+        {"name": "x", "checks": [_binary64_chain({"kind": "interior_disc", "cx": 0.5, "cy": 2.0, "r": _BINARY64_R})]},
     ],
     ids=[
         "plan_not_object",
@@ -634,10 +667,21 @@ def _da_chain(**flags):
         "rational_with_a_space",
         "rational_with_an_underscore",
         "table_point_with_an_exponent",
+        "unknown_family_after_a_check",
+        "g_family_sampled_chain_after_a_check",
+        "chain_binary64_tangent_disc",
+        "chain_binary64_interior_disc",
     ],
 )
-def test_malformed_scenario_exits_2(tmp_path, capsys, scenario):
-    assert _schema_error(capsys, _scenario_argv(tmp_path, scenario))
+def test_malformed_scenario_exits_2(tmp_path, capsys, monkeypatch, scenario):
+    assert _rejected_before_any_check(tmp_path, capsys, monkeypatch, _scenario_argv(tmp_path, scenario))
+
+
+def test_corpus_schema_error_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
+    # grid_m 1 leaves condition (d) no grid pair; the first scenario's
+    # condition 4 entries come before its condition (d) entry
+    argv = ["check", "--corpus", "--grid-m", "1"]
+    assert _rejected_before_any_check(tmp_path, capsys, monkeypatch, argv)
 
 
 def test_scenario_name_cannot_leave_the_out_directory(tmp_path, capsys):
@@ -799,18 +843,17 @@ def test_check_out_that_is_no_directory_exits_2_before_any_check(tmp_path, capsy
 
 def test_condition_d_at_grid_m_64_builds_no_grid(tmp_path, capsys, monkeypatch):
     # the pairs read four of the 2^64 - 1 grid values, from their indices
-    import kappalab.approximations
+    reads, value = [], QGrid.value
 
-    grid_values = kappalab.approximations._grid_values
+    def counting_value(grid, k):
+        reads.append(k)
+        return value(grid, k)
 
-    def shallow_only(depth):
-        assert depth <= 16, f"built all 2^{depth} - 1 grid values"
-        return grid_values(depth)
-
-    monkeypatch.setattr(kappalab.approximations, "_grid_values", shallow_only)
+    monkeypatch.setattr(QGrid, "value", counting_value)
     entry = {"check": "condition_d", "family": "double_arrow_ro", "chain": "pinch", "expect": "fail"}
     assert main(_scenario_argv(tmp_path, {"name": "x", "plan": {"grid_m": 64}, "checks": [entry]})) == 0
     assert "ok condition_d:double_arrow_ro:0: verdict=fail" in capsys.readouterr().out
+    assert len(reads) == 4
 
 
 #: sha256 of each corpus report (``check --corpus --out``) by plan seed

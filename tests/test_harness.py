@@ -363,7 +363,7 @@ def test_condition_d_passes_on_niemytzki_chains():
     for _ in range(4):
         chain = sample_chain(Space.NIEMYTZKI, rng)
         points = chain_check_points(chain, PLAN)
-        grid = QGrid(10).values
+        grid = [F(k, 2**10) for k in range(1, 2**10)]  # the grid values
         pairs = [(grid[50], grid[85]), (grid[300], grid[600])]
         rep = check_condition_d(A, chain, pairs, points, PLAN)
         assert rep.passed, rep.witnesses
@@ -537,7 +537,7 @@ def test_chain_lane_decisions_match_a_deep_element():
     # independent oracle: the family, and its realized superlevel set, on the
     # chain element at n = 2^20
     deep = 2**20
-    grid = QGrid(PLAN.grid_m).values
+    grid = [F(k, 2**PLAN.grid_m) for k in range(1, 2**PLAN.grid_m)]  # the grid values
     grid_qs = {grid[len(grid) // k] for k in (2, 3, 12, 15, 16, 20)}
     rng = random.Random(53)
     n_values = n_closures = 0
@@ -577,4 +577,4 @@ def test_grid_values_by_index_are_the_grid():
     # grid_pairs and the (a)-(c) probes pick grid values by index, unbuilt
     for depth in range(1, 13):
         grid = QGrid(depth)
-        assert [grid.value(k) for k in range(2**depth - 1)] == list(grid.values)
+        assert [grid.value(k) for k in range(2**depth - 1)] == [F(k, 2**depth) for k in range(1, 2**depth)]

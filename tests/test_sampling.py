@@ -239,7 +239,9 @@ def test_cut_lists_with_repeated_cuts(max_components, seed):
 _exact = st.fractions(min_value=-4, max_value=4, max_denominator=300)
 _unit = st.fractions(min_value=0, max_value=1, max_denominator=300)
 _radius = st.fractions(min_value=F(1, 300), max_value=1, max_denominator=300)
-_binary64_radius = st.floats(1 / 300, 1)
+# binary64 values held exactly: terms with denominators up to 2^1074
+_binary64 = st.floats(-4, 4).map(F)
+_binary64_radius = st.floats(1 / 300, 1).map(F)
 
 
 @st.composite
@@ -269,8 +271,8 @@ _components = {
     "extreme_singleton": st.sampled_from([ExtremeSingleton(0), ExtremeSingleton(1)]),
     "tangent_disc": st.builds(TangentDisc, _exact, _radius),
     "interior_disc": _interior_disc(),
-    "binary64_tangent_disc": st.builds(TangentDisc, st.floats(-4, 4), _binary64_radius),
-    "binary64_interior_disc": _interior_disc(st.floats(-4, 4), _binary64_radius),
+    "binary64_tangent_disc": st.builds(TangentDisc, _binary64, _binary64_radius),
+    "binary64_interior_disc": _interior_disc(_binary64, _binary64_radius),
 }
 
 

@@ -10,10 +10,15 @@ from kappalab import (
     NiemytzkiPoint,
     SorgenfreyPoint,
     SpaceMismatchError,
-    euclid_dist,
     lex_less,
 )
+from kappalab.numerics import sqrt_scalar
 from kappalab.spaces import sq_dist
+
+
+def euclid_dist(p, q):
+    """The Euclidean distance, exact when the squared distance is a rational square."""
+    return sqrt_scalar(sq_dist(p, q))
 
 
 def test_lex_less_examples():
