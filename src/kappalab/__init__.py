@@ -46,6 +46,7 @@ from .families import (
 from .harness import (
     CheckReport,
     SamplePlan,
+    bind_chain,
     bridge_4_iff_d,
     chain_limit_value,
     check_condition_1,

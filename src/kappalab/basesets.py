@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator
 
 from .numerics import Scalar, as_scalar, check_same_mode, eq, is_zero, le, lt, sq
 from .spaces import (
@@ -383,7 +382,3 @@ def _shrink(p: NiemytzkiPoint, k: int, cap: Scalar | None) -> Scalar:
         return cap / 2**k if isinstance(cap, Fraction) else cap * 2.0**-k
     return step
 
-
-def basic_neighborhoods(p: Point, depth: int) -> Iterator[BasicOpenSet]:
-    for k in range(1, depth + 1):
-        yield basic_neighborhood(p, k)

@@ -29,8 +29,10 @@ from .families import LABEL_G, Stratification, UnindexedSetError, tabulated_eval
 from .harness import (
     BRIDGE_PAIRS,
     D_PAIRS,
+    BoundChain,
     CheckReport,
     SamplePlan,
+    bind_chain,
     bridge_4_iff_d,
     check_condition_1,
     check_condition_2,
@@ -38,7 +40,6 @@ from .harness import (
     check_condition_4,
     check_condition_d,
     check_separations,
-    chain_bound_sets,
     chain_check_points,
     continuity_negative_control,
     grid_pairs,
@@ -56,7 +57,6 @@ from .refuters import (
     refute_sorgenfrey_A,
     right_gap_candidate,
 )
-from .rosets import DecreasingChain
 from .sampling import (
     double_arrow_pinch_chain,
     sample_chain,
@@ -153,9 +153,10 @@ def _plan_from(obj: dict, seed=None, grid_m=None) -> SamplePlan:
         return SamplePlan(**merged)
 
 
-def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[DecreasingChain]:
-    """The entry's chains, once S has bound every set a chain check evaluates
-    it on: a set S does not index is a schema error before any check runs."""
+def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[BoundChain]:
+    """The entry's chains, each bound once to S (``bind_chain``) for every
+    check of the entry: a set S does not index is a schema error before any
+    check runs."""
     spec = entry.get("chain", {"sampled": 1})
     if isinstance(spec, dict) and "sampled" in spec:
         extra = {k for k in spec if k != "sampled"}
@@ -174,12 +175,9 @@ def _chain_from(entry: dict, plan: SamplePlan, S: Stratification) -> list[Decrea
     if chains[0].space is not S.space:
         raise SchemaError(f"a {chains[0].space.value} chain for the {S.space.value} family {S.label}")
     try:
-        for chain in chains:
-            for U in chain_bound_sets(S, chain):
-                S.at(U)
+        return [bind_chain(S, chain) for chain in chains]
     except UnindexedSetError as exc:
         raise SchemaError(f"the {S.label} family cannot index a set: {exc}") from exc
-    return chains
 
 
 def _report(rep: CheckReport | RefutationResult) -> tuple[dict, bool]:
@@ -213,33 +211,33 @@ def _build_condition_3(entry: dict, plan: SamplePlan) -> list:
 
 
 def _on_chains(prefix: str, divisors, check):
-    """The build of a chain kind: ``check(S, chain, i, pairs, plan)`` on each
-    chain i of the entry, with the grid pairs of ``divisors`` when given."""
+    """The build of a chain kind: ``check(bound, i, pairs, plan)`` on each
+    bound chain i of the entry, with the grid pairs of ``divisors`` when given."""
 
     def build(entry: dict, plan: SamplePlan) -> list:
         S = decode_family(entry.get("family"))
         with _invalid("plan"):
             pairs = divisors and grid_pairs(plan.grid_m, divisors)
         chains = enumerate(_chain_from(entry, plan, S))
-        return [(f"{prefix}:{S.label}:{i}", partial(check, S, chain, i, pairs, plan)) for i, chain in chains]
+        return [(f"{prefix}:{S.label}:{i}", partial(check, bound, i, pairs, plan)) for i, bound in chains]
 
     return build
 
 
-def _condition_4(S, chain, i, pairs, plan) -> tuple[dict, bool]:
-    return _report(check_condition_4(S, chain, chain_check_points(chain, plan), plan))
+def _condition_4(bound, i, pairs, plan) -> tuple[dict, bool]:
+    return _report(check_condition_4(bound, chain_check_points(bound.chain, plan), plan))
 
 
-def _condition_d(S, chain, i, pairs, plan) -> tuple[dict, bool]:
-    A = stratification_to_approximation(S, QGrid(plan.grid_m))
-    return _report(check_condition_d(A, chain, pairs, chain_check_points(chain, plan), plan))
+def _condition_d(bound, i, pairs, plan) -> tuple[dict, bool]:
+    A = stratification_to_approximation(bound.S, QGrid(plan.grid_m))
+    return _report(check_condition_d(A, bound.chain, pairs, chain_check_points(bound.chain, plan), plan))
 
 
-def _bridge(S, chain, i, pairs, plan) -> tuple[dict, bool]:
+def _bridge(bound, i, pairs, plan) -> tuple[dict, bool]:
     # bridge_4_iff_d takes its own grid pairs: ``pairs`` only showed they exist
-    rep4, rep_d, agree = bridge_4_iff_d(S, chain, plan)
+    rep4, rep_d, agree = bridge_4_iff_d(bound, plan)
     parts = {"condition_4": rep4.payload(), "condition_d": rep_d.payload(), "agree": agree}
-    return {"check_id": "bridge_4_iff_d", "family": S.label, "chain_index": i, **parts}, agree
+    return {"check_id": "bridge_4_iff_d", "family": bound.S.label, "chain_index": i, **parts}, agree
 
 
 def _build_refute(entry: dict, plan: SamplePlan) -> list:

@@ -55,7 +55,6 @@ from .rosets import (
     DecreasingChain,
     ParametricBasicSet,
     RegularOpenSet,
-    decreasing_chain_interior,
     lane_keeps,
     member,
     validate_regular_open,
@@ -323,12 +322,14 @@ def check_condition_2(S: Stratification, plan: SamplePlan) -> CheckReport:
 
 
 class _Continuity(NamedTuple):
-    """Condition (3) for index set U along the tail of a sequence to limit."""
+    """Condition (3) for index set U along the tail of a sequence to limit,
+    with f_U bound once per case."""
 
     kind = "condition_3"
     count_key = "sequences"
     S: Stratification
     U: RegularOpenSet
+    f_U: FamilyMember
     limit: Point
     tail: Sequence[Point]
     tol: float
@@ -340,12 +341,11 @@ class _Continuity(NamedTuple):
             if not verify_convergence(cert):
                 raise ValueError("certificate failed verification; refuse to test continuity")
             tail = tuple(cert.point(n) for n in range(tail_start, SEQUENCE_LENGTH + 1))
-            yield cls(S, U, cert.limit, tail, tol, tail_start)
+            yield cls(S, U, S.at(U), cert.limit, tail, tol, tail_start)
 
     def deviations(self) -> list[float]:
-        f_U = self.S.at(self.U)
-        f_lim = float(f_U(self.limit))
-        return [abs(float(f_U(s)) - f_lim) for s in self.tail]
+        f_lim = float(self.f_U(self.limit))
+        return [abs(float(self.f_U(s)) - f_lim) for s in self.tail]
 
     def violates(self) -> bool:
         return max(self.deviations(), default=0.0) > self.tol
@@ -360,8 +360,8 @@ class _Continuity(NamedTuple):
             "set": encode_roset(self.U),
             "limit": encode_point(self.limit),
             "worst_point": encode_point(worst),
-            "limit_value": float(self.S.value(self.U, self.limit)),
-            "worst_value": float(self.S.value(self.U, worst)),
+            "limit_value": float(self.f_U(self.limit)),
+            "worst_value": float(self.f_U(worst)),
             "deviation": deviation,
             "tail_start": self.tail_start,
         }
@@ -371,7 +371,7 @@ class _Continuity(NamedTuple):
         U, limit, worst = decode_set(w["set"]), decode_point(w["limit"]), decode_point(w["worst_point"])
         stored = lambda: {U: [(limit, w["limit_value"]), (worst, w["worst_value"])]}
         S = _replay_family(w, U.space, stored)
-        return cls(S, U, limit, (worst,), TOL_CONT, w["tail_start"])
+        return cls(S, U, S.at(U), limit, (worst,), TOL_CONT, w["tail_start"])
 
 
 def check_condition_3(
@@ -391,102 +391,107 @@ def check_condition_3(
 # condition (4): chain infimum
 
 
-def chain_limit_value(S: Stratification, chain: DecreasingChain, W: RegularOpenSet, p: Point):
-    """inf over the whole (infinite) chain of a closed-form family's values at
-    p, given the chain interior W; None for the other families.
-
-    It is the family's own value on W (docs/derivations.md, "Chain limits"),
-    except at a double arrow endpoint that a lane keeps and W leaves out:
-    there every element's value is the one at the endpoint's twin.
-    """
-    if S.label not in CLOSED_FORM:
-        return None
-    if chain.space is Space.DOUBLE_ARROW and not member(W, p):
-        twin = DoubleArrowPoint(p.t, 1 - p.side)
-        if not twin.extreme and any(lane_keeps(comp, p) for comp in chain.components):
-            p = twin
-    return S.value(W, p)
-
-
 #: elements 1..INF_SCAN whose values stand in for the chain infimum of a
 #: family with no closed-form chain limit
 INF_SCAN = 64
 
 
-def _element_values(S: Stratification, chain: DecreasingChain, p: Point) -> list[float]:
-    return [float(S.value(chain.at(n), p)) for n in range(1, INF_SCAN + 1)]
+class BoundChain(NamedTuple):
+    """A chain with its family bound once (``bind_chain``): f_W on the chain
+    interior W and, for a family with no closed-form chain limit, f_{U_n} on
+    the elements n = 1..INF_SCAN (``scan``; empty for the others)."""
+
+    S: Stratification
+    chain: DecreasingChain
+    f_W: FamilyMember
+    scan: tuple[FamilyMember, ...]
 
 
-def chain_bound_sets(S: Stratification, chain: DecreasingChain) -> list[RegularOpenSet]:
-    """The sets at which conditions 4 and (d) bind S on a chain: its interior
-    and, for a family with no closed-form chain limit, elements 1..INF_SCAN."""
-    W = [decreasing_chain_interior(chain)]
-    return W if S.label in CLOSED_FORM else W + [chain.at(n) for n in range(1, INF_SCAN + 1)]
+def _bind_elements(S: Stratification, chain: DecreasingChain) -> tuple[FamilyMember, ...]:
+    return tuple(S.at(chain.at(n)) for n in range(1, INF_SCAN + 1))
 
 
-def _chain_inf_estimate(
-    S: Stratification, chain: DecreasingChain, W: RegularOpenSet, p: Point, tol: float
-) -> tuple[float, float]:
+def bind_chain(S: Stratification, chain: DecreasingChain) -> BoundChain:
+    """S bound on every set at which conditions 4 and (d) evaluate it on the
+    chain: the interior and, with no closed-form chain limit, elements
+    1..INF_SCAN.  ``UnindexedSetError`` when S does not index one of them."""
+    f_W = S.at(chain.interior)
+    return BoundChain(S, chain, f_W, () if S.label in CLOSED_FORM else _bind_elements(S, chain))
+
+
+def chain_limit_value(bound: BoundChain, p: Point):
+    """inf over the whole (infinite) chain of a closed-form family's values at
+    p; None for the other families.
+
+    It is the family's own value on the chain interior W (docs/derivations.md,
+    "Chain limits"), except at a double arrow endpoint that a lane keeps and
+    W leaves out: there every element's value is the one at the endpoint's twin.
+    """
+    chain = bound.chain
+    if bound.S.label not in CLOSED_FORM:
+        return None
+    if chain.space is Space.DOUBLE_ARROW and not member(chain.interior, p):
+        twin = DoubleArrowPoint(p.t, 1 - p.side)
+        if not twin.extreme and any(lane_keeps(comp, p) for comp in chain.components):
+            p = twin
+    return bound.f_W(p)
+
+
+def _chain_inf_estimate(bound: BoundChain, p: Point, tol: float) -> tuple[float, float]:
     """(infimum estimate, tolerance) of the chain values at p.
 
     Families with a closed-form chain limit compare against it at ``tol``;
     the others fall back to the smallest of the first ``INF_SCAN`` elements,
     with the tolerance widened by the last step's slope over that many steps.
     """
-    exact_inf = chain_limit_value(S, chain, W, p)
+    exact_inf = chain_limit_value(bound, p)
     if exact_inf is not None:
         return float(exact_inf), tol
-    evaluated = _element_values(S, chain, p)
-    slope = max(0.0, evaluated[-2] - evaluated[-1]) if len(evaluated) > 1 else 0.0
+    evaluated = [float(f(p)) for f in bound.scan]
+    slope = max(0.0, evaluated[-2] - evaluated[-1])
     return min(evaluated), tol + INF_SCAN * slope
 
 
 class _ChainInf(NamedTuple):
-    """Condition (4) at a point p for a chain with interior W."""
+    """Condition (4) at a point p of a bound chain."""
 
     kind = "condition_4"
     count_key = "points"
-    S: Stratification
-    chain: DecreasingChain
-    W: RegularOpenSet
+    bound: BoundChain
     p: Point
     tol: float
 
     def violates(self) -> bool:
-        inf_est, tol_here = _chain_inf_estimate(self.S, self.chain, self.W, self.p, self.tol)
-        return abs(float(self.S.value(self.W, self.p)) - inf_est) > tol_here
+        inf_est, tol_here = _chain_inf_estimate(self.bound, self.p, self.tol)
+        return abs(float(self.bound.f_W(self.p)) - inf_est) > tol_here
 
     def witness(self) -> dict:
-        f_w = float(self.S.value(self.W, self.p))
-        inf_est, _tol_here = _chain_inf_estimate(self.S, self.chain, self.W, self.p, self.tol)
+        S, chain, f_W, scan = self.bound
+        f_w = float(f_W(self.p))
+        inf_est, _tol_here = _chain_inf_estimate(self.bound, self.p, self.tol)
         return {
             "kind": self.kind,
-            "family": self.S.label,
-            "chain": encode_chain(self.chain),
+            "family": S.label,
+            "chain": encode_chain(chain),
             "point": encode_point(self.p),
             "interior_value": f_w,
             "inf_estimate": inf_est,
-            "evaluated_min": min(_element_values(self.S, self.chain, self.p)),
+            # a closed-form family binds the elements for this field alone
+            "evaluated_min": min(float(f(self.p)) for f in scan or _bind_elements(S, chain)),
             "deviation": abs(f_w - inf_est),
         }
 
     @classmethod
     def decode(cls, w: dict) -> _ChainInf:
         chain = decode_chain(w["chain"])
-        S = _replay_family(w, chain.space)
-        return cls(S, chain, decreasing_chain_interior(chain), decode_point(w["point"]), TOL_INF)
+        return cls(bind_chain(_replay_family(w, chain.space), chain), decode_point(w["point"]), TOL_INF)
 
 
 def check_condition_4(
-    S: Stratification,
-    chain: DecreasingChain,
-    points: Sequence[Point],
-    plan: SamplePlan,
-    tol: float = TOL_INF,
+    bound: BoundChain, points: Sequence[Point], plan: SamplePlan, tol: float = TOL_INF
 ) -> CheckReport:
     """f at the chain interior against the chain's value infimum."""
-    W = decreasing_chain_interior(chain)
-    cases = (_ChainInf(S, chain, W, p, tol) for p in points)
+    S, cases = bound.S, (_ChainInf(bound, p, tol) for p in points)
     return _run(_ChainInf.kind, (_ChainInf,), S.label, S.space, {"tol_inf": tol}, cases)
 
 
@@ -713,31 +718,29 @@ def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point)
 
 
 class _ChainClosure(NamedTuple):
-    """Condition (d) at a point x for grid values p < q and a chain with
-    interior W."""
+    """Condition (d) at a point x for grid values p < q and a chain."""
 
     kind = "condition_d"
     count_key = "samples"
     A: Approximation
     chain: DecreasingChain
-    W: RegularOpenSet
     p: Fraction
     q: Fraction
     x: Point
 
     @classmethod
-    def cases(cls, A: Approximation, chain: DecreasingChain, W: RegularOpenSet, grid_pairs, points):
+    def cases(cls, A: Approximation, chain: DecreasingChain, grid_pairs, points):
         for p_val, q_val in grid_pairs:
             if not p_val < q_val:
                 raise ValueError("grid pairs must satisfy p < q")
             for x in points:
-                yield cls(A, chain, W, p_val, q_val, x)
+                yield cls(A, chain, p_val, q_val, x)
 
     def violates(self) -> bool:
         in_all_closures = any(
             _chain_sublevel_closure_all(comp, self.q, self.x) for comp in self.chain.components
         )
-        return in_all_closures and not self.A.contains(self.W, self.p, self.x)
+        return in_all_closures and not self.A.contains(self.chain.interior, self.p, self.x)
 
     def witness(self) -> dict:
         return {
@@ -751,8 +754,8 @@ class _ChainClosure(NamedTuple):
     @classmethod
     def decode(cls, w: dict) -> _ChainClosure:
         chain = decode_chain(w["chain"])
-        A, W = _kappa_approximation(chain.space), decreasing_chain_interior(chain)
-        return cls(A, chain, W, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
+        A = _kappa_approximation(chain.space)
+        return cls(A, chain, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
 
 
 #: index divisors (i, j) of the grid pairs (values[size // i], values[size // j])
@@ -780,8 +783,7 @@ def check_condition_d(
     plan: SamplePlan,
 ) -> CheckReport:
     """Chain closures against the chain-interior's family."""
-    W = decreasing_chain_interior(chain)
-    cases = _ChainClosure.cases(A, chain, W, grid_pairs, points)
+    cases = _ChainClosure.cases(A, chain, grid_pairs, points)
     tolerances = {"grid_m": plan.grid_m}
     return _run(_ChainClosure.kind, (_ChainClosure,), "approximation", A.space, tolerances, cases)
 
@@ -813,15 +815,13 @@ def chain_check_points(chain: DecreasingChain, plan: SamplePlan) -> list[Point]:
     return pts
 
 
-def bridge_4_iff_d(
-    S: Stratification, chain: DecreasingChain, plan: SamplePlan
-) -> tuple[CheckReport, CheckReport, bool]:
+def bridge_4_iff_d(bound: BoundChain, plan: SamplePlan) -> tuple[CheckReport, CheckReport, bool]:
     """Verdict agreement between the chain-infimum and chain-closure checks."""
     pairs = grid_pairs(plan.grid_m, BRIDGE_PAIRS)
-    points = chain_check_points(chain, plan)
-    report4 = check_condition_4(S, chain, points, plan)
-    A = stratification_to_approximation(S, QGrid(plan.grid_m))
-    report_d = check_condition_d(A, chain, pairs, points, plan)
+    points = chain_check_points(bound.chain, plan)
+    report4 = check_condition_4(bound, points, plan)
+    A = stratification_to_approximation(bound.S, QGrid(plan.grid_m))
+    report_d = check_condition_d(A, bound.chain, pairs, points, plan)
     return report4, report_d, report4.passed == report_d.passed
 
 

@@ -44,7 +44,6 @@ from .rosets import (
     ParametricBasicSet,
     ParamValue,
     RegularOpenSet,
-    decreasing_chain_interior,
     lane_keeps,
     member,
 )
@@ -166,7 +165,7 @@ _KINDS = {
     ),
     "chain_interior_excludes": (
         ("chain", "point"),
-        lambda chain, p, _c: not member(decreasing_chain_interior(chain), p),
+        lambda chain, p, _c: not member(chain.interior, p),
     ),
     "candidate_value_gt": (
         ("set_kind", "a", "b", "t", "threshold", "value"),
@@ -451,7 +450,6 @@ def doublearrow_not_kappa(x_seq: ParamValue, p: Fraction, q: Fraction) -> Refuta
     )
     chain = DecreasingChain(Space.DOUBLE_ARROW, (comp,))
     witness = DoubleArrowPoint(x, 0)
-    W = decreasing_chain_interior(chain)
     assertions = [
         _assertion("chain_element_contains", chain, witness),
         _assertion("chain_interior_excludes", chain, witness),
@@ -460,7 +458,7 @@ def doublearrow_not_kappa(x_seq: ParamValue, p: Fraction, q: Fraction) -> Refuta
         "witness": encode_point(witness),
         "p": encode_scalar(p),
         "q": encode_scalar(q),
-        "interior": [encode_basic_set(c) for c in W.components],
+        "interior": [encode_basic_set(c) for c in chain.interior.components],
     }
     return _refuted(claim, assertions, detail)
 

@@ -353,10 +353,6 @@ def validate_regular_open(
     return RegularOpenSet(space, tuple(canon))
 
 
-def empty_set(space: Space) -> RegularOpenSet:
-    return RegularOpenSet(space, ())
-
-
 # ---------------------------------------------------------------------------
 # parametric chains
 
@@ -589,6 +585,11 @@ class DecreasingChain:
 
     def at(self, n: int) -> RegularOpenSet:
         return validate_regular_open(self.space, [c.at(n) for c in self.components])
+
+    @cached_property
+    def interior(self) -> RegularOpenSet:
+        """``decreasing_chain_interior(self)``, computed once per chain."""
+        return decreasing_chain_interior(self)
 
 
 def separated_hulls(discs: Sequence[BasicOpenSet]) -> bool:

@@ -16,6 +16,7 @@ from kappalab import (
     QGrid,
     SamplePlan,
     approximation_to_stratification,
+    bind_chain,
     bridge_4_iff_d,
     check_condition_1,
     check_condition_2,
@@ -117,7 +118,7 @@ def test_criterion_3_chain_conditions():
         for _ in range(count):
             chain = sample_chain(space, rng)
             points = chain_check_points(chain, plan)
-            r4 = check_condition_4(S, chain, points, plan, tol=1e-3)
+            r4 = check_condition_4(bind_chain(S, chain), points, plan, tol=1e-3)
             rd = check_condition_d(A, chain, pairs, points, plan)
             assert r4.passed, r4.witnesses
             assert rd.passed, rd.witnesses
@@ -126,7 +127,7 @@ def test_criterion_3_chain_conditions():
 
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, plan)
-    r4 = check_condition_4(double_arrow_ro(), chain, points, plan)
+    r4 = check_condition_4(bind_chain(double_arrow_ro(), chain), points, plan)
     assert not r4.passed
     witness_pt = r4.witnesses[0]["point"]
     assert witness_pt == {"space": "double_arrow", "t": "1/10", "side": 0}
@@ -199,10 +200,10 @@ def test_criterion_5_bridge_agreement():
     ):
         for _ in range(count):
             chain = sample_chain(space, rng)
-            _, _, agree = bridge_4_iff_d(family(), chain, plan)
+            _, _, agree = bridge_4_iff_d(bind_chain(family(), chain), plan)
             assert agree
             pairs += 1
-    r4, rd, agree = bridge_4_iff_d(double_arrow_ro(), double_arrow_pinch_chain(), plan)
+    r4, rd, agree = bridge_4_iff_d(bind_chain(double_arrow_ro(), double_arrow_pinch_chain()), plan)
     assert agree and not r4.passed and not rd.passed
     pairs += 1
     assert pairs >= 25
@@ -288,17 +289,25 @@ def _oracle_value(V, p, step=1e-3):
                 hi_k = mid - 1
         return lo_k * step
 
-    # stage A: closed-form complement distance over the full center grid
+    # stage A: closed-form complement distance over the center grid; only
+    # centres inside V get a finite bound, so only they are computed, in the
+    # grid's row-major order and from the same coordinate arrays
     xs = np.arange(px - 1.0, px + 1.0 + step / 2, step)
     ys = np.arange(step, py + 1.0 + step / 2, step)
     ys = ys[ys > 0]
-    gx, gy = np.meshgrid(xs, ys)
-    cs = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    inside = np.zeros((len(ys), len(xs)), dtype=bool)
+    for x, y, r in circles:
+        # the disc's bounding box, one step wider, and the exact test within it
+        cols = np.nonzero(np.abs(xs - x) < r + step)[0]
+        rows = np.nonzero(np.abs(ys - y) < r + step)[0]
+        if len(cols) and len(rows):
+            box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+            inside[box] |= np.hypot(xs[box[1]] - x, ys[box[0], None] - y) < r
+    rows, cols = np.nonzero(inside)
+    cs = np.stack([xs[cols], ys[rows]], axis=1)
     geo = cs[:, 1].copy()
-    inside = np.zeros(len(cs), dtype=bool)
     for x, y, r in circles:
         d = np.hypot(cs[:, 0] - x, cs[:, 1] - y)
-        inside |= d < r
         with np.errstate(invalid="ignore", divide="ignore"):
             ux = (cs[:, 0] - x) / d
             uy = (cs[:, 1] - y) / d
@@ -316,11 +325,12 @@ def _oracle_value(V, p, step=1e-3):
     bound = np.minimum(np.minimum(geo, cs[:, 1]), 1.0) - np.hypot(
         cs[:, 0] - px, cs[:, 1] - py
     )
-    bound = np.where(inside, bound, -np.inf)
 
+    # only the candidates at or above the cutoff are sorted
     best = 0.0
-    order = np.argsort(bound)[::-1]
-    cutoff = bound[order[0]] - 5e-4 if len(order) else 0.0
+    cutoff = bound.max() - 5e-4 if len(bound) else 0.0
+    near = np.nonzero(bound >= cutoff)[0]
+    order = near[np.argsort(bound[near])[::-1]]
     examined = 0
     for idx in order:
         if bound[idx] < max(cutoff, best) or examined >= 800:

@@ -907,6 +907,81 @@ def test_corpus_report_bytes_are_pinned(tmp_path, monkeypatch, seed):
     assert got == _CORPUS_REPORTS[seed]
 
 
+#: a g family scenario with one entry of each chain kind on the explicit chain
+#: B*(0, 1/2 + 1/(4n)): the g family has no closed-form chain limit, so its
+#: condition 4 takes the element scan
+_G_CHAIN = {"space": "niemytzki", "components": [
+    {"kind": "tangent_disc", "a": "0", "r": {"const": "1/2", "over_n": "1/4"}}]}
+_G_CHAIN_SCENARIO = {"name": "g_chain", "plan": {"seed": 1}, "checks": [
+    {"check": kind, "family": "g_family", "chain": _G_CHAIN}
+    for kind in ("condition_4", "condition_d", "bridge_4_iff_d")]}
+
+
+def test_g_family_chain_scenario_report_is_pinned(tmp_path):
+    argv = _scenario_argv(tmp_path, _G_CHAIN_SCENARIO) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "g_chain.json").read_bytes()).hexdigest()
+    assert digest == "e4353c6ca085c21a4b1ecab37e06b7bbd70cbd92be89ac8fe2899534ebb49c5e"
+
+
+def _counting(monkeypatch, calls, owner, name, key=None, when=lambda: True):
+    """Spy on ``owner.name``: append ``key(*args)`` to ``calls`` on each
+    call that ``when()`` allows."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if when():
+            calls.append(key(*args) if key else None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_chain_entries_bind_each_chain_once(tmp_path, monkeypatch):
+    # each entry binds its chain at build time, on the interior and the
+    # INF_SCAN elements (the g family has no closed-form chain limit), and
+    # its checks read those bindings: 3 * (1 + 64) binds, 2 more where the
+    # condition (d) approximations bind the interior; 3 * 64 elements built,
+    # 6 more for element 1
+    from kappalab.families import Stratification
+    from kappalab.rosets import DecreasingChain
+
+    elements, binds = [], []
+    _counting(monkeypatch, elements, DecreasingChain, "at")
+    _counting(monkeypatch, binds, Stratification, "at")
+    assert main(_scenario_argv(tmp_path, _G_CHAIN_SCENARIO)) == 0
+    assert len(elements) <= 200 and len(binds) <= 200, (len(elements), len(binds))
+
+
+def test_corpus_computes_each_chain_interior_once(tmp_path, monkeypatch):
+    import kappalab.cli
+    import kappalab.rosets
+    from kappalab.families import Stratification
+
+    depth, interiors, values = [0], [], []
+    for name in ("check_condition_4", "check_condition_d", "bridge_4_iff_d"):
+        check = getattr(kappalab.cli, name)
+
+        def in_chain_check(*args, check=check):
+            depth[0] += 1
+            try:
+                return check(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(kappalab.cli, name, in_chain_check)
+    # every module that binds the rule is spied on; the chains are kept, so
+    # that no two of them share an id
+    interior = kappalab.rosets.decreasing_chain_interior
+    for module in [m for name, m in sys.modules.items() if name.startswith("kappalab")]:
+        if vars(module).get("decreasing_chain_interior") is interior:
+            _counting(monkeypatch, interiors, module, "decreasing_chain_interior", key=lambda chain: chain)
+    _counting(monkeypatch, values, Stratification, "value", when=lambda: depth[0] > 0)
+    assert main(["check", "--corpus"]) == 0
+    assert len(interiors) == len({id(chain) for chain in interiors}) <= 67
+    assert values == []
+
+
 _TANGENT = '{"kind": "tangent_disc", "a": "0", "r": "1"}'
 _SEPARATED_UNION = (
     '{"space": "niemytzki", "components": ['

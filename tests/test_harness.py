@@ -2,6 +2,7 @@
 witnesses on broken ones, determinism."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from kappalab import (
     SorgenfreyPoint,
     Space,
     TangentDisc,
+    bind_chain,
     bridge_4_iff_d,
     chain_limit_value,
     check_condition_1,
@@ -25,7 +27,6 @@ from kappalab import (
     check_condition_4,
     check_condition_d,
     check_conditions_abc,
-    decreasing_chain_interior,
     double_arrow_ro,
     hausdorff_witness,
     niemytzki_kappa,
@@ -37,7 +38,7 @@ from kappalab import (
     user_supplied,
     validate_regular_open,
 )
-from kappalab.families import g_stratification
+from kappalab.families import g_stratification, sorgenfrey_f
 from kappalab.serialize import encode_chain, encode_point, encode_roset
 from kappalab.harness import (
     _ApproxClosure,
@@ -119,10 +120,8 @@ def test_condition_1_exact_values_below_eps_are_positive():
 
 
 def test_condition_1_vacuous_on_empty_set():
-    from kappalab.rosets import empty_set
-
     S = user_supplied(Space.SORGENFREY, lambda U, p: F(0))
-    rep = check_condition_1(S, PLAN, sets=[empty_set(Space.SORGENFREY)])
+    rep = check_condition_1(S, PLAN, sets=[validate_regular_open(Space.SORGENFREY, [])])
     assert rep.passed  # nothing is a member and every value is 0
 
 
@@ -196,7 +195,7 @@ def test_condition_4_passes_on_sampled_chains(family, space):
     for _ in range(4):
         chain = sample_chain(space, rng)
         points = chain_check_points(chain, PLAN)
-        rep = check_condition_4(S, chain, points, PLAN)
+        rep = check_condition_4(bind_chain(S, chain), points, PLAN)
         assert rep.passed, rep.witnesses
 
 
@@ -209,21 +208,46 @@ def test_condition_4_exact_infimum_for_tangent_chain():
     chain = DecreasingChain(Space.NIEMYTZKI, (comp,))
     p = NiemytzkiPoint(F(0), F(0))
     # f values along the chain are 1/2 + 1/(n+1); the infimum is exactly 1/2
-    assert chain_limit_value(niemytzki_kappa(), chain, decreasing_chain_interior(chain), p) == F(1, 2)
-    rep = check_condition_4(niemytzki_kappa(), chain, [p], PLAN)
+    assert chain_limit_value(bind_chain(niemytzki_kappa(), chain), p) == F(1, 2)
+    rep = check_condition_4(bind_chain(niemytzki_kappa(), chain), [p], PLAN)
     assert rep.passed
 
 
 def test_condition_4_fails_on_pinch_chain_with_witness():
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, PLAN)
-    rep = check_condition_4(double_arrow_ro(), chain, points, PLAN)
+    rep = check_condition_4(bind_chain(double_arrow_ro(), chain), points, PLAN)
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["point"] == {"space": "double_arrow", "t": "1/10", "side": 0}
     # the value infimum along the chain is 1/10, the interior value is 0
     assert abs(w["deviation"] - 0.1) < 1e-12
     assert replay_witness(w)
+
+
+def _halved_sorgenfrey(U, p):
+    """sorgenfrey_f, halved on a component no longer than 1/2: on the chain
+    [0, 1/2 + 1/n) the element values tend to 1/2 - x, while the interior
+    [0, 1/2) scores (1/2 - x)/2, so the chain-infimum axiom breaks."""
+    comp = next((c for c in U.components if c.a <= p.x < c.b), None)
+    value = sorgenfrey_f(U, p)
+    return value / 2 if comp is not None and comp.b - comp.a <= F(1, 2) else value
+
+
+def test_condition_4_scan_path_report_is_pinned():
+    # a family with no closed-form chain limit takes the element scan; its
+    # report, every witness included, keeps these bytes
+    from kappalab.rosets import ParamValue, ParametricBasicSet, DecreasingChain
+
+    lane = ParametricBasicSet("half_open", {"a": ParamValue(F(0)), "b": ParamValue(F(1, 2), F(1))})
+    chain = DecreasingChain(Space.SORGENFREY, (lane,))
+    plan = SamplePlan(seed=1)
+    S = user_supplied(Space.SORGENFREY, _halved_sorgenfrey)
+    rep = check_condition_4(bind_chain(S, chain), chain_check_points(chain, plan), plan)
+    assert rep.counts == {"points": 15, "violations": 9}
+    assert rep.witnesses[0]["inf_estimate"] == 0.515625
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "6c17ea4ca1037fcaf2d36f483d57c08f52834515c2cd92deee4ab9e9003a75b5"
 
 
 def _merged_lanes(space, kind, *lanes):
@@ -245,11 +269,10 @@ def test_condition_4_on_merged_sorgenfrey_lanes():
     # at 1/2 every element's value is 1, and so is the value on the interior
     chain = _merged_lanes(Space.SORGENFREY, "half_open", (F(0), F(1), F(1, 2)), (F(1), F(2), F(1, 2)))
     S, plan = sorgenfrey_kappa(), SamplePlan(seed=1)
-    W = decreasing_chain_interior(chain)
-    assert chain_limit_value(S, chain, W, SorgenfreyPoint(F(1, 2))) == 1
-    rep = check_condition_4(S, chain, chain_check_points(chain, plan), plan)
+    assert chain_limit_value(bind_chain(S, chain), SorgenfreyPoint(F(1, 2))) == 1
+    rep = check_condition_4(bind_chain(S, chain), chain_check_points(chain, plan), plan)
     assert rep.passed and rep.counts["points"] == 18, rep.witnesses
-    assert bridge_4_iff_d(S, chain, plan)[2]
+    assert bridge_4_iff_d(bind_chain(S, chain), plan)[2]
 
 
 def test_condition_4_witness_on_merged_double_arrow_lanes():
@@ -259,7 +282,7 @@ def test_condition_4_witness_on_merged_double_arrow_lanes():
     lanes = ((F(1, 8), F(3, 8), F(1, 16)), (F(3, 8), F(3, 4), F(1, 16)))
     chain = _merged_lanes(Space.DOUBLE_ARROW, "clopen_interval", *lanes)
     plan = SamplePlan(seed=1)
-    rep = check_condition_4(double_arrow_ro(), chain, chain_check_points(chain, plan), plan)
+    rep = check_condition_4(bind_chain(double_arrow_ro(), chain), chain_check_points(chain, plan), plan)
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["point"] == {"space": "double_arrow", "t": "3/4", "side": 1}
@@ -311,7 +334,7 @@ def test_condition_4_replay_without_closed_form_limit():
             "chain": encode_chain(chain),
             "point": encode_point(p),
         }
-        assert replay_witness(w) == (not check_condition_4(S, chain, [p], PLAN).passed)
+        assert replay_witness(w) == (not check_condition_4(bind_chain(S, chain), [p], PLAN).passed)
 
 
 def test_conditions_abc_pass_for_derived_approximations():
@@ -377,9 +400,9 @@ def test_bridge_agreement():
         (niemytzki_kappa, Space.NIEMYTZKI),
     ):
         chain = sample_chain(space, rng)
-        r4, rd, agree = bridge_4_iff_d(family(), chain, PLAN)
+        r4, rd, agree = bridge_4_iff_d(bind_chain(family(), chain), PLAN)
         assert agree and r4.passed and rd.passed
-    r4, rd, agree = bridge_4_iff_d(double_arrow_ro(), double_arrow_pinch_chain(), PLAN)
+    r4, rd, agree = bridge_4_iff_d(bind_chain(double_arrow_ro(), double_arrow_pinch_chain()), PLAN)
     assert agree and not r4.passed and not rd.passed
 
 
@@ -461,7 +484,7 @@ def _failing_report(condition):
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, PLAN)
     if condition == "4":
-        return check_condition_4(double_arrow_ro(), chain, points, PLAN)
+        return check_condition_4(bind_chain(double_arrow_ro(), chain), points, PLAN)
     A = stratification_to_approximation(double_arrow_ro(), QGrid(10))
     return check_condition_d(A, chain, [(F(1, 20), F(1, 15))], points, PLAN)
 
@@ -552,12 +575,12 @@ def test_chain_lane_decisions_match_a_deep_element():
             chains.append(double_arrow_pinch_chain())
             chains.append(_pinch_onto_0_1())
         for chain in chains:
-            first, W = chain.at(1), decreasing_chain_interior(chain)
+            first, bound = chain.at(1), bind_chain(S, chain)
             points = chain_check_points(chain, PLAN)
             points += [sample_point_near_set(first, rng) for _ in range(12)]
             element = chain.at(deep)
             for p in points:
-                limit = chain_limit_value(S, chain, W, p)
+                limit = chain_limit_value(bound, p)
                 assert abs(float(limit) - float(S.value(element, p))) <= 1e-5, (chain, p)
                 n_values += 1
             for comp in chain.components:

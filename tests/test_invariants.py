@@ -17,7 +17,7 @@ from kappalab import (
     user_supplied,
     validate_regular_open,
 )
-from kappalab.basesets import HalfOpen, basic_neighborhoods
+from kappalab.basesets import HalfOpen, basic_neighborhood
 from kappalab.families import tabulated_evaluator
 from kappalab.sampling import (
     double_arrow_certificate,
@@ -39,7 +39,7 @@ def test_points_outside_chain_interior_have_no_inscribed_neighborhood():
                 p = sample_point_near_set(chain.at(1), rng)
                 if member(W, p):
                     continue
-                for hood in basic_neighborhoods(p, 6):
+                for hood in (basic_neighborhood(p, k) for k in range(1, 7)):
                     inside_all = all(
                         any(basic_subset(hood, c) for c in el.components)
                         for el in elements

@@ -29,7 +29,7 @@ from kappalab import (
     member,
     validate_regular_open,
 )
-from kappalab.basesets import basic_neighborhoods
+from kappalab.basesets import basic_neighborhood
 from kappalab.rosets import MalformedChainError
 from kappalab.serialize import decode_roset, encode_roset
 from kappalab.sampling import sample_point_near_set, sample_set, double_arrow_pinch_chain
@@ -113,7 +113,7 @@ def _int_cl_member(s, p, depth=14):
     p lies inside cl(s), probed on a point grid per neighborhood."""
     from kappalab.harness import _points_inside
 
-    for hood in basic_neighborhoods(p, depth):
+    for hood in (basic_neighborhood(p, k) for k in range(1, depth + 1)):
         probes = list(_points_inside(hood, 16))
         if all(closure_member(s, q) for q in probes):
             return True
