@@ -2,7 +2,8 @@
 
 Exit codes: 0 all expected verdicts matched; 2 malformed scenario/schema;
 3 a check produced an unexpected verdict; 4 internal failure (a tolerance or
-consistency assertion broke inside the machinery).
+consistency assertion broke inside the machinery, or a process running checks
+ended without sending their outcomes).
 
 KAPPALAB_MODE=exact|float selects the numeric mode where a choice is legal:
 grid sampling and the stratifiability refuter accept binary64 inputs; the
@@ -16,10 +17,12 @@ import argparse
 import json
 import os
 import sys
+import threading
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -225,7 +228,7 @@ def _on_chains(prefix: str, divisors, check):
 
 
 def _condition_4(bound, i, pairs, plan) -> tuple[dict, bool]:
-    return _report(check_condition_4(bound, chain_check_points(bound.chain, plan), plan))
+    return _report(check_condition_4(bound, chain_check_points(bound.chain, plan)))
 
 
 def _condition_d(bound, i, pairs, plan) -> tuple[dict, bool]:
@@ -308,13 +311,17 @@ def _build_scenario(scenario: dict, seed_override=None, grid_m=None) -> tuple[st
     return name, plan, [case for entry in checks for case in _build_entry(entry, plan)]
 
 
-def run_scenario(scenario: tuple[str, SamplePlan, list], out_dir: str | None = None) -> int:
-    """Run a built scenario's cases in order and report them; 0 when every
-    verdict is the expected one, else 3."""
+def run_scenario(scenario: tuple[str, SamplePlan, list], outcomes: list, out_dir: str | None = None) -> int:
+    """Report a built scenario from its cases' outcomes (``_run_cases``), in
+    case order; 0 when every verdict is the expected one, else 3.  The first
+    outcome that is an exception is raised, and nothing of the scenario is
+    reported."""
     name, plan, cases = scenario
     results = []
-    for key, expected, verdicts, run in cases:
-        payload, held = run()
+    for (key, expected, verdicts, _), outcome in zip(cases, outcomes):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        payload, held = outcome
         verdict = verdicts[0] if held else verdicts[1]
         results.append({"key": key, "expected": expected, "verdict": verdict, "report": payload})
     all_expected = all(r["verdict"] == r["expected"] for r in results)
@@ -330,6 +337,78 @@ def run_scenario(scenario: tuple[str, SamplePlan, list], out_dir: str | None = N
         _write(Path(out_dir) / f"{name}.txt", text)
     sys.stdout.write(text)
     return 0 if all_expected else 3
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share(runs: list, first: int, step: int) -> dict:
+    """The outcomes of runs[first], runs[first + step], ... by index: what
+    run() returns, or the exception it raised.  The share stops at its first
+    exception, since no case after it in case order is reported."""
+    outcomes = {}
+    for i in range(first, len(runs), step):
+        try:
+            outcomes[i] = runs[i]()
+        except Exception as exc:
+            outcomes[i] = exc
+            break
+    return outcomes
+
+
+def _run_cases(runs: list) -> list:
+    """The outcome of each of ``runs``, in order, run on every usable core.
+
+    Case i runs in process i mod n: process 0 is this one, and each other is
+    a child forked before any case runs, which pickles its share's outcomes
+    back through a pipe.  n is the number of usable cores, at most one per
+    case, and 1 where fork is missing or other threads run; with n = 1 no
+    process is forked.  Every outcome up to the first exception in case
+    order is present; a later one may be None.  A child that ends without
+    sending its outcomes is a ``ChildProcessError``, and no child outlives
+    the call.
+    """
+    n = max(1, min(len(runs), _usable_cores()))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        n = 1
+    if n > 1:  # imported only by a run that forks: a one-core run pays nothing
+        import pickle
+        import signal
+    children = {}  # pid: (k, the read end of its pipe)
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: its share, out through the pipe, and no return
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_share(runs, k, n), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = (k, open(read, "rb"))
+        outcomes = _share(runs, 0, n)
+        for pid, (k, pipe) in list(children.items()):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+            del children[pid]
+            if code != 0:
+                raise ChildProcessError(f"check process {k} of {n} ended with code {code} before sending its outcomes")
+            outcomes.update(pickle.loads(data))
+    finally:
+        for pid, (k, pipe) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    return [outcomes.get(i) for i in range(len(runs))]
 
 
 def _write(path: Path, text: str) -> None:
@@ -377,7 +456,8 @@ def cmd_check(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise SchemaError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-    return max(run_scenario(scenario, args.out) for scenario in built)
+    outcomes = iter(_run_cases([run for _, _, cases in built for *_, run in cases]))
+    return max(run_scenario(scenario, list(islice(outcomes, len(scenario[2]))), args.out) for scenario in built)
 
 
 #: refute targets as functions of (candidate, seed, n);
@@ -632,6 +712,9 @@ def main(argv=None) -> int:
         return 2
     except (AssertionError, ArithmeticError) as exc:
         sys.stderr.write(f"internal tolerance/consistency failure: {exc}\n")
+        return 4
+    except ChildProcessError as exc:
+        sys.stderr.write(f"internal failure: {exc}\n")
         return 4
 
 

@@ -487,9 +487,7 @@ class _ChainInf(NamedTuple):
         return cls(bind_chain(_replay_family(w, chain.space), chain), decode_point(w["point"]), TOL_INF)
 
 
-def check_condition_4(
-    bound: BoundChain, points: Sequence[Point], plan: SamplePlan, tol: float = TOL_INF
-) -> CheckReport:
+def check_condition_4(bound: BoundChain, points: Sequence[Point], tol: float = TOL_INF) -> CheckReport:
     """f at the chain interior against the chain's value infimum."""
     S, cases = bound.S, (_ChainInf(bound, p, tol) for p in points)
     return _run(_ChainInf.kind, (_ChainInf,), S.label, S.space, {"tol_inf": tol}, cases)
@@ -819,7 +817,7 @@ def bridge_4_iff_d(bound: BoundChain, plan: SamplePlan) -> tuple[CheckReport, Ch
     """Verdict agreement between the chain-infimum and chain-closure checks."""
     pairs = grid_pairs(plan.grid_m, BRIDGE_PAIRS)
     points = chain_check_points(bound.chain, plan)
-    report4 = check_condition_4(bound, points, plan)
+    report4 = check_condition_4(bound, points)
     A = stratification_to_approximation(bound.S, QGrid(plan.grid_m))
     report_d = check_condition_d(A, bound.chain, pairs, points, plan)
     return report4, report_d, report4.passed == report_d.passed

@@ -59,6 +59,10 @@ class NotRegularOpenError(ValueError):
         super().__init__(message)
         self.witness = witness
 
+    def __reduce__(self):
+        # both fields, so that it unpickles whole: a forked check process sends it back pickled
+        return type(self), (*self.args, self.witness)
+
 
 class NonMonotoneChainError(ValueError):
     """A chain lane whose element n+1 does not lie in element n for some n."""

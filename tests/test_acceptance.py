@@ -118,7 +118,7 @@ def test_criterion_3_chain_conditions():
         for _ in range(count):
             chain = sample_chain(space, rng)
             points = chain_check_points(chain, plan)
-            r4 = check_condition_4(bind_chain(S, chain), points, plan, tol=1e-3)
+            r4 = check_condition_4(bind_chain(S, chain), points, tol=1e-3)
             rd = check_condition_d(A, chain, pairs, points, plan)
             assert r4.passed, r4.witnesses
             assert rd.passed, rd.witnesses
@@ -127,7 +127,7 @@ def test_criterion_3_chain_conditions():
 
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, plan)
-    r4 = check_condition_4(bind_chain(double_arrow_ro(), chain), points, plan)
+    r4 = check_condition_4(bind_chain(double_arrow_ro(), chain), points)
     assert not r4.passed
     witness_pt = r4.witnesses[0]["point"]
     assert witness_pt == {"space": "double_arrow", "t": "1/10", "side": 0}

@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -896,15 +899,19 @@ _CORPUS_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("seed", list(_CORPUS_REPORTS), ids=["shipped_seeds", "seed_99", "seed_8"])
-def test_corpus_report_bytes_are_pinned(tmp_path, monkeypatch, seed):
+def _corpus_digests(tmp_path, monkeypatch, seed) -> dict:
+    """The sha256 of each report of ``check --corpus`` at plan seed ``seed``."""
     monkeypatch.delenv("KAPPALAB_MODE", raising=False)  # the refuters report exact bundles
     argv = ["check", "--corpus", "--out", str(tmp_path)]
     assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
-    got = {
+    return {
         path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.glob("*.json")
     }
-    assert got == _CORPUS_REPORTS[seed]
+
+
+@pytest.mark.parametrize("seed", list(_CORPUS_REPORTS), ids=["shipped_seeds", "seed_99", "seed_8"])
+def test_corpus_report_bytes_are_pinned(tmp_path, monkeypatch, seed):
+    assert _corpus_digests(tmp_path, monkeypatch, seed) == _CORPUS_REPORTS[seed]
 
 
 #: a g family scenario with one entry of each chain kind on the explicit chain
@@ -922,6 +929,13 @@ def test_g_family_chain_scenario_report_is_pinned(tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / "out" / "g_chain.json").read_bytes()).hexdigest()
     assert digest == "e4353c6ca085c21a4b1ecab37e06b7bbd70cbd92be89ac8fe2899534ebb49c5e"
+
+
+def _on_cores(monkeypatch, cores):
+    """Run ``check`` as on a host with ``cores`` usable cores."""
+    import kappalab.cli
+
+    monkeypatch.setattr(kappalab.cli, "_usable_cores", lambda: cores)
 
 
 def _counting(monkeypatch, calls, owner, name, key=None, when=lambda: True):
@@ -946,6 +960,7 @@ def test_chain_entries_bind_each_chain_once(tmp_path, monkeypatch):
     from kappalab.families import Stratification
     from kappalab.rosets import DecreasingChain
 
+    _on_cores(monkeypatch, 1)  # the spies see every case
     elements, binds = [], []
     _counting(monkeypatch, elements, DecreasingChain, "at")
     _counting(monkeypatch, binds, Stratification, "at")
@@ -958,6 +973,7 @@ def test_corpus_computes_each_chain_interior_once(tmp_path, monkeypatch):
     import kappalab.rosets
     from kappalab.families import Stratification
 
+    _on_cores(monkeypatch, 1)  # the spies see every case
     depth, interiors, values = [0], [], []
     for name in ("check_condition_4", "check_condition_d", "bridge_4_iff_d"):
         check = getattr(kappalab.cli, name)
@@ -1348,3 +1364,182 @@ def test_refute_bundles_reverify_from_their_json(tmp_path, monkeypatch, mode):
         out = tmp_path / f"{target}.json"
         assert main(["refute", target, "--out", str(out)]) == 0
         assert reverify_bundle(RefutationResult(**json.loads(out.read_text())))
+
+
+# ---------------------------------------------------------------------------
+# check's cases on every usable core
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of every child forked in the test; each one has been reaped
+    (it runs no more) by the end of the test."""
+    pids, fork = [], os.fork
+
+    def spied_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spied_fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_case_i_runs_in_process_i_mod_n(monkeypatch, forked, cores):
+    from kappalab.cli import _run_cases
+
+    _on_cores(monkeypatch, cores)
+    pids = [pid for pid, _ in _run_cases([lambda: (os.getpid(), True)] * 7)]
+    assert pids == [pids[i % cores] for i in range(7)]
+    assert pids[0] == os.getpid() and len(set(pids)) == cores == len(forked) + 1
+    assert _run_cases([]) == [] and len(forked) == cores - 1
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("seed", list(_CORPUS_REPORTS), ids=["shipped_seeds", "seed_99", "seed_8"])
+def test_corpus_report_bytes_are_pinned_on_any_core_count(tmp_path, monkeypatch, forked, seed, cores):
+    _on_cores(monkeypatch, cores)
+    assert _corpus_digests(tmp_path, monkeypatch, seed) == _CORPUS_REPORTS[seed]
+    assert len(forked) == cores - 1  # one round of cases for the whole corpus
+
+
+#: three cases: case i is the refuter of _TARGETS[i]
+_TARGETS = ("g-extend", "doublearrow-d", "sorgenfrey-a")
+_THREE_CASES = {"name": "three", "checks": [{"check": "refute", "target": t} for t in _TARGETS]}
+
+
+def _refuter_doing(monkeypatch, at, fn):
+    """Make case ``at`` of _THREE_CASES call ``fn()`` as its refuter."""
+    import kappalab.cli
+
+    monkeypatch.setitem(kappalab.cli._REFUTERS, _TARGETS[at], lambda candidate, seed, n: fn())
+
+
+def _raise(exc):
+    def fn():
+        raise exc
+
+    return fn
+
+
+def _check_three_cases(tmp_path) -> tuple[int, Path]:
+    out = tmp_path / "out"
+    return main(_scenario_argv(tmp_path, _THREE_CASES) + ["--out", str(out)]), out
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_raising_case_exits_4_in_any_process(tmp_path, capsys, monkeypatch, forked, at, cores):
+    # case ``at`` runs in process at mod cores: this one, or a child
+    _on_cores(monkeypatch, cores)
+    _refuter_doing(monkeypatch, at, _raise(AssertionError("a broken tolerance")))
+    code, out = _check_three_cases(tmp_path)
+    assert code == 4
+    assert capsys.readouterr() == ("", "internal tolerance/consistency failure: a broken tolerance\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_the_first_raising_case_in_case_order_wins(tmp_path, capsys, monkeypatch, forked, cores):
+    # on 2 cores case 1 runs in the child and case 2 in this process, whose
+    # exception is in hand before the child's arrives
+    _on_cores(monkeypatch, cores)
+    _refuter_doing(monkeypatch, 1, _raise(AssertionError("case 1")))
+    _refuter_doing(monkeypatch, 2, _raise(ZeroDivisionError("case 2")))
+    assert _check_three_cases(tmp_path)[0] == 4
+    assert capsys.readouterr().err == "internal tolerance/consistency failure: case 1\n"
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_a_scenario_without_checks_reports_no_results(tmp_path, monkeypatch, forked, cores):
+    _on_cores(monkeypatch, cores)
+    argv = _scenario_argv(tmp_path, {"name": "empty", "checks": []}) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out" / "empty.json").read_text())
+    assert report["results"] == [] and report["all_expected"] is True
+    assert forked == []
+
+
+def _dying(death):
+    """A case that ends its process, when that is a child, by ``death``."""
+    parent = os.getpid()
+
+    def fn():
+        if os.getpid() == parent:
+            raise RuntimeError("the dying case ran in the test process")
+        if death == "exit":
+            os._exit(1)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    return fn
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_a_child_that_dies_fails_the_command_without_a_report(tmp_path, capsys, monkeypatch, forked, death, cores):
+    _on_cores(monkeypatch, cores)
+    _refuter_doing(monkeypatch, 1, _dying(death))
+    code, out = _check_three_cases(tmp_path)
+    code_text = "1" if death == "exit" else f"-{int(signal.SIGKILL)}"
+    assert code == 4
+    assert capsys.readouterr() == (
+        "", f"internal failure: check process 1 of {cores} ended with code {code_text} before sending its outcomes\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def _sleep():
+    time.sleep(60)
+
+
+@pytest.mark.parametrize(
+    "runs, raised",
+    [
+        # this process is interrupted while child 1 sleeps
+        ([_raise(KeyboardInterrupt()), _sleep, _sleep], KeyboardInterrupt),
+        # child 1 dies while child 2 sleeps
+        ([lambda: ({}, True), _dying("exit"), _sleep], ChildProcessError),
+    ],
+    ids=["interrupted", "sibling_died"],
+)
+def test_no_child_outlives_a_failed_run(monkeypatch, forked, runs, raised):
+    from kappalab.cli import _run_cases
+
+    _on_cores(monkeypatch, 3)
+    started = time.monotonic()
+    with pytest.raises(raised):
+        _run_cases(runs)
+    assert time.monotonic() - started < 30 and len(forked) == 2
+
+
+def _exception_classes() -> list[type]:
+    """Every exception class that a kappalab module defines."""
+    import importlib
+    import pkgutil
+
+    found = []
+    for info in pkgutil.iter_modules(kappalab.__path__):
+        module = importlib.import_module(f"kappalab.{info.name}")
+        found += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        ]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+#: the fields besides the message of the exceptions that carry any
+_EXCEPTION_FIELDS = {"NotRegularOpenError": (NiemytzkiPoint(F(1, 2), F(1, 3)),)}
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda cls: cls.__name__)
+def test_exceptions_cross_a_pipe_whole(cls):
+    # a case that raises in a child is pickled back to the parent
+    exc = cls("a message", *_EXCEPTION_FIELDS.get(cls.__name__, ()))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and back.args == exc.args and str(back) == str(exc)
+    assert vars(back) == vars(exc)

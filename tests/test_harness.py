@@ -195,7 +195,7 @@ def test_condition_4_passes_on_sampled_chains(family, space):
     for _ in range(4):
         chain = sample_chain(space, rng)
         points = chain_check_points(chain, PLAN)
-        rep = check_condition_4(bind_chain(S, chain), points, PLAN)
+        rep = check_condition_4(bind_chain(S, chain), points)
         assert rep.passed, rep.witnesses
 
 
@@ -209,14 +209,14 @@ def test_condition_4_exact_infimum_for_tangent_chain():
     p = NiemytzkiPoint(F(0), F(0))
     # f values along the chain are 1/2 + 1/(n+1); the infimum is exactly 1/2
     assert chain_limit_value(bind_chain(niemytzki_kappa(), chain), p) == F(1, 2)
-    rep = check_condition_4(bind_chain(niemytzki_kappa(), chain), [p], PLAN)
+    rep = check_condition_4(bind_chain(niemytzki_kappa(), chain), [p])
     assert rep.passed
 
 
 def test_condition_4_fails_on_pinch_chain_with_witness():
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, PLAN)
-    rep = check_condition_4(bind_chain(double_arrow_ro(), chain), points, PLAN)
+    rep = check_condition_4(bind_chain(double_arrow_ro(), chain), points)
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["point"] == {"space": "double_arrow", "t": "1/10", "side": 0}
@@ -243,7 +243,7 @@ def test_condition_4_scan_path_report_is_pinned():
     chain = DecreasingChain(Space.SORGENFREY, (lane,))
     plan = SamplePlan(seed=1)
     S = user_supplied(Space.SORGENFREY, _halved_sorgenfrey)
-    rep = check_condition_4(bind_chain(S, chain), chain_check_points(chain, plan), plan)
+    rep = check_condition_4(bind_chain(S, chain), chain_check_points(chain, plan))
     assert rep.counts == {"points": 15, "violations": 9}
     assert rep.witnesses[0]["inf_estimate"] == 0.515625
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
@@ -270,7 +270,7 @@ def test_condition_4_on_merged_sorgenfrey_lanes():
     chain = _merged_lanes(Space.SORGENFREY, "half_open", (F(0), F(1), F(1, 2)), (F(1), F(2), F(1, 2)))
     S, plan = sorgenfrey_kappa(), SamplePlan(seed=1)
     assert chain_limit_value(bind_chain(S, chain), SorgenfreyPoint(F(1, 2))) == 1
-    rep = check_condition_4(bind_chain(S, chain), chain_check_points(chain, plan), plan)
+    rep = check_condition_4(bind_chain(S, chain), chain_check_points(chain, plan))
     assert rep.passed and rep.counts["points"] == 18, rep.witnesses
     assert bridge_4_iff_d(bind_chain(S, chain), plan)[2]
 
@@ -282,7 +282,7 @@ def test_condition_4_witness_on_merged_double_arrow_lanes():
     lanes = ((F(1, 8), F(3, 8), F(1, 16)), (F(3, 8), F(3, 4), F(1, 16)))
     chain = _merged_lanes(Space.DOUBLE_ARROW, "clopen_interval", *lanes)
     plan = SamplePlan(seed=1)
-    rep = check_condition_4(bind_chain(double_arrow_ro(), chain), chain_check_points(chain, plan), plan)
+    rep = check_condition_4(bind_chain(double_arrow_ro(), chain), chain_check_points(chain, plan))
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["point"] == {"space": "double_arrow", "t": "3/4", "side": 1}
@@ -334,7 +334,7 @@ def test_condition_4_replay_without_closed_form_limit():
             "chain": encode_chain(chain),
             "point": encode_point(p),
         }
-        assert replay_witness(w) == (not check_condition_4(bind_chain(S, chain), [p], PLAN).passed)
+        assert replay_witness(w) == (not check_condition_4(bind_chain(S, chain), [p]).passed)
 
 
 def test_conditions_abc_pass_for_derived_approximations():
@@ -484,7 +484,7 @@ def _failing_report(condition):
     chain = double_arrow_pinch_chain()
     points = chain_check_points(chain, PLAN)
     if condition == "4":
-        return check_condition_4(bind_chain(double_arrow_ro(), chain), points, PLAN)
+        return check_condition_4(bind_chain(double_arrow_ro(), chain), points)
     A = stratification_to_approximation(double_arrow_ro(), QGrid(10))
     return check_condition_d(A, chain, [(F(1, 20), F(1, 15))], points, PLAN)
 
