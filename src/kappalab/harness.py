@@ -164,11 +164,15 @@ def _replay_family(
     return decode_family(label)
 
 
+def _kappa_family(space: Space) -> Stratification:
+    """The space's kappa family, its first registered one: (a)-(d) replay
+    with it, reading grid values from the witness."""
+    return next(S for S in (make() for make in FAMILIES.values()) if S.space is space)
+
+
 def _kappa_approximation(space: Space) -> Approximation:
-    """The approximation of the space's kappa family (its first registered
-    one): (a)-(d) replay with it, reading grid values from the witness."""
-    S = next(S for S in (make() for make in FAMILIES.values()) if S.space is space)
-    return stratification_to_approximation(S, QGrid())
+    """The approximation of the space's kappa family: (a)-(c) replay with it."""
+    return stratification_to_approximation(_kappa_family(space), QGrid())
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +337,14 @@ class _Continuity(NamedTuple):
     limit: Point
     tail: Sequence[Point]
     tol: float
-    tail_start: int
 
     @classmethod
-    def cases(cls, S: Stratification, pairs, tol: float, tail_start: int):
+    def cases(cls, S: Stratification, pairs, tol: float):
         for U, cert in pairs:
             if not verify_convergence(cert):
                 raise ValueError("certificate failed verification; refuse to test continuity")
-            tail = tuple(cert.point(n) for n in range(tail_start, SEQUENCE_LENGTH + 1))
-            yield cls(S, U, S.at(U), cert.limit, tail, tol, tail_start)
+            tail = tuple(cert.point(n) for n in range(TAIL_START, SEQUENCE_LENGTH + 1))
+            yield cls(S, U, S.at(U), cert.limit, tail, tol)
 
     def deviations(self) -> list[float]:
         f_lim = float(self.f_U(self.limit))
@@ -363,7 +366,7 @@ class _Continuity(NamedTuple):
             "limit_value": float(self.f_U(self.limit)),
             "worst_value": float(self.f_U(worst)),
             "deviation": deviation,
-            "tail_start": self.tail_start,
+            "tail_start": TAIL_START,
         }
 
     @classmethod
@@ -371,19 +374,18 @@ class _Continuity(NamedTuple):
         U, limit, worst = decode_set(w["set"]), decode_point(w["limit"]), decode_point(w["worst_point"])
         stored = lambda: {U: [(limit, w["limit_value"]), (worst, w["worst_value"])]}
         S = _replay_family(w, U.space, stored)
-        return cls(S, U, S.at(U), limit, (worst,), TOL_CONT, w["tail_start"])
+        return cls(S, U, S.at(U), limit, (worst,), TOL_CONT)
 
 
 def check_condition_3(
     S: Stratification,
     pairs: Sequence[tuple[RegularOpenSet, ConvergenceCertificate]],
     tol: float = TOL_CONT,
-    tail_start: int = TAIL_START,
 ) -> CheckReport:
     """Tail deviation of the family values along certified sequences, at the
-    points n = tail_start..SEQUENCE_LENGTH of each verified certificate."""
-    tolerances = {"tol_cont": tol, "tail_start": tail_start}
-    cases = _Continuity.cases(S, pairs, tol, tail_start)
+    points n = TAIL_START..SEQUENCE_LENGTH of each verified certificate."""
+    tolerances = {"tol_cont": tol, "tail_start": TAIL_START}
+    cases = _Continuity.cases(S, pairs, tol)
     return _run(_Continuity.kind, (_Continuity,), S.label, S.space, tolerances, cases)
 
 
@@ -437,19 +439,19 @@ def chain_limit_value(bound: BoundChain, p: Point):
     return bound.f_W(p)
 
 
-def _chain_inf_estimate(bound: BoundChain, p: Point, tol: float) -> tuple[float, float]:
+def _chain_inf_estimate(bound: BoundChain, p: Point) -> tuple[float, float]:
     """(infimum estimate, tolerance) of the chain values at p.
 
-    Families with a closed-form chain limit compare against it at ``tol``;
+    Families with a closed-form chain limit compare against it at ``TOL_INF``;
     the others fall back to the smallest of the first ``INF_SCAN`` elements,
     with the tolerance widened by the last step's slope over that many steps.
     """
     exact_inf = chain_limit_value(bound, p)
     if exact_inf is not None:
-        return float(exact_inf), tol
+        return float(exact_inf), TOL_INF
     evaluated = [float(f(p)) for f in bound.scan]
     slope = max(0.0, evaluated[-2] - evaluated[-1])
-    return min(evaluated), tol + INF_SCAN * slope
+    return min(evaluated), TOL_INF + INF_SCAN * slope
 
 
 class _ChainInf(NamedTuple):
@@ -459,16 +461,15 @@ class _ChainInf(NamedTuple):
     count_key = "points"
     bound: BoundChain
     p: Point
-    tol: float
 
     def violates(self) -> bool:
-        inf_est, tol_here = _chain_inf_estimate(self.bound, self.p, self.tol)
+        inf_est, tol_here = _chain_inf_estimate(self.bound, self.p)
         return abs(float(self.bound.f_W(self.p)) - inf_est) > tol_here
 
     def witness(self) -> dict:
         S, chain, f_W, scan = self.bound
         f_w = float(f_W(self.p))
-        inf_est, _tol_here = _chain_inf_estimate(self.bound, self.p, self.tol)
+        inf_est, _tol_here = _chain_inf_estimate(self.bound, self.p)
         return {
             "kind": self.kind,
             "family": S.label,
@@ -484,27 +485,30 @@ class _ChainInf(NamedTuple):
     @classmethod
     def decode(cls, w: dict) -> _ChainInf:
         chain = decode_chain(w["chain"])
-        return cls(bind_chain(_replay_family(w, chain.space), chain), decode_point(w["point"]), TOL_INF)
+        return cls(bind_chain(_replay_family(w, chain.space), chain), decode_point(w["point"]))
 
 
-def check_condition_4(bound: BoundChain, points: Sequence[Point], tol: float = TOL_INF) -> CheckReport:
+def check_condition_4(bound: BoundChain, points: Sequence[Point]) -> CheckReport:
     """f at the chain interior against the chain's value infimum."""
-    S, cases = bound.S, (_ChainInf(bound, p, tol) for p in points)
-    return _run(_ChainInf.kind, (_ChainInf,), S.label, S.space, {"tol_inf": tol}, cases)
+    S, cases = bound.S, (_ChainInf(bound, p) for p in points)
+    return _run(_ChainInf.kind, (_ChainInf,), S.label, S.space, {"tol_inf": TOL_INF}, cases)
 
 
 # ---------------------------------------------------------------------------
 # conditions (a), (b), (c)
 
 
-def sampled_closure_member(
-    pred: Callable[[Point], bool], p: Point, depth: int = 8, per_level: int = 24
-) -> bool:
+#: ``sampled_closure_member`` probes the canonical neighborhoods 1..CLOSURE_DEPTH
+#: of a point at CLOSURE_PER_LEVEL points each
+CLOSURE_DEPTH, CLOSURE_PER_LEVEL = 8, 24
+
+
+def sampled_closure_member(pred: Callable[[Point], bool], p: Point) -> bool:
     """Closure membership for black-box predicates: every canonical shrinking
     neighborhood of p must contain a predicate point."""
-    for k in range(1, depth + 1):
+    for k in range(1, CLOSURE_DEPTH + 1):
         hood = basic_neighborhood(p, k)
-        if not any(pred(q) for q in _points_inside(hood, per_level)):
+        if not any(pred(q) for q in _points_inside(hood, CLOSURE_PER_LEVEL)):
             return False
     return True
 
@@ -716,34 +720,34 @@ def _chain_sublevel_closure_all(comp: ParametricBasicSet, q: Fraction, x: Point)
 
 
 class _ChainClosure(NamedTuple):
-    """Condition (d) at a point x for grid values p < q and a chain."""
+    """Condition (d) at a point x for grid values p < q on a bound chain: x in
+    every cl(U^n_q) implies x in W_p = {f_W > p}, W the chain interior."""
 
     kind = "condition_d"
     count_key = "samples"
-    A: Approximation
-    chain: DecreasingChain
+    bound: BoundChain
     p: Fraction
     q: Fraction
     x: Point
 
     @classmethod
-    def cases(cls, A: Approximation, chain: DecreasingChain, grid_pairs, points):
+    def cases(cls, bound: BoundChain, grid_pairs, points):
         for p_val, q_val in grid_pairs:
             if not p_val < q_val:
                 raise ValueError("grid pairs must satisfy p < q")
             for x in points:
-                yield cls(A, chain, p_val, q_val, x)
+                yield cls(bound, p_val, q_val, x)
 
     def violates(self) -> bool:
         in_all_closures = any(
-            _chain_sublevel_closure_all(comp, self.q, self.x) for comp in self.chain.components
+            _chain_sublevel_closure_all(comp, self.q, self.x) for comp in self.bound.chain.components
         )
-        return in_all_closures and not self.A.contains(self.chain.interior, self.p, self.x)
+        return in_all_closures and not lt(self.p, self.bound.f_W(self.x))
 
     def witness(self) -> dict:
         return {
             "kind": self.kind,
-            "chain": encode_chain(self.chain),
+            "chain": encode_chain(self.bound.chain),
             "point": encode_point(self.x),
             "p": encode_scalar(self.p),
             "q": encode_scalar(self.q),
@@ -752,8 +756,8 @@ class _ChainClosure(NamedTuple):
     @classmethod
     def decode(cls, w: dict) -> _ChainClosure:
         chain = decode_chain(w["chain"])
-        A = _kappa_approximation(chain.space)
-        return cls(A, chain, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
+        bound = bind_chain(_kappa_family(chain.space), chain)
+        return cls(bound, decode_scalar(w["p"]), decode_scalar(w["q"]), decode_point(w["point"]))
 
 
 #: index divisors (i, j) of the grid pairs (values[size // i], values[size // j])
@@ -774,16 +778,16 @@ def grid_pairs(grid_m: int, divisors: Sequence[tuple[int, int]]) -> list[tuple[F
 
 
 def check_condition_d(
-    A: Approximation,
-    chain: DecreasingChain,
+    bound: BoundChain,
     grid_pairs: Sequence[tuple[Fraction, Fraction]],
     points: Sequence[Point],
     plan: SamplePlan,
 ) -> CheckReport:
-    """Chain closures against the chain-interior's family."""
-    cases = _ChainClosure.cases(A, chain, grid_pairs, points)
+    """Chain closures against the superlevel sets of the family's value on
+    the chain interior."""
+    cases = _ChainClosure.cases(bound, grid_pairs, points)
     tolerances = {"grid_m": plan.grid_m}
-    return _run(_ChainClosure.kind, (_ChainClosure,), "approximation", A.space, tolerances, cases)
+    return _run(_ChainClosure.kind, (_ChainClosure,), "approximation", bound.S.space, tolerances, cases)
 
 
 def chain_check_points(chain: DecreasingChain, plan: SamplePlan) -> list[Point]:
@@ -818,8 +822,7 @@ def bridge_4_iff_d(bound: BoundChain, plan: SamplePlan) -> tuple[CheckReport, Ch
     pairs = grid_pairs(plan.grid_m, BRIDGE_PAIRS)
     points = chain_check_points(bound.chain, plan)
     report4 = check_condition_4(bound, points)
-    A = stratification_to_approximation(bound.S, QGrid(plan.grid_m))
-    report_d = check_condition_d(A, bound.chain, pairs, points, plan)
+    report_d = check_condition_d(bound, pairs, points, plan)
     return report4, report_d, report4.passed == report_d.passed
 
 

@@ -308,11 +308,12 @@ def _condition2_violation(cand: SorgenfreyCandidate, rng: random.Random) -> Opti
     return None
 
 
-def refute_sorgenfrey_A(
-    cand: SorgenfreyCandidate,
-    budget_chain: int = 16,
-    seed: int = 0,
-) -> RefutationResult:
+#: the density search descends CHAIN_BUDGET steps towards its limit, and
+#: needs a chain point from at least half of them
+CHAIN_BUDGET = 16
+
+
+def refute_sorgenfrey_A(cand: SorgenfreyCandidate, seed: int = 0) -> RefutationResult:
     """Search for a witness that the candidate breaks one of the conditions.
 
     Cheap support/monotonicity violations are reported first.  Otherwise the
@@ -356,7 +357,7 @@ def refute_sorgenfrey_A(
                 continue
             x = lo + Fraction(1, 64)  # rational limit inside the dense window
             xs = []
-            for depth in range(1, budget_chain + 1):
+            for depth in range(1, CHAIN_BUDGET + 1):
                 found = None
                 for off_num in (1, 3, 5, 7):
                     t_try = x + Fraction(off_num, 2 ** (6 + depth))
@@ -370,7 +371,7 @@ def refute_sorgenfrey_A(
                 if xs and found >= xs[-1]:
                     continue
                 xs.append(found)
-            if len(xs) < budget_chain // 2:
+            if len(xs) < CHAIN_BUDGET // 2:
                 continue
             return _assemble_sorgenfrey_bundle(cand, claim, x, xs, threshold)
     return RefutationResult(claim, NOT_FOUND, detail={"reason": "density search exhausted"})
@@ -472,25 +473,25 @@ def doublearrow_not_kappa_default() -> RefutationResult:
 # Niemytzki plane is not stratifiable over all open sets
 
 
-def niemytzki_not_stratifiable(
-    a, n: int = 2, m: int = 10, K: int = 50
-) -> RefutationResult:
+#: ``niemytzki_not_stratifiable``'s threshold 1/STRAT_N, below the pinned
+#: value 1, and the height 1/STRAT_M that its sequence's points stay below
+STRAT_N, STRAT_M = 2, 10
+
+
+def niemytzki_not_stratifiable(a, K: int = 50) -> RefutationResult:
     """Pin value 1 along a sequence converging to (a, 0).
 
     The tangent unit discs centered over x_k = a + 1/(3k) score exactly 1 at
     (x_k, 1/(6k)) (the point sits on the disc's vertical axis).  Any family
     over all open sets satisfying support and monotonicity conditions is
-    then >= 1 > 1/n on the punctured plane along a sequence that converges
-    to (a, 0), where the support condition forces value 0: continuity fails.
+    then >= 1 > 1/STRAT_N on the punctured plane along a sequence that
+    converges to (a, 0), where the support condition forces value 0:
+    continuity fails.
     """
     claim = "niemytzki_stratifiable"
     if K <= 0:
         return RefutationResult(claim, NOT_FOUND, detail={"reason": "no sequence requested"})
-    threshold = Fraction(1, n)
-    if not threshold < 1:
-        return RefutationResult(
-            claim, NOT_FOUND, detail={"reason": "threshold 1/n must be below the pinned value 1"}
-        )
+    threshold = Fraction(1, STRAT_N)
     exact = isinstance(a, (int, Fraction, str))
     if exact:
         a_val = Fraction(a)
@@ -500,13 +501,13 @@ def niemytzki_not_stratifiable(
         num = float
     zero = num(0)
     limit = NiemytzkiPoint(a_val, zero)
-    k0 = max(1, m // 6 + 1)
+    k0 = STRAT_M // 6 + 1
     assertions = []
     for k in range(k0, k0 + K):
         xk = a_val + num(Fraction(1, 3 * k))
         ck = num(Fraction(1, 6 * k))
         disc, pk = TangentDisc(xk, num(1)), NiemytzkiPoint(xk, ck)
-        assert ck < Fraction(1, m)
+        assert ck < Fraction(1, STRAT_M)
         assertions.append(_assertion("value_eq", LABEL_NIEMYTZKI, disc, pk, num(1)))
         # the tangent disc misses (a, 0): its only axis point is (x_k, 0)
         assertions.append(_assertion("member", disc, limit, False))

@@ -217,17 +217,10 @@ def basic_subset(inner: BasicOpenSet, outer: BasicOpenSet) -> bool:
 
 
 def _sort_key(c: BasicOpenSet):
-    if isinstance(c, (HalfOpen, OpenInterval)):
-        return (0, c.a, isinstance(c, OpenInterval), c.b)
-    if isinstance(c, ExtremeSingleton):
-        return (c.side * 2, Fraction(c.side), False, Fraction(c.side))
-    if isinstance(c, ClopenInterval):
-        return (1, c.a, False, c.b)
+    """The order of a Niemytzki union's discs: tangent discs first."""
     if isinstance(c, TangentDisc):
         return (0, c.a, c.r, c.r)
-    if isinstance(c, InteriorDisc):
-        return (1, c.cx, c.cy, c.r)
-    raise TypeError(f"unknown base set {c!r}")
+    return (1, c.cx, c.cy, c.r)
 
 
 def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:

@@ -85,7 +85,7 @@ def test_criterion_2_continuity():
     ):
         rng = random.Random(202)
         pairs = sample_condition3_pairs(space, rng, 100)
-        rep = check_condition_3(family(), pairs, tol=1e-3, tail_start=100)
+        rep = check_condition_3(family(), pairs, tol=1e-3)
         assert rep.passed and rep.counts["sequences"] >= 100, rep.witnesses
         counts[space.value] = rep.counts["sequences"]
     neg_family, neg_pairs = continuity_negative_control()
@@ -112,14 +112,14 @@ def test_criterion_3_chain_conditions():
         (sorgenfrey_kappa, Space.SORGENFREY, 10),
     ):
         S = family()
-        A = stratification_to_approximation(S, QGrid(plan.grid_m))
         grid = [F(k, 2**plan.grid_m) for k in range(1, 2**plan.grid_m)]  # the grid values
         pairs = [(grid[50], grid[85]), (grid[300], grid[600])]
         for _ in range(count):
             chain = sample_chain(space, rng)
             points = chain_check_points(chain, plan)
-            r4 = check_condition_4(bind_chain(S, chain), points, tol=1e-3)
-            rd = check_condition_d(A, chain, pairs, points, plan)
+            bound = bind_chain(S, chain)
+            r4 = check_condition_4(bound, points)
+            rd = check_condition_d(bound, pairs, points, plan)
             assert r4.passed, r4.witnesses
             assert rd.passed, rd.witnesses
             n_chains += 1
@@ -428,7 +428,7 @@ def test_criterion_7_counterexample_bundles():
     da = kl.doublearrow_not_kappa_default()
     assert da.verdict == kl.REFUTED and reverify_bundle(da)
 
-    strat = kl.niemytzki_not_stratifiable(0, 2, 10, 50)
+    strat = kl.niemytzki_not_stratifiable(0, 50)
     assert strat.verdict == kl.REFUTED and reverify_bundle(strat)
 
     g1 = kl.g_family_not_extendable(1)

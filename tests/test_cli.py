@@ -799,6 +799,7 @@ def test_counts_below_1_exit_2(capsys, argv):
          "--bbox=-1,1,0,1", "--res", "4x4", "--out", "{tmp}"],
         ["refute", "g-extend", "--out", "{tmp}/no/such/dir/x.json"],
         ["check", "--scenario", "{tmp}/s.json", "--out", "{tmp}/s.json"],
+        ["check", "--corpus", "--scenario", "{tmp}/s.json"],
     ],
     ids=[
         "refute_doublearrow_d_depth",
@@ -810,6 +811,7 @@ def test_counts_below_1_exit_2(capsys, argv):
         "sample_grid_out_is_a_directory",
         "refute_out_in_a_missing_directory",
         "check_out_is_a_file",
+        "check_corpus_and_scenario",
     ],
 )
 def test_malformed_command_line_exits_2(tmp_path, capsys, argv):
@@ -954,9 +956,8 @@ def _counting(monkeypatch, calls, owner, name, key=None, when=lambda: True):
 def test_chain_entries_bind_each_chain_once(tmp_path, monkeypatch):
     # each entry binds its chain at build time, on the interior and the
     # INF_SCAN elements (the g family has no closed-form chain limit), and
-    # its checks read those bindings: 3 * (1 + 64) binds, 2 more where the
-    # condition (d) approximations bind the interior; 3 * 64 elements built,
-    # 6 more for element 1
+    # its checks, condition (d) and the bridge included, read those bindings
+    # alone: 3 * (1 + 64) binds; 3 * 64 elements built, 6 more for element 1
     from kappalab.families import Stratification
     from kappalab.rosets import DecreasingChain
 
@@ -965,7 +966,41 @@ def test_chain_entries_bind_each_chain_once(tmp_path, monkeypatch):
     _counting(monkeypatch, elements, DecreasingChain, "at")
     _counting(monkeypatch, binds, Stratification, "at")
     assert main(_scenario_argv(tmp_path, _G_CHAIN_SCENARIO)) == 0
-    assert len(elements) <= 200 and len(binds) <= 200, (len(elements), len(binds))
+    assert len(elements) <= 200 and len(binds) <= 195, (len(elements), len(binds))
+
+
+def test_corpus_builds_no_approximation(monkeypatch):
+    # condition (d) and the bridge decide W_p = {f_W > p} on the entry's
+    # bound chain: no check of the corpus builds an approximation
+    import kappalab.approximations
+
+    _on_cores(monkeypatch, 1)  # the spy sees every case
+    built, to_approx = [], kappalab.approximations.stratification_to_approximation
+    for module in [m for name, m in sys.modules.items() if name.startswith("kappalab")]:
+        if vars(module).get("stratification_to_approximation") is to_approx:
+            _counting(monkeypatch, built, module, "stratification_to_approximation")
+    assert main(["check", "--corpus"]) == 0
+    assert built == []
+
+
+def test_corpus_witnesses_replay(tmp_path):
+    # every witness the shipped corpus writes, the two inner reports of each
+    # bridge result included, replays true through its check's own predicate
+    from collections import Counter
+
+    from kappalab.harness import replay_witness
+
+    witnesses = []
+    for seed in _CORPUS_REPORTS:
+        out = tmp_path / str(seed)
+        assert main(["check", "--corpus", "--out", str(out)] + (["--seed", str(seed)] if seed is not None else [])) == 0
+        for path in sorted(out.glob("*.json")):
+            for result in json.loads(path.read_text())["results"]:
+                report = result["report"]
+                for rep in (report, report.get("condition_4", {}), report.get("condition_d", {})):
+                    witnesses += rep.get("witnesses", [])
+    assert Counter(w["kind"] for w in witnesses) == {"condition_3": 3, "condition_4": 22, "condition_d": 43}
+    assert all(replay_witness(w) for w in witnesses)
 
 
 def test_corpus_computes_each_chain_interior_once(tmp_path, monkeypatch):

@@ -368,11 +368,9 @@ def test_conditions_abc_niemytzki_base_sets():
 
 
 def test_condition_d_fails_on_pinch_chain():
-    S = double_arrow_ro()
-    A = stratification_to_approximation(S, QGrid(10))
     chain = double_arrow_pinch_chain()
     x = DoubleArrowPoint(F(1, 10), 0)
-    rep = check_condition_d(A, chain, [(F(1, 20), F(1, 15))], [x], PLAN)
+    rep = check_condition_d(bind_chain(double_arrow_ro(), chain), [(F(1, 20), F(1, 15))], [x], PLAN)
     assert not rep.passed
     w = rep.witnesses[0]
     assert w["point"]["t"] == "1/10"
@@ -381,14 +379,13 @@ def test_condition_d_fails_on_pinch_chain():
 
 def test_condition_d_passes_on_niemytzki_chains():
     S = niemytzki_kappa()
-    A = stratification_to_approximation(S, QGrid(10))
     rng = random.Random(43)
     for _ in range(4):
         chain = sample_chain(Space.NIEMYTZKI, rng)
         points = chain_check_points(chain, PLAN)
         grid = [F(k, 2**10) for k in range(1, 2**10)]  # the grid values
         pairs = [(grid[50], grid[85]), (grid[300], grid[600])]
-        rep = check_condition_d(A, chain, pairs, points, PLAN)
+        rep = check_condition_d(bind_chain(S, chain), pairs, points, PLAN)
         assert rep.passed, rep.witnesses
 
 
@@ -485,8 +482,7 @@ def _failing_report(condition):
     points = chain_check_points(chain, PLAN)
     if condition == "4":
         return check_condition_4(bind_chain(double_arrow_ro(), chain), points)
-    A = stratification_to_approximation(double_arrow_ro(), QGrid(10))
-    return check_condition_d(A, chain, [(F(1, 20), F(1, 15))], points, PLAN)
+    return check_condition_d(bind_chain(double_arrow_ro(), chain), [(F(1, 20), F(1, 15))], points, PLAN)
 
 
 @pytest.mark.parametrize("condition", ["1", "2", "3", "4", "d", "hausdorff", "ratio_separation"])

@@ -158,3 +158,42 @@ def test_no_unused_module_level_imports():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_no_unreferenced_private_module_level_names():
+    # a private module-level name (leading "_") that nothing else in the
+    # package refers to is reachable from tests at most, which makes it dead
+    # code; a reference inside the name's own definition does not count
+    import ast
+    from pathlib import Path
+
+    import kappalab
+
+    def defined(node) -> list[str]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+    definitions, referenced = [], set()
+    for path in sorted(Path(kappalab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = defined(node)
+            definitions += [(f"{path.name}:{node.lineno}", name) for name in names]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    ref = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    ref = sub.attr
+                elif isinstance(sub, ast.alias):
+                    ref = sub.name
+                else:
+                    continue
+                if ref not in names:
+                    referenced.add(ref)
+    unreferenced = [
+        f"{where} {name}"
+        for where, name in definitions
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert not unreferenced, unreferenced

@@ -135,7 +135,7 @@ def test_doublearrow_refuter_precondition_errors():
 
 
 def test_niemytzki_not_stratifiable():
-    res = niemytzki_not_stratifiable(0, 2, 10, 50)
+    res = niemytzki_not_stratifiable(0, 50)
     assert res.verdict == REFUTED
     assert reverify_bundle(res)
     # the pinned values are exactly 1 along the whole sequence
@@ -145,13 +145,13 @@ def test_niemytzki_not_stratifiable():
 
 
 def test_niemytzki_not_stratifiable_float_mode():
-    res = niemytzki_not_stratifiable(0.25, 2, 10, 30)
+    res = niemytzki_not_stratifiable(0.25, 30)
     assert res.verdict == REFUTED
     assert reverify_bundle(res)
 
 
 def test_niemytzki_not_stratifiable_zero_budget():
-    assert niemytzki_not_stratifiable(0, 2, 10, 0).verdict == NOT_FOUND
+    assert niemytzki_not_stratifiable(0, 0).verdict == NOT_FOUND
 
 
 def test_g_extendability_n1_exact_numbers():
@@ -196,7 +196,7 @@ def test_bundle_certificates_are_parametric():
         "sequence": [{"const": "0", "over_n": "1/3", "shift": 9}, {"const": "0", "over_n": "1/6", "shift": 9}],
         "size": {"const": "0", "over_n": "1", "shift": 9},
     }
-    (cert,) = _certificates(niemytzki_not_stratifiable(0, 2, 10, 50))
+    (cert,) = _certificates(niemytzki_not_stratifiable(0, 50))
     assert cert["size"] == {"const": "0", "over_n": "1", "shift": 1}
 
 
@@ -205,7 +205,7 @@ def test_tampered_parametric_certificate_fails_reverification():
     (cert,) = _certificates(res)
     cert["sequence"][0]["over_n"] = "2"  # (2/j, 1/(6j)) leaves B*(0, 1/j)
     assert not reverify_bundle(res)
-    res = niemytzki_not_stratifiable(0, 2, 10, 50)
+    res = niemytzki_not_stratifiable(0, 50)
     (cert,) = _certificates(res)
     cert["size"]["const"] = "1/2"  # witnesses that no longer shrink to (0, 0)
     assert not reverify_bundle(res)
@@ -239,7 +239,7 @@ def test_tampered_assertion_that_no_longer_decodes_fails_reverification():
 def test_niemytzki_bundle_leaves_the_sequence_memberships_to_its_certificate():
     # (a + 1/(3k), 1/(6k)) in B*(a, 1/k) for every k is the certificate's own
     # statement; the member assertions left say each unit disc misses (a, 0)
-    res = niemytzki_not_stratifiable(0, 2, 10, 50)
+    res = niemytzki_not_stratifiable(0, 50)
     members = [a for a in res.assertions if a["kind"] == "member"]
     assert len(members) == 50 and len(res.assertions) == 101
     assert all(a["expect"] is False and a["set"]["r"] == "1" for a in members)
