@@ -84,7 +84,6 @@ from .rosets import (
     ParamValue,
     RegularOpenSet,
     basic_subset,
-    closure_member,
     decreasing_chain_interior,
     member,
     validate_regular_open,

@@ -24,10 +24,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .basesets import ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
+from .basesets import ClopenInterval, ExtremeSingleton, HalfOpen, InteriorDisc, basic_closure_member, basic_member
 from .families import CLOSED_FORM, Stratification, user_supplied
 from .numerics import Scalar, eq, le, lt, sq
-from .rosets import _FLAG_NAMES, RegularOpenSet, closure_member, member, validate_regular_open
+from .rosets import _FLAG_NAMES, RegularOpenSet
 from .spaces import NiemytzkiPoint, Point, Space, sq_dist
 
 
@@ -95,47 +95,41 @@ class RealizedSet(NamedTuple):
     closure_member: Callable[[Point], bool]
 
 
-_EMPTY = RealizedSet(lambda p: False, lambda p: False)
+def _base_piece(s) -> RealizedSet:
+    return RealizedSet(partial(basic_member, s), partial(basic_closure_member, s))
 
 
-def _realized_union(space: Space, components: list) -> RealizedSet:
-    U = validate_regular_open(space, components)
-    return RealizedSet(partial(member, U), partial(closure_member, U))
+def _component_sublevel(c, q: Fraction) -> list[RealizedSet]:
+    """{f > q} on one component c of a set, for a family whose value on c
+    reads c alone, as the pieces whose union it is."""
+    if isinstance(c, HalfOpen):
+        return [_base_piece(HalfOpen(c.a, c.b - q))] if lt(c.a, c.b - q) else []
+    if isinstance(c, ExtremeSingleton) or isinstance(c, ClopenInterval) and lt(q, c.length):
+        return [_base_piece(c)]
+    if isinstance(c, ClopenInterval):  # too short: only its isolated extremes, which score 1
+        return [_base_piece(ExtremeSingleton(side)) for side, name in enumerate(_FLAG_NAMES) if getattr(c, name)]
+    if not lt(q, c.r):
+        return []
+    if isinstance(c, InteriorDisc):
+        return [_base_piece(InteriorDisc(c.cx, c.cy, c.r - q))]
+    lens = TangentLens(c.a, c.r, q)
+    return [RealizedSet(lens.member, lens.closure_member)]
 
 
 def realize_sublevel(family_label: str, U: RegularOpenSet, q: Fraction) -> Optional[RealizedSet]:
-    """Closed-form superlevel set {f_U > q} for a named family, when it exists.
+    """Closed-form superlevel set {f_U > q}, 0 < q < 1, for a named family.
 
-    Returns None when no closed form is available (multi-component Niemytzki
+    Where the value at a point of U is that of the component holding it
+    (docs/derivations.md, "Superlevel sets"), {f_U > q} is the union of the
+    components' superlevel sets, and its closure the union of their closures.
+    Returns None when no closed form is available (overlapping Niemytzki
     unions, the g family, user-supplied families); callers fall back to
     sampled closures.
     """
-    if family_label not in CLOSED_FORM:
+    if family_label not in CLOSED_FORM or U.space is Space.NIEMYTZKI and not U.separated:
         return None
-    comps = U.components
-    if U.space is Space.SORGENFREY:
-        kept = [HalfOpen(c.a, min(c.b - q, c.b)) for c in comps if lt(c.a, c.b - q)]
-        return _realized_union(U.space, kept)
-    if U.space is Space.DOUBLE_ARROW:
-        # a component longer than q survives whole, a shorter one only by its isolated extremes
-        kept = []
-        for c in comps:
-            if isinstance(c, ExtremeSingleton) or lt(q, c.b - c.a):
-                kept.append(c)
-            else:
-                flags = (getattr(c, name) for name in _FLAG_NAMES)
-                kept += [ExtremeSingleton(side) for side, flag in enumerate(flags) if flag]
-        return _realized_union(U.space, kept)
-    if len(comps) != 1:
-        return None
-    (c,) = comps
-    if not lt(q, c.r):
-        return _EMPTY
-    if isinstance(c, InteriorDisc):
-        inner = InteriorDisc(c.cx, c.cy, c.r - q)
-        return RealizedSet(partial(basic_member, inner), partial(basic_closure_member, inner))
-    lens = TangentLens(c.a, c.r, q)
-    return RealizedSet(lens.member, lens.closure_member)
+    pieces = [piece for c in U.components for piece in _component_sublevel(c, q)]
+    return RealizedSet(lambda p: any(s.member(p) for s in pieces), lambda p: any(s.closure_member(p) for s in pieces))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,8 @@ def _user_family(spec: dict) -> tuple[Stratification, list]:
             raise SchemaError(f"a table row outside the family's {space.value} space")
         if not samples:
             raise SchemaError(f"the table row of {key!r} has no samples to evaluate by")
+        if key in table:
+            raise SchemaError(f"the table lists {key!r} twice")
         table[key] = samples
     if not table:
         raise SchemaError("user-supplied families need a non-empty table")
@@ -242,8 +244,9 @@ def _bridge(bound, i, pairs, plan) -> tuple[dict, bool]:
 
 
 def _build_refute(entry: dict, plan: SamplePlan) -> list:
-    target, candidate = entry.get("target"), entry.get("candidate", "characteristic")
-    refute = _refuter(target, candidate, _count_field(entry, "n", _default_n(target)))
+    target = entry.get("target")
+    _int_field(entry, "n", 1)  # a given n is a JSON integer
+    candidate, refute = _refuter(target, {name: entry[name] for name in ("candidate", "n") if name in entry})
     key = f"refute:{target}:{candidate}" if target == "sorgenfrey-a" else f"refute:{target}"
     return [(key, lambda: _report(refute(plan.seed)))]
 
@@ -466,25 +469,36 @@ _REFUTERS = {
 }
 
 
-def _default_n(target) -> int:
-    return 50 if target == "niemytzki-strat" else 1
+#: the fields each refute target reads, with their defaults; a target given
+#: a field it does not read is a schema error
+_REFUTE_FIELDS = {
+    "sorgenfrey-a": {"candidate": "characteristic"},
+    "doublearrow-d": {},
+    "niemytzki-strat": {"n": 50},
+    "g-extend": {"n": 1},
+}
 
 
-def _refuter(target, candidate, n: int) -> Callable[[int], RefutationResult]:
-    """A valid target's refuter as a function of the plan seed."""
+def _refuter(target, given: dict) -> tuple[str | None, Callable[[int], RefutationResult]]:
+    """A valid target's candidate (None if it reads none) and its refuter as a
+    function of the plan seed, from the fields ``given``."""
     if target not in _REFUTERS:
         raise SchemaError(f"unknown refute target {target!r}")
-    if target == "sorgenfrey-a" and candidate not in _CANDIDATES:
+    if set(given) - set(_REFUTE_FIELDS[target]):
+        raise SchemaError(f"refute target {target!r} reads {sorted(_REFUTE_FIELDS[target])}, got {sorted(given)}")
+    fields = {**_REFUTE_FIELDS[target], **given}
+    candidate, n = fields.get("candidate"), fields.get("n")
+    if not (candidate is None or isinstance(candidate, str) and candidate in _CANDIDATES):
         raise SchemaError(f"unknown candidate {candidate!r}")
-    return lambda seed: _REFUTERS[target](candidate, seed, n)
+    if n is not None and n < 1:
+        raise SchemaError(f"'n' must be at least 1, got {n}")
+    return candidate, lambda seed: _REFUTERS[target](candidate, seed, n)
 
 
 def cmd_refute(args) -> int:
     plan_seed = args.seed if args.seed is not None else 0
-    n = args.n if args.n is not None else _default_n(args.target)
-    if n < 1:
-        raise SchemaError(f"--n must be at least 1, got {n}")
-    res = _refuter(args.target, args.candidate, n)(plan_seed)
+    given = {name: value for name, value in (("candidate", args.candidate), ("n", args.n)) if value is not None}
+    res = _refuter(args.target, given)[1](plan_seed)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
         _write(Path(args.out), doc)
@@ -674,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("refute", help="run one refuter")
     p_ref.add_argument("target", choices=list(_REFUTERS))
-    p_ref.add_argument("--candidate", default="characteristic", choices=sorted(_CANDIDATES))
-    p_ref.add_argument("--n", type=int, default=None, help="default 50 for niemytzki-strat, else 1")
+    p_ref.add_argument("--candidate", choices=sorted(_CANDIDATES), help="sorgenfrey-a only; default characteristic")
+    p_ref.add_argument("--n", type=int, help="niemytzki-strat (default 50) and g-extend (default 1) only")
     p_ref.add_argument("--seed", type=int, default=None)
     p_ref.add_argument("--expect", choices=_KINDS["refute"][1])
     p_ref.add_argument("--out", help="path for the witness bundle JSON")

@@ -22,8 +22,8 @@ values over base sets inscribed in V.  It has a closed form
 (docs/derivations.md, "Union suprema"): the larger of D(p) = min(dist(p, F), 1),
 where F is the complement of the union of V's open Euclidean discs, and the
 values at p of the largest tangent discs B*(a, rho_max(a)) inscribed at V's
-tangency points.  Unions with one component or pairwise separated ones keep
-the exact component maximum.
+tangency points.  A union of separated components takes the value of the
+one component holding the point.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .basesets import (
     TangentDisc,
     basic_member,
 )
-from .numerics import Scalar, as_float, is_zero, le, sqrt_scalar, sqrt_terms
+from .numerics import Scalar, is_zero, le, sqrt_scalar, sqrt_terms
 from .rosets import RegularOpenSet, _norm, basic_subset, member, tangent_radius
 from .spaces import (
     DoubleArrowPoint,
@@ -459,41 +459,33 @@ def _union_kernel(V: RegularOpenSet) -> Kernel:
     """f_V at (x, y): the supremum of the base-set values over base sets
     inscribed in V.
 
-    Exact (the component formula) when V has one component or its components
-    are pairwise separated.  Otherwise the closed form of docs/derivations.md,
-    "Union suprema", in binary64: the larger of D(p) = min(dist(p, F), 1), the
-    value of the largest interior disc centred at p, and the values at p of the
-    largest inscribed tangent discs B*(a, rho_max(a)) at V's tangency points a.
+    When V has one component or pairwise separated ones, the value of the
+    one component holding the point, 0 off V.  Otherwise the closed form of
+    docs/derivations.md, "Union suprema", in binary64: the larger of D(p) =
+    min(dist(p, F), 1), the value of the largest interior disc centred at p,
+    and the values at p of the largest inscribed tangent discs
+    B*(a, rho_max(a)) at V's tangency points a.
     """
-    if len(V.components) == 1 or pairwise_separated(V):
-        parts = [(_disc_kernel(c, None), _zero(c.r)) for c in V.components]
+    if len(V.components) == 1:
+        (c,) = V.components
+        return _disc_kernel(c, _zero(c.r))
+    if pairwise_separated(V):
+        kernels = [_disc_kernel(c, None) for c in V.components]
 
-        def component_max(x: Scalar, y: Scalar) -> Scalar:
-            # max(values, key=as_float) with off-component values 0, the first
-            # of equal maxima kept; 0 in the point's mode when it lies outside V
-            best, best_float, inside = None, 0.0, False
-            for f, zero in parts:
+        def component_value(x: Scalar, y: Scalar) -> Scalar:
+            for f in kernels:
                 value = f(x, y)
-                if value is None:
-                    value, value_float = zero, 0.0
-                else:
-                    inside, value_float = True, as_float(value)
-                if best is None or value_float > best_float:
-                    best, best_float = value, value_float
-            return best if inside else _zero(x)
+                if value is not None:
+                    return value
+            return _zero(x)
 
         def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
-            forms = [f.lattice(xs, ys, xterms, yterms) for f, _ in parts]
+            # a run of component k lies in no other component
+            forms = [f.lattice(xs, ys, xterms, yterms) for f in kernels]
+            return lambda k, j, lo, hi: forms[k](0, j, lo, hi)
 
-            def values(k: int, j: int, lo: int, hi: int) -> list:
-                # the run lies in component k alone, the others are 0 on it:
-                # the maximum is the component's value unless that is not positive
-                return [v if as_float(v) > 0 else _zero(v) for v in forms[k](0, j, lo, hi)]
-
-            return values
-
-        component_max.lattice = lattice
-        return component_max
+        component_value.lattice = lattice
+        return component_value
     component_d2 = [c.terms_at for c in V.components]
     tangents = [_disc_kernel(t, _zero(t.r)) for t in V.inscribed_tangent_discs]
 
@@ -560,11 +552,7 @@ class Stratification:
 
 
 def _bind_niemytzki(U: RegularOpenSet) -> FamilyMember:
-    """The kappa value: the base-set formula on one component, else the
-    union supremum."""
-    if len(U.components) == 1:
-        c = U.components[0]
-        return _niemytzki_member(_disc_kernel(c, _zero(c.r)))
+    """The kappa value: the union supremum, a base-set formula on one component."""
     return _niemytzki_member(_union_kernel(U))
 
 

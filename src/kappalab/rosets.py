@@ -41,7 +41,6 @@ from .basesets import (
     InteriorDisc,
     OpenInterval,
     TangentDisc,
-    basic_closure_member,
     basic_member,
 )
 from .numerics import Scalar, as_scalar, eq, is_zero, le, lt, sq
@@ -160,13 +159,6 @@ def member(s: RegularOpenSet, p: Point) -> bool:
     if s.space is not p.space:
         raise SpaceMismatchError(f"set in {s.space}, point in {p.space}")
     return any(basic_member(c, p) for c in s.components)
-
-
-def closure_member(s: RegularOpenSet, p: Point) -> bool:
-    """Membership in the closure: closures of finite unions are unions of closures."""
-    if s.space is not p.space:
-        raise SpaceMismatchError(f"set in {s.space}, point in {p.space}")
-    return any(basic_closure_member(c, p) for c in s.components)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from kappalab import (
     validate_regular_open,
 )
 from kappalab.approximations import Approximation, TangentLens
-from kappalab.families import FAMILIES, niemytzki_basic_f
-from kappalab.sampling import rand_dyadic, sample_point_near_set, sample_set
+from kappalab.families import CLOSED_FORM, FAMILIES, niemytzki_basic_f
+from kappalab.sampling import rand_dyadic, sample_niemytzki_set_separated, sample_point_near_set, sample_set
 
 
 def test_contains_binds_once_per_run_of_one_set():
@@ -124,6 +124,33 @@ def test_double_arrow_superlevel_drops_short_components():
     assert realized.member(DoubleArrowPoint(F(0), 0))
     assert not realized.member(DoubleArrowPoint(F(1, 16), 0))
     assert realized.member(DoubleArrowPoint(F(3, 4), 0))
+
+
+@pytest.mark.parametrize("label", CLOSED_FORM)
+def test_realized_superlevel_of_a_separated_union_is_the_union_of_its_components(label):
+    # f_U on a component reads that component alone, so {f_U > q} and its
+    # closure are the unions of the components' own
+    S = FAMILIES[label]()
+    A = stratification_to_approximation(S, QGrid(10))
+    rng = random.Random(31)
+    for _ in range(30):
+        if S.space is Space.NIEMYTZKI:
+            U = sample_niemytzki_set_separated(rng)
+        else:
+            U = sample_set(S.space, rng)
+        q = rand_dyadic(rng, F(1, 64), F(63, 64))
+        realized = realize_sublevel(label, U, q)
+        parts = [realize_sublevel(label, validate_regular_open(U.space, [c]), q) for c in U.components]
+        for _ in range(10):
+            p = sample_point_near_set(U, rng)
+            assert realized.member(p) == any(part.member(p) for part in parts) == A.contains(U, q, p), (U, q, p)
+            assert realized.closure_member(p) == any(part.closure_member(p) for part in parts), (U, q, p)
+
+
+def test_realized_superlevel_of_an_overlapping_union_is_not_closed_form():
+    U = validate_regular_open(Space.NIEMYTZKI, [InteriorDisc(F(0), F(2), F(1)), InteriorDisc(F(1, 2), F(2), F(1))])
+    assert not U.separated
+    assert realize_sublevel("niemytzki_kappa", U, F(1, 4)) is None
 
 
 def test_prop3_reconstruction_sup_semantics():

@@ -42,6 +42,17 @@ def test_the_program_runs_without_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_the_layer_tracer_installs_on_a_fresh_import():
+    # perfbench/trace_layers.py wraps kappalab's functions by name: renaming or
+    # deleting one of them fails here, and not only in the traced benchmark run
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(kappalab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, str(root / "perfbench"),
+                                                                     os.environ.get("PYTHONPATH")])))
+    code = "import kappalab.cli, trace_layers; trace_layers.install(trace_layers.Tracer())"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_shipped_corpus_is_present():
     names = shipped_scenarios()
     assert "niemytzki_kappa_full.json" in names
@@ -613,6 +624,19 @@ def _da_chain(**flags):
         # the checks sample and decide on exact chains only
         {"name": "x", "checks": [_binary64_chain({"kind": "tangent_disc", "a": 0.5, "r": _BINARY64_R})]},
         {"name": "x", "checks": [_binary64_chain({"kind": "interior_disc", "cx": 0.5, "cy": 2.0, "r": _BINARY64_R})]},
+        # a refute field the target does not read
+        {"name": "x", "checks": [{"check": "refute", "target": "g-extend", "candidate": "bogus"}]},
+        {"name": "x", "checks": [{"check": "refute", "target": "niemytzki-strat", "candidate": "characteristic"}]},
+        {"name": "x", "checks": [{"check": "refute", "target": "doublearrow-d", "n": 7}]},
+        {"name": "x", "checks": [{"check": "refute", "target": "sorgenfrey-a", "n": 1}]},
+        {"name": "x", "checks": [{"check": "refute", "target": "sorgenfrey-a", "candidate": ["right_gap"]}]},
+        # one set in two rows, written two ways: the verdict would hang on row order
+        {"name": "x", "checks": [_user_table([
+            {"set": {"kind": "half_open", "a": "0", "b": "1"}, "samples": [
+                {"point": {"space": "sorgenfrey", "x": "1/2"}, "value": "1/2"}]},
+            {"set": {"space": "sorgenfrey", "components": [{"kind": "half_open", "a": "0", "b": "1"}]}, "samples": [
+                {"point": {"space": "sorgenfrey", "x": "1/2"}, "value": "0"}]},
+        ], space="sorgenfrey")]},
     ],
     ids=[
         "plan_not_object",
@@ -674,6 +698,12 @@ def _da_chain(**flags):
         "g_family_sampled_chain_after_a_check",
         "chain_binary64_tangent_disc",
         "chain_binary64_interior_disc",
+        "refute_candidate_on_g_extend",
+        "refute_candidate_on_niemytzki_strat",
+        "refute_n_on_doublearrow_d",
+        "refute_n_on_sorgenfrey_a",
+        "refute_candidate_not_a_string",
+        "table_lists_a_set_twice",
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, capsys, monkeypatch, scenario):
@@ -800,6 +830,10 @@ def test_counts_below_1_exit_2(capsys, argv):
         ["refute", "g-extend", "--out", "{tmp}/no/such/dir/x.json"],
         ["check", "--scenario", "{tmp}/s.json", "--out", "{tmp}/s.json"],
         ["check", "--corpus", "--scenario", "{tmp}/s.json"],
+        ["refute", "doublearrow-d", "--n", "7"],
+        ["refute", "sorgenfrey-a", "--n", "2"],
+        ["refute", "g-extend", "--candidate", "right_gap"],
+        ["refute", "niemytzki-strat", "--candidate", "characteristic"],
     ],
     ids=[
         "refute_doublearrow_d_depth",
@@ -812,6 +846,10 @@ def test_counts_below_1_exit_2(capsys, argv):
         "refute_out_in_a_missing_directory",
         "check_out_is_a_file",
         "check_corpus_and_scenario",
+        "refute_doublearrow_d_n",
+        "refute_sorgenfrey_a_n",
+        "refute_g_extend_candidate",
+        "refute_niemytzki_strat_candidate",
     ],
 )
 def test_malformed_command_line_exits_2(tmp_path, capsys, argv):

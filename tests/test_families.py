@@ -19,6 +19,7 @@ from kappalab import (
     Space,
     SpaceMismatchError,
     TangentDisc,
+    basic_member,
     disc_in_union,
     doublearrow_f,
     g_family,
@@ -40,7 +41,7 @@ from kappalab.families import (
     tabulated_evaluator,
     user_supplied,
 )
-from kappalab.numerics import EPS, le
+from kappalab.numerics import EPS, le, lt
 from kappalab.sampling import (
     rand_dyadic,
     sample_double_arrow_set,
@@ -339,6 +340,64 @@ def test_union_f_separated_is_component_max():
     assert pairwise_separated(V)
     p = NiemytzkiPoint(F(8), F(0))
     assert niemytzki_union_f(V, p) == F(1, 2)
+
+
+@st.composite
+def _separated_union_and_points(draw):
+    """A union of two or three discs, component i in the x-band around 8i, so
+    their closed hulls are disjoint; exact, or binary64 with binary64 points.
+    The points lie at the tangency points, on the vertical axes and near the
+    discs, inside V or not."""
+    discs = [_shifted(draw(_disc()), 8 * i) for i in range(draw(st.integers(2, 3)))]
+    binary64 = draw(st.booleans())
+    if binary64:
+        discs = [_binary64_disc(s) for s in discs]
+    V = _ro(Space.NIEMYTZKI, discs)
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        c = draw(st.sampled_from(V.components)).center
+        cx, cy = F(c.x), F(c.y)
+        kind = draw(st.sampled_from(["tangency", "vertical", "near"]))
+        if kind == "tangency":
+            x, y = cx, F(0)
+        elif kind == "vertical":
+            x, y = cx, cy * draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
+        else:
+            x, y = cx + draw(_offset), abs(cy + draw(_offset))
+        points.append(NiemytzkiPoint(float(x), float(y)) if binary64 else NiemytzkiPoint(x, y))
+    return V, points
+
+
+def _shifted(s, dx):
+    if isinstance(s, TangentDisc):
+        return TangentDisc(s.a + dx, s.r)
+    return InteriorDisc(s.cx + dx, s.cy, s.r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separated_union_and_points())
+def test_separated_union_value_is_its_holding_component_value(case):
+    # a base set is connected, so a base set inscribed in V lies in one component
+    V, points = case
+    assert pairwise_separated(V)
+    f_V = niemytzki_kappa().at(V)
+    for p in points:
+        holding = [c for c in V.components if basic_member(c, p)]
+        assert len(holding) <= 1
+        if holding:
+            assert _same_bits(f_V(p), niemytzki_basic_f(holding[0], p))
+        else:
+            assert _same_bits(f_V(p), 0.0 if type(p.x) is float else F(0))
+
+
+def test_separated_union_value_underflowing_binary64_stays_exact():
+    # p lies in the second component at the exact depth 2^-1100 below its
+    # boundary, a positive value whose binary64 view is 0
+    V = _ro(Space.NIEMYTZKI, [InteriorDisc(F(-10), F(2), F(1)), InteriorDisc(F(0), F(2), F(1))])
+    p = NiemytzkiPoint(F(0), 1 + F(1, 2**1100))
+    assert float(F(1, 2**1100)) == 0.0
+    assert lt(0, niemytzki_kappa().value(V, p))
+    assert niemytzki_union_f(V, p) == F(1, 2**1100)
 
 
 def test_union_f_beats_components_on_overlap():

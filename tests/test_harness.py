@@ -367,6 +367,22 @@ def test_conditions_abc_niemytzki_base_sets():
     assert rep.passed, rep.witnesses
 
 
+def test_condition_c_on_a_separated_union_is_decided_in_closed_form(monkeypatch):
+    # {f_V > q} of a separated union is the union of its components' superlevel
+    # sets, so no closure is sampled; the counts and the verdict do not move
+    import kappalab.harness
+    from kappalab.basesets import InteriorDisc
+
+    sampled, sample = [], kappalab.harness.sampled_closure_member
+    monkeypatch.setattr(kappalab.harness, "sampled_closure_member", lambda *a: sampled.append(a) or sample(*a))
+    V = validate_regular_open(Space.NIEMYTZKI, [InteriorDisc(F(-10), F(2), F(1)), TangentDisc(F(0), F(1, 2))])
+    A = stratification_to_approximation(niemytzki_kappa(), QGrid(10))
+    rep = check_conditions_abc(A, [V], SamplePlan(seed=1, n_points=40))
+    assert sampled == []
+    assert rep.passed
+    assert rep.counts == {"a_samples": 40, "b_samples": 0, "c_samples": 18, "violations": 0}
+
+
 def test_condition_d_fails_on_pinch_chain():
     chain = double_arrow_pinch_chain()
     x = DoubleArrowPoint(F(1, 10), 0)

@@ -22,9 +22,9 @@ from kappalab import (
     SorgenfreyPoint,
     Space,
     TangentDisc,
+    basic_closure_member,
     basic_member,
     basic_subset,
-    closure_member,
     decreasing_chain_interior,
     member,
     validate_regular_open,
@@ -115,7 +115,7 @@ def _int_cl_member(s, p, depth=14):
 
     for hood in (basic_neighborhood(p, k) for k in range(1, depth + 1)):
         probes = list(_points_inside(hood, 16))
-        if all(closure_member(s, q) for q in probes):
+        if all(any(basic_closure_member(c, q) for c in s.components) for q in probes):
             return True
     return False
 
