@@ -2,8 +2,8 @@
 
 Exit codes: 0 all expected verdicts matched; 2 malformed scenario/schema;
 3 a check produced an unexpected verdict; 4 internal failure (a tolerance or
-consistency assertion broke inside the machinery, or a process running checks
-ended without sending their outcomes).
+consistency assertion broke inside the machinery, or a forked process ended
+without sending its outcomes).
 
 KAPPALAB_MODE=exact|float selects the numeric mode where a choice is legal:
 grid sampling and the stratifiability refuter accept binary64 inputs; the
@@ -402,7 +402,7 @@ def _run_cases(runs: list) -> list:
             pipe.close()
             del children[pid]
             if code != 0:
-                raise ChildProcessError(f"check process {k} of {n} ended with code {code} before sending its outcomes")
+                raise ChildProcessError(f"forked process {k} of {n} ended with code {code} before sending its outcomes")
             outcomes.update(pickle.loads(data))
     finally:
         for pid, (k, pipe) in children.items():
@@ -527,11 +527,12 @@ def _parse_res(text: str, count: int) -> list[int]:
     return sizes
 
 
-def _axis(lo: Fraction, hi: Fraction, n: int, exact: bool) -> tuple[tuple[Sequence[int], int], list, list[str]]:
+def _axis(lo: Fraction, hi: Fraction, n: int, exact: bool) -> tuple[tuple[Sequence[int], int], list, list[float]]:
     """The lattice coordinates lo + (hi - lo) i/n, i < n, three ways: as
     integer terms (nums, den), nums[i] = base + step i and den > 0 over the
     integer terms of lo and hi; as Fractions with ``exact``, else binary64;
-    and as CSV text, written from the exact coordinate in either mode."""
+    and in binary64, the float of the exact coordinate in either mode, which
+    the CSV writes."""
     den = lo.denominator * hi.denominator * n
     base = lo.numerator * hi.denominator * n
     step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
@@ -541,7 +542,7 @@ def _axis(lo: Fraction, hi: Fraction, n: int, exact: bool) -> tuple[tuple[Sequen
     except OverflowError:
         raise SchemaError("a lattice coordinate is too large for binary64") from None
     coords = [Fraction(num, den) for num in nums] if exact else floats
-    return (nums, den), coords, [_csv_num(f) for f in floats]
+    return (nums, den), coords, floats
 
 
 def _first_reaching(nums: Sequence[int], den: int, c) -> int:
@@ -590,6 +591,11 @@ def _segments(n: int, runs: list[tuple[int, int, int]]):
     yield start, n, None
 
 
+#: the chunks of a sample-grid lattice per usable core: chunk i runs in
+#: process i mod n, so each process holds rows from every part of the lattice
+_CHUNKS_PER_CORE = 8
+
+
 def cmd_sample_grid(args) -> int:
     use_float = _mode() == "float"
     try:
@@ -617,9 +623,9 @@ def cmd_sample_grid(args) -> int:
             raise SchemaError(f"the lattice of --bbox {args.bbox} has rows below the axis y = 0")
         header = "x,y,value"
         # every coordinate in the one mode, each built once per axis value
-        xterms, xs, xtexts = _axis(x0, x1, nx, not use_float)
-        yterms, ys, ytexts = _axis(y0, y1, ny, not use_float)
-        ytexts = ["," + yt for yt in ytexts]  # the y column, after x
+        xterms, xs, xfloats = _axis(x0, x1, nx, not use_float)
+        yterms, ys, yfloats = _axis(y0, y1, ny, not use_float)
+        ytexts = ["," + _csv_num(y) for y in yfloats]  # the y column, after x
         # a disc's run on a row is where |x - cx| is small enough: it holds at
         # the column reaching cx, or at the one before, when it is not empty
         seeds = [(c.terms_at, _first_reaching(*xterms, c.center.x)) for c in target.components]
@@ -634,7 +640,7 @@ def cmd_sample_grid(args) -> int:
         header = "x,value"
         # exact by construction: the gap and [a, b)'s test read the terms, so
         # the coordinates are binary64, with no Fraction per column
-        xterms, xs, xtexts = _axis(*bbox, nx, False)
+        xterms, xs, xfloats = _axis(*bbox, nx, False)
         yterms, ys, ytexts = None, [None], [""]  # one row, with no y column
         nums, den = xterms
 
@@ -652,16 +658,38 @@ def cmd_sample_grid(args) -> int:
     # a run is evaluated by the kernel's staged form (docs/derivations.md,
     # "Separable terms")
     values = f_U.kernel.lattice(xs, ys, xterms, yterms)
-    rows = []
-    for j, (y, yt) in enumerate(zip(ys, ytexts)):
-        for lo, hi, k in _segments(nx, _runs(nx, members(y))):
-            if k is None:
-                rows += [f"{xt}{yt},0" for xt in xtexts[lo:hi]]
-            else:
-                rows += [f"{xt}{yt},{_csv_num(v)}" for xt, v in zip(xtexts[lo:hi], values(k, j, lo, hi))]
-    text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
-    _write(Path(args.out), text)
-    sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
+    segments = [list(_segments(nx, _runs(nx, members(y)))) for y in ys]  # once per row
+    # every row reads each x text: formatted once, here, for a lattice of
+    # many rows; a one-row lattice's chunks format the x texts they write
+    xtexts = [_csv_num(x) for x in xfloats] if len(ys) > 1 else None
+
+    def chunk(start: int, stop: int) -> str:
+        """The CSV lines of the lattice points start..stop-1, in row-major
+        order: the columns [first, last) of each row j they meet."""
+        lines = []
+        for j in range(start // nx, (stop - 1) // nx + 1):
+            first, last, yt = max(start - j * nx, 0), min(stop - j * nx, nx), ytexts[j]
+            for lo, hi, k in segments[j]:
+                lo, hi = max(lo, first), min(hi, last)
+                if lo >= hi:
+                    continue
+                texts = xtexts[lo:hi] if xtexts is not None else [_csv_num(x) for x in xfloats[lo:hi]]
+                if k is None:
+                    lines += [f"{xt}{yt},0" for xt in texts]
+                else:
+                    lines += [f"{xt}{yt},{_csv_num(v)}" for xt, v in zip(texts, values(k, j, lo, hi))]
+        return "\n".join(lines) + "\n"
+
+    # the points in equal chunks, several per core, run by ``_run_cases``
+    # and joined in chunk order: the bytes of a run in one process
+    points = nx * len(ys)
+    count = min(points, _CHUNKS_PER_CORE * _usable_cores())
+    chunks = _run_cases([partial(chunk, points * i // count, points * (i + 1) // count) for i in range(count)])
+    for outcome in chunks:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    _write(Path(args.out), header + "\n" + "".join(chunks))
+    sys.stdout.write(f"wrote {points} rows to {args.out}\n")
     return 0
 
 

@@ -216,9 +216,10 @@ def test_axis_coordinates_are_the_lattice_formula(lo, hi, n, use_float):
 
     hi = lo if hi is None else hi  # a zero span
     expected = [lo + (hi - lo) * F(i, n) for i in range(n)]
-    (nums, den), coords, texts = _axis(lo, hi, n, not use_float)
+    (nums, den), coords, floats = _axis(lo, hi, n, not use_float)
     assert [F(num, den) for num in nums] == expected
-    assert texts == [_csv_num(c) for c in expected]
+    assert [f.hex() for f in floats] == [float(c).hex() for c in expected]
+    assert [_csv_num(f) for f in floats] == [_csv_num(c) for c in expected]
     if use_float:
         assert [c.hex() for c in coords] == [float(c).hex() for c in expected]
     else:
@@ -1097,93 +1098,99 @@ _BINARY64_TANGENT = '{"kind": "tangent_disc", "a": 0.1, "r": 0.7}'
 _PYTHAGOREAN_TANGENT = '{"kind": "tangent_disc", "a": "1/3", "r": "5/12"}'
 
 
-@pytest.mark.parametrize(
-    "mode, family, target, bbox, res, sha256",
-    [
-        ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "30x22",
-         "6cfda6ed1ce50bb77c9c40c404733814853409ad23b99107335b715a1c402084"),
-        ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "30x22",
-         "16adb8ff5ddbe947982733d01002c7b973634a13eb98a0d73130ffa21dfb3b35"),
-        ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "15x11",
-         "adff98c60c8b11278adefa3886e60ea67632aed4389090b98b868f878a5a1e1e"),
-        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "660",
-         "26a8c98357d09d86ca427a859d546b10edf274ecf8af506b3e4453552093ba31"),
-        # bbox ends with denominators 3 and 4: unreduced lattice terms over 12 * 91
-        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-7/3,11/4", "91",
-         "83ca63020baad73ea1ce55b2c7263080c42aa0f506fd5c7d3b2bac117fa5329c"),
-        ("exact", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
-         "70d357ff975b26d00d373e7e8551f30c18a5b776c4195ea2b597a336a8fb34e8"),
-        ("float", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
-         "d376555416ff69d10deda6bdaa26160c8c8056d6d36fe534bdace65291161238"),
-        # the lattice meets the tangency point (1/3, 0), the vertical axis
-        # x = 1/3 and the diameter y = 3/4, where the g scale is 1
-        ("exact", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
-         "4d7410d68405a787531f3a9b0bd741f6714b9902329bb6e1dde40c68f6e17bb2"),
-        ("float", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
-         "176bf202017995458ebf8710253385ad064bd58ab2b3e2d91a2806f0b035c903"),
-        # the four lattices of the benchmark's grid workload at full size
-        ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
-         "04d7e334b8e080215aa756ce41be4209563ff6e17d7e9d0ed5b04d34aedc4031"),
-        ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
-         "6fa33aa1737cd44286bd1cd70eafac551d1677973799fb3275306c8744cec2b7"),
-        ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
-         "9f994510ac8fc9e1dedd05fb245d4e66e57db5d163a8ad971d715bc90588b425"),
-        ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "66000",
-         "4f4c914220f2ed2df141f40f19027995605f41ced9e5571195acd084342fc790"),
-        # the full-size README lattice drawn from its other corner: both axes descending
-        ("exact", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
-         "d3e8e86d76e7f4eb3d17f238c8dac730df8e5e578a4aa0f4e6db72d65d1f4489"),
-        ("float", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
-         "5f587487ae017f6cb22977bdf371b283b1789d9459ddadc31b0b68215ad7b424"),
-        ("exact", "niemytzki_kappa", _INTERIOR, "-1/2,7/6,1/2,2", "40x30",
-         "d302e7eac73610fbea2e0fb18f0b0d3b148b127994772e46e9f4d71b1e8ed683"),
-        ("float", "niemytzki_kappa", _INTERIOR, "-1/2,7/6,1/2,2", "40x30",
-         "943394c882b1195e1c09d5342e5122bff83cffe5c05bf8b38c0dfd38fa080dd2"),
-        ("float", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
-         "cf21cd2ffff86e45e49591536f672fc0cce407b0220975eccaf81706deaa020f"),
-        # a binary64 set: exact coordinates meet its binary64 view, whose
-        # chord radicand converts y^2 once instead of squaring float(y)
-        ("exact", "niemytzki_kappa", _BINARY64_TANGENT, "-1,6/5,0,3/2", "40x30",
-         "68d429c1bad5b00d850354eeca62298d361d4bd5a4e158286976902f21bb6054"),
-        ("float", "niemytzki_kappa", _BINARY64_TANGENT, "-1,6/5,0,3/2", "40x30",
-         "eef443dd0243b13ffc268a51762f995a93fd4239dbc14140af30c39d50476c29"),
-        ("exact", "niemytzki_kappa", _PYTHAGOREAN_TANGENT, "-19/18,41/18,0,5/4", "120x15",
-         "e420c82e3464af2284200eb5867dc7057dbeb8010440f38267501469f58e1b35"),
-        ("float", "niemytzki_kappa", _PYTHAGOREAN_TANGENT, "-19/18,41/18,0,5/4", "120x15",
-         "2b4ba1abfbf51995f367254b3230853309f73c1e5d10749ec12d4fae189d0ed4"),
-    ],
-    ids=[
-        "readme_exact",
-        "readme_float",
-        "union_separated",
-        "sorgenfrey",
-        "sorgenfrey_thirds_quarters",
-        "union_overlapping_exact",
-        "union_overlapping_float",
-        "g_exact",
-        "g_float",
-        "full_size_readme_exact",
-        "full_size_readme_float",
-        "full_size_union_separated",
-        "full_size_sorgenfrey",
-        "full_size_readme_descending_exact",
-        "full_size_readme_descending_float",
-        "interior_exact",
-        "interior_float",
-        "full_size_union_separated_float",
-        "binary64_tangent_exact",
-        "binary64_tangent_float",
-        "pythagorean_tangent_exact",
-        "pythagorean_tangent_float",
-    ],
-)
-def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
-    # any change to a value, a coordinate or the number format changes the hash
+#: (mode, family, target, bbox, res, sha256) of each pinned sample-grid lattice
+_GRID_PINS = [
+    ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "30x22",
+     "6cfda6ed1ce50bb77c9c40c404733814853409ad23b99107335b715a1c402084"),
+    ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "30x22",
+     "16adb8ff5ddbe947982733d01002c7b973634a13eb98a0d73130ffa21dfb3b35"),
+    ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "15x11",
+     "adff98c60c8b11278adefa3886e60ea67632aed4389090b98b868f878a5a1e1e"),
+    ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "660",
+     "26a8c98357d09d86ca427a859d546b10edf274ecf8af506b3e4453552093ba31"),
+    # bbox ends with denominators 3 and 4: unreduced lattice terms over 12 * 91
+    ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-7/3,11/4", "91",
+     "83ca63020baad73ea1ce55b2c7263080c42aa0f506fd5c7d3b2bac117fa5329c"),
+    ("exact", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
+     "70d357ff975b26d00d373e7e8551f30c18a5b776c4195ea2b597a336a8fb34e8"),
+    ("float", "niemytzki_kappa", _OVERLAPPING_UNION, "-1,3/2,0,2", "40x30",
+     "d376555416ff69d10deda6bdaa26160c8c8056d6d36fe534bdace65291161238"),
+    # the lattice meets the tangency point (1/3, 0), the vertical axis
+    # x = 1/3 and the diameter y = 3/4, where the g scale is 1
+    ("exact", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
+     "4d7410d68405a787531f3a9b0bd741f6714b9902329bb6e1dde40c68f6e17bb2"),
+    ("float", "g_family", _G_TANGENT, "-2/3,4/3,0,3/2", "30x22",
+     "176bf202017995458ebf8710253385ad064bd58ab2b3e2d91a2806f0b035c903"),
+    # the four lattices of the benchmark's grid workload at full size
+    ("exact", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
+     "04d7e334b8e080215aa756ce41be4209563ff6e17d7e9d0ed5b04d34aedc4031"),
+    ("float", "niemytzki_kappa", _TANGENT, "-3/2,3/2,0,11/5", "300x220",
+     "6fa33aa1737cd44286bd1cd70eafac551d1677973799fb3275306c8744cec2b7"),
+    ("exact", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
+     "9f994510ac8fc9e1dedd05fb245d4e66e57db5d163a8ad971d715bc90588b425"),
+    ("exact", "sorgenfrey_kappa", _SORGENFREY_UNION, "-2,3", "66000",
+     "4f4c914220f2ed2df141f40f19027995605f41ced9e5571195acd084342fc790"),
+    # the full-size README lattice drawn from its other corner: both axes descending
+    ("exact", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
+     "d3e8e86d76e7f4eb3d17f238c8dac730df8e5e578a4aa0f4e6db72d65d1f4489"),
+    ("float", "niemytzki_kappa", _TANGENT, "3/2,-3/2,11/5,0", "300x220",
+     "5f587487ae017f6cb22977bdf371b283b1789d9459ddadc31b0b68215ad7b424"),
+    ("exact", "niemytzki_kappa", _INTERIOR, "-1/2,7/6,1/2,2", "40x30",
+     "d302e7eac73610fbea2e0fb18f0b0d3b148b127994772e46e9f4d71b1e8ed683"),
+    ("float", "niemytzki_kappa", _INTERIOR, "-1/2,7/6,1/2,2", "40x30",
+     "943394c882b1195e1c09d5342e5122bff83cffe5c05bf8b38c0dfd38fa080dd2"),
+    ("float", "niemytzki_kappa", _SEPARATED_UNION, "-3/2,3/2,0,2", "150x110",
+     "cf21cd2ffff86e45e49591536f672fc0cce407b0220975eccaf81706deaa020f"),
+    # a binary64 set: exact coordinates meet its binary64 view, whose
+    # chord radicand converts y^2 once instead of squaring float(y)
+    ("exact", "niemytzki_kappa", _BINARY64_TANGENT, "-1,6/5,0,3/2", "40x30",
+     "68d429c1bad5b00d850354eeca62298d361d4bd5a4e158286976902f21bb6054"),
+    ("float", "niemytzki_kappa", _BINARY64_TANGENT, "-1,6/5,0,3/2", "40x30",
+     "eef443dd0243b13ffc268a51762f995a93fd4239dbc14140af30c39d50476c29"),
+    ("exact", "niemytzki_kappa", _PYTHAGOREAN_TANGENT, "-19/18,41/18,0,5/4", "120x15",
+     "e420c82e3464af2284200eb5867dc7057dbeb8010440f38267501469f58e1b35"),
+    ("float", "niemytzki_kappa", _PYTHAGOREAN_TANGENT, "-19/18,41/18,0,5/4", "120x15",
+     "2b4ba1abfbf51995f367254b3230853309f73c1e5d10749ec12d4fae189d0ed4"),
+]
+_GRID_PIN_IDS = [
+    "readme_exact",
+    "readme_float",
+    "union_separated",
+    "sorgenfrey",
+    "sorgenfrey_thirds_quarters",
+    "union_overlapping_exact",
+    "union_overlapping_float",
+    "g_exact",
+    "g_float",
+    "full_size_readme_exact",
+    "full_size_readme_float",
+    "full_size_union_separated",
+    "full_size_sorgenfrey",
+    "full_size_readme_descending_exact",
+    "full_size_readme_descending_float",
+    "interior_exact",
+    "interior_float",
+    "full_size_union_separated_float",
+    "binary64_tangent_exact",
+    "binary64_tangent_float",
+    "pythagorean_tangent_exact",
+    "pythagorean_tangent_float",
+]
+
+
+def _grid_digest(tmp_path, monkeypatch, mode, family, target, bbox, res) -> str:
+    """The sha256 of the CSV that sample-grid writes for a lattice of _GRID_PINS."""
     monkeypatch.setenv("KAPPALAB_MODE", mode)
     out = tmp_path / "g.csv"
     argv = ["sample-grid", "--family", family, "--set", target, f"--bbox={bbox}", "--res", res]
     assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mode, family, target, bbox, res, sha256", _GRID_PINS, ids=_GRID_PIN_IDS)
+def test_sample_grid_bytes_are_pinned(tmp_path, monkeypatch, mode, family, target, bbox, res, sha256):
+    # any change to a value, a coordinate or the number format changes the hash
+    assert _grid_digest(tmp_path, monkeypatch, mode, family, target, bbox, res) == sha256
 
 
 def test_sample_grid_does_column_and_row_work_once(tmp_path, monkeypatch):
@@ -1207,6 +1214,7 @@ def test_sample_grid_does_column_and_row_work_once(tmp_path, monkeypatch):
         counts["member"] += 1
         return member(disc, x, y)
 
+    _on_cores(monkeypatch, 1)  # the spies see every chunk
     for module in (kappalab.basesets, kappalab.families, kappalab.numerics, kappalab.rosets, kappalab.spaces):
         if hasattr(module, "is_zero"):
             monkeypatch.setattr(module, "is_zero", counted_is_zero)
@@ -1481,6 +1489,68 @@ def test_corpus_report_bytes_are_pinned_on_any_core_count(tmp_path, monkeypatch,
     assert len(forked) == cores - 1  # one round of cases for the whole corpus
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("mode, family, target, bbox, res, sha256", _GRID_PINS, ids=_GRID_PIN_IDS)
+def test_sample_grid_bytes_are_pinned_on_any_core_count(
+    tmp_path, monkeypatch, forked, mode, family, target, bbox, res, sha256, cores
+):
+    _on_cores(monkeypatch, cores)
+    assert _grid_digest(tmp_path, monkeypatch, mode, family, target, bbox, res) == sha256
+    assert len(forked) == cores - 1  # every pinned lattice has more points than chunks per core
+
+
+def _grid_in_chunks(tmp_path, monkeypatch, cores, csv_num) -> tuple[int, Path]:
+    """Run sample-grid on the small README lattice on ``cores`` cores, with
+    ``csv_num(v)`` in place of ``_csv_num``, which the chunks call on the
+    values they write."""
+    import kappalab.cli
+
+    _on_cores(monkeypatch, cores)
+    monkeypatch.setattr(kappalab.cli, "_csv_num", csv_num)
+    out = tmp_path / "g.csv"
+    argv = ["sample-grid", "--family", "niemytzki_kappa", "--set", _TANGENT, "--bbox=-3/2,3/2,0,11/5"]
+    return main(argv + ["--res", "30x22", "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("where", ["child", "every"])
+def test_a_raising_chunk_exits_4_in_chunk_order(tmp_path, capsys, monkeypatch, forked, where, cores):
+    # chunk 0 runs in this process, and writes the value at the tangency
+    # point: its exception comes first in chunk order
+    from kappalab.cli import _csv_num
+
+    parent = os.getpid()
+
+    def csv_num(v):
+        if os.getpid() != parent:
+            raise AssertionError("a broken value in a forked process")
+        if where == "every" and len(forked) == cores - 1:  # this process's chunks have begun
+            raise AssertionError("a broken value in the command's process")
+        return _csv_num(v)
+
+    code, out = _grid_in_chunks(tmp_path, monkeypatch, cores, csv_num)
+    where_text = "a forked process" if where == "child" else "the command's process"
+    assert code == 4
+    assert capsys.readouterr() == ("", f"internal tolerance/consistency failure: a broken value in {where_text}\n")
+    assert not out.exists() and len(forked) == cores - 1
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_a_chunk_that_dies_fails_sample_grid_without_a_csv(tmp_path, capsys, monkeypatch, forked, death, cores):
+    # every forked process dies at the first value it writes; process 1 is reaped first
+    from kappalab.cli import _csv_num
+
+    parent, die = os.getpid(), _dying(death)
+    code, out = _grid_in_chunks(tmp_path, monkeypatch, cores, lambda v: _csv_num(v) if os.getpid() == parent else die())
+    code_text = "1" if death == "exit" else f"-{int(signal.SIGKILL)}"
+    assert code == 4
+    assert capsys.readouterr() == (
+        "", f"internal failure: forked process 1 of {cores} ended with code {code_text} before sending its outcomes\n"
+    )
+    assert not out.exists() and len(forked) == cores - 1
+
+
 #: three cases: case i is the refuter of _TARGETS[i]
 _TARGETS = ("g-extend", "doublearrow-d", "sorgenfrey-a")
 _THREE_CASES = {"name": "three", "checks": [{"check": "refute", "target": t} for t in _TARGETS]}
@@ -1561,7 +1631,7 @@ def test_a_child_that_dies_fails_the_command_without_a_report(tmp_path, capsys, 
     code_text = "1" if death == "exit" else f"-{int(signal.SIGKILL)}"
     assert code == 4
     assert capsys.readouterr() == (
-        "", f"internal failure: check process 1 of {cores} ended with code {code_text} before sending its outcomes\n"
+        "", f"internal failure: forked process 1 of {cores} ended with code {code_text} before sending its outcomes\n"
     )
     assert list(out.iterdir()) == []
 
