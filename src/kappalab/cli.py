@@ -60,6 +60,8 @@ from .refuters import (
     right_gap_candidate,
 )
 from .sampling import (
+    SEQUENCE_LENGTH,
+    TAIL_START,
     double_arrow_pinch_chain,
     sample_chain,
     sample_condition3_pairs,
@@ -190,14 +192,32 @@ def _report(rep: CheckReport | RefutationResult) -> tuple[dict, bool]:
     return rep.payload(), rep.refuted if isinstance(rep, RefutationResult) else rep.passed
 
 
-def _on_family(check, tables=False):
+#: the family evaluations of one condition (3) certificate: its tail points
+#: n = TAIL_START..SEQUENCE_LENGTH and its limit
+_CERTIFICATE_COST = SEQUENCE_LENGTH - TAIL_START + 2
+
+#: the cost of a chain case or a refute case, whatever its family: its
+#: budget counts no evaluations, and it takes about as long as this many
+#: condition (1) evaluations on the order spaces
+_FLAT_COST = 60
+
+
+def _cost(S: Stratification, evaluations: int) -> int:
+    """A case's cost for ``_run_cases``: the family evaluations its budget
+    calls for, doubled on the Niemytzki plane, where an evaluation takes about
+    twice as long as one on the order spaces."""
+    return evaluations * 2 if S.space is Space.NIEMYTZKI else evaluations
+
+
+def _on_family(check, evaluations, tables=False):
     """The build of a kind that runs ``check(S, sets, plan)`` once on its
-    family: a named one or, with ``tables``, a user table with the sets ``sets``."""
+    family, a named one or, with ``tables``, a user table with the sets
+    ``sets``, at the cost of ``evaluations(plan)`` evaluations."""
 
     def build(entry: dict, plan: SamplePlan) -> list:
         family = entry.get("family")
         S, sets = _user_family(family) if tables and isinstance(family, dict) else (decode_family(family), None)
-        return [(f"{entry['check']}:{S.label}", lambda: _report(check(S, sets, plan)))]
+        return [(f"{entry['check']}:{S.label}", _cost(S, evaluations(plan)), lambda: _report(check(S, sets, plan)))]
 
     return build
 
@@ -211,7 +231,7 @@ def _build_condition_3(entry: dict, plan: SamplePlan) -> list:
         pairs = sample_condition3_pairs_g(rng, n) if S.label == LABEL_G else sample_condition3_pairs(S.space, rng, n)
         return _report(check_condition_3(S, pairs))
 
-    return [(f"condition_3:{S.label}", run)]
+    return [(f"condition_3:{S.label}", _cost(S, n * _CERTIFICATE_COST), run)]
 
 
 def _on_chains(prefix: str, divisors, check):
@@ -223,7 +243,7 @@ def _on_chains(prefix: str, divisors, check):
         with _invalid("plan"):
             pairs = divisors and grid_pairs(plan.grid_m, divisors)
         chains = enumerate(_chain_from(entry, plan, S))
-        return [(f"{prefix}:{S.label}:{i}", partial(check, bound, i, pairs, plan)) for i, bound in chains]
+        return [(f"{prefix}:{S.label}:{i}", _FLAT_COST, partial(check, bound, i, pairs, plan)) for i, bound in chains]
 
     return build
 
@@ -248,7 +268,7 @@ def _build_refute(entry: dict, plan: SamplePlan) -> list:
     _int_field(entry, "n", 1)  # a given n is a JSON integer
     candidate, refute = _refuter(target, {name: entry[name] for name in ("candidate", "n") if name in entry})
     key = f"refute:{target}:{candidate}" if target == "sorgenfrey-a" else f"refute:{target}"
-    return [(key, lambda: _report(refute(plan.seed)))]
+    return [(key, _FLAT_COST, lambda: _report(refute(plan.seed)))]
 
 
 #: a check's verdicts: the first when it holds, and the default expectation
@@ -256,27 +276,37 @@ _PASS_FAIL = ("pass", "fail")
 
 #: each check kind: (the fields it reads besides "check" and "expect", its
 #: verdicts, build).  build(entry, plan) decodes the entry and returns its
-#: cases as (key, run) pairs, where run() runs one check and returns
-#: ``_report``'s pair.  A run calls the check functions by their module-level
+#: cases as (key, cost, run), where run() runs one check and returns
+#: ``_report``'s pair, and cost, an integer of at least 1, estimates its time
+#: for ``_run_cases``.  A run calls the check functions by their module-level
 #: names, so that a tracer which rebinds those names sees every call.
 _KINDS = {
-    "condition_1": (
-        {"family"}, _PASS_FAIL, _on_family(lambda S, sets, plan: check_condition_1(S, plan, sets=sets), tables=True)
-    ),
-    "condition_2": ({"family"}, _PASS_FAIL, _on_family(lambda S, sets, plan: check_condition_2(S, plan))),
+    "condition_1": ({"family"}, _PASS_FAIL, _on_family(
+        lambda S, sets, plan: check_condition_1(S, plan, sets=sets), lambda plan: plan.n_points, tables=True
+    )),
+    "condition_2": ({"family"}, _PASS_FAIL, _on_family(
+        lambda S, sets, plan: check_condition_2(S, plan), lambda plan: 2 * plan.n_set_pairs * plan.points_per_pair
+    )),
     "condition_3": ({"family", "n_certificates"}, _PASS_FAIL, _build_condition_3),
     "condition_3_negative_control": (set(), _PASS_FAIL, lambda entry, plan: [(
-        "condition_3:negative_control", lambda: _report(check_condition_3(*continuity_negative_control())))]),
+        "condition_3:negative_control",
+        _CERTIFICATE_COST,  # one certificate on the Sorgenfrey line
+        lambda: _report(check_condition_3(*continuity_negative_control())),
+    )]),
     "condition_4": ({"family", "chain"}, _PASS_FAIL, _on_chains("condition_4", None, _condition_4)),
     "condition_d": ({"family", "chain"}, _PASS_FAIL, _on_chains("condition_d", D_PAIRS, _condition_d)),
     "bridge_4_iff_d": ({"family", "chain"}, _PASS_FAIL, _on_chains("bridge", BRIDGE_PAIRS, _bridge)),
-    "separations": ({"family"}, _PASS_FAIL, _on_family(lambda S, sets, plan: check_separations(S, plan))),
+    # n_points / 4 configurations of each kind: 4 evaluations for a point and
+    # a set, 4 at each of the about 4 qualifying samples of two sets
+    "separations": ({"family"}, _PASS_FAIL, _on_family(
+        lambda S, sets, plan: check_separations(S, plan), lambda plan: 5 * plan.n_points
+    )),
     "refute": ({"target", "n", "candidate"}, (REFUTED, NOT_FOUND), _build_refute),
 }
 
 
 def _build_entry(entry: dict, plan: SamplePlan) -> list[tuple]:
-    """An entry's cases as (key, expected verdict, verdicts, run)."""
+    """An entry's cases as (key, expected verdict, verdicts, cost, run)."""
     kind = entry.get("check")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown check {kind!r}")
@@ -287,7 +317,7 @@ def _build_entry(entry: dict, plan: SamplePlan) -> list[tuple]:
     expected = entry.get("expect", verdicts[0])
     if expected not in verdicts:
         raise SchemaError(f"'expect' of a {kind} entry is one of {verdicts}, got {expected!r}")
-    return [(key, expected, verdicts, run) for key, run in build(entry, plan)]
+    return [(key, expected, verdicts, cost, run) for key, cost, run in build(entry, plan)]
 
 
 _SCENARIO_KEYS = {"name", "plan", "checks"}
@@ -319,7 +349,7 @@ def run_scenario(scenario: tuple[str, SamplePlan, list], outcomes: list, out_dir
     reported."""
     name, plan, cases = scenario
     results = []
-    for (key, expected, verdicts, _), outcome in zip(cases, outcomes):
+    for (key, expected, verdicts, *_), outcome in zip(cases, outcomes):
         if isinstance(outcome, BaseException):
             raise outcome
         payload, held = outcome
@@ -347,12 +377,27 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _share(runs: list, first: int, step: int) -> dict:
-    """The outcomes of runs[first], runs[first + step], ... by index: what
-    run() returns, or the exception it raised.  The share stops at its first
-    exception, since no case after it in case order is reported."""
+def _shares(costs: list, n: int) -> list[list[int]]:
+    """The case indices of each of n processes, in ascending order, by
+    Graham's longest-processing-time rule: in order of descending cost, ties
+    by index, each case goes to the process with the least total cost so
+    far, ties to the lowest-numbered one.  Equal costs give case i to
+    process i mod n."""
+    loads, shares = [0] * n, [[] for _ in range(n)]
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        k = loads.index(min(loads))
+        loads[k] += costs[i]
+        shares[k].append(i)
+    return [sorted(share) for share in shares]
+
+
+def _share(runs: list, indices: list) -> dict:
+    """The outcomes of the runs at ``indices``, in ascending order, by
+    index: what run() returns, or the exception it raised.  The share stops
+    at its first exception, since no case after it in case order is
+    reported."""
     outcomes = {}
-    for i in range(first, len(runs), step):
+    for i in indices:
         try:
             outcomes[i] = runs[i]()
         except Exception as exc:
@@ -361,21 +406,28 @@ def _share(runs: list, first: int, step: int) -> dict:
     return outcomes
 
 
-def _run_cases(runs: list) -> list:
+def _run_cases(runs: list, costs: list) -> list:
     """The outcome of each of ``runs``, in order, run on every usable core.
 
-    Case i runs in process i mod n: process 0 is this one, and each other is
-    a child forked before any case runs, which pickles its share's outcomes
-    back through a pipe.  n is the number of usable cores, at most one per
-    case, and 1 where fork is missing or other threads run; with n = 1 no
-    process is forked.  Every outcome up to the first exception in case
-    order is present; a later one may be None.  A child that ends without
-    sending its outcomes is a ``ChildProcessError``, and no child outlives
-    the call.
+    ``costs[i]``, an integer of at least 1, estimates the time of runs[i].
+    ``_shares`` deals the cases among n processes longest-first by it
+    (Graham's LPT rule), so that the processes end close together; equal
+    costs give case i to process i mod n, and no share is empty.  Each
+    process runs its share in case order.  Process 0 is this one, and each
+    other is a child forked before any case runs, which pickles its share's
+    outcomes back through a pipe.  n is the number of usable cores, at most
+    one per case, and 1 where fork is missing or other threads run; with
+    n = 1 no process is forked.  Every outcome up to the first exception in
+    case order is present; a later one may be None.  A child that ends
+    without sending its outcomes is a ``ChildProcessError``, and no child
+    outlives the call.
     """
+    if len(costs) != len(runs) or min(costs, default=1) < 1:
+        raise ValueError(f"one cost of at least 1 per case, got {costs!r} for {len(runs)} cases")
     n = max(1, min(len(runs), _usable_cores()))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         n = 1
+    shares = _shares(costs, n)
     if n > 1:  # imported only by a run that forks: a one-core run pays nothing
         import pickle
         import signal
@@ -389,13 +441,13 @@ def _run_cases(runs: list) -> list:
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:
-                        pickle.dump(_share(runs, k, n), pipe)
+                        pickle.dump(_share(runs, shares[k]), pipe)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             children[pid] = (k, open(read, "rb"))
-        outcomes = _share(runs, 0, n)
+        outcomes = _share(runs, shares[0])
         for pid, (k, pipe) in list(children.items()):
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -455,7 +507,8 @@ def cmd_check(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise SchemaError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-    outcomes = iter(_run_cases([run for _, _, cases in built for *_, run in cases]))
+    pooled = [case for _, _, cases in built for case in cases]
+    outcomes = iter(_run_cases([run for *_, run in pooled], [cost for *_, cost, _ in pooled]))
     return max(run_scenario(scenario, list(islice(outcomes, len(scenario[2]))), args.out) for scenario in built)
 
 
@@ -591,8 +644,10 @@ def _segments(n: int, runs: list[tuple[int, int, int]]):
     yield start, n, None
 
 
-#: the chunks of a sample-grid lattice per usable core: chunk i runs in
-#: process i mod n, so each process holds rows from every part of the lattice
+#: the chunks of a sample-grid lattice per usable core: a chunk costs its
+#: point count, and the counts differ by at most one, so ``_run_cases`` deals
+#: them about as chunk i to process i mod n, and each process holds rows from
+#: every part of the lattice
 _CHUNKS_PER_CORE = 8
 
 
@@ -684,7 +739,8 @@ def cmd_sample_grid(args) -> int:
     # and joined in chunk order: the bytes of a run in one process
     points = nx * len(ys)
     count = min(points, _CHUNKS_PER_CORE * _usable_cores())
-    chunks = _run_cases([partial(chunk, points * i // count, points * (i + 1) // count) for i in range(count)])
+    bounds = [(points * i // count, points * (i + 1) // count) for i in range(count)]
+    chunks = _run_cases([partial(chunk, *b) for b in bounds], [stop - start for start, stop in bounds])
     for outcome in chunks:
         if isinstance(outcome, BaseException):
             raise outcome

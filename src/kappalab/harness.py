@@ -113,6 +113,11 @@ class SamplePlan:
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
 
+    @property
+    def points_per_pair(self) -> int:
+        """The points condition (2) samples for each pair of sets."""
+        return max(1, self.n_points // self.n_set_pairs)
+
     def payload(self) -> dict:
         return asdict(self)
 
@@ -283,11 +288,10 @@ class _Monotone(NamedTuple):
     @classmethod
     def cases(cls, S: Stratification, plan: SamplePlan):
         rng = plan.rng("condition_2")
-        points_per_pair = max(1, plan.n_points // max(1, plan.n_set_pairs))
         for _ in range(plan.n_set_pairs):
             U, V = sample_family_pair(S, rng)
             f_U, f_V = S.at(U), S.at(V)
-            for _ in range(points_per_pair):
+            for _ in range(plan.points_per_pair):
                 yield cls(S, U, V, f_U, f_V, sample_point_near_set(V, rng))
 
     def violates(self) -> bool:

@@ -940,11 +940,16 @@ _CORPUS_REPORTS = {
 }
 
 
-def _corpus_digests(tmp_path, monkeypatch, seed) -> dict:
-    """The sha256 of each report of ``check --corpus`` at plan seed ``seed``."""
+def _corpus_digests(tmp_path, monkeypatch, seed, pooled=True) -> dict:
+    """The sha256 of each report of ``check --corpus`` at plan seed ``seed``;
+    unless ``pooled``, of ``check --scenario`` on each shipped scenario alone."""
     monkeypatch.delenv("KAPPALAB_MODE", raising=False)  # the refuters report exact bundles
-    argv = ["check", "--corpus", "--out", str(tmp_path)]
-    assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
+    seed_argv = ["--seed", str(seed)] if seed is not None else []
+    if pooled:
+        assert main(["check", "--corpus", "--out", str(tmp_path)] + seed_argv) == 0
+    for name in [] if pooled else shipped_scenarios():
+        path = Path(kappalab.__file__).parent / "scenarios" / name
+        assert main(["check", "--scenario", str(path), "--out", str(tmp_path)] + seed_argv) == 0
     return {
         path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.glob("*.json")
     }
@@ -1475,10 +1480,92 @@ def test_case_i_runs_in_process_i_mod_n(monkeypatch, forked, cores):
     from kappalab.cli import _run_cases
 
     _on_cores(monkeypatch, cores)
-    pids = [pid for pid, _ in _run_cases([lambda: (os.getpid(), True)] * 7)]
+    pids = [pid for pid, _ in _run_cases([lambda: (os.getpid(), True)] * 7, [1] * 7)]
     assert pids == [pids[i % cores] for i in range(7)]
     assert pids[0] == os.getpid() and len(set(pids)) == cores == len(forked) + 1
-    assert _run_cases([]) == [] and len(forked) == cores - 1
+    assert _run_cases([], []) == [] and len(forked) == cores - 1
+
+
+def _case(i, log):
+    """A case that appends its index to the file ``log`` and returns its
+    index and its process."""
+
+    def run():
+        with open(log, "a") as f:
+            f.write(f"{i}\n")
+        return i, os.getpid()
+
+    return run
+
+
+def test_the_longest_case_gets_a_process_of_its_own(monkeypatch, forked):
+    # the separations scenario's three cases at --seed 99, in ms: process 0
+    # runs case 2 alone, and not cases 0 and 2 as i mod n would
+    from kappalab.cli import _run_cases, _shares
+
+    assert _shares([34, 43, 61], 2) == [[2], [0, 1]]
+    _on_cores(monkeypatch, 2)
+    pids = [pid for _, pid in _run_cases([lambda i=i: (i, os.getpid()) for i in range(3)], [34, 43, 61])]
+    assert pids[2] == os.getpid() != pids[0] == pids[1] == forked[0]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_unequal_costs_run_each_case_once_and_report_in_case_order(tmp_path, monkeypatch, forked, cores):
+    from kappalab.cli import _run_cases
+
+    _on_cores(monkeypatch, cores)
+    costs = [5, 1, 1, 5, 1, 7, 2, 2, 9, 1, 3]
+    log = tmp_path / "ran"
+    outcomes = _run_cases([_case(i, log) for i in range(len(costs))], costs)
+    assert [i for i, _ in outcomes] == list(range(len(costs)))
+    assert sorted(map(int, log.read_text().split())) == list(range(len(costs)))
+    assert len({pid for _, pid in outcomes}) == cores == len(forked) + 1
+
+
+@pytest.mark.parametrize(
+    "cores, raising, first",
+    [
+        # costs [5, 1, 1, 5, 1] on 2 cores: process 0 runs cases 0, 1, 4 and process 1 cases 2, 3
+        (2, {4, 3}, 3),
+        (2, {1, 2}, 1),
+        (2, {4, 2}, 2),
+        # on 3 cores: process 0 runs case 0, process 1 case 3, process 2 cases 1, 2, 4
+        (3, {4, 3}, 3),
+        (3, {2, 4}, 2),
+    ],
+)
+def test_a_raising_case_in_a_gapped_share_is_first_in_case_order(monkeypatch, forked, cores, raising, first):
+    from kappalab.cli import _run_cases, _shares
+
+    assert _shares([5, 1, 1, 5, 1], 2) == [[0, 1, 4], [2, 3]]
+    assert _shares([5, 1, 1, 5, 1], 3) == [[0], [3], [1, 2, 4]]
+    _on_cores(monkeypatch, cores)
+    runs = [_raise(ValueError(f"case {i}")) if i in raising else (lambda: ({}, True)) for i in range(5)]
+    outcomes = _run_cases(runs, [5, 1, 1, 5, 1])
+    raised = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, BaseException)]
+    assert raised[0] == first and str(outcomes[first]) == f"case {first}"
+    assert all(outcome == ({}, True) for outcome in outcomes[:first])
+    assert len(forked) == cores - 1
+
+
+@pytest.mark.parametrize("costs, processes", [([1], 1), ([1, 100], 2), ([100, 1], 2)])
+def test_no_process_is_forked_for_an_empty_share(monkeypatch, forked, costs, processes):
+    from kappalab.cli import _run_cases
+
+    _on_cores(monkeypatch, 3)
+    outcomes = _run_cases([lambda i=i: (i, os.getpid()) for i in range(len(costs))], costs)
+    assert [i for i, _ in outcomes] == list(range(len(costs)))
+    assert len({pid for _, pid in outcomes}) == processes == len(forked) + 1
+
+
+@pytest.mark.parametrize("costs", [[0], [3, 0, 2], [1, -1]], ids=["zero", "zero_among_others", "negative"])
+def test_a_cost_below_1_is_rejected(monkeypatch, forked, costs):
+    from kappalab.cli import _run_cases
+
+    _on_cores(monkeypatch, 3)
+    with pytest.raises(ValueError, match="cost of at least 1"):
+        _run_cases([lambda: ({}, True)] * len(costs), costs)
+    assert forked == []
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -1487,6 +1574,17 @@ def test_corpus_report_bytes_are_pinned_on_any_core_count(tmp_path, monkeypatch,
     _on_cores(monkeypatch, cores)
     assert _corpus_digests(tmp_path, monkeypatch, seed) == _CORPUS_REPORTS[seed]
     assert len(forked) == cores - 1  # one round of cases for the whole corpus
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("seed", list(_CORPUS_REPORTS), ids=["shipped_seeds", "seed_99", "seed_8"])
+def test_each_scenario_run_alone_holds_the_corpus_pins_on_any_core_count(tmp_path, monkeypatch, forked, seed, cores):
+    # each check --scenario deals its own cases among the cores, not the
+    # pooled corpus's: the shares differ, the bytes do not
+    _on_cores(monkeypatch, cores)
+    assert _corpus_digests(tmp_path, monkeypatch, seed, pooled=False) == _CORPUS_REPORTS[seed]
+    # a scenario of one case, the negative control, forks nothing
+    assert len(forked) == (len(_CORPUS_REPORTS[seed]) - 1) * (cores - 1)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -1656,7 +1754,7 @@ def test_no_child_outlives_a_failed_run(monkeypatch, forked, runs, raised):
     _on_cores(monkeypatch, 3)
     started = time.monotonic()
     with pytest.raises(raised):
-        _run_cases(runs)
+        _run_cases(runs, [1] * len(runs))
     assert time.monotonic() - started < 30 and len(forked) == 2
 
 
