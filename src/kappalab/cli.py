@@ -196,10 +196,12 @@ def _report(rep: CheckReport | RefutationResult) -> tuple[dict, bool]:
 #: n = TAIL_START..SEQUENCE_LENGTH and its limit
 _CERTIFICATE_COST = SEQUENCE_LENGTH - TAIL_START + 2
 
-#: the cost of a chain case or a refute case, whatever its family: its
-#: budget counts no evaluations, and it takes about as long as this many
-#: condition (1) evaluations on the order spaces
+#: the cost of a chain case, whatever its family: its budget counts no
+#: evaluations, and it takes about as long as this many condition (1)
+#: evaluations on the order spaces
 _FLAT_COST = 60
+#: the time in ms of _FLAT_COST evaluations, in process at plan seed 99
+_FLAT_MS = 0.9
 
 
 def _cost(S: Stratification, evaluations: int) -> int:
@@ -266,9 +268,11 @@ def _bridge(bound, i, pairs, plan) -> tuple[dict, bool]:
 def _build_refute(entry: dict, plan: SamplePlan) -> list:
     target = entry.get("target")
     _int_field(entry, "n", 1)  # a given n is a JSON integer
-    candidate, refute = _refuter(target, {name: entry[name] for name in ("candidate", "n") if name in entry})
+    fields, refute = _refuter(target, {name: entry[name] for name in ("candidate", "n") if name in entry})
+    candidate, n = fields.get("candidate"), fields.get("n")
     key = f"refute:{target}:{candidate}" if target == "sorgenfrey-a" else f"refute:{target}"
-    return [(key, _FLAT_COST, lambda: _report(refute(plan.seed)))]
+    cost = max(1, round(_FLAT_COST * _REFUTE_MS[target](candidate, n) / _FLAT_MS))
+    return [(key, cost, lambda: _report(refute(plan.seed)))]
 
 
 #: a check's verdicts: the first when it holds, and the default expectation
@@ -532,9 +536,20 @@ _REFUTE_FIELDS = {
 }
 
 
-def _refuter(target, given: dict) -> tuple[str | None, Callable[[int], RefutationResult]]:
-    """A valid target's candidate (None if it reads none) and its refuter as a
-    function of the plan seed, from the fields ``given``."""
+#: a refute case's time in ms, in process at plan seed 99, as a function of
+#: its candidate and n, from which its cost follows in _FLAT_COST units:
+#: niemytzki-strat's time grows in proportion to n, g-extend's not at all
+_REFUTE_MS = {
+    "sorgenfrey-a": lambda candidate, n: {"characteristic": 12.8, "right_gap": 16.4, "clopen_only": 3.9}[candidate],
+    "doublearrow-d": lambda candidate, n: 1.3,
+    "niemytzki-strat": lambda candidate, n: 15.6 * n / 50,
+    "g-extend": lambda candidate, n: 1.2,
+}
+
+
+def _refuter(target, given: dict) -> tuple[dict, Callable[[int], RefutationResult]]:
+    """A valid target's fields, the ``given`` ones over its defaults, and its
+    refuter as a function of the plan seed."""
     if target not in _REFUTERS:
         raise SchemaError(f"unknown refute target {target!r}")
     if set(given) - set(_REFUTE_FIELDS[target]):
@@ -545,7 +560,7 @@ def _refuter(target, given: dict) -> tuple[str | None, Callable[[int], Refutatio
         raise SchemaError(f"unknown candidate {candidate!r}")
     if n is not None and n < 1:
         raise SchemaError(f"'n' must be at least 1, got {n}")
-    return candidate, lambda seed: _REFUTERS[target](candidate, seed, n)
+    return fields, lambda seed: _REFUTERS[target](candidate, seed, n)
 
 
 def cmd_refute(args) -> int:

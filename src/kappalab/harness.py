@@ -852,10 +852,10 @@ def hausdorff_witness(
     if not is_zero(fy):
         raise ValueError(f"need value 0 at the outside point, got {fy}")
     t = fx / 2
+    if not lt(t, fx) or not lt(fy, t):  # upper(x) and lower(y), on the values above
+        raise AssertionError("threshold neighborhoods failed to split the pair")
     upper = lambda p: lt(t, f_U(p))
     lower = lambda p: lt(f_U(p), t)
-    if not upper(x) or not lower(y):
-        raise AssertionError("threshold neighborhoods failed to split the pair")
     return HausdorffWitness(t, upper, lower)
 
 
@@ -872,32 +872,37 @@ def separate_regular_closed(
     g: Callable[[Point], Scalar],
     samples: Sequence[Point],
 ) -> SeparationResult:
-    """Split the zero sets of f and g by thresholding h = f / (f + g)."""
-    f_side = []
+    """Split the zero sets of f and g by thresholding h = f / (f + g).
+
+    Each sample's side is decided on the values of f and g that decided its
+    zero set, so f and g are evaluated once per sample."""
+    f_side = []  # (p, f(p), g(p)) at the zero points of f
     g_side = []
     for p in samples:
         fv, gv = f(p), g(p)
         if is_zero(fv) and is_zero(gv):
             raise ValueError(f"f and g both vanish at {p!r}: zero sets not disjoint")
         if is_zero(fv):
-            f_side.append(p)
+            f_side.append((p, fv, gv))
         elif is_zero(gv):
-            g_side.append(p)
+            g_side.append((p, fv, gv))
 
-    def h(p: Point) -> float:
-        fv, gv = float(f(p)), float(g(p))
-        return fv / (fv + gv)
-
-    low = lambda p: h(p) < 0.5
-    high = lambda p: h(p) > 0.5
+    low = lambda p: _ratio(f(p), g(p)) < 0.5
+    high = lambda p: _ratio(f(p), g(p)) > 0.5
     # the sides are strict sublevel and superlevel sets of one h: they cannot overlap
-    for p in f_side:
-        if not low(p):
+    for p, fv, gv in f_side:
+        if not _ratio(fv, gv) < 0.5:
             raise AssertionError(f"zero point of f landed on the high side: {p!r}")
-    for p in g_side:
-        if not high(p):
+    for p, fv, gv in g_side:
+        if not _ratio(fv, gv) > 0.5:
             raise AssertionError(f"zero point of g landed on the low side: {p!r}")
     return SeparationResult(low, high, len(f_side), len(g_side))
+
+
+def _ratio(fv: Scalar, gv: Scalar) -> float:
+    """h = f / (f + g) in binary64 from the values fv of f and gv of g."""
+    fv, gv = float(fv), float(gv)
+    return fv / (fv + gv)
 
 
 def _fails(construction, *args) -> bool:

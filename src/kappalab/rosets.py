@@ -44,7 +44,7 @@ from .basesets import (
     basic_member,
 )
 from .numerics import Scalar, as_scalar, eq, is_zero, le, lt, sq
-from .spaces import NiemytzkiPoint, Point, SorgenfreyPoint, Space, SpaceMismatchError, sq_dist
+from .spaces import NiemytzkiPoint, Point, SorgenfreyPoint, Space, SpaceMismatchError, sq_dist, sq_dist_of
 
 
 class NotRegularOpenError(ValueError):
@@ -85,7 +85,7 @@ class RegularOpenSet:
     @cached_property
     def separated(self) -> bool:
         """True when the closed hulls of the (disc) components are pairwise
-        disjoint; decided once per set."""
+        disjoint; ``validate_regular_open`` decides it while it builds the set."""
         return separated_hulls(self.components)
 
     @cached_property
@@ -215,9 +215,28 @@ def _sort_key(c: BasicOpenSet):
     return (1, c.cx, c.cy, c.r)
 
 
+def _apart(components: Sequence[BasicOpenSet], cls: type) -> bool:
+    """Whether the components are all of type ``cls``, ordered by left end,
+    each ending strictly before the next begins: their own canonical form
+    (docs/derivations.md, "Canonical input").  Decided on the ``terms``."""
+    prev = None
+    for c in components:
+        if type(c) is not cls:
+            return False
+        if prev is not None:
+            _, _, bn, bd = prev.terms
+            an, ad, _, _ = c.terms
+            if not bn * ad < an * bd:
+                return False
+        prev = c
+    return True
+
+
 def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
     """The merged components in order; a component that nothing merged into
     is the input object itself, not built again."""
+    if _apart(components, HalfOpen):
+        return list(components)
     items = []  # (left, left_closed, right, the input component it starts from)
     for c in components:
         if isinstance(c, HalfOpen):
@@ -252,11 +271,11 @@ def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenS
 def _canonical_double_arrow(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
     """The merged components in order; a component that nothing merged into
     is the input object itself, not built again."""
-    intervals = []  # (a, b, left flag, right flag, the input component it starts from)
+    intervals: list[ClopenInterval] = []
     left_single = right_single = None
     for c in components:
         if isinstance(c, ClopenInterval):
-            intervals.append([c.a, c.b, c.include_left_extreme, c.include_right_extreme, c])
+            intervals.append(c)
         elif isinstance(c, ExtremeSingleton):
             if c.side == 0:
                 left_single = c
@@ -264,16 +283,23 @@ def _canonical_double_arrow(components: Sequence[BasicOpenSet]) -> list[BasicOpe
                 right_single = c
         else:
             raise TypeError(f"{c!r} is not a double arrow base set")
-    intervals.sort(key=lambda it: (it[0], it[1]))
+    if _apart(intervals, ClopenInterval) and not (
+        intervals and (left_single and intervals[0].a == 0 or right_single and intervals[-1].b == 1)
+    ):  # nothing merges, and no singleton folds into an interval at its extreme
+        return [c for c in (left_single, *intervals, right_single) if c]
+    items = sorted(
+        ([c.a, c.b, c.include_left_extreme, c.include_right_extreme, c] for c in intervals),
+        key=lambda it: (it[0], it[1]),
+    )  # (a, b, left flag, right flag, the input component it starts from)
     merged: list[list] = []
-    for it in intervals:
+    for it in items:
         if merged and it[0] <= merged[-1][1]:
             cur = merged[-1]
             cur[1] = max(cur[1], it[1])
             cur[2] = cur[2] or it[2]
             cur[3] = cur[3] or it[3]
         else:
-            merged.append(list(it))
+            merged.append(it)
     if left_single:
         if merged and merged[0][0] == 0:
             merged[0][2] = True
@@ -293,17 +319,25 @@ def _canonical_double_arrow(components: Sequence[BasicOpenSet]) -> list[BasicOpe
     return out
 
 
-def _canonical_niemytzki(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
+def _canonical_niemytzki(components: Sequence[BasicOpenSet]) -> tuple[list[BasicOpenSet], bool]:
+    """The discs that no other disc contains, in order, and whether their
+    closed hulls are pairwise disjoint."""
     for c in components:
         if not isinstance(c, (InteriorDisc, TangentDisc)):
             raise TypeError(f"{c!r} is not a Niemytzki base set")
-    kept: list[BasicOpenSet] = []
-    for c in sorted(components, key=_sort_key):
-        if any(basic_subset(c, k) for k in kept):
-            continue
-        kept = [k for k in kept if not basic_subset(k, c)]
-        kept.append(c)
-    kept.sort(key=_sort_key)
+    separated = separated_hulls(components)
+    if separated:  # no disc contains another (docs/derivations.md, "Canonical input")
+        kept = sorted(components, key=_sort_key)
+    else:
+        kept = []
+        for c in sorted(components, key=_sort_key):
+            if any(basic_subset(c, k) for k in kept):
+                continue
+            kept = [k for k in kept if not basic_subset(k, c)]
+            kept.append(c)
+        kept.sort(key=_sort_key)
+        # dropping a contained disc may leave hulls apart
+        separated = len(kept) < len(components) and separated_hulls(kept)
     # An axis-tangent interior disc adds its tangency point to the interior
     # of the closure; the union must already own that point.
     for c in kept:
@@ -317,7 +351,7 @@ def _canonical_niemytzki(components: Sequence[BasicOpenSet]) -> list[BasicOpenSe
                     "closure but not in the union",
                     tangency,
                 )
-    return kept
+    return kept, separated
 
 
 def validate_regular_open(
@@ -326,20 +360,24 @@ def validate_regular_open(
     """Canonicalize a finite union and certify its regular openness.
 
     Raises ``NotRegularOpenError`` (with a witness point in int cl S minus S)
-    when the union is provably not regular open.
+    when the union is provably not regular open.  Intervals that arrive
+    ordered and apart, and discs whose closed hulls are apart, are kept as
+    they are, with no sort, merge or containment search (docs/derivations.md,
+    "Canonical input").
     """
     for c in components:
         if c.space is not space:
             raise SpaceMismatchError(f"component {c!r} not in {space}")
     if space is Space.SORGENFREY:
-        canon = _canonical_sorgenfrey(components)
-    elif space is Space.DOUBLE_ARROW:
-        canon = _canonical_double_arrow(components)
-    elif space is Space.NIEMYTZKI:
-        canon = _canonical_niemytzki(components)
-    else:
+        return RegularOpenSet(space, tuple(_canonical_sorgenfrey(components)))
+    if space is Space.DOUBLE_ARROW:
+        return RegularOpenSet(space, tuple(_canonical_double_arrow(components)))
+    if space is not Space.NIEMYTZKI:
         raise ValueError(f"unknown space {space}")
-    return RegularOpenSet(space, tuple(canon))
+    canon, separated = _canonical_niemytzki(components)
+    s = RegularOpenSet(space, tuple(canon))
+    s.__dict__["separated"] = separated  # the cached property, decided once here
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +620,20 @@ class DecreasingChain:
 
 
 def separated_hulls(discs: Sequence[BasicOpenSet]) -> bool:
-    """True when the closed hulls of the discs are pairwise disjoint."""
-    return all(
-        lt(sq(a.r + b.r), sq_dist(a.center, b.center))
-        for i, a in enumerate(discs)
-        for b in discs[i + 1 :]
-    )
+    """True when the closed hulls of the discs are pairwise disjoint:
+    (r_a + r_b)^2 < |c_a - c_b|^2 for every pair, on the integer ``terms``
+    of exact discs and through ``lt`` in binary64."""
+    return all(_hulls_apart(a, b) for i, a in enumerate(discs) for b in discs[i + 1 :])
+
+
+def _hulls_apart(a: BasicOpenSet, b: BasicOpenSet) -> bool:
+    if type(a.r) is not Fraction or type(b.r) is not Fraction:
+        return lt(sq(a.r + b.r), sq_dist(a.center, b.center))
+    axn, axd, ayn, ayd, arn, ard, _, _ = a.terms
+    bxn, bxd, byn, byd, brn, brd, _, _ = b.terms
+    num, den = sq_dist_of(axn, axd, ayn, ayd, bxn, bxd, byn, byd)
+    rn, rd = arn * brd + brn * ard, ard * brd  # r_a + r_b = rn/rd
+    return rn * rn * den < num * rd * rd
 
 
 def decreasing_chain_interior(chain: DecreasingChain) -> RegularOpenSet:

@@ -114,7 +114,7 @@ def sample_double_arrow_set(rng: random.Random, max_components: int = 3) -> Regu
     ] or [ClopenInterval(Fraction(1, 4), Fraction(3, 4))]
     roll = rng.random()
     if roll < 0.15:
-        comps.append(_LEFT_EXTREME_INTERVAL)
+        comps.insert(0, _LEFT_EXTREME_INTERVAL)  # it ends before the first cut: canonical order
     elif roll < 0.25:
         comps.append(ExtremeSingleton(rng.randint(0, 1)))
     return validate_regular_open(Space.DOUBLE_ARROW, comps)

@@ -1784,3 +1784,18 @@ def test_exceptions_cross_a_pipe_whole(cls):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls and back.args == exc.args and str(back) == str(exc)
     assert vars(back) == vars(exc)
+
+
+def test_refute_costs_even_the_refuters_scenario_on_two_cores():
+    # in-process ms at --seed 99 of characteristic, right_gap, clopen_only,
+    # doublearrow-d, niemytzki-strat (n = 50) and g-extend (n = 1, 10): 12.8,
+    # 16.4, 3.9, 1.3, 15.6, 1.2, 1.1.  Process 0 runs 23.9 ms and process 1
+    # 28.4 ms, where a flat cost gave 33.3 against 19.0 ms
+    from kappalab.cli import _build_scenario, _shares
+
+    path = Path(kappalab.__file__).parent / "scenarios" / "refuters.json"
+    _, _, cases = _build_scenario(json.loads(path.read_text()))
+    costs = [cost for *_, cost, _ in cases]
+    assert costs == [853, 1093, 260, 87, 1040, 80, 80]
+    assert _shares(costs, 2) == [[1, 2, 3, 5, 6], [0, 4]]
+    assert _shares([60] * 7, 2) == [[0, 2, 4, 6], [1, 3, 5]]

@@ -4,6 +4,7 @@ witnesses on broken ones, determinism."""
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -47,6 +48,7 @@ from kappalab.harness import (
     _HausdorffSplit,
     _RatioSplit,
     _chain_sublevel_closure_all,
+    _separation_cases,
     chain_check_points,
     check_separations,
     continuity_negative_control,
@@ -457,6 +459,43 @@ def test_check_separations_passes():
         assert rep.passed
         assert rep.counts["hausdorff_configs"] > 0
         assert rep.counts["ratio_configs"] > 0
+
+
+def _counting(S):
+    """S with a spy on every bound member: the members' point counts, in
+    binding order, and the spied family."""
+    counts = []
+
+    def bind(U):
+        f, seen = S.bind(U), Counter()
+        counts.append(seen)
+
+        def spy(p):
+            seen[p] += 1
+            return f(p)
+
+        return spy
+
+    return counts, dataclasses.replace(S, bind=bind)
+
+
+@pytest.mark.parametrize("family", [sorgenfrey_kappa, double_arrow_ro, niemytzki_kappa])
+def test_separations_evaluate_each_set_point_once(family):
+    counts, S = _counting(family())
+    expected = []
+    for case in _separation_cases(S, PLAN):
+        start = len(counts)
+        assert not case.violates()
+        if isinstance(case, _HausdorffSplit):
+            want = [Counter([case.x, case.y])]
+        else:  # f and g, each once at every sample
+            want = [Counter(case.samples)] * 2
+        assert counts[start:] == want
+        expected += want
+    # the check itself evaluates nothing besides its configurations
+    counts_check, S_check = _counting(family())
+    assert check_separations(S_check, PLAN).passed
+    assert counts_check == expected
 
 
 def test_reports_are_deterministic():
