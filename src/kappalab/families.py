@@ -57,23 +57,22 @@ class UnindexedSetError(TypeError, ValueError):
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-#: the Sorgenfrey gap at its cap, min(b - x, 1) = 1
-_UNIT = (1, 1)
 
 #: f_U as a point function, every per-set invariant of U resolved.  A named
 #: family's f_U carries its formula as ``f_U.kernel``, a function of the
 #: point's coordinates: the integer terms (xn, xd) of a Sorgenfrey x, or the
 #: Niemytzki (x, y) in one mode (docs/derivations.md, "Lattice kernel").
 FamilyMember = Callable[[Point], Scalar]
-#: a Niemytzki formula: the value at the coordinates (x, y), both in one mode
+#: a Niemytzki formula: the value at the coordinates (x, y), both in one mode;
+#: a named one decides membership, then calls its mode's ``Pieces``
 Kernel = Callable[[Scalar, Scalar], Scalar]
 #: A named kernel's staged form (docs/derivations.md, "Separable terms") is
 #: ``kernel.lattice(xs, ys, xterms, yterms)``, for a lattice's axes as
 #: coordinates in one mode and as integer terms (nums, den); a Sorgenfrey
-#: lattice is the one row ys = [None], yterms = None.  It does the work of
-#: each column once and returns ``values(k, j, lo, hi)``: the kernel's
-#: values at the columns lo..hi-1 of row j, a run inside U's k-th component,
-#: doing the work of the row once and no membership test.
+#: lattice is the one row ys = [None], yterms = None.  It returns
+#: ``values(k, j, lo, hi)``: the kernel's values at the columns lo..hi-1 of
+#: row j, a run inside U's k-th component, by the point form's own formulas
+#: with no membership test, column terms built once per column.
 RunValues = Callable[[int, int, int, int], list]
 
 
@@ -98,30 +97,38 @@ def _niemytzki_member(kernel: Kernel) -> FamilyMember:
 # Sorgenfrey
 
 
+def _capped_gaps(bn: int, bd: int, xns: list, xd: int) -> tuple[list[int], int]:
+    """min(b - x, 1) for b = bn/bd at each x = xn/xd < b, xd > 0 in any terms:
+    the numerators bn xd - xn bd, each capped at the one denominator bd xd."""
+    top, under = bn * xd, bd * xd
+    gaps = []
+    for xn in xns:
+        g = top - xn * bd
+        gaps.append(g if g < under else under)
+    return gaps, under
+
+
 def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
     """f_U(x): the largest right gap of x inside U, capped at 1; exact rational."""
     space, terms = Space.SORGENFREY, [c.terms for c in U.components]
 
     def gap(xn: int, xd: int) -> tuple[int, int] | None:
-        """min(b - x, 1) at x = xn/xd, xd > 0 in any terms, as an unreduced
-        pair (numerator, denominator > 0); None off U."""
+        """``_capped_gaps`` at x = xn/xd on the component of U that holds it,
+        as an unreduced pair; None off U."""
         for an, ad, bn, bd in terms:
-            # a <= x < b cross-multiplied; then min(b, x + 1) - x = min(b - x, 1)
-            if an * xd <= xn * ad and xn * bd < bn * xd:
-                num, den = bn * xd - xn * bd, bd * xd
-                return (num, den) if num < den else _UNIT
+            if an * xd <= xn * ad and xn * bd < bn * xd:  # a <= x < b cross-multiplied
+                (num,), den = _capped_gaps(bn, bd, [xn], xd)
+                return num, den
         return None
 
     def lattice(xs: list, ys: list, xterms: tuple, yterms: None) -> RunValues:
-        """The gaps in binary64 at the points nums[i] / den of ``xterms``, on
-        a run inside U's k-th component [a, b): the int true division of
-        b - x's pair, 1.0 at the cap."""
+        """The gaps at the points nums[i] / den of ``xterms`` on a run of U's
+        k-th component, each the int true division of its pair."""
         nums, den = xterms
 
         def values(k: int, j: int, lo: int, hi: int) -> list:
-            _, _, bn, bd = terms[k]
-            top, under = bn * den, bd * den
-            return [1.0 if g >= under else g / under for g in [top - num * bd for num in nums[lo:hi]]]
+            gaps, under = _capped_gaps(*terms[k][2:], nums[lo:hi], den)
+            return [g / under for g in gaps]
 
         return values
 
@@ -131,7 +138,8 @@ def _bind_sorgenfrey(U: RegularOpenSet) -> FamilyMember:
         value = gap(*x.x.as_integer_ratio())
         if value is None:
             return _ZERO
-        return _ONE if value is _UNIT else Fraction(*value)
+        num, den = value
+        return _ONE if num == den else Fraction(num, den)
 
     gap.lattice = lattice
     f_U.kernel = gap
@@ -179,21 +187,109 @@ def doublearrow_f(U: RegularOpenSet, p: DoubleArrowPoint) -> Fraction:
 # Niemytzki base formulas
 
 
-def _chord_root(rn: int, rd: int, yn: int, yd: int) -> Scalar:
-    """sqrt(2yr - y^2) for r = rn/rd and y = yn/yd, in any terms."""
-    # 2yr - y^2 = yn (2 rn yd - yn rd) / (yd^2 rd)
-    return sqrt_terms(yn * (2 * rn * yd - yn * rd), yd * yd * rd)
+#: the row case y = 0 of a tangent disc, whose one point is the tangency point
+_TANGENCY = "tangency"
+
+#: A disc kernel's formulas in one numeric mode, the pieces that its point
+#: form and its staged form both call (docs/derivations.md, "Separable
+#: terms"): ``row(y)``, the row case at the height y (``_TANGENCY``, the pair
+#: (chord root, g's scale or None) below the diameter, else None);
+#: ``col(x)``, the column terms that a chord row reads; ``chord(cols, case)``,
+#: the values at a run of columns on a chord row; and ``interior(run, row)``,
+#: r - sqrt(d2) at a run of columns on a disc row, with d2 = a + b for each
+#: square term a of the run and the row's b (a pair over a square den, exact).
+Pieces = tuple[Callable, Callable, Callable, Callable]
 
 
-def _chord_value(r: Fraction, rn: int, rd: int, dxn: int, dxd: int, yn: int, yd: int) -> Scalar:
-    """r - r|x - a| / sqrt(2yr - y^2), the below-diameter tangent-disc value,
-    for r = rn/rd, y = yn/yd and |x - a| = dxn/dxd > 0 (docs/derivations.md,
-    "Exact kernel")."""
-    root = _chord_root(rn, rd, yn, yd)
-    if type(root) is float:
-        # float(r) - float(r dx) / root, each conversion an int true division
-        return rn / rd - rn * dxn / (rd * dxd) / root
-    return r - r * Fraction(dxn, dxd) / root
+def _exact_pieces(U: InteriorDisc | TangentDisc, g: bool) -> Pieces:
+    """The pieces of an exact disc on integer terms: x = xn/X and y = yn/Y as
+    the pairs (xn, X) and (yn, Y), in any terms with X, Y > 0, and d2 as an
+    unreduced pair (N, D) whose denominator is a perfect square, as
+    ``spaces.sq_dist_of`` gives it.  With ``g`` a chord row carries g's scale."""
+    cxn, cxd, _, _, rn, rd, _, _ = U.terms  # a tangent disc's centre is (a, r)
+    r, tangent = U.r, isinstance(U, TangentDisc)
+
+    def row(y: tuple[int, int]):
+        yn, Y = y
+        if not tangent:
+            return None
+        if not yn:
+            return _TANGENCY
+        if rn * Y <= yn * rd:  # at or above the diameter: r <= y
+            return None
+        # 2yr - y^2 = yn (2 rn Y - yn rd) / (Y^2 rd)
+        root = sqrt_terms(yn * (2 * rn * Y - yn * rd), Y * Y * rd)
+        if not g:
+            return root, None
+        # ((r - 1) y + r) / r^2 = ((rn - rd) yn + rn Y) rd / (Y rn^2); a
+        # binary64 value meets it as its int true division, float(scale)
+        num, den = ((rn - rd) * yn + rn * Y) * rd, Y * rn * rn
+        scale64 = num / den
+        return root, lambda v: v * scale64 if type(v) is float else v * Fraction(num, den)
+
+    def col(x: tuple[int, int]) -> tuple[int, int, float | None]:
+        """|x - cx| = dxn/dxd, and for a tangent disc float(r |x - a|)."""
+        xn, X = x
+        dxn, dxd = abs(xn * cxd - cxn * X), X * cxd
+        return dxn, dxd, rn * dxn / (rd * dxd) if tangent else None
+
+    def chord(cols: list, case: tuple) -> list:
+        (root, scale), r64 = case, U.binary64_r  # the vertical axis (dxn = 0) keeps the exact r
+        if type(root) is float:
+            values = [r64 - r_dx / root if dxn else r for dxn, _, r_dx in cols]
+        else:
+            values = [r - r * Fraction(dxn, dxd) / root if dxn else r for dxn, dxd, _ in cols]
+        return values if scale is None else [scale(v) for v in values]
+
+    def interior(run: list, row: tuple[int, int]) -> list:
+        (b, den), r64 = row, U.binary64_r
+        out = []
+        for a in run:
+            num = a + b
+            q = isqrt(num)  # den is a square: the root is rational iff num is one
+            out.append(r - Fraction(q, isqrt(den)) if q * q == num else r64 - sqrt(num / den))
+        return out
+
+    return row, col, chord, interior
+
+
+def _binary64_pieces(U: InteriorDisc | TangentDisc, g: bool) -> Pieces:
+    """The pieces through U's binary64 view: x and y in their own mode, d2 in
+    binary64, EPS in the tests; with ``g`` a chord row carries g's scale."""
+    r, tangent = U.r, isinstance(U, TangentDisc)  # the view is read when used
+
+    def row(y: Scalar):
+        if not tangent:
+            return None
+        if is_zero(y):
+            return _TANGENCY
+        r64 = U.binary64_r
+        if le(r64, y):
+            return None
+        # an exact y converts y^2 once; a binary64 y squares itself
+        root = sqrt_scalar(2 * y * r64 - y * y)
+        if not g:
+            return root, None
+        # float(r - 1) by int true division for an exact r, not float(r) - 1
+        rm1 = r - 1 if type(r) is float else (r.numerator - r.denominator) / r.denominator
+        scale64 = (rm1 * y + r64) / U.binary64[2]
+        return root, lambda v: v * scale64
+
+    def col(x: Scalar) -> tuple[float, bool, float]:
+        """fl(float(x) - cx), whether it is zero under EPS, and fl(r64 |dx|)."""
+        dx = float(x) - U.binary64[0]
+        return dx, is_zero(dx), U.binary64_r * abs(dx)
+
+    def chord(cols: list, case: tuple) -> list:
+        (root, scale), r64 = case, U.binary64_r
+        values = [r if on_axis else r64 - r_dx / root for _, on_axis, r_dx in cols]
+        return values if scale is None else [scale(v) for v in values]
+
+    def interior(run: list, row: float) -> list:
+        r64 = U.binary64_r
+        return [r64 - sqrt(a + row) for a in run]
+
+    return row, col, chord, interior
 
 
 def _zero(like: Scalar) -> Scalar:
@@ -201,110 +297,69 @@ def _zero(like: Scalar) -> Scalar:
     return _ZERO if isinstance(like, Fraction) else 0.0
 
 
-def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None) -> Kernel:
+def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None, g: bool = False) -> Kernel:
     """The base-set value at (x, y), and ``outside`` off U: from integer terms
     when U and the point are exact, else from U's binary64 view.  The exact
     U.r is returned at the tangency point and, below the diameter, on the
-    vertical axis.  ``value.lattice`` is the same formula staged by column
-    and row; the point form stays the reference it is tested against, since
-    the harness evaluates one point at a time."""
+    vertical axis.  With ``g``, the g family's value: 1 (in U's mode) at the
+    tangency point, the chord value times ((r-1)y + r) / r^2 below the
+    diameter.  The point form decides membership, then calls its mode's
+    pieces; ``value.lattice`` calls the same ones (``RunValues``)."""
     r = U.r
-    tangent = isinstance(U, TangentDisc)
     exact = type(r) is Fraction
-    if exact:
-        cxn, cxd, cyn, cyd, rn, rd, _, _ = U.terms  # a tangent disc's centre is (a, r)
+    tangency = (_ONE if exact else 1.0) if g else r
+    exact_pieces = _exact_pieces(U, g) if exact else None
+    binary64_pieces = _binary64_pieces(U, g)
     exact_d2, binary64_d2 = U.exact_d2, U.binary64_d2
-
-    def binary64_chord_root(y: Scalar) -> float:
-        """sqrt(2yr - y^2) through U's binary64 view, y in its own mode."""
-        r64 = U.binary64_r
-        return sqrt_scalar(2 * y * r64 - y * y)
 
     def value(x: Scalar, y: Scalar) -> Scalar:
         if exact and type(x) is Fraction:
-            xn, xd = x.as_integer_ratio()
-            yn, yd = y.as_integer_ratio()
-            d2 = exact_d2(xn, xd, yn, yd)
-            if d2 is None:
-                return outside
-            if tangent and not yn:
-                return r
-            if tangent and yn * rd < rn * yd:  # below the diameter: 0 < y < r
-                dxn = abs(xn * cxd - cxn * xd)
-                return _chord_value(r, rn, rd, dxn, xd * cxd, yn, yd) if dxn else r
-            root = sqrt_terms(*d2)
-            return U.binary64_r - root if type(root) is float else r - root
-        d2 = binary64_d2(x, y)
+            (xn, xd), (yn, yd) = x, y = x.as_integer_ratio(), y.as_integer_ratio()
+            d2, (row, col, chord, interior) = exact_d2(xn, xd, yn, yd), exact_pieces
+        else:
+            d2, (row, col, chord, interior) = binary64_d2(x, y), binary64_pieces
         if d2 is None:
             return outside
-        r64 = U.binary64_r
-        if tangent and is_zero(y):
-            return r
-        if tangent and not le(r64, y):  # a tangent disc's centre is (a, r)
-            dx = abs(float(x) - U.binary64[0])
-            return r if is_zero(dx) else r64 - r64 * dx / binary64_chord_root(y)
-        return r64 - sqrt_scalar(d2)
-
-    def exact_lattice(xterms: tuple, yterms: tuple) -> RunValues:
-        """``value`` on exact coordinates, over the lattice's common
-        denominators: d2 = (A_i + B_j) / (bx by)^2 with A_i = (ex_i by)^2 and
-        B_j = (ey_j bx)^2, ex and ey the offsets from the centre."""
-        (xnums, xden), (ynums, yden) = xterms, yterms
-        bx, by = xden * cxd, yden * cyd
-        bb = bx * by
-        square = bb * bb
-        ex = [xn * cxd - cxn * xden for xn in xnums]  # x - cx = ex / bx
-        sq_ex = [(e * by) ** 2 for e in ex]
-        # float(r |x - a|) per column, for the chord rows of a tangent disc
-        r_dx = [rn * abs(e) / (rd * bx) for e in ex] if tangent else None
-        r64 = U.binary64_r
-
-        def values(k: int, j: int, lo: int, hi: int) -> list:
-            yn = ynums[j]
-            if tangent and not yn:
-                return [r] * (hi - lo)
-            if tangent and yn * rd < rn * yden:  # below the diameter: 0 < y < r
-                root = _chord_root(rn, rd, yn, yden)
-                if type(root) is float:
-                    return [r64 - r_dx[i] / root if ex[i] else r for i in range(lo, hi)]
-                return [r - r * Fraction(abs(ex[i]), bx) / root if ex[i] else r for i in range(lo, hi)]
-            ey2 = ((yn * cyd - cyn * yden) * bx) ** 2
-            out = []
-            for a2 in sq_ex[lo:hi]:
-                num = a2 + ey2
-                q = isqrt(num)  # the denominator is a square: rational iff num is
-                out.append(r - Fraction(q, bb) if q * q == num else r64 - sqrt(num / square))
-            return out
-
-        return values
-
-    def binary64_lattice(xs: list, ys: list) -> RunValues:
-        """``value`` through U's binary64 view, one float(x) - cx per column."""
-        cx, cy, _ = U.binary64
-        r64 = U.binary64_r
-        dxs = [float(x) - cx for x in xs]
-        sq_dx = [dx * dx for dx in dxs]
-        if tangent:
-            on_axis = [is_zero(dx) for dx in dxs]
-            r_dx = [r64 * abs(dx) for dx in dxs]
-
-        def values(k: int, j: int, lo: int, hi: int) -> list:
-            y = ys[j]
-            if tangent and is_zero(y):
-                return [r] * (hi - lo)
-            if tangent and not le(r64, y):
-                root = binary64_chord_root(y)
-                return [r if on_axis[i] else r64 - r_dx[i] / root for i in range(lo, hi)]
-            dy = float(y) - cy
-            dy2 = dy * dy
-            return [r64 - sqrt(dx2 + dy2) for dx2 in sq_dx[lo:hi]]
-
-        return values
+        case = row(y)
+        if case is None:  # d2 itself is the row term of a column term 0
+            return interior([0], d2)[0]
+        return tangency if case is _TANGENCY else chord([col(x)], case)[0]
 
     def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
         if exact and xs and type(xs[0]) is Fraction:
-            return exact_lattice(xterms, yterms)
-        return binary64_lattice(xs, ys)
+            (xnums, X), (ynums, Y) = xterms, yterms
+            xs, ys = [(xn, X) for xn in xnums], [(yn, Y) for yn in ynums]
+            row, col, chord, interior = exact_pieces
+            cols = [col(x) for x in xs]
+            # d2 = (A_i + B_j) / (bx by)^2 over the lattice's denominators:
+            # A_i = (|x_i - cx| bx by)^2 per column, B_j likewise per row
+            _, cxd, cyn, cyd = U.terms[:4]
+            bx, by = X * cxd, Y * cyd
+            square = (bx * by) ** 2
+            squares = [(dxn * by) ** 2 for dxn, _, _ in cols]
+
+            def row_term(j: int) -> tuple[int, int]:
+                return ((ynums[j] * cyd - cyn * Y) * bx) ** 2, square
+
+        else:
+            row, col, chord, interior = binary64_pieces
+            cols = [col(x) for x in xs]
+            squares = [dx * dx for dx, _, _ in cols]
+            cy = U.binary64[1]
+
+            def row_term(j: int) -> float:
+                dy = float(ys[j]) - cy
+                return dy * dy
+
+        def values(k: int, j: int, lo: int, hi: int) -> list:
+            case = row(ys[j])
+            if case is None:
+                return interior(squares[lo:hi], row_term(j))
+            if case is _TANGENCY:
+                return [tangency] * (hi - lo)
+            return chord(cols[lo:hi], case)
+
+        return values
 
     value.lattice = lattice
     return value
@@ -319,70 +374,11 @@ def niemytzki_basic_f(U: BasicOpenSet, p: NiemytzkiPoint) -> Scalar:
     return _niemytzki_member(_disc_kernel(U, _zero(U.r)))(p)
 
 
-def _g_kernel(U: TangentDisc) -> Kernel:
-    """The chordal value of U at (x, y) times ((r-1)y + r) / r^2 below the
-    diameter, and 1 at the tangency point.  The scale is built from r's
-    integer terms for an exact point, else in binary64 from float(r - 1),
-    float(r) and float(r^2), the operands mixed Fraction/float arithmetic
-    converts to."""
-    disc = _disc_kernel(U, None)
-    r = U.r
-    exact = type(r) is Fraction
-    if exact:
-        _, _, _, _, rn, rd, _, _ = U.terms
-        rm1 = (rn - rd) / rd  # float(r - 1), not float(r) - 1
-        zero, one = _ZERO, _ONE
-    else:
-        rm1, zero, one = r - 1, 0.0, 1.0
-
-    def scaling(y: Scalar) -> Callable[[Scalar], Scalar] | None:
-        """The product of a value at height y > 0 with the scale, in the
-        value's arithmetic; None at or above the diameter (r <= y), where
-        the value is unscaled."""
-        if exact and type(y) is Fraction:
-            yn, yd = y.as_integer_ratio()
-            if rn * yd <= yn * rd:
-                return None
-            # ((r - 1) y + r) / r^2 = ((rn - rd) yn + rn yd) rd / (yd rn^2); a
-            # binary64 value meets it as its int true division, float(scale)
-            num, den = ((rn - rd) * yn + rn * yd) * rd, yd * rn * rn
-            scale64 = num / den
-            return lambda v: v * scale64 if type(v) is float else v * Fraction(num, den)
-        if le(U.binary64_r, y):
-            return None
-        scale64 = (rm1 * y + U.binary64_r) / U.binary64[2]
-        return lambda v: v * scale64
-
-    def g(x: Scalar, y: Scalar) -> Scalar:
-        value = disc(x, y)
-        if value is None:
-            return zero
-        if is_zero(y):
-            return one
-        scale = scaling(y)
-        return value if scale is None else scale(value)
-
-    def lattice(xs: list, ys: list, xterms: tuple, yterms: tuple) -> RunValues:
-        disc_values = disc.lattice(xs, ys, xterms, yterms)
-
-        def values(k: int, j: int, lo: int, hi: int) -> list:
-            y = ys[j]
-            if is_zero(y):
-                return [one] * (hi - lo)
-            chord, scale = disc_values(k, j, lo, hi), scaling(y)
-            return chord if scale is None else [scale(v) for v in chord]
-
-        return values
-
-    g.lattice = lattice
-    return g
-
-
 def g_family(U: TangentDisc, p: NiemytzkiPoint) -> Scalar:
     """Axis-normalized tangent-disc family: scores 1 at the tangency point."""
     if not isinstance(U, TangentDisc):
         raise TypeError("the g family is indexed by tangent discs only")
-    return _niemytzki_member(_g_kernel(U))(p)
+    return _niemytzki_member(_disc_kernel(U, _zero(U.r), g=True))(p)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +556,8 @@ def _bind_g_set(U: RegularOpenSet) -> FamilyMember:
     """The g family on the sets it is keyed by, single tangent discs."""
     if len(U.components) != 1 or not isinstance(U.components[0], TangentDisc):
         raise UnindexedSetError("the g family is indexed by single tangent discs")
-    return _niemytzki_member(_g_kernel(U.components[0]))
+    (c,) = U.components
+    return _niemytzki_member(_disc_kernel(c, _zero(c.r), g=True))
 
 
 def sorgenfrey_kappa() -> Stratification:

@@ -604,8 +604,9 @@ class DecreasingChain:
             if firsts[-1].space is not self.space:
                 raise SpaceMismatchError(f"{comp.kind} lane in a {self.space.value} chain")
             comp.check_decreasing()
-        validate_regular_open(self.space, firsts)  # nesting keeps the later elements regular open
-        if self.space is Space.NIEMYTZKI and not separated_hulls(firsts):
+        V = validate_regular_open(self.space, firsts)  # nesting keeps the later elements regular open
+        # a lane inside another is dropped, and its hull meets its container's
+        if self.space is Space.NIEMYTZKI and (len(V.components) < len(firsts) or not V.separated):
             raise MalformedChainError(
                 "multi-component Niemytzki chains need pairwise disjoint component lanes"
             )

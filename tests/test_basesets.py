@@ -20,7 +20,7 @@ from kappalab import (
     basic_member,
 )
 from kappalab.basesets import basic_neighborhood, disc_terms
-from kappalab.families import _chord_value
+from kappalab.families import _exact_pieces
 from kappalab.numerics import EPS, lt, sqrt_scalar
 from kappalab.spaces import lex_less, sq_dist, sq_dist_terms
 
@@ -268,9 +268,9 @@ def test_chord_radicand_is_the_fraction_formula(a, r, x, y):
     if y >= r:
         y = y * r / (y + r)  # below the horizontal diameter: 0 < y < r
     plain = r - r * abs(x - a) / sqrt_scalar(2 * y * r - y * y)
-    # |x - a| on the unreduced terms the kernel passes
-    (an, ad), (xn, xd) = a.as_integer_ratio(), x.as_integer_ratio()
-    chord = _chord_value(r, *r.as_integer_ratio(), abs(xn * ad - an * xd), xd * ad, *y.as_integer_ratio())
+    # the chord piece of B*(a, r), on the row and column terms of y and x
+    row, col, chord_value, _ = _exact_pieces(TangentDisc(a, r), False)
+    (chord,) = chord_value([col(x.as_integer_ratio())], row(y.as_integer_ratio()))
     assert chord == plain
     assert type(chord) is type(plain)
 

@@ -1723,13 +1723,18 @@ def _dying(death):
 @pytest.mark.parametrize("cores", [2, 3])
 @pytest.mark.parametrize("death", ["exit", "kill"])
 def test_a_child_that_dies_fails_the_command_without_a_report(tmp_path, capsys, monkeypatch, forked, death, cores):
+    from kappalab.cli import _build_scenario, _shares
+
+    # the first case that the cases' costs deal to a forked process k > 0
+    costs = [cost for *_, cost, _ in _build_scenario(_THREE_CASES)[2]]
+    k, at = next((k, share[0]) for k, share in enumerate(_shares(costs, cores)) if k)
     _on_cores(monkeypatch, cores)
-    _refuter_doing(monkeypatch, 1, _dying(death))
+    _refuter_doing(monkeypatch, at, _dying(death))
     code, out = _check_three_cases(tmp_path)
     code_text = "1" if death == "exit" else f"-{int(signal.SIGKILL)}"
     assert code == 4
     assert capsys.readouterr() == (
-        "", f"internal failure: forked process 1 of {cores} ended with code {code_text} before sending its outcomes\n"
+        "", f"internal failure: forked process {k} of {cores} ended with code {code_text} before sending its outcomes\n"
     )
     assert list(out.iterdir()) == []
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kappalab import (
     ClopenInterval,
@@ -34,6 +34,7 @@ from kappalab.families import (
     FAMILIES,
     UnindexedSetError,
     _complement_distance,
+    _disc_kernel,
     double_arrow_ro,
     g_stratification,
     niemytzki_kappa,
@@ -566,6 +567,25 @@ def test_value_kernel_cases_are_reached():
     for x, y in ((0.0, 0.0), (0.0, 0.5)):  # tangency point and vertical axis keep the exact r
         assert type(niemytzki_basic_f(s, NiemytzkiPoint(x, y))) is F
     assert type(niemytzki_basic_f(s, NiemytzkiPoint(0.25, 0.5))) is float
+
+
+@settings(max_examples=500)
+@given(_disc_and_point(), st.booleans(), st.booleans())
+def test_staged_kernels_are_the_point_kernels(case, binary64_set, binary64_point):
+    # each kernel's staged form as a 1x1 lattice on the point's own terms,
+    # rational chord roots and rational distances included, for the disc and
+    # g kernels of exact and binary64 sets
+    s, px, py = case
+    if binary64_set:
+        s = _binary64_disc(s)
+    if binary64_point:
+        px, py = float(px), float(py)
+    assume(s.terms_at(px, py) is not None)  # a lattice evaluates the runs inside U only
+    (xn, xd), (yn, yd) = px.as_integer_ratio(), py.as_integer_ratio()
+    for g in [False] + [True] * isinstance(s, TangentDisc):
+        kernel = _disc_kernel(s, None, g)
+        staged = kernel.lattice([px], [py], ([xn], xd), ([yn], yd))(0, 0, 0, 1)
+        assert len(staged) == 1 and _same_bits(staged[0], kernel(px, py))
 
 
 @st.composite

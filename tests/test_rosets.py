@@ -448,6 +448,25 @@ def test_decreasing_tangent_chain_requires_fixed_tangency():
         decreasing_chain_interior(DecreasingChain(Space.NIEMYTZKI, (comp,)))
 
 
+def _tangent_lane(a, r):
+    """The lane B*(a, r + 1/(8n))."""
+    return ParametricBasicSet("tangent_disc", {"a": ParamValue(a), "r": ParamValue(r, F(1, 8))})
+
+
+def test_niemytzki_chain_lanes_must_be_apart():
+    # overlapping tangent lanes, and an interior lane inside a tangent one, are
+    # no chain; the same tangent lanes 2 apart are one
+    inside = ParametricBasicSet(
+        "interior_disc", {"cx": ParamValue(F(0)), "cy": ParamValue(F(1, 2)), "r": ParamValue(F(1, 8), F(1, 16))}
+    )
+    overlapping = (_tangent_lane(F(0), F(1, 4)), _tangent_lane(F(1, 4), F(1, 4)))
+    for lanes in (overlapping, (_tangent_lane(F(0), F(1, 2)), inside)):
+        with pytest.raises(MalformedChainError, match="pairwise disjoint component lanes"):
+            DecreasingChain(Space.NIEMYTZKI, lanes)
+    apart = DecreasingChain(Space.NIEMYTZKI, (_tangent_lane(F(0), F(1, 4)), _tangent_lane(F(2), F(1, 4))))
+    assert apart.at(1).components == (TangentDisc(F(0), F(3, 8)), TangentDisc(F(2), F(3, 8)))
+
+
 def test_chain_interior_contained_in_every_element():
     rng = random.Random(9)
     from kappalab.sampling import sample_chain
