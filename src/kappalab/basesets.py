@@ -27,10 +27,9 @@ own topology:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
-from .numerics import Scalar, as_scalar, check_same_mode, eq, is_zero, le, lt, sq
+from .numerics import Scalar, as_float, as_scalar, check_same_mode, eq, is_zero, le, lt, sq
 from .spaces import (
     DoubleArrowPoint,
     NiemytzkiPoint,
@@ -41,6 +40,27 @@ from .spaces import (
     check_side,
     sq_dist_of,
 )
+
+
+class cached_property:
+    """``functools.cached_property`` without its lock, as in Python 3.12: the
+    first read stores the value in the instance's ``__dict__``, where every
+    later read finds it before this (non-data) descriptor.  Python 3.8-3.11
+    take an RLock on every first read; no instance here is shared between
+    threads, and ``cli._run_cases`` forks only while no other thread runs."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 class _Interval:
@@ -163,15 +183,15 @@ class _Disc:
     @cached_property
     def terms(self) -> tuple[int, int, int, int, int, int, int, int]:
         """(cxn, cxd, cyn, cyd, rn, rd, r2n, r2d): the lowest terms of an exact
-        disc's centre, r and r2, the operands of its exact kernel
+        disc's centre, r and r2, the operands of its exact kernel, read from
+        the fields; r2 = rn^2/rd^2 is in lowest terms as r is
         (docs/derivations.md, "Exact kernel")."""
-        c = self.center
-        return (
-            *c.x.as_integer_ratio(),
-            *c.y.as_integer_ratio(),
-            *self.r.as_integer_ratio(),
-            *self.r2.as_integer_ratio(),
-        )
+        rn, rd = self.r.as_integer_ratio()
+        if isinstance(self, TangentDisc):  # the centre is (a, r)
+            centre = (*self.a.as_integer_ratio(), rn, rd)
+        else:
+            centre = (*self.cx.as_integer_ratio(), *self.cy.as_integer_ratio())
+        return (*centre, rn, rd, rn * rn, rd * rd)
 
     @cached_property
     def binary64(self) -> tuple[float, float, float]:
@@ -179,12 +199,12 @@ class _Disc:
         arithmetic converts to on every operation (docs/derivations.md,
         "Exact kernel")."""
         c = self.center
-        return float(c.x), float(c.y), float(self.r2)
+        return as_float(c.x), as_float(c.y), as_float(self.r2)
 
     @cached_property
     def binary64_r(self) -> float:
         """The radius in binary64, the operand of the values' binary64 path."""
-        return float(self.r)
+        return as_float(self.r)
 
     def binary64_terms(self, x: Scalar, y: Scalar) -> tuple[float, float]:
         """The squared distance from (x, y) to the centre, and r2, in binary64."""

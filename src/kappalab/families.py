@@ -304,20 +304,28 @@ def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None, g: bool 
     vertical axis.  With ``g``, the g family's value: 1 (in U's mode) at the
     tangency point, the chord value times ((r-1)y + r) / r^2 below the
     diameter.  The point form decides membership, then calls its mode's
-    pieces; ``value.lattice`` calls the same ones (``RunValues``)."""
+    pieces; ``value.lattice`` calls the same ones (``RunValues``).  The
+    binary64 pieces are built when a binary64 point or lattice first needs
+    them: an exact set's points are almost all exact."""
     r = U.r
     exact = type(r) is Fraction
     tangency = (_ONE if exact else 1.0) if g else r
     exact_pieces = _exact_pieces(U, g) if exact else None
-    binary64_pieces = _binary64_pieces(U, g)
+    binary64_pieces = None
     exact_d2, binary64_d2 = U.exact_d2, U.binary64_d2
+
+    def binary64() -> Pieces:
+        nonlocal binary64_pieces
+        if binary64_pieces is None:
+            binary64_pieces = _binary64_pieces(U, g)
+        return binary64_pieces
 
     def value(x: Scalar, y: Scalar) -> Scalar:
         if exact and type(x) is Fraction:
             (xn, xd), (yn, yd) = x, y = x.as_integer_ratio(), y.as_integer_ratio()
             d2, (row, col, chord, interior) = exact_d2(xn, xd, yn, yd), exact_pieces
         else:
-            d2, (row, col, chord, interior) = binary64_d2(x, y), binary64_pieces
+            d2, (row, col, chord, interior) = binary64_d2(x, y), binary64_pieces or binary64()
         if d2 is None:
             return outside
         case = row(y)
@@ -342,7 +350,7 @@ def _disc_kernel(U: InteriorDisc | TangentDisc, outside: Scalar | None, g: bool 
                 return ((ynums[j] * cyd - cyn * Y) * bx) ** 2, square
 
         else:
-            row, col, chord, interior = binary64_pieces
+            row, col, chord, interior = binary64()
             cols = [col(x) for x in xs]
             squares = [dx * dx for dx, _, _ in cols]
             cy = U.binary64[1]

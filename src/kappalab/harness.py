@@ -50,7 +50,7 @@ from .families import (
     tabulated_evaluator,
     user_supplied,
 )
-from .numerics import Scalar, eq, is_zero, le, lt
+from .numerics import Scalar, as_float, eq, is_zero, le, lt
 from .rosets import (
     DecreasingChain,
     ParametricBasicSet,
@@ -63,6 +63,7 @@ from .sampling import (
     SEQUENCE_LENGTH,
     TAIL_START,
     rand_dyadic,
+    randbelow,
     sample_nested_pair,
     sample_niemytzki_set_separated,
     sample_point,
@@ -351,8 +352,8 @@ class _Continuity(NamedTuple):
             yield cls(S, U, S.at(U), cert.limit, tail, tol)
 
     def deviations(self) -> list[float]:
-        f_lim = float(self.f_U(self.limit))
-        return [abs(float(self.f_U(s)) - f_lim) for s in self.tail]
+        f_lim = as_float(self.f_U(self.limit))
+        return [abs(as_float(self.f_U(s)) - f_lim) for s in self.tail]
 
     def violates(self) -> bool:
         return max(self.deviations(), default=0.0) > self.tol
@@ -367,8 +368,8 @@ class _Continuity(NamedTuple):
             "set": encode_roset(self.U),
             "limit": encode_point(self.limit),
             "worst_point": encode_point(worst),
-            "limit_value": float(self.f_U(self.limit)),
-            "worst_value": float(self.f_U(worst)),
+            "limit_value": as_float(self.f_U(self.limit)),
+            "worst_value": as_float(self.f_U(worst)),
             "deviation": deviation,
             "tail_start": TAIL_START,
         }
@@ -665,7 +666,7 @@ def _abc_cases(A: Approximation, sets, nested_pairs, plan: SamplePlan):
     for U, V in nested_pairs:
         for _ in range(4):
             p = sample_point_near_set(V, rng)
-            yield _ApproxMonotone(A, U, V, p, grid.value(rng.randrange(n)))
+            yield _ApproxMonotone(A, U, V, p, grid.value(randbelow(rng, n)))
     for U in sets:
         for k in (n // 8, n // 2, (-n // 8) % n):  # the last is values[-n // 8]
             q, p_val = grid.value(k), grid.value(max(0, k - max(1, n // 16)))
@@ -901,7 +902,7 @@ def separate_regular_closed(
 
 def _ratio(fv: Scalar, gv: Scalar) -> float:
     """h = f / (f + g) in binary64 from the values fv of f and gv of g."""
-    fv, gv = float(fv), float(gv)
+    fv, gv = as_float(fv), as_float(gv)
     return fv / (fv + gv)
 
 

@@ -47,7 +47,7 @@ from .rosets import (
     lane_keeps,
     member,
 )
-from .sampling import double_arrow_pinch_chain
+from .sampling import double_arrow_pinch_chain, randbelow
 from .serialize import (
     SchemaError,
     _expect_fields,
@@ -267,7 +267,7 @@ def clopen_only_candidate() -> SorgenfreyCandidate:
 
 def _condition1_violation(cand: SorgenfreyCandidate, rng: random.Random) -> Optional[dict]:
     for _ in range(64):
-        x = Fraction(rng.randrange(-64, 64), 32)
+        x = Fraction(randbelow(rng, 128) - 64, 32)
         inside = [x, x + Fraction(1, 2), x + 1 - Fraction(1, 1024)]
         outside = [x - Fraction(1, 64), x + 1, x + Fraction(3, 2)]
         for t in inside:
@@ -290,9 +290,9 @@ def _condition2_violation(cand: SorgenfreyCandidate, rng: random.Random) -> Opti
     if cand.open_value is None:
         return None
     for _ in range(64):
-        x = Fraction(rng.randrange(-32, 32), 16)
-        a = x - Fraction(rng.randrange(1, 16), 16)
-        b = x + 1 + Fraction(rng.randrange(0, 16), 16)
+        x = Fraction(randbelow(rng, 64) - 32, 16)
+        a = x - Fraction(1 + randbelow(rng, 15), 16)
+        b = x + 1 + Fraction(randbelow(rng, 16), 16)
         for t in (x, x + Fraction(1, 2), x + Fraction(15, 16)):
             small = cand.half_open_value(x, t)
             big = cand.open_value(a, b, t)

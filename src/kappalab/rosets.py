@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -42,6 +41,7 @@ from .basesets import (
     OpenInterval,
     TangentDisc,
     basic_member,
+    cached_property,
 )
 from .numerics import Scalar, as_scalar, eq, is_zero, le, lt, sq
 from .spaces import NiemytzkiPoint, Point, SorgenfreyPoint, Space, SpaceMismatchError, sq_dist, sq_dist_of
@@ -158,7 +158,10 @@ def member(s: RegularOpenSet, p: Point) -> bool:
     """Membership: the union of the component predicates."""
     if s.space is not p.space:
         raise SpaceMismatchError(f"set in {s.space}, point in {p.space}")
-    return any(basic_member(c, p) for c in s.components)
+    for c in s.components:
+        if basic_member(c, p):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

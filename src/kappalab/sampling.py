@@ -36,6 +36,22 @@ TAIL_START = 100
 SEQUENCE_LENGTH = 128
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for an int n >= 1: the same value from the same
+    ``getrandbits`` draws, without randrange's argument checks
+    (docs/derivations.md, "The draw primitive").  ``randint(a, b)`` is
+    a + randbelow(rng, b - a + 1) and ``choice(seq)`` is
+    seq[randbelow(rng, len(seq))]."""
+    if n < 1:
+        raise ValueError(f"empty range for randbelow: {n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()  # not (n - 1).bit_length(): n may be 1
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def dyadic_terms(
     rng: random.Random, ln: int, ld: int, hn: int, hd: int, depth: int = 8
 ) -> tuple[int, int]:
@@ -47,7 +63,7 @@ def dyadic_terms(
     steps = ((hn * ld - ln * hd) << depth) // (hd * ld)
     if steps <= 0:
         return ln, ld
-    return (ln << depth) + rng.randrange(steps + 1) * ld, ld << depth
+    return (ln << depth) + randbelow(rng, steps + 1) * ld, ld << depth
 
 
 def rand_dyadic(rng: random.Random, lo: Scalar | int, hi: Scalar | int, depth: int = 8) -> Fraction:
@@ -93,12 +109,12 @@ def _paired_cuts(rng: random.Random, k: int, lowest: int, steps: int) -> list[tu
     """Up to k (left, right) numerators over 2^8 from 2k + 2 dyadic cuts:
     the draws deduplicated, sorted and paired off from the left, so every
     pair is in order and apart from the next."""
-    cuts = sorted({lowest + rng.randrange(steps + 1) for _ in range(2 * k + 2)})
+    cuts = sorted({lowest + randbelow(rng, steps + 1) for _ in range(2 * k + 2)})
     return list(zip(cuts[0::2], cuts[1::2]))[:k]
 
 
 def sample_sorgenfrey_set(rng: random.Random, max_components: int = 3) -> RegularOpenSet:
-    k = rng.randint(1, max_components)
+    k = 1 + randbelow(rng, max_components)
     comps = [
         HalfOpen(Fraction(a, 256), Fraction(b, 256))
         for a, b in _paired_cuts(rng, k, *_SORGENFREY_CUTS)
@@ -107,7 +123,7 @@ def sample_sorgenfrey_set(rng: random.Random, max_components: int = 3) -> Regula
 
 
 def sample_double_arrow_set(rng: random.Random, max_components: int = 3) -> RegularOpenSet:
-    k = rng.randint(1, max_components)
+    k = 1 + randbelow(rng, max_components)
     comps: list[BasicOpenSet] = [
         ClopenInterval(Fraction(a, 256), Fraction(b, 256))
         for a, b in _paired_cuts(rng, k, *_DOUBLE_ARROW_CUTS)
@@ -116,7 +132,7 @@ def sample_double_arrow_set(rng: random.Random, max_components: int = 3) -> Regu
     if roll < 0.15:
         comps.insert(0, _LEFT_EXTREME_INTERVAL)  # it ends before the first cut: canonical order
     elif roll < 0.25:
-        comps.append(ExtremeSingleton(rng.randint(0, 1)))
+        comps.append(ExtremeSingleton(randbelow(rng, 2)))
     return validate_regular_open(Space.DOUBLE_ARROW, comps)
 
 
@@ -139,7 +155,7 @@ def sample_niemytzki_component(rng: random.Random) -> BasicOpenSet:
 
 
 def sample_niemytzki_set(rng: random.Random, max_components: int = 3) -> RegularOpenSet:
-    k = rng.randint(1, max_components)
+    k = 1 + randbelow(rng, max_components)
     comps = [sample_niemytzki_component(rng) for _ in range(k)]
     return validate_regular_open(Space.NIEMYTZKI, comps)
 
@@ -149,7 +165,7 @@ def sample_niemytzki_set_separated(
 ) -> RegularOpenSet:
     """A union whose components live in disjoint x-bands (exact value path):
     component i is centred in [8i - 1, 8i + 1]."""
-    k = rng.randint(1, max_components)
+    k = 1 + randbelow(rng, max_components)
     comps = []
     for band in range(0, 8 * k, 8):
         if rng.random() < 0.5:
@@ -178,8 +194,8 @@ def sample_point(space: Space, rng: random.Random) -> Point:
     if space is Space.DOUBLE_ARROW:
         roll = rng.random()
         if roll < 0.05:
-            return _EXTREMES[rng.randint(0, 1)]
-        return DoubleArrowPoint(rand_dyadic(rng, 0, 1, depth=10), rng.randint(0, 1))
+            return _EXTREMES[randbelow(rng, 2)]
+        return DoubleArrowPoint(rand_dyadic(rng, 0, 1, depth=10), randbelow(rng, 2))
     roll = rng.random()
     x = rand_dyadic(rng, -4, 4, depth=10)
     if roll < 0.2:
@@ -194,7 +210,7 @@ def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
     integer terms (docs/derivations.md, "Sampling on integer terms")."""
     if U.is_empty:
         return sample_point(U.space, rng)
-    c = rng.choice(U.components)
+    c = U.components[randbelow(rng, len(U.components))]
     roll = rng.random()
     if U.space is Space.SORGENFREY:
         if roll < 0.5:
@@ -210,7 +226,7 @@ def sample_point_near_set(U: RegularOpenSet, rng: random.Random) -> Point:
             return c.point
         if roll < 0.4:
             t = Fraction(*dyadic_terms(rng, *c.terms, 10))
-            return DoubleArrowPoint(t, rng.randint(0, 1))
+            return DoubleArrowPoint(t, randbelow(rng, 2))
         if roll < 0.55:
             return DoubleArrowPoint(c.a, 1)
         if roll < 0.7:
@@ -257,23 +273,23 @@ def _shrunk_ends(c: HalfOpen | ClopenInterval, i: int, j: int) -> tuple[Fraction
 def _shrink_component(c: BasicOpenSet, rng: random.Random) -> BasicOpenSet | None:
     """A base set inside c, drawn on c's integer terms (sampled sets are exact)."""
     if isinstance(c, HalfOpen):
-        i, j = rng.randrange(0, 4), rng.randrange(1, 4)
+        i, j = randbelow(rng, 4), 1 + randbelow(rng, 3)
         return HalfOpen(*_shrunk_ends(c, i, j))
     if isinstance(c, ClopenInterval):
-        i, j = rng.randrange(0, 4), rng.randrange(0, 4)
+        i, j = randbelow(rng, 4), randbelow(rng, 4)
         keep_left = c.include_left_extreme and i == 0
         keep_right = c.include_right_extreme and j == 0
         return ClopenInterval(*_shrunk_ends(c, i, j), keep_left, keep_right)
     if isinstance(c, ExtremeSingleton):
         return c
     if isinstance(c, TangentDisc):
-        return TangentDisc(c.a, _times(c.r, rng.randrange(8, 16), 16))
+        return TangentDisc(c.a, _times(c.r, 8 + randbelow(rng, 8), 16))
     if isinstance(c, InteriorDisc):
         # radius r k/16, centre moved right by (r - r k/16) m/16 = r (16 - k) m/256
-        k = rng.randrange(8, 16)
+        k = 8 + randbelow(rng, 8)
         r = _times(c.r, k, 16)
         rn, rd = c.r.as_integer_ratio()
-        return InteriorDisc(_plus(c.cx, rn * (16 - k) * rng.randrange(0, 16), rd << 8), c.cy, r)
+        return InteriorDisc(_plus(c.cx, rn * (16 - k) * randbelow(rng, 16), rd << 8), c.cy, r)
     return None
 
 
@@ -347,7 +363,7 @@ def sample_certificates(
             c = rand_dyadic(rng, Fraction(1, 64), Fraction(1, 2))
             out.append(sorgenfrey_certificate(x, c))
         elif space is Space.DOUBLE_ARROW:
-            side = rng.randint(0, 1)
+            side = randbelow(rng, 2)
             if side == 0:
                 t = rand_dyadic(rng, Fraction(1, 4), Fraction(1))
             else:
@@ -357,7 +373,7 @@ def sample_certificates(
         else:
             if rng.random() < 0.6:
                 a = rand_dyadic(rng, Fraction(-2), Fraction(2))
-                slope = Fraction(rng.randrange(0, 21), 400)  # 0 .. 1/20
+                slope = Fraction(randbelow(rng, 21), 400)  # 0 .. 1/20
                 y0 = rand_dyadic(rng, Fraction(1, 64), Fraction(1, 4))
                 out.append(niemytzki_axis_certificate(a, slope, y0))
             else:
@@ -472,7 +488,7 @@ def sample_condition3_pairs_g(
         else:
             offset = rand_dyadic(rng, Fraction(1, 16), Fraction(1, 2))
             limit_x = a + offset if rng.random() < 0.5 else a - offset
-        slope = Fraction(rng.randrange(0, 21), 400)
+        slope = Fraction(randbelow(rng, 21), 400)
         y0 = rand_dyadic(rng, Fraction(1, 64), Fraction(1, 8))
         out.append((U, niemytzki_axis_certificate(limit_x, slope, y0)))
     return out
@@ -514,7 +530,7 @@ def sample_chain(space: Space, rng: random.Random) -> DecreasingChain:
     r_hi = min(Fraction(1, 2), cy / 2)
     r0 = rand_dyadic(rng, Fraction(1, 8), r_hi)
     cr = rand_dyadic(rng, Fraction(1, 64), Fraction(1, 8))
-    dx = cr * Fraction(rng.randrange(0, 16), 16)  # center drift bounded by radius decay
+    dx = cr * Fraction(randbelow(rng, 16), 16)  # center drift bounded by radius decay
     comp = ParametricBasicSet(
         "interior_disc",
         {"cx": ParamValue(cx, dx), "cy": ParamValue(cy), "r": ParamValue(r0, cr)},

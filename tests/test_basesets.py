@@ -1,6 +1,8 @@
 """Base elements: construction, membership, closures."""
 
+from dataclasses import dataclass
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -19,10 +21,11 @@ from kappalab import (
     basic_closure_member,
     basic_member,
 )
-from kappalab.basesets import basic_neighborhood, disc_terms
+from kappalab.basesets import basic_neighborhood, cached_property, disc_terms
 from kappalab.families import _exact_pieces
 from kappalab.numerics import EPS, lt, sqrt_scalar
-from kappalab.spaces import lex_less, sq_dist, sq_dist_terms
+from kappalab.rosets import validate_regular_open
+from kappalab.spaces import Space, lex_less, sq_dist, sq_dist_terms
 
 
 def test_constructor_guards():
@@ -203,6 +206,66 @@ def _plain_member_d2(s, px, py):
     if py == 0:
         return d2 if isinstance(s, TangentDisc) and px == s.a else None
     return d2 if d2 < s.r * s.r else None
+
+
+@given(_discs(), st.integers(1, 12))
+def test_disc_terms_are_the_fraction_formula(s, k):
+    c = s.center
+    plain = (*c.x.as_integer_ratio(), *c.y.as_integer_ratio(), *s.r.as_integer_ratio())
+    plain += (s.r * s.r).as_integer_ratio()
+    # the same disc from unreduced texts, "2/4" for 1/2
+    text = lambda v: f"{v.numerator * k}/{v.denominator * k}"
+    if isinstance(s, TangentDisc):
+        t = TangentDisc(text(s.a), text(s.r))
+    else:
+        t = InteriorDisc(text(s.cx), text(s.cy), text(s.r))
+    for disc in (s, t):
+        assert disc.terms == plain
+        assert all(type(v) is int for v in disc.terms)
+    r2n, r2d = plain[6:]
+    assert r2d > 0 and gcd(r2n, r2d) == 1
+
+
+def test_cached_property_computes_once_per_instance():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Box:
+        v: int
+
+        @cached_property
+        def twice(self) -> int:
+            """2v."""
+            calls.append(self.v)
+            return 2 * self.v
+
+    a, b = Box(1), Box(1)
+    assert (a.twice, a.twice, b.twice, a.twice) == (2, 2, 2, 2)
+    assert calls == [1, 1]  # once per instance
+    assert Box.twice.__doc__ == "2v."
+    assert a == b and hash(a) == hash(b) == hash(Box(1))  # the cache is no field
+
+
+def test_read_properties_leave_hash_and_equality_as_they_were():
+    def fresh():
+        return [
+            HalfOpen(F(0), F(1)),
+            ClopenInterval(F(1, 4), F(1, 2)),
+            TangentDisc(F(1, 3), F(3, 4)),
+            InteriorDisc(F(2), F(5, 4), F(3, 4)),
+            validate_regular_open(Space.NIEMYTZKI, [TangentDisc(F(1, 3), F(3, 4))]),
+        ]
+
+    disc = ("terms", "binary64", "binary64_r", "center", "r2")
+    names = [("terms",), ("terms", "length"), disc, disc]
+    names.append(("separated", "circles", "corners", "inscribed_tangent_discs"))
+    read, unread = fresh(), fresh()
+    for s, t, cached in zip(read, unread, names):
+        for name in cached:
+            value = getattr(s, name)
+            assert getattr(s, name) is value and vars(s)[name] is value  # kept once read
+        assert s == t and hash(s) == hash(t)
+    assert {*read} == {*unread}
 
 
 @given(_coord, _height, _coord, _height)

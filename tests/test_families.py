@@ -30,6 +30,7 @@ from kappalab import (
     sorgenfrey_f,
     validate_regular_open,
 )
+from kappalab import families
 from kappalab.families import (
     FAMILIES,
     UnindexedSetError,
@@ -586,6 +587,53 @@ def test_staged_kernels_are_the_point_kernels(case, binary64_set, binary64_point
         kernel = _disc_kernel(s, None, g)
         staged = kernel.lattice([px], [py], ([xn], xd), ([yn], yd))(0, 0, 0, 1)
         assert len(staged) == 1 and _same_bits(staged[0], kernel(px, py))
+
+
+#: points of B*(1/3, 3/4) and B((1/3, 5/4), 3/4) in binary64: below the
+#: tangent disc's diameter, above it, on its vertical axis, its tangency
+#: point, inside the interior disc near its centre, at its centre, and outside
+_BINARY64_POINTS = [(0.3, 0.1), (0.5, 0.6), (1 / 3, 0.2), (1 / 3, 0.0), (0.9, 0.7), (2.0, 0.5)]
+_BINARY64_POINTS += [(0.3, 1.2), (0.5, 0.9), (1 / 3, 1.25)]
+#: their values on the exact discs, as the kernel gave them when it built the
+#: binary64 pieces at every bind
+_BINARY64_VALUES = {
+    "tangent": [
+        "0x1.5dca62353fb7bp-1", "0x1.28e833352cc1ep-1", F(3, 4), F(3, 4), "0x1.74e10b127664cp-3",
+        F(0), "0x1.31f00216ded17p-2", "0x1.0d321c1cd6858p-1", "0x1.0000000000000p-2",
+    ],
+    "g": [
+        "0x1.c2d756c1c9976p-1", "0x1.3cb369d251dfep-1", "0x1.ddddddddddddep-1", F(1), "0x1.7d2a4f95b79a3p-3",
+        F(0), "0x1.31f00216ded17p-2", "0x1.0d321c1cd6858p-1", "0x1.0000000000000p-2",
+    ],
+    "interior": [
+        F(0), "0x1.4378c4a5a1080p-4", F(0), F(0), F(0),
+        F(0), "0x1.613b8d94ed7dep-1", "0x1.730a19fc2a002p-2", "0x1.8000000000000p-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BINARY64_VALUES))
+def test_binary64_pieces_are_built_on_demand(kind, monkeypatch):
+    built = []
+    pieces = families._binary64_pieces
+    monkeypatch.setattr(families, "_binary64_pieces", lambda U, g: built.append(U) or pieces(U, g))
+    if kind == "interior":
+        s = InteriorDisc(F(1, 3), F(5, 4), F(3, 4))
+    else:
+        s = TangentDisc(F(1, 3), F(3, 4))
+    kernel = _disc_kernel(s, F(0), kind == "g")
+    exact = [(F(x), F(y)) for x, y in _BINARY64_POINTS]  # every case of the value, exact
+    xs, ys = sorted({x for x, _ in exact}), sorted({y for _, y in exact})
+    for x, y in exact:
+        kernel(x, y)
+    terms = lambda vs: ([int(v * 2**60) for v in vs], 2**60)  # the lattice's integer terms
+    kernel.lattice(xs, ys, terms(xs), terms(ys))
+    assert built == []
+    # binary64 points build them once, and keep their bits
+    values = [kernel(x, y) for x, y in _BINARY64_POINTS]
+    assert [v if type(v) is F else v.hex() for v in values] == _BINARY64_VALUES[kind]
+    kernel.lattice([0.3], [0.1], None, None)
+    assert built == [s]
 
 
 @st.composite

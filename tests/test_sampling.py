@@ -1,17 +1,19 @@
 """Seeded generators: every draw on integer terms against its Fraction formula."""
 
 import random
+import sys
 from fractions import Fraction as F
 from functools import partial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kappalab.basesets import ClopenInterval, ExtremeSingleton, HalfOpen, InteriorDisc, TangentDisc
 from kappalab.rosets import RegularOpenSet, validate_regular_open
 from kappalab.sampling import (
     _shrink_component,
     rand_dyadic,
+    randbelow,
     sample_double_arrow_set,
     sample_nested_pair,
     sample_niemytzki_component,
@@ -21,6 +23,41 @@ from kappalab.sampling import (
     sample_sorgenfrey_set,
 )
 from kappalab.spaces import DoubleArrowPoint, NiemytzkiPoint, SorgenfreyPoint, Space
+
+
+#: n = 1, powers of two and their neighbours up to past 2^64, and any n
+_sizes = (
+    st.integers(0, 80).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1]))
+    | st.integers(1, 2**100)
+).filter(lambda n: n >= 1)
+
+
+@settings(max_examples=500)
+@given(_sizes, st.integers(0, 2**64), st.integers(-(2**70), 2**70))
+@example(1, 0, 0)
+@example(2**64, 1, -1)
+@example(2**64 + 1, 2, 5)
+def test_randbelow_is_randrange_randint_and_choice(n, seed, a):
+    draws = [
+        (lambda rng: rng.randrange(n), lambda rng: randbelow(rng, n)),
+        (lambda rng: rng.randint(a, a + n - 1), lambda rng: a + randbelow(rng, n)),
+    ]
+    if n <= sys.maxsize:  # len() of a longer range overflows
+        seq = range(a, a + n)
+        draws.append((lambda rng: rng.choice(seq), lambda rng: seq[randbelow(rng, len(seq))]))
+    for stdlib, primitive in draws:
+        reference, rng = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert primitive(rng) == stdlib(reference)
+        assert rng.getstate() == reference.getstate()  # the same draws, in the same order
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_randbelow_of_an_empty_range_raises_as_randrange_does(n):
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(n)
+    with pytest.raises(ValueError):
+        randbelow(random.Random(0), n)
 
 
 def _fraction_rand_dyadic(rng, lo, hi, depth=8):
