@@ -24,7 +24,7 @@ from functools import partial
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .basesets import basic_member
 from .families import LABEL_G, Stratification, UnindexedSetError, tabulated_evaluator, user_supplied
@@ -81,11 +81,8 @@ from .serialize import (
 )
 from .spaces import SorgenfreyPoint, Space
 
-_CANDIDATES = {
-    "characteristic": characteristic_candidate,
-    "right_gap": right_gap_candidate,
-    "clopen_only": clopen_only_candidate,
-}
+#: the candidates of the sorgenfrey-a refute target, by their own names
+_CANDIDATES = {c.name: c for c in (characteristic_candidate(), right_gap_candidate(), clopen_only_candidate())}
 
 
 def _mode() -> str:
@@ -224,16 +221,11 @@ def _on_family(check, evaluations, tables=False):
     return build
 
 
-def _build_condition_3(entry: dict, plan: SamplePlan) -> list:
-    S = decode_family(entry.get("family"))
-    n = _count_field(entry, "n_certificates", plan.n_sequences)
-
-    def run():
-        rng = plan.rng(f"cond3:{S.label}")
-        pairs = sample_condition3_pairs_g(rng, n) if S.label == LABEL_G else sample_condition3_pairs(S.space, rng, n)
-        return _report(check_condition_3(S, pairs))
-
-    return [(f"condition_3:{S.label}", _cost(S, n * _CERTIFICATE_COST), run)]
+def _condition_3(S: Stratification, sets, plan: SamplePlan) -> CheckReport:
+    rng = plan.rng(f"cond3:{S.label}")
+    n = plan.n_sequences
+    pairs = sample_condition3_pairs_g(rng, n) if S.label == LABEL_G else sample_condition3_pairs(S.space, rng, n)
+    return check_condition_3(S, pairs)
 
 
 def _on_chains(prefix: str, divisors, check):
@@ -265,14 +257,51 @@ def _bridge(bound, i, pairs, plan) -> tuple[dict, bool]:
     return {"check_id": "bridge_4_iff_d", "family": bound.S.label, "chain_index": i, **parts}, agree
 
 
+#: each refute target: (the fields it reads, with their defaults; its refuter
+#: as a function of those fields and the plan seed; its time in ms, in process
+#: at plan seed 99, as a function of those fields, from which its cost follows
+#: in _FLAT_COST units).  niemytzki-strat reads n as its sequence length, and
+#: its time grows in proportion to n; g-extend's time does not.
+_TARGETS = {
+    "sorgenfrey-a": (
+        {"candidate": "characteristic"},
+        lambda fields, seed: refute_sorgenfrey_A(_CANDIDATES[fields["candidate"]], seed=seed),
+        lambda fields: {"characteristic": 12.8, "right_gap": 16.4, "clopen_only": 3.9}[fields["candidate"]],
+    ),
+    "doublearrow-d": ({}, lambda fields, seed: doublearrow_not_kappa_default(), lambda fields: 1.3),
+    "niemytzki-strat": (
+        {"n": 50},
+        lambda fields, seed: niemytzki_not_stratifiable(0.0 if _mode() == "float" else Fraction(0), fields["n"]),
+        lambda fields: 15.6 * fields["n"] / 50,
+    ),
+    "g-extend": ({"n": 1}, lambda fields, seed: g_family_not_extendable(fields["n"]), lambda fields: 1.2),
+}
+
+
+def _target_fields(target, given: dict) -> dict:
+    """A valid target's fields: the ``given`` ones over its defaults."""
+    if not isinstance(target, str) or target not in _TARGETS:
+        raise SchemaError(f"unknown refute target {target!r}")
+    defaults = _TARGETS[target][0]
+    if set(given) - set(defaults):
+        raise SchemaError(f"refute target {target!r} reads {sorted(defaults)}, got {sorted(given)}")
+    fields = {**defaults, **given}
+    candidate, n = fields.get("candidate"), fields.get("n")
+    if not (candidate is None or isinstance(candidate, str) and candidate in _CANDIDATES):
+        raise SchemaError(f"unknown candidate {candidate!r}")
+    if n is not None and n < 1:
+        raise SchemaError(f"'n' must be at least 1, got {n}")
+    return fields
+
+
 def _build_refute(entry: dict, plan: SamplePlan) -> list:
     target = entry.get("target")
     _int_field(entry, "n", 1)  # a given n is a JSON integer
-    fields, refute = _refuter(target, {name: entry[name] for name in ("candidate", "n") if name in entry})
-    candidate, n = fields.get("candidate"), fields.get("n")
-    key = f"refute:{target}:{candidate}" if target == "sorgenfrey-a" else f"refute:{target}"
-    cost = max(1, round(_FLAT_COST * _REFUTE_MS[target](candidate, n) / _FLAT_MS))
-    return [(key, cost, lambda: _report(refute(plan.seed)))]
+    fields = _target_fields(target, {k: v for k, v in entry.items() if k not in ("check", "expect", "target")})
+    _, refute, ms = _TARGETS[target]
+    key = f"refute:{target}" + (f":{fields['candidate']}" if "candidate" in fields else "")
+    cost = max(1, round(_FLAT_COST * ms(fields) / _FLAT_MS))
+    return [(key, cost, lambda: _report(refute(fields, plan.seed)))]
 
 
 #: a check's verdicts: the first when it holds, and the default expectation
@@ -291,7 +320,9 @@ _KINDS = {
     "condition_2": ({"family"}, _PASS_FAIL, _on_family(
         lambda S, sets, plan: check_condition_2(S, plan), lambda plan: 2 * plan.n_set_pairs * plan.points_per_pair
     )),
-    "condition_3": ({"family", "n_certificates"}, _PASS_FAIL, _build_condition_3),
+    "condition_3": ({"family"}, _PASS_FAIL, _on_family(
+        _condition_3, lambda plan: plan.n_sequences * _CERTIFICATE_COST
+    )),
     "condition_3_negative_control": (set(), _PASS_FAIL, lambda entry, plan: [(
         "condition_3:negative_control",
         _CERTIFICATE_COST,  # one certificate on the Sorgenfrey line
@@ -305,7 +336,7 @@ _KINDS = {
     "separations": ({"family"}, _PASS_FAIL, _on_family(
         lambda S, sets, plan: check_separations(S, plan), lambda plan: 5 * plan.n_points
     )),
-    "refute": ({"target", "n", "candidate"}, (REFUTED, NOT_FOUND), _build_refute),
+    "refute": ({"target"}.union(*(row[0] for row in _TARGETS.values())), (REFUTED, NOT_FOUND), _build_refute),
 }
 
 
@@ -516,57 +547,10 @@ def cmd_check(args) -> int:
     return max(run_scenario(scenario, list(islice(outcomes, len(scenario[2]))), args.out) for scenario in built)
 
 
-#: refute targets as functions of (candidate, seed, n);
-#: niemytzki-strat reads n as its sequence length
-_REFUTERS = {
-    "sorgenfrey-a": lambda cand, seed, n: refute_sorgenfrey_A(_CANDIDATES[cand](), seed=seed),
-    "doublearrow-d": lambda cand, seed, n: doublearrow_not_kappa_default(),
-    "niemytzki-strat": lambda cand, seed, n: niemytzki_not_stratifiable(0.0 if _mode() == "float" else Fraction(0), n),
-    "g-extend": lambda cand, seed, n: g_family_not_extendable(n),
-}
-
-
-#: the fields each refute target reads, with their defaults; a target given
-#: a field it does not read is a schema error
-_REFUTE_FIELDS = {
-    "sorgenfrey-a": {"candidate": "characteristic"},
-    "doublearrow-d": {},
-    "niemytzki-strat": {"n": 50},
-    "g-extend": {"n": 1},
-}
-
-
-#: a refute case's time in ms, in process at plan seed 99, as a function of
-#: its candidate and n, from which its cost follows in _FLAT_COST units:
-#: niemytzki-strat's time grows in proportion to n, g-extend's not at all
-_REFUTE_MS = {
-    "sorgenfrey-a": lambda candidate, n: {"characteristic": 12.8, "right_gap": 16.4, "clopen_only": 3.9}[candidate],
-    "doublearrow-d": lambda candidate, n: 1.3,
-    "niemytzki-strat": lambda candidate, n: 15.6 * n / 50,
-    "g-extend": lambda candidate, n: 1.2,
-}
-
-
-def _refuter(target, given: dict) -> tuple[dict, Callable[[int], RefutationResult]]:
-    """A valid target's fields, the ``given`` ones over its defaults, and its
-    refuter as a function of the plan seed."""
-    if target not in _REFUTERS:
-        raise SchemaError(f"unknown refute target {target!r}")
-    if set(given) - set(_REFUTE_FIELDS[target]):
-        raise SchemaError(f"refute target {target!r} reads {sorted(_REFUTE_FIELDS[target])}, got {sorted(given)}")
-    fields = {**_REFUTE_FIELDS[target], **given}
-    candidate, n = fields.get("candidate"), fields.get("n")
-    if not (candidate is None or isinstance(candidate, str) and candidate in _CANDIDATES):
-        raise SchemaError(f"unknown candidate {candidate!r}")
-    if n is not None and n < 1:
-        raise SchemaError(f"'n' must be at least 1, got {n}")
-    return fields, lambda seed: _REFUTERS[target](candidate, seed, n)
-
-
 def cmd_refute(args) -> int:
     plan_seed = args.seed if args.seed is not None else 0
-    given = {name: value for name, value in (("candidate", args.candidate), ("n", args.n)) if value is not None}
-    res = _refuter(args.target, given)[1](plan_seed)
+    given = {name: getattr(args, name) for name in ("candidate", "n") if getattr(args, name) is not None}
+    res = _TARGETS[args.target][1](_target_fields(args.target, given), plan_seed)
     doc = dumps_canonical(res.payload()) + "\n"
     if args.out:
         _write(Path(args.out), doc)
@@ -764,6 +748,11 @@ def cmd_sample_grid(args) -> int:
     return 0
 
 
+def _read_by(name: str) -> str:
+    """The help of a refute option: the targets that read it, with their defaults."""
+    return " and ".join(f"{t} (default {d[name]})" for t, (d, *_) in _TARGETS.items() if name in d) + " only"
+
+
 class _Parser(argparse.ArgumentParser):
     """A malformed command line, an unknown option included, is a schema
     error (exit 2), as malformed JSON is."""
@@ -786,9 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_ref = sub.add_parser("refute", help="run one refuter")
-    p_ref.add_argument("target", choices=list(_REFUTERS))
-    p_ref.add_argument("--candidate", choices=sorted(_CANDIDATES), help="sorgenfrey-a only; default characteristic")
-    p_ref.add_argument("--n", type=int, help="niemytzki-strat (default 50) and g-extend (default 1) only")
+    p_ref.add_argument("target", choices=list(_TARGETS))
+    p_ref.add_argument("--candidate", choices=sorted(_CANDIDATES), help=_read_by("candidate"))
+    p_ref.add_argument("--n", type=int, help=_read_by("n"))
     p_ref.add_argument("--seed", type=int, default=None)
     p_ref.add_argument("--expect", choices=_KINDS["refute"][1])
     p_ref.add_argument("--out", help="path for the witness bundle JSON")

@@ -2,7 +2,7 @@
 
 The four family conditions and the four approximation conditions:
 
-1. support: U = {p : f_U(p) > 0};
+1. support: U = {p : f_U(p) > 0}, with every value in the codomain [0, 1];
 2. monotonicity: U <= V implies f_U <= f_V pointwise;
 3. continuity along certified convergent sequences;
 4. chain infimum: f at the interior of a decreasing chain's intersection
@@ -247,16 +247,22 @@ class _Support(NamedTuple):
             yield cls(S, U, f_U, sample_point_near_set(U, rng))
 
     def violates(self) -> bool:
-        return member(self.U, self.p) != lt(0, self.f_U(self.p))
+        """p in U iff 0 < f_U(p) fails, or f_U(p) leaves [0, 1]: a positive
+        value above 1, another below 0 (``le``: exact, EPS when it is a float)."""
+        value = self.f_U(self.p)
+        positive = lt(0, value)
+        return member(self.U, self.p) != positive or not (le(value, 1) if positive else le(0, value))
 
     def witness(self) -> dict:
+        value = self.f_U(self.p)
         return {
             "kind": self.kind,
             "family": self.S.label,
             "set": encode_roset(self.U),
             "point": encode_point(self.p),
-            "value": encode_scalar(self.f_U(self.p)),
+            "value": encode_scalar(value),
             "member": member(self.U, self.p),
+            "in_codomain": le(0, value) and le(value, 1),
         }
 
     @classmethod
@@ -269,7 +275,7 @@ class _Support(NamedTuple):
 def check_condition_1(
     S: Stratification, plan: SamplePlan, sets: Optional[Sequence[RegularOpenSet]] = None
 ) -> CheckReport:
-    """Support identity: membership iff strictly positive value."""
+    """Support identity: membership iff strictly positive value, every value in [0, 1]."""
     return _run(_Support.kind, (_Support,), S.label, S.space, {}, _Support.cases(S, plan, sets))
 
 
@@ -453,8 +459,8 @@ def _chain_inf_estimate(bound: BoundChain, p: Point) -> tuple[float, float]:
     """
     exact_inf = chain_limit_value(bound, p)
     if exact_inf is not None:
-        return float(exact_inf), TOL_INF
-    evaluated = [float(f(p)) for f in bound.scan]
+        return as_float(exact_inf), TOL_INF
+    evaluated = [as_float(f(p)) for f in bound.scan]
     slope = max(0.0, evaluated[-2] - evaluated[-1])
     return min(evaluated), TOL_INF + INF_SCAN * slope
 
@@ -469,11 +475,11 @@ class _ChainInf(NamedTuple):
 
     def violates(self) -> bool:
         inf_est, tol_here = _chain_inf_estimate(self.bound, self.p)
-        return abs(float(self.bound.f_W(self.p)) - inf_est) > tol_here
+        return abs(as_float(self.bound.f_W(self.p)) - inf_est) > tol_here
 
     def witness(self) -> dict:
         S, chain, f_W, scan = self.bound
-        f_w = float(f_W(self.p))
+        f_w = as_float(f_W(self.p))
         inf_est, _tol_here = _chain_inf_estimate(self.bound, self.p)
         return {
             "kind": self.kind,
@@ -483,7 +489,7 @@ class _ChainInf(NamedTuple):
             "interior_value": f_w,
             "inf_estimate": inf_est,
             # a closed-form family binds the elements for this field alone
-            "evaluated_min": min(float(f(self.p)) for f in scan or _bind_elements(S, chain)),
+            "evaluated_min": min(as_float(f(self.p)) for f in scan or _bind_elements(S, chain)),
             "deviation": abs(f_w - inf_est),
         }
 

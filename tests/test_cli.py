@@ -6,12 +6,14 @@ import io
 import json
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
 import tempfile
 import time
 from fractions import Fraction as F
+from itertools import takewhile
 from pathlib import Path
 from unittest import mock
 
@@ -355,7 +357,7 @@ def test_non_integer_plan_field_exits_2(tmp_path, capsys):
         {"check": "refute", "target": "g-extend", "n": "x"},
         {"check": "refute", "target": "niemytzki-strat", "n": 2.5},
         {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": {"sampled": "2"}},
-        {"check": "condition_3", "family": "sorgenfrey_kappa", "n_certificates": "x"},
+        {"check": "condition_d", "family": "sorgenfrey_kappa", "chain": {"sampled": 1.5}},
     ],
 )
 def test_non_integer_entry_counts_exit_2(tmp_path, capsys, entry):
@@ -378,7 +380,6 @@ _SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
         ({"grid_m": 1}, {"check": "condition_d", "family": "sorgenfrey_kappa"}),
         ({"grid_m": 2}, {"check": "condition_d", "family": "sorgenfrey_kappa"}),
         ({"grid_m": 2}, {"check": "bridge_4_iff_d", "family": "sorgenfrey_kappa"}),
-        ({}, {"check": "condition_3", "family": "sorgenfrey_kappa", "n_certificates": -3}),
         ({}, {"check": "condition_4", "family": "sorgenfrey_kappa", "chain": {"sampled": 0}}),
         ({}, {"check": "refute", "target": "niemytzki-strat", "n": 0}),
         ({}, {"check": "refute", "target": "g-extend", "n": -1}),
@@ -393,7 +394,6 @@ _SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
         "condition_d_grid_m_1",
         "condition_d_grid_m_2",
         "bridge_grid_m_2",
-        "n_certificates_negative",
         "sampled_0",
         "refute_n_0",
         "refute_n_negative",
@@ -402,6 +402,14 @@ _SORGENFREY_1 = {"check": "condition_1", "family": "sorgenfrey_kappa"}
 def test_budgets_below_1_exit_2(tmp_path, capsys, monkeypatch, plan, entry):
     # a budget of 0 would run no samples and pass
     scenario = {"name": "x", "plan": plan, "checks": [entry]}
+    assert _rejected_before_any_check(tmp_path, capsys, monkeypatch, _scenario_argv(tmp_path, scenario))
+
+
+@pytest.mark.parametrize("count", [60, -3])
+def test_condition_3_entry_with_n_certificates_exits_2(tmp_path, capsys, monkeypatch, count):
+    # condition 3 certifies plan.n_sequences sequences; an entry sets no count
+    entry = {"check": "condition_3", "family": "sorgenfrey_kappa", "n_certificates": count}
+    scenario = {"name": "x", "plan": {"n_sequences": 60}, "checks": [entry]}
     assert _rejected_before_any_check(tmp_path, capsys, monkeypatch, _scenario_argv(tmp_path, scenario))
 
 
@@ -631,6 +639,7 @@ def _da_chain(**flags):
         {"name": "x", "checks": [{"check": "refute", "target": "doublearrow-d", "n": 7}]},
         {"name": "x", "checks": [{"check": "refute", "target": "sorgenfrey-a", "n": 1}]},
         {"name": "x", "checks": [{"check": "refute", "target": "sorgenfrey-a", "candidate": ["right_gap"]}]},
+        {"name": "x", "checks": [{"check": "refute", "target": ["g-extend"]}]},
         # one set in two rows, written two ways: the verdict would hang on row order
         {"name": "x", "checks": [_user_table([
             {"set": {"kind": "half_open", "a": "0", "b": "1"}, "samples": [
@@ -704,6 +713,7 @@ def _da_chain(**flags):
         "refute_n_on_doublearrow_d",
         "refute_n_on_sorgenfrey_a",
         "refute_candidate_not_a_string",
+        "refute_target_not_a_string",
         "table_lists_a_set_twice",
     ],
 )
@@ -1441,6 +1451,50 @@ def test_refute_niemytzki_strat_reads_n(tmp_path):
         assert sum(a["kind"] == "value_eq" for a in bundle["assertions"]) == pinned
 
 
+def test_refute_help_names_every_target_and_candidate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["refute", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # as one line, however argparse wraps it
+    assert "{sorgenfrey-a,doublearrow-d,niemytzki-strat,g-extend}" in out
+    assert "{characteristic,clopen_only,right_gap}" in out
+    assert "sorgenfrey-a (default characteristic) only" in out
+    assert "niemytzki-strat (default 50) and g-extend (default 1) only" in out
+
+
+def _schema_table(header: str) -> list[list[str]]:
+    """The rows of the docs/schema.md table under ``header``, as cells."""
+    lines = (Path(__file__).resolve().parents[1] / "docs" / "schema.md").read_text().splitlines()
+    start = [line.strip() for line in lines].index(header) + 2  # past the header and its rule
+    rows = takewhile(lambda line: line.strip().startswith("|"), lines[start:])
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")] for line in rows]
+
+
+def _code_names(cell: str) -> list[str]:
+    """The `names` of a table cell, in order; none for "none"."""
+    return [] if cell == "none" else [name.strip().strip("`") for name in cell.split(",")]
+
+
+def test_schema_doc_lists_the_fields_and_verdicts_of_every_check_kind():
+    from kappalab.cli import _KINDS
+
+    documented = {
+        kind.strip("`"): (set(_code_names(fields)), tuple(_code_names(verdicts)))
+        for kind, fields, verdicts in _schema_table("| `check` | fields | verdicts |")
+    }
+    assert documented == {kind: (fields, verdicts) for kind, (fields, verdicts, _) in _KINDS.items()}
+
+
+def test_schema_doc_lists_the_fields_and_defaults_of_every_refute_target():
+    from kappalab.cli import _TARGETS
+
+    documented = {
+        target.strip("`"): dict(re.findall(r"`([^`]+)` = `([^`]+)`", fields))
+        for target, fields in _schema_table("| target | fields |")
+    }
+    assert documented == {target: {k: str(v) for k, v in row[0].items()} for target, row in _TARGETS.items()}
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_refute_bundles_reverify_from_their_json(tmp_path, monkeypatch, mode):
     from kappalab.refuters import RefutationResult, reverify_bundle
@@ -1658,7 +1712,9 @@ def _refuter_doing(monkeypatch, at, fn):
     """Make case ``at`` of _THREE_CASES call ``fn()`` as its refuter."""
     import kappalab.cli
 
-    monkeypatch.setitem(kappalab.cli._REFUTERS, _TARGETS[at], lambda candidate, seed, n: fn())
+    target = _TARGETS[at]
+    defaults, _, ms = kappalab.cli._TARGETS[target]
+    monkeypatch.setitem(kappalab.cli._TARGETS, target, (defaults, lambda fields, seed: fn(), ms))
 
 
 def _raise(exc):

@@ -3,12 +3,17 @@ witnesses on broken ones, determinism."""
 
 import dataclasses
 import hashlib
+import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+import kappalab
 from kappalab import (
     DoubleArrowPoint,
     HalfOpen,
@@ -39,7 +44,7 @@ from kappalab import (
     user_supplied,
     validate_regular_open,
 )
-from kappalab.families import g_stratification, sorgenfrey_f
+from kappalab.families import FAMILIES, Stratification, g_stratification, sorgenfrey_f
 from kappalab.serialize import encode_chain, encode_point, encode_roset
 from kappalab.harness import (
     _ApproxClosure,
@@ -52,6 +57,7 @@ from kappalab.harness import (
     chain_check_points,
     check_separations,
     continuity_negative_control,
+    sampled_closure_member,
 )
 from kappalab.sampling import (
     sample_chain,
@@ -125,6 +131,56 @@ def test_condition_1_vacuous_on_empty_set():
     S = user_supplied(Space.SORGENFREY, lambda U, p: F(0))
     rep = check_condition_1(S, PLAN, sets=[validate_regular_open(Space.SORGENFREY, [])])
     assert rep.passed  # nothing is a member and every value is 0
+
+
+def _uncapped_sorgenfrey(U, x):
+    """b - x on the component [a, b) of U that holds x, else 0: the Sorgenfrey
+    kappa value without its cap at 1."""
+    return next((c.b - x.x for c in U.components if c.a <= x.x < c.b), F(0))
+
+
+def _shipped_plan(name):
+    scenario = json.loads((Path(kappalab.__file__).parent / "scenarios" / name).read_text())
+    return SamplePlan(**scenario["plan"])
+
+
+def test_condition_1_fails_above_the_codomain():
+    # the uncapped value exceeds 1 on the components longer than 1; support holds
+    S = user_supplied(Space.SORGENFREY, _uncapped_sorgenfrey)
+    rep = check_condition_1(S, _shipped_plan("sorgenfrey_kappa_full.json"))
+    assert not rep.passed
+    for w in rep.witnesses:
+        assert w["member"] is True and w["in_codomain"] is False and F(w["value"]) > 1
+        assert replay_witness(w)
+
+
+def test_condition_1_fails_below_the_codomain():
+    S = user_supplied(Space.SORGENFREY, lambda U, x: sorgenfrey_f(U, x) or F(-1, 2))
+    rep = check_condition_1(S, PLAN)
+    assert not rep.passed
+    for w in rep.witnesses:
+        assert w["member"] is False and w["in_codomain"] is False and w["value"] == "-1/2"
+        assert replay_witness(w)
+
+
+def test_condition_1_exact_values_just_above_1_fail():
+    # the capped value is 1 on [0, 1/2]; exact comparisons take no EPS
+    U = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(3, 2))])
+    S = user_supplied(Space.SORGENFREY, lambda U, x: sorgenfrey_f(U, x) * (1 + F(1, 10**12)))
+    rep = check_condition_1(S, SamplePlan(seed=1, n_points=40), sets=[U])
+    assert not rep.passed
+    assert {w["value"] for w in rep.witnesses} == {"1000000000001/1000000000000"}
+
+
+def test_an_uncapped_sorgenfrey_kappa_fails_its_shipped_scenario(monkeypatch, capsys):
+    # installed under the named label, as the corpus reads it
+    from kappalab.cli import main
+
+    uncapped = lambda: Stratification(Space.SORGENFREY, "sorgenfrey_kappa", lambda U: partial(_uncapped_sorgenfrey, U))
+    monkeypatch.setitem(FAMILIES, "sorgenfrey_kappa", uncapped)
+    path = Path(kappalab.__file__).parent / "scenarios" / "sorgenfrey_kappa_full.json"
+    assert main(["check", "--scenario", str(path)]) == 3
+    assert "XX condition_1:sorgenfrey_kappa: verdict=fail expected=pass" in capsys.readouterr().out
 
 
 def test_family_index_mismatch_guard():
@@ -383,6 +439,96 @@ def test_condition_c_on_a_separated_union_is_decided_in_closed_form(monkeypatch)
     assert sampled == []
     assert rep.passed
     assert rep.counts == {"a_samples": 40, "b_samples": 0, "c_samples": 18, "violations": 0}
+
+
+def _closure_cases():
+    """(family, set, q, point, the point's distance from the boundary of the
+    set's closed-form superlevel set {f > q})."""
+    from kappalab.basesets import ClopenInterval, InteriorDisc
+
+    sorgenfrey = validate_regular_open(Space.SORGENFREY, [HalfOpen(F(0), F(1)), HalfOpen(F(2), F(5, 2))])
+    for k in range(-50, 300, 3):  # {f > 1/4} is [0, 3/4) and [2, 9/4)
+        x = F(k, 100)
+        yield sorgenfrey_kappa(), sorgenfrey, F(1, 4), SorgenfreyPoint(x), min(abs(x - b) for b in (0, F(3, 4), 2, F(9, 4)))
+    arrow = validate_regular_open(Space.DOUBLE_ARROW, [ClopenInterval(F(1, 4), F(3, 4))])
+    for q in (F(1, 4), F(3, 4)):  # {f > q} is the interval of length 1/2, then empty
+        for k in range(1, 100, 2):
+            t = F(k, 100)
+            yield double_arrow_ro(), arrow, q, DoubleArrowPoint(t, k % 4 // 2), min(abs(t - F(1, 4)), abs(t - F(3, 4)))
+    disc = validate_regular_open(Space.NIEMYTZKI, [InteriorDisc(F(0), F(2), F(1))])
+    for i in range(-8, 9, 2):  # {f > 1/4} is the disc of radius 3/4 about (0, 2)
+        for j in range(1, 17, 2):
+            p = NiemytzkiPoint(F(i, 8), 1 + F(j, 8))
+            yield niemytzki_kappa(), disc, F(1, 4), p, abs(math.hypot(i / 8, j / 8 - 1) - 0.75)
+
+
+def test_sampled_closures_agree_with_the_closed_form_off_the_boundary():
+    # the deepest neighborhood that a sampled closure probes has radius at
+    # most 2^-8, so it decides the points further than that from the boundary
+    decided = Counter()
+    for S, U, q, x, distance in _closure_cases():
+        if distance <= 2**-8:
+            continue
+        A = stratification_to_approximation(S, QGrid(10))
+        closed = A.realize(U, q).closure_member(x)
+        assert sampled_closure_member(lambda z: A.contains(U, q, z), x) == closed, (S.label, q, x)
+        decided[S.label, closed] += 1
+    assert all(decided[label, closed] for label in ("sorgenfrey_kappa", "double_arrow_ro", "niemytzki_kappa")
+               for closed in (True, False))
+
+
+def test_condition_c_on_the_g_family_samples_its_closures(monkeypatch):
+    # the g family has no closed-form superlevel set: every closure is sampled
+    import kappalab.harness
+
+    sampled, sample = [], kappalab.harness.sampled_closure_member
+    monkeypatch.setattr(kappalab.harness, "sampled_closure_member", lambda *a: sampled.append(a) or sample(*a))
+    U = validate_regular_open(Space.NIEMYTZKI, [TangentDisc(F(0), F(1, 2))])
+    A = stratification_to_approximation(g_stratification(), QGrid(10))
+    assert A.realize(U, F(1, 2)) is None
+    rep = check_conditions_abc(A, [U], SamplePlan(seed=1, n_points=40))
+    assert rep.passed
+    assert len(sampled) == rep.counts["c_samples"] == 18
+
+
+def _sorgenfrey_union(*intervals):
+    return validate_regular_open(Space.SORGENFREY, [HalfOpen(F(a), F(b)) for a, b in intervals])
+
+
+_UNIT, _LONG = _sorgenfrey_union((0, 1)), _sorgenfrey_union((0, 2))
+
+#: the fields of the (a), (b) and (c) witnesses, as docs/schema.md lists them
+_ABC_FIELDS = {
+    "condition_a": {"kind", "family", "set", "point", "member", "qs", "in_q_sets"},
+    "condition_b": {"kind", "family", "small_set", "big_set", "point", "q", "in_small", "in_big"},
+    "condition_c": {"kind", "family", "set", "point", "p", "q", "in_closure_of_q", "in_p_set"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, broken, sets, pairs",
+    [
+        # the points of [1/2, 1) lie in no U_q
+        ("condition_a", lambda U, q, p: p.x >= F(1, 2), [_UNIT], []),
+        # V_q is empty for the bigger set of the pair
+        ("condition_b", lambda U, q, p: U == _LONG, [_UNIT], [(_UNIT, _LONG)] * 3),
+        # U_q is empty for q >= 1/4, while realize keeps the kappa closed form
+        ("condition_c", lambda U, q, p: q >= F(1, 4), [_UNIT], []),
+    ],
+)
+def test_abc_witnesses_carry_their_documented_fields(kind, broken, sets, pairs):
+    # the kappa approximation of the Sorgenfrey line with U_q cut down where
+    # ``broken`` holds.  Replay uses the kappa approximation, so a replay need
+    # not return True: only that each witness decodes is asserted
+    kappa = stratification_to_approximation(sorgenfrey_kappa(), QGrid(10))
+    A = dataclasses.replace(kappa, contains=lambda U, q, p: kappa.contains(U, q, p) and not broken(U, q, p))
+    rep = check_conditions_abc(A, sets, SamplePlan(seed=1, n_points=40), nested_pairs=pairs)
+    assert not rep.passed
+    assert kind in {w["kind"] for w in rep.witnesses}
+    for w in rep.witnesses:
+        assert set(w) == _ABC_FIELDS[w["kind"]] and w["family"] == "approximation"
+        assert isinstance(replay_witness(w), bool)
+    assert all(len(w["in_q_sets"]) == len(w["qs"]) for w in rep.witnesses if w["kind"] == "condition_a")
 
 
 def test_condition_d_fails_on_pinch_chain():
