@@ -64,7 +64,18 @@ class cached_property:
 
 
 class _Interval:
-    """What the interval base sets share, built once per set."""
+    """What the interval base sets share: exact endpoints a < b, decided on
+    their ``terms``, which are built once per set."""
+
+    def __post_init__(self):
+        a, b = as_scalar(self.a), as_scalar(self.b)
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            raise ValueError(f"{type(self).__name__} endpoints must be exact rationals")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        an, ad, bn, bd = self.terms
+        if not an * bd < bn * ad:
+            raise ValueError(f"need a < b, got a={a}, b={b}")
 
     @cached_property
     def terms(self) -> tuple[int, int, int, int]:
@@ -83,16 +94,6 @@ class HalfOpen(_Interval):
     space = Space.SORGENFREY
     kind = "half_open"
 
-    def __post_init__(self):
-        a, b = as_scalar(self.a), as_scalar(self.b)
-        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-            raise ValueError("Sorgenfrey endpoints must be exact rationals")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        an, ad, bn, bd = self.terms
-        if not an * bd < bn * ad:
-            raise ValueError(f"need a < b, got [{a}, {b})")
-
 
 @dataclass(frozen=True)
 class OpenInterval(_Interval):
@@ -107,15 +108,6 @@ class OpenInterval(_Interval):
 
     space = Space.SORGENFREY
     kind = "open_interval"
-
-    def __post_init__(self):
-        a, b = as_scalar(self.a), as_scalar(self.b)
-        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-            raise ValueError("Sorgenfrey endpoints must be exact rationals")
-        if not a < b:
-            raise ValueError(f"need a < b, got ({a}, {b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -136,14 +128,10 @@ class ClopenInterval(_Interval):
     kind = "clopen_interval"
 
     def __post_init__(self):
-        a, b = as_scalar(self.a), as_scalar(self.b)
-        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-            raise ValueError("double arrow endpoints must be exact rationals")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        an, ad, bn, bd = self.terms
-        if not (0 <= an and an * bd < bn * ad and bn <= bd):
-            raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+        super().__post_init__()
+        an, _, bn, bd = self.terms
+        if an < 0 or bn > bd:
+            raise ValueError(f"need 0 <= a < b <= 1, got a={self.a}, b={self.b}")
         if self.include_left_extreme and an != 0:
             raise ValueError("include_left_extreme requires a = 0")
         if self.include_right_extreme and bn != bd:
@@ -352,11 +340,9 @@ def basic_member(s: BasicOpenSet, p: Point) -> bool:
 def basic_closure_member(s: BasicOpenSet, p: Point) -> bool:
     """Membership in the closure of a base element, in its own topology."""
     _check_point(s, p)
-    if isinstance(s, HalfOpen):
-        return le(s.a, p.x) and lt(p.x, s.b)
-    if isinstance(s, OpenInterval):
-        # Every [a, a+d) meets (a, b), so the left endpoint is adherent;
-        # no [b, b+d) does, so the right endpoint is not.
+    if isinstance(s, (HalfOpen, OpenInterval)):
+        # cl [a, b) = cl (a, b) = [a, b): every [a, a+d) meets (a, b), so the
+        # left endpoint is adherent; no [b, b+d) does, so the right one is not.
         return le(s.a, p.x) and lt(p.x, s.b)
     if isinstance(s, (ClopenInterval, ExtremeSingleton)):
         return basic_member(s, p)

@@ -175,6 +175,11 @@ _KINDS = {
         ("set_kind", "a", "b", "t", "value"),
         lambda _k, a, b, t, value, c: _value_eq(_open_value(c, a, b, t, value), value),
     ),
+    "candidate_unit_value_eq": (
+        ("a", "t", "value"),
+        # the value on [a, a + 1) at t; without a candidate, the stored one
+        lambda a, t, value, c: _value_eq(value if c is None else c.half_open_value(a, t), value),
+    ),
 }
 
 
@@ -204,12 +209,20 @@ def _check_assertion(a: dict, candidate=None) -> bool:
 
 
 def reverify_bundle(result: RefutationResult, candidate=None) -> bool:
-    """Replay every assertion of a refuted bundle; True when all hold."""
-    return result.refuted and all(_check_assertion(a, candidate) for a in result.assertions)
+    """Replay every assertion of a refuted bundle; True when all hold, and
+    there is at least one: a bundle with none proves nothing."""
+    return (
+        result.refuted
+        and bool(result.assertions)
+        and all(_check_assertion(a, candidate) for a in result.assertions)
+    )
 
 
 def _refuted(claim: str, assertions: list, detail: dict, candidate=None) -> RefutationResult:
-    """A refuted result, once every assertion holds under the replay's check."""
+    """A refuted result, once it has assertions and every one holds under
+    the replay's check."""
+    if not assertions:
+        raise AssertionError(f"{claim}: a refuted bundle needs an assertion")
     for a in assertions:
         if not _check_assertion(a, candidate):
             raise AssertionError(f"{claim}: a {a['kind']} assertion of the bundle fails")
@@ -330,7 +343,7 @@ def refute_sorgenfrey_A(cand: SorgenfreyCandidate, seed: int = 0) -> RefutationR
     for stage, find in stages:
         sample = find(cand, rng)
         if sample is not None:
-            return _sample_violation(claim, stage, sample)
+            return _sample_violation(cand, claim, stage, sample)
     if cand.open_value is None:
         return RefutationResult(
             claim,
@@ -357,12 +370,13 @@ def refute_sorgenfrey_A(cand: SorgenfreyCandidate, seed: int = 0) -> RefutationR
                 continue
             x = lo + Fraction(1, 64)  # rational limit inside the dense window
             xs = []
+            # every try lies in the window: the one try past it, x + 7/128 at
+            # depth 1, comes after lo + 6/256, 10/256 and 14/256, grid points
+            # of which a dense window misses at most one
             for depth in range(1, CHAIN_BUDGET + 1):
                 found = None
                 for off_num in (1, 3, 5, 7):
                     t_try = x + Fraction(off_num, 2 ** (6 + depth))
-                    if t_try >= lo + Fraction(1, 16):
-                        continue
                     if lt(threshold, cand.half_open_value(t_try, t_try)):
                         found = t_try
                         break
@@ -377,11 +391,23 @@ def refute_sorgenfrey_A(cand: SorgenfreyCandidate, seed: int = 0) -> RefutationR
     return RefutationResult(claim, NOT_FOUND, detail={"reason": "density search exhausted"})
 
 
-def _sample_violation(claim: str, stage: str, sample: dict) -> RefutationResult:
+def _sample_violation(
+    cand: SorgenfreyCandidate, claim: str, stage: str, sample: dict
+) -> RefutationResult:
     """A support (``condition_1``) or monotonicity (``condition_2``) failure
-    at one sample; its result carries no assertions."""
+    at one sample.  Its assertions are the candidate's values there, which
+    replay against the candidate: the half-open unit function's at (x, t)
+    when the sample names x, the open interval's at (a, b, t) when it names
+    a; a monotonicity sample names both."""
+    t, assertions = sample["t"], []
+    if "x" in sample:
+        value = cand.half_open_value(sample["x"], t)
+        assertions.append(_assertion("candidate_unit_value_eq", sample["x"], t, value))
+    if "a" in sample:
+        a, b = sample["a"], sample["b"]
+        assertions.append(_assertion("candidate_value_eq", "open", a, b, t, cand.open_value(a, b, t)))
     encoded = {k: encode_scalar(v) if isinstance(v, Fraction) else v for k, v in sample.items()}
-    return _refuted(claim, [], {"stage": stage, "sample": encoded})
+    return _refuted(claim, assertions, {"stage": stage, "sample": encoded}, cand)
 
 
 def _assemble_sorgenfrey_bundle(
@@ -395,11 +421,11 @@ def _assemble_sorgenfrey_bundle(
         if lt(v_open, v_half):
             # monotonicity breaks on the nested pair [x_k, x_k+1) in (x, 2)
             sample = {"x": x_k, "a": x, "b": b_end, "t": x_k, "small": v_half, "big": v_open}
-            return _sample_violation(claim, "condition_2", sample)
+            return _sample_violation(cand, claim, "condition_2", sample)
         assertions.append(_assertion("candidate_value_gt", "open", x, b_end, x_k, threshold, v_open))
     if not eq(cand.open_value(x, b_end, x), 0):
         sample = {"a": x, "b": b_end, "t": x, "expect": "zero"}
-        return _sample_violation(claim, "condition_1", sample)
+        return _sample_violation(cand, claim, "condition_1", sample)
     assertions.append(_assertion("candidate_value_eq", "open", x, b_end, x, Fraction(0)))
     # the search found x_k at depth >= k, so x_k - x <= 7/2^(6+k) < 2^-(3+k)
     for k, x_k in enumerate(xs, 1):

@@ -187,14 +187,10 @@ def basic_subset(inner: BasicOpenSet, outer: BasicOpenSet) -> bool:
         if inner.include_right_extreme and not outer.include_right_extreme:
             return False
         return le(outer.a, inner.a) and le(inner.b, outer.b)
-    if isinstance(inner, ExtremeSingleton):
-        if isinstance(outer, ExtremeSingleton):
-            return inner.side == outer.side
+    if isinstance(inner, ExtremeSingleton):  # the outer set is one of the two double arrow kinds
         if isinstance(outer, ClopenInterval):
-            if inner.side == 0:
-                return outer.include_left_extreme
-            return outer.include_right_extreme
-        return False
+            return outer.include_right_extreme if inner.side else outer.include_left_extreme
+        return inner.side == outer.side
     if isinstance(inner, InteriorDisc):
         if isinstance(outer, (InteriorDisc, TangentDisc)):
             gap = outer.r - inner.r
@@ -235,91 +231,74 @@ def _apart(components: Sequence[BasicOpenSet], cls: type) -> bool:
     return True
 
 
+def _merge(items) -> list[list]:
+    """The merge of both order spaces.  It sorts the items [a, left end
+    closed, b, left flag, right flag, the input component] by a, closed ends
+    first.  An interval extends the last merged one when it starts inside
+    it, or at its right end with a closed left end, and merging ORs the
+    extreme flags (docs/derivations.md, "Canonical input").  Each merged run
+    keeps the input component it starts from."""
+    merged: list[list] = []
+    for it in sorted(items, key=lambda it: (it[0], not it[1])):
+        cur = merged[-1] if merged else None
+        if cur and (it[0] < cur[2] or it[1] and it[0] == cur[2]):
+            cur[2] = max(cur[2], it[2])
+            cur[3] = cur[3] or it[3]
+            cur[4] = cur[4] or it[4]
+        else:
+            merged.append(list(it))
+    return merged
+
+
 def _canonical_sorgenfrey(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
     """The merged components in order; a component that nothing merged into
     is the input object itself, not built again."""
     if _apart(components, HalfOpen):
         return list(components)
-    items = []  # (left, left_closed, right, the input component it starts from)
-    for c in components:
-        if isinstance(c, HalfOpen):
-            items.append([c.a, True, c.b, c])
-        elif isinstance(c, OpenInterval):
-            items.append([c.a, False, c.b, c])
-        else:
-            raise TypeError(f"{c!r} is not a Sorgenfrey base set")
-    items.sort(key=lambda it: (it[0], not it[1]))
-    merged: list[list] = []
-    for it in items:
-        if merged:
-            cur = merged[-1]
-            touches = it[0] < cur[2] or (it[0] == cur[2] and it[1])
-            if touches:
-                cur[2] = max(cur[2], it[2])
-                continue
-        merged.append(list(it))
     out: list[BasicOpenSet] = []
-    for left, closed, right, first in merged:
-        if closed:
-            out.append(first if right == first.b else HalfOpen(left, right))
-        else:
+    for left, closed, right, _, _, first in _merge(
+        [c.a, isinstance(c, HalfOpen), c.b, False, False, c] for c in components
+    ):
+        if not closed:
             raise NotRegularOpenError(
                 f"canonical component ({left}, {right}) is left-open: "
                 f"{left} lies in the interior of the closure but not in the set",
                 SorgenfreyPoint(left),
             )
+        out.append(first if right == first.b else HalfOpen(left, right))
     return out
 
 
 def _canonical_double_arrow(components: Sequence[BasicOpenSet]) -> list[BasicOpenSet]:
     """The merged components in order; a component that nothing merged into
-    is the input object itself, not built again."""
+    is the input object itself, not built again.  An order interval
+    [(a,1), (b,0)] counts as closed at its left end."""
     intervals: list[ClopenInterval] = []
-    left_single = right_single = None
+    singles = [None, None]  # the extreme singletons, by side
     for c in components:
         if isinstance(c, ClopenInterval):
             intervals.append(c)
-        elif isinstance(c, ExtremeSingleton):
-            if c.side == 0:
-                left_single = c
-            else:
-                right_single = c
         else:
-            raise TypeError(f"{c!r} is not a double arrow base set")
+            singles[c.side] = c
+    left_single, right_single = singles
     if _apart(intervals, ClopenInterval) and not (
         intervals and (left_single and intervals[0].a == 0 or right_single and intervals[-1].b == 1)
     ):  # nothing merges, and no singleton folds into an interval at its extreme
         return [c for c in (left_single, *intervals, right_single) if c]
-    items = sorted(
-        ([c.a, c.b, c.include_left_extreme, c.include_right_extreme, c] for c in intervals),
-        key=lambda it: (it[0], it[1]),
-    )  # (a, b, left flag, right flag, the input component it starts from)
-    merged: list[list] = []
-    for it in items:
-        if merged and it[0] <= merged[-1][1]:
-            cur = merged[-1]
-            cur[1] = max(cur[1], it[1])
-            cur[2] = cur[2] or it[2]
-            cur[3] = cur[3] or it[3]
-        else:
-            merged.append(it)
-    if left_single:
-        if merged and merged[0][0] == 0:
-            merged[0][2] = True
-            left_single = None
-    if right_single:
-        if merged and merged[-1][1] == 1:
-            merged[-1][3] = True
-            right_single = None
-    out: list[BasicOpenSet] = []
-    if left_single:
-        out.append(left_single)
-    for a, b, fl, fr, first in merged:
+    merged = _merge(
+        [c.a, True, c.b, c.include_left_extreme, c.include_right_extreme, c] for c in intervals
+    )
+    if left_single and merged and merged[0][0] == 0:
+        merged[0][3] = True
+        left_single = None
+    if right_single and merged and merged[-1][2] == 1:
+        merged[-1][4] = True
+        right_single = None
+    out: list[BasicOpenSet] = [left_single] if left_single else []
+    for a, _, b, fl, fr, first in merged:
         unchanged = (b, fl, fr) == (first.b, first.include_left_extreme, first.include_right_extreme)
         out.append(first if unchanged else ClopenInterval(a, b, fl, fr))
-    if right_single:
-        out.append(right_single)
-    return out
+    return out + [right_single] if right_single else out
 
 
 def _canonical_niemytzki(components: Sequence[BasicOpenSet]) -> tuple[list[BasicOpenSet], bool]:
@@ -363,10 +342,11 @@ def validate_regular_open(
     """Canonicalize a finite union and certify its regular openness.
 
     Raises ``NotRegularOpenError`` (with a witness point in int cl S minus S)
-    when the union is provably not regular open.  Intervals that arrive
-    ordered and apart, and discs whose closed hulls are apart, are kept as
-    they are, with no sort, merge or containment search (docs/derivations.md,
-    "Canonical input").
+    when the union is provably not regular open.  A component's space
+    decides its class: the order spaces have two base set classes each.
+    Intervals that arrive ordered and apart, and discs whose closed hulls are
+    apart, are kept as they are, with no sort, merge or containment search
+    (docs/derivations.md, "Canonical input").
     """
     for c in components:
         if c.space is not space:

@@ -43,6 +43,32 @@ def test_constructor_guards():
         TangentDisc(F(0), F(0))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: HalfOpen(F(1), F(1)), "need a < b"),
+        (lambda: OpenInterval(F(1, 2), F(1, 3)), "need a < b"),
+        (lambda: ClopenInterval(F(1, 2), F(1, 2)), "need a < b"),
+        (lambda: HalfOpen(0.5, F(1)), "HalfOpen endpoints must be exact rationals"),
+        (lambda: OpenInterval(F(0), 1.0), "OpenInterval endpoints must be exact rationals"),
+        (lambda: ClopenInterval(0.25, F(1, 2)), "ClopenInterval endpoints must be exact rationals"),
+        (lambda: ClopenInterval(F(-1, 4), F(1, 2)), "need 0 <= a < b <= 1"),
+        (lambda: ClopenInterval(F(1, 2), F(5, 4)), "need 0 <= a < b <= 1"),
+        (lambda: ClopenInterval(F(0), F(3, 4), include_right_extreme=True), "requires b = 1"),
+    ],
+)
+def test_interval_endpoints_are_checked_once_for_every_interval_kind(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_interval_endpoints_become_fractions_with_their_terms():
+    for cls in (HalfOpen, OpenInterval, ClopenInterval):
+        s = cls(0, "2/4")
+        assert (s.a, s.b) == (F(0), F(1, 2)) and type(s.a) is type(s.b) is F
+        assert s.terms == (0, 1, 1, 2)
+
+
 def test_deep_axis_neighborhood_has_exact_radius():
     # 2**-30 lies below EPS; an exact radius must still count as positive
     p = NiemytzkiPoint(F(1, 3), 0)

@@ -56,6 +56,9 @@ def test_condition_1_violator_caught_early():
     res = refute_sorgenfrey_A(bad)
     assert res.verdict == REFUTED
     assert res.detail["stage"] == "condition_1"
+    assert reverify_bundle(res, bad)
+    res.assertions[0]["value"] = "1/2"
+    assert not reverify_bundle(res, bad)
 
 
 def test_condition_2_violator_caught_early():
@@ -67,6 +70,111 @@ def test_condition_2_violator_caught_early():
     res = refute_sorgenfrey_A(bad)
     assert res.verdict == REFUTED
     assert res.detail["stage"] == "condition_2"
+    assert reverify_bundle(res, bad)
+    res.assertions[1]["value"] = "1"
+    assert not reverify_bundle(res, bad)
+
+
+_INDICATOR = lambda x, t: F(1) if x <= t < x + 1 else F(0)
+_OPEN_INDICATOR = lambda a, b, t: F(1) if a < t < b else F(0)
+
+
+def _early_stage(cand, stage, kinds):
+    """The candidate is refuted at ``stage`` by a bundle of the candidate's
+    values of ``kinds``, which replays true with the candidate and false
+    with its first stored value changed."""
+    res = refute_sorgenfrey_A(cand)
+    assert res.verdict == REFUTED and res.detail["stage"] == stage
+    assert [a["kind"] for a in res.assertions] == kinds
+    assert reverify_bundle(res, cand)
+    res.assertions[0]["value"] = str(F(res.assertions[0]["value"]) + F(1, 3))
+    assert not reverify_bundle(res, cand)
+    return res
+
+
+def test_condition_1_sample_off_the_unit_interval():
+    # 1 everywhere: nonzero at x - 1/64, outside [x, x + 1)
+    cand = SorgenfreyCandidate(lambda x, t: F(1), _OPEN_INDICATOR, name="one")
+    res = _early_stage(cand, "condition_1", ["candidate_unit_value_eq"])
+    assert res.detail["sample"]["expect"] == "zero"
+
+
+def test_condition_1_sample_at_an_open_left_end():
+    # the open-interval function scores its own left end a
+    cand = SorgenfreyCandidate(_INDICATOR, lambda a, b, t: F(1) if a <= t < b else F(0), name="left")
+    res = _early_stage(cand, "condition_1", ["candidate_value_eq"])
+    assert res.detail["sample"]["t"] == res.detail["sample"]["a"]
+
+
+def test_condition_2_found_while_assembling_the_chain():
+    # halved on the open interval within 1/32 of its left end: the sampled
+    # pairs start 1/16 or more from a, the chain's points 1/128 or less
+    def open_value(a, b, t):
+        return (F(1, 2) if t - a < F(1, 32) else F(1)) if a < t < b else F(0)
+
+    cand = SorgenfreyCandidate(_INDICATOR, open_value, name="near_left_halved")
+    res = _early_stage(cand, "condition_2", ["candidate_unit_value_eq", "candidate_value_eq"])
+    assert res.detail["sample"]["a"] == "1/64"
+
+
+def test_condition_1_found_while_assembling_the_chain():
+    # scores the left end a of an open interval whose a has denominator 64:
+    # the sampled a lie on the 1/32 grid, the chain's limit at j/16 + 1/64
+    def open_value(a, b, t):
+        return F(1) if a < t < b or t == a and a.denominator == 64 else F(0)
+
+    cand = SorgenfreyCandidate(_INDICATOR, open_value, name="left_at_64ths")
+    res = _early_stage(cand, "condition_1", ["candidate_value_eq"])
+    assert res.detail["sample"] == {"a": "1/64", "b": "2", "t": "1/64", "expect": "zero"}
+
+
+def _self_value_dropped(drop):
+    """The indicator candidate, but 0 on [x, x+1) at its own left end x
+    where ``drop(x)``."""
+    half = lambda x, t: F(0) if t == x and drop(x) else _INDICATOR(x, t)
+    return SorgenfreyCandidate(half, _OPEN_INDICATOR, name="dropped")
+
+
+def _odd_256ths(x):
+    return (256 * x).denominator == 1 and (256 * x).numerator % 2 == 1
+
+
+def test_density_search_skips_sparse_windows():
+    # 7 of the 15 grid points of the windows in [0, 1/8) clear the threshold
+    cand = _self_value_dropped(lambda x: x < F(1, 8) and _odd_256ths(x))
+    res = refute_sorgenfrey_A(cand)
+    assert res.verdict == REFUTED and res.detail["stage"] == "continuity_chain"
+    assert res.detail["limit"]["x"] == "9/64"  # the third window, 1/8 + 1/64
+    assert reverify_bundle(res, cand)
+
+
+def test_density_search_with_no_dense_window_gives_up():
+    # the early stages sample x on the 1/32 grid, where 256 x is even
+    res = refute_sorgenfrey_A(_self_value_dropped(_odd_256ths))
+    assert res.verdict == NOT_FOUND
+    assert res.detail == {"reason": "density search exhausted"}
+
+
+def test_density_search_gives_up_on_a_descent_that_stalls():
+    # every try of depth d is x + j/2^(6+d), j odd, whose numerator over
+    # 2^(6+d) is j mod 4 for d >= 2.  At depth 3 the try j = 1 fails and
+    # j = 3 lies above the depth-2 point, so it is skipped; from depth 4 on
+    # every try fails, and two points are too few in every window.
+    def drop(x):
+        return x.denominator >= 1024 or x.denominator == 512 and x.numerator % 4 == 1
+
+    res = refute_sorgenfrey_A(_self_value_dropped(drop))
+    assert res.verdict == NOT_FOUND
+    assert res.detail == {"reason": "density search exhausted"}
+
+
+def test_a_refuted_bundle_needs_an_assertion():
+    from kappalab.refuters import RefutationResult, _refuted
+
+    with pytest.raises(AssertionError):
+        _refuted("claim", [], {})
+    res = g_family_not_extendable(1)
+    assert not reverify_bundle(RefutationResult(res.claim, res.verdict, [], res.detail))
 
 
 def test_doublearrow_refuter_default():
@@ -278,6 +386,10 @@ def _replace(index, value):
     return tamper
 
 
+def _remove_all(assertions):
+    assertions.clear()
+
+
 def _chain_depth_0(assertions):
     for a in assertions:  # a depth-0 chain has no element to check
         a["chain"]["depth"] = 0
@@ -331,6 +443,7 @@ def _double_arrow_side_as_bool(assertions):
         (_right_gap_bundle, _put_first("candidate_value_eq", "value", 1e-10)),
         (_sorgenfrey_bundle, _member_point_as_binary64),
         (_doublearrow_bundle, _double_arrow_side_as_bool),
+        (_g_bundle, _remove_all),
     ],
     ids=[
         "halfplane_set_not_a_tangent_disc",
@@ -351,6 +464,7 @@ def _double_arrow_side_as_bool(assertions):
         "exact_candidate_value_as_binary64",
         "sorgenfrey_point_as_binary64",
         "double_arrow_side_as_bool",
+        "assertions_removed",
     ],
 )
 def test_tampered_bundle_fails_closed(bundle, tamper):

@@ -182,6 +182,46 @@ def test_basic_subset_cases():
     assert not basic_subset(HalfOpen(F(0), F(1)), OpenInterval(F(0), F(1)))
 
 
+def test_merged_double_arrow_runs_keep_the_flags_of_every_interval():
+    # the flagged interval is not the first of its run: its flag still counts
+    left = [ClopenInterval(F(0), F(1, 2)), ClopenInterval(F(0), F(1, 4), include_left_extreme=True)]
+    assert validate_regular_open(Space.DOUBLE_ARROW, left).components == (
+        ClopenInterval(F(0), F(1, 2), include_left_extreme=True),
+    )
+    right = [ClopenInterval(F(1, 4), F(3, 4)), ClopenInterval(F(3, 4), F(1), include_right_extreme=True)]
+    assert validate_regular_open(Space.DOUBLE_ARROW, right).components == (
+        ClopenInterval(F(1, 4), F(1), include_right_extreme=True),
+    )
+
+
+def _double_arrow_base_sets(k):
+    """Every clopen interval with endpoints on the grid j/k, with every
+    allowed extreme flag, and the two extreme singletons."""
+    out = [ExtremeSingleton(0), ExtremeSingleton(1)]
+    for a in range(k):
+        for b in range(a + 1, k + 1):
+            for left in (False, True)[: 2 if a == 0 else 1]:
+                for right in (False, True)[: 2 if b == k else 1]:
+                    out.append(ClopenInterval(F(a, k), F(b, k), left, right))
+    return out
+
+
+def test_basic_subset_on_the_double_arrow_is_pointwise_containment():
+    # the grid points (j/4, side) decide containment between sets whose
+    # endpoints lie on the grid: each set holds its end points (a,1), (b,0)
+    points = [DoubleArrowPoint(F(j, 4), side) for j in range(5) for side in (0, 1)]
+    sets = _double_arrow_base_sets(4)
+    for inner in sets:
+        for outer in sets:
+            pointwise = all(basic_member(outer, p) for p in points if basic_member(inner, p))
+            assert basic_subset(inner, outer) is pointwise, (inner, outer)
+    flagged = ClopenInterval(F(0), F(1), True, True)
+    assert basic_subset(ExtremeSingleton(0), flagged) and basic_subset(ExtremeSingleton(1), flagged)
+    assert not basic_subset(ExtremeSingleton(0), ClopenInterval(F(0), F(1), False, True))
+    assert not basic_subset(flagged, ClopenInterval(F(0), F(1)))
+    assert not basic_subset(ClopenInterval(F(0), F(1, 2)), ExtremeSingleton(0))
+
+
 # ---------------------------------------------------------------------------
 # nesting for every n
 
